@@ -103,7 +103,6 @@ def _make_layer() -> MoELayer:
         top_k=2,
         # cf >= E/k: no drops, the precondition for exact parity.
         capacity_factor=NUMERIC["num_experts"] / 2.0,
-        expert_impl="grouped",
     ).eval()
 
 

@@ -88,7 +88,6 @@ def _make_layer(cfg: dict, gate_type: str) -> MoELayer:
         top_k=cfg["top_k"],
         capacity_factor=cfg["capacity_factor"],
         gate_type=gate_type,
-        expert_impl="grouped",
     ).eval()
 
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.compression.fidelity import collect_a2a_tensors, measure_fidelity
 from repro.models.gpt2_tiny import TransformerLM
-from repro.moe import default_dispatch_mode, default_expert_impl
 from repro.training import (
     default_lm_corpus,
     run_lm_convergence,
@@ -49,20 +48,16 @@ MT_STEPS = 900
 def gradient_fidelity():
     """SNR of each codec on a trained model's live A2A tensors.
 
-    Pinned to the numerics the recorded SNRs were measured under —
-    sparse dispatch + the batched bank, the process defaults at
-    recording time — so the sidecar stays byte-stable as the
-    process-wide execution defaults evolve (grouped reassociates
-    weight-grad reductions, which shifts this chaotic 150-step run).
+    Measured on the production path (sparse dispatch, grouped
+    experts), the process default.
     """
     corpus = default_lm_corpus()
-    with default_dispatch_mode("sparse"), default_expert_impl("batched"):
-        model = _lm_model("MoE", corpus, "tiny", seed=0)
-        train_lm(model, corpus, steps=150, batch_size=16)
-        model.zero_grad()
-        tokens = next(corpus.batches(16, 1, seed=999))
-        model.loss(tokens).backward()
-        tensors = collect_a2a_tensors(model)
+    model = _lm_model("MoE", corpus, "tiny", seed=0)
+    train_lm(model, corpus, steps=150, batch_size=16)
+    model.zero_grad()
+    tokens = next(corpus.batches(16, 1, seed=999))
+    model.loss(tokens).backward()
+    tensors = collect_a2a_tensors(model)
     return measure_fidelity(
         tensors["gradients"], codecs=("fp16", "zfp", "int8", "int8c")
     )

@@ -278,7 +278,6 @@ def cmd_reshard(args) -> int:
             # cf >= E/k: no token is ever dropped, the precondition for
             # exact layer<->group equivalence (see tests/moe).
             capacity_factor=demo.num_experts / 2.0,
-            expert_impl="grouped",
         ).eval()
 
     layer = make_layer()
@@ -491,7 +490,6 @@ def cmd_pipeline(args) -> int:
         top_k=2,
         capacity_factor=2.0,
         compressor=codec,
-        expert_impl="grouped",
     ).eval()
     rng = np.random.default_rng(1)
     tokens = rng.standard_normal(
@@ -557,7 +555,6 @@ def cmd_infer(args) -> int:
         rng=np.random.default_rng(0),
         top_k=2,
         capacity_factor=2.0,
-        expert_impl="grouped",
     ).eval()
     from .nn.tensor import Tensor
 

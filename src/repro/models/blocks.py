@@ -34,7 +34,6 @@ def make_ffn(
     capacity_factor: float = 1.0,
     compressor: Optional[Compressor] = None,
     activation: str = "relu",
-    expert_impl: Optional[str] = None,
     pipeline: str = "sync",
     num_chunks: int = 1,
 ) -> Module:
@@ -50,7 +49,6 @@ def make_ffn(
         capacity_factor=capacity_factor,
         compressor=compressor,
         activation=activation,
-        expert_impl=expert_impl,
         pipeline=pipeline,
         num_chunks=num_chunks,
     )

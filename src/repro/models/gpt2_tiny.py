@@ -36,7 +36,6 @@ class TransformerLM(Module):
         compressor: Optional[Compressor] = None,
         dropout: float = 0.0,
         seed: int = 0,
-        expert_impl: Optional[str] = None,
         pipeline: str = "sync",
         num_chunks: int = 1,
     ):
@@ -61,7 +60,6 @@ class TransformerLM(Module):
                         top_k=top_k,
                         capacity_factor=capacity_factor,
                         compressor=compressor,
-                        expert_impl=expert_impl,
                         pipeline=pipeline,
                         num_chunks=num_chunks,
                     ),

@@ -38,7 +38,6 @@ class Seq2SeqTransformer(Module):
         dropout: float = 0.0,
         pad_id: int = 0,
         seed: int = 0,
-        expert_impl: Optional[str] = None,
         pipeline: str = "sync",
         num_chunks: int = 1,
     ):
@@ -61,7 +60,6 @@ class Seq2SeqTransformer(Module):
                 top_k=top_k,
                 capacity_factor=capacity_factor,
                 compressor=compressor,
-                expert_impl=expert_impl,
                 pipeline=pipeline,
                 num_chunks=num_chunks,
             )

@@ -11,23 +11,11 @@ from .dispatch import (
     GroupedRouting,
     combine,
     combine_grouped,
-    combine_sparse,
     dispatch,
     dispatch_grouped,
-    dispatch_sparse,
 )
-from .experts import (
-    EXPERT_IMPLS,
-    Experts,
-    default_expert_impl,
-    validate_expert_impl,
-)
-from .gating import (
-    GateOutput,
-    TopKGate,
-    assign_capacity_slots,
-    load_balancing_loss,
-)
+from .experts import Experts
+from .gating import GateOutput, TopKGate, load_balancing_loss
 from .layer import MoELayer, default_dispatch_mode
 from .parallel import A2ATraffic, ExpertParallelGroup
 from .placement import (
@@ -46,11 +34,9 @@ from .routing import (
 __all__ = [
     "A2ATraffic",
     "DISPATCH_MODES",
-    "EXPERT_IMPLS",
     "ExpertParallelGroup",
     "ExpertPlacement",
     "Experts",
-    "default_expert_impl",
     "expert_param_bytes",
     "GateOutput",
     "GroupedRouting",
@@ -58,18 +44,14 @@ __all__ = [
     "RoutingPlan",
     "default_dispatch_mode",
     "TopKGate",
-    "assign_capacity_slots",
     "combine",
     "combine_grouped",
-    "combine_sparse",
     "dispatch",
     "dispatch_grouped",
-    "dispatch_sparse",
     "load_balancing_loss",
     "plan_for_expert_choice",
     "plan_from_indices",
     "reshard_moves",
     "reshard_traffic",
     "route_fused",
-    "validate_expert_impl",
 ]

@@ -11,36 +11,31 @@ experiments can run without physical GPUs.
 
 The dense einsums contract over a one-hot (T, E, C) mask — an
 ``O(T * E * C * M)`` computation for what is really an ``O(T * k * M)``
-data movement.  The *sparse* backend routes via integer indices
-instead (a gather of kept token rows scatter-added into flat
-``expert * C + slot`` destinations, and the exact adjoint on the way
-back), the same move FastMoE made when it replaced GShard's einsum
-dispatch with index-based scatter/gather kernels.  Both backends
-produce identical outputs and gradients
-(`tests/moe/test_dispatch_parity.py`); the dense one stays selectable
-as the executable reference semantics.
+data movement.  They stay as the executable reference semantics.
 
-The third form is *capacity-free*: :func:`dispatch_grouped` sorts the
-kept assignments by expert (a stable argsort — the sort permutation)
-and gathers the token rows into contiguous per-expert segments, the
-layout :meth:`~repro.moe.experts.Experts.run_grouped` consumes via
-:func:`~repro.nn.tensor.segment_matmul`.  No ``(E, C, M)`` buffer, no
-scatter into capacity slots, no empty-slot padding — memory traffic
-is ``O(N * M)`` in the routed assignment count however large the
-capacity factor grows.  :func:`combine_grouped` is its adjoint-
+The production form is *capacity-free*: :func:`dispatch_grouped` sorts
+the kept assignments by expert (a stable argsort — the sort
+permutation) and gathers the token rows into contiguous per-expert
+segments, the layout :meth:`~repro.moe.experts.Experts.run_grouped`
+consumes via :func:`~repro.nn.tensor.segment_matmul`.  No
+``(E, C, M)`` buffer, no scatter into capacity slots, no empty-slot
+padding — memory traffic is ``O(N * M)`` in the routed assignment
+count however large the capacity factor grows, the same move FastMoE
+made when it replaced GShard's einsum dispatch with index-based
+scatter/gather kernels.  :func:`combine_grouped` is its adjoint-
 structured inverse: weight and scatter-add the flat expert output
-rows straight into their owning tokens.  Both consume the same
-``_kept_assignments`` layer as the sparse pair, so token-major top-k
-and flat expert-choice routings work unchanged.
+rows straight into their owning tokens.  Token-major top-k and flat
+expert-choice routings both work unchanged (see
+:func:`_kept_assignments`); the grouped pair matches the dense
+einsums in outputs and gradients (`tests/moe/test_dispatch_parity.py`).
 
-All three index-based entry points accept the gate's cached
-:class:`~repro.moe.routing.RoutingPlan` (``plan=``): the fused
-routing kernel already computed the kept coordinates and the expert-
-major permutation in its single sort, so passing the plan skips the
-``np.nonzero`` re-scan and the per-call ``argsort``/``bincount``
-entirely.  Omitting it keeps the legacy self-contained behaviour —
-the arrays are re-derived from the index arguments — which the parity
-suites use as the independent reference.
+:func:`dispatch_grouped` accepts the gate's cached
+:class:`~repro.moe.routing.RoutingPlan` (``plan=``): the fused routing
+kernel already computed the expert-major permutation in its single
+sort, so passing the plan skips the ``np.nonzero`` re-scan and the
+per-call ``argsort``/``bincount`` entirely.  Omitting it re-derives
+the arrays from the index arguments, which the parity suites use as
+the independent reference.
 """
 
 from __future__ import annotations
@@ -143,93 +138,6 @@ def _kept_assignments(
     )
 
 
-def dispatch_sparse(
-    tokens: Tensor,
-    expert_indices: np.ndarray,
-    slot_indices: np.ndarray,
-    num_experts: int,
-    capacity: int,
-    token_indices=None,
-    plan=None,
-) -> Tensor:
-    """Index-based dispatch: (T, M) tokens to (E, C, M) expert inputs.
-
-    Gathers the kept token rows and scatters them into their flat
-    ``expert * C + slot`` destination — ``O(N * M)`` for N kept
-    assignments, forward and backward, with no (T, E, C) intermediate.
-    Destinations are unique by construction (one token per capacity
-    slot, for every gate), so the scatter takes
-    :func:`~repro.nn.tensor.scatter_add`'s ``unique_indices`` store
-    path instead of the accumulating ``np.add.at``.  Numerically
-    identical to :func:`dispatch` on the densified mask.
-
-    Routing indices may be token-major ``(T, k)`` or flat ``(N,)``
-    with ``token_indices`` (see :func:`_kept_assignments`).
-    """
-    if tokens.ndim != 2:
-        raise ValueError(f"tokens must be (T, M), got {tokens.shape}")
-    if plan is not None:
-        token_ids = plan.kept_token_ids
-        expert_ids = plan.kept_expert_ids
-        slot_ids = plan.kept_slot_ids
-    else:
-        token_ids, _, expert_ids, slot_ids = _kept_assignments(
-            expert_indices, slot_indices, token_indices
-        )
-    flat_slots = expert_ids * capacity + slot_ids
-    rows = gather(tokens, token_ids)  # (N, M)
-    out = scatter_add(
-        rows, flat_slots, num_experts * capacity, unique_indices=True
-    )
-    return out.reshape(num_experts, capacity, tokens.shape[1])
-
-
-def combine_sparse(
-    expert_outputs: Tensor,
-    expert_indices: np.ndarray,
-    slot_indices: np.ndarray,
-    gate_weights: Tensor,
-    num_tokens: int,
-    token_indices=None,
-    plan=None,
-) -> Tensor:
-    """Index-based combine: (E, C, M) expert outputs to (T, M) tokens.
-
-    Gathers each kept assignment's expert-output row, scales it by the
-    differentiable gate weight, and scatter-adds into the owning token
-    — the exact adjoint structure of the dense ``ecm,tec->tm`` einsum,
-    so outputs *and* gradients (including the zero gradient at dropped
-    assignments) match :func:`combine`.  Here the destinations are
-    token ids, which *do* repeat (a token combines contributions from
-    up to k — or, under expert-choice, up to E — experts), so the
-    accumulating scatter stays.
-
-    ``gate_weights`` matches the index layout: a ``(T, k)`` tensor for
-    token-major indices, a flat ``(N,)`` tensor (with
-    ``token_indices``) for flat indices.
-    """
-    if expert_outputs.ndim != 3:
-        raise ValueError(
-            f"expert outputs must be (E, C, M), got {expert_outputs.shape}"
-        )
-    num_experts, capacity, model_dim = expert_outputs.shape
-    if plan is not None:
-        token_ids = plan.kept_token_ids
-        weight_index = plan.kept_weight_index
-        expert_ids = plan.kept_expert_ids
-        slot_ids = plan.kept_slot_ids
-    else:
-        token_ids, weight_index, expert_ids, slot_ids = _kept_assignments(
-            expert_indices, slot_indices, token_indices
-        )
-    flat_slots = expert_ids * capacity + slot_ids
-    rows = gather(
-        expert_outputs.reshape(num_experts * capacity, model_dim), flat_slots
-    )  # (N, M)
-    weights = gate_weights[weight_index].reshape(-1, 1)  # (N, 1)
-    return scatter_add(rows * weights, token_ids, num_tokens)
-
-
 @dataclass(frozen=True)
 class GroupedRouting:
     """The sort-permutation form of one batch's flat routing.
@@ -270,8 +178,8 @@ def dispatch_grouped(
     gate's assignment order) and gathers each one's token row — a
     single ``O(N * M)`` gather producing an ``(N, M)`` tensor whose
     rows are contiguous per expert, plus the :class:`GroupedRouting`
-    bookkeeping needed to combine.  Unlike :func:`dispatch_sparse`
-    there is no capacity dimension: memory and FLOPs are independent
+    bookkeeping needed to combine.  Unlike :func:`dispatch` there is
+    no capacity dimension: memory and FLOPs are independent
     of ``C``, dropped assignments simply don't appear, and an expert
     with no tokens contributes an empty segment.
 

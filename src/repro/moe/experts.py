@@ -1,125 +1,44 @@
-"""Expert bank: E independent feed-forward networks, executed batched.
+"""Expert bank: E independent feed-forward networks over stacked weights.
 
 The paper's ``AbsExpert``: experts are ordinary fflayers (two GEMMs),
-abstracted so the profiler can time them, the scheduler can split them
-into sub-tasks — and so their execution strategy can be swapped.  This
-module stores the whole bank as *stacked* parameters
+abstracted so the profiler can time them and the scheduler can split
+them into sub-tasks.  This module stores the whole bank as *stacked*
+parameters
 
 * ``w1``: ``(E, M, H)``,  ``b1``: ``(E, 1, H)``
 * ``w2``: ``(E, H, M)``,  ``b2``: ``(E, 1, M)``
 
-and executes all E experts with two batched matmuls
-(:func:`~repro.nn.tensor.bmm`) instead of a Python loop over E
-per-expert modules — the grouped-GEMM move Megatron-Core and
-MegaBlocks make for exactly this loop-of-small-GEMMs pathology.
+and offers exactly two ways to run it:
 
-Three execution strategies share the parameters:
-
-* ``expert_impl="batched"`` — a *reference tier*: two ``bmm`` calls
-  over the bank, *occupancy-aware*: given the gate's per-expert slot
-  counts, only the occupied slot prefix ``[:max_fill]`` of the
-  (E, C, M) capacity buffer enters the GEMMs.  The remaining padding
-  slots are zero-filled — every consumer (sparse and dense combine
-  alike) carries a zero combine weight at unoccupied slots, so the
-  padding values are structurally unobservable downstream.  (An older
-  formulation broadcast the closed-form "empty-slot response"
-  ``fc2(act(b1))`` into the padding to stay bit-identical to running
-  the FFN over every zero row; with ``"grouped"`` the process default
-  that machinery is retired — the loop reference still produces the
-  response at padding slots, so bank-level parity is asserted on the
-  occupied prefix.)  GEMM FLOPs scale with ``E * max_fill`` (~ the
-  routed token count N under balanced routing) instead of ``E * C``.
-* ``expert_impl="grouped"`` (the process default) — *capacity-free*,
+* :meth:`Experts.run_grouped` — the production path, capacity-free and
   MegaBlocks-style: the flat routed rows, sorted by expert, flow
-  through :func:`~repro.nn.tensor.segment_matmul` — each expert's contiguous
-  row segment multiplies its stacked weight slice, occupied experts
-  only, no capacity dimension anywhere.  :meth:`Experts.run_grouped`
-  is the primitive entry point the MoE layer's grouped hot path and
-  :class:`~repro.moe.parallel.ExpertParallelGroup` use; when handed a
-  capacity-form (E, C, M) buffer (dense dispatch mode, parity tests),
-  :meth:`Experts.forward` gathers the occupied prefix rows, runs them
-  grouped, and scatters them back into a zero buffer — same answers
-  at every occupied slot, buffer only at the boundary.
-* ``expert_impl="loop"`` — the reference: one expert at a time over
-  its full capacity slice, Python-level, kept selectable for parity
-  testing (`tests/moe/test_expert_bank.py` and
-  `tests/moe/test_expert_grouped.py` assert bit-equal forwards and
-  matching gradients).
+  through :func:`~repro.nn.tensor.segment_matmul` — each expert's
+  contiguous row segment multiplies its stacked weight slice, occupied
+  experts only, no capacity dimension anywhere.  The sparse MoE layer
+  and :class:`~repro.moe.parallel.ExpertParallelGroup` both run it
+  (Megatron-Core's grouped GEMM is the same single expert path).
+* :meth:`Experts.forward` — the reference: one expert at a time over
+  its full slice of an (E, C, M) capacity buffer, Python-level, what
+  the dense GShard layer runs.  Padding slots go through the FFN too
+  (producing ``fc2(act(b1))``), which no combine ever reads.
 
-Slot occupancy is a prefix by construction: every gate assigns
-capacity slots FCFS from slot 0, so expert e's occupied slots are
-exactly ``[0, fill_e)`` — ``GateOutput.expert_load`` is that fill.
+Every row of the grouped output is bit-identical to the loop's output
+at the same (expert, slot): both are the same per-row 2-d GEMMs
+(`tests/moe/test_expert_bank.py`).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import List, Optional
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn.init import xavier_uniform
 from ..nn.modules import Module, Parameter
-from ..nn.tensor import (
-    Tensor,
-    bmm,
-    concatenate,
-    gather,
-    scatter_add,
-    segment_matmul,
-    stack,
-)
-
-#: Valid values of the ``expert_impl`` switch.
-EXPERT_IMPLS = ("batched", "grouped", "loop")
-
-# The process-wide default.  Grouped (capacity-free segment GEMMs)
-# has been the hot path since the flat-row dispatch landed; batched
-# and loop remain selectable references.  Override per-bank with
-# ``expert_impl=`` or ambiently with :func:`default_expert_impl`.
-_default_expert_impl = "grouped"
-
-
-def validate_expert_impl(impl: str) -> str:
-    """Check ``impl`` against :data:`EXPERT_IMPLS` and return it.
-
-    The single validation point shared by every entry that accepts an
-    ``expert_impl`` — :func:`default_expert_impl`, :class:`Experts`
-    (and through it :class:`~repro.moe.layer.MoELayer` and the model
-    constructors) — so a typo'd impl name fails with the same error
-    everywhere.
-    """
-    if impl not in EXPERT_IMPLS:
-        raise ValueError(
-            f"unknown expert_impl {impl!r}; expected one of {EXPERT_IMPLS}"
-        )
-    return impl
-
-
-@contextmanager
-def default_expert_impl(impl: str):
-    """Temporarily change the process-wide default ``expert_impl``.
-
-    Mirrors :func:`~repro.moe.layer.default_dispatch_mode`: banks built
-    with ``expert_impl=None`` inside the block pick up ``impl``; an
-    explicit argument still wins.  The convergence study uses this to
-    pin its chaotic trajectories to the loop reference numerics (the
-    batched and grouped backwards reassociate reductions, so gradients
-    match only to ~1e-6 — enough to shift a 600-step training run).
-    """
-    global _default_expert_impl
-    validate_expert_impl(impl)
-    previous = _default_expert_impl
-    _default_expert_impl = impl
-    try:
-        yield
-    finally:
-        _default_expert_impl = previous
+from ..nn.tensor import Tensor, gather, segment_matmul, stack
 
 
 class Experts(Module):
-    """A bank of E feed-forward experts applied to (E, C, M) input."""
+    """A bank of E feed-forward experts over stacked parameters."""
 
     def __init__(
         self,
@@ -128,21 +47,16 @@ class Experts(Module):
         hidden_dim: int,
         rng: np.random.Generator,
         activation: str = "relu",
-        expert_impl: Optional[str] = None,
     ):
         super().__init__()
         if num_experts < 1:
             raise ValueError(f"num_experts must be >= 1, got {num_experts}")
         if activation not in ("relu", "gelu"):
             raise ValueError(f"unsupported activation {activation!r}")
-        if expert_impl is None:
-            expert_impl = _default_expert_impl
-        validate_expert_impl(expert_impl)
         self.num_experts = num_experts
         self.model_dim = model_dim
         self.hidden_dim = hidden_dim
         self.activation = activation
-        self.expert_impl = expert_impl
         # Draw per-expert weights in the exact rng order the historical
         # per-expert FeedForward construction used (fc1 then fc2, one
         # expert at a time), so seeded models are bit-identical to
@@ -222,10 +136,8 @@ class Experts(Module):
     def run_expert(self, expert: int, x: Tensor) -> Tensor:
         """Apply one expert's FFN to a (rows, M) tensor.
 
-        Used by :class:`~repro.moe.parallel.ExpertParallelGroup`, where
-        each worker computes only the expert blocks it received, and by
-        the loop reference path.  Gradients flow into the stacked
-        parameters through the slice.
+        The step of the :meth:`forward` reference loop.  Gradients flow
+        into the stacked parameters through the slice.
         """
         if not 0 <= expert < self.num_experts:
             raise IndexError(
@@ -237,7 +149,7 @@ class Experts(Module):
     def run_grouped(
         self, rows: Tensor, segment_counts: np.ndarray
     ) -> Tensor:
-        """Apply the bank to flat rows sorted by expert, (N, M) -> (N, M).
+        """Production path: flat rows sorted by expert, (N, M) -> (N, M).
 
         ``rows`` holds every routed token row, contiguous per expert
         (``segment_counts[e]`` rows for expert e, summing to N) — the
@@ -270,7 +182,12 @@ class Experts(Module):
         )
         return segment_matmul(h, self.w2, counts) + gather(b2, expert_of_row)
 
-    def _validate(self, dispatched: Tensor) -> None:
+    def forward(self, dispatched: Tensor) -> Tensor:
+        """Reference loop: apply expert e to slice (e, :, :) of (E, C, M).
+
+        Every slot, padding included, goes through its expert's FFN;
+        returns (E, C, M).
+        """
         if (
             dispatched.ndim != 3
             or dispatched.shape[0] != self.num_experts
@@ -280,87 +197,7 @@ class Experts(Module):
                 f"expected ({self.num_experts}, C, {self.model_dim}) "
                 f"input, got {dispatched.shape}"
             )
-
-    def forward(
-        self,
-        dispatched: Tensor,
-        expert_load: Optional[np.ndarray] = None,
-    ) -> Tensor:
-        """Apply expert e to slice (e, :, :); returns (E, C, M).
-
-        ``expert_load`` (optional) is the gate's per-expert occupied
-        slot count — ``GateOutput.expert_load``.  With it, the batched
-        path runs the GEMMs only over the occupied slot prefix (and
-        the grouped path gathers exactly the occupied rows) while the
-        padding slots stay zero — unobservable downstream, since every
-        combine carries a zero weight there; without it, every slot
-        (zero rows included) goes through the GEMMs, which is also
-        what the loop reference does.  Occupied-slot outputs are
-        bit-identical either way.
-        """
-        self._validate(dispatched)
-        fill = None
-        if expert_load is not None:
-            fill = np.asarray(expert_load)
-            if fill.shape != (self.num_experts,):
-                raise ValueError(
-                    f"expert_load must be ({self.num_experts},), "
-                    f"got {fill.shape}"
-                )
-        if self.expert_impl == "loop":
-            outputs: List[Tensor] = []
-            for e in range(self.num_experts):
-                outputs.append(self.run_expert(e, dispatched[e]))
-            return stack(outputs, axis=0)
-        if self.expert_impl == "grouped":
-            return self._grouped_capacity(dispatched, fill)
-
-        capacity = dispatched.shape[1]
-        active = capacity
-        if fill is not None and capacity > 0:
-            active = int(min(max(fill.max(initial=0), 0), capacity))
-
-        body = dispatched if active == capacity else dispatched[:, :active]
-        h = self._act(bmm(body, self.w1) + self.b1)
-        out = bmm(h, self.w2) + self.b2
-        if active == capacity:
-            return out
-        # Padding slots stay zero: their combine weight is zero in
-        # every consumer, so no FLOPs (and no gradient wiring) are
-        # spent on values nothing can observe.
-        pad_shape = (self.num_experts, capacity - active, self.model_dim)
-        padding = Tensor(np.zeros(pad_shape, dtype=np.float32))
-        return concatenate([out, padding], axis=1)
-
-    def _grouped_capacity(
-        self, dispatched: Tensor, fill: Optional[np.ndarray]
-    ) -> Tensor:
-        """Capacity-form adapter for the grouped impl: (E, C, M) both ways.
-
-        Used when the grouped bank receives a capacity buffer anyway —
-        dense dispatch mode, the parity suites, fidelity studies.  The
-        occupied prefix rows (all ``E * C`` rows when ``fill`` is
-        unknown) are gathered into the flat sorted-by-expert form,
-        run through :meth:`run_grouped`, and scattered back to their
-        unique ``expert * C + slot`` origins; padding slots stay zero,
-        exactly as the batched path leaves them.
-        """
-        num_experts, capacity, model_dim = dispatched.shape
-        flat = dispatched.reshape(num_experts * capacity, model_dim)
-        if fill is None or capacity == 0:
-            counts = np.full(num_experts, capacity, dtype=np.int64)
-            return self.run_grouped(flat, counts).reshape(dispatched.shape)
-        counts = np.clip(fill, 0, capacity).astype(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        total = int(offsets[-1])
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            offsets[:-1], counts
+        return stack(
+            [self.run_expert(e, dispatched[e]) for e in range(self.num_experts)],
+            axis=0,
         )
-        row_idx = (
-            np.repeat(np.arange(num_experts, dtype=np.int64) * capacity, counts)
-            + within
-        )
-        out_rows = self.run_grouped(gather(flat, row_idx), counts)
-        return scatter_add(
-            out_rows, row_idx, num_experts * capacity, unique_indices=True
-        ).reshape(dispatched.shape)

@@ -18,9 +18,8 @@ consumer needs, cached on :class:`GateOutput` as a
 :class:`~repro.moe.routing.RoutingPlan`.  The ordering is identical
 to GShard's greedy FCFS rule — all first choices in token order, then
 all second choices — so routing results are bit-for-bit the same as
-the reference loop's (and as :func:`assign_capacity_slots`, the
-retained ``O(k * T * E)`` one-hot cumsum formulation the parity suite
-checks against).
+the reference loop's (and as the ``O(k * T * E)`` one-hot cumsum
+formulation the parity suite keeps as a test helper).
 
 :class:`GateOutput` carries the routing natively in *sparse* index
 form (``(T, k)`` expert/slot indices plus ``(T, k)`` differentiable
@@ -153,9 +152,9 @@ class GateOutput:
         routings from :meth:`with_experts_dropped`, whose slot holes
         break the fused kernel's FCFS-prefix invariant) it is built
         lazily — one stable argsort — from the actual index arrays and
-        cached.  Every ordering consumer (sparse/grouped dispatch and
-        combine, the chunked layer path, expert-parallel C1) reads
-        slices of this one permutation.
+        cached.  Every ordering consumer (grouped dispatch and combine,
+        dense mask densification, the chunked layer path,
+        expert-parallel C1) reads slices of this one permutation.
         """
         if self._plan is None:
             if not self.has_sparse:
@@ -316,38 +315,6 @@ class GateOutput:
 
             self._combine_weights = norm._make(data, (norm,), backward)
         return self._combine_weights
-
-
-def assign_capacity_slots(
-    top_idx: np.ndarray, num_experts: int, capacity: int
-) -> np.ndarray:
-    """Vectorized GShard FCFS slot assignment (legacy reference).
-
-    The hot path is :func:`~repro.moe.routing.route_fused`, which
-    produces bit-identical slots from one sort; this one-hot cumsum
-    formulation stays as the independently-derived reference the
-    parity suites compare against (it is ``O(T*k*E)`` in time *and*
-    memory, the blow-up the fused kernel removes).
-
-    ``top_idx`` is the (T, k) expert choice of every token.  Choices
-    are processed choice-major — all first choices in token order,
-    then all second choices — and each assignment takes the next free
-    slot of its expert, or is dropped (slot ``-1``) once the expert's
-    ``capacity`` slots are full.  A cumulative sum over the
-    choice-major one-hot expert mask computes every assignment's
-    position within its expert in one shot; positions beyond capacity
-    are exactly the assignments the greedy loop would skip, because a
-    skipped assignment never frees a slot.
-    """
-    num_tokens, top_k = top_idx.shape
-    if num_tokens == 0 or capacity == 0:
-        return np.full((num_tokens, top_k), -1, dtype=np.int64)
-    flat_experts = top_idx.T.reshape(-1)  # choice-major (k*T,)
-    onehot = flat_experts[:, None] == np.arange(num_experts)[None, :]
-    ranks = onehot.cumsum(axis=0, dtype=np.int64) - 1
-    flat_positions = ranks[np.arange(flat_experts.shape[0]), flat_experts]
-    flat_positions = np.where(flat_positions < capacity, flat_positions, -1)
-    return flat_positions.reshape(top_k, num_tokens).T
 
 
 class TopKGate(Module):

@@ -33,12 +33,10 @@ from .dispatch import (
     GroupedRouting,
     combine,
     combine_grouped,
-    combine_sparse,
     dispatch,
     dispatch_grouped,
-    dispatch_sparse,
 )
-from .experts import EXPERT_IMPLS, Experts
+from .experts import Experts
 from .gating import GateOutput, TopKGate
 
 #: Backend used when ``MoELayer(dispatch_mode=None)`` — see
@@ -76,38 +74,30 @@ class MoELayer(Module):
     ``hidden_dim`` H, ``num_experts`` E, ``top_k`` k and
     ``capacity_factor`` f.
 
-    ``dispatch_mode`` selects the routing backend (``None`` means the
-    process default, normally sparse — see
-    :func:`default_dispatch_mode`): ``"sparse"`` moves tokens by
-    integer index — ``O(N * M)`` in the number of routed assignments,
-    forward and backward — while ``"dense"`` runs the GShard reference
-    einsums over one-hot (T, E, C) masks.  Both compute identical
-    outputs and gradients for every gate type: top-k emits token-major
-    ``(T, k)`` indices, expert-choice flat ``(N,)`` indices, and the
-    sparse backend consumes either, so the dense path is a pure
-    reference semantics, never a fallback.
+    ``dispatch_mode`` is the layer's one execution switch (``None``
+    means the process default, normally sparse — see
+    :func:`default_dispatch_mode`):
 
-    ``expert_impl`` selects the expert bank's execution strategy
-    (:mod:`repro.moe.experts`): ``"batched"`` runs all E
-    experts as two batched matmuls over the occupied slot prefix —
-    the gate's per-expert fill counts bound the GEMMs — while
-    ``"grouped"`` (the process default) removes the capacity dimension
-    from the hot path
-    entirely: with sparse dispatch the layer sorts the flat routed
-    rows by expert (:func:`~repro.moe.dispatch.dispatch_grouped`),
-    runs each expert's contiguous segment through
-    :meth:`~repro.moe.experts.Experts.run_grouped`, and combines
-    straight from the flat rows — no (E, C, M) buffer is ever built,
-    so memory traffic is independent of the capacity factor.
-    ``"loop"`` is the per-expert reference loop.  Outputs agree
-    bit-for-bit between batched and loop; the grouped path agrees
-    bit-for-bit on expert outputs and to float-addition reassociation
-    (~1e-6) on combined tokens with more than two contributions.
-    ``None`` (the default) defers to the ambient process default,
-    overridable with :func:`~repro.moe.experts.default_expert_impl`.
+    * ``"sparse"`` — production: the layer sorts the flat routed rows
+      by expert (:func:`~repro.moe.dispatch.dispatch_grouped`), runs
+      each expert's contiguous segment through
+      :meth:`~repro.moe.experts.Experts.run_grouped`, and combines
+      straight from the flat rows
+      (:func:`~repro.moe.dispatch.combine_grouped`) — ``O(N * M)`` in
+      the number of routed assignments, forward and backward, with no
+      (E, C, M) buffer anywhere, so memory traffic is independent of
+      the capacity factor.
+    * ``"dense"`` — the reference: GShard einsums over one-hot
+      (T, E, C) masks around the per-expert loop
+      (:meth:`~repro.moe.experts.Experts.forward`).
+
+    Both compute the same outputs and gradients for every gate type
+    (top-k emits token-major ``(T, k)`` indices, expert-choice flat
+    ``(N,)`` indices): expert outputs agree bit-for-bit, combined
+    tokens to float-addition reassociation (~1e-6).
 
     ``pipeline`` and ``num_chunks`` control the chunked task-graph
-    execution of the grouped hot path (paper Section 4): the token
+    execution of the sparse path (paper Section 4): the token
     batch splits into ``num_chunks`` contiguous ranges and each range
     runs the dispatch / A2A-codec / grouped-expert / A2A-codec /
     combine chain as explicit :class:`~repro.core.tasks.Task`s —
@@ -122,7 +112,9 @@ class MoELayer(Module):
     float reassociation, ~1e-6; a lossy codec quantizes per chunk, so
     chunking shifts values within codec error).  The default
     ``num_chunks=1`` with ``pipeline="sync"`` runs exactly the
-    pre-pipeline code path.
+    pre-pipeline code path.  The dense reference is never chunked:
+    asking for ``pipeline="overlap"`` or ``num_chunks > 1`` with it
+    raises.
     """
 
     def __init__(
@@ -138,7 +130,6 @@ class MoELayer(Module):
         gate_noise_std: float = 0.0,
         gate_type: str = "topk",
         dispatch_mode: Optional[str] = None,
-        expert_impl: Optional[str] = None,
         pipeline: str = "sync",
         num_chunks: int = 1,
     ):
@@ -157,6 +148,14 @@ class MoELayer(Module):
             raise ValueError(
                 f"unknown dispatch_mode {dispatch_mode!r}; "
                 f"expected one of {DISPATCH_MODES}"
+            )
+        if dispatch_mode == "dense" and (
+            self.pipeline != "sync" or self.num_chunks != 1
+        ):
+            raise ValueError(
+                "the dense reference layer runs unchunked: "
+                f"pipeline={self.pipeline!r} num_chunks={self.num_chunks} "
+                "needs dispatch_mode='sparse'"
             )
         self.dispatch_mode = dispatch_mode
         self.model_dim = model_dim
@@ -190,7 +189,6 @@ class MoELayer(Module):
             hidden_dim,
             rng,
             activation=activation,
-            expert_impl=expert_impl,
         )
         self.compressor = compressor
         #: Experts currently considered lost (graceful degradation);
@@ -204,10 +202,9 @@ class MoELayer(Module):
         #: Raw dispatched payload of the most recent forward — the
         #: *pre-compression* input handed to the first A2A's codec
         #: (for fidelity studies; with a lossy compressor the wire
-        #: itself carries the codec's compressed encoding).  Shape
-        #: (E, C, M) for the capacity-buffer paths; the grouped impl
-        #: ships the flat (N, M) routed rows instead — that *is* its
-        #: wire payload.
+        #: itself carries the codec's compressed encoding).  The flat
+        #: (N, M) routed rows on the sparse path — that *is* its wire
+        #: payload — and the (E, C, M) capacity buffer on the dense one.
         self.last_dispatched: Optional[np.ndarray] = None
 
     @property
@@ -293,75 +290,48 @@ class MoELayer(Module):
         self.last_gate_output = gate_out
         self.last_aux_loss = gate_out.aux_loss
 
-        sparse = self.dispatch_mode == "sparse" and gate_out.has_sparse
-        if sparse and self.experts.expert_impl == "grouped":
-            if self.num_chunks == 1 and self.pipeline == "sync":
-                # Capacity-free hot path: flat rows sorted by expert,
-                # no (E, C, M) buffer on either side of the expert
-                # FFNs.  This unchunked branch is the pre-pipeline
-                # code, byte for byte.
-                rows, routing = dispatch_grouped(
-                    tokens,
-                    gate_out.expert_indices,
-                    gate_out.slot_indices,
-                    gate_out.num_experts,
-                    token_indices=gate_out.token_indices,
-                    plan=gate_out.plan,
-                )
-                # Forward-only steps don't keep the wire payload
-                # around for fidelity studies — and must not pin an
-                # arena buffer past the next reset.
-                self.last_dispatched = (
-                    None if is_inference() else rows.data
-                )
-                rows = self._transport(rows)  # first A2A
-                expert_rows = self.experts.run_grouped(
-                    rows, routing.segment_counts
-                )
-                expert_rows = self._transport(expert_rows)  # second A2A
-                merged = combine_grouped(
-                    expert_rows,
-                    routing,
-                    gate_out.gate_weights,
-                    gate_out.num_tokens,
-                )
-            else:
-                merged = self._forward_grouped_chunked(tokens, gate_out)
-            if len(original_shape) == 3:
-                return merged.reshape(original_shape)
-            return merged
-        if sparse:
-            dispatched = dispatch_sparse(
+        if self.dispatch_mode == "dense":
+            merged = self._forward_dense(tokens, gate_out)
+        elif self.num_chunks == 1 and self.pipeline == "sync":
+            # Capacity-free hot path: flat rows sorted by expert, no
+            # (E, C, M) buffer on either side of the expert FFNs.  This
+            # unchunked branch is the pre-pipeline code, byte for byte.
+            rows, routing = dispatch_grouped(
                 tokens,
                 gate_out.expert_indices,
                 gate_out.slot_indices,
                 gate_out.num_experts,
-                gate_out.capacity,
                 token_indices=gate_out.token_indices,
                 plan=gate_out.plan,
             )
-        else:
-            dispatched = dispatch(tokens, gate_out.dispatch_mask)
-        self.last_dispatched = None if is_inference() else dispatched.data
-        dispatched = self._transport(dispatched)  # first A2A
-        expert_out = self.experts(dispatched, expert_load=gate_out.expert_load)
-        expert_out = self._transport(expert_out)  # second A2A
-        if sparse:
-            merged = combine_sparse(
-                expert_out,
-                gate_out.expert_indices,
-                gate_out.slot_indices,
+            # Forward-only steps don't keep the wire payload around for
+            # fidelity studies — and must not pin an arena buffer past
+            # the next reset.
+            self.last_dispatched = None if is_inference() else rows.data
+            rows = self._transport(rows)  # first A2A
+            expert_rows = self.experts.run_grouped(
+                rows, routing.segment_counts
+            )
+            expert_rows = self._transport(expert_rows)  # second A2A
+            merged = combine_grouped(
+                expert_rows,
+                routing,
                 gate_out.gate_weights,
                 gate_out.num_tokens,
-                token_indices=gate_out.token_indices,
-                plan=gate_out.plan,
             )
         else:
-            merged = combine(expert_out, gate_out.combine_weights)
-
+            merged = self._forward_grouped_chunked(tokens, gate_out)
         if len(original_shape) == 3:
             return merged.reshape(original_shape)
         return merged
+
+    def _forward_dense(self, tokens: Tensor, gate_out: GateOutput) -> Tensor:
+        """The reference: GShard einsums around the per-expert loop."""
+        dispatched = dispatch(tokens, gate_out.dispatch_mask)
+        self.last_dispatched = dispatched.data
+        dispatched = self._transport(dispatched)  # first A2A
+        expert_out = self._transport(self.experts(dispatched))  # second A2A
+        return combine(expert_out, gate_out.combine_weights)
 
     def _forward_grouped_chunked(
         self, tokens: Tensor, gate_out: GateOutput

@@ -27,8 +27,7 @@ C1 A1 D1 E C2 A2 D2 of :mod:`repro.core.tasks` with real work —
 * D1: each destination assembles its received segments into one
   contiguous sorted-by-expert row block;
 * E:  grouped expert execution
-  (:meth:`~repro.moe.experts.Experts.run_grouped`, or the per-expert
-  reference loop under ``expert_impl="loop"``);
+  (:meth:`~repro.moe.experts.Experts.run_grouped`);
 * C2: split results back per source, in payload row order;
 * A2: the combine all-to-all (codec + pooled memcpy);
 * D2: the owner merges the chunk's results into its output rows, in
@@ -45,8 +44,11 @@ across ``num_chunks`` (the per-token combine accumulation order is
 preserved exactly; only a lossy codec, whose quantization granularity
 is per payload, makes chunking visible — to codec-sized error).
 
-The dense einsum branch (``dispatch_mode="dense"``) stays the
-unchunked phase-synchronous reference semantics.
+The group runs only the production path: a layer built with
+``dispatch_mode="dense"`` is rejected at construction.  Its reference
+is the dense single-process layer applied to each worker's shard with
+the same dead experts — exact, not an approximation, because each
+worker gates only its own shard and the expert FFNs work row by row.
 """
 
 from __future__ import annotations
@@ -108,10 +110,12 @@ class ExpertParallelGroup:
     forward output can be compared bit-for-bit against the
     single-process layer under every placement.
 
-    ``num_chunks`` is the paper's partition degree r; ``pipeline``
-    selects synchronous chunk-major execution (``"sync"``) or the
-    two-stream overlap executor (``"overlap"``), whose task order
-    comes from the ``scheduler`` policy (any
+    The layer must use ``dispatch_mode="sparse"``; the dense reference
+    layer is rejected (see the module docstring for the group's
+    reference semantics).  ``num_chunks`` is the paper's partition
+    degree r; ``pipeline`` selects synchronous chunk-major execution
+    (``"sync"``) or the two-stream overlap executor (``"overlap"``),
+    whose task order comes from the ``scheduler`` policy (any
     :func:`~repro.core.scheduler.register_scheduler` name).
 
     ``link_bandwidth`` (bytes/second, ``None`` = off) adds a wire-time
@@ -140,6 +144,12 @@ class ExpertParallelGroup:
         link_bandwidth: Optional[float] = None,
         placement: Optional[ExpertPlacement] = None,
     ):
+        if layer.dispatch_mode != "sparse":
+            raise ValueError(
+                "ExpertParallelGroup runs the sparse production path; "
+                f"the layer uses dispatch_mode={layer.dispatch_mode!r} "
+                "(compare against the dense layer applied per shard)"
+            )
         num_experts = layer.gate.num_experts
         if placement is None:
             # The historical default: equal contiguous shards (and the
@@ -363,14 +373,9 @@ class ExpertParallelGroup:
         """
         shards = self._validate_shards(shards)
         gate_outputs = self._gate_shards(shards)
-        sparse = self.layer.dispatch_mode == "sparse" and all(
-            out.has_sparse for out in gate_outputs
-        )
         self._in_forward = True
         try:
-            if sparse:
-                return self._forward_chunked(shards, gate_outputs)
-            return self._forward_dense_reference(shards, gate_outputs)
+            return self._forward_chunked(shards, gate_outputs)
         finally:
             self._in_forward = False
 
@@ -386,7 +391,7 @@ class ExpertParallelGroup:
         expert-output rows, per-chunk assembly blocks and the
         per-worker output buffers all recycle through the same free
         lists as the staging copies.  Bit-identical to the plain
-        sparse-path :meth:`forward` (with the borrowed layer in
+        :meth:`forward` (with the borrowed layer in
         ``eval()``).
 
         The returned per-worker output arrays are arena-owned: they
@@ -394,11 +399,6 @@ class ExpertParallelGroup:
         the arena, after which their storage is recycled — copy
         anything that must live longer.
         """
-        if self.layer.dispatch_mode != "sparse":
-            raise RuntimeError(
-                "forward_inference requires dispatch_mode='sparse'; "
-                f"the layer uses {self.layer.dispatch_mode!r}"
-            )
         arena = getattr(self, "_inference_arena", None)
         if arena is None:
             arena = self._inference_arena = Arena(pool=self._pool)
@@ -413,7 +413,7 @@ class ExpertParallelGroup:
             if was_training:
                 self.layer.train()
 
-    # -- chunked task-graph execution (the sparse hot path) ------------------
+    # -- chunked task-graph execution ---------------------------------------
     def _forward_chunked(
         self, shards: List[np.ndarray], gate_outputs: list
     ) -> List[np.ndarray]:
@@ -586,30 +586,13 @@ class ExpertParallelGroup:
                     pool.release(buf)
 
         def run_experts(c: int) -> None:
-            """E: grouped (or reference loop) expert execution."""
+            """E: grouped expert execution."""
             for dst in workers:
                 item = assembled.pop((c, dst), None)
                 if item is None:
                     continue
                 rows, counts_full, back_index = item
-                if experts.expert_impl == "loop":
-                    outs, offset = [], 0
-                    for e in hosted[dst]:
-                        n = int(counts_full[e])
-                        if n == 0:
-                            continue
-                        outs.append(
-                            experts.run_expert(
-                                int(e),
-                                Tensor(rows[offset : offset + n]),
-                            ).data
-                        )
-                        offset += n
-                    out_rows = np.concatenate(outs, axis=0)
-                else:
-                    out_rows = experts.run_grouped(
-                        Tensor(rows), counts_full
-                    ).data
+                out_rows = experts.run_grouped(Tensor(rows), counts_full).data
                 expert_out[(c, dst)] = (out_rows, back_index)
 
         def compress_combine(c: int) -> None:
@@ -680,110 +663,4 @@ class ExpertParallelGroup:
 
         self.last_dispatch_traffic = A2ATraffic(dispatch_traffic)
         self.last_combine_traffic = A2ATraffic(combine_traffic)
-        return outputs
-
-    # -- the dense einsum reference (unchunked, phase-synchronous) -----------
-    def _forward_dense_reference(
-        self, shards: List[np.ndarray], gate_outputs: list
-    ) -> List[np.ndarray]:
-        """GShard reference semantics: capacity-padded (E, C, M) blocks.
-
-        Kept exactly as the original phase-synchronous execution —
-        dispatch all blocks, exchange, compute, exchange, combine —
-        because its value is being the executable reference, not being
-        fast; ``pipeline``/``num_chunks`` are ignored here.
-        """
-        from ..nn.tensor import Tensor
-
-        experts: Experts = self.layer.experts
-        num_experts = self.layer.gate.num_experts
-        model_dim = self.layer.model_dim
-        workers = range(self.num_workers)
-        dead_workers = self._dead_workers
-        owners = self._placement.owners
-
-        # Dispatch: worker w builds, for each expert e, its (C, M)
-        # capacity-padded buffer — the block it sends to e's owner.
-        send_blocks = []  # [w][e] -> (C_w, M)
-        for w in workers:
-            out = gate_outputs[w]
-            blocks = np.einsum(
-                "tm,tec->ecm", shards[w], out.dispatch_mask
-            )
-            send_blocks.append(blocks)
-
-        # First all-to-all (dispatch): exchange expert blocks.
-        dispatch_traffic = np.zeros((self.num_workers, self.num_workers))
-        inbox = [[None] * self.num_workers for _ in workers]  # [dst][src]
-        for src in workers:
-            for expert in range(num_experts):
-                dst = owners[expert]
-                if dst in dead_workers:
-                    # Nothing is sent to a failed rank; the masked
-                    # gating above already re-routed (dropped) every
-                    # token that would have gone there.
-                    continue
-                payload = self._apply_codec(send_blocks[src][expert])
-                dispatch_traffic[src, dst] += payload.nbytes
-                if inbox[dst][src] is None:
-                    inbox[dst][src] = {}
-                inbox[dst][src][expert] = payload
-        self.last_dispatch_traffic = A2ATraffic(dispatch_traffic)
-
-        # Local expert computation on every worker, one grouped pass
-        # over the received blocks sorted by expert (sources stay in
-        # rank order within each expert); ``expert_impl="loop"`` keeps
-        # the one-block-at-a-time reference path.
-        outbox = [[None] * self.num_workers for _ in workers]  # [src][dst]
-        combine_traffic = np.zeros((self.num_workers, self.num_workers))
-        for w in workers:
-            if w in dead_workers:
-                # A dead worker computes nothing and returns nothing.
-                for src in workers:
-                    outbox[w][src] = {}
-                continue
-            entries = []  # (expert, src, block), block (C_src, M)
-            for src in workers:
-                for expert, block in inbox[w][src].items():
-                    entries.append((expert, src, block))
-            entries.sort(key=lambda item: item[0])
-            results = [{} for _ in workers]  # per src
-            if experts.expert_impl == "loop":
-                for expert, src, block in entries:
-                    out = experts.run_expert(expert, Tensor(block)).data
-                    results[src][expert] = self._apply_codec(out)
-                    combine_traffic[w, src] += results[src][expert].nbytes
-            elif entries:
-                counts = np.zeros(num_experts, dtype=np.int64)
-                for expert, _, block in entries:
-                    counts[expert] += block.shape[0]
-                rows = np.concatenate(
-                    [block for _, _, block in entries], axis=0
-                )
-                out_rows = experts.run_grouped(Tensor(rows), counts).data
-                offset = 0
-                for expert, src, block in entries:
-                    out = out_rows[offset : offset + block.shape[0]]
-                    offset += block.shape[0]
-                    results[src][expert] = self._apply_codec(out)
-                    combine_traffic[w, src] += results[src][expert].nbytes
-            for src in workers:
-                outbox[w][src] = results[src]
-        self.last_combine_traffic = A2ATraffic(combine_traffic)
-
-        # Second all-to-all (combine): results return to token owners,
-        # which merge them with their own combine weights.
-        outputs = []
-        for w in workers:
-            gate_out = gate_outputs[w]
-            expert_out = np.zeros(
-                (num_experts, gate_out.capacity, model_dim), dtype=np.float32
-            )
-            for owner in workers:
-                for expert, out in outbox[owner][w].items():
-                    expert_out[expert] = out
-            merged = np.einsum(
-                "ecm,tec->tm", expert_out, gate_out.combine_weights.data
-            )
-            outputs.append(merged.astype(np.float32))
         return outputs

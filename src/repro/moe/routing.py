@@ -1,9 +1,9 @@
 """Fused single-pass routing: one sort from gate choices to permutation.
 
 The legacy routing chain orders the same assignments four times over:
-:func:`~repro.moe.gating.assign_capacity_slots` materializes a
-``(k*T, E)`` one-hot and cumsums it (``O(T*k*E)`` compute *and* memory
-for an ``O(T*k)``-sized answer), ``_kept_assignments`` re-scans the
+its slot assignment materializes a ``(k*T, E)`` one-hot and cumsums
+it (``O(T*k*E)`` compute *and* memory for an ``O(T*k)``-sized
+answer), ``_kept_assignments`` re-scans the
 slot arrays with ``np.nonzero``, :func:`~repro.moe.dispatch.
 dispatch_grouped` re-derives the expert order with a fresh stable
 argsort plus a ``bincount``, and the expert-parallel C1 task argsorts
@@ -35,10 +35,11 @@ The derivation (all bit-identical to the legacy chain):
   arrays.
 
 The result is packaged as a :class:`RoutingPlan` and cached on
-:class:`~repro.moe.gating.GateOutput`, so every consumer — sparse and
-grouped dispatch/combine, the chunked layer path, the expert-parallel
-C1 dispatch — reuses slices of the one global permutation instead of
-recomputing ``nonzero``/``argsort``/``bincount``.  Chunked consumers
+:class:`~repro.moe.gating.GateOutput`, so every consumer — grouped
+dispatch/combine, dense mask densification, the chunked layer path,
+the expert-parallel C1 dispatch — reuses slices of the one global
+permutation instead of recomputing ``nonzero``/``argsort``/``bincount``.
+Chunked consumers
 rely on the *restriction property*: chunk boundaries never split a
 token's k assignments, and restricting the global ``(e, t, c)`` order
 to a contiguous token range gives exactly what a per-chunk stable
@@ -163,9 +164,9 @@ def route_fused(
 ) -> RoutingPlan:
     """One stable sort from ``(T, k)`` gate choices to a full plan.
 
-    Bit-identical to the legacy chain: ``slot_indices`` matches
-    :func:`~repro.moe.gating.assign_capacity_slots` (choice-major FCFS
-    with drops at capacity), the ``kept_*`` arrays match the
+    Bit-identical to the legacy chain: ``slot_indices`` matches the
+    one-hot-cumsum slot assignment (choice-major FCFS with drops at
+    capacity), the ``kept_*`` arrays match the
     ``np.nonzero`` scan of the kept mask, and the ``grouped_*`` arrays
     match ``dispatch_grouped``'s stable argsort (token-major
     tie-breaking within an expert).  See the module docstring for the

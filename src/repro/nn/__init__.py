@@ -31,12 +31,10 @@ from .serialization import (
     save_checkpoint,
     shard_expert_state,
     stack_expert_state,
-    unstack_expert_state,
 )
 from .tensor import (
     Tensor,
     active_arena,
-    bmm,
     concatenate,
     einsum,
     gather,
@@ -69,7 +67,6 @@ __all__ = [
     "Sequential",
     "Tensor",
     "active_arena",
-    "bmm",
     "WarmupInverseSqrt",
     "clip_grad_norm",
     "concatenate",
@@ -93,7 +90,6 @@ __all__ = [
     "stack",
     "use_arena",
     "stack_expert_state",
-    "unstack_expert_state",
     "where",
     "xavier_uniform",
 ]

@@ -6,11 +6,9 @@ Checkpoints store MoE expert parameters in the *stacked* bank layout
 :class:`~repro.moe.experts.Experts`.  Checkpoints written before the
 bank existed used one FeedForward module per expert
 (``<bank>.experts.items.<i>.fc{1,2}.{weight,bias}``);
-:func:`load_checkpoint` upgrades that layout transparently, and
-:func:`save_checkpoint` can still emit it (``expert_layout=
-"per-expert"``) for tools pinned to the old key schema.  The
+:func:`load_checkpoint` upgrades that layout transparently.  The
 conversion is key-pattern based — it needs no model, only the state
-dict — so both directions round-trip exactly.
+dict.
 
 Elastic re-sharding support (see :mod:`repro.moe.placement` and
 :mod:`repro.faults.recovery`):
@@ -67,10 +65,6 @@ _STACKED_NAMES = {
     ("2", "bias"): "b2",
 }
 
-#: Valid ``expert_layout`` values for :func:`save_checkpoint`.
-EXPERT_LAYOUTS = ("stacked", "per-expert")
-
-
 def stack_expert_state(
     state: Dict[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
@@ -109,62 +103,18 @@ def stack_expert_state(
     return out
 
 
-def unstack_expert_state(
-    state: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Convert stacked expert banks back to legacy per-expert keys.
-
-    A bank is recognised by the complete w1/b1/w2/b2 quartet with
-    consistent (E, M, H) shapes; anything else passes through
-    untouched.  Inverse of :func:`stack_expert_state`.
-    """
-    out = dict(state)
-    for key in list(state):
-        if key != "w1" and not key.endswith(".w1"):
-            continue
-        base = key[: -len("w1")]  # "" or "<bank>."
-        names = {n: base + n for n in ("w1", "b1", "w2", "b2")}
-        if not all(n in state for n in names.values()):
-            continue
-        w1 = np.asarray(state[names["w1"]])
-        b1 = np.asarray(state[names["b1"]])
-        w2 = np.asarray(state[names["w2"]])
-        b2 = np.asarray(state[names["b2"]])
-        if w1.ndim != 3 or w2.ndim != 3:
-            continue
-        num_experts, model_dim, hidden_dim = w1.shape
-        if (
-            w2.shape != (num_experts, hidden_dim, model_dim)
-            or b1.shape != (num_experts, 1, hidden_dim)
-            or b2.shape != (num_experts, 1, model_dim)
-        ):
-            continue
-        for e in range(num_experts):
-            prefix = f"{base}experts.items.{e}"
-            out[f"{prefix}.fc1.weight"] = w1[e]
-            out[f"{prefix}.fc1.bias"] = b1[e, 0]
-            out[f"{prefix}.fc2.weight"] = w2[e]
-            out[f"{prefix}.fc2.bias"] = b2[e, 0]
-        for name in names.values():
-            del out[name]
-    return out
-
-
 def save_checkpoint(
     model: Module,
     path: Union[str, Path],
     metadata: Optional[Dict[str, Any]] = None,
-    expert_layout: str = "stacked",
     placement: Optional[Any] = None,
     extra_arrays: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
     """Write a model's parameters (and optional JSON metadata) to disk.
 
     Parameter names may contain dots; they are stored verbatim as npz
-    entries.  ``metadata`` must be JSON-serializable.
-    ``expert_layout="per-expert"`` writes MoE expert banks in the
-    legacy one-FeedForward-per-expert key schema instead of the
-    stacked default.
+    entries.  ``metadata`` must be JSON-serializable.  MoE expert
+    banks are written in the stacked layout.
 
     ``placement`` (an :class:`~repro.moe.placement.ExpertPlacement`)
     is recorded in the metadata under ``"expert_placement"`` — read it
@@ -180,14 +130,7 @@ def save_checkpoint(
     checkpoint visible at ``path`` — readers see either the previous
     complete checkpoint or the new complete one.
     """
-    if expert_layout not in EXPERT_LAYOUTS:
-        raise ValueError(
-            f"unknown expert_layout {expert_layout!r}; "
-            f"expected one of {EXPERT_LAYOUTS}"
-        )
     state = model.state_dict()
-    if expert_layout == "per-expert":
-        state = unstack_expert_state(state)
     if _META_KEY in state:
         raise ValueError(f"parameter name {_META_KEY!r} is reserved")
     for name in state:

@@ -88,11 +88,11 @@ class PlanSpace:
     """The joint knob space the planner searches.
 
     Every entry must name a registered scheduler / A2A algorithm /
-    compressor; the numerical-substrate knobs (``expert_impl``,
-    ``dispatch_mode``, ``pipeline``) are not part of the analytic
-    search — the hot-path benchmarks show one dominant choice
-    (grouped + sparse, overlap iff r > 1), which the report derives
-    from the winning partition degree (see :func:`layer_recommendation`).
+    compressor; the numerical-substrate knobs (``dispatch_mode``,
+    ``pipeline``) are not part of the analytic search — the hot-path
+    benchmarks show one dominant choice (sparse, overlap iff r > 1),
+    which the report derives from the winning partition degree (see
+    :func:`layer_recommendation`).
     """
 
     schedulers: Tuple[str, ...] = ("sequential", "chunk-pipeline", "optsche")
@@ -216,12 +216,11 @@ class PlanCandidate:
 def layer_recommendation(partitions: int) -> dict:
     """Numerical-substrate knobs implied by the winning degree.
 
-    ``grouped`` + ``sparse`` dominate every measured configuration
+    ``sparse`` dominates every measured configuration
     (BENCH_hotpath.json); pipelined overlap only exists for r > 1 and
     the chunk count mirrors the timing substrate's partition degree.
     """
     return {
-        "expert_impl": "grouped",
         "dispatch_mode": "sparse",
         "pipeline": "overlap" if partitions > 1 else "sync",
         "num_chunks": partitions,
@@ -586,8 +585,7 @@ class PlanReport:
             f"recommendation: scheduler={rec.scheduler} a2a={rec.a2a} "
             f"codec={rec.compressor} r={rec.partitions} "
             f"capacity_factor={rec.capacity_factor:g}",
-            f"  layer: expert_impl={layer['expert_impl']} "
-            f"dispatch_mode={layer['dispatch_mode']} "
+            f"  layer: dispatch_mode={layer['dispatch_mode']} "
             f"pipeline={layer['pipeline']} "
             f"num_chunks={layer['num_chunks']}",
             f"predicted {self.predicted_s * 1e3:.2f} ms, simulated "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..compression.base import get_compressor
-from ..moe import default_dispatch_mode, default_expert_impl
+from ..moe import default_dispatch_mode
 from ..data.synthetic_lm import LMConfig, SyntheticLM
 from ..data.synthetic_translation import SyntheticTranslation, TranslationConfig
 from ..models.gpt2_tiny import TransformerLM
@@ -135,14 +135,14 @@ def run_lm_convergence(
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     # The recorded Table 6 trajectories are measured on the dense
-    # dispatch backend with the per-expert loop; the sparse backend
-    # and the batched expert bank both reassociate reductions, which
-    # shifts chaotic training runs, so the study is pinned to the
-    # reference numerics on both axes.  (The trajectories were still
-    # re-recorded once when the bank's stacked parameter layout
-    # landed: global-norm clipping now sums each stacked grad in one
-    # reduction instead of per-expert pieces.)
-    with default_dispatch_mode("dense"), default_expert_impl("loop"):
+    # reference layer (GShard einsums around the per-expert loop); the
+    # sparse production path reassociates reductions, which shifts
+    # chaotic training runs, so the study is pinned to the reference
+    # numerics.  (The trajectories were still re-recorded once when
+    # the bank's stacked parameter layout landed: global-norm clipping
+    # now sums each stacked grad in one reduction instead of
+    # per-expert pieces.)
+    with default_dispatch_mode("dense"):
         for variant in variants or list(VARIANTS):
             model = _lm_model(variant, corpus, scale, seed=seed)
             history = train_lm(
@@ -173,7 +173,7 @@ def run_translation_convergence(
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     # Pinned to the reference numerics; see run_lm_convergence.
-    with default_dispatch_mode("dense"), default_expert_impl("loop"):
+    with default_dispatch_mode("dense"):
         for variant in variants or list(VARIANTS):
             model = _mt_model(variant, corpus, scale, seed=seed)
             history = train_translation(

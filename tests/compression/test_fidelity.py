@@ -57,9 +57,9 @@ def test_measure_fidelity_aggregates(rng):
 
 
 def test_collect_a2a_tensors_from_layer(rng):
-    # Pinned to the batched bank: its A2A payload is the capacity
-    # buffer, so the activation snapshot leads with the expert dim.
-    layer = MoELayer(16, 24, 4, rng, expert_impl="batched")
+    # The dense reference layer's A2A payload is the capacity buffer,
+    # so the activation snapshot leads with the expert dim.
+    layer = MoELayer(16, 24, 4, rng, dispatch_mode="dense")
     x = Tensor(
         rng.standard_normal((12, 16)).astype(np.float32), requires_grad=True
     )
@@ -83,11 +83,11 @@ def test_collect_a2a_tensors_from_layer(rng):
 
 
 def test_collect_a2a_tensors_grouped_layer(rng):
-    # The grouped (process-default) path ships the flat routed rows,
+    # The sparse (process-default) path ships the flat routed rows,
     # so the activation snapshot is (N, M) — N assignments, not E.
     from repro.nn import Module
 
-    layer = MoELayer(16, 24, 4, rng, expert_impl="grouped")
+    layer = MoELayer(16, 24, 4, rng)
     x = Tensor(
         rng.standard_normal((12, 16)).astype(np.float32), requires_grad=True
     )

@@ -8,6 +8,7 @@ from repro.collectives import get_a2a
 from repro.compression import get_compressor
 from repro.core import Profiler, get_scheduler
 from repro.core.executor import EventExecutor
+from repro.faults import single_straggler
 from repro.models import ablation_layer, ct_moe
 
 
@@ -49,6 +50,25 @@ def test_optsche_beats_sequential_at_event_level(paper_spec):
         ).run(cfg)
 
     assert run("optsche").makespan < run("sequential").makespan
+
+
+def test_straggler_slows_the_pass_deterministically(paper_spec):
+    """A straggler through OptSche + pipe A2A costs time, reproducibly."""
+
+    def run(faults):
+        return EventExecutor(
+            paper_spec,
+            get_a2a("pipe"),
+            get_compressor("zfp"),
+            get_scheduler("optsche"),
+            partitions=2,
+            faults=faults,
+        ).run(ct_moe(12)).makespan
+
+    healthy = run(None)
+    hurt = run(single_straggler(rank=0, slowdown=2.0))
+    assert hurt > healthy
+    assert hurt == run(single_straggler(rank=0, slowdown=2.0))
 
 
 def test_task_finish_times_recorded(paper_spec):

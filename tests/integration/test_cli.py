@@ -149,7 +149,7 @@ def test_plan_smoke(tmp_path, capsys):
     assert "regret vs exhaustive sweep" in out
     assert "cache hits 0/2" in out
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["recommendation"]["layer"]["expert_impl"] == "grouped"
+    assert report["recommendation"]["layer"]["dispatch_mode"] == "sparse"
     assert report["regret"]["regret_pct"] <= 5.0
     # A rerun against the same cache replays every validation.
     assert main(args) == 0

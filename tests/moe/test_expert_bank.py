@@ -1,44 +1,29 @@
-"""Parity suite for the batched expert bank.
+"""Parity suite for the expert bank: production vs reference.
 
-The batched execution path (two ``bmm`` over stacked parameters, with
-the occupancy shortcut) must be indistinguishable from the per-expert
-loop reference *at every occupied slot*: bit-exact forward outputs
-and gradients matching to 1e-6 (the occupancy shortcut re-associates
-a few reductions, so the last bits of parameter gradients may
-legitimately differ).  Padding slots are zero-filled by the batched
-path — the loop reference runs the FFN on the zero rows and produces
-``fc2(act(b1))`` there instead — but every combine carries a zero
-weight at unoccupied slots, so parity is asserted on the occupied
-prefix plus zero padding (and end-to-end through the layer, where the
-impls agree everywhere).  Also covers the per-expert <-> stacked
-checkpoint layout conversion.
+:meth:`Experts.run_grouped` (flat rows sorted by expert, segment
+GEMMs — the production path) must be indistinguishable from
+:meth:`Experts.forward` (the per-expert loop over an (E, C, M)
+capacity buffer — the reference) *at every occupied slot*: bit-exact
+forward outputs and gradients matching to 1e-6 (``segment_matmul``
+re-associates the stacked weight-grad reductions).  The loop also runs
+its FFN on the padding slots; no combine ever reads those.  Also
+covers loading checkpoints written in the legacy per-expert layout.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.moe import Experts, MoELayer
 from repro.moe.parallel import ExpertParallelGroup
-from repro.nn import (
-    Tensor,
-    load_checkpoint,
-    save_checkpoint,
-    stack_expert_state,
-    unstack_expert_state,
-)
+from repro.nn import Tensor, load_checkpoint, stack_expert_state
 
 
-def make_pair(num_experts, model_dim, hidden_dim, seed=0):
-    """The same seeded bank twice: loop reference and batched."""
-    loop = Experts(
-        num_experts, model_dim, hidden_dim,
-        np.random.default_rng(seed), expert_impl="loop",
+def make_bank(num_experts, model_dim, hidden_dim, seed=0):
+    return Experts(
+        num_experts, model_dim, hidden_dim, np.random.default_rng(seed)
     )
-    batched = Experts(
-        num_experts, model_dim, hidden_dim,
-        np.random.default_rng(seed), expert_impl="batched",
-    )
-    return loop, batched
 
 
 def make_dispatched(rng, num_experts, capacity, model_dim, fill):
@@ -65,47 +50,36 @@ def occupied_mask(E, C, fill):
 
 @pytest.mark.parametrize("E,C,M,H,fill", CASES)
 def test_forward_bitwise_parity(rng, E, C, M, H, fill):
-    loop, batched = make_pair(E, M, H)
+    bank = make_bank(E, M, H)
     x, load = make_dispatched(rng, E, C, M, fill)
-    ref = loop(Tensor(x))
     occ = occupied_mask(E, C, fill)
-    # Occupancy-aware path: bitwise at occupied slots, zeros in the
-    # padding (the loop runs the FFN on the zero rows instead; no
-    # combine ever reads those slots).
-    out = batched(Tensor(x), expert_load=load).data
-    np.testing.assert_array_equal(out[occ], ref.data[occ])
-    np.testing.assert_array_equal(
-        out[~occ], np.zeros_like(out[~occ])
-    )
-    # Without occupancy info every slot runs the GEMMs: bitwise
-    # everywhere, padding included.
-    np.testing.assert_array_equal(batched(Tensor(x)).data, ref.data)
+    ref = bank(Tensor(x)).data
+    # The occupied slots in row-major order are the flat rows sorted
+    # by expert: exactly what dispatch_grouped hands run_grouped.
+    out = bank.run_grouped(Tensor(x[occ]), load).data
+    np.testing.assert_array_equal(out, ref[occ])
 
 
 @pytest.mark.parametrize("E,C,M,H,fill", CASES)
 def test_gradient_parity(rng, E, C, M, H, fill):
-    loop, batched = make_pair(E, M, H)
+    loop, grouped = make_bank(E, M, H), make_bank(E, M, H)
     x, load = make_dispatched(rng, E, C, M, fill)
     occupied = occupied_mask(E, C, fill)
     # Loss over the occupied slots only — what any combine reads.
     # (An unmasked loss would feed the loop's padding-slot responses
     # into its parameter gradients, a contribution no real consumer
-    # ever creates and the zero-padded batched path never computes.)
+    # ever creates.)
     mask = Tensor(occupied[:, :, None].astype(np.float32))
 
     x_loop = Tensor(x, requires_grad=True)
     ((loop(x_loop) * mask) ** 2).sum().backward()
-    x_bat = Tensor(x.copy(), requires_grad=True)
-    ((batched(x_bat, expert_load=load) * mask) ** 2).sum().backward()
+    rows = Tensor(x[occupied], requires_grad=True)
+    (grouped.run_grouped(rows, load) ** 2).sum().backward()
 
-    # Input gradients at occupied slots (padding rows get zero
-    # gradient under the masked loss in both impls).
-    np.testing.assert_allclose(
-        x_bat.grad[occupied], x_loop.grad[occupied], atol=1e-6
-    )
+    np.testing.assert_allclose(rows.grad, x_loop.grad[occupied], atol=1e-6)
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_allclose(
-            getattr(batched, name).grad,
+            getattr(grouped, name).grad,
             getattr(loop, name).grad,
             atol=1e-6,
             err_msg=name,
@@ -113,33 +87,34 @@ def test_gradient_parity(rng, E, C, M, H, fill):
 
 
 def test_moe_layer_end_to_end_parity(rng):
-    """Through gate + dispatch + combine, the impls agree everywhere."""
+    """Through gate + dispatch + combine, sparse matches dense."""
     kwargs = dict(top_k=2, capacity_factor=1.5)
-    loop = MoELayer(8, 16, 4, np.random.default_rng(3),
-                    expert_impl="loop", **kwargs)
-    batched = MoELayer(8, 16, 4, np.random.default_rng(3),
-                       expert_impl="batched", **kwargs)
+    layers = {
+        mode: MoELayer(8, 16, 4, np.random.default_rng(3),
+                       dispatch_mode=mode, **kwargs)
+        for mode in ("dense", "sparse")
+    }
     x = rng.standard_normal((12, 8)).astype(np.float32)
+    inputs, outputs = {}, {}
+    for mode, layer in layers.items():
+        inputs[mode] = Tensor(x.copy(), requires_grad=True)
+        outputs[mode] = layer(inputs[mode])
+        ((outputs[mode] ** 2).mean() + 0.01 * layer.last_aux_loss).backward()
 
-    x_loop = Tensor(x, requires_grad=True)
-    out_loop = loop(x_loop)
-    x_bat = Tensor(x.copy(), requires_grad=True)
-    out_bat = batched(x_bat)
-    np.testing.assert_array_equal(out_bat.data, out_loop.data)
-
-    ((out_loop ** 2).mean() + 0.01 * loop.last_aux_loss).backward()
-    ((out_bat ** 2).mean() + 0.01 * batched.last_aux_loss).backward()
-    np.testing.assert_allclose(x_bat.grad, x_loop.grad, atol=1e-6)
-    for (name, p_bat), (_, p_loop) in zip(
-        batched.named_parameters(), loop.named_parameters()
+    np.testing.assert_allclose(
+        outputs["sparse"].data, outputs["dense"].data, rtol=1e-5, atol=1e-6
+    )
+    np.testing.assert_allclose(
+        inputs["sparse"].grad, inputs["dense"].grad, atol=1e-6
+    )
+    for (name, p_s), (_, p_d) in zip(
+        layers["sparse"].named_parameters(), layers["dense"].named_parameters()
     ):
-        np.testing.assert_allclose(
-            p_bat.grad, p_loop.grad, atol=1e-6, err_msg=name
-        )
+        np.testing.assert_allclose(p_s.grad, p_d.grad, atol=1e-6, err_msg=name)
 
 
 def test_expert_parallel_group_parity(rng):
-    """The multi-worker execution reproduces the batched layer.
+    """The multi-worker execution reproduces the single-process layer.
 
     capacity_factor >= E/k so no token is dropped (drop resolution is
     FCFS in token order, which depends on sharding).
@@ -155,22 +130,41 @@ def test_expert_parallel_group_parity(rng):
 
 
 def test_expert_load_validation(rng):
-    _, batched = make_pair(4, 8, 16)
+    """run_grouped rejects per-expert counts of the wrong shape."""
+    bank = make_bank(4, 8, 16)
     x, _ = make_dispatched(rng, 4, 6, 8, [1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        batched(Tensor(x), expert_load=np.array([1, 2]))
+    occ = occupied_mask(4, 6, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="segment_counts"):
+        bank.run_grouped(Tensor(x[occ]), np.array([1, 2]))
 
 
 def test_run_expert_bounds(rng):
-    _, batched = make_pair(2, 8, 16)
+    bank = make_bank(2, 8, 16)
     with pytest.raises(IndexError):
-        batched.run_expert(2, Tensor(np.zeros((3, 8), np.float32)))
+        bank.run_expert(2, Tensor(np.zeros((3, 8), np.float32)))
 
 
 # -- checkpoint layout conversion -------------------------------------------
 
 
+def legacy_expert_keys(state):
+    """Rewrite stacked banks as the old one-FeedForward-per-expert keys."""
+    out = dict(state)
+    for key in [k for k in state if k.endswith(".w1")]:
+        base = key[: -len("w1")]
+        w1, b1 = out.pop(base + "w1"), out.pop(base + "b1")
+        w2, b2 = out.pop(base + "w2"), out.pop(base + "b2")
+        for e in range(w1.shape[0]):
+            prefix = f"{base}experts.items.{e}"
+            out[f"{prefix}.fc1.weight"] = w1[e]
+            out[f"{prefix}.fc1.bias"] = b1[e, 0]
+            out[f"{prefix}.fc2.weight"] = w2[e]
+            out[f"{prefix}.fc2.bias"] = b2[e, 0]
+    return out
+
+
 def test_stack_unstack_round_trip():
+    """Legacy keys upgrade back to exactly the stacked state."""
     from repro.models import TransformerLM
 
     model = TransformerLM(
@@ -178,7 +172,7 @@ def test_stack_unstack_round_trip():
         num_heads=2, moe=True, num_experts=4, max_seq_len=16, seed=0,
     )
     state = model.state_dict()
-    legacy = unstack_expert_state(state)
+    legacy = legacy_expert_keys(state)
     assert "blocks.items.0.ffn.experts.experts.items.0.fc1.weight" in legacy
     assert not any(k.endswith(".w1") for k in legacy)
     back = stack_expert_state(legacy)
@@ -209,7 +203,7 @@ def test_stack_rejects_index_gaps():
 
 
 def test_per_expert_checkpoint_loads_into_stacked_model(tmp_path):
-    """Legacy-layout archives load transparently, and round-trip."""
+    """Legacy-layout archives load transparently."""
     from repro.models import TransformerLM
 
     def make(seed):
@@ -220,37 +214,12 @@ def test_per_expert_checkpoint_loads_into_stacked_model(tmp_path):
         )
 
     model = make(0)
+    legacy = legacy_expert_keys(model.state_dict())
     path = tmp_path / "legacy.npz"
-    save_checkpoint(model, path, {"step": 9}, expert_layout="per-expert")
-    # The archive really is in the legacy key schema.
-    with np.load(path) as archive:
-        names = set(archive.files)
-    assert any(".experts.items.0.fc1.weight" in n for n in names)
-    assert not any(n.endswith(".w1") for n in names)
+    meta = np.frombuffer(json.dumps({"step": 9}).encode("utf-8"), np.uint8)
+    np.savez(path, __checkpoint_meta__=meta, **legacy)
 
     clone = make(7)
     assert load_checkpoint(clone, path) == {"step": 9}
     tokens = np.random.default_rng(0).integers(0, 20, (2, 8))
     np.testing.assert_array_equal(clone(tokens).data, model(tokens).data)
-
-    with pytest.raises(ValueError):
-        save_checkpoint(model, path, expert_layout="diagonal")
-
-
-def test_default_expert_impl_context():
-    from repro.moe import MoELayer, default_expert_impl
-
-    rng = np.random.default_rng(1)
-    assert Experts(2, 8, 16, rng).expert_impl == "grouped"
-    with default_expert_impl("loop"):
-        assert Experts(2, 8, 16, rng).expert_impl == "loop"
-        assert MoELayer(8, 16, 4, rng).experts.expert_impl == "loop"
-        # An explicit argument still wins over the ambient default.
-        assert (
-            Experts(2, 8, 16, rng, expert_impl="batched").expert_impl
-            == "batched"
-        )
-    assert Experts(2, 8, 16, rng).expert_impl == "grouped"
-    with pytest.raises(ValueError):
-        with default_expert_impl("vectorized"):
-            pass

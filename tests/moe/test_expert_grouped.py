@@ -1,17 +1,16 @@
-"""Parity suite for the capacity-free grouped expert path.
+"""Parity suite for the production MoE path against the reference.
 
-Three-way matrix: ``grouped`` must be indistinguishable from the
-``batched`` bank and the per-expert ``loop`` reference — bit-exact
-forward where achievable (expert outputs always; combined tokens when
-each token has at most two contributions, since two-term float adds
-commute), gradients to 1e-6 (the grouped combine accumulates token
-contributions in expert-sorted rather than assignment order, and
-``segment_matmul`` re-associates the stacked weight-grad reductions).
+The sparse layer (grouped dispatch, ``Experts.run_grouped``, grouped
+combine) must match the dense reference layer (GShard einsums around
+the per-expert loop) in outputs and gradients to 1e-5 relative /
+1e-6 absolute: the grouped combine accumulates token contributions in
+expert-sorted rather than einsum order, and ``segment_matmul``
+re-associates the stacked weight-grad reductions.
 
 Covers the routing shapes that stress the segment form: zero routed
 tokens, every token on one expert, capacity drops, duplicate tokens
 under expert-choice, E=1, and the literal multi-worker
-``ExpertParallelGroup`` execution (which batches its received blocks
+``ExpertParallelGroup`` execution (which runs its received blocks
 through the same ``run_grouped`` machinery).
 """
 
@@ -19,29 +18,24 @@ import numpy as np
 import pytest
 
 from repro.moe import (
-    EXPERT_IMPLS,
-    Experts,
     MoELayer,
+    combine,
     combine_grouped,
-    combine_sparse,
-    default_expert_impl,
+    dispatch,
     dispatch_grouped,
-    dispatch_sparse,
 )
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
-IMPLS = ("loop", "batched", "grouped")
 
-
-def run_layer(x0, impl, seed=3, **kwargs):
-    """Build a seeded layer with ``impl`` and run one training step."""
+def run_layer(x0, dispatch_mode, seed=3, **kwargs):
+    """Build a seeded layer and run one training step."""
     kwargs.setdefault("top_k", 2)
     kwargs.setdefault("capacity_factor", 1.25)
     bias_expert = kwargs.pop("bias_expert", None)
     layer = MoELayer(
         x0.shape[1], 16, kwargs.pop("num_experts", 4),
-        np.random.default_rng(seed), expert_impl=impl, **kwargs,
+        np.random.default_rng(seed), dispatch_mode=dispatch_mode, **kwargs,
     )
     if bias_expert is not None:
         layer.gate.wg.weight.data[:, bias_expert] += 10.0
@@ -51,34 +45,22 @@ def run_layer(x0, impl, seed=3, **kwargs):
     return layer, x, y
 
 
-def assert_three_way(x0, forward_exact=True, **kwargs):
-    runs = {impl: run_layer(x0, impl, **kwargs) for impl in IMPLS}
-    _, _, y_ref = runs["loop"]
-    for impl in ("batched", "grouped"):
-        _, _, y = runs[impl]
-        if impl == "batched" or forward_exact:
-            np.testing.assert_array_equal(y.data, y_ref.data, err_msg=impl)
-        else:
-            np.testing.assert_allclose(
-                y.data, y_ref.data, atol=1e-6, err_msg=impl
-            )
-    layer_ref, x_ref, _ = runs["loop"]
-    for impl in ("batched", "grouped"):
-        layer, x, _ = runs[impl]
-        np.testing.assert_allclose(
-            x.grad, x_ref.grad, atol=1e-6, err_msg=f"{impl} input grad"
-        )
-        for (name, p), (_, p_ref) in zip(
-            layer.named_parameters(), layer_ref.named_parameters()
-        ):
-            np.testing.assert_allclose(
-                p.grad, p_ref.grad, atol=1e-6, err_msg=f"{impl} {name}"
-            )
+def assert_matches_reference(x0, **kwargs):
+    """Sparse layer == dense layer: outputs, input and parameter grads."""
+    layer, x, y = run_layer(x0, "sparse", **kwargs)
+    layer_ref, x_ref, y_ref = run_layer(x0, "dense", **kwargs)
+    tol = dict(rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(y.data, y_ref.data, **tol)
+    np.testing.assert_allclose(x.grad, x_ref.grad, err_msg="input grad", **tol)
+    for (name, p), (_, p_ref) in zip(
+        layer.named_parameters(), layer_ref.named_parameters()
+    ):
+        np.testing.assert_allclose(p.grad, p_ref.grad, err_msg=name, **tol)
 
 
-def test_topk_three_way_parity(rng):
+def test_topk_sparse_matches_dense(rng):
     x0 = rng.standard_normal((24, 8)).astype(np.float32)
-    assert_three_way(x0)
+    assert_matches_reference(x0)
 
 
 def test_zero_routed_tokens(rng):
@@ -86,7 +68,7 @@ def test_zero_routed_tokens(rng):
     for gate_type in ("topk", "expert-choice"):
         layer = MoELayer(
             8, 16, 4, np.random.default_rng(3), top_k=2,
-            gate_type=gate_type, expert_impl="grouped",
+            gate_type=gate_type,
         )
         x = Tensor(np.zeros((0, 8), np.float32), requires_grad=True)
         y = layer(x)
@@ -102,9 +84,11 @@ def test_all_tokens_to_one_expert(rng):
     with maximally skewed segments.
     """
     x0 = rng.standard_normal((12, 8)).astype(np.float32)
-    assert_three_way(x0, top_k=1, capacity_factor=1.0, bias_expert=2)
+    assert_matches_reference(
+        x0, top_k=1, capacity_factor=1.0, bias_expert=2
+    )
     # The gate really did concentrate: expert 2 fills to capacity.
-    layer, _, _ = run_layer(x0, "grouped", top_k=1, capacity_factor=1.0,
+    layer, _, _ = run_layer(x0, "sparse", top_k=1, capacity_factor=1.0,
                             bias_expert=2)
     out = layer.last_gate_output
     assert out.expert_load[2] == out.capacity
@@ -113,23 +97,18 @@ def test_all_tokens_to_one_expert(rng):
 
 def test_dropped_tokens_under_capacity_pressure(rng):
     x0 = rng.standard_normal((32, 8)).astype(np.float32)
-    assert_three_way(x0, capacity_factor=0.5)
-    layer, _, _ = run_layer(x0, "grouped", capacity_factor=0.5)
+    assert_matches_reference(x0, capacity_factor=0.5)
+    layer, _, _ = run_layer(x0, "sparse", capacity_factor=0.5)
     assert layer.last_gate_output.dropped_tokens > 0
 
 
 def test_expert_choice_duplicates(rng):
-    """EC routes one token to several experts (flat layout duplicates).
-
-    Combined tokens can sum >2 contributions, so forward parity is to
-    1e-6, not bitwise.
-    """
+    """EC routes one token to several experts (flat layout duplicates)."""
     x0 = rng.standard_normal((16, 8)).astype(np.float32)
-    assert_three_way(
-        x0, forward_exact=False, gate_type="expert-choice",
-        capacity_factor=2.0,
+    assert_matches_reference(
+        x0, gate_type="expert-choice", capacity_factor=2.0
     )
-    layer, _, _ = run_layer(x0, "grouped", gate_type="expert-choice",
+    layer, _, _ = run_layer(x0, "sparse", gate_type="expert-choice",
                             capacity_factor=2.0)
     out = layer.last_gate_output
     tokens, counts = np.unique(out.token_indices, return_counts=True)
@@ -138,11 +117,11 @@ def test_expert_choice_duplicates(rng):
 
 def test_single_expert(rng):
     x0 = rng.standard_normal((10, 8)).astype(np.float32)
-    assert_three_way(x0, num_experts=1, top_k=1)
+    assert_matches_reference(x0, num_experts=1, top_k=1)
 
 
-def test_grouped_dispatch_combine_match_sparse(rng):
-    """The sort-permutation form reproduces the sparse pair's answers."""
+def test_grouped_dispatch_combine_match_dense(rng):
+    """The sort-permutation form reproduces the dense einsum pair."""
     from repro.moe import TopKGate
 
     gate = TopKGate(8, 4, np.random.default_rng(0), top_k=2,
@@ -158,20 +137,16 @@ def test_grouped_dispatch_combine_match_sparse(rng):
     np.testing.assert_array_equal(routing.segment_counts, out.expert_load)
 
     # Identity experts: combining the dispatched rows reproduces the
-    # sparse backend's combine of the capacity buffer.
+    # dense combine of the dense capacity buffer.
     merged_grouped = combine_grouped(
         rows, routing, out.gate_weights.detach(), out.num_tokens
     )
-    buffer = dispatch_sparse(
-        Tensor(x), out.expert_indices, out.slot_indices, out.num_experts,
-        out.capacity,
-    )
-    merged_sparse = combine_sparse(
-        buffer, out.expert_indices, out.slot_indices,
-        out.gate_weights.detach(), out.num_tokens,
+    merged_dense = combine(
+        dispatch(Tensor(x), out.dispatch_mask),
+        out.combine_weights.detach(),
     )
     np.testing.assert_allclose(
-        merged_grouped.data, merged_sparse.data, atol=1e-6
+        merged_grouped.data, merged_dense.data, atol=1e-6
     )
 
 
@@ -179,35 +154,29 @@ def test_grouped_dispatch_combine_match_sparse(rng):
 def test_expert_parallel_group_grouped(rng, gate_type):
     """The multi-worker execution batches blocks via run_grouped.
 
-    Must match both the single-process grouped layer and the loop-impl
-    group (whose local compute is the one-block-at-a-time reference).
+    Its reference is the dense layer applied to each worker's shard:
+    every worker gates only its own shard, so this is exact for both
+    gate families, drops included.
     """
-    def make(impl):
+    def make(mode):
         return MoELayer(
             8, 16, 4, np.random.default_rng(5), top_k=2,
-            capacity_factor=2.0, gate_type=gate_type, expert_impl=impl,
+            capacity_factor=2.0, gate_type=gate_type, dispatch_mode=mode,
         ).eval()
 
     x = rng.standard_normal((16, 8)).astype(np.float32)
-    grouped_layer = make("grouped")
-    grouped_group = ExpertParallelGroup(grouped_layer, num_workers=4)
-    loop_group = ExpertParallelGroup(make("loop"), num_workers=4)
     shards = list(np.split(x, 4))
-
-    out_grouped = grouped_group.forward_concatenated(shards)
-    out_loop = loop_group.forward_concatenated(shards)
-    np.testing.assert_array_equal(out_grouped, out_loop)
-
-    if gate_type == "topk":  # EC drop sets depend on sharding
-        single = grouped_layer(Tensor(x)).data
-        np.testing.assert_allclose(out_grouped, single, rtol=1e-5,
-                                   atol=1e-6)
+    group = ExpertParallelGroup(make("sparse"), num_workers=4)
+    dense = make("dense")
+    ref = np.concatenate([dense(Tensor(s)).data for s in shards], axis=0)
+    np.testing.assert_allclose(
+        group.forward_concatenated(shards), ref, rtol=1e-5, atol=1e-6
+    )
 
 
 def test_parallel_group_with_empty_shard(rng):
     layer = MoELayer(
         8, 16, 4, np.random.default_rng(5), top_k=2, capacity_factor=4.0,
-        expert_impl="grouped",
     ).eval()
     group = ExpertParallelGroup(layer, num_workers=2)
     x = rng.standard_normal((8, 8)).astype(np.float32)
@@ -223,8 +192,7 @@ def test_transport_codec_reaches_grouped_path(rng):
     def make(compressor):
         return MoELayer(
             8, 16, 4, np.random.default_rng(5), top_k=2,
-            capacity_factor=2.0, expert_impl="grouped",
-            compressor=compressor,
+            capacity_factor=2.0, compressor=compressor,
         ).eval()
 
     x = rng.standard_normal((16, 8)).astype(np.float32)
@@ -237,37 +205,3 @@ def test_transport_codec_reaches_grouped_path(rng):
     out = lossy_layer.last_gate_output
     kept = int((np.asarray(out.slot_indices) >= 0).sum())
     assert lossy_layer.last_dispatched.shape == (kept, 8)
-
-
-# -- shared impl-name validation ---------------------------------------------
-
-
-def _expected_error(impl):
-    return f"unknown expert_impl {impl!r}; expected one of {EXPERT_IMPLS}"
-
-
-def test_impl_validation_is_shared_across_entry_points():
-    """Every entry point rejects a typo with the identical message."""
-    from repro.models import make_ffn
-
-    rng = np.random.default_rng(0)
-    entry_points = [
-        lambda: Experts(2, 8, 16, rng, expert_impl="groupd"),
-        lambda: MoELayer(8, 16, 2, rng, expert_impl="groupd"),
-        lambda: make_ffn(8, 16, rng, moe=True, num_experts=2,
-                         expert_impl="groupd"),
-        lambda: default_expert_impl("groupd").__enter__(),
-    ]
-    for build in entry_points:
-        with pytest.raises(ValueError) as err:
-            build()
-        assert str(err.value) == _expected_error("groupd")
-    assert "grouped" in EXPERT_IMPLS  # the new impl is registered
-
-
-def test_default_expert_impl_accepts_grouped():
-    rng = np.random.default_rng(0)
-    with default_expert_impl("grouped"):
-        assert Experts(2, 8, 16, rng).expert_impl == "grouped"
-        assert MoELayer(8, 16, 2, rng).experts.expert_impl == "grouped"
-    assert Experts(2, 8, 16, rng).expert_impl == "grouped"

@@ -8,9 +8,11 @@ of the vectorized slot assignment against the original greedy loop.
 import numpy as np
 import pytest
 
-from repro.moe import TopKGate, assign_capacity_slots
+from repro.moe import TopKGate
 from repro.moe.gating_ec import ExpertChoiceGate
 from repro.nn import Tensor
+
+from .legacy_routing import assign_capacity_slots
 
 
 def greedy_slots(top_idx, num_experts, capacity):

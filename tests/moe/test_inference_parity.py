@@ -2,8 +2,7 @@
 
 ``MoELayer.forward_inference`` must compute *byte-for-byte* the same
 output as the training-tape ``forward`` on an ``eval()`` layer —
-across both gate families, all three expert implementations, sync and
-overlapped chunked pipelines, dead-expert degradation and the T=0
+across both gate families, sync and overlapped chunked pipelines, dead-expert degradation and the T=0
 edge — while recording no tape and drawing its large intermediates
 from the layer's step-scoped arena (so steady state performs zero
 large allocations).  Anything weaker than ``np.array_equal`` here
@@ -21,7 +20,6 @@ from repro.nn import Tensor
 def make_layer(
     seed=0,
     gate_type="topk",
-    expert_impl=None,
     pipeline="sync",
     num_chunks=1,
     num_experts=8,
@@ -35,7 +33,6 @@ def make_layer(
         top_k=2,
         capacity_factor=capacity_factor,
         gate_type=gate_type,
-        expert_impl=expert_impl,
         pipeline=pipeline,
         num_chunks=num_chunks,
     ).eval()
@@ -56,9 +53,8 @@ def assert_inference_matches(layer, x, rng_out=None):
 
 
 @pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
-@pytest.mark.parametrize("expert_impl", ["grouped", "batched", "loop"])
-def test_parity_across_gates_and_expert_impls(rng, gate_type, expert_impl):
-    layer = make_layer(gate_type=gate_type, expert_impl=expert_impl)
+def test_parity_across_gates(rng, gate_type):
+    layer = make_layer(gate_type=gate_type)
     assert_inference_matches(layer, tokens(rng))
 
 

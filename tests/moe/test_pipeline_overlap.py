@@ -40,7 +40,6 @@ def make_layer(gate_type, compressor=None, num_experts=8, dim=16, **kw):
         capacity_factor=2.0,
         gate_type=gate_type,
         compressor=compressor,
-        expert_impl="grouped",
         **kw,
     )
 
@@ -310,6 +309,28 @@ def test_validation():
         ExpertParallelGroup(layer, 4, num_chunks=0)
     with pytest.raises(ValueError, match="link_bandwidth"):
         ExpertParallelGroup(layer, 4, link_bandwidth=-1.0)
+
+
+@pytest.mark.parametrize(
+    "pipeline,num_chunks", [("overlap", 1), ("sync", 2), ("overlap", 3)]
+)
+def test_dense_layer_rejects_chunking(pipeline, num_chunks):
+    """The dense reference never runs chunked; asking for it raises."""
+    with pytest.raises(ValueError, match="dense"):
+        make_layer(
+            "topk", dispatch_mode="dense", pipeline=pipeline,
+            num_chunks=num_chunks,
+        )
+    make_layer("topk", dispatch_mode="dense")  # unchunked is fine
+
+
+def test_group_rejects_dense_layer():
+    """The group runs only the sparse path; a dense layer raises."""
+    layer = make_layer("topk", dispatch_mode="dense")
+    with pytest.raises(ValueError, match="dispatch_mode"):
+        ExpertParallelGroup(layer, 4)
+    with pytest.raises(ValueError, match="dispatch_mode"):
+        ExpertParallelGroup(layer, 4, pipeline="overlap", num_chunks=2)
 
 
 def test_timeline_recorded(rng):

@@ -24,9 +24,11 @@ import numpy as np
 import pytest
 
 from repro.moe import MoELayer, RoutingPlan, route_fused
-from repro.moe.gating import TopKGate, assign_capacity_slots
+from repro.moe.gating import TopKGate
 from repro.moe.routing import plan_for_expert_choice, plan_from_indices
 from repro.nn import Tensor
+
+from .legacy_routing import assign_capacity_slots
 
 
 def greedy_reference_slots(top_idx, num_experts, capacity):

@@ -62,9 +62,9 @@ def test_backward_is_per_segment_adjoint(rng):
     np.testing.assert_array_equal(w.grad[1], 0.0)
 
 
-def test_gradcheck_against_bmm_equivalent(rng):
-    """Uniform segments make segment_matmul a reshaped bmm — grads match."""
-    from repro.nn import bmm
+def test_gradcheck_against_per_segment_matmul(rng):
+    """Uniform segments: same values and grads as per-segment matmuls."""
+    from repro.nn import concatenate
 
     E, C, K, J = 3, 4, 5, 2
     x = rng.standard_normal((E * C, K)).astype(np.float32)
@@ -74,15 +74,17 @@ def test_gradcheck_against_bmm_equivalent(rng):
     seg = segment_matmul(xs, ws, np.full(E, C))
     (seg**2).sum().backward()
 
-    xb, wb = Tensor(x.copy(), requires_grad=True), Tensor(
+    xr, wr = Tensor(x.copy(), requires_grad=True), Tensor(
         w.copy(), requires_grad=True
     )
-    batched = bmm(xb.reshape(E, C, K), wb)
-    (batched**2).sum().backward()
+    per_segment = concatenate(
+        [xr[e * C : (e + 1) * C] @ wr[e] for e in range(E)], axis=0
+    )
+    (per_segment**2).sum().backward()
 
-    np.testing.assert_array_equal(seg.data, batched.data.reshape(E * C, J))
-    np.testing.assert_allclose(xs.grad, xb.grad, atol=1e-6)
-    np.testing.assert_allclose(ws.grad, wb.grad, atol=1e-6)
+    np.testing.assert_array_equal(seg.data, per_segment.data)
+    np.testing.assert_allclose(xs.grad, xr.grad, atol=1e-6)
+    np.testing.assert_allclose(ws.grad, wr.grad, atol=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -115,52 +117,24 @@ def test_bucketed_matches_unbucketed(rng, counts):
         np.testing.assert_array_equal(a, b)
 
 
-# -- REPRO_BUCKET_ROW_ELEMS override -----------------------------------------
+# -- bucketing threshold -----------------------------------------------------
 
 
-def _bucket_case(rng):
-    """Counts with a bucketable pair whose LHS block is 5*6=30 elems."""
+def test_bucket_threshold_sweep_keeps_values(rng, monkeypatch):
+    """The threshold changes the bucketing decision, never the values."""
+    import repro.nn.tensor as tensor_module
+
+    # Counts with a bucketable pair whose LHS block is 5*6=30 elems.
     counts = np.asarray([5, 5, 2, 2])
     x = rng.standard_normal((int(counts.sum()), 6)).astype(np.float32)
     w = rng.standard_normal((len(counts), 6, 5)).astype(np.float32)
-    return counts, x, w
-
-
-def test_bucket_threshold_default(monkeypatch):
-    from repro.nn.tensor import (
-        _BUCKET_ROW_ELEMS,
-        BUCKET_ROW_ELEMS_ENV,
-        bucket_row_elems,
-    )
-
-    monkeypatch.delenv(BUCKET_ROW_ELEMS_ENV, raising=False)
-    assert bucket_row_elems() == _BUCKET_ROW_ELEMS == 4096
-
-
-def test_bucket_threshold_env_override(rng, monkeypatch):
-    """Valid overrides change the bucketing decision, never the values."""
-    from repro.nn.tensor import BUCKET_ROW_ELEMS_ENV, bucket_row_elems
-
-    counts, x, w = _bucket_case(rng)
     ref = segment_matmul(Tensor(x), Tensor(w), counts, bucketed=False).data
     # 0 disables bucketing entirely; a huge value buckets every size
     # class.  Either way results are bit-identical to the plain loop.
-    for override in ("0", "1000000"):
-        monkeypatch.setenv(BUCKET_ROW_ELEMS_ENV, override)
-        assert bucket_row_elems() == int(override)
+    for threshold in (0, 12, 1_000_000):
+        monkeypatch.setattr(tensor_module, "_BUCKET_ROW_ELEMS", threshold)
         out = segment_matmul(Tensor(x), Tensor(w), counts).data
         np.testing.assert_array_equal(out, ref)
-
-
-@pytest.mark.parametrize("bad", ["banana", "4k", "", "3.5", "-1"])
-def test_bucket_threshold_rejects_bad_values(rng, monkeypatch, bad):
-    """A typo'd knob raises loudly instead of silently falling back."""
-    from repro.nn.tensor import BUCKET_ROW_ELEMS_ENV
-
-    counts, x, w = _bucket_case(rng)
-    monkeypatch.setenv(BUCKET_ROW_ELEMS_ENV, bad)
-    with pytest.raises(ValueError, match=BUCKET_ROW_ELEMS_ENV):
-        segment_matmul(Tensor(x), Tensor(w), counts)
 
 
 def test_empty_input(rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, bmm, concatenate, einsum, stack, where
+from repro.nn import Tensor, concatenate, einsum, stack, where
 
 
 def grad_of(build, *arrays):
@@ -83,40 +83,6 @@ def test_matmul_broadcast_batch(rng):
     x = rng.standard_normal((2, 3, 4)).astype(np.float32)
     y = rng.standard_normal((4, 5)).astype(np.float32)
     check_grads(lambda t, u: t @ u, x, y)
-
-
-def test_bmm_gradients(rng):
-    x = rng.standard_normal((3, 4, 5)).astype(np.float32)
-    y = rng.standard_normal((3, 5, 2)).astype(np.float32)
-    check_grads(lambda t, u: bmm(t, u), x, y)
-
-
-def test_bmm_matches_per_slice_matmul_bitwise(rng):
-    x = rng.standard_normal((4, 6, 8)).astype(np.float32)
-    y = rng.standard_normal((4, 8, 3)).astype(np.float32)
-    out = bmm(Tensor(x), Tensor(y))
-    expected = np.stack([x[i] @ y[i] for i in range(4)])
-    np.testing.assert_array_equal(out.data, expected)
-
-
-def test_bmm_zero_batch_and_zero_rows(rng):
-    assert bmm(
-        Tensor(np.zeros((0, 2, 3))), Tensor(np.zeros((0, 3, 4)))
-    ).shape == (0, 2, 4)
-    x = Tensor(np.zeros((2, 0, 3), dtype=np.float32), requires_grad=True)
-    out = bmm(x, Tensor(np.ones((2, 3, 4), dtype=np.float32)))
-    assert out.shape == (2, 0, 4)
-    out.backward(np.zeros((2, 0, 4), dtype=np.float32))
-    assert x.grad.shape == x.shape
-
-
-def test_bmm_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        bmm(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 4))))
-    with pytest.raises(ValueError):
-        bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-    with pytest.raises(ValueError):
-        bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 6))))
 
 
 def test_sum_mean_axes(a):

@@ -188,7 +188,7 @@ def test_recommendation_includes_layer_knobs():
     rec = report.recommendation()
     layer = rec["layer"]
     assert layer == layer_recommendation(rec["partitions"])
-    assert layer["expert_impl"] == "grouped"
+    assert set(layer) == {"dispatch_mode", "pipeline", "num_chunks"}
     assert layer["dispatch_mode"] == "sparse"
     assert layer["num_chunks"] == rec["partitions"]
     assert layer["pipeline"] == (
