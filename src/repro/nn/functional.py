@@ -1,8 +1,9 @@
 """Differentiable neural-network primitives on :class:`Tensor`.
 
 Everything the paper's models need: activations, normalization,
-softmax/log-softmax (for gates and output heads), embedding lookup,
-dropout and the cross-entropy loss.
+softmax/log-softmax (for gates and output heads), fused scaled
+dot-product attention, embedding lookup, dropout and the cross-entropy
+loss.
 
 Under :func:`~repro.nn.tensor.inference_mode` the hot primitives
 (relu/gelu, softmax, layer_norm, embedding) skip their backward-only
@@ -14,11 +15,11 @@ finite inputs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _arena_out, is_inference
+from .tensor import Tensor, _arena_out, is_inference, scratch_empty
 
 
 def relu(x: Tensor) -> Tensor:
@@ -120,6 +121,54 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return ((x, s * (g - dot)),)
 
     return x._make(s, (x,), backward)
+
+
+def scaled_dot_product_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    scale: float,
+    biases: Sequence[np.ndarray] = (),
+) -> Tensor:
+    """``softmax(q kᵀ · scale + Σ biases) v`` as one autograd node.
+
+    ``q`` is (..., Tq, D), ``k`` (..., Tk, D), ``v`` (..., Tk, Dv) with
+    the same leading dimensions; each bias broadcasts against the
+    (..., Tq, Tk) scores and is added in the order given.  The forward runs the composed chain's
+    floating-point ops in the composed chain's order — ``q @ kᵀ``,
+    ``× scale``, ``+ bias`` each, subtract the row max, ``exp``, divide
+    by the row sum, ``@ v`` — but in place on a single scores buffer
+    (arena-backed under inference), so the tape keeps one (..., Tq, Tk)
+    array per call instead of four.  The hand-written backward
+    evaluates the composed tape's expressions (matmul adjoints, softmax
+    ``s · (g − Σ g·s)``, ``× scale``) and skips the gradients of the
+    constant scale and biases, which the tape would discard.
+    """
+    scale = np.float32(scale)
+    s = scratch_empty(q.shape[:-1] + k.shape[-2:-1])
+    np.matmul(q.data, np.swapaxes(k.data, -1, -2), out=s)
+    np.multiply(s, scale, out=s)
+    for bias in biases:
+        np.add(s, bias, out=s)
+    np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
+    np.exp(s, out=s)
+    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
+    out = np.matmul(s, v.data, out=_arena_out(s.shape[:-1] + v.shape[-1:]))
+
+    def backward(g):
+        gs = g @ np.swapaxes(v.data, -1, -2)
+        gv = np.swapaxes(s, -1, -2) @ g
+        dot = (gs * s).sum(axis=-1, keepdims=True)
+        np.subtract(gs, dot, out=gs)
+        np.multiply(s, gs, out=gs)
+        np.multiply(gs, scale, out=gs)
+        gq = gs @ k.data
+        gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)
+        return ((q, gq), (k, gk), (v, gv))
+
+    if Tensor._needs_grad(q, k, v):
+        return Tensor(out, _parents=(q, k, v), _backward=backward)
+    return Tensor(out)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -8,6 +8,7 @@ transformer MoE models are assembled from.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -226,11 +227,23 @@ class FeedForward(Module):
         return self.fc2(h)
 
 
+@functools.lru_cache(maxsize=32)
+def _causal_bias(t_q: int, t_k: int) -> np.ndarray:
+    """Read-only (t_q, t_k) additive mask: 0 on and below the diagonal,
+    -1e9 above it.  Built once per shape and shared by every call."""
+    bias = np.where(np.tril(np.ones((t_q, t_k), dtype=bool)), 0.0, -1e9)
+    bias = bias.astype(np.float32)
+    bias.flags.writeable = False
+    return bias
+
+
 class MultiHeadAttention(Module):
     """Multi-head scaled dot-product attention.
 
     Supports self-attention (``context=None``) with optional causal
-    masking, and cross-attention for the encoder-decoder model.
+    masking, and cross-attention for the encoder-decoder model.  The
+    score/softmax/value chain is one fused autograd node,
+    :func:`~repro.nn.functional.scaled_dot_product_attention`.
     """
 
     def __init__(
@@ -269,20 +282,17 @@ class MultiHeadAttention(Module):
         k = self._split(self.k_proj(source))
         v = self._split(self.v_proj(source))
 
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        bias = np.zeros(scores.shape[-2:], dtype=np.float32)
-        if self.causal and context is None:
-            t_q, t_k = scores.shape[-2], scores.shape[-1]
-            bias = np.where(
-                np.tril(np.ones((t_q, t_k), dtype=bool)), 0.0, -1e9
-            ).astype(np.float32)
+        biases = []
         if mask is not None:
             # mask: (batch, t_k) boolean, True = attend.
-            pad = np.where(mask[:, None, None, :], 0.0, -1e9).astype(np.float32)
-            scores = scores + Tensor(pad)
-        scores = scores + Tensor(bias)
-        attn = F.softmax(scores, axis=-1)
-        out = attn @ v
+            biases.append(
+                np.where(mask[:, None, None, :], 0.0, -1e9).astype(np.float32)
+            )
+        if self.causal and context is None:
+            biases.append(_causal_bias(q.shape[-2], k.shape[-2]))
+        out = F.scaled_dot_product_attention(
+            q, k, v, 1.0 / np.sqrt(self.head_dim), biases
+        )
         b, h, t, d = out.shape
         out = out.transpose(0, 2, 1, 3).reshape(b, t, h * d)
         return self.out_proj(out)
