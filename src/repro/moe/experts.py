@@ -34,7 +34,7 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.init import xavier_uniform
 from ..nn.modules import Module, Parameter
-from ..nn.tensor import Tensor, gather, segment_matmul, stack
+from ..nn.tensor import Tensor, segment_matmul, stack
 
 
 class Experts(Module):
@@ -155,11 +155,11 @@ class Experts(Module):
         (``segment_counts[e]`` rows for expert e, summing to N) — the
         sort-permutation form :func:`~repro.moe.dispatch.dispatch_grouped`
         produces.  Two :func:`~repro.nn.tensor.segment_matmul` calls
-        run each occupied expert's segment through its FFN; the biases
-        are gathered per row from the stacked ``(E, 1, H)/(E, 1, M)``
-        parameters (a differentiable gather, so their gradients
-        scatter-add back per segment).  No (E, C, M) buffer exists at
-        any point, and an expert with an empty segment costs nothing.
+        run each occupied expert's segment through its FFN, each with
+        its stacked ``(E, 1, H)/(E, 1, M)`` bias folded in (viewed as
+        ``(E, J)``; its gradient is a per-segment row sum).  No
+        (E, C, M) buffer exists at any point, and an expert with an
+        empty segment costs nothing.
         """
         counts = np.asarray(segment_counts)
         if rows.ndim != 2 or rows.shape[1] != self.model_dim:
@@ -171,16 +171,10 @@ class Experts(Module):
                 f"segment_counts must be ({self.num_experts},), "
                 f"got {counts.shape}"
             )
-        expert_of_row = np.repeat(
-            np.arange(self.num_experts), counts.astype(np.int64)
-        )
         b1 = self.b1.reshape(self.num_experts, self.hidden_dim)
         b2 = self.b2.reshape(self.num_experts, self.model_dim)
-        h = self._act(
-            segment_matmul(rows, self.w1, counts)
-            + gather(b1, expert_of_row)
-        )
-        return segment_matmul(h, self.w2, counts) + gather(b2, expert_of_row)
+        h = self._act(segment_matmul(rows, self.w1, counts, bias=b1))
+        return segment_matmul(h, self.w2, counts, bias=b2)
 
     def forward(self, dispatched: Tensor) -> Tensor:
         """Reference loop: apply expert e to slice (e, :, :) of (E, C, M).

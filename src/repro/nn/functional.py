@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _arena_out, is_inference, scratch_empty
+from .tensor import (
+    Tensor,
+    _arena_out,
+    _scatter_add_rows,
+    is_inference,
+    scratch_empty,
+)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -256,7 +262,9 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g):
         grad = np.zeros_like(weight.data)
-        np.add.at(grad, idx, g)
+        _scatter_add_rows(
+            grad, idx.reshape(-1), g.reshape((idx.size,) + weight.shape[1:])
+        )
         return ((weight, grad),)
 
     return weight._make(weight.data[idx], (weight,), backward)
@@ -330,7 +338,9 @@ def take_along_axis(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
     Selects per-position entries along ``axis`` (the natural companion
     of :func:`top_k_indices`: pick each token's top-k gate values
     without materializing one-hot masks).  The backward pass
-    scatter-adds the output gradient back to the selected positions.
+    scatter-adds the output gradient back to the selected positions,
+    through the flat index of each one; top-k positions are unique
+    per row, so that is one fancy-index add.
     """
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
@@ -342,15 +352,17 @@ def take_along_axis(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
     data = np.take_along_axis(x.data, idx, axis=axis)
 
     def backward(g):
-        grad = np.zeros_like(x.data)
-        np.add.at(
-            grad,
-            tuple(
-                idx if a == (axis % x.ndim) else np.indices(idx.shape)[a]
-                for a in range(x.ndim)
-            ),
-            g,
+        along = axis % x.ndim
+        grid = np.indices(idx.shape, sparse=True)
+        # The forward already rejected out-of-range indices; "wrap"
+        # only maps the negative ones take_along_axis accepted.
+        flat = np.ravel_multi_index(
+            tuple(idx if a == along else grid[a] for a in range(x.ndim)),
+            x.shape,
+            mode="wrap",
         )
+        grad = np.zeros(x.shape, dtype=np.float32)
+        _scatter_add_rows(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
         return ((x, grad),)
 
     return x._make(data, (x,), backward)

@@ -60,7 +60,17 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction and decoupled weight decay (AdamW)."""
+    """Adam with bias correction and decoupled weight decay (AdamW).
+
+    The update is evaluated in place: every parameter's step runs
+    through the same two scratch buffers, sized for the largest
+    parameter, instead of fresh temporaries, with the textbook
+    expressions' float ops in their order, so the result is
+    bit-identical to
+
+    ``m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g²;``
+    ``p −= lr · ((m / bc1) / (√(v / bc2) + eps) + wd·p)``.
+    """
 
     def __init__(
         self,
@@ -80,6 +90,8 @@ class Adam(Optimizer):
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        size = max(p.data.size for p in self.parameters)
+        self._scratch = (np.empty(size, np.float32), np.empty(size, np.float32))
 
     def step(self) -> None:
         self._step += 1
@@ -89,14 +101,24 @@ class Adam(Optimizer):
             if p.grad is None:
                 continue
             g = p.grad
+            a, b = (s[: g.size].reshape(g.shape) for s in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
+            np.divide(m, bc1, out=a)  # a: the update
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+                np.multiply(self.weight_decay, p.data, out=b)
+                np.add(a, b, out=a)
+            np.multiply(self.lr, a, out=a)
+            p.data -= a
 
 
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:

@@ -587,9 +587,11 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     ``indices`` is a raw integer array (routing decisions are not
     differentiated); the backward pass scatter-adds the output
     gradient back into the gathered rows, so an index appearing twice
-    accumulates both contributions.  This is the forward half of the
-    sparse MoE dispatch path — an ``O(N * M)`` data movement instead
-    of the dense einsum's ``O(T * E * C * M)`` contraction.
+    accumulates both contributions (along axis 0 through
+    :func:`_scatter_add_rows`, bit-identical to ``np.add.at``).  This
+    is the forward half of the sparse MoE dispatch path — an
+    ``O(N * M)`` data movement instead of the dense einsum's
+    ``O(T * E * C * M)`` contraction.
     """
     x = Tensor._lift(x)
     idx = np.asarray(indices)
@@ -609,7 +611,9 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     def backward(g):
         grad = np.zeros_like(x.data)
         if axis == 0:
-            np.add.at(grad, idx, g)
+            _scatter_add_rows(
+                grad, idx.reshape(-1), g.reshape((idx.size,) + x.shape[1:])
+            )
         else:
             moved = np.moveaxis(grad, axis, 0)
             np.add.at(moved, idx, np.moveaxis(g, axis, 0))
@@ -622,11 +626,12 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
 #: its (rows, depth, ...) staging buffer and its depth sequential adds
 #: both scale with the deepest duplicate, so past ~top-k depths the
 #: buffered ``np.add.at`` is the better loser.  Expert-choice combines
-#: (a token selected by up to E experts) fall back there.
+#: (a token selected by up to E experts) and the embedding gradient of
+#: a frequent token fall back there.
 _SCATTER_ROUNDS_MAX_DEPTH = 8
 
 
-def _scatter_add_inference(
+def _scatter_add_rows(
     out: np.ndarray, idx: np.ndarray, values: np.ndarray
 ) -> None:
     """``out[idx] += values`` with duplicate indices, vectorized.
@@ -634,27 +639,35 @@ def _scatter_add_inference(
     ``np.add.at`` is the correctness workhorse of the accumulating
     scatter but cannot vectorize (any element might collide with any
     other), which makes it the single most expensive non-GEMM op of
-    the MoE combine.  This version exploits what the router guarantees
-    — each destination token receives at most top-k contributions — by
-    splitting the input into *occurrence rounds*: element n's round is
-    how many earlier elements target the same destination.  Within a
-    round destinations are unique by construction, so each round is
-    one fancy-index scatter; summing the per-round planes in round
-    order reproduces ``np.add.at``'s sequential order exactly.
+    the MoE combine and of every gather's backward.  This version
+    exploits what the router guarantees — each destination receives
+    at most top-k contributions — by splitting the input into
+    *occurrence rounds*: element n's round is how many earlier
+    elements target the same destination.  Within a round
+    destinations are unique by construction, so each round is one
+    fancy-index scatter; summing the per-round planes in round order
+    reproduces ``np.add.at``'s sequential order exactly.
 
-    Bit-identical to ``np.add.at(out, idx, values)`` on the zeroed
-    ``out`` the caller passes: every destination accumulates its
-    contributions in input order starting from +0.0, and the trailing
-    +0.0 pads (destinations with fewer than ``depth`` contributions)
-    are exact identities — a partial sum seeded from +0.0 can never be
-    -0.0, the only value ``+ 0.0`` would alter.
+    ``idx`` is 1-d and indexes ``out``'s leading axis; negative
+    entries count from the end, as in ``np.take``.  Bit-identical to
+    ``np.add.at(out, idx, values)`` on the zeroed ``out`` every caller
+    passes: each destination accumulates its contributions in input
+    order starting from +0.0, and the trailing +0.0 pads (destinations
+    with fewer than ``depth`` contributions) are exact identities — a
+    partial sum seeded from +0.0 can never be -0.0, the only value
+    ``+ 0.0`` would alter.  An ``out`` that already holds results
+    (and so possibly -0.0) is outside that contract.
 
-    Forward-only (hence the name): the padded staging buffer comes
-    from the ambient arena and the adjoint bookkeeping of
-    :func:`scatter_add`'s tape is not wired through it.
+    The forward combine (:func:`scatter_add`, both modes) and the
+    backward of :func:`gather` and ``embedding`` all scatter through
+    here.  The padded staging buffer comes from the ambient arena
+    under inference.
     """
     if idx.size == 0:
         return
+    if idx.min() < 0:
+        # np.bincount rejects what np.take accepted.
+        idx = np.where(idx < 0, idx + out.shape[0], idx)
     counts = np.bincount(idx, minlength=out.shape[0])
     depth = int(counts.max(initial=0))
     if depth <= 1:
@@ -689,9 +702,11 @@ def scatter_add(
     the MoE dispatch).  The backward pass is a gather of the output
     gradient at the same indices — the exact adjoint.
 
-    ``unique_indices`` is a caller promise that no index repeats, in
-    which case the accumulating ``np.add.at`` (slow: it cannot
-    vectorize because of potential collisions) is replaced by a plain
+    Repeated indices accumulate in input order through the
+    occurrence-round scatter :func:`_scatter_add_rows`, in training
+    and inference alike — bit-identical to ``np.add.at`` but
+    vectorized.  ``unique_indices`` is a caller promise that no index
+    repeats, in which case even that is replaced by a plain
     fancy-index store.  MoE dispatch destinations
     (``expert * capacity + slot``) hold at most one token each, so the
     hot path qualifies.  The promise is trusted, not checked: with
@@ -716,10 +731,8 @@ def scatter_add(
     out = scratch_zeros((num_rows,) + values.shape[1:], np.float32)
     if unique_indices:
         out[idx] = values.data
-    elif _inference_mode:
-        _scatter_add_inference(out, idx, values.data)
     else:
-        np.add.at(out, idx, values.data)
+        _scatter_add_rows(out, idx, values.data)
 
     def backward(g):
         return ((values, g[idx]),)
@@ -734,11 +747,28 @@ def scatter_add(
 _BUCKET_ROW_ELEMS = 4096
 
 
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of a C-contiguous (n >= 1, J) block's rows, in row order.
+
+    Matches ``np.add.at`` accumulating the rows into one zeroed row:
+    numpy reduces axis 0 of such a block one row at a time, and the
+    trailing ``+ 0.0`` pins ``np.add.at``'s +0.0 start whichever way
+    the reduction is seeded — it turns an all-(-0.0) column's -0.0
+    into +0.0 and changes nothing else.  A single column is one
+    contiguous run, which numpy would sum pairwise, so it accumulates
+    explicitly.
+    """
+    if rows.shape[1] == 1:
+        return np.add.accumulate(rows[:, 0])[-1:] + 0.0
+    return rows.sum(axis=0) + 0.0
+
+
 def segment_matmul(
     x: Tensor,
     weight: Tensor,
     segment_counts: np.ndarray,
     bucketed: bool = True,
+    bias: Optional[Tensor] = None,
 ) -> Tensor:
     """Differentiable per-segment matmul against a stacked weight bank.
 
@@ -748,6 +778,15 @@ def segment_matmul(
     ``weight[e]``:
 
     ``out[start_e : start_e + counts[e]] = x[same] @ weight[e]``
+
+    An optional ``(E, J)`` ``bias`` adds row ``bias[e]`` to every
+    output row of segment e — one vectorized add after the GEMMs, the
+    same float op as adding a per-row gather of the bias — and its
+    gradient is each occupied segment's output-gradient rows summed in
+    row order (zero for empty segments), bit-identical to the
+    gather's ``np.add.at`` adjoint.  The expert FFN's bias thus costs
+    no tape node of its own (Megatron-Core fuses it into its grouped
+    GEMM the same way).
 
     This is the capacity-free MoE expert step: routed token rows
     sorted by expert flow through each expert's weight without ever
@@ -809,6 +848,16 @@ def segment_matmul(
         raise ValueError(
             f"segment_counts sum {int(counts.sum())} != rows {x.shape[0]}"
         )
+    parents = (x, weight)
+    if bias is not None:
+        bias = Tensor._lift(bias)
+        if bias.shape != (weight.shape[0], weight.shape[2]):
+            raise ValueError(
+                f"bias {bias.shape} must be (E, J) = "
+                f"{(weight.shape[0], weight.shape[2])} for weight "
+                f"{weight.shape}"
+            )
+        parents = (x, weight, bias)
     offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
     occupied = np.nonzero(counts)[0]
 
@@ -838,6 +887,8 @@ def segment_matmul(
     for e in singles:
         lo, hi = offsets[e], offsets[e + 1]
         np.matmul(x.data[lo:hi], weight.data[e], out=data[lo:hi])
+    if bias is not None:
+        np.add(data, np.repeat(bias.data, counts, axis=0), out=data)
 
     def backward(g):
         grad_x = np.empty_like(x.data)
@@ -854,10 +905,16 @@ def segment_matmul(
             lo, hi = offsets[e], offsets[e + 1]
             np.matmul(g[lo:hi], weight.data[e].T, out=grad_x[lo:hi])
             np.matmul(x.data[lo:hi].T, g[lo:hi], out=grad_w[e])
-        return ((x, grad_x), (weight, grad_w))
+        if bias is None:
+            return ((x, grad_x), (weight, grad_w))
+        grad_b = np.zeros_like(bias.data)
+        g = np.ascontiguousarray(g)  # _row_sum's order needs C rows
+        for e in occupied:
+            grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
+        return ((x, grad_x), (weight, grad_w), (bias, grad_b))
 
-    if Tensor._needs_grad(x, weight):
-        return Tensor(data, _parents=(x, weight), _backward=backward)
+    if Tensor._needs_grad(*parents):
+        return Tensor(data, _parents=parents, _backward=backward)
     return Tensor(data)
 
 

@@ -29,7 +29,7 @@ from repro.nn.tensor import (
     _ARENA_MIN_ELEMS,
     _SCATTER_ROUNDS_MAX_DEPTH,
     _arena_out,
-    _scatter_add_inference,
+    _scatter_add_rows,
     concatenate,
     gather,
     scatter_add,
@@ -218,13 +218,13 @@ def test_scatter_add_inference_matches_add_at(rng, num_rows, depth_hint):
     expected = np.zeros((num_rows, 24), dtype=np.float32)
     np.add.at(expected, idx, values)
     got = np.zeros((num_rows, 24), dtype=np.float32)
-    _scatter_add_inference(got, idx, values)
+    _scatter_add_rows(got, idx, values)
     np.testing.assert_array_equal(got, expected)
 
 
 def test_scatter_add_inference_empty_and_tensor_entry(rng):
     out = np.ones((3, 4), dtype=np.float32)
-    _scatter_add_inference(out, np.array([], dtype=np.int64),
+    _scatter_add_rows(out, np.array([], dtype=np.int64),
                            np.empty((0, 4), dtype=np.float32))
     np.testing.assert_array_equal(out, np.ones((3, 4), dtype=np.float32))
     # And through the public op, under the mode flag.

@@ -1,0 +1,298 @@
+"""The vectorized accumulating scatters against ``np.add.at``.
+
+Three replacements in the training step must not move a single bit:
+the occurrence-round ``_scatter_add_rows`` (combine forward, gather /
+embedding / take_along_axis backward), the expert bias folded into
+``segment_matmul``, and the in-place ``Adam.step``.  Every comparison
+is on int32 views: ``np.array_equal`` calls -0.0 and +0.0 equal, and a
+sign of zero is exactly what a reordered accumulation gets wrong.
+"""
+
+import numpy as np
+import pytest
+
+from repro.nn import Arena, Tensor, inference_mode, use_arena
+from repro.nn import functional as F
+from repro.nn.modules import Parameter
+from repro.nn.optim import Adam
+from repro.nn.tensor import (
+    _SCATTER_ROUNDS_MAX_DEPTH,
+    _scatter_add_rows,
+    gather,
+    scatter_add,
+    segment_matmul,
+)
+
+from ..moe.legacy_expert_step import legacy_adam_step
+
+
+def assert_bits_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype == np.float32
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int32), expected.view(np.int32))
+
+
+def add_at(shape, idx, values):
+    out = np.zeros(shape, np.float32)
+    np.add.at(out, idx, values)
+    return out
+
+
+def indices_of_depth(rng, num_rows, depth):
+    """A shuffled index whose deepest destination repeats ``depth`` times."""
+    if depth == 0:
+        return np.zeros(0, np.int64)
+    counts = rng.integers(1, depth + 1, size=num_rows)
+    counts[rng.integers(num_rows)] = depth
+    return rng.permutation(np.repeat(np.arange(num_rows), counts))
+
+
+def spread(rng, shape):
+    """Values over many magnitudes, so any reordering changes the sum."""
+    scale = 10.0 ** rng.uniform(-4, 4, size=shape)
+    return (rng.standard_normal(shape) * scale).astype(np.float32)
+
+
+# -- _scatter_add_rows ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "depth", [0, 1, 2, _SCATTER_ROUNDS_MAX_DEPTH, _SCATTER_ROUNDS_MAX_DEPTH + 1]
+)
+@pytest.mark.parametrize("width", [(), (1,), (7,)])
+def test_rows_match_add_at_at_every_depth(rng, depth, width):
+    idx = indices_of_depth(rng, 12, depth)
+    assert np.bincount(idx, minlength=12).max(initial=0) == depth
+    values = spread(rng, (idx.size,) + width)
+    out = np.zeros((12,) + width, np.float32)
+    _scatter_add_rows(out, idx, values)
+    assert_bits_equal(out, add_at((12,) + width, idx, values))
+
+
+def test_negative_zero_contributions_sum_to_positive_zero(rng):
+    # Row 0: all -0.0 (add.at's +0.0 start makes it +0.0); row 1: -0.0
+    # then a value; row 2: a value, -0.0 and its negation.
+    idx = np.array([0, 1, 0, 2, 1, 2, 2, 0])
+    values = np.array(
+        [-0.0, -0.0, -0.0, 3.5, 2.0, -0.0, -3.5, -0.0], np.float32
+    )[:, None] * np.ones((1, 3), np.float32)
+    out = np.zeros((4, 3), np.float32)
+    _scatter_add_rows(out, idx, values)
+    expected = add_at((4, 3), idx, values)
+    assert_bits_equal(out, expected)
+    assert not np.signbit(out).any()
+
+
+def test_negative_indices_count_from_the_end(rng):
+    idx = rng.integers(-6, 6, size=40)
+    values = spread(rng, (40, 5))
+    out = np.zeros((6, 5), np.float32)
+    _scatter_add_rows(out, idx, values)
+    assert_bits_equal(out, add_at((6, 5), idx, values))
+
+
+def test_empty_index_is_a_no_op():
+    out = np.full((3, 2), 7.0, np.float32)
+    _scatter_add_rows(out, np.zeros(0, np.int64), np.zeros((0, 2), np.float32))
+    assert_bits_equal(out, np.full((3, 2), 7.0, np.float32))
+
+
+# -- the ops that scatter through it, under training -----------------------
+
+
+@pytest.mark.parametrize("depth", [1, 2, _SCATTER_ROUNDS_MAX_DEPTH + 1])
+def test_scatter_add_forward_matches_add_at_in_training(rng, depth):
+    idx = indices_of_depth(rng, 10, depth)
+    values = Tensor(spread(rng, (idx.size, 4)), requires_grad=True)
+    out = scatter_add(values, idx, 10)
+    assert_bits_equal(out.data, add_at((10, 4), idx, values.data))
+    assert out._parents == (values,)
+
+
+def test_scatter_add_of_nothing_is_zeros():
+    out = scatter_add(
+        Tensor(np.zeros((0, 3), np.float32)), np.zeros(0, np.int64), 4
+    )
+    assert_bits_equal(out.data, np.zeros((4, 3), np.float32))
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [
+        np.array([3, -1, 0, 3, -4, 2, -1]),  # negative: np.take accepts them
+        np.array([[0, 2, 2], [4, 0, 2]]),  # 2-d index along axis 0
+        np.zeros(0, np.int64),
+    ],
+    ids=["negative", "two_d", "empty"],
+)
+def test_gather_backward_matches_add_at(rng, idx):
+    x = Tensor(spread(rng, (5, 6)), requires_grad=True)
+    out = gather(x, idx)
+    seed = spread(rng, out.shape)
+    out.backward(seed)
+    assert_bits_equal(x.grad, add_at((5, 6), idx, seed))
+
+
+def test_gather_backward_along_another_axis_matches_add_at(rng):
+    x = Tensor(spread(rng, (3, 5)), requires_grad=True)
+    idx = np.array([4, 0, 4, 1])
+    out = gather(x, idx, axis=1)
+    seed = spread(rng, out.shape)
+    out.backward(seed)
+    expected = np.zeros((5, 3), np.float32)
+    np.add.at(expected, idx, seed.T)
+    assert_bits_equal(x.grad, expected.T)
+
+
+def test_embedding_backward_matches_add_at(rng):
+    weight = Tensor(spread(rng, (7, 4)), requires_grad=True)
+    # Token 2 repeats past the round limit: the np.add.at fallback.
+    idx = rng.permutation(np.r_[np.full(12, 2), rng.integers(-7, 7, size=20)])
+    idx = idx.reshape(4, 8)
+    out = F.embedding(weight, idx)
+    seed = spread(rng, out.shape)
+    out.backward(seed)
+    assert_bits_equal(weight.grad, add_at((7, 4), idx, seed))
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_take_along_axis_backward_matches_add_at(rng, axis):
+    x = Tensor(spread(rng, (4, 6)), requires_grad=True)
+    shape = [4, 6]
+    shape[axis] = 5
+    # Duplicates and negative positions, not just unique top-k picks.
+    idx = rng.integers(-x.shape[axis], x.shape[axis], size=shape)
+    out = F.take_along_axis(x, idx, axis=axis)
+    seed = spread(rng, out.shape)
+    out.backward(seed)
+    grid = np.indices(idx.shape)
+    index = tuple(idx if a == axis % 2 else grid[a] for a in range(2))
+    assert_bits_equal(x.grad, add_at((4, 6), index, seed))
+
+
+def test_take_along_axis_backward_of_top_k_picks(rng):
+    scores = spread(rng, (9, 8))
+    x = Tensor(scores, requires_grad=True)
+    top = F.top_k_indices(scores, 2)
+    out = F.take_along_axis(x, top, axis=-1)
+    seed = spread(rng, out.shape)
+    out.backward(seed)
+    rows = np.arange(9)[:, None]
+    assert_bits_equal(x.grad, add_at((9, 8), (rows, top), seed))
+
+
+# -- segment_matmul(bias=) -------------------------------------------------
+
+
+def composed(x, w, b, counts, bucketed):
+    """The bias chain segment_matmul(bias=) replaced: GEMM + gathered rows."""
+    expert_of_row = np.repeat(np.arange(len(counts)), counts)
+    return segment_matmul(x, w, counts, bucketed=bucketed) + gather(
+        b, expert_of_row
+    )
+
+
+COUNTS = {
+    "ragged": [5, 0, 3, 9, 0, 1],
+    "equal": [4, 4, 4, 0, 4, 4],  # one multi-member size bucket
+    "long": [0, 0, 300, 2, 0, 0],  # a J=1 column long enough to sum pairwise
+    "all_empty": [0, 0, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])  # the gradient's layout
+@pytest.mark.parametrize("bucketed", [True, False])
+@pytest.mark.parametrize("width", [1, 2, 64])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_bias_matches_the_gathered_bias_chain(
+    rng, name, width, bucketed, order
+):
+    counts = np.asarray(COUNTS[name])
+    n, k = int(counts.sum()), 3
+    arrays = (
+        spread(rng, (n, k)),
+        spread(rng, (6, k, width)),
+        spread(rng, (6, width)),
+    )
+    seed = spread(rng, (n, width))
+    occupied = np.nonzero(counts)[0]
+    if occupied.size:  # the last occupied segment's gradient: all -0.0
+        seed[n - counts[occupied[-1]] :] = -0.0
+    seed = np.asarray(seed, order=order)
+
+    def run(fn):
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        out = fn(x, w, b)
+        out.backward(seed)
+        return out.data, x.grad, w.grad, b.grad
+
+    fused = run(
+        lambda x, w, b: segment_matmul(x, w, counts, bucketed=bucketed, bias=b)
+    )
+    ref = run(lambda x, w, b: composed(x, w, b, counts, bucketed))
+    for got, expected in zip(fused, ref):
+        assert_bits_equal(got, expected)
+    # Independently of gather's backward: the bias adjoint is np.add.at.
+    expert_of_row = np.repeat(np.arange(6), counts)
+    assert_bits_equal(fused[3], add_at((6, width), expert_of_row, seed))
+
+
+@pytest.mark.parametrize("bucketed", [True, False])
+def test_bias_forward_under_inference_matches_training(rng, bucketed):
+    counts = np.array([40, 0, 70, 10])
+    x = spread(rng, (120, 64))
+    w = spread(rng, (4, 64, 48))
+    b = spread(rng, (4, 48))
+    train = segment_matmul(
+        Tensor(x), Tensor(w), counts, bucketed=bucketed, bias=Tensor(b)
+    ).data
+    arena = Arena()
+    with inference_mode(), use_arena(arena):
+        for _ in range(2):  # the second step replays pooled buffers
+            arena.reset()
+            out = segment_matmul(
+                Tensor(x), Tensor(w), counts, bucketed=bucketed, bias=Tensor(b)
+            )
+            assert out._parents == ()
+            assert_bits_equal(out.data, train)
+    arena.reset()
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 5), (4, 6), (3, 5), (5,)])
+def test_bias_of_the_wrong_shape_raises_naming_both(rng, shape):
+    x = Tensor(np.zeros((3, 2), np.float32))
+    w = Tensor(np.zeros((4, 2, 5), np.float32))
+    with pytest.raises(ValueError) as err:
+        segment_matmul(x, w, np.array([1, 0, 2, 0]), bias=np.zeros(shape))
+    assert str(shape) in str(err.value)
+    assert str((4, 2, 5)) in str(err.value)
+
+
+# -- in-place Adam -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_in_place_adam_matches_the_textbook_expressions(rng, weight_decay):
+    shapes = [(6, 5, 7), (7,), (3, 4), (1,)]
+    start = [spread(rng, s) for s in shapes]
+    grads = [[spread(rng, s) for s in shapes] for _ in range(20)]
+
+    def run(step):
+        """Parameters and both moments after each of 20 steps."""
+        params = [Parameter(a.copy()) for a in start]
+        opt = Adam(params, lr=3e-2, weight_decay=weight_decay)
+        history = []
+        for step_grads in grads:
+            for i, (p, g) in enumerate(zip(params, step_grads)):
+                p.grad = None if i == 2 else g.copy()  # the third: never
+            step(opt)
+            state = [p.data for p in params] + opt._m + opt._v
+            history.append([a.copy() for a in state])
+        return history
+
+    in_place, legacy = run(Adam.step), run(legacy_adam_step)
+    for got, expected in zip(in_place, legacy):
+        for a, b in zip(got, expected):
+            assert_bits_equal(a, b)
+    assert_bits_equal(in_place[-1][2], start[2])  # never moved
