@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -171,8 +172,20 @@ class _Sentinel(Event):
 _START = _Sentinel()
 
 
+def _fire(event: Event) -> None:
+    """Queue action of a timed event: fire it unless already fired."""
+    if not event.fired:
+        event.succeed()
+
+
 class Engine:
-    """The event loop: a priority queue of (time, seq, action) triples."""
+    """The event loop: a priority queue of ``(time, seq, fn, arg)`` entries.
+
+    Processing an entry calls ``fn(arg)``: a timed event carries
+    :func:`_fire` and itself, a callback carries the callback and the
+    event that triggered it.  ``seq`` is unique and increasing, so it
+    breaks every tie in scheduling order.
+    """
 
     def __init__(self):
         self.now: float = 0.0
@@ -182,10 +195,10 @@ class Engine:
 
     # -- scheduling ---------------------------------------------------
     def _schedule_at(self, when: float, event: Event) -> None:
-        heapq.heappush(self._queue, (when, next(self._seq), "fire", event, None))
+        heapq.heappush(self._queue, (when, next(self._seq), _fire, event))
 
     def _schedule_callback(self, cb: Callable[[Event], None], ev: Event) -> None:
-        heapq.heappush(self._queue, (self.now, next(self._seq), "call", cb, ev))
+        heapq.heappush(self._queue, (self.now, next(self._seq), cb, ev))
 
     # -- public api ---------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -220,20 +233,19 @@ class Engine:
         each is waiting on (an ``until`` cap suppresses the check:
         stopping early legitimately strands in-flight processes).
         """
-        while self._queue:
-            when, _seq, kind, target, arg = self._queue[0]
+        queue = self._queue
+        heappop = heapq.heappop
+        while queue:
+            entry = heappop(queue)
+            when, _seq, fn, arg = entry
             if until is not None and when > until:
+                heapq.heappush(queue, entry)
                 self.now = until
                 return self.now
-            heapq.heappop(self._queue)
             if when < self.now:
                 raise SimulationError("time went backwards")
             self.now = when
-            if kind == "fire":
-                if not target.fired:
-                    target.succeed()
-            else:
-                target(arg)
+            fn(arg)
         if until is None and self._live_processes:
             raise SimulationError(self._deadlock_message())
         return self.now
@@ -272,7 +284,7 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: List[Event] = []
+        self._waiters: Deque[Event] = deque()
 
     @property
     def in_use(self) -> int:
@@ -294,7 +306,7 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            ev = self._waiters.pop(0)
+            ev = self._waiters.popleft()
             ev.succeed(self)
         else:
             self._in_use -= 1

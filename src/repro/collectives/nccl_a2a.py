@@ -10,7 +10,8 @@ as in the paper's Eq. 17, which is the inefficiency Pipe-A2A removes.
 Rounds are separated by a barrier event (NCCL grouped P2P kernels are
 bulk-synchronous across the communicator), keeping the simulation
 faithful to lockstep progress even when resource contention would let
-one rank run ahead.
+one rank run ahead.  Every submission of a round waits on that one
+shared event, so an all-to-all queues ``O(P²)`` simulator events.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..cluster.engine import Event
 from ..cluster.streams import GpuStreams
 from ..cluster.topology import SimCluster
 from .base import AllToAll, register_a2a
-from .ordering import node_aligned_peers
+from .ordering import lockstep_rounds
 
 
 @register_a2a
@@ -36,26 +37,10 @@ class NcclA2A(AllToAll):
         streams: List[GpuStreams],
         nbytes: float,
     ) -> List[Event]:
-        world = cluster.world_size
-        chunk = nbytes / world
-        peer_lists = [node_aligned_peers(cluster.spec, r) for r in cluster.iter_ranks()]
-        prev_round: List[Event] = []
-        for step in range(world):
-            this_round: List[Event] = []
-            for rank in cluster.iter_ranks():
-                peer = peer_lists[rank][step]
-                ev = streams[rank].comm.submit(
-                    self._transfer_factory(cluster, rank, peer, chunk),
-                    after=prev_round,
-                    name=f"nccl:sr({rank}->{peer})",
-                )
-                this_round.append(ev)
-            prev_round = this_round
-        return prev_round
-
-    @staticmethod
-    def _transfer_factory(cluster: SimCluster, src: int, dst: int, chunk: float):
-        def work():
-            yield from cluster.transfer(src, dst, chunk)
-
-        return work
+        return lockstep_rounds(
+            cluster,
+            lambda rank: streams[rank].comm,
+            range(cluster.world_size),
+            nbytes / cluster.world_size,
+            "nccl:sr",
+        )

@@ -16,9 +16,11 @@ sequential).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Iterable, List
 
-from ..cluster.topology import ClusterSpec
+from ..cluster.engine import Event
+from ..cluster.streams import Stream
+from ..cluster.topology import ClusterSpec, SimCluster
 
 
 def node_aligned_peers(spec: ClusterSpec, rank: int) -> List[int]:
@@ -58,3 +60,44 @@ def num_intra_rounds(spec: ClusterSpec) -> int:
 def num_rounds(spec: ClusterSpec) -> int:
     """Total rounds (= world size)."""
     return spec.world_size
+
+
+def lockstep_rounds(
+    cluster: SimCluster,
+    stream_of: Callable[[int], Stream],
+    steps: Iterable[int],
+    chunk: float,
+    tag: str,
+) -> List[Event]:
+    """Post one ``chunk``-byte SR per rank per step, round by round.
+
+    In round ``t`` every rank sends to its ``t``-th
+    :func:`node_aligned_peers` entry on ``stream_of(rank)``.  Rounds
+    are separated by one shared barrier event: all submissions of a
+    round wait on a single ``all_of`` over the previous round, so one
+    all-to-all queues ``O(P²)`` simulator events.  Returns the
+    completion events of the last round.
+    """
+    peer_lists = [node_aligned_peers(cluster.spec, r) for r in cluster.iter_ranks()]
+    prev_round: List[Event] = []
+    for step in steps:
+        after = [cluster.engine.all_of(prev_round)] if prev_round else []
+        this_round: List[Event] = []
+        for rank in cluster.iter_ranks():
+            peer = peer_lists[rank][step]
+            this_round.append(
+                stream_of(rank).submit(
+                    _transfer(cluster, rank, peer, chunk),
+                    after=after,
+                    name=f"{tag}({rank}->{peer})",
+                )
+            )
+        prev_round = this_round
+    return prev_round
+
+
+def _transfer(cluster: SimCluster, src: int, dst: int, chunk: float):
+    def work():
+        yield from cluster.transfer(src, dst, chunk)
+
+    return work

@@ -17,8 +17,8 @@ Eq. 16 vs Eq. 17), with the theoretical speedup bound of Eq. 18
 implemented as :func:`theoretical_max_speedup`.
 
 Each stream still progresses in lockstep rounds among its own class
-(the sends/recvs pair up within the class), but the two classes are
-never ordered against each other.
+(the sends/recvs pair up within the class, one shared barrier event
+per round), but the two classes are never ordered against each other.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..cluster.engine import Event
 from ..cluster.streams import GpuStreams
 from ..cluster.topology import ClusterSpec, SimCluster
 from .base import AllToAll, register_a2a
-from .ordering import node_aligned_peers, num_intra_rounds
+from .ordering import lockstep_rounds, num_intra_rounds
 
 
 @register_a2a
@@ -47,45 +47,22 @@ class PipeA2A(AllToAll):
         spec = cluster.spec
         world = spec.world_size
         chunk = nbytes / world
-        peer_lists = [node_aligned_peers(spec, r) for r in cluster.iter_ranks()]
         intra_rounds = num_intra_rounds(spec)
-        completions: List[Event] = []
-
-        prev_round: List[Event] = []
-        for step in range(intra_rounds):
-            this_round: List[Event] = []
-            for rank in cluster.iter_ranks():
-                peer = peer_lists[rank][step]
-                ev = streams[rank].intra.submit(
-                    self._xfer(cluster, rank, peer, chunk),
-                    after=prev_round,
-                    name=f"pipe:intra({rank}->{peer})",
-                )
-                this_round.append(ev)
-            prev_round = this_round
-        completions.extend(prev_round)
-
-        prev_round = []
-        for step in range(intra_rounds, world):
-            this_round = []
-            for rank in cluster.iter_ranks():
-                peer = peer_lists[rank][step]
-                ev = streams[rank].inter.submit(
-                    self._xfer(cluster, rank, peer, chunk),
-                    after=prev_round,
-                    name=f"pipe:inter({rank}->{peer})",
-                )
-                this_round.append(ev)
-            prev_round = this_round
-        completions.extend(prev_round)
-        return completions
-
-    @staticmethod
-    def _xfer(cluster: SimCluster, src: int, dst: int, chunk: float):
-        def work():
-            yield from cluster.transfer(src, dst, chunk)
-
-        return work
+        intra = lockstep_rounds(
+            cluster,
+            lambda rank: streams[rank].intra,
+            range(intra_rounds),
+            chunk,
+            "pipe:intra",
+        )
+        inter = lockstep_rounds(
+            cluster,
+            lambda rank: streams[rank].inter,
+            range(intra_rounds, world),
+            chunk,
+            "pipe:inter",
+        )
+        return intra + inter
 
 
 def phase_times(spec: ClusterSpec, nbytes: float) -> tuple:

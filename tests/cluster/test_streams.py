@@ -112,3 +112,24 @@ def test_outstanding_names_unfinished_items():
     gate.succeed()
     eng.run()
     assert s.outstanding() == []
+
+
+def test_outstanding_lists_each_item_of_a_shared_label():
+    """A finished item must not hide an unfinished one with its label."""
+    eng = Engine()
+    s = Stream(eng, "gpu0:comm")
+    gate = eng.event("gate")
+
+    def quick():
+        yield eng.timeout(1.0)
+
+    def stuck():
+        yield gate
+
+    s.submit(quick, name="retry")
+    s.submit(stuck, name="retry")
+    eng.run(until=5.0)
+    assert s.outstanding() == ["retry"]
+    gate.succeed()
+    eng.run()
+    assert s.outstanding() == []
