@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.cluster import paper_testbed
 from repro.collectives import get_a2a
 from repro.compression import get_compressor
-from repro.core.model_executor import ModelExecutor
+from repro.core import ModelExecutor, get_scheduler
 from repro.models import bert_large_moe, ct_moe
 
 from _util import emit, once
@@ -37,7 +37,11 @@ def run_cross_layer():
     rows = []
     for label, factory, a2a, codec, r in CASES:
         executor = ModelExecutor(
-            spec, get_a2a(a2a), get_compressor(codec), partitions=r
+            spec,
+            get_a2a(a2a),
+            get_compressor(codec),
+            get_scheduler("optsche"),
+            partitions=r,
         )
         cfg = factory()
         barrier = executor.run(cfg, mode="layer-barrier").makespan

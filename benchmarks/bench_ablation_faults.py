@@ -27,13 +27,14 @@ or via pytest-benchmark like the other benches.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
 from repro.cluster import paper_testbed
 from repro.collectives import get_a2a, measure_a2a
 from repro.compression import get_compressor
-from repro.core import EventExecutor, get_scheduler
+from repro.core import ModelExecutor, get_scheduler
 from repro.faults import FaultPlan, TransientFaults, flapping_link, single_straggler
 from repro.models import ct_moe
 
@@ -42,20 +43,21 @@ from _util import emit, once
 ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
 FULL = {
-    "layers": 12,
     "slowdowns": [1.0, 1.5, 2.0, 4.0],
     "schedulers": ["sequential", "chunk-pipeline", "optsche"],
     "a2a": ["nccl", "2dh", "pipe"],
     "transient_algos": ["nccl", "pipe"],
 }
 TINY = {
-    "layers": 12,
     "slowdowns": [1.0, 2.0],
     "schedulers": ["optsche"],
     "a2a": ["pipe"],
     "transient_algos": ["pipe"],
 }
 
+#: The model whose MoE layer pass (one layer, no attention) every
+#: straggler run executes.
+MODEL = ct_moe()
 #: Message size for the communication-fault studies (bytes per GPU).
 A2A_BYTES = 6.4e7
 #: Transient-failure scenario: seeded per-transfer failure probability
@@ -81,7 +83,7 @@ FLAPPING = {
 
 
 def _straggler_grid(cfg: dict, spec) -> list:
-    model = ct_moe(cfg["layers"])
+    layer = dataclasses.replace(MODEL, num_layers=1, layer_only=True)
     rows = []
     for sched in cfg["schedulers"]:
         for a2a in cfg["a2a"]:
@@ -94,14 +96,14 @@ def _straggler_grid(cfg: dict, spec) -> list:
                     if slowdown == 1.0
                     else single_straggler(rank=0, slowdown=slowdown)
                 )
-                report = EventExecutor(
+                report = ModelExecutor(
                     spec,
                     get_a2a(a2a),
                     get_compressor("zfp"),
                     get_scheduler(sched),
                     partitions=2,
                     faults=faults,
-                ).run(model)
+                ).run(layer)
                 rows.append({
                     "scheduler": sched,
                     "a2a": a2a,
@@ -174,7 +176,7 @@ def run_faults_study(tiny: bool = False) -> dict:
     return {
         "bench": "ablation_faults",
         "mode": "tiny" if tiny else "full",
-        "model": f"ct_moe({cfg['layers']})",
+        "model": f"ct_moe({MODEL.num_layers})",
         "straggler_rank": 0,
         "stragglers": stragglers,
         "flapping_link": flapping,

@@ -50,7 +50,7 @@ import numpy as np
 from repro.cluster import paper_testbed
 from repro.collectives import get_a2a, measure_a2a
 from repro.compression import get_compressor
-from repro.core import EventExecutor, get_scheduler
+from repro.core import ModelExecutor, get_scheduler
 from repro.faults.recovery import RecoveryController, reshard_vs_degraded
 from repro.models import ct_moe
 from repro.moe import MoELayer
@@ -68,14 +68,12 @@ from _util import emit, once
 ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
 FULL = {
-    "layers": 12,
     "algo": "pipe",
     "scheduler": "optsche",
     "horizons": [10, 100, 1000],
     "tokens": 64,
 }
 TINY = {
-    "layers": 12,
     "algo": "pipe",
     "scheduler": "optsche",
     "horizons": [100],
@@ -196,7 +194,7 @@ def _parity_study(cfg: dict) -> dict:
 
 def _pricing_study(cfg: dict) -> dict:
     """Price reshard-vs-degraded after losing node 0 of the testbed."""
-    model = ct_moe(cfg["layers"])
+    model = ct_moe()
     spec8 = paper_testbed(num_nodes=8)
     spec7 = paper_testbed(num_nodes=7)
     gpus = spec8.gpus_per_node
@@ -218,13 +216,14 @@ def _pricing_study(cfg: dict) -> dict:
     ).seconds
 
     def makespan(spec, m):
-        return EventExecutor(
+        layer = dataclasses.replace(m, num_layers=1, layer_only=True)
+        return ModelExecutor(
             spec,
             get_a2a(cfg["algo"]),
             get_compressor("zfp"),
             get_scheduler(cfg["scheduler"]),
             partitions=2,
-        ).run(m).makespan
+        ).run(layer).makespan
 
     # The job's global batch is fixed (strong scaling): the 7
     # survivors each carry 8/7 of the tokens, so every post-failure

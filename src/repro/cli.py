@@ -26,6 +26,7 @@ tested, canonical versions; this CLI is for interactive exploration).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -168,7 +169,7 @@ def cmd_faults(args) -> int:
     under its ``"faults"`` key.
     """
     from .compression import get_compressor
-    from .core import EventExecutor, get_scheduler
+    from .core import ModelExecutor, get_scheduler
     from .faults import load_fault_plan, save_fault_plan, single_straggler
 
     if args.plan:
@@ -191,10 +192,10 @@ def cmd_faults(args) -> int:
         return 1
 
     spec = get_preset(args.cluster)
-    cfg = ct_moe(args.layers)
+    cfg = dataclasses.replace(ct_moe(), num_layers=1, layer_only=True)
 
     def run(faults):
-        return EventExecutor(
+        return ModelExecutor(
             spec,
             get_a2a(args.algo),
             get_compressor("zfp"),
@@ -240,7 +241,7 @@ def cmd_reshard(args) -> int:
     import numpy as np
 
     from .compression import get_compressor
-    from .core import EventExecutor, get_scheduler
+    from .core import ModelExecutor, get_scheduler
     from .faults.recovery import (
         RecoveryController,
         RecoveryDemo,
@@ -348,10 +349,10 @@ def cmd_reshard(args) -> int:
     reshard_faulted_s = price_reshard(
         spec, per_gpu, algo=args.algo, faults=demo.faults
     )
-    cfg = ct_moe(args.layers)
+    cfg = dataclasses.replace(ct_moe(), num_layers=1, layer_only=True)
 
     def makespan(faults):
-        return EventExecutor(
+        return ModelExecutor(
             spec,
             get_a2a(args.algo),
             get_compressor("zfp"),
@@ -721,7 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="demo straggler slowdown (default: 2.0)")
     p_faults.add_argument("--scheduler", default="optsche")
     p_faults.add_argument("--algo", default="pipe")
-    p_faults.add_argument("--layers", type=int, default=12)
     p_faults.add_argument(
         "--write-demo", metavar="PATH",
         help="write the selected plan as JSON and exit",
@@ -756,7 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="skip the scale-up stage")
     p_reshard.add_argument("--seed", type=int, default=0)
     p_reshard.add_argument("--algo", default="pipe")
-    p_reshard.add_argument("--layers", type=int, default=12)
     p_reshard.add_argument("--horizon", type=int, default=100,
                            help="planning horizon in steps for the "
                                 "reshard-vs-continue decision")

@@ -32,7 +32,16 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+)
 
 
 class SimulationError(RuntimeError):
@@ -141,7 +150,7 @@ class Process(Event):
         #: The event this process is currently blocked on (deadlock
         #: diagnostics); ``None`` while runnable or finished.
         self.waiting_on: Optional[Event] = None
-        engine._live_processes.append(self)
+        engine._live_processes[self] = None
         engine._schedule_callback(self._resume, _START)
 
     def _resume(self, ev: Event) -> None:
@@ -152,7 +161,7 @@ class Process(Event):
             else:
                 target = self._gen.send(ev.value)
         except StopIteration as stop:
-            self.engine._live_processes.remove(self)
+            del self.engine._live_processes[self]
             self.succeed(stop.value)
             return
         if not isinstance(target, Event):
@@ -191,7 +200,9 @@ class Engine:
         self.now: float = 0.0
         self._queue: list = []
         self._seq = itertools.count()
-        self._live_processes: List["Process"] = []
+        #: Unfinished processes in creation order (an insertion-ordered
+        #: dict: a finishing process leaves it in O(1)).
+        self._live_processes: Dict["Process", None] = {}
 
     # -- scheduling ---------------------------------------------------
     def _schedule_at(self, when: float, event: Event) -> None:

@@ -8,9 +8,8 @@ provably optimal order of Theorem 1.
 """
 
 from .abstractions import AbsAlltoAll, AbsCompressor, AbsExpert, register_plugins
-from .executor import EventExecutor, ExecutionReport
 from .imbalance import BALANCED, RoutingSkew
-from .model_executor import ModelExecutionReport, ModelExecutor
+from .model_executor import ExecutionReport, ModelExecutor
 from .moe_layer import LayerPlan, ScheMoELayer
 from .profiler import LinearPerfModel, Profiler
 from .runtime import (
@@ -55,13 +54,11 @@ __all__ = [
     "BALANCED",
     "CHAIN",
     "ChunkPipelineScheduler",
-    "EventExecutor",
     "ExecutionReport",
     "InvalidScheduleError",
     "LayerPlan",
     "LayerTiming",
     "LinearPerfModel",
-    "ModelExecutionReport",
     "ModelExecutor",
     "OptScheScheduler",
     "PARAM_STATE_BYTES",

@@ -1,228 +1,203 @@
-"""Multi-layer event execution with optional cross-layer pipelining.
+"""Event-granularity execution of scheduled MoE forward passes.
 
-The paper schedules tasks *within* one MoE layer; layers execute back
-to back.  But the dependency structure allows more: the next layer's
+:func:`~repro.core.scheduler.simulate_order` evaluates a schedule
+under the paper's *analytic* resource model (one comp stream, one comm
+"resource", fixed task durations).  This module executes the same
+schedule on the :class:`~repro.cluster.topology.SimCluster` event
+engine instead: every rank runs its computing tasks on its GPU's
+compute stream, and every A2A task launches the *actual* configured
+collective algorithm — per-message transfers, link contention, stream
+FIFO and all.  A one-layer pass reproduces the analytic makespan
+(``tests/core/test_executor.py``), closing the loop between the
+scheduling theory and the cluster model.
+
+An n-layer pass runs each layer's seven task types in the scheduler's
+order, with the layer's attention chunks ``ATTN^i`` prepended to its
+computing order (``C1^i`` waits on ``ATTN^i``).  The next layer's
 attention only needs the previous layer's combined tokens, which
-materialize chunk by chunk as the D2^i decompressions finish — so at
-partition degree r, attention chunk i of layer l+1 can start as soon
-as D2^i of layer l completes, overlapping the previous layer's
-trailing A2A/decompress tail.  This module executes an n-layer forward
-pass at event granularity in two modes:
+materialize chunk by chunk as the ``D2^i`` decompressions finish, so
+layers are joined in one of two modes:
 
-* ``layer-barrier`` — the paper's model: layer l+1 starts when layer l
-  is fully done;
+* ``layer-barrier`` — the paper's model: ``ATTN`` of layer l+1 waits
+  on every ``D2`` of layer l and is queued after layer l's whole
+  computing order;
 * ``chunked`` — cross-layer chunk pipelining (a natural extension in
-  the spirit of the paper's future work).
+  the spirit of the paper's future work): ``ATTN^i`` of layer l+1
+  waits only on ``D2^i`` of layer l and is queued right after it, so
+  the previous layer's trailing A2A hides under the next attention
+  (quantified by ``bench_ablation_cross_layer.py``).
 
-The ``bench_ablation_cross_layer.py`` bench quantifies the gain.
+A ``layer_only`` config has zero-time attention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Tuple
 
+from ..cluster.costmodel import attention_forward_flops
 from ..cluster.engine import Event
 from ..cluster.streams import make_streams
 from ..cluster.topology import ClusterSpec, SimCluster
 from ..collectives.base import AllToAll
 from ..compression.base import Compressor
 from ..models.configs import MoEModelConfig
-from ..cluster.costmodel import attention_forward_flops
 from .profiler import Profiler
-from .tasks import TaskKind
+from .scheduler import Scheduler
+from .tasks import Task, TaskKind
 
 MODES = ("layer-barrier", "chunked")
 
-#: Per-chunk computing chain inside one layer (attention prepended).
-_COMP_CHAIN = (
-    "ATTN",
-    TaskKind.C1,
-    TaskKind.D1,
-    TaskKind.E,
-    TaskKind.C2,
-    TaskKind.D2,
-)
+#: Task kind of a layer's attention chunk (computing, before C1).
+ATTN = "ATTN"
+
+#: ``(layer, kind, chunk)``: one task of an n-layer pass.
+TaskKey = Tuple[int, object, int]
 
 
 @dataclass
-class ModelExecutionReport:
-    """Outcome of one multi-layer forward execution."""
+class ExecutionReport:
+    """Outcome of one event-level forward execution."""
 
-    mode: str
-    num_layers: int
-    partitions: int
     makespan: float
+    task_finish: Dict[TaskKey, float]
+    traffic: Dict[str, float]
 
 
 class ModelExecutor:
-    """Event-level forward pass of all MoE blocks of a model."""
+    """Runs a model's forward pass per the schedule, at event granularity."""
 
     def __init__(
         self,
         spec: ClusterSpec,
         a2a: AllToAll,
         compressor: Compressor,
+        scheduler: Scheduler,
         partitions: int = 2,
+        faults=None,
     ):
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
         self.spec = spec
         self.a2a = a2a
         self.compressor = compressor
+        self.scheduler = scheduler
         self.partitions = partitions
+        #: Optional :class:`~repro.faults.FaultPlan` applied to every
+        #: execution.  Profiling (and therefore the schedule) stays
+        #: *healthy*: the scheduler plans for the cluster it believes
+        #: it has, and the faults hit at execution time — exactly the
+        #: mismatch a straggler study wants to measure.
+        self.faults = faults
         self._profiler = Profiler(spec, a2a=a2a, compressor=compressor)
 
-    def run(self, cfg: MoEModelConfig, mode: str = "chunked") -> ModelExecutionReport:
-        """Execute ``cfg.num_layers`` transformer blocks' forward."""
+    def run(
+        self, cfg: MoEModelConfig, mode: str = "chunked"
+    ) -> ExecutionReport:
+        """Execute the forward pass of ``cfg``'s ``num_layers`` blocks."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         r = self.partitions
         durations = self._profiler.profile_layer(cfg, r)
+        comp_order, comm_order = self.scheduler.order(r, durations)
         attn_seconds = self._attention_seconds(cfg) / r
-
-        comp_seconds = {
-            "ATTN": attn_seconds,
-            TaskKind.C1: durations.compress,
-            TaskKind.C2: durations.compress,
-            TaskKind.D1: durations.decompress,
-            TaskKind.D2: durations.decompress,
-            TaskKind.E: durations.expert,
-        }
         wire_chunk = self.compressor.compressed_bytes(cfg.a2a_bytes / r)
 
-        cluster = SimCluster(self.spec)
+        # Whole-model stream queues: every layer in the scheduler's
+        # order, attention placed per ``mode``.
+        chunked = mode == "chunked"
+        layers = cfg.num_layers
+        comp: List[TaskKey] = []
+        comm: List[TaskKey] = []
+        for layer in range(layers):
+            if layer == 0 or not chunked:
+                comp.extend((layer, ATTN, c) for c in range(r))
+            for task in comp_order:
+                comp.append((layer, task.kind, task.chunk))
+                if chunked and task.kind is TaskKind.D2 and layer + 1 < layers:
+                    comp.append((layer + 1, ATTN, task.chunk))
+            comm.extend((layer, task.kind, task.chunk) for task in comm_order)
+
+        def deps(key: TaskKey) -> List[TaskKey]:
+            layer, kind, chunk = key
+            if kind == ATTN:
+                if layer == 0:
+                    return []
+                if chunked:
+                    return [(layer - 1, TaskKind.D2, chunk)]
+                return [(layer - 1, TaskKind.D2, c) for c in range(r)]
+            if kind is TaskKind.C1:
+                return [(layer, ATTN, chunk)]
+            return [(layer, Task(kind, chunk).predecessor().kind, chunk)]
+
+        cluster = SimCluster(self.spec, faults=self.faults)
         engine = cluster.engine
         streams = make_streams(engine, self.spec.world_size)
+        done: Dict[TaskKey, Event] = {}
 
-        done: Dict[Tuple[int, object, int], Event] = {}
-
-        def comp_deps(layer: int, kind, chunk: int) -> List[Event]:
-            idx = _COMP_CHAIN.index(kind)
-            if idx > 0:
-                # Chain predecessor within the layer (D1 and D2 are
-                # submitted explicitly below because their dependency
-                # is a communication task, not the previous comp task).
-                return [done[(layer, _COMP_CHAIN[idx - 1], chunk)]]
-            # Attention chunk: depends on the previous layer's output.
-            if layer == 0:
-                return []
-            if mode == "layer-barrier":
-                return [
-                    done[(layer - 1, TaskKind.D2, c)] for c in range(r)
-                ]
-            return [done[(layer - 1, TaskKind.D2, chunk)]]
-
-        def submit_comp(layer: int, kind, chunk: int) -> Event:
-            deps = comp_deps(layer, kind, chunk)
-            events = []
-            for rank in cluster.iter_ranks():
-                events.append(
-                    streams[rank].compute.submit(
-                        self._kernel(cluster, rank, comp_seconds[kind]),
-                        after=deps,
-                        name=f"L{layer}:{kind}^{chunk}@{rank}",
-                    )
-                )
-            return engine.all_of(events)
-
-        def submit_comm(layer: int, kind: TaskKind, chunk: int) -> Event:
-            pred_kind = (
-                TaskKind.C1 if kind == TaskKind.A1 else TaskKind.C2
-            )
-            dep = done[(layer, pred_kind, chunk)]
-            for rank in cluster.iter_ranks():
-                gpu_streams = streams[rank]
-                for stream in (
-                    gpu_streams.comm,
-                    gpu_streams.intra,
-                    gpu_streams.inter,
-                ):
-                    stream.submit(
-                        self._wait(engine, dep),
-                        name=f"gate:L{layer}:{kind}^{chunk}@{rank}",
-                    )
+        # Computing tasks: identical work on every rank's compute
+        # stream, gated on the task's dependencies.
+        def submit_comp(key: TaskKey, after: List[Event]) -> Event:
+            kind = key[1]
+            seconds = attn_seconds if kind == ATTN else durations.of(kind)
             return engine.all_of(
-                self.a2a.schedule(cluster, streams, wire_chunk)
+                streams[rank].compute.submit(
+                    partial(cluster.compute, rank, seconds),
+                    after=after,
+                    name=f"{_label(key)}@{rank}",
+                )
+                for rank in cluster.iter_ranks()
             )
 
-        def submit_after_comm(layer: int, kind: TaskKind, chunk: int) -> None:
-            """D1/D2: compute gated on the matching A2A completion."""
-            comm_kind = TaskKind.A1 if kind == TaskKind.D1 else TaskKind.A2
-            deps = [done[(layer, comm_kind, chunk)]]
-            events = []
+        # Communication tasks: gate the comm streams on the chain
+        # predecessor (a blocking no-op holds the FIFO head), then let
+        # the real algorithm post its messages.
+        def submit_comm(key: TaskKey, after: List[Event]) -> Event:
+            (dep,) = after
+            gate = partial(_wait, dep)
             for rank in cluster.iter_ranks():
-                events.append(
-                    streams[rank].compute.submit(
-                        self._kernel(cluster, rank, comp_seconds[kind]),
-                        after=deps,
-                        name=f"L{layer}:{kind}^{chunk}@{rank}",
-                    )
-                )
-            done[(layer, kind, chunk)] = engine.all_of(events)
+                gpu = streams[rank]
+                for stream in (gpu.comm, gpu.intra, gpu.inter):
+                    stream.submit(gate, name=f"gate:{_label(key)}@{rank}")
+            completions = self.a2a.schedule(cluster, streams, wire_chunk)
+            return engine.all_of(completions)
 
-        def submit_d2(layer: int, chunk: int) -> None:
-            submit_after_comm(layer, TaskKind.D2, chunk)
+        finish_times: Dict[TaskKey, float] = {}
 
-        for layer in range(cfg.num_layers):
-            # Layer boundary.  In chunked mode the previous layer's
-            # trailing D2 decompressions interleave with this layer's
-            # attention chunks in the compute queue, so attention on
-            # chunk i starts the moment D2^i lands — overlapping the
-            # previous layer's remaining A2^j communication.  In
-            # layer-barrier mode all D2s are enqueued first (the
-            # paper's per-layer model).
-            if layer > 0:
-                if mode == "chunked":
-                    for chunk in range(r):
-                        submit_d2(layer - 1, chunk)
-                        done[(layer, "ATTN", chunk)] = submit_comp(
-                            layer, "ATTN", chunk
-                        )
-                else:
-                    for chunk in range(r):
-                        submit_d2(layer - 1, chunk)
-                    for chunk in range(r):
-                        done[(layer, "ATTN", chunk)] = submit_comp(
-                            layer, "ATTN", chunk
-                        )
-            else:
-                for chunk in range(r):
-                    done[(layer, "ATTN", chunk)] = submit_comp(
-                        layer, "ATTN", chunk
-                    )
-            # Within the layer: OptSche's order (Eq. 12), with D2
-            # deferred past the layer boundary above.
-            for chunk in range(r):
-                done[(layer, TaskKind.C1, chunk)] = submit_comp(
-                    layer, TaskKind.C1, chunk
+        def record(key: TaskKey, _event: Event) -> None:
+            finish_times[key] = engine.now
+
+        # Enqueue in stream order.  Dependencies of later tasks refer
+        # to earlier completions, so submission interleaves the two
+        # queues: submit any stream head whose dependencies are already
+        # submitted, preserving each stream's order (every scheduler's
+        # output is causally orderable this way).
+        queues = ((comp, submit_comp), (comm, submit_comm))
+        heads = [0, 0]
+        while heads[0] < len(comp) or heads[1] < len(comm):
+            progressed = False
+            for i, (queue, submit) in enumerate(queues):
+                while heads[i] < len(queue):
+                    key = queue[heads[i]]
+                    needs = deps(key)
+                    if any(need not in done for need in needs):
+                        break
+                    event = submit(key, [done[need] for need in needs])
+                    event.add_callback(partial(record, key))
+                    done[key] = event
+                    heads[i] += 1
+                    progressed = True
+            if not progressed:
+                raise RuntimeError(
+                    "schedule is not causally ordered; cannot execute"
                 )
-            for chunk in range(r):
-                done[(layer, TaskKind.A1, chunk)] = submit_comm(
-                    layer, TaskKind.A1, chunk
-                )
-            for chunk in range(r):
-                submit_after_comm(layer, TaskKind.D1, chunk)
-                done[(layer, TaskKind.E, chunk)] = submit_comp(
-                    layer, TaskKind.E, chunk
-                )
-                done[(layer, TaskKind.C2, chunk)] = submit_comp(
-                    layer, TaskKind.C2, chunk
-                )
-            for chunk in range(r):
-                done[(layer, TaskKind.A2, chunk)] = submit_comm(
-                    layer, TaskKind.A2, chunk
-                )
-        # Trailing D2s of the final layer.
-        for chunk in range(r):
-            submit_d2(cfg.num_layers - 1, chunk)
 
         engine.run()
-        return ModelExecutionReport(
-            mode=mode,
-            num_layers=cfg.num_layers,
-            partitions=r,
+        return ExecutionReport(
             makespan=engine.now,
+            task_finish=finish_times,
+            traffic=cluster.stats,
         )
 
     def _attention_seconds(self, cfg: MoEModelConfig) -> float:
@@ -235,17 +210,13 @@ class ModelExecutor:
             )
         ) + gpu.memory_time(8.0 * cfg.tokens_per_gpu * cfg.model_dim * 4.0)
 
-    @staticmethod
-    def _kernel(cluster: SimCluster, rank: int, seconds: float):
-        def work():
-            yield from cluster.compute(rank, seconds)
 
-        return work
+def _wait(event: Event):
+    """Stream work holding the FIFO head until ``event`` fires."""
+    if not event.fired:
+        yield event
 
-    @staticmethod
-    def _wait(engine, event: Event):
-        def work():
-            if not event.fired:
-                yield event
 
-        return work
+def _label(key: TaskKey) -> str:
+    layer, kind, chunk = key
+    return f"L{layer}:{kind if kind == ATTN else kind.name}^{chunk + 1}"

@@ -234,6 +234,32 @@ def test_deadlock_message_truncates_long_process_lists():
     assert "... and 4 more" in message
 
 
+def test_deadlock_lists_blocked_processes_in_creation_order():
+    """Processes that finished drop out; the rest keep creation order."""
+    eng = Engine()
+    never = eng.event("never")
+
+    def blocked(eng, delay):
+        yield eng.timeout(delay)
+        yield never
+
+    def finishes(eng, delay):
+        yield eng.timeout(delay)
+
+    # Finishers interleave with the blocked processes, and the blocked
+    # ones block in the reverse of their creation order.
+    for i in range(4):
+        eng.process(finishes(eng, 0.5 + i), name=f"done{i}")
+        eng.process(blocked(eng, 4.0 - i), name=f"stuck{i}")
+    with pytest.raises(SimulationError) as exc:
+        eng.run()
+    message = str(exc.value)
+    assert "done" not in message
+    assert "4 process(es)" in message
+    positions = [message.index(f"'stuck{i}'") for i in range(4)]
+    assert positions == sorted(positions)
+
+
 def test_run_until_suppresses_deadlock_check():
     """Stopping early legitimately strands in-flight processes."""
     eng = Engine()

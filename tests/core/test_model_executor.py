@@ -4,15 +4,17 @@ import pytest
 
 from repro.collectives import get_a2a
 from repro.compression import get_compressor
-from repro.core.executor import EventExecutor
-from repro.core.model_executor import ModelExecutor
-from repro.core import get_scheduler
-from repro.models import bert_large_moe, ct_moe
+from repro.core import ModelExecutor, get_scheduler
+from repro.models import ablation_layer, bert_large_moe, ct_moe
 
 
 def make(spec, a2a="pipe", codec="none", partitions=2):
     return ModelExecutor(
-        spec, get_a2a(a2a), get_compressor(codec), partitions=partitions
+        spec,
+        get_a2a(a2a),
+        get_compressor(codec),
+        get_scheduler("optsche"),
+        partitions=partitions,
     )
 
 
@@ -21,9 +23,7 @@ def test_mode_validation(paper_spec):
     with pytest.raises(ValueError):
         executor.run(ct_moe(12), mode="warp")
     with pytest.raises(ValueError):
-        ModelExecutor(
-            paper_spec, get_a2a("pipe"), get_compressor("none"), partitions=0
-        )
+        make(paper_spec, partitions=0)
 
 
 def test_makespan_scales_with_layers(paper_spec):
@@ -65,21 +65,10 @@ def test_no_gain_when_comm_already_hidden(paper_spec):
 
 
 def test_single_layer_consistent_with_layer_executor(paper_spec):
-    """A 1-layer layer_only model has no attention, so the model
-    executor reduces to the per-layer executor's OptSche makespan."""
-    from repro.models import ablation_layer
-
-    cfg = ablation_layer()
-    model_exec = ModelExecutor(
-        paper_spec, get_a2a("pipe"), get_compressor("zfp"), partitions=2
-    )
-    layer_exec = EventExecutor(
-        paper_spec,
-        get_a2a("pipe"),
-        get_compressor("zfp"),
-        get_scheduler("optsche"),
-        partitions=2,
-    )
-    model_t = model_exec.run(cfg, mode="layer-barrier").makespan
-    layer_t = layer_exec.run(cfg).makespan
-    assert model_t == pytest.approx(layer_t, rel=1e-2)
+    """A 1-layer layer_only model has no attention, so either mode
+    reproduces the per-layer OptSche makespan bit for bit (recorded
+    with the former per-layer ``EventExecutor``)."""
+    executor = make(paper_spec, a2a="pipe", codec="zfp")
+    for mode in ("layer-barrier", "chunked"):
+        makespan = executor.run(ablation_layer(), mode=mode).makespan
+        assert makespan.hex() == "0x1.7dea3ccf889f5p-2"

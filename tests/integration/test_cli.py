@@ -98,8 +98,8 @@ def test_fig9(capsys):
 def test_faults_demo_straggler(capsys):
     assert main(["faults", "--slowdown", "2.0"]) == 0
     out = capsys.readouterr().out
-    assert "healthy makespan" in out
-    assert "faulted makespan" in out
+    assert "healthy makespan:    10.912 ms" in out
+    assert "faulted makespan:    21.825 ms" in out
     assert "2.00x" in out  # optsche+pipe is compute-bound: 2x straggler
 
 
@@ -158,8 +158,7 @@ def test_plan_smoke(tmp_path, capsys):
 
 def test_reshard_demo_checkpoint_strategy(capsys):
     assert main(
-        ["reshard", "--strategy", "checkpoint", "--tokens", "32",
-         "--layers", "12"]
+        ["reshard", "--strategy", "checkpoint", "--tokens", "32"]
     ) == 0
     out = capsys.readouterr().out
     assert "recovered == fresh group w/ same placement: True" in out
