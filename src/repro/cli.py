@@ -473,6 +473,13 @@ def cmd_pipeline(args) -> int:
     same shards, verifies the outputs are bit-identical, and reports
     the wall-clock per mode plus the speedup.  This is the paper's
     central mechanism on the numerical substrate — not the simulator.
+
+    It also reports the cross-worker bytes the A2As put on the wire
+    beside the codec's nominal ``compressed_bytes`` of the same
+    payloads in fp32 (measured on a codec-free twin of the layer), and
+    fails unless they agree within 1%.  zfp pads each payload to whole
+    64-value blocks, so rows narrower than 64 values can miss that on
+    tiny shapes.
     """
     import time
 
@@ -482,16 +489,25 @@ def cmd_pipeline(args) -> int:
     from .moe import MoELayer
     from .moe.parallel import ExpertParallelGroup
 
+    def build_layer(codec):
+        return MoELayer(
+            model_dim=args.model_dim,
+            hidden_dim=args.hidden_dim,
+            num_experts=args.experts,
+            rng=np.random.default_rng(0),
+            top_k=2,
+            capacity_factor=2.0,
+            compressor=codec,
+        ).eval()
+
+    def cross_worker_bytes(group):
+        return (
+            group.last_dispatch_traffic.off_diagonal_bytes
+            + group.last_combine_traffic.off_diagonal_bytes
+        )
+
     codec = get_compressor(args.compressor) if args.compressor else None
-    layer = MoELayer(
-        model_dim=args.model_dim,
-        hidden_dim=args.hidden_dim,
-        num_experts=args.experts,
-        rng=np.random.default_rng(0),
-        top_k=2,
-        capacity_factor=2.0,
-        compressor=codec,
-    ).eval()
+    layer = build_layer(codec)
     rng = np.random.default_rng(1)
     tokens = rng.standard_normal(
         (args.tokens, args.model_dim)
@@ -517,8 +533,16 @@ def cmd_pipeline(args) -> int:
             out = group.forward_concatenated(shards)
             best = min(best, time.perf_counter() - t0)
         outputs[pipeline], seconds[pipeline] = out, best
+    wire = cross_worker_bytes(group)
+    fp32_group = ExpertParallelGroup(
+        build_layer(None), args.workers, num_chunks=args.num_chunks
+    )
+    fp32_group.forward(shards)
+    fp32 = cross_worker_bytes(fp32_group)
+    nominal = codec.compressed_bytes(fp32) if codec else fp32
 
     exact = bool(np.array_equal(outputs["sync"], outputs["overlap"]))
+    bytes_ok = abs(wire - nominal) <= 0.01 * nominal
     print(
         f"chunked expert-parallel forward: E={args.experts} "
         f"M={args.model_dim} T={args.tokens} P={args.workers} "
@@ -529,7 +553,12 @@ def cmd_pipeline(args) -> int:
     print(f"  overlap: {seconds['overlap'] * 1e3:8.2f} ms "
           f"({seconds['sync'] / seconds['overlap']:.2f}x)")
     print(f"  outputs bit-identical: {exact}")
-    return 0 if exact else 1
+    print(
+        f"  cross-worker wire bytes (dispatch + combine): {wire:,.0f}; "
+        f"codec nominal {nominal:,.0f} of fp32 {fp32:,.0f}; "
+        f"within 1%: {bytes_ok}"
+    )
+    return 0 if exact and bytes_ok else 1
 
 
 def cmd_infer(args) -> int:

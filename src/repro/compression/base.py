@@ -77,8 +77,8 @@ class Compressor(ABC):
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
         """Invert :meth:`compress`; returns an fp32 tensor."""
 
-    def roundtrip(self, tensor: np.ndarray) -> np.ndarray:
-        """compress + decompress, as experienced by the receiving expert.
+    def encode(self, tensor: np.ndarray) -> CompressedTensor:
+        """The sender's half: :meth:`compress` behind a non-finite check.
 
         Rejects non-finite input: a NaN/Inf activation would otherwise
         silently poison scale factors (INT8's global max, ZFP's block
@@ -90,7 +90,11 @@ class Compressor(ABC):
                 f"{self.name}: payload contains non-finite values; "
                 "refusing to compress (scale factors would be poisoned)"
             )
-        return self.decompress(self.compress(arr))
+        return self.compress(arr)
+
+    def roundtrip(self, tensor: np.ndarray) -> np.ndarray:
+        """encode + decompress, as experienced by the receiving expert."""
+        return self.decompress(self.encode(tensor))
 
     @property
     def ratio(self) -> float:

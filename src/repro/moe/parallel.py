@@ -21,26 +21,34 @@ token ranges, and every chunk runs the seven-task chain
 C1 A1 D1 E C2 A2 D2 of :mod:`repro.core.tasks` with real work —
 
 * C1: build the flat per-destination payloads (rows sorted by expert,
-  plus per-expert segment counts) for the chunk's routed tokens;
-* A1: the dispatch all-to-all — codec roundtrip plus a memcpy into a
-  pooled staging buffer (:class:`~repro.nn.buffer_pool.BufferPool`);
-* D1: each destination assembles its received segments into one
-  contiguous sorted-by-expert row block;
+  plus per-expert segment counts) for the chunk's routed tokens, and
+  encode each with the layer's codec
+  (:meth:`~repro.compression.base.Compressor.encode`);
+* A1: the dispatch all-to-all — a memcpy of each encoded payload into
+  pooled staging buffers (:class:`~repro.nn.buffer_pool.BufferPool`);
+* D1: each destination decompresses what it received and assembles
+  the segments into one contiguous sorted-by-expert row block;
 * E:  grouped expert execution
   (:meth:`~repro.moe.experts.Experts.run_grouped`);
-* C2: split results back per source, in payload row order;
-* A2: the combine all-to-all (codec + pooled memcpy);
-* D2: the owner merges the chunk's results into its output rows, in
-  the gate's original assignment order.
+* C2: split results back per source, in payload row order, and encode
+  each split;
+* A2: the combine all-to-all (pooled memcpy of the encoded payloads);
+* D2: the owner decompresses and merges the chunk's results into its
+  output rows, in the gate's original assignment order.
+
+The codec runs where the paper's task model (:mod:`repro.core.tasks`)
+puts it: compression and decompression are computing tasks, and the
+all-to-alls move only the encoded bytes.  Without a codec (or with one
+at 32 bits per value) the payloads are the fp32 rows themselves.
 
 ``pipeline="sync"`` executes the chain chunk-major on the calling
 thread; ``pipeline="overlap"`` drives the identical task callables
 through :class:`~repro.core.runtime.StreamExecutor` — two real FIFO
 streams ordered by a registered scheduling policy (OptSche by
-default), so chunk i's GEMMs overlap chunk i+1's codec/memcpy.  Both
-modes run the same per-task work on disjoint state, and chunks own
-disjoint token ranges, so outputs are bit-identical across modes and
-across ``num_chunks`` (the per-token combine accumulation order is
+default), so chunk i's GEMMs overlap chunk i+1's staging and wire
+time.  Both modes run the same per-task work on disjoint state, and
+chunks own disjoint token ranges, so outputs are bit-identical across
+modes and across ``num_chunks`` (the per-token combine accumulation order is
 preserved exactly; only a lossy codec, whose quantization granularity
 is per payload, makes chunking visible — to codec-sized error).
 
@@ -53,13 +61,14 @@ worker gates only its own shard and the expert FFNs work row by row.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..compression.base import Compressor
+from ..compression.base import CompressedTensor, Compressor
 from ..core.runtime import (
     StreamExecutor,
     chunk_bounds,
@@ -70,6 +79,7 @@ from ..core.scheduler import Scheduler
 from ..core.tasks import Task, TaskKind
 from ..nn.buffer_pool import Arena, BufferPool
 from ..nn.tensor import (
+    _scatter_add_rows,
     inference_mode,
     scratch_empty,
     scratch_zeros,
@@ -80,9 +90,19 @@ from .layer import MoELayer
 from .placement import ExpertPlacement
 
 
+#: One (src, dst) all-to-all payload as it crosses the wire: the
+#: codec's encoding, or the fp32 rows themselves without a codec.
+Payload = Union[np.ndarray, CompressedTensor]
+
+
 @dataclass
 class A2ATraffic:
-    """Byte accounting of one exchange, per (src, dst) worker pair."""
+    """Byte accounting of one exchange, per (src, dst) worker pair.
+
+    Counts the bytes that cross the wire: each payload's encoded
+    :attr:`~repro.compression.base.CompressedTensor.nbytes` under a
+    codec, its fp32 rows without one.
+    """
 
     matrix: np.ndarray  # (P, P) bytes sent from src to dst
 
@@ -121,16 +141,17 @@ class ExpertParallelGroup:
     ``link_bandwidth`` (bytes/second, ``None`` = off) adds a wire-time
     model to the A2A tasks: each chunk's *cross-worker* payload bytes
     occupy the link for ``bytes / bandwidth`` seconds (a GIL-released
-    wait, like a NIC DMA that burns no CPU) after the codec + staging
-    memcpy.  On the real system the interconnect transfer is exactly
-    this — link occupancy concurrent with the SMs — and it is what
-    ScheMoE hides behind expert GEMMs; the CPU-side codec/memcpy work
-    additionally overlaps wherever cores are free (numpy releases the
-    GIL), but on a core-starved host the wire time is the part of the
-    A2A that can *always* overlap.  Both pipeline modes run the same
-    task closures, so sync pays the same wire time, serially.  The
-    model never touches numerics — outputs are bit-identical with it
-    on or off.
+    wait, like a NIC DMA that burns no CPU) after the staging memcpy.
+    The bytes are the encoded ones — the
+    :attr:`~repro.compression.base.CompressedTensor.nbytes` the codec
+    produced in C1/C2, fp32 rows only without a codec.  On the real
+    system the interconnect transfer is exactly this — link occupancy
+    concurrent with the SMs — and it is what ScheMoE hides behind
+    expert GEMMs; on a core-starved host the wire time is the part of
+    the A2A that can *always* overlap.  Both pipeline modes run the
+    same task closures, so sync pays the same wire time, serially.
+    The model never touches numerics — outputs are bit-identical with
+    it on or off.
     """
 
     def __init__(
@@ -322,12 +343,6 @@ class ExpertParallelGroup:
         if self.link_bandwidth and wire_bytes:
             time.sleep(wire_bytes / self.link_bandwidth)
 
-    def _apply_codec(self, array: np.ndarray) -> np.ndarray:
-        codec: Optional[Compressor] = self.layer.compressor
-        if codec is None or codec.bits_per_value >= 32:
-            return array
-        return codec.roundtrip(array)
-
     def _validate_shards(self, shards: List[np.ndarray]) -> List[np.ndarray]:
         if len(shards) != self.num_workers:
             raise ValueError(
@@ -443,6 +458,7 @@ class ExpertParallelGroup:
         weights: List[np.ndarray] = []
         members: List[List[np.ndarray]] = []  # [w][c] kept positions
         plans = []  # [w] the gate's cached RoutingPlan
+        chunk_edges: List[np.ndarray] = []  # [w] the shard's chunk_bounds
         grouped_members: List[List[np.ndarray]] = []  # [w][c] grouped rows
         for w in workers:
             plan = gate_outputs[w].plan
@@ -453,6 +469,7 @@ class ExpertParallelGroup:
                 gate_outputs[w].gate_weights.data[plan.kept_weight_index]
             )
             bounds = chunk_bounds(shards[w].shape[0], r)
+            chunk_edges.append(bounds)
             chunk_of = np.searchsorted(
                 bounds, plan.kept_token_ids, side="right"
             ) - 1
@@ -478,6 +495,35 @@ class ExpertParallelGroup:
         dispatch_traffic = np.zeros((self.num_workers, self.num_workers))
         combine_traffic = np.zeros((self.num_workers, self.num_workers))
 
+        # The codec on the wire; None ships the fp32 rows themselves.
+        codec: Optional[Compressor] = self.layer.compressor
+        if codec is not None and codec.bits_per_value >= 32:
+            codec = None
+
+        def encode(rows: np.ndarray) -> Payload:
+            """C1/C2's codec half: the payload as it crosses the wire."""
+            return rows if codec is None else codec.encode(rows)
+
+        def stage(payload: Payload) -> Payload:
+            """A1/A2: memcpy the payload into pooled staging buffers."""
+            if codec is None:
+                return pool.take_copy(payload)
+            return dataclasses.replace(
+                payload,
+                payload={
+                    k: pool.take_copy(v) for k, v in payload.payload.items()
+                },
+            )
+
+        def decode(staged: Payload) -> np.ndarray:
+            """D1/D2's codec half: the fp32 rows of a staged payload."""
+            return staged if codec is None else codec.decompress(staged)
+
+        def release(staged: Payload) -> None:
+            """Return a drained payload's staging buffers to the pool."""
+            for buf in [staged] if codec is None else staged.payload.values():
+                pool.release(buf)
+
         # Mutable per-chunk state handed from task to task.  Keys are
         # chunk-scoped, every entry is written by exactly one task and
         # consumed (popped) by its chain successor, so the two streams
@@ -491,7 +537,7 @@ class ExpertParallelGroup:
         return_map: Dict[tuple, np.ndarray] = {}
 
         def compress_dispatch(c: int) -> None:
-            """C1: per-source flat payloads for the chunk's tokens.
+            """C1: per-source flat payloads for the chunk's tokens, encoded.
 
             No per-chunk argsort: the chunk's expert-major order is
             the gate plan's global permutation restricted to the
@@ -527,29 +573,30 @@ class ExpertParallelGroup:
                     rows = shards[src][
                         token_ids[src][sorted_sel[rowsel]]
                     ]
-                    payloads.append((src, dst, rows, dst_counts))
+                    payloads.append((src, dst, encode(rows), dst_counts))
                     # Positions within the chunk's kept-order list —
                     # how D2 puts returned rows back in gate order.
                     return_map[(c, src, dst)] = order[rowsel]
             pending_dispatch[c] = payloads
 
         def a2a_dispatch(c: int) -> None:
-            """A1: codec roundtrip + memcpy into a pooled staging buffer."""
+            """A1: stage the encoded payloads and hold the link for them."""
             wire_bytes = 0
-            for src, dst, rows, counts in pending_dispatch.pop(c):
-                buf = pool.take_copy(self._apply_codec(rows))
-                dispatch_traffic[src, dst] += buf.nbytes
+            for src, dst, payload, counts in pending_dispatch.pop(c):
+                staged = stage(payload)
+                dispatch_traffic[src, dst] += staged.nbytes
                 if src != dst:
-                    wire_bytes += buf.nbytes
-                inbox.setdefault((c, dst), []).append((src, buf, counts))
+                    wire_bytes += staged.nbytes
+                inbox.setdefault((c, dst), []).append((src, staged, counts))
             self._occupy_link(wire_bytes)
 
         def decompress_dispatch(c: int) -> None:
-            """D1: each destination assembles one sorted-by-expert block."""
+            """D1: decompress, then assemble one sorted-by-expert block."""
             for dst in workers:
                 entries = inbox.pop((c, dst), None)
                 if not entries:
                     continue
+                received = [decode(staged) for _, staged, _ in entries]
                 src_offsets = [
                     np.concatenate([[0], np.cumsum(counts)])
                     for _, _, counts in entries
@@ -563,12 +610,12 @@ class ExpertParallelGroup:
                 # an expert — the contiguous-segment layout
                 # run_grouped consumes.
                 for e_local, e in enumerate(hosted[dst]):
-                    for i, (src, buf, counts) in enumerate(entries):
+                    for i, (_, _, counts) in enumerate(entries):
                         n = int(counts[e_local])
                         if n == 0:
                             continue
                         lo = int(src_offsets[i][e_local])
-                        pieces.append(buf[lo : lo + n])
+                        pieces.append(received[i][lo : lo + n])
                         backs[i].append(np.arange(pos, pos + n))
                         pos += n
                     counts_full[e] = sum(
@@ -582,8 +629,8 @@ class ExpertParallelGroup:
                     for i in range(len(entries))
                 ]
                 assembled[(c, dst)] = (rows, counts_full, back_index)
-                for _, buf, _ in entries:
-                    pool.release(buf)
+                for _, staged, _ in entries:
+                    release(staged)
 
         def run_experts(c: int) -> None:
             """E: grouped expert execution."""
@@ -596,7 +643,7 @@ class ExpertParallelGroup:
                 expert_out[(c, dst)] = (out_rows, back_index)
 
         def compress_combine(c: int) -> None:
-            """C2: split results back per source, in payload row order."""
+            """C2: split results back per source in row order, and encode."""
             returns = []
             for dst in workers:
                 item = expert_out.pop((c, dst), None)
@@ -604,37 +651,40 @@ class ExpertParallelGroup:
                     continue
                 out_rows, back_index = item
                 for src, idx in back_index:
-                    returns.append((dst, src, out_rows[idx]))
+                    returns.append((dst, src, encode(out_rows[idx])))
             pending_return[c] = returns
 
         def a2a_combine(c: int) -> None:
-            """A2: codec roundtrip + pooled memcpy back to the owner."""
+            """A2: stage the encoded results and hold the link for them."""
             wire_bytes = 0
-            for dst, src, rows in pending_return.pop(c):
-                buf = pool.take_copy(self._apply_codec(rows))
-                combine_traffic[dst, src] += buf.nbytes
+            for dst, src, payload in pending_return.pop(c):
+                staged = stage(payload)
+                combine_traffic[dst, src] += staged.nbytes
                 if src != dst:
-                    wire_bytes += buf.nbytes
-                returned.setdefault((c, src), []).append((dst, buf))
+                    wire_bytes += staged.nbytes
+                returned.setdefault((c, src), []).append((dst, staged))
             self._occupy_link(wire_bytes)
 
         def decompress_combine(c: int) -> None:
-            """D2: weighted merge into the chunk's (disjoint) token rows."""
+            """D2: decompress, then merge into the chunk's token rows."""
             for w in workers:
                 sel = members[w][c]
                 if sel.size == 0:
                     continue
                 contrib = scratch_zeros((sel.size, model_dim))
-                for dst, buf in returned.pop((c, w), []):
-                    contrib[return_map.pop((c, w, dst))] = buf
-                    pool.release(buf)
+                for dst, staged in returned.pop((c, w), []):
+                    contrib[return_map.pop((c, w, dst))] = decode(staged)
+                    release(staged)
                 # Accumulate in the gate's original assignment order:
                 # bit-identical to the unchunked merge because every
                 # contribution to one token lives in this chunk, in
-                # the same relative order.
-                np.add.at(
-                    outputs[w],
-                    token_ids[w][sel],
+                # the same relative order.  The chunk's rows are still
+                # +0.0 here (chunks own disjoint token ranges), which
+                # is the scatter's np.add.at-parity contract.
+                lo, hi = chunk_edges[w][c], chunk_edges[w][c + 1]
+                _scatter_add_rows(
+                    outputs[w][lo:hi],
+                    token_ids[w][sel] - lo,
                     weights[w][sel][:, None] * contrib,
                 )
 

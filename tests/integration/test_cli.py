@@ -194,3 +194,15 @@ def test_faults_write_recovery_demo_then_reshard(tmp_path, capsys):
 def test_faults_recovery_flag_requires_write_demo(capsys):
     assert main(["faults", "--recovery"]) == 1
     assert "--write-demo" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("codec", ["zfp", ""])
+def test_pipeline_reports_wire_bytes(capsys, codec):
+    assert main(
+        ["pipeline", "--tokens", "128", "--experts", "8", "--model-dim",
+         "64", "--hidden-dim", "64", "--repeats", "1", "--link-gbps", "0",
+         "--compressor", codec]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "outputs bit-identical: True" in out
+    assert "within 1%: True" in out
