@@ -18,6 +18,7 @@ It is simultaneously:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,7 +77,9 @@ class ScheMoELayer(MoELayer):
             activation=activation,
         )
         if partitions != "auto" and (
-            not isinstance(partitions, int) or partitions < 1
+            not isinstance(partitions, numbers.Integral)
+            or isinstance(partitions, bool)
+            or partitions < 1
         ):
             raise ValueError(
                 f"partitions must be 'auto' or an int >= 1, got {partitions}"

@@ -17,7 +17,7 @@ memcpys, so the two threads genuinely overlap: the expert computation
 of chunk *i* on the computing stream proceeds while the communication
 stream roundtrips chunk *i+1* through the codec — the paper's central
 mechanism, made real by
-:class:`~repro.moe.parallel.ExpertParallelGroup` and the MoE layer's
+:class:`~repro.moe.parallel.ExpertParallelGroup`'s
 ``pipeline="overlap"`` mode.
 
 ``run_inline`` executes the same callables chunk-major on the calling
@@ -46,8 +46,8 @@ __all__ = [
     "validate_pipeline",
 ]
 
-#: Valid values of the ``pipeline`` switch plumbed through
-#: :class:`~repro.moe.layer.MoELayer`, the models and the CLI.
+#: Valid values of the ``pipeline`` switch of
+#: :class:`~repro.moe.parallel.ExpertParallelGroup` and the CLI.
 PIPELINE_MODES = ("sync", "overlap")
 
 #: Orders from the built-in policies ignore durations, but the

@@ -34,8 +34,6 @@ def make_ffn(
     capacity_factor: float = 1.0,
     compressor: Optional[Compressor] = None,
     activation: str = "relu",
-    pipeline: str = "sync",
-    num_chunks: int = 1,
 ) -> Module:
     """Dense fflayer or MoE layer, per the model variant."""
     if not moe:
@@ -49,8 +47,6 @@ def make_ffn(
         capacity_factor=capacity_factor,
         compressor=compressor,
         activation=activation,
-        pipeline=pipeline,
-        num_chunks=num_chunks,
     )
 
 

@@ -38,8 +38,6 @@ class Seq2SeqTransformer(Module):
         dropout: float = 0.0,
         pad_id: int = 0,
         seed: int = 0,
-        pipeline: str = "sync",
-        num_chunks: int = 1,
     ):
         super().__init__()
         rng = np.random.default_rng(seed)
@@ -60,8 +58,6 @@ class Seq2SeqTransformer(Module):
                 top_k=top_k,
                 capacity_factor=capacity_factor,
                 compressor=compressor,
-                pipeline=pipeline,
-                num_chunks=num_chunks,
             )
 
         self.encoder = ModuleList(

@@ -30,7 +30,6 @@ from ..nn.modules import Module
 from ..nn.tensor import Tensor, is_inference
 from .dispatch import (
     DISPATCH_MODES,
-    GroupedRouting,
     combine,
     combine_grouped,
     dispatch,
@@ -96,25 +95,11 @@ class MoELayer(Module):
     ``(N,)`` indices): expert outputs agree bit-for-bit, combined
     tokens to float-addition reassociation (~1e-6).
 
-    ``pipeline`` and ``num_chunks`` control the chunked task-graph
-    execution of the sparse path (paper Section 4): the token
-    batch splits into ``num_chunks`` contiguous ranges and each range
-    runs the dispatch / A2A-codec / grouped-expert / A2A-codec /
-    combine chain as explicit :class:`~repro.core.tasks.Task`s —
-    inline and chunk-major under ``pipeline="sync"``, on the
-    two-stream :class:`~repro.core.runtime.StreamExecutor` under
-    ``pipeline="overlap"`` (real threads; numpy releases the GIL, so
-    chunk i's expert GEMMs overlap chunk i+1's codec transport).  Both
-    modes are bit-identical to each other at any chunk count, and —
-    because chunk boundaries never split a token's assignments and
-    per-row GEMM results don't depend on batching — bit-identical to
-    the unchunked forward without a lossy codec (gradients agree to
-    float reassociation, ~1e-6; a lossy codec quantizes per chunk, so
-    chunking shifts values within codec error).  The default
-    ``num_chunks=1`` with ``pipeline="sync"`` runs exactly the
-    pre-pipeline code path.  The dense reference is never chunked:
-    asking for ``pipeline="overlap"`` or ``num_chunks > 1`` with it
-    raises.
+    The layer itself never chunks: the paper's Section 4 pipeline (the
+    C1 A1 D1 E C2 A2 D2 chain per chunk on two streams) runs in
+    :class:`~repro.moe.parallel.ExpertParallelGroup`, which borrows
+    this layer's gate and experts (``pipeline=`` and ``num_chunks=``
+    are its arguments).
     """
 
     def __init__(
@@ -130,32 +115,14 @@ class MoELayer(Module):
         gate_noise_std: float = 0.0,
         gate_type: str = "topk",
         dispatch_mode: Optional[str] = None,
-        pipeline: str = "sync",
-        num_chunks: int = 1,
     ):
         super().__init__()
-        # Imported lazily: repro.core pulls this module back in.
-        from ..core.runtime import validate_pipeline
-
-        self.pipeline = validate_pipeline(pipeline)
-        if num_chunks < 1:
-            raise ValueError(f"num_chunks must be >= 1, got {num_chunks}")
-        self.num_chunks = int(num_chunks)
-        self._executor = None
         if dispatch_mode is None:
             dispatch_mode = _default_dispatch_mode
         if dispatch_mode not in DISPATCH_MODES:
             raise ValueError(
                 f"unknown dispatch_mode {dispatch_mode!r}; "
                 f"expected one of {DISPATCH_MODES}"
-            )
-        if dispatch_mode == "dense" and (
-            self.pipeline != "sync" or self.num_chunks != 1
-        ):
-            raise ValueError(
-                "the dense reference layer runs unchunked: "
-                f"pipeline={self.pipeline!r} num_chunks={self.num_chunks} "
-                "needs dispatch_mode='sparse'"
             )
         self.dispatch_mode = dispatch_mode
         self.model_dim = model_dim
@@ -223,8 +190,7 @@ class MoELayer(Module):
         crashing.  Pass an empty collection to restore full health;
         with no dead experts the forward path is bit-identical to a
         layer that never heard of faults.  Rejected while a forward is
-        in flight (the overlap pipeline's task threads read routing
-        state without locks).
+        in flight (see :meth:`forward`).
 
         Recovering the lost experts instead of degrading — adopting
         them on surviving workers and re-instantiating parameters — is
@@ -233,8 +199,8 @@ class MoELayer(Module):
         if self._in_forward:
             raise RuntimeError(
                 "the dead-expert set cannot change while a forward "
-                "pass is in flight: the pipeline's task threads are "
-                "reading it; mutate the layer only between forwards"
+                "pass is in flight; mutate the layer only between "
+                "forwards"
             )
         dead = frozenset(int(e) for e in dead_experts)
         num_experts = self.gate.num_experts
@@ -266,9 +232,11 @@ class MoELayer(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, L, M) or (T, M) in; same shape out."""
-        # Mirrors ExpertParallelGroup's in-flight guard: under
-        # pipeline="overlap" the chunked path's StreamExecutor threads
-        # read routing state, so set_dead_experts mid-forward is a race.
+        # Mirrors ExpertParallelGroup's in-flight guard.  The dead set
+        # is read once, right after gating, so a change from inside
+        # the pass (a hook, another thread) would miss the pass in
+        # flight while dead_experts already reported it;
+        # set_dead_experts fails loudly instead.
         self._in_forward = True
         try:
             return self._forward_impl(x)
@@ -292,10 +260,9 @@ class MoELayer(Module):
 
         if self.dispatch_mode == "dense":
             merged = self._forward_dense(tokens, gate_out)
-        elif self.num_chunks == 1 and self.pipeline == "sync":
+        else:
             # Capacity-free hot path: flat rows sorted by expert, no
-            # (E, C, M) buffer on either side of the expert FFNs.  This
-            # unchunked branch is the pre-pipeline code, byte for byte.
+            # (E, C, M) buffer on either side of the expert FFNs.
             rows, routing = dispatch_grouped(
                 tokens,
                 gate_out.expert_indices,
@@ -319,8 +286,6 @@ class MoELayer(Module):
                 gate_out.gate_weights,
                 gate_out.num_tokens,
             )
-        else:
-            merged = self._forward_grouped_chunked(tokens, gate_out)
         if len(original_shape) == 3:
             return merged.reshape(original_shape)
         return merged
@@ -332,162 +297,6 @@ class MoELayer(Module):
         dispatched = self._transport(dispatched)  # first A2A
         expert_out = self._transport(self.experts(dispatched))  # second A2A
         return combine(expert_out, gate_out.combine_weights)
-
-    def _forward_grouped_chunked(
-        self, tokens: Tensor, gate_out: GateOutput
-    ) -> Tensor:
-        """Chunked task-graph execution of the grouped hot path.
-
-        The batch splits into ``num_chunks`` contiguous token ranges
-        (the paper's partition degree r); each range runs the
-        C1 A1 D1 E C2 A2 D2 chain of :mod:`repro.core.tasks` with real
-        work: C1 = the chunk's restriction of the gate's cached
-        :class:`~repro.moe.routing.RoutingPlan` plus the token gather,
-        A1 / A2 = the codec transport hop, E =
-        :meth:`~repro.moe.experts.Experts.run_grouped`, D2 =
-        :func:`combine_grouped` into the chunk's own output rows (D1
-        and C2 have nothing to do single-process — the flat rows *are*
-        the received layout).  Chunk outputs concatenate back in token
-        order.  Every task builds autograd nodes only on its chunk's
-        private subgraph, so the overlap executor's two threads never
-        race on tape state; backward runs later, single-threaded.
-
-        C1 never sorts: chunk boundaries never split a token's k
-        assignments, and restricting the plan's global expert-major
-        order to a contiguous token range yields bit-for-bit what a
-        per-chunk stable argsort (the pre-fusion C1) would — a masked
-        slice of the one permutation the gate already computed.
-        """
-        from ..core.runtime import (
-            StreamExecutor,
-            chunk_bounds,
-            run_inline,
-        )
-        from ..core.tasks import Task, TaskKind
-        from ..nn.tensor import concatenate, gather
-
-        gate = gate_out
-        plan = gate.plan
-        r = self.num_chunks
-        bounds = chunk_bounds(gate.num_tokens, r)
-        flat = np.asarray(gate.expert_indices).ndim == 1
-        if flat:
-            owner = np.asarray(gate.token_indices)
-        # Owning chunk of each grouped (expert-major) row.
-        chunk_of = (
-            np.searchsorted(bounds, plan.grouped_token_ids, side="right") - 1
-        )
-
-        chunks = []
-        for c in range(r):
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            if flat:
-                # Flat (N,) layout: the chunk's gate weights are the
-                # assignments whose owning token falls in the range
-                # (``pos`` ascending, so searchsorted re-bases the
-                # plan's global flat positions to this slice in C1).
-                (pos,) = np.nonzero((owner >= lo) & (owner < hi))
-                chunks.append(
-                    dict(
-                        tokens=tokens[lo:hi],
-                        lo=lo,
-                        pos=pos,
-                        gate_weights=gate.gate_weights[pos],
-                        num_tokens=hi - lo,
-                    )
-                )
-            else:
-                chunks.append(
-                    dict(
-                        tokens=tokens[lo:hi],
-                        lo=lo,
-                        pos=None,
-                        gate_weights=gate.gate_weights[lo:hi],
-                        num_tokens=hi - lo,
-                    )
-                )
-
-        rows: list = [None] * r
-        routing: list = [None] * r
-        expert_rows: list = [None] * r
-        merged: list = [None] * r
-        dispatched: list = [None] * r
-
-        record_dispatched = not is_inference()
-
-        def c1(c):
-            (m,) = np.nonzero(chunk_of == c)
-            local_tok = plan.grouped_token_ids[m] - chunks[c]["lo"]
-            counts = np.bincount(
-                plan.grouped_expert_ids[m], minlength=gate.num_experts
-            ).astype(np.int64)
-            if flat:
-                weight_index = (
-                    np.searchsorted(
-                        chunks[c]["pos"], plan.grouped_weight_index[0][m]
-                    ),
-                )
-            else:
-                weight_index = (local_tok, plan.grouped_weight_index[1][m])
-            routing[c] = GroupedRouting(
-                segment_counts=counts,
-                token_ids=local_tok,
-                weight_index=weight_index,
-            )
-            rows[c] = gather(chunks[c]["tokens"], local_tok)
-            if record_dispatched:
-                dispatched[c] = rows[c].data
-
-        def a1(c):
-            rows[c] = self._transport(rows[c])  # first A2A
-
-        def e(c):
-            expert_rows[c] = self.experts.run_grouped(
-                rows[c], routing[c].segment_counts
-            )
-
-        def a2(c):
-            expert_rows[c] = self._transport(expert_rows[c])  # second A2A
-
-        def d2(c):
-            merged[c] = combine_grouped(
-                expert_rows[c],
-                routing[c],
-                chunks[c]["gate_weights"],
-                chunks[c]["num_tokens"],
-            )
-
-        def noop(c):
-            pass
-
-        step = {
-            TaskKind.C1: c1,
-            TaskKind.A1: a1,
-            TaskKind.D1: noop,
-            TaskKind.E: e,
-            TaskKind.C2: noop,
-            TaskKind.A2: a2,
-            TaskKind.D2: d2,
-        }
-        fns = {
-            Task(kind, chunk): (lambda k=kind, c=chunk: step[k](c))
-            for chunk in range(r)
-            for kind in step
-        }
-        if self.pipeline == "overlap":
-            if self._executor is None:
-                self._executor = StreamExecutor()
-            self._executor.run(r, fns)
-        else:
-            run_inline(r, fns)
-
-        # Chunk-major rather than globally expert-sorted, but still
-        # exactly the rows the (chunked) first A2A shipped.  The
-        # forward-only path skips the alloc-and-copy entirely.
-        self.last_dispatched = (
-            np.concatenate(dispatched, axis=0) if record_dispatched else None
-        )
-        return concatenate(merged, axis=0)
 
     def forward_inference(self, x: Tensor) -> Tensor:
         """Forward-only hot path (see :meth:`Module.forward_inference`).

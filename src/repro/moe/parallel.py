@@ -196,9 +196,15 @@ class ExpertParallelGroup:
         self.num_chunks = int(num_chunks)
         self._executor = StreamExecutor(scheduler)
         self._pool = BufferPool()
+        #: Scratch of :meth:`forward_inference`, over the staging pool.
+        self._inference_arena = Arena(pool=self._pool)
         #: Per-task (start, end) seconds of the most recent chunked
         #: forward (both pipeline modes), for overlap introspection.
         self.last_timeline: Optional[dict] = None
+        #: Byte accounting of the most recent forward's two exchanges
+        #: (``None`` until the first forward).
+        self.last_dispatch_traffic: Optional[A2ATraffic] = None
+        self.last_combine_traffic: Optional[A2ATraffic] = None
         self._in_forward = False
         self._dead_workers: frozenset = frozenset()
         self._placement: ExpertPlacement = placement
@@ -414,9 +420,7 @@ class ExpertParallelGroup:
         the arena, after which their storage is recycled — copy
         anything that must live longer.
         """
-        arena = getattr(self, "_inference_arena", None)
-        if arena is None:
-            arena = self._inference_arena = Arena(pool=self._pool)
+        arena = self._inference_arena
         was_training = self.layer.training
         if was_training:
             self.layer.eval()

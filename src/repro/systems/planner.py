@@ -88,11 +88,12 @@ class PlanSpace:
     """The joint knob space the planner searches.
 
     Every entry must name a registered scheduler / A2A algorithm /
-    compressor; the numerical-substrate knobs (``dispatch_mode``,
-    ``pipeline``) are not part of the analytic search — the hot-path
-    benchmarks show one dominant choice (sparse, overlap iff r > 1),
-    which the report derives from the winning partition degree (see
-    :func:`layer_recommendation`).
+    compressor; the numerical-substrate knobs (the layer's
+    ``dispatch_mode``, and ``pipeline`` / ``num_chunks`` of
+    :class:`~repro.moe.parallel.ExpertParallelGroup`) are not part of
+    the analytic search — the hot-path benchmarks show one dominant
+    choice (sparse, overlap iff r > 1), which the report derives from
+    the winning partition degree (see :func:`layer_recommendation`).
     """
 
     schedulers: Tuple[str, ...] = ("sequential", "chunk-pipeline", "optsche")
@@ -216,7 +217,10 @@ class PlanCandidate:
 def layer_recommendation(partitions: int) -> dict:
     """Numerical-substrate knobs implied by the winning degree.
 
-    ``sparse`` dominates every measured configuration
+    ``dispatch_mode`` is the :class:`~repro.moe.layer.MoELayer`'s
+    argument; ``pipeline`` and ``num_chunks`` are those of the
+    :class:`~repro.moe.parallel.ExpertParallelGroup` that runs the
+    layer chunked.  ``sparse`` dominates every measured configuration
     (BENCH_hotpath.json); pipelined overlap only exists for r > 1 and
     the chunk count mirrors the timing substrate's partition degree.
     """

@@ -115,6 +115,25 @@ def test_schemoe_layer_validates_names(rng):
         ScheMoELayer(16, 32, 4, rng, partitions=0)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_schemoe_layer_rejects_bool_partitions(rng, flag):
+    """``True`` is an int subclass, not a partition degree."""
+    with pytest.raises(ValueError, match="partitions"):
+        ScheMoELayer(16, 32, 4, rng, partitions=flag)
+
+
+def test_schemoe_layer_accepts_numpy_integer_partitions(paper_spec):
+    """A numpy integer degree plans exactly like the same Python int."""
+
+    def plan(partitions):
+        layer = ScheMoELayer(
+            64, 128, 32, np.random.default_rng(0), partitions=partitions
+        )
+        return layer.plan(paper_spec, batch_per_gpu=4, seq_len=128)
+
+    assert plan(np.int64(2)).step_seconds == plan(2).step_seconds
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         SystemPolicy(name="x", partitions=0)

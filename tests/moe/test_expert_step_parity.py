@@ -53,7 +53,6 @@ def _lm_loss(model: TransformerLM) -> Tensor:
 
 MODELS = {
     "topk": (_layer, _layer_loss),
-    "topk_three_chunks": (lambda: _layer(num_chunks=3), _layer_loss),
     "expert_choice": (lambda: _layer(gate_type="expert-choice"), _layer_loss),
     "lm": (_lm, _lm_loss),
 }

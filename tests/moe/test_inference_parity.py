@@ -2,11 +2,13 @@
 
 ``MoELayer.forward_inference`` must compute *byte-for-byte* the same
 output as the training-tape ``forward`` on an ``eval()`` layer —
-across both gate families, sync and overlapped chunked pipelines, dead-expert degradation and the T=0
+across both gate families, dead-expert degradation and the T=0
 edge — while recording no tape and drawing its large intermediates
 from the layer's step-scoped arena (so steady state performs zero
 large allocations).  Anything weaker than ``np.array_equal`` here
 would hide a divergence between what we benchmark and what we train.
+The chunked sync and overlap pipelines are checked the same way through
+``ExpertParallelGroup.forward_inference``, the only chunked executor.
 """
 
 import numpy as np
@@ -20,8 +22,6 @@ from repro.nn import Tensor
 def make_layer(
     seed=0,
     gate_type="topk",
-    pipeline="sync",
-    num_chunks=1,
     num_experts=8,
     capacity_factor=2.0,
 ):
@@ -33,8 +33,6 @@ def make_layer(
         top_k=2,
         capacity_factor=capacity_factor,
         gate_type=gate_type,
-        pipeline=pipeline,
-        num_chunks=num_chunks,
     ).eval()
 
 
@@ -56,12 +54,6 @@ def assert_inference_matches(layer, x, rng_out=None):
 def test_parity_across_gates(rng, gate_type):
     layer = make_layer(gate_type=gate_type)
     assert_inference_matches(layer, tokens(rng))
-
-
-@pytest.mark.parametrize("pipeline,num_chunks", [("sync", 3), ("overlap", 3)])
-def test_parity_chunked_pipelines(rng, pipeline, num_chunks):
-    layer = make_layer(pipeline=pipeline, num_chunks=num_chunks)
-    assert_inference_matches(layer, tokens(rng, n=120))
 
 
 def test_parity_with_dead_experts(rng):

@@ -124,7 +124,7 @@ def forward_or_hang(group, shards, timeout=60.0):
         except BaseException as exc:
             box["exc"] = exc
 
-    thread = threading.Thread(target=target)
+    thread = threading.Thread(target=target, daemon=True)
     thread.start()
     thread.join(timeout)
     assert not thread.is_alive(), "forward deadlocked"

@@ -14,9 +14,9 @@ The contract that gates the overlap work (paper Section 4 made real):
   error — the documented exception.)
 * ``num_chunks=1`` + ``pipeline="sync"`` reproduces the pre-pipeline
   capacity-padded execution bit-for-bit (hand-rolled reference below).
-* The chunked MoELayer grouped path matches the unchunked layer:
-  forward bit-exact, gradients to 1e-6 (chunking reassociates float
-  accumulations in backward).
+
+The group is the only chunked executor (``MoELayer`` itself always
+runs unchunked); its sync pipeline is the reference for overlap.
 """
 
 import numpy as np
@@ -233,75 +233,7 @@ def test_single_chunk_sync_matches_legacy_reference(
     np.testing.assert_array_equal(out, legacy)
 
 
-# -- the chunked MoELayer path -----------------------------------------------
-
-
-def run_layer_step(gate_type, x_data, **layer_kw):
-    layer = make_layer(gate_type, **layer_kw)
-    x = Tensor(x_data.copy(), requires_grad=True)
-    y = layer(x)
-    ((y**2).sum() + 0.0 * layer.last_aux_loss).backward()
-    return (
-        np.array(y.data),
-        np.array(x.grad),
-        [np.array(p.grad) for p in layer.parameters()],
-    )
-
-
-@pytest.mark.parametrize("gate_type", GATES)
-@pytest.mark.parametrize("pipeline", ["sync", "overlap"])
-@pytest.mark.parametrize("num_chunks", [1, 3, 37, 64])
-def test_layer_chunked_matches_unchunked(rng, gate_type, pipeline, num_chunks):
-    """Forward bit-exact; grads to 1e-6 (documented reassociation)."""
-    x_data = rng.standard_normal((37, 16)).astype(np.float32)
-    y0, xg0, pg0 = run_layer_step(gate_type, x_data)
-    y, xg, pg = run_layer_step(
-        gate_type, x_data, pipeline=pipeline, num_chunks=num_chunks
-    )
-    np.testing.assert_array_equal(y, y0)
-    np.testing.assert_allclose(xg, xg0, rtol=1e-5, atol=1e-6)
-    for g, g0 in zip(pg, pg0):
-        np.testing.assert_allclose(g, g0, rtol=1e-5, atol=1e-6)
-
-
-@pytest.mark.parametrize("gate_type", GATES)
-def test_layer_overlap_matches_sync_bitwise(rng, gate_type):
-    """Same chunking, both pipelines: forward AND grads bit-equal."""
-    x_data = rng.standard_normal((30, 16)).astype(np.float32)
-    for codec in (None, Zfp16Compressor()):
-        ys, xgs, pgs = run_layer_step(
-            gate_type, x_data, compressor=codec, pipeline="sync",
-            num_chunks=4,
-        )
-        yo, xgo, pgo = run_layer_step(
-            gate_type, x_data, compressor=codec, pipeline="overlap",
-            num_chunks=4,
-        )
-        np.testing.assert_array_equal(yo, ys)
-        np.testing.assert_array_equal(xgo, xgs)
-        for a, b in zip(pgo, pgs):
-            np.testing.assert_array_equal(a, b)
-
-
-def test_layer_dead_experts_chunked(rng):
-    """Graceful degradation composes with the chunked path."""
-    x_data = rng.standard_normal((24, 16)).astype(np.float32)
-
-    def run(pipeline, num_chunks):
-        layer = make_layer("topk", pipeline=pipeline, num_chunks=num_chunks)
-        layer.set_dead_experts({1, 2})
-        return np.array(layer(Tensor(x_data.copy())).data)
-
-    base = run("sync", 1)
-    for pipeline in ("sync", "overlap"):
-        np.testing.assert_array_equal(run(pipeline, 3), base)
-
-
 def test_validation():
-    with pytest.raises(ValueError, match="pipeline"):
-        make_layer("topk", pipeline="async")
-    with pytest.raises(ValueError, match="num_chunks"):
-        make_layer("topk", num_chunks=0)
     layer = make_layer("topk")
     with pytest.raises(ValueError, match="pipeline"):
         ExpertParallelGroup(layer, 4, pipeline="bogus")
@@ -309,19 +241,6 @@ def test_validation():
         ExpertParallelGroup(layer, 4, num_chunks=0)
     with pytest.raises(ValueError, match="link_bandwidth"):
         ExpertParallelGroup(layer, 4, link_bandwidth=-1.0)
-
-
-@pytest.mark.parametrize(
-    "pipeline,num_chunks", [("overlap", 1), ("sync", 2), ("overlap", 3)]
-)
-def test_dense_layer_rejects_chunking(pipeline, num_chunks):
-    """The dense reference never runs chunked; asking for it raises."""
-    with pytest.raises(ValueError, match="dense"):
-        make_layer(
-            "topk", dispatch_mode="dense", pipeline=pipeline,
-            num_chunks=num_chunks,
-        )
-    make_layer("topk", dispatch_mode="dense")  # unchunked is fine
 
 
 def test_group_rejects_dense_layer():
@@ -341,3 +260,13 @@ def test_timeline_recorded(rng):
     assert len(group.last_timeline) == 7 * 3
     for start, end in group.last_timeline.values():
         assert 0.0 <= start <= end
+
+
+def test_fresh_group_state_is_defined():
+    """Every ``last_*`` record reads ``None`` before the first forward."""
+    group = ExpertParallelGroup(make_layer("topk"), 4)
+    assert group.last_timeline is None
+    assert group.last_dispatch_traffic is None
+    assert group.last_combine_traffic is None
+    assert group._inference_arena.live_buffers == 0
+    assert group._inference_arena.pool is group._pool
