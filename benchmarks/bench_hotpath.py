@@ -1,34 +1,35 @@
-"""Hot-path micro-benchmark: the production path against the reference.
+"""Hot-path benchmark: each speedup claim as a paired A/B comparison.
 
-Times the MoE numerical hot path — gating, dispatch, combine, expert
-execution, and a full training step (forward + backward) — comparing
-the dense reference against the sparse production path:
+Every claim compares two callables on the same inputs — a reference
+A against the path that replaces it, B.  :func:`paired` warms both,
+then times ``PAIRS`` pairs, A first on even pairs and B first on odd
+ones, and reports each side's median and quartiles, the median and
+quartiles of the per-pair ratio A/B, and how many pairs B won.  The
+claim is the median pair ratio, so host-speed drift cancels within a
+pair.  The claims and their floors (asserted by
+:func:`check_acceptance` in full mode):
 
-* dispatch + combine: ``dense`` GShard einsums over one-hot (T, E, C)
-  masks (``O(T * E * C * M)`` work) vs the capacity-free grouped pair
-  (:func:`~repro.moe.dispatch.dispatch_grouped` /
-  :func:`~repro.moe.dispatch.combine_grouped`, ``O(T * k * M)`` work);
+* dispatch + combine, forward + backward: the ``dense`` GShard einsums
+  over one-hot (T, E, C) masks (``O(T * E * C * M)`` work) against the
+  capacity-free grouped pair (:func:`~repro.moe.dispatch.dispatch_grouped`
+  / :func:`~repro.moe.dispatch.combine_grouped`, ``O(T * k * M)``
+  work), for the top-k and the expert-choice gate — >= 5x each;
 * capacity-freedom: the grouped routed step (sort the flat rows by
   expert, segment-matmul, combine from the flat rows — no (E, C, M)
-  buffer) swept across capacity factors 1..8 — its step time must
-  stay ~flat.
+  buffer) at cf against cf=1 — max/min of the ratios (and 1) <= 2;
+* overlap: the sequential schedule against the chunked task-graph
+  executor (``pipeline="overlap"``) across partition degrees r, zfp
+  and the 1 Gb/s wire-time model on, outputs asserted bit-identical
+  first — the ScheMoE Figure-9-style comparison, >= 1.15x at r=4;
+* training step: the dense reference layer (einsums around the
+  per-expert loop) against the sparse production layer — > 1.2x;
+* inference forward: the training-tape forward of an ``eval()`` layer
+  against :meth:`~repro.moe.layer.MoELayer.forward_inference` — >= 1.5x,
+  and (untimed, tracemalloc) a steady-state inference step allocates
+  at most half the tape forward's peak.
 
-Both the top-k and the expert-choice gate are timed — the latter
-emits the flat expert-major sparse form.  The training-step row
-compounds the levers: the dense reference layer (einsums around the
-per-expert loop) against the sparse production layer.
-
-The ``overlap`` section sweeps the chunked task-graph executor
-(``pipeline="overlap"``) against the sequential schedule across
-partition degrees r, with the zfp codec and the 1 Gb/s wire-time
-model enabled — the ScheMoE Figure-9-style sync-vs-overlap
-comparison, bit-identical outputs asserted before timing.
-
-Emits a machine-readable ``BENCH_hotpath.json`` at the repository
-root (plus the usual ``benchmarks/out/`` block) so the perf
-trajectory of the hot path is tracked PR over PR.
-
-Run directly (``--tiny`` for the CI smoke configuration)::
+Results land in ``benchmarks/out/hotpath.{txt,json}``.  Run directly
+(``--tiny`` for the CI smoke configuration)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--tiny]
 
@@ -38,8 +39,10 @@ or via pytest-benchmark like the other benches.
 from __future__ import annotations
 
 import argparse
-import json
+import operator
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +60,14 @@ from repro.moe.gating_ec import ExpertChoiceGate
 from repro.nn import Tensor
 
 from _util import emit, once
+from bench_inference import FULL as FULL_INFER, TINY as TINY_INFER
+from bench_inference import make_input, make_layer
 
-ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+from compare import summary  # noqa: E402
+
+#: Timed pairs per claim, after one warm-up call of each side.
+PAIRS = 10
 
 #: The acceptance configuration for dispatch+combine (T, E, k, M).
 FULL = {"tokens": 4096, "experts": 32, "top_k": 2, "model_dim": 1024}
@@ -74,7 +83,7 @@ FULL_STEP = {
 #: Capacity-factor sweep of the grouped routed step.  At cf=4.0 a
 #: capacity buffer would be only ~25% occupied; the capacity-free
 #: grouped path touches the N routed rows only, so its step time must
-#: stay ~flat as cf grows.
+#: stay ~flat as cf grows.  The first factor is the baseline B.
 FULL_GROUPED = {
     "tokens": 4096,
     "experts": 32,
@@ -133,107 +142,75 @@ TINY_OVERLAP = {
     "headline_chunks": 2,
 }
 
+#: Each claim's floor on its acceptance value: (comparison, threshold).
+FLOORS = {
+    "dispatch_combine_speedup": (">=", 5.0),
+    "ec_dispatch_combine_speedup": (">=", 5.0),
+    "grouped_cf_flatness": ("<=", 2.0),
+    "overlap_speedup": (">=", 1.15),
+    "train_step_speedup": (">", 1.2),
+    "inference_forward_speedup": (">=", 1.5),
+    "inference_steady_step_peak_ratio": ("<=", 0.5),
+}
+_COMPARE = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+def _quartiles(values) -> dict:
+    median, q1, q3, _ = summary(values)
+    return {"median": median, "q1": q1, "q3": q3}
 
 
-def bench_routing(cfg: dict, repeats: int) -> dict:
-    """Gating / dispatch / combine timings in both modes.
+def paired(a, b) -> dict:
+    """Time ``a`` against ``b`` in ``PAIRS`` alternating pairs.
 
-    The ``sparse`` side is the production pair
-    (:func:`dispatch_grouped` / :func:`combine_grouped`, reusing the
-    gate's cached routing plan exactly as the layer does).
+    One warm-up call of each side, then pair ``i`` runs A first when
+    ``i`` is even and B first when it is odd.  Returns each side's
+    seconds (``a``, ``b``) and the per-pair ratio A/B (``ratio``) as
+    median and quartiles, plus ``b_wins``, the pairs where B was
+    faster.
     """
-    tokens, experts = cfg["tokens"], cfg["experts"]
-    top_k, model_dim = cfg["top_k"], cfg["model_dim"]
-    rng = np.random.default_rng(0)
-    gate = TopKGate(model_dim, experts, rng, top_k=top_k)
-    x = Tensor(
-        rng.standard_normal((tokens, model_dim)).astype(np.float32),
-        requires_grad=True,
-    )
-
-    gating_sparse = _best_of(lambda: gate(x.detach()), repeats)
-    out = gate(x.detach())
-
-    def densify():
-        fresh = gate(x.detach())
-        fresh.dispatch_mask
-        fresh.combine_weights
-    gating_dense = _best_of(densify, repeats)
-
-    mask = out.dispatch_mask
-    weights = out.combine_weights.detach()
-    gate_weights = out.gate_weights.detach()
-    seed = np.ones((tokens, model_dim), dtype=np.float32)
-
-    def dense_roundtrip():
-        x.zero_grad()
-        routed = dispatch(x, mask)
-        merged = combine(routed, weights)
-        merged.backward(seed)
-
-    def sparse_roundtrip():
-        x.zero_grad()
-        rows, routing = dispatch_grouped(
-            x, out.expert_indices, out.slot_indices, experts,
-            plan=out.plan,
-        )
-        combine_grouped(rows, routing, gate_weights, tokens).backward(seed)
-
-    dense_dc = _best_of(dense_roundtrip, repeats)
-    sparse_dc = _best_of(sparse_roundtrip, repeats)
+    a()
+    b()
+    a_s, b_s = [], []
+    for i in range(PAIRS):
+        sides = ((a, a_s), (b, b_s))
+        for fn, times in sides if i % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
     return {
-        "config": dict(cfg, capacity=out.capacity),
-        "gating": {"dense_s": gating_dense, "sparse_s": gating_sparse},
-        "dispatch_combine_fwd_bwd": {
-            "dense_s": dense_dc,
-            "sparse_s": sparse_dc,
-            "speedup": dense_dc / sparse_dc,
-        },
+        "a": _quartiles(a_s),
+        "b": _quartiles(b_s),
+        "ratio": _quartiles([x / y for x, y in zip(a_s, b_s)]),
+        "b_wins": sum(y < x for x, y in zip(a_s, b_s)),
     }
 
 
-def bench_routing_ec(cfg: dict, repeats: int) -> dict:
-    """Expert-choice dispatch/combine timings in both modes.
+def bench_routing(cfg: dict, gate_cls) -> dict:
+    """Dense einsum dispatch+combine f+b against the grouped pair.
 
-    Same harness as :func:`bench_routing`, but the gate emits the
-    *flat* sparse routing form (expert-major assignments).
+    B is the production pair (:func:`dispatch_grouped` /
+    :func:`combine_grouped`, reusing the gate's cached routing plan
+    exactly as the layer does).  ``gate_cls`` is :class:`TopKGate`
+    (token-major routing) or :class:`ExpertChoiceGate` (the flat
+    expert-major form).
     """
     tokens, experts = cfg["tokens"], cfg["experts"]
-    top_k, model_dim = cfg["top_k"], cfg["model_dim"]
     rng = np.random.default_rng(0)
-    gate = ExpertChoiceGate(model_dim, experts, rng, top_k=top_k)
+    gate = gate_cls(cfg["model_dim"], experts, rng, top_k=cfg["top_k"])
     x = Tensor(
-        rng.standard_normal((tokens, model_dim)).astype(np.float32),
+        rng.standard_normal((tokens, cfg["model_dim"])).astype(np.float32),
         requires_grad=True,
     )
-
-    gating_sparse = _best_of(lambda: gate(x.detach()), repeats)
     out = gate(x.detach())
-
-    def densify():
-        fresh = gate(x.detach())
-        fresh.dispatch_mask
-        fresh.combine_weights
-    gating_dense = _best_of(densify, repeats)
-
     mask = out.dispatch_mask
     weights = out.combine_weights.detach()
     gate_weights = out.gate_weights.detach()
-    seed = np.ones((tokens, model_dim), dtype=np.float32)
+    seed = np.ones((tokens, cfg["model_dim"]), dtype=np.float32)
 
     def dense_roundtrip():
         x.zero_grad()
-        routed = dispatch(x, mask)
-        merged = combine(routed, weights)
-        merged.backward(seed)
+        combine(dispatch(x, mask), weights).backward(seed)
 
     def sparse_roundtrip():
         x.zero_grad()
@@ -243,38 +220,31 @@ def bench_routing_ec(cfg: dict, repeats: int) -> dict:
         )
         combine_grouped(rows, routing, gate_weights, tokens).backward(seed)
 
-    dense_dc = _best_of(dense_roundtrip, repeats)
-    sparse_dc = _best_of(sparse_roundtrip, repeats)
     return {
         "config": dict(cfg, capacity=out.capacity),
-        "gating": {"dense_s": gating_dense, "sparse_s": gating_sparse},
-        "dispatch_combine_fwd_bwd": {
-            "dense_s": dense_dc,
-            "sparse_s": sparse_dc,
-            "speedup": dense_dc / sparse_dc,
-        },
+        **paired(dense_roundtrip, sparse_roundtrip),
     }
 
 
-def bench_grouped(cfg: dict, repeats: int) -> dict:
-    """The capacity-free grouped routed step across capacity factors.
+def bench_grouped(cfg: dict) -> dict:
+    """The capacity-free grouped routed step at each cf against cf=1.
 
     Times the full *routed step* — dispatch, expert execution, combine,
-    forward and backward — from the same gate output, across a sweep
-    of capacity factors.  The grouped path sorts the flat N routed
-    rows once and never sees C, so its step time stays ~flat as cf
-    grows.
+    forward and backward — from each capacity factor's gate output.
+    The grouped path sorts the flat N routed rows once and never sees
+    C, so each ratio should sit near 1.
     """
     tokens, experts = cfg["tokens"], cfg["experts"]
-    top_k, model_dim = cfg["top_k"], cfg["model_dim"]
+    model_dim = cfg["model_dim"]
     bank = Experts(
         experts, model_dim, cfg["hidden_dim"], np.random.default_rng(1)
     )
-    rows_out = []
-    for cf in cfg["capacity_factors"]:
+    seed = np.ones((tokens, model_dim), dtype=np.float32)
+
+    def routed_step(cf: float):
         rng = np.random.default_rng(0)
         gate = TopKGate(
-            model_dim, experts, rng, top_k=top_k, capacity_factor=cf
+            model_dim, experts, rng, top_k=cfg["top_k"], capacity_factor=cf
         )
         x = Tensor(
             rng.standard_normal((tokens, model_dim)).astype(np.float32),
@@ -282,11 +252,10 @@ def bench_grouped(cfg: dict, repeats: int) -> dict:
         )
         out = gate(x.detach())
         gate_weights = out.gate_weights.detach()
-        seed = np.ones((tokens, model_dim), dtype=np.float32)
 
         # Reuses the gate's cached RoutingPlan, exactly as MoELayer's
         # hot path does — no per-step re-sort or kept scan.
-        def grouped_step():
+        def step():
             x.zero_grad()
             for p in bank.parameters():
                 p.zero_grad()
@@ -299,29 +268,35 @@ def bench_grouped(cfg: dict, repeats: int) -> dict:
                 expert_rows, routing, gate_weights, tokens
             ).backward(seed)
 
-        rows_out.append({
-            "capacity_factor": cf,
-            "capacity": out.capacity,
-            "occupancy": float(
-                out.expert_load.sum() / (experts * max(out.capacity, 1))
-            ),
-            "grouped_s": _best_of(grouped_step, repeats),
-        })
+        occupancy = out.expert_load.sum() / (experts * max(out.capacity, 1))
+        return step, out.capacity, float(occupancy)
 
-    grouped_times = [r["grouped_s"] for r in rows_out]
+    base_cf, *factors = cfg["capacity_factors"]
+    base_step, _, _ = routed_step(base_cf)
+    rows = []
+    for cf in factors:
+        step, capacity, occupancy = routed_step(cf)
+        rows.append({
+            "capacity_factor": cf,
+            "capacity": capacity,
+            "occupancy": occupancy,
+            **paired(step, base_step),
+        })
+    ratios = [1.0] + [row["ratio"]["median"] for row in rows]
     return {
         "config": {
             k: v for k, v in cfg.items() if k != "capacity_factors"
         },
-        "by_capacity_factor": rows_out,
-        # max/min grouped step time across the cf sweep — ~1.0 means
-        # the capacity factor really left the hot path.
-        "grouped_cf_flatness": max(grouped_times) / min(grouped_times),
+        "base_capacity_factor": base_cf,
+        "by_capacity_factor": rows,
+        # max/min over 1 and the median ratios — ~1.0 means the
+        # capacity factor really left the hot path.
+        "grouped_cf_flatness": max(ratios) / min(ratios),
     }
 
 
-def bench_overlap(cfg: dict, repeats: int) -> dict:
-    """Chunked task-graph pipeline vs the sequential schedule.
+def bench_overlap(cfg: dict) -> dict:
+    """The sequential schedule against the chunked task-graph pipeline.
 
     Runs the expert-parallel forward through ``ExpertParallelGroup``
     in both pipeline modes across a sweep of partition degrees
@@ -351,8 +326,8 @@ def bench_overlap(cfg: dict, repeats: int) -> dict:
 
     rows = []
     for num_chunks in cfg["num_chunks_sweep"]:
-        groups = {
-            pipeline: ExpertParallelGroup(
+        sync, overlap = (
+            ExpertParallelGroup(
                 layer,
                 cfg["workers"],
                 pipeline=pipeline,
@@ -360,21 +335,17 @@ def bench_overlap(cfg: dict, repeats: int) -> dict:
                 link_bandwidth=bandwidth,
             )
             for pipeline in ("sync", "overlap")
-        }
-        outs = {
-            pipeline: group.forward_concatenated(shards)
-            for pipeline, group in groups.items()
-        }
-        np.testing.assert_array_equal(outs["overlap"], outs["sync"])
-        sync_s = _best_of(lambda: groups["sync"].forward(shards), repeats)
-        overlap_s = _best_of(
-            lambda: groups["overlap"].forward(shards), repeats
+        )
+        np.testing.assert_array_equal(
+            overlap.forward_concatenated(shards),
+            sync.forward_concatenated(shards),
         )
         rows.append({
             "num_chunks": num_chunks,
-            "sync_s": sync_s,
-            "overlap_s": overlap_s,
-            "speedup": sync_s / overlap_s,
+            **paired(
+                lambda: sync.forward(shards),
+                lambda: overlap.forward(shards),
+            ),
         })
 
     headline = next(
@@ -389,16 +360,15 @@ def bench_overlap(cfg: dict, repeats: int) -> dict:
     }
 
 
-def bench_train_step(cfg: dict, repeats: int) -> dict:
-    """One full MoE-layer training step (fwd + loss + bwd) per mode.
+def bench_train_step(cfg: dict) -> dict:
+    """One MoE-layer training step (fwd + loss + bwd), dense vs sparse.
 
-    ``reference`` is the dense layer (einsum dispatch around the
-    per-expert Python loop); ``optimized`` is the production sparse
-    layer (grouped dispatch, segment-GEMM experts, grouped combine).
+    A is the dense layer (einsum dispatch around the per-expert
+    Python loop); B is the production sparse layer (grouped dispatch,
+    segment-GEMM experts, grouped combine).
     """
-    timings = {}
-    modes = {"reference": "dense", "optimized": "sparse"}
-    for mode, dispatch_mode in modes.items():
+
+    def training_step(dispatch_mode: str):
         rng = np.random.default_rng(7)
         layer = MoELayer(
             cfg["model_dim"],
@@ -422,159 +392,218 @@ def bench_train_step(cfg: dict, repeats: int) -> dict:
             y = layer(x)
             ((y**2).mean() + 0.01 * layer.last_aux_loss).backward()
 
-        timings[f"{mode}_s"] = _best_of(step, repeats)
-    timings["speedup"] = timings["reference_s"] / timings["optimized_s"]
-    return {"config": dict(cfg), **timings}
+        return step
+
+    return {
+        "config": dict(cfg),
+        **paired(training_step("dense"), training_step("sparse")),
+    }
 
 
-def run_hotpath(tiny: bool = False, repeats: int = 3) -> dict:
+def _traced_peak(fn) -> int:
+    """Peak traced bytes across one call (numpy data included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return int(peak)
+
+
+def bench_inference(cfg: dict) -> dict:
+    """The ``eval()`` training-tape forward against ``forward_inference``.
+
+    The full shape uses M=256, H=256 — the fine-grained narrow-expert
+    regime (many small experts, DeepSeek-style) where routing and
+    combine overheads, not the expert GEMMs, dominate the step; that
+    is the regime the tape-free path accelerates.
+    """
+    layer = make_layer(cfg, "topk")
+    x = make_input(cfg)
+    timed = paired(lambda: layer(x), lambda: layer.forward_inference(x))
+    # Memory, untimed (tracemalloc slows every allocation): the tape
+    # forward pays its full allocation peak on every step; the
+    # steady-state inference step draws its large buffers from the
+    # arena the timer already warmed.
+    train_peak = _traced_peak(lambda: layer(x))
+    infer_peak = _traced_peak(lambda: layer.forward_inference(x))
+    return {
+        "config": dict(cfg),
+        **timed,
+        "train_step_peak_bytes": train_peak,
+        "infer_steady_step_peak_bytes": infer_peak,
+        "steady_step_peak_ratio": infer_peak / max(train_peak, 1),
+    }
+
+
+def run_hotpath(tiny: bool = False) -> dict:
     routing_cfg = TINY if tiny else FULL
-    step_cfg = TINY_STEP if tiny else FULL_STEP
-    grouped_cfg = TINY_GROUPED if tiny else FULL_GROUPED
-    overlap_cfg = TINY_OVERLAP if tiny else FULL_OVERLAP
-    routing = bench_routing(routing_cfg, repeats)
-    routing_ec = bench_routing_ec(routing_cfg, repeats)
-    grouped = bench_grouped(grouped_cfg, repeats)
-    overlap = bench_overlap(overlap_cfg, repeats)
-    step = bench_train_step(step_cfg, repeats)
+    routing = bench_routing(routing_cfg, TopKGate)
+    routing_ec = bench_routing(routing_cfg, ExpertChoiceGate)
+    grouped = bench_grouped(TINY_GROUPED if tiny else FULL_GROUPED)
+    overlap = bench_overlap(TINY_OVERLAP if tiny else FULL_OVERLAP)
+    step = bench_train_step(TINY_STEP if tiny else FULL_STEP)
+    inference = bench_inference(TINY_INFER if tiny else FULL_INFER)
     return {
         "bench": "hotpath",
         "mode": "tiny" if tiny else "full",
+        "pairs": PAIRS,
         "routing": routing,
         "routing_expert_choice": routing_ec,
         "grouped": grouped,
         "overlap": overlap,
         "train_step": step,
+        "inference": inference,
         "acceptance": {
-            "overlap_speedup": overlap["headline"]["speedup"],
-            "dispatch_combine_speedup": routing[
-                "dispatch_combine_fwd_bwd"
-            ]["speedup"],
-            "ec_dispatch_combine_speedup": routing_ec[
-                "dispatch_combine_fwd_bwd"
-            ]["speedup"],
+            "dispatch_combine_speedup": routing["ratio"]["median"],
+            "ec_dispatch_combine_speedup": routing_ec["ratio"]["median"],
             "grouped_cf_flatness": grouped["grouped_cf_flatness"],
-            "train_step_speedup": step["speedup"],
+            "overlap_speedup": overlap["headline"]["ratio"]["median"],
+            "train_step_speedup": step["ratio"]["median"],
+            "inference_forward_speedup": inference["ratio"]["median"],
+            "inference_steady_step_peak_ratio": inference[
+                "steady_step_peak_ratio"
+            ],
         },
     }
 
 
-def render(report: dict) -> str:
-    routing = report["routing"]
-    dc = routing["dispatch_combine_fwd_bwd"]
-    ec = report["routing_expert_choice"]
-    ec_dc = ec["dispatch_combine_fwd_bwd"]
-    step = report["train_step"]
-    c = routing["config"]
-    lines = [
-        f"config: T={c['tokens']} E={c['experts']} k={c['top_k']} "
-        f"M={c['model_dim']} C={c['capacity']}  ({report['mode']})",
-        f"expert-choice C={ec['config']['capacity']}",
-        "",
-        f"{'section':<26} {'reference':>10} {'optimized':>10} {'speedup':>8}",
-        (
-            f"{'gating (+densify)':<26} "
-            f"{routing['gating']['dense_s'] * 1e3:>8.1f}ms "
-            f"{routing['gating']['sparse_s'] * 1e3:>8.1f}ms "
-            f"{routing['gating']['dense_s'] / max(routing['gating']['sparse_s'], 1e-12):>7.1f}x"
-        ),
-        (
-            f"{'dispatch+combine f+b':<26} "
-            f"{dc['dense_s'] * 1e3:>8.1f}ms {dc['sparse_s'] * 1e3:>8.1f}ms "
-            f"{dc['speedup']:>7.1f}x"
-        ),
-        (
-            f"{'EC dispatch+combine f+b':<26} "
-            f"{ec_dc['dense_s'] * 1e3:>8.1f}ms "
-            f"{ec_dc['sparse_s'] * 1e3:>8.1f}ms "
-            f"{ec_dc['speedup']:>7.1f}x"
-        ),
-        (
-            f"{'full training step':<26} "
-            f"{step['reference_s'] * 1e3:>8.1f}ms "
-            f"{step['optimized_s'] * 1e3:>8.1f}ms "
-            f"{step['speedup']:>7.1f}x"
-        ),
-        "",
-        "grouped (capacity-free) routed step f+b across capacity factors:",
-        f"{'cf':>6} {'C':>6} {'occ':>6} {'grouped':>10}",
-    ]
-    grouped = report["grouped"]
-    for row in grouped["by_capacity_factor"]:
-        lines.append(
-            f"{row['capacity_factor']:>6.1f} {row['capacity']:>6d} "
-            f"{row['occupancy'] * 100:>5.0f}% "
-            f"{row['grouped_s'] * 1e3:>8.1f}ms"
+def _meets(name: str, value: float) -> bool:
+    op, threshold = FLOORS[name]
+    return _COMPARE[op](value, threshold)
+
+
+def _row(label: str, result: dict) -> str:
+    def span(q: dict, scale: float, fmt: str) -> str:
+        return (
+            f"{q['median'] * scale:{fmt}} "
+            f"[{q['q1'] * scale:{fmt}}, {q['q3'] * scale:{fmt}}]"
         )
-    lines.append(
-        f"grouped step-time spread across cf sweep: "
-        f"{grouped['grouped_cf_flatness']:.2f}x (1.00x = perfectly flat)"
+
+    return (
+        f"{label:<32} {span(result['a'], 1e3, '.1f'):>28} "
+        f"{span(result['b'], 1e3, '.1f'):>28} "
+        f"{span(result['ratio'], 1.0, '.2f'):>22} "
+        f"{result['b_wins']:>3d}/{PAIRS}"
     )
+
+
+def render(report: dict) -> str:
+    c = report["routing"]["config"]
+    grouped = report["grouped"]
     overlap = report["overlap"]
     oc = overlap["config"]
+    inference = report["inference"]
+    ic = inference["config"]
+    header = (
+        f"{'claim (A / B)':<32} {'A ms median [q1, q3]':>28} "
+        f"{'B ms median [q1, q3]':>28} {'A/B median [q1, q3]':>22} "
+        f"{'B won':>6}"
+    )
+    lines = [
+        f"{report['pairs']} pairs per claim after one warm-up of each "
+        f"side; A runs first on even pairs, B on odd ({report['mode']})",
+        "",
+        f"routing: T={c['tokens']} E={c['experts']} k={c['top_k']} "
+        f"M={c['model_dim']} C={c['capacity']} "
+        f"(expert-choice C={report['routing_expert_choice']['config']['capacity']})",
+        header,
+        _row("top-k dispatch+combine f+b", report["routing"]),
+        _row("EC dispatch+combine f+b", report["routing_expert_choice"]),
+        "",
+        "grouped routed step f+b at cf / at "
+        f"cf={grouped['base_capacity_factor']:g}:",
+    ]
+    for row in grouped["by_capacity_factor"]:
+        label = (
+            f"cf={row['capacity_factor']:g} C={row['capacity']} "
+            f"occ={row['occupancy'] * 100:.0f}%"
+        )
+        lines.append(_row(label, row))
     lines += [
+        f"flatness (max/min of 1 and the medians): "
+        f"{grouped['grouped_cf_flatness']:.2f}x",
         "",
         (
-            f"pipeline overlap vs sync (P={oc['workers']} "
-            f"codec={oc['compressor']} link={oc['link_gbps']:g} Gb/s):"
+            f"sync / overlap (P={oc['workers']} codec={oc['compressor']} "
+            f"link={oc['link_gbps']:g} Gb/s):"
         ),
-        f"{'chunks':>6} {'sync':>10} {'overlap':>10} {'speedup':>8}",
     ]
     for row in overlap["by_num_chunks"]:
+        lines.append(_row(f"r={row['num_chunks']}", row))
+    lines += [
+        "",
+        _row("dense / sparse training step", report["train_step"]),
+        _row(
+            f"tape / inference fwd M={ic['model_dim']} "
+            f"H={ic['hidden_dim']}",
+            inference,
+        ),
+        (
+            f"steady-state inference step peak: "
+            f"{inference['infer_steady_step_peak_bytes'] / 2**20:.2f} MiB "
+            f"= {inference['steady_step_peak_ratio'] * 100:.1f}% of the "
+            f"tape forward's "
+            f"{inference['train_step_peak_bytes'] / 2**20:.1f} MiB"
+        ),
+        "",
+        "acceptance (floors asserted in full mode only):",
+    ]
+    for name, (op, threshold) in FLOORS.items():
+        value = report["acceptance"][name]
         lines.append(
-            f"{row['num_chunks']:>6d} "
-            f"{row['sync_s'] * 1e3:>8.1f}ms "
-            f"{row['overlap_s'] * 1e3:>8.1f}ms "
-            f"{row['speedup']:>7.2f}x"
+            f"  {name:<34} {value:>8.3f}  floor {op} {threshold:<5g} "
+            f"{'ok' if _meets(name, value) else 'FAIL'}"
         )
     return "\n".join(lines)
 
 
-def write_report(report: dict) -> None:
-    emit("hotpath", render(report), data=report)
-    # The root artifact tracks the acceptance configuration only — a
-    # --tiny smoke run must not clobber the recorded full numbers, and
-    # a hot-path rerun must not drop the `inference` section that
-    # bench_inference.py merges into the same file.
-    if report["mode"] == "full":
-        merged = dict(report)
-        if ROOT_JSON.exists():
-            try:
-                prior = json.loads(
-                    ROOT_JSON.read_text(encoding="utf-8")
-                )
-            except json.JSONDecodeError:
-                prior = {}
-            if "inference" in prior:
-                merged["inference"] = prior["inference"]
-        ROOT_JSON.write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-
 def check_acceptance(report: dict) -> None:
-    """The full-config floors.
-
-    Grouped routing is >= 5x faster than the dense einsum reference
-    for dispatch+combine at T=4096, E=32, k=2, M=1024 — for the top-k
-    *and* the expert-choice gate; the grouped routed step stays ~flat
-    across cf in {1, 2, 4, 8}; the chunked pipeline hides >= 15% of
-    the sync step at the headline partition degree (E=32, M=1024,
-    codec + wire model on); and the production training step is
-    measurably faster than the dense reference end-to-end.
-    """
+    """Every claim meets its floor (see the module docstring)."""
     acceptance = report["acceptance"]
-    assert acceptance["dispatch_combine_speedup"] >= 5.0
-    assert acceptance["ec_dispatch_combine_speedup"] >= 5.0
-    assert acceptance["grouped_cf_flatness"] <= 2.0
-    assert acceptance["overlap_speedup"] >= 1.15
-    assert acceptance["train_step_speedup"] > 1.2
+    missed = [
+        f"{name} = {acceptance[name]:.3f} (floor {op} {threshold})"
+        for name, (op, threshold) in FLOORS.items()
+        if not _meets(name, acceptance[name])
+    ]
+    assert not missed, "claims below their floor: " + "; ".join(missed)
+
+
+def test_paired_timer_alternates_and_summarises(monkeypatch):
+    """Drive :func:`paired` with a fake clock each call advances."""
+    now = [0.0]
+    calls = []
+    # Warm-up first (excluded), then one duration per pair.
+    durations = {
+        "a": iter([100.0] + [2.0 * (i + 1) for i in range(PAIRS)]),
+        "b": iter([100.0] + [1.0 * (i + 1) for i in range(PAIRS - 1)]
+                  + [25.0]),
+    }
+
+    def side(name):
+        def fn():
+            calls.append(name)
+            now[0] += next(durations[name])
+        return fn
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    result = paired(side("a"), side("b"))
+
+    pairs = [("a", "b") if i % 2 == 0 else ("b", "a") for i in range(PAIRS)]
+    assert calls == ["a", "b"] + [name for pair in pairs for name in pair]
+    # A: 2, 4, ..., 20; B: 1, 2, ..., 9, 25 (statistics' exclusive
+    # quartiles at n=10 sit at positions 2.75 and 8.25).
+    assert result["a"] == {"median": 11.0, "q1": 5.5, "q3": 16.5}
+    assert result["b"] == {"median": 5.5, "q1": 2.75, "q3": 8.25}
+    # Ratios: 2.0 on nine pairs, 20/25 = 0.8 on the last.
+    assert result["ratio"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert result["b_wins"] == PAIRS - 1
 
 
 def test_hotpath_sparse_speedup(benchmark):
     report = once(benchmark, run_hotpath)
-    write_report(report)
+    emit("hotpath", render(report), data=report)
     check_acceptance(report)
 
 
@@ -585,12 +614,9 @@ def main() -> None:
         action="store_true",
         help="smoke configuration for CI (seconds, not minutes)",
     )
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    report = run_hotpath(tiny=args.tiny, repeats=args.repeats)
-    write_report(report)
+    report = run_hotpath(tiny=args.tiny)
+    emit("hotpath", render(report), data=report)
     if not args.tiny:
         check_acceptance(report)
 

@@ -297,11 +297,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of current holders."""
-        return self._in_use
-
     def request(self) -> Event:
         """An event firing when a slot is granted (caller must release)."""
         ev = self.engine.event(f"req:{self.name}")

@@ -233,11 +233,6 @@ class SimCluster:
         """Cumulative traffic statistics of this cluster instance."""
         return dict(self._stats)
 
-    @property
-    def fault_injector(self):
-        """The active :class:`~repro.faults.FaultInjector`, or ``None``."""
-        return self._injector
-
     # -- primitives -----------------------------------------------------
     def transfer(
         self, src: int, dst: int, nbytes: float, bulk: bool = False

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.costmodel import ffn_forward_flops
+from ..cluster.costmodel import ffn_forward_flops, fit_alpha_beta
 from ..cluster.topology import ClusterSpec
 from ..collectives.base import AllToAll, measure_a2a
 from ..compression.base import Compressor
@@ -42,11 +42,7 @@ class LinearPerfModel:
     @staticmethod
     def fit(sizes: List[float], times: List[float]) -> "LinearPerfModel":
         """Least-squares fit through (size, time) measurements."""
-        if len(sizes) != len(times) or len(sizes) < 2:
-            raise ValueError("need at least two (size, time) points")
-        a = np.vstack([np.ones(len(sizes)), np.asarray(sizes, float)]).T
-        coef, *_ = np.linalg.lstsq(a, np.asarray(times, float), rcond=None)
-        return LinearPerfModel(alpha=float(coef[0]), beta=float(coef[1]))
+        return LinearPerfModel(*fit_alpha_beta(sizes, times))
 
 
 class Profiler:

@@ -113,15 +113,6 @@ class MoEModelConfig:
         return self.vocab_size * self.model_dim
 
     @property
-    def dense_equivalent_params(self) -> int:
-        """Parameter count if every MoE layer were a single fflayer."""
-        return (
-            self.num_layers * self.expert_params
-            + self.attention_params
-            + self.embedding_params
-        )
-
-    @property
     def total_params(self) -> int:
         """All parameters: experts + gates + attention + embeddings."""
         return self.moe_params + self.attention_params + self.embedding_params

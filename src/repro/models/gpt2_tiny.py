@@ -100,17 +100,3 @@ class TransformerLM(Module):
         """Pure next-token NLL (no aux), for evaluation."""
         logits = self.forward(tokens[:, :-1])
         return float(F.cross_entropy(logits, tokens[:, 1:]).data)
-
-    def perplexity_loss_inference(self, tokens: np.ndarray) -> float:
-        """:meth:`perplexity_loss` on the autograd-free fast path.
-
-        Runs the whole model through
-        :meth:`~repro.nn.modules.Module.forward_inference` — no
-        backward closures, intermediates drawn from the model's arena
-        — and is bit-identical to :meth:`perplexity_loss` on an
-        ``eval()`` model.  This is the evaluation loop a serving or
-        validation pass should use: same number, none of the
-        training-tape memory.
-        """
-        logits = self.forward_inference(tokens[:, :-1])
-        return float(F.cross_entropy(logits, tokens[:, 1:]).data)

@@ -710,10 +710,22 @@ class ExpertParallelGroup:
             for chunk in range(r)
             for kind in step
         }
-        if self.pipeline == "overlap":
-            self.last_timeline = self._executor.run(r, fns)
-        else:
-            self.last_timeline = run_inline(r, fns)
+        try:
+            if self.pipeline == "overlap":
+                self.last_timeline = self._executor.run(r, fns)
+            else:
+                self.last_timeline = run_inline(r, fns)
+        finally:
+            # A pass that aborts between A1/A2 and the D1/D2 that
+            # drains them leaves staged payloads behind; both streams
+            # have joined here, so hand them back to the pool.  Empty
+            # after a clean pass.
+            for entries in inbox.values():
+                for _, staged, _ in entries:
+                    release(staged)
+            for entries in returned.values():
+                for _, staged in entries:
+                    release(staged)
 
         self.last_dispatch_traffic = A2ATraffic(dispatch_traffic)
         self.last_combine_traffic = A2ATraffic(combine_traffic)

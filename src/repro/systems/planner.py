@@ -221,8 +221,9 @@ def layer_recommendation(partitions: int) -> dict:
     argument; ``pipeline`` and ``num_chunks`` are those of the
     :class:`~repro.moe.parallel.ExpertParallelGroup` that runs the
     layer chunked.  ``sparse`` dominates every measured configuration
-    (BENCH_hotpath.json); pipelined overlap only exists for r > 1 and
-    the chunk count mirrors the timing substrate's partition degree.
+    (``benchmarks/bench_hotpath.py``); pipelined overlap only exists
+    for r > 1 and the chunk count mirrors the timing substrate's
+    partition degree.
     """
     return {
         "dispatch_mode": "sparse",

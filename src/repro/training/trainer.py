@@ -92,13 +92,6 @@ class TrainHistory:
     metric_name: str = ""
     metric: float = float("nan")
 
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last training step."""
-        if not self.losses:
-            raise ValueError("no training steps recorded")
-        return self.losses[-1]
-
     def smoothed_final_loss(self, window: int = 10) -> float:
         """Mean of the last ``window`` losses."""
         if not self.losses:

@@ -4,7 +4,8 @@ Each of the 21 tasks of an r=3 forward (zfp on the wire) is made to
 raise, before or after its own work, under both pipelines.  The group
 must re-raise the error without deadlocking, clear its in-flight flag,
 and compute the next forward bit for bit like a fresh sync group: a
-failed pass leaves nothing behind that the next one reads.
+failed pass leaves nothing behind that the next one reads.  Staging
+buffers it held between A1/A2 and D1/D2 go back to the group's pool.
 """
 
 import numpy as np
@@ -36,6 +37,11 @@ def test_exception_in_any_task_aborts_cleanly(
     group = ExpertParallelGroup(
         layer, 4, pipeline=pipeline, num_chunks=NUM_CHUNKS
     )
+    # A clean pass first: every staging buffer a forward needs is then
+    # sitting idle in the group's pool.
+    group.forward(shards)
+    warm_misses = group._pool.misses
+    warm_idle = group._pool.idle_buffers()
     armed = [True]
 
     def inject(fns):
@@ -73,6 +79,10 @@ def test_exception_in_any_task_aborts_cleanly(
 
     out, exc = forward_or_hang(group, shards)
     assert exc is None
+    # The aborted pass returned what it had staged: the clean pass
+    # after it is served from the pool and leaves it as warm-up did.
+    assert group._pool.misses == warm_misses
+    assert group._pool.idle_buffers() == warm_idle
     reference = ExpertParallelGroup(
         layer, 4, pipeline="sync", num_chunks=NUM_CHUNKS
     )
