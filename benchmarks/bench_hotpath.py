@@ -190,8 +190,8 @@ def bench_routing(cfg: dict, gate_cls) -> dict:
     """Dense einsum dispatch+combine f+b against the grouped pair.
 
     B is the production pair (:func:`dispatch_grouped` /
-    :func:`combine_grouped`, reusing the gate's cached routing plan
-    exactly as the layer does).  ``gate_cls`` is :class:`TopKGate`
+    :func:`combine_grouped`, reading the gate's routing plan exactly
+    as the layer does).  ``gate_cls`` is :class:`TopKGate`
     (token-major routing) or :class:`ExpertChoiceGate` (the flat
     expert-major form).
     """
@@ -214,11 +214,8 @@ def bench_routing(cfg: dict, gate_cls) -> dict:
 
     def sparse_roundtrip():
         x.zero_grad()
-        rows, routing = dispatch_grouped(
-            x, out.expert_indices, out.slot_indices, experts,
-            token_indices=out.token_indices, plan=out.plan,
-        )
-        combine_grouped(rows, routing, gate_weights, tokens).backward(seed)
+        rows = dispatch_grouped(x, out.plan)
+        combine_grouped(rows, out.plan, gate_weights).backward(seed)
 
     return {
         "config": dict(cfg, capacity=out.capacity),
@@ -253,20 +250,17 @@ def bench_grouped(cfg: dict) -> dict:
         out = gate(x.detach())
         gate_weights = out.gate_weights.detach()
 
-        # Reuses the gate's cached RoutingPlan, exactly as MoELayer's
-        # hot path does — no per-step re-sort or kept scan.
+        # Reads the gate's RoutingPlan, exactly as MoELayer's hot path
+        # does — no per-step re-sort or kept scan.
         def step():
             x.zero_grad()
             for p in bank.parameters():
                 p.zero_grad()
-            flat, routing = dispatch_grouped(
-                x, out.expert_indices, out.slot_indices, experts,
-                plan=out.plan,
+            flat = dispatch_grouped(x, out.plan)
+            expert_rows = bank.run_grouped(flat, out.plan.segment_counts)
+            combine_grouped(expert_rows, out.plan, gate_weights).backward(
+                seed
             )
-            expert_rows = bank.run_grouped(flat, routing.segment_counts)
-            combine_grouped(
-                expert_rows, routing, gate_weights, tokens
-            ).backward(seed)
 
         occupancy = out.expert_load.sum() / (experts * max(out.capacity, 1))
         return step, out.capacity, float(occupancy)

@@ -41,6 +41,13 @@ from .systems import (
 )
 
 
+#: Printed under the wall-clock lines of ``pipeline`` and ``infer``.
+SINGLE_SAMPLE_NOTE = (
+    "timing: one warm-up pass, then a single timed sample per side; the "
+    "paired A/B claim is benchmarks/bench_hotpath.py"
+)
+
+
 def _runner(args) -> SystemRunner:
     return SystemRunner(get_preset(args.cluster))
 
@@ -471,8 +478,10 @@ def cmd_pipeline(args) -> int:
     Builds one MoE layer shared by ``--workers`` logical workers, runs
     the chunked task-graph forward in both pipeline modes over the
     same shards, verifies the outputs are bit-identical, and reports
-    the wall-clock per mode plus the speedup.  This is the paper's
-    central mechanism on the numerical substrate — not the simulator.
+    the wall-clock per mode plus the speedup (a single timed pass per
+    mode after one warm-up; the paired claim is
+    ``benchmarks/bench_hotpath.py``).  This is the paper's central
+    mechanism on the numerical substrate — not the simulator.
 
     It also reports the cross-worker bytes the A2As put on the wire
     beside the codec's nominal ``compressed_bytes`` of the same
@@ -527,12 +536,9 @@ def cmd_pipeline(args) -> int:
             ),
         )
         group.forward(shards)  # warm caches and the buffer pool
-        best = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            out = group.forward_concatenated(shards)
-            best = min(best, time.perf_counter() - t0)
-        outputs[pipeline], seconds[pipeline] = out, best
+        t0 = time.perf_counter()
+        outputs[pipeline] = group.forward_concatenated(shards)
+        seconds[pipeline] = time.perf_counter() - t0
     wire = cross_worker_bytes(group)
     fp32_group = ExpertParallelGroup(
         build_layer(None), args.workers, num_chunks=args.num_chunks
@@ -552,6 +558,7 @@ def cmd_pipeline(args) -> int:
     print(f"  sync:    {seconds['sync'] * 1e3:8.2f} ms")
     print(f"  overlap: {seconds['overlap'] * 1e3:8.2f} ms "
           f"({seconds['sync'] / seconds['overlap']:.2f}x)")
+    print(f"  {SINGLE_SAMPLE_NOTE}")
     print(f"  outputs bit-identical: {exact}")
     print(
         f"  cross-worker wire bytes (dispatch + combine): {wire:,.0f}; "
@@ -568,8 +575,9 @@ def cmd_infer(args) -> int:
     (tape-building) ``eval()`` forward and through
     ``forward_inference`` — the process-wide ``inference_mode()`` plus
     an arena of pooled scratch buffers — verifies the outputs are
-    bit-identical, and reports forward tokens/sec for both paths plus
-    the arena's buffer-pool reuse counters.  A steady-state inference
+    bit-identical, and reports forward tokens/sec for both paths (a
+    single timed pass each after one warm-up) plus the arena's
+    buffer-pool reuse counters.  A steady-state inference
     loop should show zero new pool misses after its first step.
     """
     import time
@@ -594,21 +602,18 @@ def cmd_infer(args) -> int:
     ).astype(np.float32)
     x = Tensor(tokens)
 
-    baseline = layer(x).data.copy()  # training-tape forward, eval mode
+    # Training-tape forward, eval mode: warm-up and parity baseline.
+    baseline = layer(x).data.copy()
 
-    def best_of(fn):
-        best = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    train_s = best_of(lambda: layer(x))
-    inferred = layer.forward_inference(x).data
+    t0 = time.perf_counter()
+    layer(x)
+    train_s = time.perf_counter() - t0
+    inferred = layer.forward_inference(x).data  # warm-up and parity
     exact = bool(np.array_equal(baseline, inferred))
     misses_after_warmup = layer._inference_arena.pool.misses
-    infer_s = best_of(lambda: layer.forward_inference(x))
+    t0 = time.perf_counter()
+    layer.forward_inference(x)
+    infer_s = time.perf_counter() - t0
     stats = layer._inference_arena.stats()
 
     print(
@@ -620,6 +625,7 @@ def cmd_infer(args) -> int:
     print(f"  inference forward:     {infer_s * 1e3:8.2f} ms "
           f"({args.tokens / infer_s:,.0f} tok/s, "
           f"{train_s / infer_s:.2f}x)")
+    print(f"  {SINGLE_SAMPLE_NOTE}")
     print(f"  outputs bit-identical: {exact}")
     print(f"  arena pool: hits={stats['hits']} misses={stats['misses']} "
           f"bytes_allocated={stats['bytes_allocated']:,}")
@@ -810,7 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(Gbit/s; 0 disables the wire-time model; default: 1.0, "
              "scaled to this substrate's FLOP rate — see docs §7)",
     )
-    p_pipe.add_argument("--repeats", type=int, default=3)
 
     p_infer = sub.add_parser(
         "infer",
@@ -820,7 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--tokens", type=int, default=4096)
     p_infer.add_argument("--model-dim", type=int, default=256)
     p_infer.add_argument("--hidden-dim", type=int, default=256)
-    p_infer.add_argument("--repeats", type=int, default=3)
 
     p_trace = sub.add_parser("trace", help="export a chrome trace")
     p_trace.add_argument("--out", default="schedule_trace.json")

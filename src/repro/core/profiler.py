@@ -1,4 +1,4 @@
-"""The Profiler: measures task durations and fits performance models.
+"""The Profiler: measures task durations for the performance models.
 
 As in the paper (Fig. 4), every task the abstraction modules emit is
 profiled so the scheduler can order tasks from measured time, not
@@ -7,20 +7,19 @@ configured all-to-all algorithm on the simulated cluster;
 compress/decompress tasks are priced by the codec's cost model; expert
 tasks by the GPU GEMM model.
 
-Alongside point measurements the profiler fits linear (alpha + beta *
-size) performance models so durations at unmeasured sizes can be
-predicted — the "meta-data (e.g. time performance models)" the paper's
-scheduler consumes.
+Alongside point measurements the profiler's probe hooks return the
+curves the planner fits into linear (alpha + beta * size) performance
+models (:class:`LinearPerfModel`), so durations at unmeasured sizes
+can be predicted — the "meta-data (e.g. time performance models)" the
+paper's scheduler consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-import numpy as np
-
-from ..cluster.costmodel import ffn_forward_flops, fit_alpha_beta
+from ..cluster.costmodel import ffn_forward_flops
 from ..cluster.topology import ClusterSpec
 from ..collectives.base import AllToAll, measure_a2a
 from ..compression.base import Compressor
@@ -30,7 +29,12 @@ from .tasks import TaskDurations
 
 @dataclass(frozen=True)
 class LinearPerfModel:
-    """t(size) = alpha + beta * size, least-squares fitted."""
+    """t(size) = alpha + beta * size, least-squares fitted.
+
+    Build one from measurements with
+    ``LinearPerfModel(*fit_alpha_beta(sizes, times))``
+    (:func:`~repro.cluster.costmodel.fit_alpha_beta`).
+    """
 
     alpha: float
     beta: float
@@ -38,11 +42,6 @@ class LinearPerfModel:
     def predict(self, size: float) -> float:
         """Predicted seconds for a payload of ``size`` bytes."""
         return max(0.0, self.alpha + self.beta * size)
-
-    @staticmethod
-    def fit(sizes: List[float], times: List[float]) -> "LinearPerfModel":
-        """Least-squares fit through (size, time) measurements."""
-        return LinearPerfModel(*fit_alpha_beta(sizes, times))
 
 
 class Profiler:
@@ -63,7 +62,6 @@ class Profiler:
         self.a2a = a2a
         self.compressor = compressor
         self._a2a_cache: Dict[Tuple[str, int], float] = {}
-        self._oom_cache: Dict[Tuple[str, int], bool] = {}
         #: Real (cache-missing) A2A measurements this profiler ran —
         #: the planner's probe accounting reads it.
         self.a2a_measurements = 0
@@ -79,7 +77,6 @@ class Profiler:
         if key not in self._a2a_cache:
             result = measure_a2a(self.a2a, self.spec, wire_bytes)
             self._a2a_cache[key] = result.seconds
-            self._oom_cache[key] = result.oom
             self.a2a_measurements += 1
         return self._a2a_cache[key]
 
@@ -164,18 +161,3 @@ class Profiler:
                 (flops, self.expert_seconds(int(tokens), model_dim, hidden_dim))
             )
         return points
-
-    # -- performance-model fitting ----------------------------------------
-    def fit_a2a_model(
-        self, sizes: Optional[List[float]] = None
-    ) -> LinearPerfModel:
-        """Fit alpha + beta * bytes over a range of payload sizes."""
-        if sizes is None:
-            sizes = [1e5, 1e6, 4e6, 1.6e7, 6.4e7]
-        times = [self.measure_a2a_seconds(s) for s in sizes]
-        finite = [(s, t) for s, t in zip(sizes, times) if np.isfinite(t)]
-        if len(finite) < 2:
-            raise RuntimeError("not enough finite A2A measurements to fit")
-        return LinearPerfModel.fit(
-            [s for s, _ in finite], [t for _, t in finite]
-        )

@@ -8,7 +8,6 @@ the models and the Table 6 convergence experiments.  The distributed
 
 from .dispatch import (
     DISPATCH_MODES,
-    GroupedRouting,
     combine,
     combine_grouped,
     dispatch,
@@ -24,12 +23,7 @@ from .placement import (
     reshard_moves,
     reshard_traffic,
 )
-from .routing import (
-    RoutingPlan,
-    plan_for_expert_choice,
-    plan_from_indices,
-    route_fused,
-)
+from .routing import RoutingPlan, plan_from_indices, route_fused
 
 __all__ = [
     "A2ATraffic",
@@ -39,7 +33,6 @@ __all__ = [
     "Experts",
     "expert_param_bytes",
     "GateOutput",
-    "GroupedRouting",
     "MoELayer",
     "RoutingPlan",
     "default_dispatch_mode",
@@ -49,7 +42,6 @@ __all__ = [
     "dispatch",
     "dispatch_grouped",
     "load_balancing_loss",
-    "plan_for_expert_choice",
     "plan_from_indices",
     "reshard_moves",
     "reshard_traffic",

@@ -14,18 +14,18 @@ Slot assignment runs through the fused routing kernel
 (:func:`~repro.moe.routing.route_fused`): one stable argsort over the
 flat ``(k*T,)`` expert ids yields the capacity slots, the drop mask,
 per-expert counts *and* the expert-major permutation every downstream
-consumer needs, cached on :class:`GateOutput` as a
-:class:`~repro.moe.routing.RoutingPlan`.  The ordering is identical
-to GShard's greedy FCFS rule — all first choices in token order, then
-all second choices — so routing results are bit-for-bit the same as
-the reference loop's (and as the ``O(k * T * E)`` one-hot cumsum
-formulation the parity suite keeps as a test helper).
+consumer needs, packaged as a :class:`~repro.moe.routing.RoutingPlan`.
+The ordering is identical to GShard's greedy FCFS rule — all first
+choices in token order, then all second choices — so routing results
+are bit-for-bit the same as the reference loop's (and as the
+``O(k * T * E)`` one-hot cumsum formulation the parity suite keeps as
+a test helper).
 
-:class:`GateOutput` carries the routing natively in *sparse* index
-form (``(T, k)`` expert/slot indices plus ``(T, k)`` differentiable
-combine weights); the dense GShard ``(T, E, C)`` masks used by the
-reference einsum backend are materialized lazily on first access, so
-the sparse hot path never pays for them.
+:class:`GateOutput` holds that plan — the one routing record every
+consumer reads — beside the ``(T, k)`` expert indices and ``(T, k)``
+differentiable combine weights; the dense GShard ``(T, E, C)`` masks
+used by the reference einsum backend are materialized from the plan
+lazily on first access, so the sparse hot path never pays for them.
 """
 
 from __future__ import annotations
@@ -43,133 +43,75 @@ from .routing import RoutingPlan, plan_from_indices, route_fused
 class GateOutput:
     """Everything the MoE layer needs to route one batch of tokens.
 
-    Two equivalent representations of the same routing decision:
-
-    * sparse — integer index arrays naming each routing assignment
-      plus a differentiable tensor of combine weights, in one of two
-      layouts (below);
-    * dense — ``dispatch_mask`` is a raw ``(T, E, C)`` 0/1 array and
-      ``combine_weights`` the same shape carrying the differentiable
-      gate probabilities (GShard's einsum operands).
-
-    The sparse layouts:
+    The routing itself is ``plan``, the batch's
+    :class:`~repro.moe.routing.RoutingPlan`: every consumer (grouped
+    dispatch and combine, dense mask densification, expert-parallel
+    C1) reads it, and ``expert_load``, ``capacity``, ``slot_indices``,
+    ``num_tokens`` and ``num_experts`` are views of it.  Beside the
+    plan the output holds the gate's index arrays and a
+    differentiable tensor of combine weights, in one of two layouts:
 
     * **token-major** ``(T, k)`` — row t holds token t's k choices:
-      ``expert_indices``/``slot_indices`` are ``(T, k)`` arrays (slot
-      ``-1`` marks a dropped assignment) and ``gate_weights`` a
-      differentiable ``(T, k)`` tensor of combine weights (zero at
-      dropped entries).  This is :class:`TopKGate`'s natural form.
+      ``expert_indices`` is ``(T, k)`` (a plan slot of ``-1`` marks
+      a dropped assignment) and ``gate_weights`` a differentiable
+      ``(T, k)`` tensor of combine weights (zero at dropped entries).
+      This is :class:`TopKGate`'s natural form; ``token_indices`` is
+      None, because the row index is the token.
     * **flat** ``(N,)`` — one entry per assignment with no per-token
-      structure: ``expert_indices``/``slot_indices``/``token_indices``
-      are aligned ``(N,)`` arrays and ``gate_weights`` a
-      differentiable ``(N,)`` tensor.  Gates whose assignment count
-      varies per token — expert-choice, where each *expert* picks its
-      top-C tokens and a token may appear 0..E times — emit this form
-      (``token_indices`` is None in the token-major layout, where the
-      row index is the token).
+      structure: ``expert_indices``/``token_indices`` are aligned
+      ``(N,)`` arrays and ``gate_weights`` a differentiable ``(N,)``
+      tensor.  Gates whose assignment count varies per token —
+      expert-choice, where each *expert* picks its top-C tokens and a
+      token may appear 0..E times — emit this form.
 
-    Every gate now constructs a sparse form; the dense arrays are
-    densified lazily on first property access, so the index-based hot
-    path never pays for them and the dense einsum backend remains a
-    pure reference path.
+    The dense GShard ``(T, E, C)`` operands (``dispatch_mask``,
+    ``combine_weights``) are densified lazily from the plan on first
+    access, so the index-based hot path never pays for them and the
+    dense einsum backend remains a pure reference path.
     """
 
     def __init__(
         self,
         *,
+        plan: RoutingPlan,
         aux_loss: Tensor,
-        expert_load: np.ndarray,
         dropped_tokens: int,
-        capacity: int,
-        dispatch_mask: Optional[np.ndarray] = None,
-        combine_weights: Optional[Tensor] = None,
-        expert_indices: Optional[np.ndarray] = None,
-        slot_indices: Optional[np.ndarray] = None,
+        expert_indices: np.ndarray,
+        gate_weights: Tensor,
         token_indices: Optional[np.ndarray] = None,
-        gate_weights: Optional[Tensor] = None,
-        num_tokens: Optional[int] = None,
-        num_experts: Optional[int] = None,
-        plan: Optional[RoutingPlan] = None,
     ):
+        self.plan = plan
         self.aux_loss = aux_loss
-        self.expert_load = expert_load
         self.dropped_tokens = dropped_tokens
-        self.capacity = capacity
         self.expert_indices = expert_indices
-        self.slot_indices = slot_indices
         self.token_indices = token_indices
         self.gate_weights = gate_weights
-        self._dispatch_mask = dispatch_mask
-        self._combine_weights = combine_weights
-        self._plan = plan
-        if expert_indices is not None:
-            if num_experts is None:
-                raise ValueError("sparse GateOutput needs num_experts")
-            if expert_indices.ndim == 1:
-                if token_indices is None or num_tokens is None:
-                    raise ValueError(
-                        "flat (N,) sparse routing needs token_indices "
-                        "and num_tokens"
-                    )
-                self._num_tokens = num_tokens
-            else:
-                self._num_tokens = (
-                    num_tokens
-                    if num_tokens is not None
-                    else expert_indices.shape[0]
-                )
-            self._num_experts = num_experts
-        elif dispatch_mask is not None:
-            self._num_tokens = dispatch_mask.shape[0]
-            self._num_experts = dispatch_mask.shape[1]
-        else:
-            raise ValueError(
-                "GateOutput needs either a dense dispatch_mask or "
-                "sparse indices plus num_experts"
-            )
+        self._dispatch_mask: Optional[np.ndarray] = None
+        self._combine_weights: Optional[Tensor] = None
 
-    # -- bookkeeping ---------------------------------------------------
+    # -- views of the plan ---------------------------------------------
     @property
     def num_tokens(self) -> int:
         """Tokens routed in this batch."""
-        return self._num_tokens
+        return self.plan.num_tokens
 
     @property
     def num_experts(self) -> int:
-        return self._num_experts
+        return self.plan.num_experts
 
     @property
-    def has_sparse(self) -> bool:
-        """Whether index-based routing fields are available."""
-        return self.expert_indices is not None
+    def capacity(self) -> int:
+        return self.plan.capacity
 
     @property
-    def plan(self) -> RoutingPlan:
-        """The routing's :class:`~repro.moe.routing.RoutingPlan`.
+    def slot_indices(self) -> np.ndarray:
+        """Slot of every assignment (``-1`` = dropped), gate's layout."""
+        return self.plan.slot_indices
 
-        Gates that route through :func:`~repro.moe.routing.route_fused`
-        attach the plan at construction; otherwise (and for degraded
-        routings from :meth:`with_experts_dropped`, whose slot holes
-        break the fused kernel's FCFS-prefix invariant) it is built
-        lazily — one stable argsort — from the actual index arrays and
-        cached.  Every ordering consumer (grouped dispatch and combine,
-        dense mask densification, the chunked layer path,
-        expert-parallel C1) reads slices of this one permutation.
-        """
-        if self._plan is None:
-            if not self.has_sparse:
-                raise ValueError(
-                    "dense-only GateOutput carries no routing plan"
-                )
-            self._plan = plan_from_indices(
-                self.expert_indices,
-                self.slot_indices,
-                self.token_indices,
-                self._num_experts,
-                self._num_tokens,
-                self.capacity,
-            )
-        return self._plan
+    @property
+    def expert_load(self) -> np.ndarray:
+        """(E,) occupied slots per expert."""
+        return self.plan.expert_load
 
     @property
     def drop_fraction(self) -> float:
@@ -195,8 +137,10 @@ class GateOutput:
         entries are only zeroed, matching its combine semantics.
 
         Returns a new :class:`GateOutput` sharing the untouched index
-        arrays; dense masks re-densify lazily from the updated
-        routing.  An empty ``dead_experts`` returns ``self``.
+        arrays, with a plan rebuilt by
+        :func:`~repro.moe.routing.plan_from_indices` (the slot holes
+        break the fused kernel's FCFS-prefix invariant).  An empty
+        ``dead_experts`` returns ``self``.
 
         Dropping is per-forward and stateless: recovery (see
         :class:`repro.faults.recovery.RecoveryController`) does not
@@ -207,22 +151,16 @@ class GateOutput:
         dead = frozenset(int(e) for e in dead_experts)
         if not dead:
             return self
-        if not self.has_sparse:
-            raise ValueError(
-                "with_experts_dropped needs sparse routing indices"
-            )
+        num_experts = self.num_experts
         for e in dead:
-            if not 0 <= e < self._num_experts:
+            if not 0 <= e < num_experts:
                 raise ValueError(
-                    f"dead expert {e} out of range [0, {self._num_experts})"
+                    f"dead expert {e} out of range [0, {num_experts})"
                 )
-        dead_mask = np.zeros(self._num_experts, dtype=bool)
+        dead_mask = np.zeros(num_experts, dtype=bool)
         dead_mask[list(dead)] = True
         hit = dead_mask[self.expert_indices] & (self.slot_indices >= 0)
-        newly_dropped = int(hit.sum())
         slot_indices = np.where(hit, -1, self.slot_indices)
-        expert_load = self.expert_load.copy()
-        expert_load[dead_mask] = 0
         survives = Tensor(
             ((self.slot_indices >= 0) & ~hit).astype(np.float32)
         )
@@ -233,38 +171,22 @@ class GateOutput:
         else:  # flat: raw affinities, zero the dead entries
             weights = self.gate_weights * survives
         return GateOutput(
+            plan=plan_from_indices(
+                self.expert_indices,
+                slot_indices,
+                self.token_indices,
+                num_experts,
+                self.num_tokens,
+                self.capacity,
+            ),
             aux_loss=self.aux_loss,
-            expert_load=expert_load,
-            dropped_tokens=self.dropped_tokens + newly_dropped,
-            capacity=self.capacity,
+            dropped_tokens=self.dropped_tokens + int(hit.sum()),
             expert_indices=self.expert_indices,
-            slot_indices=slot_indices,
-            token_indices=self.token_indices,
             gate_weights=weights,
-            num_tokens=self._num_tokens,
-            num_experts=self._num_experts,
+            token_indices=self.token_indices,
         )
 
     # -- lazy densification --------------------------------------------
-    def _kept_coords(self):
-        """(token, expert, slot, weight-index) arrays of kept assignments.
-
-        The last element indexes ``gate_weights`` — ``(token, choice)``
-        pairs in the token-major layout, flat positions in the flat
-        layout — so ``gate_weights.data[w_idx]`` (or the differentiable
-        ``gate_weights[w_idx]``) selects each kept assignment's weight
-        in either form.  Served from the cached :attr:`plan` — the
-        ``np.nonzero`` re-scan this used to do is part of what the
-        fused kernel already computed.
-        """
-        plan = self.plan
-        return (
-            plan.kept_token_ids,
-            plan.kept_expert_ids,
-            plan.kept_slot_ids,
-            plan.kept_weight_index,
-        )
-
     @property
     def dispatch_mask(self) -> np.ndarray:
         """Raw (T, E, C) 0/1 routing mask (densified on demand)."""
@@ -276,12 +198,14 @@ class GateOutput:
                     "for the dense reference backend; the forward-only "
                     "path must stay on the sparse RoutingPlan"
                 )
-            token_ids, expert_ids, slot_ids, _ = self._kept_coords()
+            plan = self.plan
             mask = np.zeros(
-                (self._num_tokens, self._num_experts, self.capacity),
+                (plan.num_tokens, plan.num_experts, plan.capacity),
                 dtype=np.float32,
             )
-            mask[token_ids, expert_ids, slot_ids] = 1.0
+            mask[
+                plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
+            ] = 1.0
             self._dispatch_mask = mask
         return self._dispatch_mask
 
@@ -303,14 +227,18 @@ class GateOutput:
                     "path must stay on the sparse RoutingPlan"
                 )
             norm = self.gate_weights
-            token_ids, expert_ids, slot_ids, w_idx = self._kept_coords()
-            shape = (self._num_tokens, self._num_experts, self.capacity)
+            plan = self.plan
+            coords = (
+                plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
+            )
+            w_idx = plan.kept_weight_index
+            shape = (plan.num_tokens, plan.num_experts, plan.capacity)
             data = np.zeros(shape, dtype=np.float32)
-            data[token_ids, expert_ids, slot_ids] = norm.data[w_idx]
+            data[coords] = norm.data[w_idx]
 
             def backward(g):
                 grad = np.zeros(norm.shape, dtype=np.float32)
-                grad[w_idx] = g[token_ids, expert_ids, slot_ids]
+                grad[w_idx] = g[coords]
                 return ((norm, grad),)
 
             self._combine_weights = norm._make(data, (norm,), backward)
@@ -367,8 +295,8 @@ class TopKGate(Module):
     def forward(self, tokens: Tensor, capacity: Optional[int] = None) -> GateOutput:
         """Route a flat (num_tokens, model_dim) tensor.
 
-        Returns sparse (T, k) routing indices/weights; the dense
-        (T, E, C) masks densify lazily from them.
+        Returns the fused routing plan with (T, k) indices and
+        weights; the dense (T, E, C) masks densify lazily from it.
         """
         if tokens.ndim != 2:
             raise ValueError(
@@ -395,10 +323,7 @@ class TopKGate(Module):
         # drop count, per-expert fill, AND the expert-major
         # permutation every downstream consumer reuses.
         plan = route_fused(top_idx, self.num_experts, cap)
-        positions = plan.slot_indices
-        kept = positions >= 0
-        dropped = plan.dropped_assignments
-        fill = plan.expert_load
+        kept = plan.slot_indices >= 0
 
         # Combine weights: the gate probability of each kept
         # assignment, renormalized over the token's kept experts.
@@ -422,16 +347,11 @@ class TopKGate(Module):
                 first_choice_counts=plan.choice_counts[:, 0],
             )
         return GateOutput(
-            aux_loss=aux,
-            expert_load=fill,
-            dropped_tokens=dropped,
-            capacity=cap,
-            expert_indices=top_idx,
-            slot_indices=positions,
-            gate_weights=norm,
-            num_tokens=num_tokens,
-            num_experts=self.num_experts,
             plan=plan,
+            aux_loss=aux,
+            dropped_tokens=plan.dropped_assignments,
+            expert_indices=top_idx,
+            gate_weights=norm,
         )
 
 

@@ -18,7 +18,10 @@ token-major, so ``dispatch_mode="sparse"`` covers this gate too and
 the dense ``(T, E, C)`` einsum operands exist only as lazy
 densifications for the reference backend.  A token selected by
 several experts appears once per selecting expert; every ``(expert,
-slot)`` destination holds exactly one token.
+slot)`` destination holds exactly one token.  The routing plan comes
+from :func:`~repro.moe.routing.plan_from_indices`, the same builder
+degraded top-k routings use; on these already expert-major arrays its
+stable sort is the identity permutation.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..nn import functional as F
 from ..nn.modules import Linear, Module
 from ..nn.tensor import Tensor, is_inference
 from .gating import GateOutput
-from .routing import plan_for_expert_choice
+from .routing import plan_from_indices
 
 
 class ExpertChoiceGate(Module):
@@ -98,54 +101,30 @@ class ExpertChoiceGate(Module):
 
         if cap == 0:
             # Zero tokens (or zero slots): empty flat routing.
-            empty = np.zeros(0, dtype=np.int64)
-            return GateOutput(
-                aux_loss=aux,
-                expert_load=np.zeros(self.num_experts, dtype=np.int64),
-                dropped_tokens=num_tokens,
-                capacity=0,
-                expert_indices=empty,
-                slot_indices=empty.copy(),
-                token_indices=empty.copy(),
-                gate_weights=probs[empty, empty.copy()],
-                num_tokens=num_tokens,
-                num_experts=self.num_experts,
-                plan=plan_for_expert_choice(
-                    empty, empty, empty, self.num_experts, num_tokens, 0
-                ),
-            )
-
-        # Each expert picks its top-cap tokens by affinity.  Flatten
-        # expert-major: assignment n = (expert n // cap, slot n % cap).
-        affinity = probs.data.T  # (E, T)
-        chosen = F.top_k_indices(affinity, cap, axis=-1)  # (E, cap)
-        token_ids = chosen.reshape(-1)  # (N,) with N = E * cap
-        expert_ids = np.repeat(np.arange(self.num_experts), cap)
-        slot_ids = np.tile(np.arange(cap), self.num_experts)
+            token_ids = expert_ids = slot_ids = np.zeros(0, dtype=np.int64)
+        else:
+            # Each expert picks its top-cap tokens by affinity.  Flatten
+            # expert-major: assignment n = (expert n // cap, slot n % cap).
+            affinity = probs.data.T  # (E, T)
+            chosen = F.top_k_indices(affinity, cap, axis=-1)  # (E, cap)
+            token_ids = chosen.reshape(-1)  # (N,) with N = E * cap
+            expert_ids = np.repeat(np.arange(self.num_experts), cap)
+            slot_ids = np.tile(np.arange(cap), self.num_experts)
 
         # Combine weights: each selected pair's (differentiable)
         # affinity probs[t, e], gathered along the tape.
         gate_weights = probs[token_ids, expert_ids]  # (N,)
-
-        load = np.full(self.num_experts, cap, dtype=np.int64)
-        dropped = int(num_tokens - len(np.unique(token_ids)))
         # The flat arrays are structurally expert-major sorted with no
-        # drops, so the routing plan is the identity permutation — no
-        # sort of any kind.
-        plan = plan_for_expert_choice(
-            token_ids, expert_ids, slot_ids,
+        # drops, so the plan's grouped permutation is the identity.
+        plan = plan_from_indices(
+            expert_ids, slot_ids, token_ids,
             self.num_experts, num_tokens, cap,
         )
         return GateOutput(
-            aux_loss=aux,
-            expert_load=load,
-            dropped_tokens=dropped,
-            capacity=cap,
-            expert_indices=expert_ids,
-            slot_indices=slot_ids,
-            token_indices=token_ids,
-            gate_weights=gate_weights,
-            num_tokens=num_tokens,
-            num_experts=self.num_experts,
             plan=plan,
+            aux_loss=aux,
+            dropped_tokens=int(num_tokens - len(np.unique(token_ids))),
+            expert_indices=expert_ids,
+            gate_weights=gate_weights,
+            token_indices=token_ids,
         )

@@ -77,8 +77,9 @@ class MoELayer(Module):
     means the process default, normally sparse — see
     :func:`default_dispatch_mode`):
 
-    * ``"sparse"`` — production: the layer sorts the flat routed rows
-      by expert (:func:`~repro.moe.dispatch.dispatch_grouped`), runs
+    * ``"sparse"`` — production: the layer gathers the routed rows in
+      the gate's :class:`~repro.moe.routing.RoutingPlan` expert-major
+      order (:func:`~repro.moe.dispatch.dispatch_grouped`), runs
       each expert's contiguous segment through
       :meth:`~repro.moe.experts.Experts.run_grouped`, and combines
       straight from the flat rows
@@ -263,29 +264,16 @@ class MoELayer(Module):
         else:
             # Capacity-free hot path: flat rows sorted by expert, no
             # (E, C, M) buffer on either side of the expert FFNs.
-            rows, routing = dispatch_grouped(
-                tokens,
-                gate_out.expert_indices,
-                gate_out.slot_indices,
-                gate_out.num_experts,
-                token_indices=gate_out.token_indices,
-                plan=gate_out.plan,
-            )
+            plan = gate_out.plan
+            rows = dispatch_grouped(tokens, plan)
             # Forward-only steps don't keep the wire payload around for
             # fidelity studies — and must not pin an arena buffer past
             # the next reset.
             self.last_dispatched = None if is_inference() else rows.data
             rows = self._transport(rows)  # first A2A
-            expert_rows = self.experts.run_grouped(
-                rows, routing.segment_counts
-            )
+            expert_rows = self.experts.run_grouped(rows, plan.segment_counts)
             expert_rows = self._transport(expert_rows)  # second A2A
-            merged = combine_grouped(
-                expert_rows,
-                routing,
-                gate_out.gate_weights,
-                gate_out.num_tokens,
-            )
+            merged = combine_grouped(expert_rows, plan, gate_out.gate_weights)
         if len(original_shape) == 3:
             return merged.reshape(original_shape)
         return merged

@@ -218,23 +218,6 @@ class ExpertParallelGroup:
         """The current (versioned) expert→worker assignment."""
         return self._placement
 
-    @property
-    def experts_per_worker(self) -> int:
-        """Experts per worker under an *equal* placement.
-
-        Kept for the common balanced case; raises under an unequal
-        placement, where no single number exists — iterate
-        ``placement.experts_of(w)`` instead.
-        """
-        counts = set(self._placement.counts())
-        if len(counts) != 1:
-            raise AttributeError(
-                "experts_per_worker is undefined under the unequal "
-                f"placement {self._placement.counts()}; use "
-                "group.placement.experts_of(worker)"
-            )
-        return counts.pop()
-
     def _validate_placement(self, placement: ExpertPlacement) -> None:
         if placement.num_experts != self.layer.gate.num_experts:
             raise ValueError(

@@ -1,7 +1,7 @@
 """Expert placement: a versioned, possibly-unequal expert→worker map.
 
 Historically :class:`~repro.moe.parallel.ExpertParallelGroup` hard-coded
-``owner(e) = e // experts_per_worker`` — a contiguous, equal-shard
+``owner(e) = e // (E // P)`` — a contiguous, equal-shard
 layout baked in at construction.  That arithmetic makes elastic
 behaviour impossible: a dead worker's experts cannot move to survivors,
 a newly admitted worker cannot take over shards, and checkpoints cannot

@@ -1,24 +1,25 @@
 """Fused single-pass routing: one sort from gate choices to permutation.
 
-The legacy routing chain orders the same assignments four times over:
-its slot assignment materializes a ``(k*T, E)`` one-hot and cumsums
-it (``O(T*k*E)`` compute *and* memory for an ``O(T*k)``-sized
-answer), ``_kept_assignments`` re-scans the
-slot arrays with ``np.nonzero``, :func:`~repro.moe.dispatch.
-dispatch_grouped` re-derives the expert order with a fresh stable
-argsort plus a ``bincount``, and the expert-parallel C1 task argsorts
-*again* per chunk per source.  :func:`route_fused` collapses all of it
-into **one** stable argsort over the flat ``(k*T,)`` expert ids; every
-other quantity is linear arithmetic on that single permutation.
+A :class:`RoutingPlan` is the one routing record of a batch: every
+consumer — grouped dispatch and combine, dense mask densification,
+the expert-parallel C1 dispatch — reads slices of it instead of
+recomputing ``nonzero``/``argsort``/``bincount``.
 
-The derivation (all bit-identical to the legacy chain):
+:func:`route_fused` builds the plan for token-major top-k routing
+from **one** stable argsort over the flat ``(k*T,)`` expert ids; every
+other quantity is linear arithmetic on that single permutation.  It
+replaces a chain that ordered the same assignments four times over
+(a ``(k*T, E)`` one-hot cumsum for the slots, an ``np.nonzero`` kept
+scan, a stable argsort plus ``bincount`` for the grouped order, and a
+per-chunk argsort in C1).  The derivation (all bit-identical to that
+chain, which ``tests/moe/test_routing_fused.py`` keeps as its
+reference):
 
 * Sort the *token-major* flat ids ``top_idx.reshape(-1)`` (flat
   position ``q = t*k + c``).  A stable sort by expert yields the
   lexicographic ``(e, t, c)`` order — restricted to kept entries this
-  is exactly ``dispatch_grouped``'s ``argsort(expert_ids_kept)``
-  permutation, because stable sorting a subsequence preserves its
-  relative order.
+  is exactly the stable ``argsort(expert_ids_kept)`` permutation,
+  because stable sorting a subsequence preserves its relative order.
 * FCFS slot ranks are *choice-major* (``(e, c, t)`` priority: all
   first choices in token order, then all second choices — GShard's
   greedy rule), which is a different order — but it never needs a
@@ -34,21 +35,17 @@ The derivation (all bit-identical to the legacy chain):
   the per-``(e, c)`` counts the aux loss needs) falls out of the same
   arrays.
 
-The result is packaged as a :class:`RoutingPlan` and cached on
-:class:`~repro.moe.gating.GateOutput`, so every consumer — grouped
-dispatch/combine, dense mask densification, the chunked layer path,
-the expert-parallel C1 dispatch — reuses slices of the one global
-permutation instead of recomputing ``nonzero``/``argsort``/``bincount``.
-Chunked consumers
-rely on the *restriction property*: chunk boundaries never split a
-token's k assignments, and restricting the global ``(e, t, c)`` order
-to a contiguous token range gives exactly what a per-chunk stable
-argsort would — so a chunk's routing is a masked slice of the plan.
+Chunked consumers rely on the *restriction property*: chunk
+boundaries never split a token's k assignments, and restricting the
+global ``(e, t, c)`` order to a contiguous token range gives exactly
+what a per-chunk stable argsort would — so a chunk's routing is a
+masked slice of the plan.
 
-:func:`plan_from_indices` builds the same plan generically from
-arbitrary sparse index arrays (either layout) for routings that do
-not come out of the fused top-k kernel — expert-choice gates and
-degraded routings whose slot holes break the FCFS-prefix invariant
+:func:`plan_from_indices` is the one other builder: it derives the
+same plan from arbitrary sparse index arrays (either layout) for
+routings that do not come out of the fused top-k kernel — the
+expert-choice gate's flat routing, and degraded routings whose slot
+holes break the FCFS-prefix invariant
 (:meth:`GateOutput.with_experts_dropped`).
 """
 
@@ -78,13 +75,9 @@ class RoutingPlan:
     (``kept_token_ids[grouped_kept_pos] == grouped_token_ids``).
     """
 
-    #: ``"topk"`` (token-major ``(T, k)``) or ``"flat"`` (``(N,)``).
-    layout: str
     num_tokens: int
     num_experts: int
     capacity: int
-    #: Choices per token (token-major layout only, else ``None``).
-    top_k: Optional[int]
 
     #: (E,) assignments per expert *before* the capacity cut.
     counts: np.ndarray
@@ -95,7 +88,7 @@ class RoutingPlan:
     #: Assignments dropped by the capacity cut.
     dropped_assignments: int
 
-    #: Kept-order coordinate arrays (what ``_kept_coords`` returns).
+    #: Kept-order coordinate arrays.
     kept_token_ids: np.ndarray
     kept_expert_ids: np.ndarray
     kept_slot_ids: np.ndarray
@@ -123,42 +116,6 @@ class RoutingPlan:
         return int(self.grouped_token_ids.shape[0])
 
 
-def _empty_plan(
-    layout: str,
-    num_tokens: int,
-    num_experts: int,
-    capacity: int,
-    top_k: Optional[int],
-    slot_indices: np.ndarray,
-    counts: np.ndarray,
-    choice_counts: Optional[np.ndarray],
-    dropped: int,
-    weight_arity: int,
-) -> RoutingPlan:
-    empty = np.zeros(0, dtype=np.int64)
-    empty_widx = tuple(empty for _ in range(weight_arity))
-    return RoutingPlan(
-        layout=layout,
-        num_tokens=num_tokens,
-        num_experts=num_experts,
-        capacity=capacity,
-        top_k=top_k,
-        counts=counts,
-        choice_counts=choice_counts,
-        slot_indices=slot_indices,
-        dropped_assignments=dropped,
-        kept_token_ids=empty,
-        kept_expert_ids=empty,
-        kept_slot_ids=empty,
-        kept_weight_index=empty_widx,
-        grouped_kept_pos=empty,
-        grouped_token_ids=empty,
-        grouped_expert_ids=empty,
-        grouped_weight_index=empty_widx,
-        segment_counts=np.zeros(num_experts, dtype=np.int64),
-    )
-
-
 def route_fused(
     top_idx: np.ndarray, num_experts: int, capacity: int
 ) -> RoutingPlan:
@@ -168,7 +125,7 @@ def route_fused(
     one-hot-cumsum slot assignment (choice-major FCFS with drops at
     capacity), the ``kept_*`` arrays match the
     ``np.nonzero`` scan of the kept mask, and the ``grouped_*`` arrays
-    match ``dispatch_grouped``'s stable argsort (token-major
+    match a stable argsort of the kept expert ids (token-major
     tie-breaking within an expert).  See the module docstring for the
     derivation.
     """
@@ -206,10 +163,24 @@ def route_fused(
             )
         else:
             choice_counts = np.zeros((num_experts, top_k), dtype=np.int64)
-        slots = np.full((num_tokens, top_k), -1, dtype=np.int64)
-        return _empty_plan(
-            "topk", num_tokens, num_experts, capacity, top_k,
-            slots, counts, choice_counts, n, weight_arity=2,
+        empty = np.zeros(0, dtype=np.int64)
+        return RoutingPlan(
+            num_tokens=num_tokens,
+            num_experts=num_experts,
+            capacity=capacity,
+            counts=counts,
+            choice_counts=choice_counts,
+            slot_indices=np.full((num_tokens, top_k), -1, dtype=np.int64),
+            dropped_assignments=n,
+            kept_token_ids=empty,
+            kept_expert_ids=empty,
+            kept_slot_ids=empty,
+            kept_weight_index=(empty, empty),
+            grouped_kept_pos=empty,
+            grouped_token_ids=empty,
+            grouped_expert_ids=empty,
+            grouped_weight_index=(empty, empty),
+            segment_counts=np.zeros(num_experts, dtype=np.int64),
         )
 
     # THE sort: stable over token-major flat ids -> (e, t, c) order.
@@ -257,7 +228,7 @@ def route_fused(
     grouped_token_ids = perm // top_k
     grouped_choice_ids = perm % top_k
     # Position of each grouped row in the kept-order arrays, via the
-    # inverse kept-rank map — O(n), replacing dispatch_grouped's sort.
+    # inverse kept-rank map — O(n), no second sort.
     kept_rank = np.empty(n, dtype=np.int64)
     kept_rank[kept_token_ids * top_k + kept_choice_ids] = np.arange(
         num_kept, dtype=np.int64
@@ -265,11 +236,9 @@ def route_fused(
     grouped_kept_pos = kept_rank[perm]
 
     return RoutingPlan(
-        layout="topk",
         num_tokens=num_tokens,
         num_experts=num_experts,
         capacity=capacity,
-        top_k=top_k,
         counts=counts,
         choice_counts=choice_counts,
         slot_indices=slot_indices,
@@ -296,12 +265,12 @@ def plan_from_indices(
 ) -> RoutingPlan:
     """Build a plan from arbitrary sparse index arrays (either layout).
 
-    The generic fallback for routings that did not come out of
-    :func:`route_fused` — flat expert-choice indices, or token-major
+    The builder for routings that did not come out of
+    :func:`route_fused` — flat expert-choice indices (already
+    expert-major, so the sort is the identity), or token-major
     routings whose slots are no longer an FCFS prefix (dead-expert
-    degradation punches holes).  One stable argsort over the *kept*
-    expert ids, same outputs as the legacy
-    ``_kept_assignments`` + ``dispatch_grouped`` chain.
+    degradation punches holes).  An ``np.nonzero`` scan of the kept
+    mask, then one stable argsort over the kept expert ids.
     """
     expert_indices = np.asarray(expert_indices)
     slot_indices = np.asarray(slot_indices)
@@ -319,14 +288,12 @@ def plan_from_indices(
             f"{num_experts} experts"
         )
     if expert_indices.ndim == 2:
-        layout, top_k = "topk", expert_indices.shape[1]
         kept = slot_indices >= 0
         kept_token_ids, kept_choice_ids = np.nonzero(kept)
         kept_expert_ids = expert_indices[kept_token_ids, kept_choice_ids]
         kept_slot_ids = slot_indices[kept_token_ids, kept_choice_ids]
         kept_weight_index = (kept_token_ids, kept_choice_ids)
     elif expert_indices.ndim == 1:
-        layout, top_k = "flat", None
         if token_indices is None:
             raise ValueError(
                 "flat (N,) routing indices require token_indices"
@@ -347,11 +314,9 @@ def plan_from_indices(
         kept_expert_ids, minlength=num_experts
     ).astype(np.int64)
     return RoutingPlan(
-        layout=layout,
         num_tokens=num_tokens,
         num_experts=num_experts,
         capacity=capacity,
-        top_k=top_k,
         counts=counts_all,
         choice_counts=None,
         slot_indices=slot_indices,
@@ -369,45 +334,3 @@ def plan_from_indices(
         segment_counts=segment_counts,
     )
 
-
-def plan_for_expert_choice(
-    token_indices: np.ndarray,
-    expert_indices: np.ndarray,
-    slot_indices: np.ndarray,
-    num_experts: int,
-    num_tokens: int,
-    capacity: int,
-) -> RoutingPlan:
-    """Identity-order plan for the expert-choice gate's flat layout.
-
-    The EC gate emits ``expert_indices = repeat(arange(E), C)`` — the
-    flat arrays are *structurally* expert-major sorted with no drops,
-    so the grouped permutation is the identity and no sort of any kind
-    is needed.  Equal to :func:`plan_from_indices` on the same arrays
-    (a stable sort of an already-sorted key is the identity).
-    """
-    n = token_indices.shape[0]
-    pos = np.arange(n, dtype=np.int64)
-    counts = np.bincount(
-        expert_indices, minlength=num_experts
-    ).astype(np.int64)
-    return RoutingPlan(
-        layout="flat",
-        num_tokens=num_tokens,
-        num_experts=num_experts,
-        capacity=capacity,
-        top_k=None,
-        counts=counts,
-        choice_counts=None,
-        slot_indices=slot_indices,
-        dropped_assignments=0,
-        kept_token_ids=token_indices,
-        kept_expert_ids=expert_indices,
-        kept_slot_ids=slot_indices,
-        kept_weight_index=(pos,),
-        grouped_kept_pos=pos,
-        grouped_token_ids=token_indices,
-        grouped_expert_ids=expert_indices,
-        grouped_weight_index=(pos,),
-        segment_counts=counts,
-    )

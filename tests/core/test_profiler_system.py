@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import paper_testbed
+from repro.cluster import fit_alpha_beta, paper_testbed
 from repro.collectives import get_a2a
 from repro.compression import get_compressor
 from repro.core import (
@@ -27,13 +27,13 @@ def profiler(paper_spec):
 
 
 def test_linear_perf_model_fit_and_predict():
-    model = LinearPerfModel.fit([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+    model = LinearPerfModel(*fit_alpha_beta([0.0, 1.0, 2.0], [1.0, 3.0, 5.0]))
     assert model.alpha == pytest.approx(1.0)
     assert model.beta == pytest.approx(2.0)
     assert model.predict(10.0) == pytest.approx(21.0)
     assert model.predict(-1e6) == 0.0  # clamped
     with pytest.raises(ValueError):
-        LinearPerfModel.fit([1.0], [1.0])
+        fit_alpha_beta([1.0], [1.0])
 
 
 def test_profiler_caches_a2a_measurements(profiler):
@@ -64,12 +64,6 @@ def test_expert_tokens_match_capacity_math(profiler):
     tokens = profiler.expert_tokens_per_gpu(cfg)
     # E * C ~ f * k * B * L.
     assert tokens == cfg.num_experts * cfg.capacity
-
-
-def test_fit_a2a_model_monotone(profiler):
-    model = profiler.fit_a2a_model()
-    assert model.beta > 0
-    assert model.predict(2e8) > model.predict(1e6)
 
 
 def test_compressed_wire_size_drives_a2a(paper_spec):

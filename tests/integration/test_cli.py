@@ -200,9 +200,22 @@ def test_faults_recovery_flag_requires_write_demo(capsys):
 def test_pipeline_reports_wire_bytes(capsys, codec):
     assert main(
         ["pipeline", "--tokens", "128", "--experts", "8", "--model-dim",
-         "64", "--hidden-dim", "64", "--repeats", "1", "--link-gbps", "0",
+         "64", "--hidden-dim", "64", "--link-gbps", "0",
          "--compressor", codec]
     ) == 0
     out = capsys.readouterr().out
     assert "outputs bit-identical: True" in out
     assert "within 1%: True" in out
+    assert "single timed sample" in out
+    assert "benchmarks/bench_hotpath.py" in out
+
+
+def test_infer_reports_a_single_sample(capsys):
+    assert main(
+        ["infer", "--tokens", "64", "--experts", "4", "--model-dim", "16",
+         "--hidden-dim", "16"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "outputs bit-identical: True" in out
+    assert "no new misses after warmup): True" in out
+    assert "single timed sample" in out

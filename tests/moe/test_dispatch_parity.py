@@ -18,6 +18,7 @@ from repro.moe import (
     combine_grouped,
     dispatch,
     dispatch_grouped,
+    plan_from_indices,
 )
 from repro.nn import Tensor
 
@@ -92,17 +93,15 @@ def test_zero_token_expert(rng):
     assert np.asarray(out.expert_load)[1:].sum() == 0
 
     routed_dense = dispatch(x, out.dispatch_mask)
-    rows, routing = dispatch_grouped(
-        x, out.expert_indices, out.slot_indices, 4
-    )
+    rows = dispatch_grouped(x, out.plan)
     # Expert 0's segment is its dense buffer's occupied prefix; idle
     # experts get empty segments, and their dense buffers stay zero.
-    np.testing.assert_array_equal(routing.segment_counts, [6, 0, 0, 0])
+    np.testing.assert_array_equal(out.plan.segment_counts, [6, 0, 0, 0])
     np.testing.assert_allclose(rows.data, routed_dense.data[0], rtol=1e-6)
     assert np.all(routed_dense.data[1:] == 0.0)
 
     merged_dense = combine(routed_dense, out.combine_weights)
-    merged_sparse = combine_grouped(rows, routing, out.gate_weights, 6)
+    merged_sparse = combine_grouped(rows, out.plan, out.gate_weights)
     np.testing.assert_allclose(
         merged_sparse.data, merged_dense.data, rtol=1e-5, atol=1e-6
     )
@@ -140,19 +139,17 @@ def test_unknown_dispatch_mode_rejected():
         MoELayer(8, 16, 4, np.random.default_rng(1), dispatch_mode="fast")
 
 
-def test_dispatch_grouped_rejects_shape_mismatch(rng):
-    x = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+def test_plan_from_indices_rejects_shape_mismatch():
     expert_idx = np.zeros((4, 2), dtype=np.int64)
     slot_idx = np.zeros((4, 1), dtype=np.int64)
-    with pytest.raises(ValueError):
-        dispatch_grouped(x, expert_idx, slot_idx, 4)
+    with pytest.raises(ValueError, match="same shape"):
+        plan_from_indices(expert_idx, slot_idx, None, 4, 4, 1)
 
 
-def test_flat_routing_requires_token_indices(rng):
-    x = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+def test_flat_routing_requires_token_indices():
     flat = np.zeros(3, dtype=np.int64)
     with pytest.raises(ValueError, match="token_indices"):
-        dispatch_grouped(x, flat, flat, 4)
+        plan_from_indices(flat, flat, None, 4, 4, 1)
 
 
 def test_flat_form_matches_token_major_form(rng):
@@ -163,24 +160,28 @@ def test_flat_form_matches_token_major_form(rng):
     )
     out = gate(x.detach())
 
-    rows_tk, routing_tk = dispatch_grouped(
-        x, out.expert_indices, out.slot_indices, 4
+    plan_tk = plan_from_indices(
+        out.expert_indices, out.slot_indices, None, 4, 10, out.capacity
     )
     # Flatten (T, k) row-major: token t repeats k times.
     t_ids = np.repeat(np.arange(10), 2)
-    e_flat = out.expert_indices.reshape(-1)
-    s_flat = out.slot_indices.reshape(-1)
-    w_flat = out.gate_weights.reshape(-1)
-    rows_flat, routing_flat = dispatch_grouped(
-        x, e_flat, s_flat, 4, token_indices=t_ids
+    plan_flat = plan_from_indices(
+        out.expert_indices.reshape(-1), out.slot_indices.reshape(-1),
+        t_ids, 4, 10, out.capacity,
     )
-    np.testing.assert_array_equal(rows_flat.data, rows_tk.data)
     np.testing.assert_array_equal(
-        routing_flat.segment_counts, routing_tk.segment_counts
+        plan_flat.grouped_token_ids, plan_tk.grouped_token_ids
     )
+    np.testing.assert_array_equal(
+        plan_flat.segment_counts, plan_tk.segment_counts
+    )
+    rows_tk = dispatch_grouped(x, plan_tk)
+    rows_flat = dispatch_grouped(x, plan_flat)
+    np.testing.assert_array_equal(rows_flat.data, rows_tk.data)
 
-    merged_tk = combine_grouped(rows_tk, routing_tk, out.gate_weights, 10)
-    merged_flat = combine_grouped(rows_flat, routing_flat, w_flat, 10)
+    w_flat = out.gate_weights.reshape(-1)
+    merged_tk = combine_grouped(rows_tk, plan_tk, out.gate_weights)
+    merged_flat = combine_grouped(rows_flat, plan_flat, w_flat)
     np.testing.assert_allclose(
         merged_flat.data, merged_tk.data, rtol=1e-6, atol=1e-7
     )

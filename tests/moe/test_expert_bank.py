@@ -55,7 +55,7 @@ def test_forward_bitwise_parity(rng, E, C, M, H, fill):
     occ = occupied_mask(E, C, fill)
     ref = bank(Tensor(x)).data
     # The occupied slots in row-major order are the flat rows sorted
-    # by expert: exactly what dispatch_grouped hands run_grouped.
+    # by expert: exactly what dispatch_grouped gathers from a plan.
     out = bank.run_grouped(Tensor(x[occ]), load).data
     np.testing.assert_array_equal(out, ref[occ])
 

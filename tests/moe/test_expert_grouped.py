@@ -129,18 +129,13 @@ def test_grouped_dispatch_combine_match_dense(rng):
     x = rng.standard_normal((20, 8)).astype(np.float32)
     out = gate(Tensor(x))
 
-    rows, routing = dispatch_grouped(
-        Tensor(x), out.expert_indices, out.slot_indices, out.num_experts,
-        token_indices=out.token_indices,
-    )
-    assert int(routing.segment_counts.sum()) == rows.shape[0]
-    np.testing.assert_array_equal(routing.segment_counts, out.expert_load)
+    rows = dispatch_grouped(Tensor(x), out.plan)
+    assert int(out.plan.segment_counts.sum()) == rows.shape[0]
+    np.testing.assert_array_equal(out.plan.segment_counts, out.expert_load)
 
     # Identity experts: combining the dispatched rows reproduces the
     # dense combine of the dense capacity buffer.
-    merged_grouped = combine_grouped(
-        rows, routing, out.gate_weights.detach(), out.num_tokens
-    )
+    merged_grouped = combine_grouped(rows, out.plan, out.gate_weights.detach())
     merged_dense = combine(
         dispatch(Tensor(x), out.dispatch_mask),
         out.combine_weights.detach(),

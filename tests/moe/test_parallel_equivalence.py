@@ -100,7 +100,7 @@ def test_validation_errors(rng):
 def test_expert_placement(rng):
     layer = make_layer(rng, num_experts=8)
     group = ExpertParallelGroup(layer, num_workers=4)
-    assert group.experts_per_worker == 2
+    assert group.placement.counts() == (2, 2, 2, 2)
     assert group.placement.owner(0) == 0
     assert group.placement.owner(7) == 3
     assert group.placement.is_contiguous
@@ -131,9 +131,7 @@ def test_unequal_placement_counts(rng):
     layer = make_layer(rng, num_experts=8).eval()
     placement = ExpertPlacement(8, 3, owners=(0, 0, 0, 0, 1, 1, 2, 2))
     group = ExpertParallelGroup(layer, num_workers=3, placement=placement)
-    # The historical uniform-shard attribute has no meaning here.
-    with pytest.raises(AttributeError):
-        group.experts_per_worker
+    assert group.placement.counts() == (4, 2, 2)
     tokens = rng.standard_normal((24, 16)).astype(np.float32)
     out = group.forward_concatenated([tokens[:8], tokens[8:16], tokens[16:]])
     np.testing.assert_array_equal(out, layer(Tensor(tokens)).data)

@@ -182,7 +182,10 @@ def legacy_reference_forward(layer, shards):
 
     blocks = {}
     for w, out in enumerate(outs):
-        t_ids, e_ids, s_ids, _ = out._kept_coords()
+        plan = out.plan
+        t_ids, e_ids, s_ids = (
+            plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
+        )
         buf = np.zeros(
             (num_experts, out.capacity, model_dim), dtype=np.float32
         )
@@ -208,8 +211,11 @@ def legacy_reference_forward(layer, shards):
 
     merged = []
     for w, out in enumerate(outs):
-        t_ids, e_ids, s_ids, w_idx = out._kept_coords()
-        weights = out.gate_weights.data[w_idx]
+        plan = out.plan
+        t_ids, e_ids, s_ids = (
+            plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
+        )
+        weights = out.gate_weights.data[plan.kept_weight_index]
         expert_out = np.zeros(
             (num_experts, out.capacity, model_dim), dtype=np.float32
         )

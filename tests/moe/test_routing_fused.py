@@ -16,16 +16,19 @@ straddle chunking shapes, 4096 = the bench headline), top-k, expert
 counts, and capacity regimes (0 = all dropped, 1 = maximal drop
 pressure, tight, loose = no drops), plus adversarial layouts a real
 gate never emits: duplicate experts within one token's choices and
-expert-choice-style duplicate token selections.  The generic and
-identity plan builders are pinned to the same chain.
+expert-choice-style duplicate token selections.  The generic plan
+builder is pinned to the same chain, and the expert-choice gate's plan
+to the identity permutation.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.moe import MoELayer, RoutingPlan, route_fused
 from repro.moe.gating import TopKGate
-from repro.moe.routing import plan_for_expert_choice, plan_from_indices
+from repro.moe.routing import plan_from_indices
 from repro.nn import Tensor
 
 from .legacy_routing import assign_capacity_slots
@@ -177,8 +180,8 @@ def test_gate_attaches_the_plan(rng):
     gate = TopKGate(8, 4, np.random.default_rng(0), top_k=2,
                     capacity_factor=0.75)
     out = gate(Tensor(rng.standard_normal((33, 8)).astype(np.float32)))
-    assert isinstance(out._plan, RoutingPlan)
     plan = out.plan
+    assert isinstance(plan, RoutingPlan)
     np.testing.assert_array_equal(plan.slot_indices, out.slot_indices)
     np.testing.assert_array_equal(plan.expert_load, out.expert_load)
     assert plan.dropped_assignments == out.dropped_tokens
@@ -194,8 +197,8 @@ def test_dropped_expert_plan_rebuilds_generically(rng):
                     capacity_factor=2.0)
     out = gate(Tensor(rng.standard_normal((25, 8)).astype(np.float32)))
     degraded = out.with_experts_dropped({1})
-    assert degraded._plan is None  # lazily rebuilt, not inherited
     plan = degraded.plan
+    assert plan is not out.plan  # rebuilt, not inherited
     chain = legacy_chain(
         np.asarray(degraded.expert_indices),
         np.asarray(degraded.slot_indices),
@@ -211,41 +214,56 @@ def test_dropped_expert_plan_rebuilds_generically(rng):
     np.testing.assert_array_equal(plan.segment_counts, degraded.expert_load)
 
 
+def assert_plans_equal(a, b):
+    """Every RoutingPlan field equal, arrays in value and dtype."""
+    for field in dataclasses.fields(RoutingPlan):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, tuple):
+            assert len(x) == len(y), field.name
+            pairs = list(zip(x, y))
+        else:
+            pairs = [(x, y)]
+        for u, v in pairs:
+            if isinstance(u, np.ndarray):
+                assert u.dtype == v.dtype, field.name
+                np.testing.assert_array_equal(u, v, err_msg=field.name)
+            else:
+                assert u == v, field.name
+
+
 def test_expert_choice_identity_plan(rng):
-    """EC's flat layout is structurally expert-major: identity order,
-    and the identity builder equals the generic one."""
+    """EC's flat layout is structurally expert-major: its plan is the
+    identity permutation and equals the generic builder's, field by
+    field, the empty batch included."""
     layer = MoELayer(
         8, 16, 4, np.random.default_rng(0), gate_type="expert-choice",
         capacity_factor=2.0,
     )
-    layer(Tensor(rng.standard_normal((16, 8)).astype(np.float32)))
-    out = layer.last_gate_output
-    plan = out.plan
-    assert plan.layout == "flat"
-    n = out.expert_indices.shape[0]
-    np.testing.assert_array_equal(plan.grouped_kept_pos, np.arange(n))
-    np.testing.assert_array_equal(plan.grouped_token_ids, out.token_indices)
-    generic = plan_from_indices(
-        out.expert_indices, out.slot_indices, out.token_indices,
-        4, out.num_tokens, out.capacity,
-    )
-    for field in (
-        "kept_token_ids", "kept_expert_ids", "kept_slot_ids",
-        "grouped_kept_pos", "grouped_token_ids", "grouped_expert_ids",
-        "segment_counts",
-    ):
+    for num_tokens in (16, 0):
+        x = rng.standard_normal((num_tokens, 8)).astype(np.float32)
+        layer(Tensor(x))
+        out = layer.last_gate_output
+        plan = out.plan
+        n = out.expert_indices.shape[0]
+        assert plan.num_kept == n == 4 * out.capacity
+        identity = np.arange(n)
+        np.testing.assert_array_equal(plan.grouped_kept_pos, identity)
+        np.testing.assert_array_equal(plan.grouped_weight_index[0], identity)
         np.testing.assert_array_equal(
-            getattr(generic, field), getattr(plan, field), err_msg=field
+            plan.grouped_token_ids, out.token_indices
         )
-    # Identity builder wired through the gate, including the empty case.
-    empty = plan_for_expert_choice(
-        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
-        4, 0, 0,
-    )
-    assert empty.num_kept == 0
-    np.testing.assert_array_equal(
-        empty.segment_counts, np.zeros(4, np.int64)
-    )
+        np.testing.assert_array_equal(
+            plan.grouped_expert_ids, out.expert_indices
+        )
+        np.testing.assert_array_equal(
+            plan.segment_counts, np.full(4, out.capacity)
+        )
+        assert plan.dropped_assignments == 0
+        generic = plan_from_indices(
+            out.expert_indices, out.slot_indices, out.token_indices,
+            4, out.num_tokens, out.capacity,
+        )
+        assert_plans_equal(generic, plan)
 
 
 def test_route_fused_validation():
