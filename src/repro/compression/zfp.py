@@ -69,8 +69,10 @@ class ZfpLikeCompressor(Compressor):
         # land in [-(2^(rate-1) - 1), 2^(rate-1) - 1].
         qmax = float(2 ** (self.rate - 1) - 1)
         scales = np.ldexp(np.float32(1.0), exps.astype(np.int32))  # 2^e
-        quant = np.rint(blocks / scales[:, None] * qmax)
-        quant = np.clip(quant, -qmax, qmax)
+        quant = blocks / scales[:, None]
+        quant *= qmax
+        np.rint(quant, out=quant)
+        np.clip(quant, -qmax, qmax, out=quant)
 
         if self.rate == 4:
             data = _pack_nibbles(quant.astype(np.int8))
@@ -92,12 +94,11 @@ class ZfpLikeCompressor(Compressor):
         exps = compressed.payload["exponents"].astype(np.int32)
         raw = compressed.payload["data"]
         if rate == 4:
-            quant = _unpack_nibbles(raw).reshape(len(exps), BLOCK)
-        else:
-            quant = raw.reshape(len(exps), BLOCK).astype(np.float32)
+            raw = _unpack_nibbles(raw)
+        blocks = raw.reshape(len(exps), BLOCK).astype(np.float32)
         qmax = float(2 ** (rate - 1) - 1)
         scales = np.ldexp(np.float32(1.0), exps)
-        blocks = quant.astype(np.float32) * (scales[:, None] / qmax)
+        blocks *= scales[:, None] / qmax
         flat = blocks.ravel()
         if pad:
             flat = flat[:-pad]

@@ -193,7 +193,7 @@ class RecoveryController:
     docstring) but fresh, so those experts restart learning.
     ``bank_prefix`` names the expert bank inside the checkpoint when
     the archive holds more than one (e.g. ``"experts"`` for a bare
-    :class:`MoELayer` checkpoint, ``"layers.3.moe.experts"`` inside a
+    :class:`MoELayer` checkpoint, ``"blocks.items.3.ffn.experts"`` inside a
     full LM); with exactly one bank it is found automatically.
 
     The controller remembers every worker it has retired, so repeated
@@ -222,45 +222,12 @@ class RecoveryController:
 
     def _checkpoint_bank(self) -> Dict[str, np.ndarray]:
         """The stacked w1/b1/w2/b2 bank stored in the checkpoint."""
-        from ..nn.serialization import (
-            _EXTRA_PREFIX,
-            _META_KEY,
-            _bank_bases,
-            stack_expert_state,
-        )
+        from ..nn.serialization import read_expert_bank
 
         experts = self.group.layer.experts
-        with np.load(self.checkpoint, allow_pickle=False) as archive:
-            state = {
-                name: archive[name]
-                for name in archive.files
-                if name != _META_KEY
-                and not name.startswith(_EXTRA_PREFIX)
-            }
-        state = stack_expert_state(state)
-        bases = _bank_bases(state, experts.num_experts)
-        if self.bank_prefix is not None:
-            base = self.bank_prefix
-            if base and not base.endswith("."):
-                base += "."
-            if base not in bases:
-                raise KeyError(
-                    f"no expert bank {self.bank_prefix!r} in "
-                    f"{self.checkpoint} (found: {sorted(bases)})"
-                )
-        elif len(bases) == 1:
-            base = bases[0]
-        elif not bases:
-            raise KeyError(
-                f"no stacked expert bank with "
-                f"{experts.num_experts} experts in {self.checkpoint}"
-            )
-        else:
-            raise KeyError(
-                f"{self.checkpoint} holds {len(bases)} expert banks "
-                f"({sorted(bases)}); pass bank_prefix= to pick one"
-            )
-        bank = {n: state[base + n] for n in ("w1", "b1", "w2", "b2")}
+        bank = read_expert_bank(
+            self.checkpoint, experts.num_experts, prefix=self.bank_prefix
+        )
         if bank["w1"].shape != (
             experts.num_experts, experts.model_dim, experts.hidden_dim
         ):

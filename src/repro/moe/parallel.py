@@ -52,6 +52,14 @@ modes and across ``num_chunks`` (the per-token combine accumulation order is
 preserved exactly; only a lossy codec, whose quantization granularity
 is per payload, makes chunking visible — to codec-sized error).
 
+The forward records no autograd tape: it returns numpy arrays, so
+nothing could backprop through it, and the gate and every task run
+under :func:`~repro.nn.tensor.inference_mode` (no masks, closures or
+aux loss, bit-identical outputs).  It uses no arena either, so every
+returned array is a fresh allocation the caller owns.  A future
+expert-parallel backward must save the per-chunk E inputs it needs
+explicitly, not lean on an incidental tape.
+
 The group runs only the production path: a layer built with
 ``dispatch_mode="dense"`` is rejected at construction.  Its reference
 is the dense single-process layer applied to each worker's shard with
@@ -77,14 +85,8 @@ from ..core.runtime import (
 )
 from ..core.scheduler import Scheduler
 from ..core.tasks import Task, TaskKind
-from ..nn.buffer_pool import Arena, BufferPool
-from ..nn.tensor import (
-    _scatter_add_rows,
-    inference_mode,
-    scratch_empty,
-    scratch_zeros,
-    use_arena,
-)
+from ..nn.buffer_pool import BufferPool
+from ..nn.tensor import Tensor, _scatter_add_rows, inference_mode
 from .experts import Experts
 from .layer import MoELayer
 from .placement import ExpertPlacement
@@ -196,8 +198,6 @@ class ExpertParallelGroup:
         self.num_chunks = int(num_chunks)
         self._executor = StreamExecutor(scheduler)
         self._pool = BufferPool()
-        #: Scratch of :meth:`forward_inference`, over the staging pool.
-        self._inference_arena = Arena(pool=self._pool)
         #: Per-task (start, end) seconds of the most recent chunked
         #: forward (both pipeline modes), for overlap introspection.
         self.last_timeline: Optional[dict] = None
@@ -351,8 +351,6 @@ class ExpertParallelGroup:
 
     def _gate_shards(self, shards: List[np.ndarray]) -> list:
         """Every worker gates its own shard (shared parameters)."""
-        from ..nn.tensor import Tensor
-
         gate = self.layer.gate
         dead_experts = self.dead_experts
         gate_outputs = []
@@ -372,55 +370,35 @@ class ExpertParallelGroup:
         """One synchronized forward over per-worker token shards.
 
         ``shards[w]`` is worker w's (tokens_w, model_dim) input.
-        Returns the per-worker outputs.  Also records
-        ``self.last_dispatch_traffic`` / ``self.last_combine_traffic``.
+        Returns the per-worker outputs: fresh arrays the caller owns.
+        Also records ``self.last_dispatch_traffic`` /
+        ``self.last_combine_traffic``.
+
+        The outputs are plain numpy arrays, so nothing can backprop
+        through the group: the gate and the expert GEMMs run under
+        ``inference_mode()`` and record no autograd tape.  That flag
+        only skips the tape; every op keeps its float operations, so
+        the outputs are bit-identical to a taped forward, and it does
+        not touch ``training`` (a train-mode noisy gate still draws
+        its noise).
         """
         shards = self._validate_shards(shards)
-        gate_outputs = self._gate_shards(shards)
-        self._in_forward = True
-        try:
-            return self._forward_chunked(shards, gate_outputs)
-        finally:
-            self._in_forward = False
+        with inference_mode():
+            gate_outputs = self._gate_shards(shards)
+            self._in_forward = True
+            try:
+                return self._forward_chunked(shards, gate_outputs)
+            finally:
+                self._in_forward = False
 
     def forward_concatenated(self, shards: List[np.ndarray]) -> np.ndarray:
         """Forward then concatenate outputs in worker order."""
         return np.concatenate(self.forward(shards), axis=0)
 
-    def forward_inference(self, shards: List[np.ndarray]) -> List[np.ndarray]:
-        """Forward-only distributed pass on the arena fast path.
-
-        Runs :meth:`forward` under ``inference_mode()`` with an arena
-        that *shares* the group's A2A staging :class:`BufferPool`, so
-        expert-output rows, per-chunk assembly blocks and the
-        per-worker output buffers all recycle through the same free
-        lists as the staging copies.  Bit-identical to the plain
-        :meth:`forward` (with the borrowed layer in
-        ``eval()``).
-
-        The returned per-worker output arrays are arena-owned: they
-        stay valid until the next ``forward_inference`` call resets
-        the arena, after which their storage is recycled — copy
-        anything that must live longer.
-        """
-        arena = self._inference_arena
-        was_training = self.layer.training
-        if was_training:
-            self.layer.eval()
-        arena.reset()
-        try:
-            with inference_mode(), use_arena(arena):
-                return self.forward(shards)
-        finally:
-            if was_training:
-                self.layer.train()
-
     # -- chunked task-graph execution ---------------------------------------
     def _forward_chunked(
         self, shards: List[np.ndarray], gate_outputs: list
     ) -> List[np.ndarray]:
-        from ..nn.tensor import Tensor
-
         experts: Experts = self.layer.experts
         num_experts = self.layer.gate.num_experts
         model_dim = self.layer.model_dim
@@ -472,11 +450,8 @@ class ExpertParallelGroup:
                 [np.nonzero(g_chunk == c)[0] for c in range(r)]
             )
 
-        # Under forward_inference these draw from the shared arena —
-        # the steady-state loop reuses the same output/assembly
-        # buffers every step; in training they are plain allocations.
         outputs = [
-            scratch_zeros((shards[w].shape[0], model_dim))
+            np.zeros((shards[w].shape[0], model_dim), dtype=np.float32)
             for w in workers
         ]
         dispatch_traffic = np.zeros((self.num_workers, self.num_workers))
@@ -608,9 +583,7 @@ class ExpertParallelGroup:
                     counts_full[e] = sum(
                         int(counts[e_local]) for _, _, counts in entries
                     )
-                rows = np.concatenate(
-                    pieces, axis=0, out=scratch_empty((pos, model_dim))
-                )
+                rows = np.concatenate(pieces, axis=0)
                 back_index = [
                     (entries[i][0], np.concatenate(backs[i]))
                     for i in range(len(entries))
@@ -658,7 +631,7 @@ class ExpertParallelGroup:
                 sel = members[w][c]
                 if sel.size == 0:
                     continue
-                contrib = scratch_zeros((sel.size, model_dim))
+                contrib = np.zeros((sel.size, model_dim), dtype=np.float32)
                 for dst, staged in returned.pop((c, w), []):
                     contrib[return_map.pop((c, w, dst))] = decode(staged)
                     release(staged)

@@ -28,6 +28,7 @@ from .serialization import (
     load_checkpoint,
     load_extra_arrays,
     merge_expert_shards,
+    read_expert_bank,
     save_checkpoint,
     shard_expert_state,
     stack_expert_state,
@@ -78,6 +79,7 @@ __all__ = [
     "kaiming_normal",
     "checkpoint_placement",
     "load_checkpoint",
+    "read_expert_bank",
     "load_extra_arrays",
     "merge_expert_shards",
     "normal",

@@ -50,6 +50,12 @@ class BufferPool:
     tests can assert reuse instead of guessing at it: a steady-state
     inference loop should stop accumulating misses after its first
     step.
+
+    ``checked_out`` counts buffers handed out and not yet released
+    (acquires minus releases, a release past ``max_per_key`` that drops
+    its buffer included).  Unlike the free-list counters it does not
+    depend on how concurrent acquires and releases interleave, so it
+    is the count to assert a leak-free pass on.
     """
 
     def __init__(self, max_per_key: int = 16):
@@ -61,6 +67,8 @@ class BufferPool:
         #: Buffers served from the free list / fresh allocations.
         self.hits = 0
         self.misses = 0
+        #: Acquires minus releases (dropped releases included).
+        self.checked_out = 0
         self._bytes_held = 0
         self._bytes_allocated = 0
 
@@ -72,6 +80,7 @@ class BufferPool:
         key = self._key(shape, dtype)
         nbytes = int(np.prod(key[0], dtype=np.int64)) * key[1].itemsize
         with self._lock:
+            self.checked_out += 1
             free = self._free.get(key)
             if free:
                 self.hits += 1
@@ -120,6 +129,7 @@ class BufferPool:
             )
         key = self._key(array.shape, array.dtype)
         with self._lock:
+            self.checked_out -= 1
             free = self._free.setdefault(key, [])
             if len(free) < self.max_per_key:
                 free.append(array)

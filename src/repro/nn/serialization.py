@@ -176,6 +176,15 @@ def save_checkpoint(
             tmp.unlink()
 
 
+def _parameter_arrays(archive) -> Dict[str, np.ndarray]:
+    """An open archive's parameter arrays: no metadata, no extras."""
+    return {
+        name: archive[name]
+        for name in archive.files
+        if name != _META_KEY and not name.startswith(_EXTRA_PREFIX)
+    }
+
+
 def load_checkpoint(
     model: Module, path: Union[str, Path]
 ) -> Dict[str, Any]:
@@ -191,11 +200,7 @@ def load_checkpoint(
         raise FileNotFoundError(f"no checkpoint at {path}")
     with np.load(path, allow_pickle=False) as archive:
         meta_raw = archive[_META_KEY].tobytes().decode("utf-8")
-        state = {
-            name: archive[name]
-            for name in archive.files
-            if name != _META_KEY and not name.startswith(_EXTRA_PREFIX)
-        }
+        state = _parameter_arrays(archive)
     model.load_state_dict(stack_expert_state(state))
     return json.loads(meta_raw)
 
@@ -256,6 +261,47 @@ def _bank_bases(state: Dict[str, np.ndarray], num_experts: int) -> List[str]:
             continue
         bases.append(base)
     return bases
+
+
+def read_expert_bank(
+    path: Union[str, Path], num_experts: int, prefix: Optional[str] = None
+) -> Dict[str, np.ndarray]:
+    """The stacked ``w1``/``b1``/``w2``/``b2`` expert bank in a checkpoint.
+
+    ``prefix`` names the bank's module path (``"experts"`` in a
+    :class:`~repro.moe.layer.MoELayer` checkpoint, ``""`` for a bank at
+    the root, ``"blocks.items.3.ffn.experts"`` inside a model; a
+    trailing ``"."`` is optional); ``None`` picks the one
+    bank of ``num_experts`` experts the checkpoint holds.  Legacy
+    per-expert checkpoints are stacked first.  Raises ``KeyError``
+    when the named bank is missing, when no bank has ``num_experts``
+    experts, or when ``prefix=None`` finds more than one.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no checkpoint at {path}")
+    with np.load(path, allow_pickle=False) as archive:
+        state = stack_expert_state(_parameter_arrays(archive))
+    bases = _bank_bases(state, num_experts)
+    if prefix is not None:
+        base = prefix if not prefix or prefix.endswith(".") else prefix + "."
+        if base not in bases:
+            raise KeyError(
+                f"no expert bank {prefix!r} with {num_experts} experts "
+                f"in {path} (found: {sorted(bases)})"
+            )
+    elif len(bases) == 1:
+        base = bases[0]
+    elif not bases:
+        raise KeyError(
+            f"no stacked expert bank with {num_experts} experts in {path}"
+        )
+    else:
+        raise KeyError(
+            f"{path} holds {len(bases)} expert banks ({sorted(bases)}); "
+            "pass prefix= to pick one"
+        )
+    return {n: state[base + n] for n in ("w1", "b1", "w2", "b2")}
 
 
 def shard_expert_state(

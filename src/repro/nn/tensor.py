@@ -767,7 +767,6 @@ def segment_matmul(
     x: Tensor,
     weight: Tensor,
     segment_counts: np.ndarray,
-    bucketed: bool = True,
     bias: Optional[Tensor] = None,
 ) -> Tensor:
     """Differentiable per-segment matmul against a stacked weight bank.
@@ -780,11 +779,12 @@ def segment_matmul(
     ``out[start_e : start_e + counts[e]] = x[same] @ weight[e]``
 
     An optional ``(E, J)`` ``bias`` adds row ``bias[e]`` to every
-    output row of segment e — one vectorized add after the GEMMs, the
-    same float op as adding a per-row gather of the bias — and its
-    gradient is each occupied segment's output-gradient rows summed in
-    row order (zero for empty segments), bit-identical to the
-    gather's ``np.add.at`` adjoint.  The expert FFN's bias thus costs
+    output row of segment e right after that segment's GEMM, inside
+    the loop — the same single float add per element as adding a
+    per-row gather of the bias, with no ``(N, J)`` bias rows ever
+    materialized — and its gradient is each occupied segment's
+    output-gradient rows summed in row order (zero for empty
+    segments), bit-identical to the gather's ``np.add.at`` adjoint.  The expert FFN's bias thus costs
     no tape node of its own (Megatron-Core fuses it into its grouped
     GEMM the same way).
 
@@ -807,16 +807,15 @@ def segment_matmul(
     — so one tape node covers the whole bank, over ragged row groups
     instead of a fixed capacity dimension.
 
-    With ``bucketed=True`` (the default), occupied *small* segments of
-    equal length are batched into one stacked ``np.matmul`` per size
-    bucket — forward and backward — so balanced large-E routing (many
-    small equal segments, the worst case for per-segment Python
-    dispatch) pays one GEMM call per distinct size instead of one per
-    expert.  Batched matmul computes each slice exactly as the
+    Occupied *small* segments of equal length are batched into one
+    stacked ``np.matmul`` per size bucket — forward and backward — so
+    balanced large-E routing (many small equal segments, the worst
+    case for per-segment Python dispatch) pays one GEMM call per
+    distinct size instead of one per expert.  Batched matmul computes each slice exactly as the
     corresponding 2-d product (numpy dispatches the same GEMM kernel
     per batch slice), so results are bit-identical to the unbucketed
-    loop, which ``bucketed=False`` keeps selectable as the parity
-    reference.  Bucketing only pays when the per-call dispatch
+    loop (``tests/nn/legacy_segment_matmul.py`` keeps that loop as the
+    parity reference).  Bucketing only pays when the per-call dispatch
     overhead it removes exceeds the row gather it adds, i.e. for
     segments whose LHS block is small —
     segments above the ``_BUCKET_ROW_ELEMS`` threshold and singleton
@@ -867,7 +866,7 @@ def segment_matmul(
     # per-segment path.
     batched = []
     singles = occupied
-    if bucketed and occupied.size:
+    if occupied.size:
         by_size = {}
         for e in occupied:
             by_size.setdefault(int(counts[e]), []).append(int(e))
@@ -883,12 +882,16 @@ def segment_matmul(
 
     data = scratch_empty((x.shape[0], weight.shape[2]), np.float32)
     for experts, rows in batched:
-        data[rows] = np.matmul(x.data[rows], weight.data[experts])
+        out = np.matmul(x.data[rows], weight.data[experts])
+        if bias is not None:
+            out += bias.data[experts][:, None, :]
+        data[rows] = out
     for e in singles:
         lo, hi = offsets[e], offsets[e + 1]
-        np.matmul(x.data[lo:hi], weight.data[e], out=data[lo:hi])
-    if bias is not None:
-        np.add(data, np.repeat(bias.data, counts, axis=0), out=data)
+        out = data[lo:hi]
+        np.matmul(x.data[lo:hi], weight.data[e], out=out)
+        if bias is not None:
+            out += bias.data[e]
 
     def backward(g):
         grad_x = np.empty_like(x.data)

@@ -7,15 +7,14 @@ edge — while recording no tape and drawing its large intermediates
 from the layer's step-scoped arena (so steady state performs zero
 large allocations).  Anything weaker than ``np.array_equal`` here
 would hide a divergence between what we benchmark and what we train.
-The chunked sync and overlap pipelines are checked the same way through
-``ExpertParallelGroup.forward_inference``, the only chunked executor.
+The expert-parallel group's forward is tape-free by construction; its
+parity with the taped forward lives in ``test_parallel_tape_free.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.moe import MoELayer
-from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
 
@@ -139,38 +138,3 @@ def test_forward_inference_rejects_dense_dispatch(rng):
     ).eval()
     with pytest.raises(RuntimeError, match="sparse"):
         layer.forward_inference(Tensor(tokens(rng, dim=16)))
-
-
-# -- expert-parallel group ---------------------------------------------------
-
-
-def group_parity(rng, **kwargs):
-    layer = make_layer(capacity_factor=4.0)
-    group = ExpertParallelGroup(layer, num_workers=4, **kwargs)
-    shards = [tokens(rng, n=24) for _ in range(4)]
-    ref = [y.copy() for y in group.forward(shards)]
-    got = group.forward_inference(shards)
-    for r, g in zip(ref, got):
-        np.testing.assert_array_equal(r, g)
-    return group, shards
-
-
-def test_group_parity_sync_and_overlap(rng):
-    group_parity(rng)
-    group_parity(rng, pipeline="overlap", num_chunks=2)
-
-
-def test_group_parity_with_dead_workers(rng):
-    group_parity(rng, dead_workers={1})
-
-
-def test_group_steady_state_reuses_staging_pool(rng):
-    group, shards = group_parity(rng, pipeline="overlap", num_chunks=2)
-    group.forward_inference(shards)  # second warm pass
-    stats = group._pool.stats()
-    misses = stats["misses"]
-    got = [y.copy() for y in group.forward_inference(shards)]
-    assert group._pool.stats()["misses"] == misses  # steady: pure reuse
-    ref = group.forward(shards)
-    for r, g in zip(ref, got):
-        np.testing.assert_array_equal(r, g)

@@ -1,0 +1,53 @@
+"""The unbucketed segment matmul, kept as a test reference.
+
+Production :func:`~repro.nn.tensor.segment_matmul` batches small
+equal-length segments into stacked GEMMs and adds each segment's bias
+inside its GEMM loop.  This is the form it replaced: one plain 2-d
+GEMM per occupied segment, then the bias added once over all rows
+through an ``(N, J)`` ``np.repeat`` of the bias bank.  The parity
+suites check the production forward and backward against it bit for
+bit.
+"""
+
+import numpy as np
+
+from repro.nn.tensor import Tensor, _row_sum
+
+
+def legacy_segment_matmul(x, weight, segment_counts, bias=None):
+    """Per-segment GEMM loop plus a repeated-row bias add."""
+    x = Tensor._lift(x)
+    weight = Tensor._lift(weight)
+    counts = np.asarray(segment_counts)
+    parents = (x, weight)
+    if bias is not None:
+        bias = Tensor._lift(bias)
+        parents = (x, weight, bias)
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    occupied = np.nonzero(counts)[0]
+
+    data = np.empty((x.shape[0], weight.shape[2]), np.float32)
+    for e in occupied:
+        lo, hi = offsets[e], offsets[e + 1]
+        np.matmul(x.data[lo:hi], weight.data[e], out=data[lo:hi])
+    if bias is not None:
+        np.add(data, np.repeat(bias.data, counts, axis=0), out=data)
+
+    def backward(g):
+        grad_x = np.empty_like(x.data)
+        grad_w = np.zeros_like(weight.data)
+        for e in occupied:
+            lo, hi = offsets[e], offsets[e + 1]
+            np.matmul(g[lo:hi], weight.data[e].T, out=grad_x[lo:hi])
+            np.matmul(x.data[lo:hi].T, g[lo:hi], out=grad_w[e])
+        if bias is None:
+            return ((x, grad_x), (weight, grad_w))
+        grad_b = np.zeros_like(bias.data)
+        g = np.ascontiguousarray(g)
+        for e in occupied:
+            grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
+        return ((x, grad_x), (weight, grad_w), (bias, grad_b))
+
+    if Tensor._needs_grad(*parents):
+        return Tensor(data, _parents=parents, _backward=backward)
+    return Tensor(data)

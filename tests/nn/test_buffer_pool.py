@@ -157,6 +157,21 @@ def test_stats_excludes_dropped_overflow_buffers():
     assert pool.bytes_allocated == 3 * bufs[0].nbytes
 
 
+def test_checked_out_counts_dropped_releases():
+    """Acquires minus releases, whether a release is kept or dropped."""
+    pool = BufferPool(max_per_key=1)
+    bufs = [pool.acquire((16,)) for _ in range(3)] + [pool.acquire((2, 2))]
+    assert pool.checked_out == 4
+    for b in bufs[:3]:
+        pool.release(b)  # the last two overflow the free list
+    assert pool.checked_out == 1 and pool.idle_buffers() == 1
+    with pytest.raises(ValueError):
+        pool.release(bufs[3][0:1])  # a refused release returns nothing
+    assert pool.checked_out == 1
+    pool.release(bufs[3])
+    assert pool.checked_out == 0
+
+
 # -- the step-scoped arena ----------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from repro.nn import Arena, Tensor, inference_mode, use_arena
 from repro.nn import functional as F
 from repro.nn.modules import Parameter
 from repro.nn.optim import Adam
+import repro.nn.tensor as tensor_module
 from repro.nn.tensor import (
     _SCATTER_ROUNDS_MAX_DEPTH,
     _scatter_add_rows,
@@ -24,6 +25,7 @@ from repro.nn.tensor import (
 )
 
 from ..moe.legacy_expert_step import legacy_adam_step
+from .legacy_segment_matmul import legacy_segment_matmul
 
 
 def assert_bits_equal(got, expected):
@@ -185,12 +187,16 @@ def test_take_along_axis_backward_of_top_k_picks(rng):
 # -- segment_matmul(bias=) -------------------------------------------------
 
 
-def composed(x, w, b, counts, bucketed):
+def composed(x, w, b, counts):
     """The bias chain segment_matmul(bias=) replaced: GEMM + gathered rows."""
     expert_of_row = np.repeat(np.arange(len(counts)), counts)
-    return segment_matmul(x, w, counts, bucketed=bucketed) + gather(
-        b, expert_of_row
-    )
+    return segment_matmul(x, w, counts) + gather(b, expert_of_row)
+
+
+def set_bucketing(monkeypatch, bucketed):
+    """``bucketed=False`` puts every occupied segment on the singles loop."""
+    if not bucketed:
+        monkeypatch.setattr(tensor_module, "_BUCKET_ROW_ELEMS", 0)
 
 
 COUNTS = {
@@ -206,8 +212,9 @@ COUNTS = {
 @pytest.mark.parametrize("width", [1, 2, 64])
 @pytest.mark.parametrize("name", sorted(COUNTS))
 def test_bias_matches_the_gathered_bias_chain(
-    rng, name, width, bucketed, order
+    rng, monkeypatch, name, width, bucketed, order
 ):
+    set_bucketing(monkeypatch, bucketed)
     counts = np.asarray(COUNTS[name])
     n, k = int(counts.sum()), 3
     arrays = (
@@ -227,33 +234,40 @@ def test_bias_matches_the_gathered_bias_chain(
         out.backward(seed)
         return out.data, x.grad, w.grad, b.grad
 
-    fused = run(
-        lambda x, w, b: segment_matmul(x, w, counts, bucketed=bucketed, bias=b)
-    )
-    ref = run(lambda x, w, b: composed(x, w, b, counts, bucketed))
+    fused = run(lambda x, w, b: segment_matmul(x, w, counts, bias=b))
+    ref = run(lambda x, w, b: composed(x, w, b, counts))
     for got, expected in zip(fused, ref):
         assert_bits_equal(got, expected)
+    # The in-loop bias against the legacy repeated-row bias: output and
+    # bias gradient always.  The x and w gradients only where both run
+    # the same GEMM layout — a stacked GEMM over rows gathered from an
+    # F-ordered gradient rounds differently from the 2-d GEMM on its
+    # strided slice, with or without a bias.
+    legacy = run(lambda x, w, b: legacy_segment_matmul(x, w, counts, bias=b))
+    same_layout = not bucketed or order == "C"
+    for i in (0, 1, 2, 3) if same_layout else (0, 3):
+        assert_bits_equal(fused[i], legacy[i])
     # Independently of gather's backward: the bias adjoint is np.add.at.
     expert_of_row = np.repeat(np.arange(6), counts)
     assert_bits_equal(fused[3], add_at((6, width), expert_of_row, seed))
 
 
 @pytest.mark.parametrize("bucketed", [True, False])
-def test_bias_forward_under_inference_matches_training(rng, bucketed):
+def test_bias_forward_under_inference_matches_training(
+    rng, monkeypatch, bucketed
+):
+    set_bucketing(monkeypatch, bucketed)
     counts = np.array([40, 0, 70, 10])
     x = spread(rng, (120, 64))
     w = spread(rng, (4, 64, 48))
     b = spread(rng, (4, 48))
-    train = segment_matmul(
-        Tensor(x), Tensor(w), counts, bucketed=bucketed, bias=Tensor(b)
-    ).data
+    train = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b)).data
+    assert_bits_equal(train, legacy_segment_matmul(x, w, counts, bias=b).data)
     arena = Arena()
     with inference_mode(), use_arena(arena):
         for _ in range(2):  # the second step replays pooled buffers
             arena.reset()
-            out = segment_matmul(
-                Tensor(x), Tensor(w), counts, bucketed=bucketed, bias=Tensor(b)
-            )
+            out = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b))
             assert out._parents == ()
             assert_bits_equal(out.data, train)
     arena.reset()

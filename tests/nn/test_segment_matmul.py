@@ -4,13 +4,17 @@
 composition of plain 2-d matmuls — forward bit-identical to slicing,
 backward the exact adjoint of each slice (per-segment input grads, and
 per-segment weight grads accumulated into the stacked bank with empty
-segments receiving exactly zero).
+segments receiving exactly zero).  Its size buckets and its
+in-loop bias add are pinned bit for bit, forward and backward, to the
+unbucketed loop with a repeated-row bias in ``legacy_segment_matmul``.
 """
 
 import numpy as np
 import pytest
 
 from repro.nn import Tensor, segment_matmul
+
+from .legacy_segment_matmul import legacy_segment_matmul
 
 
 def reference(x, w, counts):
@@ -97,24 +101,29 @@ def test_gradcheck_against_per_segment_matmul(rng):
     ],
 )
 def test_bucketed_matches_unbucketed(rng, counts):
-    """Size-bucketed stacked GEMMs are bit-identical to the plain loop,
-    forward and backward — same per-row 2-d products, just batched."""
+    """Size-bucketed stacked GEMMs with the bias added inside the loop
+    are bit-identical to the plain loop with a repeated-row bias,
+    forward and backward — same per-row 2-d products and the same one
+    float add per element, just batched."""
     counts = np.asarray(counts)
     n, e = int(counts.sum()), len(counts)
     x = rng.standard_normal((n, 6)).astype(np.float32)
     w = rng.standard_normal((e, 6, 5)).astype(np.float32)
+    b = rng.standard_normal((e, 5)).astype(np.float32)
     seed = rng.standard_normal((n, 5)).astype(np.float32)
 
-    grads = {}
-    for bucketed in (True, False):
-        xs = Tensor(x.copy(), requires_grad=True)
-        ws = Tensor(w.copy(), requires_grad=True)
-        out = segment_matmul(xs, ws, counts, bucketed=bucketed)
-        out.backward(seed.copy())
-        grads[bucketed] = (np.array(out.data), xs.grad, ws.grad)
-
-    for a, b in zip(grads[True], grads[False]):
-        np.testing.assert_array_equal(a, b)
+    for with_bias in (False, True):
+        grads = []
+        for fn in (segment_matmul, legacy_segment_matmul):
+            xs = Tensor(x.copy(), requires_grad=True)
+            ws = Tensor(w.copy(), requires_grad=True)
+            bs = Tensor(b.copy(), requires_grad=True) if with_bias else None
+            out = fn(xs, ws, counts, bias=bs)
+            out.backward(seed.copy())
+            got = [np.array(out.data), xs.grad, ws.grad]
+            grads.append(got + [bs.grad] if with_bias else got)
+        for a, ref in zip(*grads):
+            assert np.array_equal(a.view(np.int32), ref.view(np.int32))
 
 
 # -- bucketing threshold -----------------------------------------------------
@@ -128,13 +137,14 @@ def test_bucket_threshold_sweep_keeps_values(rng, monkeypatch):
     counts = np.asarray([5, 5, 2, 2])
     x = rng.standard_normal((int(counts.sum()), 6)).astype(np.float32)
     w = rng.standard_normal((len(counts), 6, 5)).astype(np.float32)
-    ref = segment_matmul(Tensor(x), Tensor(w), counts, bucketed=False).data
+    b = rng.standard_normal((len(counts), 5)).astype(np.float32)
+    ref = legacy_segment_matmul(x, w, counts, bias=b).data
     # 0 disables bucketing entirely; a huge value buckets every size
     # class.  Either way results are bit-identical to the plain loop.
     for threshold in (0, 12, 1_000_000):
         monkeypatch.setattr(tensor_module, "_BUCKET_ROW_ELEMS", threshold)
-        out = segment_matmul(Tensor(x), Tensor(w), counts).data
-        np.testing.assert_array_equal(out, ref)
+        out = segment_matmul(Tensor(x), Tensor(w), counts, bias=b).data
+        assert np.array_equal(out.view(np.int32), ref.view(np.int32))
 
 
 def test_empty_input(rng):

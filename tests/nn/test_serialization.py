@@ -8,6 +8,7 @@ from repro.nn import (
     Sequential,
     Tensor,
     load_checkpoint,
+    read_expert_bank,
     save_checkpoint,
 )
 
@@ -266,3 +267,63 @@ def test_extra_prefix_is_reserved_for_parameters(tmp_path):
 
     with pytest.raises(ValueError, match="reserved"):
         save_checkpoint(Weird(), tmp_path / "w.npz")
+
+
+# -- read_expert_bank ----------------------------------------------------------
+
+
+def two_bank_lm():
+    from repro.models import TransformerLM
+
+    return TransformerLM(
+        vocab_size=20, model_dim=16, hidden_dim=24, num_layers=2,
+        num_heads=2, moe=True, num_experts=4, max_seq_len=16, seed=0,
+    )
+
+
+def test_read_expert_bank_finds_the_one_bank(tmp_path):
+    from repro.moe import MoELayer
+
+    layer = MoELayer(16, 24, 4, np.random.default_rng(0))
+    path = tmp_path / "layer.npz"
+    save_checkpoint(layer, path)
+    for prefix in (None, "experts", "experts."):
+        bank = read_expert_bank(path, 4, prefix=prefix)
+        assert sorted(bank) == ["b1", "b2", "w1", "w2"]
+        for name, value in bank.items():
+            np.testing.assert_array_equal(
+                value, getattr(layer.experts, name).data
+            )
+
+
+def test_read_expert_bank_picks_a_named_bank(tmp_path):
+    lm = two_bank_lm()
+    path = tmp_path / "lm.npz"
+    save_checkpoint(lm, path)
+    bank = read_expert_bank(path, 4, prefix="blocks.items.1.ffn.experts")
+    np.testing.assert_array_equal(
+        bank["w2"], lm.state_dict()["blocks.items.1.ffn.experts.w2"]
+    )
+
+
+def test_read_expert_bank_raises_on_a_missing_bank(tmp_path):
+    lm = two_bank_lm()
+    path = tmp_path / "lm.npz"
+    save_checkpoint(lm, path)
+    with pytest.raises(KeyError, match="no expert bank 'nope'"):
+        read_expert_bank(path, 4, prefix="nope")
+    with pytest.raises(KeyError, match="no expert bank"):
+        read_expert_bank(path, 8, prefix="blocks.items.0.ffn.experts")
+    plain = tmp_path / "plain.npz"
+    save_checkpoint(make_model(0), plain)
+    with pytest.raises(KeyError, match="no stacked expert bank with 4"):
+        read_expert_bank(plain, 4)
+    with pytest.raises(FileNotFoundError):
+        read_expert_bank(tmp_path / "absent.npz", 4)
+
+
+def test_read_expert_bank_raises_on_an_ambiguous_bank(tmp_path):
+    path = tmp_path / "lm.npz"
+    save_checkpoint(two_bank_lm(), path)
+    with pytest.raises(KeyError, match="holds 2 expert banks"):
+        read_expert_bank(path, 4)
