@@ -14,61 +14,16 @@ Reproduction targets (paper Section 6.4):
 from __future__ import annotations
 
 from repro.cluster import paper_testbed
-from repro.collectives import get_a2a, measure_a2a, theoretical_max_speedup
+from repro.systems.tables import TABLES
 
 from _util import emit, once
 
-ALGORITHMS = ("nccl", "1dh", "2dh", "pipe")
-SIZES = {
-    "small": [1e3, 1e4, 1e5, 1e6],
-    "median": [4e6, 1.6e7, 6.4e7, 2e8],
-    "large": [4e8, 6.4e8, 1e9, 2e9],
-}
-
-
-def run_fig9():
-    spec = paper_testbed()
-    rows = []
-    for regime, sizes in SIZES.items():
-        for size in sizes:
-            entry = {"regime": regime, "size": size}
-            for name in ALGORITHMS:
-                result = measure_a2a(get_a2a(name), spec, size)
-                entry[name] = float("inf") if result.oom else result.seconds
-            entry["eq18"] = theoretical_max_speedup(spec, size)
-            rows.append(entry)
-    return rows
-
-
-def render(rows) -> str:
-    lines = [
-        f"{'regime':>7} {'size(B)':>9} "
-        + " ".join(f"{n + '(ms)':>10}" for n in ALGORITHMS)
-        + f" {'p/nccl':>7} {'p/2dh':>6} {'eq18':>5}"
-    ]
-    for e in rows:
-        cells = []
-        for name in ALGORITHMS:
-            cells.append(
-                "OOM".rjust(10)
-                if e[name] == float("inf")
-                else f"{e[name] * 1e3:>10.3f}"
-            )
-        p_nccl = e["nccl"] / e["pipe"]
-        p_2dh = (
-            float("nan") if e["2dh"] == float("inf") else e["2dh"] / e["pipe"]
-        )
-        lines.append(
-            f"{e['regime']:>7} {e['size']:>9.0e} "
-            + " ".join(cells)
-            + f" {p_nccl:>7.2f} {p_2dh:>6.2f} {e['eq18']:>5.2f}"
-        )
-    return "\n".join(lines)
+TABLE = TABLES["fig9"]
 
 
 def test_fig9_a2a_algorithms(benchmark):
-    rows = once(benchmark, run_fig9)
-    emit("fig9_a2a_algorithms", render(rows))
+    rows = once(benchmark, lambda: TABLE.build(paper_testbed()))
+    emit(TABLE.sidecar, TABLE.render(rows))
     for e in rows:
         # Pipe always wins (paper: "Pipe-A2A outperforms all the other
         # A2A algorithms in all cases" vs NCCL/1DH; 2DH's aggregation

@@ -15,41 +15,17 @@ largest single contributor and a composite speedup in the 2-3x range.
 from __future__ import annotations
 
 from repro.cluster import paper_testbed
-from repro.models import ablation_layer
-from repro.systems import SweepTask, ablation_suite, run_sweep
+from repro.systems.tables import ABLATION_ORDER, TABLES
 
-from _util import OUT_DIR, emit, once
+from _util import emit, once
 
-ORDER = ("Naive", "ScheMoE-Z", "ScheMoE-ZP", "ScheMoE")
-
-
-def run_table10():
-    policies = ablation_suite()
-    cfg = ablation_layer()
-    results = run_sweep(
-        [SweepTask(cfg, p) for p in policies],
-        paper_testbed(),
-        cache_path=OUT_DIR / "sweep_cache.json",
-    )
-    return {p.name: r for p, r in zip(policies, results)}
-
-
-def render(results) -> str:
-    base = results["Naive"].total_s
-    lines = [f"{'Name':<12} {'Time(ms)':>10} {'Speedup':>8}"]
-    for name in ORDER:
-        r = results[name]
-        lines.append(
-            f"{name:<12} {r.total_s * 1e3:>10.0f} "
-            f"{base / r.total_s:>7.2f}x"
-        )
-    return "\n".join(lines)
+TABLE = TABLES["table10"]
 
 
 def test_table10_ablation(benchmark):
-    results = once(benchmark, run_table10)
-    emit("table10_ablation", render(results))
-    times = [results[name].total_s for name in ORDER]
+    results = once(benchmark, lambda: TABLE.build(paper_testbed()))
+    emit(TABLE.sidecar, TABLE.render(results))
+    times = [results[name].total_s for name in ABLATION_ORDER]
     assert times == sorted(times, reverse=True)  # monotone improvement
     base = times[0]
     z_gain = base / results["ScheMoE-Z"].total_s

@@ -15,32 +15,16 @@ grows with depth.
 from __future__ import annotations
 
 from repro.cluster import paper_testbed
-from repro.models import ct_moe
-from repro.systems import SystemRunner, tutel
+from repro.systems.tables import TABLES
 
 from _util import emit, once
 
-
-def run_table1() -> str:
-    runner = SystemRunner(paper_testbed())
-    lines = [
-        f"{'#Layers':>8} {'#Params(M)':>11} {'A2A(ms)':>9} "
-        f"{'Step(ms)':>9} {'Ratio(%)':>9}"
-    ]
-    for layers in (12, 16, 20, 24):
-        cfg = ct_moe(layers)
-        step = runner.step(cfg, tutel())
-        lines.append(
-            f"{layers:>8} {cfg.total_params / 1e6:>11.0f} "
-            f"{step.a2a_total_s * 1e3:>9.1f} {step.total_s * 1e3:>9.1f} "
-            f"{step.a2a_ratio * 100:>9.1f}"
-        )
-    return "\n".join(lines)
+TABLE = TABLES["table1"]
 
 
 def test_table1_a2a_ratio(benchmark):
-    text = once(benchmark, run_table1)
-    emit("table1_a2a_ratio", text)
+    text = TABLE.render(once(benchmark, lambda: TABLE.build(paper_testbed())))
+    emit(TABLE.sidecar, text)
     # Shape assertions: A2A >= 50% and monotone in depth.
     ratios = [float(line.split()[-1]) for line in text.splitlines()[1:]]
     assert all(r >= 50.0 for r in ratios)

@@ -15,40 +15,16 @@ with the FasterMoE gap widening with depth.
 from __future__ import annotations
 
 from repro.cluster import paper_testbed
-from repro.models import ct_moe
-from repro.systems import SystemRunner, comparison_suite
+from repro.systems.tables import TABLES
 
 from _util import emit, once
 
-
-def run_table7():
-    runner = SystemRunner(paper_testbed())
-    rows = []
-    for layers in (12, 16, 20, 24):
-        results = runner.compare(ct_moe(layers), comparison_suite())
-        rows.append((layers, results))
-    return rows
-
-
-def render(rows) -> str:
-    lines = [
-        f"{'x':>4} {'Tutel(ms)':>10} {'FasterMoE(ms)':>14} "
-        f"{'ScheMoE(ms)':>12} {'T/S':>6} {'F/S':>6}"
-    ]
-    for layers, results in rows:
-        t = results["Tutel"].total_s
-        f = results["Faster-MoE"].total_s
-        s = results["ScheMoE"].total_s
-        lines.append(
-            f"{layers:>4} {t * 1e3:>10.0f} {f * 1e3:>14.0f} "
-            f"{s * 1e3:>12.0f} {t / s:>6.2f} {f / s:>6.2f}"
-        )
-    return "\n".join(lines)
+TABLE = TABLES["table7"]
 
 
 def test_table7_ct_moe(benchmark):
-    rows = once(benchmark, run_table7)
-    emit("table7_ct_moe", render(rows))
+    rows = once(benchmark, lambda: TABLE.build(paper_testbed()))
+    emit(TABLE.sidecar, TABLE.render(rows))
     for _layers, results in rows:
         t = results["Tutel"].total_s
         f = results["Faster-MoE"].total_s

@@ -10,34 +10,16 @@ out-of-memory (its shadow-expert pools exceed the 2080 Ti's 11 GB).
 from __future__ import annotations
 
 from repro.cluster import paper_testbed
-from repro.models import bert_large_moe
-from repro.systems import SystemRunner, comparison_suite
+from repro.systems.tables import TABLES
 
 from _util import emit, once
 
-
-def run_table8():
-    runner = SystemRunner(paper_testbed())
-    return runner.compare(bert_large_moe(), comparison_suite())
-
-
-def render(results) -> str:
-    tutel_t = results["Tutel"].total_s
-    lines = [f"{'Name':<12} {'Time(ms)':>10} {'Speedup':>8} {'Mem(GiB)':>9}"]
-    for name in ("Tutel", "Faster-MoE", "ScheMoE"):
-        r = results[name]
-        time_s = "OOM" if r.oom else f"{r.total_s * 1e3:.1f}"
-        speed = "-" if r.oom else f"{tutel_t / r.total_s:.2f}x"
-        lines.append(
-            f"{name:<12} {time_s:>10} {speed:>8} "
-            f"{r.memory_bytes / 2**30:>9.1f}"
-        )
-    return "\n".join(lines)
+TABLE = TABLES["table8"]
 
 
 def test_table8_bert_large(benchmark):
-    results = once(benchmark, run_table8)
-    emit("table8_bert_large", render(results))
+    results = once(benchmark, lambda: TABLE.build(paper_testbed()))
+    emit(TABLE.sidecar, TABLE.render(results))
     assert results["Faster-MoE"].oom
     assert not results["Tutel"].oom and not results["ScheMoE"].oom
     speedup = results["Tutel"].total_s / results["ScheMoE"].total_s

@@ -64,6 +64,7 @@ def main() -> None:
     print(f"  forward makespan:  {plan.forward.makespan*1e3:.3f} ms "
           f"(hidden {plan.forward.hidden_time*1e3:.3f} ms)")
     print(f"  backward makespan: {plan.backward.makespan*1e3:.3f} ms")
+    print(f"  layer total:       {plan.total_s*1e3:.3f} ms at r={plan.partitions}")
     print("\nforward timeline (paper Fig. 5(c) shape):")
     print(plan.forward.render(width=64))
 

@@ -18,9 +18,12 @@ Usage::
     python -m repro infer --tokens 4096 --experts 32
     python -m repro trace --out /tmp/schedule.json
 
-Each experiment prints the paper-formatted table the corresponding
-benchmark asserts on (the benchmarks under ``benchmarks/`` are the
-tested, canonical versions; this CLI is for interactive exploration).
+The table commands (``table1``, ``table7``, ``table8``, ``table10``,
+``fig9``) print the exact text their bench saves under
+``benchmarks/out/``: both run the one builder and renderer of
+:mod:`repro.systems.tables`, the CLI on any ``--cluster`` preset and
+the bench on the paper testbed, where it also asserts the paper's
+shape.
 """
 
 from __future__ import annotations
@@ -30,15 +33,11 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from .cluster import get_preset, paper_testbed
-from .collectives import get_a2a, measure_a2a, theoretical_max_speedup
-from .models import PAPER_MODELS, ablation_layer, bert_large_moe, ct_moe
-from .systems import (
-    ALL_POLICIES,
-    SystemRunner,
-    ablation_suite,
-    comparison_suite,
-)
+from .cluster import get_preset
+from .collectives import get_a2a, measure_a2a
+from .models import PAPER_MODELS, ct_moe
+from .systems import ALL_POLICIES, SystemRunner
+from .systems.tables import TABLES
 
 
 #: Printed under the wall-clock lines of ``pipeline`` and ``infer``.
@@ -48,14 +47,16 @@ SINGLE_SAMPLE_NOTE = (
 )
 
 
-def _runner(args) -> SystemRunner:
-    return SystemRunner(get_preset(args.cluster))
+def _model(args):
+    """The ``--model`` config; CT-MoE takes its depth from ``--layers``."""
+    if args.model == "ct_moe":
+        return ct_moe(args.layers)
+    return PAPER_MODELS[args.model]()
 
 
 def cmd_list(_args) -> int:
     """List experiments, policies, models and cluster presets."""
-    print("experiments: table1 table7 table8 table10 fig9 a2a faults "
-          "reshard step plan pipeline infer trace")
+    print("experiments:", " ".join(c for c in COMMANDS if c != "list"))
     print("policies:   ", ", ".join(sorted(ALL_POLICIES)))
     print("models:     ", ", ".join(sorted(PAPER_MODELS)))
     from .cluster.presets import PRESETS
@@ -64,74 +65,10 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
-    """Paper Table 1: A2A share of the CT-MoE-x step under Tutel."""
-    runner = _runner(args)
-    from .systems import tutel
-
-    print(f"{'layers':>7} {'A2A(ms)':>9} {'step(ms)':>9} {'ratio':>6}")
-    for layers in (12, 16, 20, 24):
-        step = runner.step(ct_moe(layers), tutel())
-        print(
-            f"{layers:>7} {step.a2a_total_s * 1e3:>9.1f} "
-            f"{step.total_s * 1e3:>9.1f} {step.a2a_ratio * 100:>5.1f}%"
-        )
-    return 0
-
-
-def cmd_table7(args) -> int:
-    """Paper Table 7: CT-MoE-x step time across systems."""
-    runner = _runner(args)
-    names = [p.name for p in comparison_suite()]
-    print(f"{'x':>4}" + "".join(f"{n:>14}" for n in names))
-    for layers in (12, 16, 20, 24):
-        rows = runner.compare(ct_moe(layers), comparison_suite())
-        cells = "".join(
-            f"{'OOM':>14}" if rows[n].oom else f"{rows[n].total_s * 1e3:>12.0f}ms"
-            for n in names
-        )
-        print(f"{layers:>4}{cells}")
-    return 0
-
-
-def cmd_table8(args) -> int:
-    """Paper Table 8: BERT-Large-MoE comparison (FasterMoE OOM)."""
-    runner = _runner(args)
-    rows = runner.compare(bert_large_moe(), comparison_suite())
-    tutel_t = rows["Tutel"].total_s
-    for name, r in rows.items():
-        t = "OOM" if r.oom else f"{r.total_s * 1e3:8.1f}ms"
-        s = "-" if r.oom else f"{tutel_t / r.total_s:.2f}x"
-        print(f"{name:<12} {t:>11} {s:>7} mem={r.memory_bytes / 2**30:.1f}GiB")
-    return 0
-
-
-def cmd_table10(args) -> int:
-    """Paper Table 10: component ablation on the big MoE layer."""
-    runner = _runner(args)
-    rows = runner.compare(ablation_layer(), ablation_suite())
-    base = rows["Naive"].total_s
-    for name in ("Naive", "ScheMoE-Z", "ScheMoE-ZP", "ScheMoE"):
-        r = rows[name]
-        print(f"{name:<12} {r.total_s * 1e3:8.0f}ms {base / r.total_s:6.2f}x")
-    return 0
-
-
-def cmd_fig9(args) -> int:
-    """Paper Figure 9: all-to-all algorithms by message size."""
-    spec = get_preset(args.cluster)
-    sizes = [1e4, 1e6, 1e7, 1e8, 6.4e8, 2e9]
-    algos = ("nccl", "1dh", "2dh", "pipe")
-    print(f"{'size':>9}" + "".join(f"{a:>12}" for a in algos) + f"{'eq18':>7}")
-    for size in sizes:
-        cells = ""
-        for name in algos:
-            r = measure_a2a(get_a2a(name), spec, size)
-            cells += f"{'OOM':>12}" if r.oom else f"{r.seconds * 1e3:>10.2f}ms"
-        print(
-            f"{size:>9.0e}{cells}"
-            f"{theoretical_max_speedup(spec, size):>6.2f}x"
-        )
+def cmd_table(args) -> int:
+    """Print one paper table exactly as its bench's sidecar renders it."""
+    table = TABLES[args.command]
+    print(table.render(table.build(get_preset(args.cluster))))
     return 0
 
 
@@ -390,15 +327,9 @@ def cmd_reshard(args) -> int:
 
 def cmd_step(args) -> int:
     """Per-component breakdown of one model step under a policy."""
-    runner = _runner(args)
-    if args.model == "ct_moe":
-        cfg = ct_moe(args.layers)
-    elif args.model == "bert_large_moe":
-        cfg = bert_large_moe()
-    else:
-        cfg = PAPER_MODELS[args.model]()
+    cfg = _model(args)
     policy = ALL_POLICIES[args.policy]
-    result = runner.step(cfg, policy)
+    result = SystemRunner(get_preset(args.cluster)).step(cfg, policy)
     if result.oom:
         print(f"{cfg.name} under {policy.name}: OOM "
               f"({result.memory_bytes / 2**30:.1f} GiB needed)")
@@ -429,12 +360,7 @@ def cmd_plan(args) -> int:
     """
     from .systems import PlanSpace, plan
 
-    if args.model == "ct_moe":
-        cfg = ct_moe(args.layers)
-    elif args.model == "bert_large_moe":
-        cfg = bert_large_moe()
-    else:
-        cfg = PAPER_MODELS[args.model]()
+    cfg = _model(args)
 
     space_kwargs = {}
     for attr, flag, cast in (
@@ -635,25 +561,23 @@ def cmd_infer(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Export a ScheMoE layer's forward schedule as a chrome trace."""
-    import numpy as np
+    """Export a ScheMoE layer's forward schedule as a chrome trace.
 
-    from .core import ScheMoELayer
+    Plans the layer's shape the way :meth:`ScheMoELayer.plan` does,
+    without building its expert weights.
+    """
+    from .core.moe_layer import layer_only_config, layer_policy
+    from .core.system import simulate_model_step
     from .core.trace import export_schedule_trace
 
-    layer = ScheMoELayer(
-        model_dim=args.model_dim,
-        hidden_dim=args.hidden_dim,
-        num_experts=32,
-        rng=np.random.default_rng(0),
-        compress_name=args.compressor,
-        comm_name=args.algo,
-        scheduler_name=args.scheduler,
-        partitions=args.partitions,
+    cfg = layer_only_config(
+        args.model_dim, args.hidden_dim, 32, args.batch, args.seq
     )
-    plan = layer.plan(
-        get_preset(args.cluster), batch_per_gpu=args.batch, seq_len=args.seq
+    policy = layer_policy(
+        args.compressor, args.algo, args.scheduler, args.partitions
     )
+    spec = get_preset(args.cluster)
+    plan = simulate_model_step(cfg, spec, policy).moe_layer
     export_schedule_trace(plan.forward, path=args.out)
     print(f"forward makespan {plan.forward.makespan * 1e3:.3f} ms; "
           f"trace written to {args.out}")
@@ -674,11 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list experiments/policies/models")
-    sub.add_parser("table1", help="A2A ratio on CT-MoE-x (Table 1)")
-    sub.add_parser("table7", help="CT-MoE-x system comparison (Table 7)")
-    sub.add_parser("table8", help="BERT-Large-MoE comparison (Table 8)")
-    sub.add_parser("table10", help="component ablation (Table 10)")
-    sub.add_parser("fig9", help="A2A algorithm sweep (Figure 9)")
+    for name, table in TABLES.items():
+        sub.add_parser(name, help=table.title)
 
     p_a2a = sub.add_parser("a2a", help="measure one all-to-all")
     p_a2a.add_argument("--algo", default="pipe")
@@ -841,11 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 COMMANDS = {
     "list": cmd_list,
-    "table1": cmd_table1,
-    "table7": cmd_table7,
-    "table8": cmd_table8,
-    "table10": cmd_table10,
-    "fig9": cmd_fig9,
+    **{name: cmd_table for name in TABLES},
     "a2a": cmd_a2a,
     "faults": cmd_faults,
     "reshard": cmd_reshard,

@@ -10,7 +10,7 @@ provably optimal order of Theorem 1.
 from .abstractions import AbsAlltoAll, AbsCompressor, AbsExpert, register_plugins
 from .imbalance import BALANCED, RoutingSkew
 from .model_executor import ExecutionReport, ModelExecutor
-from .moe_layer import LayerPlan, ScheMoELayer
+from .moe_layer import ScheMoELayer
 from .profiler import LinearPerfModel, Profiler
 from .runtime import (
     PIPELINE_MODES,
@@ -36,6 +36,7 @@ from .scheduler import (
 )
 from .system import (
     PARAM_STATE_BYTES,
+    PARTITION_CANDIDATES,
     LayerTiming,
     StepBreakdown,
     SystemPolicy,
@@ -56,12 +57,12 @@ __all__ = [
     "ChunkPipelineScheduler",
     "ExecutionReport",
     "InvalidScheduleError",
-    "LayerPlan",
     "LayerTiming",
     "LinearPerfModel",
     "ModelExecutor",
     "OptScheScheduler",
     "PARAM_STATE_BYTES",
+    "PARTITION_CANDIDATES",
     "PIPELINE_MODES",
     "Profiler",
     "RoutingSkew",

@@ -10,16 +10,14 @@ It is simultaneously:
   codec-corrupted transport, experts and combine, usable inside any
   :class:`~repro.nn.Module` model exactly like the paper's
   ``nn.Module``; and
-* a system handle — :meth:`plan` profiles its own task sizes on a
-  cluster and returns the scheduled execution plan (timeline +
-  makespan) its configuration would achieve, which is what the
-  benchmark harness aggregates into step times.
+* a system handle — :meth:`plan` simulates the layer's shape as a
+  one-layer model step under its own ``SystemPolicy`` and returns the
+  scheduled forward and backward passes it would achieve.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,22 +28,67 @@ from ..compression.base import get_compressor
 from ..models.configs import MoEModelConfig
 from ..moe.layer import MoELayer
 from .profiler import Profiler
-from .scheduler import ScheduleResult, get_scheduler
-from .tasks import TaskDurations
+from .scheduler import get_scheduler
+from .system import (
+    PARTITION_CANDIDATES,
+    LayerTiming,
+    SystemPolicy,
+    simulate_model_step,
+)
 
 
-@dataclass
-class LayerPlan:
-    """The scheduled execution plan of one layer pass."""
+def layer_only_config(
+    model_dim: int,
+    hidden_dim: int,
+    num_experts: int,
+    batch_per_gpu: int,
+    seq_len: int,
+    top_k: int = 2,
+    capacity_factor: float = 1.0,
+) -> MoEModelConfig:
+    """One bare MoE layer's shape as a ``layer_only`` model config."""
+    return MoEModelConfig(
+        name="schemoe-layer",
+        num_layers=1,
+        batch_per_gpu=batch_per_gpu,
+        seq_len=seq_len,
+        hidden_dim=hidden_dim,
+        model_dim=model_dim,
+        top_k=top_k,
+        num_experts=num_experts,
+        capacity_factor=capacity_factor,
+        layer_only=True,
+    )
 
-    durations: TaskDurations
-    forward: ScheduleResult
-    backward: ScheduleResult
 
-    @property
-    def step_seconds(self) -> float:
-        """Forward + backward makespan of this MoE layer."""
-        return self.forward.makespan + self.backward.makespan
+def layer_policy(
+    compress_name: str, comm_name: str, scheduler_name: str, partitions
+) -> SystemPolicy:
+    """The :class:`SystemPolicy` of a ScheMoE layer's plugins and r.
+
+    ``partitions="auto"`` picks the fastest of ``PARTITION_CANDIDATES``.
+    Every name is resolved here, so a misconfiguration fails early.
+    """
+    if partitions != "auto" and (
+        not isinstance(partitions, numbers.Integral)
+        or isinstance(partitions, bool)
+        or partitions < 1
+    ):
+        raise ValueError(
+            f"partitions must be 'auto' or an int >= 1, got {partitions}"
+        )
+    get_compressor(compress_name)
+    get_a2a(comm_name)
+    get_scheduler(scheduler_name)
+    auto = partitions == "auto"
+    return SystemPolicy(
+        name="schemoe-layer",
+        compressor=compress_name,
+        a2a=comm_name,
+        scheduler=scheduler_name,
+        partitions=PARTITION_CANDIDATES[0] if auto else int(partitions),
+        partition_candidates=PARTITION_CANDIDATES if auto else (),
+    )
 
 
 class ScheMoELayer(MoELayer):
@@ -65,7 +108,9 @@ class ScheMoELayer(MoELayer):
         partitions="auto",
         activation: str = "relu",
     ):
-        compressor = get_compressor(compress_name)
+        self.policy = layer_policy(
+            compress_name, comm_name, scheduler_name, partitions
+        )
         super().__init__(
             model_dim,
             hidden_dim,
@@ -73,45 +118,20 @@ class ScheMoELayer(MoELayer):
             rng,
             top_k=top_k,
             capacity_factor=capacity_factor,
-            compressor=compressor,
+            compressor=get_compressor(compress_name),
             activation=activation,
         )
-        if partitions != "auto" and (
-            not isinstance(partitions, numbers.Integral)
-            or isinstance(partitions, bool)
-            or partitions < 1
-        ):
-            raise ValueError(
-                f"partitions must be 'auto' or an int >= 1, got {partitions}"
-            )
-        # Validate names eagerly so misconfiguration fails at build time.
-        get_a2a(comm_name)
-        get_scheduler(scheduler_name)
-        self.compress_name = compress_name
-        self.comm_name = comm_name
-        self.scheduler_name = scheduler_name
-        self.partitions = partitions
 
     # -- system side -----------------------------------------------------
     def layer_config(
         self, batch_per_gpu: int, seq_len: int
     ) -> MoEModelConfig:
         """This layer's shape as a single-layer model config."""
-        return MoEModelConfig(
-            name="schemoe-layer",
-            num_layers=1,
-            batch_per_gpu=batch_per_gpu,
-            seq_len=seq_len,
-            hidden_dim=self.experts.hidden_dim,
-            model_dim=self.model_dim,
-            top_k=self.gate.top_k,
-            num_experts=self.gate.num_experts,
-            capacity_factor=self.gate.capacity_factor,
+        gate = self.gate
+        return layer_only_config(
+            self.model_dim, self.experts.hidden_dim, gate.num_experts,
+            batch_per_gpu, seq_len, gate.top_k, gate.capacity_factor,
         )
-
-    #: Degrees tried when ``partitions="auto"`` (the adaptive choice
-    #: the paper delegates to PipeMoE [43]).
-    AUTO_PARTITION_CANDIDATES = (1, 2, 4)
 
     def plan(
         self,
@@ -119,33 +139,11 @@ class ScheMoELayer(MoELayer):
         batch_per_gpu: int,
         seq_len: int,
         profiler: Optional[Profiler] = None,
-    ) -> LayerPlan:
+    ) -> LayerTiming:
         """Profile and schedule this layer's tasks on ``spec``.
 
-        With ``partitions="auto"`` the plan with the smallest
-        forward+backward makespan across the candidate degrees wins.
+        With ``partitions="auto"`` the degree with the smallest
+        forward+backward makespan wins.
         """
         cfg = self.layer_config(batch_per_gpu, seq_len)
-        if profiler is None:
-            profiler = Profiler(
-                spec,
-                a2a=get_a2a(self.comm_name),
-                compressor=get_compressor(self.compress_name),
-            )
-        scheduler = get_scheduler(self.scheduler_name)
-        candidates = (
-            self.AUTO_PARTITION_CANDIDATES
-            if self.partitions == "auto"
-            else (self.partitions,)
-        )
-        best: Optional[LayerPlan] = None
-        for r in candidates:
-            durations = profiler.profile_layer(cfg, r)
-            plan = LayerPlan(
-                durations=durations,
-                forward=scheduler.schedule(r, durations),
-                backward=scheduler.schedule(r, durations.backward()),
-            )
-            if best is None or plan.step_seconds < best.step_seconds:
-                best = plan
-        return best
+        return simulate_model_step(cfg, spec, self.policy, profiler).moe_layer

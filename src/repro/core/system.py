@@ -31,7 +31,7 @@ from ..collectives.base import get_a2a
 from ..compression.base import get_compressor
 from ..models.configs import MoEModelConfig
 from .profiler import Profiler
-from .scheduler import get_scheduler
+from .scheduler import ScheduleResult, get_scheduler
 from .tasks import TaskDurations
 
 #: Bytes of optimizer/parameter state per trainable parameter:
@@ -46,6 +46,11 @@ BACKWARD_EXPERT_FACTOR = 2.0
 #: Python driver, launch gaps between layers).  Layer microbenchmarks
 #: (``layer_only`` configs) run a tight kernel loop and skip it.
 HOST_OVERHEAD_S = 25.0e-3
+
+#: Partition degrees an adaptive policy chooses among (the paper
+#: delegates choosing r to PipeMoE [43]; Tutel searches it
+#: heuristically).
+PARTITION_CANDIDATES = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -88,14 +93,28 @@ class SystemPolicy:
 
 @dataclass
 class LayerTiming:
-    """Timing of one MoE layer under the policy."""
+    """One MoE layer's scheduled forward and backward passes.
 
-    forward_s: float
-    backward_s: float
+    ``partitions`` is the degree r both schedules run at: the policy's
+    fixed degree, or the winner among its candidates.
+    """
+
     durations: TaskDurations
+    partitions: int
+    forward: ScheduleResult
+    backward: ScheduleResult
+
+    @property
+    def forward_s(self) -> float:
+        return self.forward.makespan
+
+    @property
+    def backward_s(self) -> float:
+        return self.backward.makespan
 
     @property
     def total_s(self) -> float:
+        """Forward + backward makespan of this MoE layer."""
         return self.forward_s + self.backward_s
 
 
@@ -126,7 +145,8 @@ class StepBreakdown:
         The paper's Table 1 "A2A time" counts the communication tasks'
         elapsed time within the step (whether or not overlapped).
         """
-        per_layer = 4.0 * self.moe_layer.durations.a2a * self._partitions
+        layer = self.moe_layer
+        per_layer = 4.0 * layer.durations.a2a * layer.partitions
         return per_layer * self.num_moe_layers
 
     @property
@@ -155,8 +175,6 @@ class StepBreakdown:
         if self.oom or self.total_s <= 0:
             return 0.0
         return tokens_per_gpu_step * world_size / self.total_s
-
-    _partitions: int = 1
 
 
 def dense_param_count(cfg: MoEModelConfig) -> int:
@@ -256,21 +274,17 @@ def simulate_model_step(
                 decompress=durations.decompress,
                 expert=durations.expert * expert_factor,
             )
-        if durations.a2a == float("inf"):
-            return LayerTiming(float("inf"), float("inf"), durations)
-        forward = scheduler.schedule(partitions, durations).makespan
-        backward = scheduler.schedule(
-            partitions, durations.backward(BACKWARD_EXPERT_FACTOR)
-        ).makespan
-        return LayerTiming(forward, backward, durations)
+        return LayerTiming(
+            durations,
+            partitions,
+            forward=scheduler.schedule(partitions, durations),
+            backward=scheduler.schedule(
+                partitions, durations.backward(BACKWARD_EXPERT_FACTOR)
+            ),
+        )
 
-    best_partitions = candidates[0]
-    layer = layer_timing(candidates[0])
-    for r in candidates[1:]:
-        candidate = layer_timing(r)
-        if candidate.total_s < layer.total_s:
-            layer = candidate
-            best_partitions = r
+    # The first of equally fast candidates wins.
+    layer = min(map(layer_timing, candidates), key=lambda t: t.total_s)
 
     memory = estimate_memory_bytes(cfg, spec, policy)
     if skew is not None and not policy.enforces_capacity:
@@ -297,7 +311,6 @@ def simulate_model_step(
             optimizer_s=0.0,
             memory_bytes=memory,
             oom=True,
-            _partitions=best_partitions,
         )
 
     tokens = cfg.tokens_per_gpu
@@ -346,5 +359,4 @@ def simulate_model_step(
         allreduce_s=allreduce,
         optimizer_s=optimizer,
         memory_bytes=memory,
-        _partitions=best_partitions,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.system import SystemPolicy
+from ..core.system import PARTITION_CANDIDATES, SystemPolicy
 
 
 def naive() -> SystemPolicy:
@@ -49,7 +49,7 @@ def tutel() -> SystemPolicy:
         a2a="nccl",
         scheduler="chunk-pipeline",
         partitions=2,
-        partition_candidates=(1, 2, 4),
+        partition_candidates=PARTITION_CANDIDATES,
     )
 
 
@@ -80,7 +80,7 @@ def schemoe() -> SystemPolicy:
         a2a="pipe",
         scheduler="optsche",
         partitions=2,
-        partition_candidates=(1, 2, 4),
+        partition_candidates=PARTITION_CANDIDATES,
     )
 
 
@@ -99,7 +99,7 @@ def schemoe_no_compression() -> SystemPolicy:
         a2a="pipe",
         scheduler="optsche",
         partitions=2,
-        partition_candidates=(1, 2, 4),
+        partition_candidates=PARTITION_CANDIDATES,
     )
 
 

@@ -41,13 +41,14 @@ from ..core.system import (
     SystemPolicy,
     simulate_model_step,
 )
-from ..core.tasks import TaskDurations
+from ..core.scheduler import ScheduleResult
+from ..core.tasks import Task, TaskDurations, TaskKind
 from ..models.configs import MoEModelConfig
 from .runner import SystemRunner
 
 #: Bump when the simulator's semantics change in a way that
 #: invalidates previously cached step results.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment override for the worker count (0 or 1 forces serial).
 PROCESSES_ENV = "REPRO_SWEEP_PROCESSES"
@@ -118,62 +119,68 @@ def task_key(task: SweepTask, spec: ClusterSpec) -> str:
 # -- StepBreakdown <-> JSON record ------------------------------------------
 
 
+def _schedule_to_dict(schedule: ScheduleResult) -> dict:
+    """A schedule as ``[kind, chunk, start, end]`` / ``[kind, chunk]`` rows."""
+    return {
+        "makespan": schedule.makespan,
+        "timeline": [
+            [task.kind.name, task.chunk, start, end]
+            for task, (start, end) in schedule.timeline.items()
+        ],
+        "comp_order": [[t.kind.name, t.chunk] for t in schedule.comp_order],
+        "comm_order": [[t.kind.name, t.chunk] for t in schedule.comm_order],
+    }
+
+
+def _schedule_from_dict(record: dict) -> ScheduleResult:
+    def orders(rows):
+        return tuple(Task(TaskKind[kind], chunk) for kind, chunk in rows)
+
+    return ScheduleResult(
+        makespan=record["makespan"],
+        timeline={
+            Task(TaskKind[kind], chunk): (start, end)
+            for kind, chunk, start, end in record["timeline"]
+        },
+        comp_order=orders(record["comp_order"]),
+        comm_order=orders(record["comm_order"]),
+    )
+
+
+#: StepBreakdown fields stored as they are; ``moe_layer`` is flattened.
+_SCALAR_FIELDS = tuple(
+    f.name for f in dataclasses.fields(StepBreakdown) if f.name != "moe_layer"
+)
+
+
 def breakdown_to_dict(b: StepBreakdown) -> dict:
-    """Flatten a :class:`StepBreakdown` into JSON-serializable floats.
+    """Flatten a :class:`StepBreakdown` into JSON-serializable values.
 
     Infinities (OOM timings) rely on Python's default non-strict JSON
     round trip (``Infinity`` literals), which ``json.load`` restores
     exactly.
     """
-    d = b.moe_layer.durations
-    return {
-        "model": b.model,
-        "policy": b.policy,
-        "forward_s": b.moe_layer.forward_s,
-        "backward_s": b.moe_layer.backward_s,
-        "durations": {
-            "compress": d.compress,
-            "a2a": d.a2a,
-            "decompress": d.decompress,
-            "expert": d.expert,
-        },
-        "num_moe_layers": b.num_moe_layers,
-        "attention_s": b.attention_s,
-        "gate_s": b.gate_s,
-        "head_s": b.head_s,
-        "allreduce_s": b.allreduce_s,
-        "optimizer_s": b.optimizer_s,
-        "memory_bytes": b.memory_bytes,
-        "oom": b.oom,
-        "partitions": b._partitions,
-    }
+    layer = b.moe_layer
+    record = {name: getattr(b, name) for name in _SCALAR_FIELDS}
+    record.update(
+        durations=dataclasses.asdict(layer.durations),
+        partitions=layer.partitions,
+        forward=_schedule_to_dict(layer.forward),
+        backward=_schedule_to_dict(layer.backward),
+    )
+    return record
 
 
 def breakdown_from_dict(record: dict) -> StepBreakdown:
     """Rebuild the exact :class:`StepBreakdown` a worker computed."""
-    d = record["durations"]
     return StepBreakdown(
-        model=record["model"],
-        policy=record["policy"],
         moe_layer=LayerTiming(
-            forward_s=record["forward_s"],
-            backward_s=record["backward_s"],
-            durations=TaskDurations(
-                compress=d["compress"],
-                a2a=d["a2a"],
-                decompress=d["decompress"],
-                expert=d["expert"],
-            ),
+            durations=TaskDurations(**record["durations"]),
+            partitions=record["partitions"],
+            forward=_schedule_from_dict(record["forward"]),
+            backward=_schedule_from_dict(record["backward"]),
         ),
-        num_moe_layers=record["num_moe_layers"],
-        attention_s=record["attention_s"],
-        gate_s=record["gate_s"],
-        head_s=record["head_s"],
-        allreduce_s=record["allreduce_s"],
-        optimizer_s=record["optimizer_s"],
-        memory_bytes=record["memory_bytes"],
-        oom=record["oom"],
-        _partitions=record["partitions"],
+        **{name: record[name] for name in _SCALAR_FIELDS},
     )
 
 

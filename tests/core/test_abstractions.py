@@ -125,4 +125,4 @@ def test_custom_plugins_schedulable_end_to_end(paper_spec, rng):
         comm_name="toy-seq" if "toy-seq" in available_a2a() else "nccl",
     )
     plan = layer.plan(paper_spec, batch_per_gpu=2, seq_len=64)
-    assert plan.step_seconds > 0
+    assert plan.total_s > 0

@@ -7,6 +7,7 @@ from repro.cluster import fit_alpha_beta, paper_testbed
 from repro.collectives import get_a2a
 from repro.compression import get_compressor
 from repro.core import (
+    PARTITION_CANDIDATES,
     LinearPerfModel,
     Profiler,
     ScheMoELayer,
@@ -87,7 +88,7 @@ def test_schemoe_layer_plan(paper_spec, rng):
     plan = layer.plan(paper_spec, batch_per_gpu=4, seq_len=128)
     assert plan.forward.makespan > 0
     assert plan.backward.makespan > plan.forward.makespan  # 2x expert
-    assert plan.step_seconds == pytest.approx(
+    assert plan.total_s == pytest.approx(
         plan.forward.makespan + plan.backward.makespan
     )
 
@@ -125,7 +126,7 @@ def test_schemoe_layer_accepts_numpy_integer_partitions(paper_spec):
         )
         return layer.plan(paper_spec, batch_per_gpu=4, seq_len=128)
 
-    assert plan(np.int64(2)).step_seconds == plan(2).step_seconds
+    assert plan(np.int64(2)).total_s == plan(2).total_s
 
 
 def test_policy_validation():
@@ -203,9 +204,10 @@ def test_schemoe_layer_auto_partitions(paper_spec, rng):
         )
 
     auto_plan = build("auto").plan(paper_spec, batch_per_gpu=8, seq_len=512)
-    for r in ScheMoELayer.AUTO_PARTITION_CANDIDATES:
+    assert auto_plan.partitions in PARTITION_CANDIDATES
+    for r in PARTITION_CANDIDATES:
         fixed = build(r).plan(paper_spec, batch_per_gpu=8, seq_len=512)
-        assert auto_plan.step_seconds <= fixed.step_seconds + 1e-12
+        assert auto_plan.total_s <= fixed.total_s + 1e-12
 
 
 def test_schemoe_layer_partition_validation(rng):

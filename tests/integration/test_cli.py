@@ -1,10 +1,28 @@
 """Smoke tests of the command-line interface."""
 
 import json
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.cluster import paper_testbed
+from repro.core import ScheMoELayer
+from repro.core.trace import export_schedule_trace
+from repro.systems.tables import TABLES
+
+OUT_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
+
+#: A cell each table's shape depends on (FasterMoE and 1DH run OOM).
+TABLE_MARKERS = {
+    "table1": ["Ratio(%)"],
+    "table7": ["Tutel(ms)", "FasterMoE(ms)", "ScheMoE(ms)"],
+    "table8": ["Faster-MoE          OOM"],
+    "table10": ["Naive", "ScheMoE-Z ", "ScheMoE-ZP", "ScheMoE "],
+    "fig9": ["nccl(ms)", "pipe(ms)", "OOM"],
+}
 
 
 def test_list(capsys):
@@ -13,18 +31,16 @@ def test_list(capsys):
     assert "table7" in out and "ScheMoE" in out
 
 
-def test_table1(capsys):
-    assert main(["table1"]) == 0
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_table_prints_the_bench_sidecar(command, capsys):
+    """`repro <table>` prints exactly the lines its bench committed."""
+    assert main([command]) == 0
     out = capsys.readouterr().out
-    assert "ratio" in out
-    assert out.count("%") >= 4
-
-
-def test_table8(capsys):
-    assert main(["table8"]) == 0
-    out = capsys.readouterr().out
-    assert "OOM" in out  # FasterMoE
-    assert "ScheMoE" in out
+    sidecar = json.loads(
+        (OUT_DIR / f"{TABLES[command].sidecar}.json").read_text()
+    )
+    assert out.splitlines() == sidecar["lines"]
+    assert all(marker in out for marker in TABLE_MARKERS[command])
 
 
 def test_a2a_measurement(capsys):
@@ -61,6 +77,25 @@ def test_trace_export(tmp_path, capsys):
     ) == 0
     payload = json.loads(out_path.read_text())
     assert payload["traceEvents"]
+    # The exported schedule is the one ScheMoELayer.plan returns.
+    layer = ScheMoELayer(64, 128, 32, np.random.default_rng(0), partitions=2)
+    plan = layer.plan(paper_testbed(), batch_per_gpu=2, seq_len=64)
+    assert out_path.read_text() == export_schedule_trace(plan.forward)
+
+
+def test_trace_allocates_no_expert_weights(tmp_path):
+    """At its default dims `repro trace` only prices the layer's shape.
+
+    Building the numerical layer would allocate 32 experts of
+    1024x4096 fp32 weights, about 1 GiB.
+    """
+    tracemalloc.start()
+    try:
+        assert main(["trace", "--out", str(tmp_path / "trace.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_alternate_cluster(capsys):
@@ -72,27 +107,6 @@ def test_alternate_cluster(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["unknown-command"])
-
-
-def test_table7(capsys):
-    assert main(["table7"]) == 0
-    out = capsys.readouterr().out
-    assert "Tutel" in out and "ScheMoE" in out
-    assert out.count("ms") >= 12  # 4 depths x 3 systems
-
-
-def test_table10(capsys):
-    assert main(["table10"]) == 0
-    out = capsys.readouterr().out
-    for name in ("Naive", "ScheMoE-Z", "ScheMoE-ZP", "ScheMoE"):
-        assert name in out
-
-
-def test_fig9(capsys):
-    assert main(["fig9"]) == 0
-    out = capsys.readouterr().out
-    assert "nccl" in out and "pipe" in out
-    assert "OOM" in out  # 1dh at 2 GB
 
 
 def test_faults_demo_straggler(capsys):

@@ -5,14 +5,15 @@ testing is byte-identity: serial, parallel, and cache-replayed runs
 of the same task list must produce exactly the same statistics.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.cluster import paper_testbed
-from repro.core import RoutingSkew
-from repro.models import ct_moe
+from repro.core import RoutingSkew, SystemPolicy
+from repro.models import ablation_layer, bert_large_moe, ct_moe
 from repro.systems import (
     SweepCache,
     SweepTask,
@@ -135,18 +136,25 @@ def test_skew_part_of_key_and_result():
 
 
 def test_breakdown_roundtrip_with_oom():
+    """The cache's JSON trip rebuilds whole records, schedules included.
+
+    Covers a healthy step, a memory OOM and an A2A that runs out of
+    memory (infinite durations, makespans and task times).
+    """
     spec = paper_testbed()
     runner = SystemRunner(spec)
-    result = runner.step(ct_moe(12), schemoe())
-    record = breakdown_to_dict(result)
-    # The JSON trip is what the cache does — including inf timings.
-    record["forward_s"] = float("inf")
-    record["oom"] = True
-    replayed = json.loads(json.dumps(record))
-    rebuilt = breakdown_from_dict(replayed)
-    assert rebuilt.oom
-    assert np.isinf(rebuilt.moe_layer.forward_s)
-    assert breakdown_to_dict(rebuilt) == record
+    huge = dataclasses.replace(ablation_layer(), batch_per_gpu=32)
+    results = [
+        runner.step(ct_moe(12), schemoe()),
+        runner.step(bert_large_moe(), fastermoe()),
+        runner.step(huge, SystemPolicy(name="1dh", a2a="1dh")),
+    ]
+    assert [r.oom for r in results] == [False, True, True]
+    assert np.isinf(results[2].moe_layer.durations.a2a)
+    assert np.isinf(results[2].moe_layer.forward_s)
+    for result in results:
+        replayed = json.loads(json.dumps(breakdown_to_dict(result)))
+        assert breakdown_from_dict(replayed) == result
 
 
 def test_interleaved_writers_lose_no_entries(tmp_path):
