@@ -19,7 +19,7 @@ from repro.core import RoutingSkew
 from repro.models import bert_large_moe, ct_moe
 from repro.systems import SweepTask, fastermoe, run_sweep, schemoe, tutel
 
-from _util import OUT_DIR, emit, once
+from _util import emit, once
 
 SKEWS = (0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -37,9 +37,7 @@ def run_imbalance():
     tasks.append(
         SweepTask(bert_large_moe(), fastermoe(), skew=RoutingSkew(1.0))
     )
-    results = run_sweep(
-        tasks, spec, cache_path=OUT_DIR / "sweep_cache.json"
-    )
+    results = run_sweep(tasks, spec)
     bert = results.pop()
 
     rows = []

@@ -12,9 +12,7 @@ plus spot-checks the NVLink and Ethernet presets.
 The measurements run through :func:`repro.systems.run_sweep` like the
 other grids: each point is a pair of single-layer step simulations
 (sequential scheduler, one partition, no codec) whose A2A task
-duration *is* the raw all-to-all time of the probe payload, and every
-result lands in the shared keyed cache
-(``benchmarks/out/sweep_cache.json``), so re-runs replay from disk.
+duration *is* the raw all-to-all time of the probe payload.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from repro.core.system import SystemPolicy
 from repro.models.configs import MoEModelConfig
 from repro.systems import SweepTask, naive, run_sweep
 
-from _util import OUT_DIR, emit, once
-
-CACHE_PATH = OUT_DIR / "sweep_cache.json"
+from _util import emit, once
 
 SIZE = 2.56e8  # bandwidth-bound
 RATIOS = (0.05, 0.2, 0.5, 1.0, 2.0, 8.0)
@@ -64,12 +60,11 @@ def pipe_sequential() -> SystemPolicy:
     )
 
 
-def measured_speedup(spec, cache_path=CACHE_PATH) -> float:
+def measured_speedup(spec) -> float:
     """Simulated NCCL->Pipe A2A speedup on ``spec`` via run_sweep."""
     nccl, pipe = run_sweep(
         [SweepTask(PROBE, naive()), SweepTask(PROBE, pipe_sequential())],
         spec,
-        cache_path=cache_path,
         processes=1,
     )
     return nccl.moe_layer.durations.a2a / pipe.moe_layer.durations.a2a

@@ -12,11 +12,10 @@ only the uncompressed configuration reproduces Figure 8's modest
 1.0-1.5x band — with ZFP enabled the bandwidth-bound half of the grid
 jumps to 2-4x (see EXPERIMENTS.md).
 
-The 1350 simulations run through :func:`repro.systems.run_sweep`: cache
-misses fan out over a process pool and every result lands in the keyed
-JSON cache (``benchmarks/out/sweep_cache.json``), so a re-run replays
-from disk near-instantly.  The simulator is deterministic, so the
-statistics are byte-identical however the sweep is executed.
+The 1350 simulations run through :func:`repro.systems.run_sweep`,
+which fans them out over a process pool.  The simulator is
+deterministic, so the statistics are byte-identical however the sweep
+is executed.
 
 Reproduction target: ScheMoE >= Tutel on every valid configuration
 and a mean speedup near the paper's 1.22x.
@@ -34,12 +33,10 @@ from repro.systems import (
     tutel,
 )
 
-from _util import OUT_DIR, emit, once
-
-CACHE_PATH = OUT_DIR / "sweep_cache.json"
+from _util import emit, once
 
 
-def run_fig8(cache_path=CACHE_PATH, processes=None):
+def run_fig8(processes=None):
     tutel_policy = tutel()
     schemoe_policy = schemoe_no_compression()
     tasks = []
@@ -47,9 +44,7 @@ def run_fig8(cache_path=CACHE_PATH, processes=None):
         cfg = layer_config_from_grid(point)
         tasks.append(SweepTask(cfg, tutel_policy))
         tasks.append(SweepTask(cfg, schemoe_policy))
-    results = run_sweep(
-        tasks, paper_testbed(), cache_path=cache_path, processes=processes
-    )
+    results = run_sweep(tasks, paper_testbed(), processes=processes)
 
     speedups = []
     oom = 0

@@ -7,8 +7,7 @@ link and GEMM-roofline cost models, the full joint knob space
 scored against the fitted models through the *unchanged* step
 simulator (a :class:`~repro.systems.planner.FittedProfiler` answers
 task measurements from the fits), and only the analytic top-K are
-validated with real simulations landing in the shared sweep cache
-(``benchmarks/out/sweep_cache.json``).
+validated with real simulations.
 
 Reproduction target: on CT-MoE-12 + the paper testbed the planner must
 recommend a configuration within 5% of the optimum of the exhaustive
@@ -24,9 +23,7 @@ from repro.cluster import paper_testbed
 from repro.models import ct_moe
 from repro.systems import PlanSpace, plan
 
-from _util import OUT_DIR, emit, once
-
-CACHE_PATH = OUT_DIR / "sweep_cache.json"
+from _util import emit, once
 
 #: 3 schedulers x 2 A2A x 2 codecs x 3 degrees x 2 capacity factors.
 GRID = PlanSpace(
@@ -38,7 +35,7 @@ GRID = PlanSpace(
 )
 
 
-def run_planner(cache_path=CACHE_PATH, processes=None):
+def run_planner(processes=None):
     def one_run():
         return plan(
             ct_moe(12),
@@ -47,17 +44,15 @@ def run_planner(cache_path=CACHE_PATH, processes=None):
             seed=0,
             budget=40,
             top_k=6,
-            cache_path=cache_path,
             processes=processes,
             regret=True,
         )
 
     report = one_run()
     # Same seed + probes -> byte-identical recommendation JSON (the
-    # second run replays validation from the cache the first filled).
+    # second run simulates everything again).
     rerun = one_run()
     assert report.to_json() == rerun.to_json(), "planner is nondeterministic"
-    assert rerun.cache_hits == rerun.simulated  # validation fully cached
     return report
 
 

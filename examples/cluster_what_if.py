@@ -12,26 +12,16 @@ BERT-Large-MoE comparisons on three different clusters:
 * a 25 Gb/s Ethernet cluster — communication overwhelms everything and
   compression becomes the dominant lever.
 
-The step tables run through :func:`repro.systems.run_sweep`, sharing
-the benchmark suite's result cache
-(``benchmarks/out/sweep_cache.json``): any (config, policy, cluster)
-point a benchmark already simulated replays from disk, and points
-first computed here are cached for the benchmarks in turn.
+The step tables run through :func:`repro.systems.run_sweep`, which
+simulates each (config, policy, cluster) point in a process pool.
 
 Run:  python examples/cluster_what_if.py
 """
-
-from pathlib import Path
 
 from repro.cluster import ethernet_cluster, nvlink_dgx, paper_testbed
 from repro.collectives import get_a2a, measure_a2a, theoretical_max_speedup
 from repro.models import bert_large_moe, ct_moe
 from repro.systems import SweepTask, comparison_suite, run_sweep
-
-CACHE_PATH = (
-    Path(__file__).resolve().parents[1] / "benchmarks" / "out"
-    / "sweep_cache.json"
-)
 
 CLUSTERS = [
     ("paper 8x4 2080Ti + IB100", paper_testbed()),
@@ -57,7 +47,7 @@ def main() -> None:
         print(header)
         for label, spec in CLUSTERS:
             tasks = [SweepTask(cfg, policy) for policy in comparison_suite()]
-            results = run_sweep(tasks, spec, cache_path=CACHE_PATH)
+            results = run_sweep(tasks, spec)
             cells = "".join(
                 f"{'OOM':>12}"
                 if result.oom

@@ -8,7 +8,7 @@ Usage::
     python -m repro a2a --algo pipe --size 256e6
     python -m repro a2a --algo pipe --faults plan.json
     python -m repro step --model ct_moe --layers 12 --policy ScheMoE
-    python -m repro plan --layers 12 --budget 40 --cache /tmp/plan.json
+    python -m repro plan --layers 12 --budget 40 --out /tmp/plan.json
     python -m repro faults --slowdown 2.0 --scheduler optsche
     python -m repro faults --plan plan.json --write-demo plan.json
     python -m repro faults --write-demo demo.json --recovery
@@ -353,10 +353,9 @@ def cmd_plan(args) -> int:
     Runs the three-stage planner: a budgeted probe set calibrates
     alpha-beta and roofline cost models, the whole joint knob space is
     scored analytically against them, and only the top-K candidates
-    are validated with real simulations (landing in ``--cache`` so
-    reruns and sweeps share them).  ``--regret`` additionally runs the
-    exhaustive sweep over the same grid and reports how far the
-    recommendation is from its optimum.
+    are validated with real simulations.  ``--regret`` additionally
+    runs the exhaustive sweep over the same grid and reports how far
+    the recommendation is from its optimum.
     """
     from .systems import PlanSpace, plan
 
@@ -383,14 +382,11 @@ def cmd_plan(args) -> int:
         seed=args.seed,
         budget=args.budget,
         top_k=args.top_k,
-        cache_path=args.cache or None,
         processes=args.processes,
         regret=args.regret,
     )
     for line in report.summary_lines():
         print(line)
-    if args.cache:
-        print(f"cache hits {report.cache_hits}/{report.simulated}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -630,10 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--top-k", type=int, default=8,
         help="analytic candidates validated by real simulation",
-    )
-    p_plan.add_argument(
-        "--cache", default="",
-        help="sweep-cache path shared with run_sweep ('' disables)",
     )
     p_plan.add_argument("--processes", type=int, default=None)
     p_plan.add_argument(

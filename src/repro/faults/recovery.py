@@ -270,6 +270,8 @@ class RecoveryController:
         ``dead_workers`` defaults to the group's currently declared
         dead set (the usual flow: ``group.set_dead_workers({w})`` on
         detection, possibly some degraded steps, then ``recover()``).
+        An explicit set must include every declared-dead worker, or
+        ``ValueError`` is raised before anything changes.
         Afterwards the group is healthy again: full expert count, no
         gate renormalization, placement version bumped — and its
         forward is bit-identical to a freshly built group with the
@@ -286,6 +288,14 @@ class RecoveryController:
             raise ValueError(
                 "no dead workers to recover from: declare them via "
                 "group.set_dead_workers(...) or pass dead_workers="
+            )
+        left_out = group.dead_workers - dead
+        if left_out:
+            # Recovery clears the group's dead set, which would revive
+            # these workers with their experts still placed on them.
+            raise ValueError(
+                f"dead_workers={sorted(dead)} leaves out declared-dead "
+                f"workers {sorted(left_out)}; recover them together"
             )
         old = group.placement
         lost = tuple(

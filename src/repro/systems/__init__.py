@@ -30,7 +30,7 @@ from .policies import (
     tutel,
 )
 from .runner import SpeedupStats, SystemRunner
-from .sweep import SweepCache, SweepTask, run_sweep, task_key
+from .sweep import SweepTask, run_sweep
 
 __all__ = [
     "ALL_POLICIES",
@@ -40,7 +40,6 @@ __all__ = [
     "PlanReport",
     "PlanSpace",
     "SpeedupStats",
-    "SweepCache",
     "SweepTask",
     "SystemRunner",
     "ablation_suite",
@@ -54,6 +53,5 @@ __all__ = [
     "schemoe_no_compression",
     "schemoe_z",
     "schemoe_zp",
-    "task_key",
     "tutel",
 ]

@@ -2,7 +2,7 @@
 
 The repo exposes many orthogonal knobs — scheduler policy, all-to-all
 algorithm, compressor, partition degree ``r``, capacity factor — and a
-cached sweep runner, but until now a human read sweep output to pick
+parallel sweep runner, but until now a human read sweep output to pick
 the winning combination.  This module closes that loop the way
 FSMoE-style systems do: run a *small seeded set of probe measurements*
 through the existing :class:`~repro.core.profiler.Profiler` machinery,
@@ -12,7 +12,7 @@ fit alpha-beta link parameters and a GEMM roofline from them
 *entire* joint configuration space against the fitted models — which
 is pure arithmetic, no event-engine simulation — and validate only the
 top-K analytic candidates with real :func:`~repro.systems.sweep.run_sweep`
-simulations that land in the shared :class:`~repro.systems.sweep.SweepCache`.
+simulations.
 
 Three stages, three artefacts:
 
@@ -61,7 +61,7 @@ from ..core.profiler import LinearPerfModel, Profiler
 from ..core.scheduler import get_scheduler
 from ..core.system import StepBreakdown, SystemPolicy, simulate_model_step
 from ..models.configs import MoEModelConfig
-from .sweep import SweepCache, SweepTask, run_sweep, task_key
+from .sweep import SweepTask, run_sweep
 
 __all__ = [
     "Calibration",
@@ -537,10 +537,6 @@ class PlanReport:
     validated: List[dict] = field(default_factory=list)
     #: Regret vs the exhaustive sweep (None unless requested).
     regret: Optional[dict] = None
-    #: Validation simulations already present in the shared cache.
-    #: Runtime-dependent, so it is *excluded* from the canonical JSON
-    #: (the report must be byte-identical across reruns).
-    cache_hits: int = 0
 
     @property
     def prediction_error_pct(self) -> float:
@@ -615,18 +611,16 @@ def plan(
     seed: int = 0,
     budget: Optional[int] = None,
     top_k: int = 8,
-    cache_path=None,
     processes: Optional[int] = None,
     regret: bool = False,
 ) -> PlanReport:
     """Run all three planner stages and return the report.
 
-    ``cache_path`` names the shared sweep cache the validation (and
-    the optional exhaustive regret sweep) lands in; ``top_k`` bounds
-    how many candidates are simulated for real — strictly fewer than
-    the exhaustive sweep whenever ``top_k < space.size``.  ``regret=True``
-    additionally runs the exhaustive sweep over the same grid and
-    reports the recommendation's regret against its optimum.
+    ``top_k`` bounds how many candidates are simulated for real —
+    strictly fewer than the exhaustive sweep whenever
+    ``top_k < space.size``.  ``regret=True`` additionally runs the
+    exhaustive sweep over the same grid and reports the
+    recommendation's regret against its optimum.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
@@ -652,15 +646,7 @@ def plan(
     top = feasible[: min(top_k, len(feasible))]
 
     tasks = [cand.task(cfg) for cand, _ in top]
-    cache_hits = 0
-    if cache_path is not None:
-        cache = SweepCache(cache_path)
-        cache_hits = sum(
-            1 for t in tasks if cache.get(task_key(t, spec)) is not None
-        )
-    results = run_sweep(
-        tasks, spec, cache_path=cache_path, processes=processes
-    )
+    results = run_sweep(tasks, spec, processes=processes)
 
     validated = []
     best: Optional[Tuple[PlanCandidate, float, float]] = None
@@ -689,9 +675,7 @@ def plan(
 
     regret_info = None
     if regret:
-        exhaustive = run_sweep(
-            space.tasks(cfg), spec, cache_path=cache_path, processes=processes
-        )
+        exhaustive = run_sweep(space.tasks(cfg), spec, processes=processes)
         finite = [
             (r.total_s, cand.label)
             for cand, r in zip(candidates, exhaustive)
@@ -720,5 +704,4 @@ def plan(
         measured_s=best[2],
         validated=validated,
         regret=regret_info,
-        cache_hits=cache_hits,
     )

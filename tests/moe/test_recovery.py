@@ -122,6 +122,25 @@ def test_recover_without_dead_workers_raises():
         RecoveryController(group).recover()
 
 
+def test_recover_rejects_a_partial_dead_set():
+    """An explicit dead set that leaves out a declared-dead worker would
+    clear the group's dead set and revive that worker's experts."""
+    group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
+    group.set_dead_workers({1, 2})
+    placement = group.placement
+    ctrl = RecoveryController(group)
+    with pytest.raises(ValueError, match=r"leaves out .*\[2\]"):
+        ctrl.recover(dead_workers={1})
+    # Nothing changed: the group is still degraded around both workers.
+    assert group.dead_workers == frozenset({1, 2})
+    assert group.placement is placement
+    assert ctrl.retired == frozenset() and ctrl.events == []
+    # Naming both recovers both.
+    event = ctrl.recover(dead_workers={1, 2})
+    assert event.dead_workers == (1, 2)
+    assert not group.dead_workers
+
+
 def test_repeated_failures_never_use_retired_ranks(tokens):
     group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
     ctrl = RecoveryController(group, reinit_seed=3)
