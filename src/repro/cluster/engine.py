@@ -5,9 +5,12 @@ SimPy, purpose-built for simulating GPU clusters: processes model CUDA
 streams and collective algorithms, resources model exclusive hardware
 (a compute engine, a link, a NIC).
 
-The engine is deterministic: events scheduled at the same timestamp are
+The engine is deterministic: entries queued for the same timestamp are
 processed in FIFO order of scheduling, so repeated runs of the same
-simulation produce identical traces.
+simulation produce identical traces.  Timed events wait on a heap;
+callbacks, which are always due at the current time, wait on a FIFO
+ready deque that :meth:`Engine.run` merges with the heap in exactly
+``(time, seq)`` order (see :class:`Engine`).
 
 Example
 -------
@@ -57,12 +60,19 @@ class Event:
     timestamp, via the event queue, preserving determinism).
     """
 
+    __slots__ = ("engine", "_name", "fired", "value", "_callbacks")
+
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
-        self.name = name
+        self._name = name
         self.fired = False
         self.value: Any = None
         self._callbacks: List[Callable[["Event"], None]] = []
+
+    @property
+    def name(self) -> str:
+        """Label for diagnostics (deadlock reports, errors)."""
+        return self._name
 
     def succeed(self, value: Any = None) -> "Event":
         """Fire the event, scheduling all callbacks at the current time."""
@@ -70,9 +80,12 @@ class Event:
             raise SimulationError(f"event {self.name!r} fired twice")
         self.fired = True
         self.value = value
-        for cb in self._callbacks:
-            self.engine._schedule_callback(cb, self)
-        self._callbacks.clear()
+        callbacks = self._callbacks
+        if callbacks:
+            schedule = self.engine._schedule_callback
+            for cb in callbacks:
+                schedule(cb, self)
+            callbacks.clear()
         return self
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
@@ -90,25 +103,37 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, engine: "Engine", delay: float, name: str = ""):
         if delay < 0:
             raise ValueError(f"negative timeout: {delay}")
-        super().__init__(engine, name or f"timeout({delay:g})")
+        super().__init__(engine, name)
+        self.delay = delay
         engine._schedule_at(engine.now + delay, self)
+
+    @property
+    def name(self) -> str:
+        """The given label, else ``timeout(<delay>)`` (formatted on demand)."""
+        return self._name or f"timeout({self.delay:g})"
 
 
 class AllOf(Event):
     """Fires once every child event has fired."""
 
+    __slots__ = ("_pending", "_children")
+
     def __init__(self, engine: "Engine", events: Iterable[Event], name: str = ""):
         super().__init__(engine, name or "all_of")
-        self._pending = 0
         events = list(events)
+        child_fired = self._child_fired
+        pending = 0
         for ev in events:
             if not ev.fired:
-                self._pending += 1
-                ev.add_callback(self._child_fired)
-        if self._pending == 0:
+                pending += 1
+                ev._callbacks.append(child_fired)
+        self._pending = pending
+        if pending == 0:
             self.succeed([ev.value for ev in events])
         else:
             self._children = events
@@ -121,6 +146,8 @@ class AllOf(Event):
 
 class AnyOf(Event):
     """Fires as soon as any child event fires."""
+
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", events: Iterable[Event], name: str = ""):
         super().__init__(engine, name or "any_of")
@@ -144,6 +171,8 @@ class Process(Event):
     when the generator finishes, so processes can wait on each other.
     """
 
+    __slots__ = ("_gen", "waiting_on")
+
     def __init__(self, engine: "Engine", gen: ProcessGenerator, name: str = ""):
         super().__init__(engine, name or getattr(gen, "__name__", "process"))
         self._gen = gen
@@ -156,10 +185,8 @@ class Process(Event):
     def _resume(self, ev: Event) -> None:
         self.waiting_on = None
         try:
-            if ev is _START:
-                target = self._gen.send(None)
-            else:
-                target = self._gen.send(ev.value)
+            # ``_START.value`` is None: the first send starts the generator.
+            target = self._gen.send(ev.value)
         except StopIteration as stop:
             del self.engine._live_processes[self]
             self.succeed(stop.value)
@@ -173,6 +200,8 @@ class Process(Event):
 
 
 class _Sentinel(Event):
+    __slots__ = ()
+
     def __init__(self):  # noqa: D401 - internal marker, no engine attached
         self.fired = True
         self.value = None
@@ -188,17 +217,32 @@ def _fire(event: Event) -> None:
 
 
 class Engine:
-    """The event loop: a priority queue of ``(time, seq, fn, arg)`` entries.
+    """The event loop: a timed heap merged with a same-time ready deque.
 
-    Processing an entry calls ``fn(arg)``: a timed event carries
-    :func:`_fire` and itself, a callback carries the callback and the
-    event that triggered it.  ``seq`` is unique and increasing, so it
-    breaks every tie in scheduling order.
+    Every queued entry has a unique, increasing ``seq`` and is processed
+    in ``(time, seq)`` order, so ``seq`` breaks every same-time tie in
+    scheduling order.  Entries reach the queue through exactly two
+    methods:
+
+    * :meth:`_schedule_at` pushes a timed event as ``(time, seq, _fire,
+      event)`` onto the heap;
+    * :meth:`_schedule_callback` appends ``(seq, callback, event)`` to
+      the ready deque.  A callback is always due *now*, so the deque is
+      FIFO in ``seq`` and needs no heap.
+
+    :meth:`run` takes the heap top before the deque head only when the
+    heap top is due now and has the smaller ``seq`` (a timed event
+    scheduled earlier that lands on the current time, zero-delay
+    timeouts included); otherwise it drains the deque, and it advances
+    the clock only once the deque is empty.  Processing an entry calls
+    ``fn(arg)``: :func:`_fire` with a timed event, or a callback with
+    the event that triggered it.
     """
 
     def __init__(self):
         self.now: float = 0.0
         self._queue: list = []
+        self._ready: Deque[tuple] = deque()
         self._seq = itertools.count()
         #: Unfinished processes in creation order (an insertion-ordered
         #: dict: a finishing process leaves it in O(1)).
@@ -209,7 +253,7 @@ class Engine:
         heapq.heappush(self._queue, (when, next(self._seq), _fire, event))
 
     def _schedule_callback(self, cb: Callable[[Event], None], ev: Event) -> None:
-        heapq.heappush(self._queue, (self.now, next(self._seq), cb, ev))
+        self._ready.append((next(self._seq), cb, ev))
 
     # -- public api ---------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -236,7 +280,8 @@ class Engine:
         """Drain the event queue; returns the final simulation time.
 
         ``until`` caps the simulated time; events past the cap stay
-        queued and ``now`` is advanced to ``until``.
+        queued and ``now`` is advanced to ``until``.  A cap before
+        ``now`` raises :class:`ValueError`.
 
         Raises :class:`SimulationError` when the queue drains while
         processes are still blocked on events nobody can fire anymore —
@@ -244,22 +289,35 @@ class Engine:
         each is waiting on (an ``until`` cap suppresses the check:
         stopping early legitimately strands in-flight processes).
         """
+        now = self.now
+        if until is not None and until < now:
+            raise ValueError(f"run(until={until!r}) is before now={now!r}")
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
         heappop = heapq.heappop
-        while queue:
-            entry = heappop(queue)
-            when, _seq, fn, arg = entry
+        while True:
+            if ready:
+                # Every ready entry is due now; a heap entry goes first
+                # only if it is due now too and was queued earlier.
+                if not (queue and queue[0][0] <= now and queue[0][1] < ready[0][0]):
+                    _seq, fn, arg = popleft()
+                    fn(arg)
+                    continue
+            elif not queue:
+                break
+            when = queue[0][0]
             if until is not None and when > until:
-                heapq.heappush(queue, entry)
                 self.now = until
-                return self.now
-            if when < self.now:
+                return until
+            if when < now:
                 raise SimulationError("time went backwards")
-            self.now = when
+            _when, _seq, fn, arg = heappop(queue)
+            self.now = now = when
             fn(arg)
         if until is None and self._live_processes:
             raise SimulationError(self._deadlock_message())
-        return self.now
+        return now
 
     def _deadlock_message(self, limit: int = 8) -> str:
         blocked = list(self._live_processes)
@@ -296,10 +354,11 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        self._request_name = f"req:{name}"
 
     def request(self) -> Event:
         """An event firing when a slot is granted (caller must release)."""
-        ev = self.engine.event(f"req:{self.name}")
+        ev = Event(self.engine, self._request_name)
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed(self)

@@ -166,6 +166,9 @@ class SimCluster:
     ):
         self.spec = spec
         self.engine = engine if engine is not None else Engine()
+        # Cached for :meth:`transfer`'s rank check and rank -> node map.
+        self._world_size = spec.world_size
+        self._gpus_per_node = spec.gpus_per_node
         # Fault injection is strictly opt-in: with no plan (or an empty
         # one) the injector stays ``None`` and every primitive takes
         # exactly the historical code path — bit-identical simulations.
@@ -258,12 +261,15 @@ class SimCluster:
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
+        world = self._world_size
+        if not (0 <= src < world and 0 <= dst < world):
+            bad = dst if 0 <= src < world else src
+            raise ValueError(f"rank {bad} out of range [0, {world})")
         if src == dst:
             yield self.engine.timeout(self.spec.gpu.memory_time(2.0 * nbytes))
             return
-        src_node = self.spec.node_of(src)
-        dst_node = self.spec.node_of(dst)
-        if src_node == dst_node:
+        src_node = src // self._gpus_per_node
+        if src_node == dst // self._gpus_per_node:
             self._stats["intra_bytes"] += nbytes
             self._stats["intra_messages"] += 1
             resource = self.nodes[src_node].fabric
@@ -277,8 +283,11 @@ class SimCluster:
             kind = "nic"
         if self._injector is None:
             duration = link.transfer_time(nbytes)
-            with (yield from resource.acquire()):
+            yield resource.request()
+            try:
                 yield self.engine.timeout(duration)
+            finally:
+                resource.release()
             return
         yield from self._faulted_transfer(
             kind, src_node, resource, link, nbytes

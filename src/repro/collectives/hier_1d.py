@@ -24,6 +24,7 @@ from ..cluster.engine import Event
 from ..cluster.streams import GpuStreams
 from ..cluster.topology import ClusterSpec, SimCluster
 from .base import AllToAll, register_a2a
+from .ordering import transfer_work
 
 #: Host synchronization cost closing each of the three phases.
 PHASE_SYNC_S = 400.0e-6
@@ -60,7 +61,7 @@ class Hier1DA2A(AllToAll):
                 if rank == leader:
                     continue
                 ev = streams[rank].comm.submit(
-                    self._xfer(cluster, rank, leader, nbytes, bulk=True),
+                    transfer_work(cluster, rank, leader, nbytes, bulk=True),
                     name=f"1dh:gather({rank}->{leader})",
                 )
                 phase1.append(ev)
@@ -77,7 +78,7 @@ class Hier1DA2A(AllToAll):
                 peer_node = (node + step) % num_nodes
                 peer_leader = spec.ranks_of_node(peer_node)[0]
                 ev = streams[leader].comm.submit(
-                    self._xfer(cluster, leader, peer_leader, exchange_chunk),
+                    transfer_work(cluster, leader, peer_leader, exchange_chunk),
                     after=phase1,
                     name=f"1dh:xchg({leader}->{peer_leader})",
                 )
@@ -92,21 +93,12 @@ class Hier1DA2A(AllToAll):
                 if rank == leader:
                     continue
                 ev = streams[leader].comm.submit(
-                    self._xfer(cluster, leader, rank, nbytes, bulk=True),
+                    transfer_work(cluster, leader, rank, nbytes, bulk=True),
                     after=phase2,
                     name=f"1dh:scatter({leader}->{rank})",
                 )
                 completions.append(ev)
         return [self._sync(engine, streams, completions, "1dh:sync3")]
-
-    @staticmethod
-    def _xfer(
-        cluster: SimCluster, src: int, dst: int, chunk: float, bulk: bool = False
-    ):
-        def work():
-            yield from cluster.transfer(src, dst, chunk, bulk=bulk)
-
-        return work
 
     @staticmethod
     def _sync(engine, streams, after: List[Event], name: str) -> Event:

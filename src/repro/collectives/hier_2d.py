@@ -28,6 +28,7 @@ from ..cluster.engine import Event
 from ..cluster.streams import GpuStreams
 from ..cluster.topology import ClusterSpec, SimCluster
 from .base import AllToAll, register_a2a
+from .ordering import transfer_work
 
 
 @register_a2a
@@ -73,7 +74,7 @@ class Hier2DA2A(AllToAll):
             for step in range(1, gpn):
                 peer = node * gpn + (local + step) % gpn
                 ev = streams[rank].comm.submit(
-                    self._xfer(cluster, rank, peer, intra_msg, bulk=True),
+                    transfer_work(cluster, rank, peer, intra_msg, bulk=True),
                     after=packs,
                     name=f"2dh:intra({rank}->{peer})",
                 )
@@ -88,7 +89,7 @@ class Hier2DA2A(AllToAll):
                 peer_node = (node + step) % num_nodes
                 peer = spec.ranks_of_node(peer_node)[local]
                 last = streams[rank].comm.submit(
-                    self._xfer(cluster, rank, peer, inter_msg),
+                    transfer_work(cluster, rank, peer, inter_msg),
                     after=phase1,
                     name=f"2dh:inter({rank}->{peer})",
                 )
@@ -100,15 +101,6 @@ class Hier2DA2A(AllToAll):
             )
             completions.append(unpack)
         return completions
-
-    @staticmethod
-    def _xfer(
-        cluster: SimCluster, src: int, dst: int, chunk: float, bulk: bool = False
-    ):
-        def work():
-            yield from cluster.transfer(src, dst, chunk, bulk=bulk)
-
-        return work
 
     @staticmethod
     def _kernel(cluster: SimCluster, rank: int, touched_bytes: float):

@@ -16,9 +16,10 @@ sequential).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, List
 
-from ..cluster.engine import Event
+from ..cluster.engine import Event, ProcessGenerator
 from ..cluster.streams import Stream
 from ..cluster.topology import ClusterSpec, SimCluster
 
@@ -87,7 +88,7 @@ def lockstep_rounds(
             peer = peer_lists[rank][step]
             this_round.append(
                 stream_of(rank).submit(
-                    _transfer(cluster, rank, peer, chunk),
+                    transfer_work(cluster, rank, peer, chunk),
                     after=after,
                     name=f"{tag}({rank}->{peer})",
                 )
@@ -96,8 +97,12 @@ def lockstep_rounds(
     return prev_round
 
 
-def _transfer(cluster: SimCluster, src: int, dst: int, chunk: float):
-    def work():
-        yield from cluster.transfer(src, dst, chunk)
+def transfer_work(
+    cluster: SimCluster, src: int, dst: int, nbytes: float, bulk: bool = False
+) -> Callable[[], ProcessGenerator]:
+    """:meth:`Stream.submit` work for one transfer.
 
-    return work
+    Calling it returns the :meth:`SimCluster.transfer` generator itself,
+    with no wrapping generator around it.
+    """
+    return functools.partial(cluster.transfer, src, dst, nbytes, bulk)

@@ -22,6 +22,7 @@ from ..cluster.engine import Event
 from ..cluster.streams import GpuStreams
 from ..cluster.topology import ClusterSpec, SimCluster
 from .base import AllToAll, register_a2a
+from .ordering import transfer_work
 
 
 @register_a2a
@@ -63,7 +64,7 @@ class PxnA2A(AllToAll):
                 # Aggregation hop (skipped when this GPU is the rail).
                 if rail != local:
                     agg = streams[rank].intra.submit(
-                        self._xfer(cluster, rank, rail_rank, intra_msg, bulk=True),
+                        transfer_work(cluster, rank, rail_rank, intra_msg, bulk=True),
                         name=f"pxn:agg({rank}->{rail_rank})",
                     )
                     deps = [agg]
@@ -74,7 +75,7 @@ class PxnA2A(AllToAll):
                 # aggregation hop — no phase barrier.
                 peer = spec.ranks_of_node(peer_node)[rail]
                 ev = streams[rail_rank].inter.submit(
-                    self._xfer(cluster, rail_rank, peer, inter_msg / gpn),
+                    transfer_work(cluster, rail_rank, peer, inter_msg / gpn),
                     after=deps,
                     name=f"pxn:inter({rail_rank}->{peer})",
                 )
@@ -84,17 +85,8 @@ class PxnA2A(AllToAll):
             for step in range(gpn):
                 peer = node * gpn + (local + step) % gpn
                 ev = streams[rank].intra.submit(
-                    self._xfer(cluster, rank, peer, nbytes / spec.world_size),
+                    transfer_work(cluster, rank, peer, nbytes / spec.world_size),
                     name=f"pxn:local({rank}->{peer})",
                 )
                 completions.append(ev)
         return completions
-
-    @staticmethod
-    def _xfer(
-        cluster: SimCluster, src: int, dst: int, chunk: float, bulk: bool = False
-    ):
-        def work():
-            yield from cluster.transfer(src, dst, chunk, bulk=bulk)
-
-        return work

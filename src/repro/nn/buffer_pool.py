@@ -41,6 +41,8 @@ class BufferPool:
     ``max_per_key`` bounds how many idle buffers of one shape are
     retained; extra releases drop the array back to the allocator so a
     pathological shape mix cannot grow the pool without bound.
+    ``None`` retains every released buffer, for callers whose working
+    set is already bounded (an :class:`Arena`'s own pool).
 
     The pool keeps running counters — ``hits`` / ``misses`` (acquires
     served from the free list vs. fresh allocations), ``bytes_held``
@@ -58,8 +60,8 @@ class BufferPool:
     is the count to assert a leak-free pass on.
     """
 
-    def __init__(self, max_per_key: int = 16):
-        if max_per_key < 1:
+    def __init__(self, max_per_key: Optional[int] = 16):
+        if max_per_key is not None and max_per_key < 1:
             raise ValueError(f"max_per_key must be >= 1, got {max_per_key}")
         self.max_per_key = max_per_key
         self._free: Dict[Tuple[tuple, np.dtype], List[np.ndarray]] = {}
@@ -131,7 +133,7 @@ class BufferPool:
         with self._lock:
             self.checked_out -= 1
             free = self._free.setdefault(key, [])
-            if len(free) < self.max_per_key:
+            if self.max_per_key is None or len(free) < self.max_per_key:
                 free.append(array)
                 self._bytes_held += array.nbytes
 
@@ -188,12 +190,16 @@ class Arena:
     step.  ``empty``/``zeros`` may be called from multiple threads (the
     overlap executor's two streams); ``reset`` must only run between
     steps, when no thread is allocating.
+
+    Without a ``pool`` the arena builds its own uncapped one: the
+    buffers :meth:`reset` returns are exactly one step's working set,
+    all of which the next step asks for again, so a per-shape cap would
+    only turn the excess of a deep model's repeated shapes into fresh
+    allocations every step.
     """
 
-    def __init__(
-        self, pool: Optional[BufferPool] = None, max_per_key: int = 16
-    ):
-        self.pool = pool if pool is not None else BufferPool(max_per_key)
+    def __init__(self, pool: Optional[BufferPool] = None):
+        self.pool = pool if pool is not None else BufferPool(max_per_key=None)
         self._live: List[np.ndarray] = []
 
     def empty(self, shape, dtype=np.float32) -> np.ndarray:

@@ -47,8 +47,7 @@ _inference_mode = False
 _active_arena = None
 
 #: Below this element count an arena indirection costs more than the
-#: allocation it saves, and tiny keys would crowd the pool's bounded
-#: free lists — small results stay on the plain allocator.
+#: allocation it saves — small results stay on the plain allocator.
 _ARENA_MIN_ELEMS = 4096
 
 

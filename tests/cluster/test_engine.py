@@ -47,6 +47,15 @@ def test_run_until_caps_time():
     assert eng.now == 10.0
 
 
+def test_run_until_before_now_rejected():
+    eng = Engine()
+    eng.timeout(2.0)
+    eng.run(until=1.0)
+    with pytest.raises(ValueError, match="before now"):
+        eng.run(until=0.5)
+    assert eng.run() == 2.0
+
+
 def test_event_fires_once():
     eng = Engine()
     ev = eng.event("x")

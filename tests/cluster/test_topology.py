@@ -145,6 +145,28 @@ def test_negative_transfer_rejected(small_spec):
         list(cluster.transfer(0, 1, -1.0))
 
 
+@pytest.mark.parametrize(
+    "src, dst", [(-1, 0), (0, -1), (4, 0), (0, 4), (-1, -1), (4, 4)]
+)
+def test_transfer_rejects_out_of_range_rank(small_spec, src, dst):
+    """A bad rank raises before any stat moves or any resource is held."""
+    cluster = SimCluster(small_spec)
+    before = cluster.stats
+    with pytest.raises(ValueError, match="out of range"):
+        next(cluster.transfer(src, dst, 1e6))
+    assert cluster.stats == before
+    # Nothing was left holding a link: a valid transfer takes exactly
+    # one message's time on each resource.
+    start = cluster.engine.now
+    cluster.engine.process(cluster.transfer(0, 1, 1e6))
+    cluster.engine.process(cluster.transfer(0, 2, 1e6))
+    cluster.engine.run()
+    assert cluster.engine.now - start == max(
+        small_spec.intra_link.transfer_time(1e6),
+        small_spec.inter_link.transfer_time(1e6),
+    )
+
+
 def test_memory_accounting_and_oom(small_spec):
     cluster = SimCluster(small_spec)
     gpu = cluster.gpu(0)

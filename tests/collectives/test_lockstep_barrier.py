@@ -105,4 +105,4 @@ def test_a2a_queues_quadratic_events(algo, shape):
     engine = CountingEngine()
     result = measure_a2a(get_a2a(algo), spec, 4e6, engine=engine)
     assert not result.oom and result.seconds > 0
-    assert engine.scheduled <= 10 * spec.world_size**2
+    assert engine.scheduled <= 8 * spec.world_size**2

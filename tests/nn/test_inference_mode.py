@@ -16,6 +16,7 @@ import pytest
 
 from repro.nn import (
     Arena,
+    Module,
     Tensor,
     active_arena,
     functional as F,
@@ -156,6 +157,26 @@ def test_arena_steady_state_has_no_misses(rng):
     assert steady["hits"] > warm["hits"]
     # Same numbers, even though the buffers were recycled in between.
     np.testing.assert_array_equal(first, second.data)
+
+
+def test_deep_forward_inference_keeps_every_buffer(rng):
+    """More live buffers of one shape than a capped free list keeps
+    (16): from the second call on, every one is served from the pool."""
+
+    class Deep(Module):
+        def forward(self, x):
+            for _ in range(24):
+                x = F.relu(x)
+            return x
+
+    model = Deep()
+    x = Tensor(rng.standard_normal((64, 128)).astype(np.float32))
+    model.forward_inference(x)
+    warm = model._inference_arena.stats()
+    assert warm["misses"] >= 24
+    for _ in range(3):
+        model.forward_inference(x)
+        assert model._inference_arena.stats()["misses"] == warm["misses"]
 
 
 # -- bit-identical functional parity -----------------------------------------
