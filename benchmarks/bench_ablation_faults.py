@@ -17,7 +17,8 @@ every rerun (asserted below by building the report twice).  The root
 artifact and the ``benchmarks/out/ablation_faults.json`` sidecar are
 both part of the deterministic drift gate in CI.
 
-Run directly (``--tiny`` for the CI smoke configuration)::
+Run directly (``--tiny`` for the CI smoke configuration, which prints
+and saves nothing)::
 
     PYTHONPATH=src python benchmarks/bench_ablation_faults.py [--tiny]
 
@@ -247,10 +248,11 @@ def _assert_acceptance(report: dict) -> None:
 
 
 def write_report(report: dict) -> None:
-    emit("ablation_faults", render(report), data=report)
-    # The root artifact tracks the full grid only — a --tiny smoke run
-    # must not clobber the recorded numbers.
-    if report["mode"] == "full":
+    # Outputs track the full grid only — a --tiny smoke run must not
+    # clobber the recorded numbers.
+    full = report["mode"] == "full"
+    emit("ablation_faults", render(report), data=report, save=full)
+    if full:
         merged = dict(report)
         if ROOT_JSON.exists():
             # bench_ablation_recovery owns the "recovery" section of the

@@ -29,7 +29,8 @@ pair.  The claims and their floors (asserted by
   at most half the tape forward's peak.
 
 Results land in ``benchmarks/out/hotpath.{txt,json}``.  Run directly
-(``--tiny`` for the CI smoke configuration)::
+(``--tiny`` for the CI smoke configuration, which prints and saves
+nothing)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--tiny]
 
@@ -610,7 +611,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     report = run_hotpath(tiny=args.tiny)
-    emit("hotpath", render(report), data=report)
+    emit("hotpath", render(report), data=report, save=not args.tiny)
     if not args.tiny:
         check_acceptance(report)
 

@@ -21,7 +21,8 @@ sidecar drift gate.  The wall-clock claim on the same shape (inference
 >= 1.5x the training-tape forward, and its allocation peak) is timed
 in ``bench_hotpath.py``.
 
-Run directly (``--tiny`` for the CI smoke configuration)::
+Run directly (``--tiny`` for the CI smoke configuration, which prints
+and saves nothing)::
 
     PYTHONPATH=src python benchmarks/bench_inference.py [--tiny]
 
@@ -181,6 +182,7 @@ def write_report(report: dict) -> None:
             "mode": report["mode"],
             "parity": report["parity"],
         },
+        save=report["mode"] == "full",
     )
 
 

@@ -11,9 +11,7 @@ Usage::
     python -m repro plan --layers 12 --budget 40 --out /tmp/plan.json
     python -m repro faults --slowdown 2.0 --scheduler optsche
     python -m repro faults --plan plan.json --write-demo plan.json
-    python -m repro faults --write-demo demo.json --recovery
-    python -m repro reshard --kill 1 --strategy checkpoint
-    python -m repro reshard --plan demo.json
+    python -m repro reshard              # kill -> recover -> scale-up
     python -m repro pipeline --num-chunks 4 --workers 4
     python -m repro infer --tokens 4096 --experts 32
     python -m repro trace --out /tmp/schedule.json
@@ -107,10 +105,7 @@ def cmd_faults(args) -> int:
     this shows how the chosen policy absorbs faults it did not plan
     for.  Without ``--plan``, a demo straggler plan (``--rank`` slowed
     ``--slowdown``x) is used; ``--write-demo`` saves that plan as JSON
-    for editing, and with ``--recovery`` it writes a full
-    recovery-enabled scenario instead — a kill→recover→rebalance demo
-    for ``python -m repro reshard --plan`` with the fault plan embedded
-    under its ``"faults"`` key.
+    for editing.
     """
     from .compression import get_compressor
     from .core import ModelExecutor, get_scheduler
@@ -121,19 +116,9 @@ def cmd_faults(args) -> int:
     else:
         plan = single_straggler(rank=args.rank, slowdown=args.slowdown)
     if args.write_demo:
-        if args.recovery:
-            from .faults.recovery import RecoveryDemo, save_recovery_demo
-
-            save_recovery_demo(RecoveryDemo(faults=plan), args.write_demo)
-            print(f"recovery demo written to {args.write_demo}")
-            return 0
         save_fault_plan(plan, args.write_demo)
         print(f"fault plan written to {args.write_demo}")
         return 0
-    if args.recovery:
-        print("--recovery only applies with --write-demo "
-              "(use `repro reshard` to run a recovery scenario)")
-        return 1
 
     spec = get_preset(args.cluster)
     cfg = dataclasses.replace(ct_moe(), num_layers=1, layer_only=True)
@@ -164,165 +149,19 @@ def cmd_faults(args) -> int:
 
 
 def cmd_reshard(args) -> int:
-    """Elastic re-sharding demo: kill → recover → rebalance.
+    """Elastic re-sharding: kill → recover → scale-up, then priced.
 
-    Runs the full recovery state machine on the real numerical
-    substrate: a healthy expert-parallel forward, a worker death
-    (capacity-dropped experts, renormalized gate), recovery — the
-    survivors adopt the lost experts, whose parameters are restored
-    from a crash-safe checkpoint or seeded re-init — and optionally a
-    scale-up that admits a fresh worker.  After each transition the
-    output is checked bit-for-bit against a freshly built group with
-    the same placement (the recovery parity guarantee).  The re-shard
-    exchange is then priced on the simulated cluster, healthy and
-    under the scenario's fault plan, and weighed against continuing to
-    step through the fault (``reshard_vs_degraded``).  Exit status is
-    0 iff every parity check passed.
+    Prints the recovery study of :mod:`repro.systems.recovery` on
+    ``--cluster`` — the exact text ``bench_ablation_recovery.py``
+    saves on the paper testbed.  Exit status is 0 iff every parity
+    check and acceptance flag holds.
     """
-    import tempfile
-    from pathlib import Path
+    from .systems import recovery
 
-    import numpy as np
-
-    from .compression import get_compressor
-    from .core import ModelExecutor, get_scheduler
-    from .faults.recovery import (
-        RecoveryController,
-        RecoveryDemo,
-        load_recovery_demo,
-        price_reshard,
-        reshard_vs_degraded,
-    )
-    from .moe import MoELayer
-    from .moe.parallel import ExpertParallelGroup
-    from .nn.serialization import save_checkpoint
-
-    if args.plan:
-        demo = load_recovery_demo(args.plan)
-    else:
-        from .faults import single_straggler
-
-        demo = RecoveryDemo(
-            num_workers=args.workers,
-            num_experts=args.experts,
-            tokens=args.tokens,
-            kill_worker=args.kill,
-            scale_up=not args.no_scale_up,
-            seed=args.seed,
-            strategy=args.strategy,
-            faults=single_straggler(rank=args.kill, slowdown=args.slowdown),
-        )
-
-    def make_layer():
-        return MoELayer(
-            model_dim=demo.model_dim,
-            hidden_dim=demo.hidden_dim,
-            num_experts=demo.num_experts,
-            rng=np.random.default_rng(demo.seed),
-            top_k=2,
-            # cf >= E/k: no token is ever dropped, the precondition for
-            # exact layer<->group equivalence (see tests/moe).
-            capacity_factor=demo.num_experts / 2.0,
-        ).eval()
-
-    layer = make_layer()
-    group = ExpertParallelGroup(layer, demo.num_workers)
-    rng = np.random.default_rng(demo.seed + 1)
-    tokens = rng.standard_normal(
-        (demo.tokens - demo.tokens % demo.num_workers, demo.model_dim)
-    ).astype(np.float32)
-    shards = list(np.split(tokens, demo.num_workers))
-
-    healthy = group.forward_concatenated(shards)
-
-    checkpoint = None
-    tmpdir = None
-    if demo.strategy == "checkpoint":
-        tmpdir = tempfile.TemporaryDirectory(prefix="repro-reshard-")
-        checkpoint = Path(tmpdir.name) / "healthy.npz"
-        save_checkpoint(layer, checkpoint, placement=group.placement)
-
-    group.set_dead_workers({demo.kill_worker})
-    degraded = group.forward_concatenated(shards)
-    lost = tuple(sorted(group.dead_experts))
-
-    ctrl = RecoveryController(
-        group, checkpoint=checkpoint, reinit_seed=demo.seed
-    )
-    event = ctrl.recover()
-    recovered = group.forward_concatenated(shards)
-
-    # Parity: the recovered group vs a fresh group built directly on
-    # the post-recovery placement (same borrowed parameters).
-    fresh = ExpertParallelGroup(
-        layer, demo.num_workers, placement=group.placement
-    ).forward_concatenated(shards)
-    parity = bool(np.array_equal(recovered, fresh))
-    restored = (
-        bool(np.array_equal(recovered, healthy))
-        if demo.strategy == "checkpoint"
-        else None
-    )
-
-    print(
-        f"elastic re-sharding: E={demo.num_experts} P={demo.num_workers} "
-        f"kill=worker {demo.kill_worker} strategy={demo.strategy}"
-    )
-    print(f"  lost experts {list(lost)} adopted by survivors: "
-          f"placement v{event.old_version} -> v{event.new_version}, "
-          f"moves {list(event.moves)}")
-    print(f"  degraded forward differs from healthy: "
-          f"{not np.array_equal(degraded, healthy)}")
-    print(f"  recovered == fresh group w/ same placement: {parity}")
-    if restored is not None:
-        print(f"  checkpoint restore == pre-kill healthy output: {restored}")
-
-    scale_ok = True
-    if demo.scale_up:
-        ev2 = ctrl.scale_up()
-        grown = group.forward_concatenated(shards + [tokens[:0]])
-        scale_ok = bool(np.array_equal(grown, recovered))
-        print(f"  scale-up to P={group.num_workers}: moves "
-              f"{list(ev2.moves)}, outputs unchanged: {scale_ok}")
-
-    # Price the re-shard exchange on the simulated cluster and weigh
-    # it against continuing to step through the fault.
     spec = get_preset(args.cluster)
-    per_gpu = event.reshard_per_gpu_bytes
-    reshard_healthy_s = price_reshard(spec, per_gpu, algo=args.algo)
-    reshard_faulted_s = price_reshard(
-        spec, per_gpu, algo=args.algo, faults=demo.faults
-    )
-    cfg = dataclasses.replace(ct_moe(), num_layers=1, layer_only=True)
-
-    def makespan(faults):
-        return ModelExecutor(
-            spec,
-            get_a2a(args.algo),
-            get_compressor("zfp"),
-            get_scheduler("optsche"),
-            partitions=2,
-            faults=faults,
-        ).run(cfg).makespan
-
-    continue_s = makespan(demo.faults)  # every step pays the fault
-    healthy_s = makespan(None)  # post-reshard steps run clean
-    decision = reshard_vs_degraded(
-        reshard_faulted_s, continue_s, healthy_s, args.horizon
-    )
-    print(f"  re-shard A2A ({per_gpu} B/GPU busiest endpoint): "
-          f"{reshard_healthy_s * 1e3:.3f} ms healthy, "
-          f"{reshard_faulted_s * 1e3:.3f} ms through the fault")
-    print(f"  step through fault {continue_s * 1e3:.3f} ms vs "
-          f"{healthy_s * 1e3:.3f} ms after re-shard: breakeven "
-          f"{decision.breakeven_steps:.1f} steps; over {args.horizon} "
-          f"steps -> {decision.recommendation}")
-
-    if tmpdir is not None:
-        tmpdir.cleanup()
-    ok = parity and scale_ok and restored is not False
-    print(f"  all parity checks passed: {ok}")
-    return 0 if ok else 1
+    report = recovery.run_recovery_study(spec)
+    print(recovery.render(report, spec))
+    return 0 if all(report["acceptance"].values()) else 1
 
 
 def cmd_step(args) -> int:
@@ -674,39 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-demo", metavar="PATH",
         help="write the selected plan as JSON and exit",
     )
-    p_faults.add_argument(
-        "--recovery", action="store_true",
-        help="with --write-demo: write a recovery-enabled scenario "
-             "(for `repro reshard --plan`) instead of a bare fault plan",
-    )
 
-    p_reshard = sub.add_parser(
+    sub.add_parser(
         "reshard",
-        help="elastic re-sharding demo: kill -> recover -> rebalance",
+        help="elastic re-sharding study: kill -> recover -> scale-up",
     )
-    p_reshard.add_argument(
-        "--plan", metavar="DEMO_JSON",
-        help="recovery demo JSON (`repro faults --write-demo --recovery`)",
-    )
-    p_reshard.add_argument("--workers", type=int, default=4)
-    p_reshard.add_argument("--experts", type=int, default=8)
-    p_reshard.add_argument("--tokens", type=int, default=64)
-    p_reshard.add_argument("--kill", type=int, default=1,
-                           help="worker to kill (default: 1)")
-    p_reshard.add_argument(
-        "--strategy", default="reinit", choices=("reinit", "checkpoint"),
-        help="how lost expert parameters are re-instantiated",
-    )
-    p_reshard.add_argument("--slowdown", type=float, default=2.0,
-                           help="straggler factor priced on the killed "
-                                "rank (default: 2.0)")
-    p_reshard.add_argument("--no-scale-up", action="store_true",
-                           help="skip the scale-up stage")
-    p_reshard.add_argument("--seed", type=int, default=0)
-    p_reshard.add_argument("--algo", default="pipe")
-    p_reshard.add_argument("--horizon", type=int, default=100,
-                           help="planning horizon in steps for the "
-                                "reshard-vs-continue decision")
 
     p_pipe = sub.add_parser(
         "pipeline",

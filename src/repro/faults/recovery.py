@@ -34,18 +34,18 @@ the minimal move set.
 Every transition is priced through the *timing* substrate: the expert
 slices that must move are counted in bytes
 (:func:`~repro.moe.placement.reshard_traffic`) and converted to
-simulated seconds by :func:`~repro.collectives.measure_a2a` — on a
-healthy cluster or under a :class:`~repro.faults.FaultPlan` (the
-re-shard happens on the *degraded* cluster, after all).
-:func:`reshard_vs_degraded` turns those numbers into the planner's
-decision hook: pay the one-off re-shard or keep stepping as-is.
+simulated seconds by :func:`price_reshard` — on a healthy cluster or
+under a :class:`~repro.faults.FaultPlan` (the re-shard happens on the
+*degraded* cluster, after all).  :func:`reshard_vs_degraded` turns
+those numbers into the planner's decision hook: pay the one-off
+re-shard or keep stepping as-is.  :mod:`repro.systems.recovery` runs
+the whole kill → recover → scale-up scenario and prices it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -53,7 +53,6 @@ import numpy as np
 
 from . import FaultPlan
 from ..moe.placement import (
-    ExpertPlacement,
     expert_param_bytes,
     reshard_moves,
     reshard_traffic,
@@ -62,12 +61,9 @@ from ..moe.placement import (
 __all__ = [
     "RecoveryController",
     "RecoveryEvent",
-    "RecoveryDemo",
     "ReshardDecision",
-    "load_recovery_demo",
     "price_reshard",
     "reshard_vs_degraded",
-    "save_recovery_demo",
 ]
 
 
@@ -359,116 +355,3 @@ class RecoveryController:
         )
         self.events.append(event)
         return event
-
-    # -- pricing -----------------------------------------------------------
-    def price_event(
-        self,
-        event: RecoveryEvent,
-        spec,
-        algo: str = "pipe",
-        faults: Optional[FaultPlan] = None,
-    ) -> float:
-        """Simulated seconds the event's re-shard exchange takes."""
-        return price_reshard(
-            spec, event.reshard_per_gpu_bytes, algo=algo, faults=faults
-        )
-
-
-# --------------------------------------------------------------------------
-# Demo plans (``python -m repro faults --write-demo --recovery`` /
-# ``python -m repro reshard --plan``)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecoveryDemo:
-    """A self-contained kill→recover(→scale-up) scenario description.
-
-    Everything ``python -m repro reshard`` needs to exercise the
-    controller end to end on the numerical substrate, bundled with the
-    :class:`FaultPlan` that prices the re-shard on the timing
-    substrate.  ``strategy`` selects parameter re-instantiation:
-    ``"reinit"`` (seeded) or ``"checkpoint"`` (a checkpoint of the
-    healthy layer is cut before the kill and restored from).
-    """
-
-    num_workers: int = 4
-    num_experts: int = 8
-    model_dim: int = 32
-    hidden_dim: int = 32
-    tokens: int = 64
-    kill_worker: int = 1
-    scale_up: bool = True
-    seed: int = 0
-    strategy: str = "reinit"
-    faults: FaultPlan = field(default_factory=FaultPlan)
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.kill_worker < self.num_workers:
-            raise ValueError(
-                f"kill_worker {self.kill_worker} out of range "
-                f"[0, {self.num_workers})"
-            )
-        if self.strategy not in ("reinit", "checkpoint"):
-            raise ValueError(
-                "strategy must be 'reinit' or 'checkpoint', got "
-                f"{self.strategy!r}"
-            )
-        if self.num_experts % self.num_workers != 0:
-            raise ValueError(
-                "the demo starts from the contiguous placement: "
-                f"num_experts {self.num_experts} must be divisible by "
-                f"num_workers {self.num_workers}"
-            )
-
-    def to_json_dict(self) -> dict:
-        blob = {
-            "num_workers": self.num_workers,
-            "num_experts": self.num_experts,
-            "model_dim": self.model_dim,
-            "hidden_dim": self.hidden_dim,
-            "tokens": self.tokens,
-            "kill_worker": self.kill_worker,
-            "scale_up": self.scale_up,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "faults": self.faults.to_json_dict(),
-        }
-        return blob
-
-    @staticmethod
-    def from_json_dict(blob: dict) -> "RecoveryDemo":
-        known = {
-            "num_workers", "num_experts", "model_dim", "hidden_dim",
-            "tokens", "kill_worker", "scale_up", "seed", "strategy",
-            "faults",
-        }
-        unknown = set(blob) - known
-        if unknown:
-            raise ValueError(
-                f"unknown recovery-demo keys: {sorted(unknown)}"
-            )
-        kwargs = {k: blob[k] for k in known - {"faults"} if k in blob}
-        if "faults" in blob:
-            kwargs["faults"] = FaultPlan.from_json_dict(blob["faults"])
-        return RecoveryDemo(**kwargs)
-
-
-def save_recovery_demo(
-    demo: RecoveryDemo, path: Union[str, Path]
-) -> None:
-    """Write a demo scenario as JSON (``repro reshard --plan`` format)."""
-    Path(path).write_text(
-        json.dumps(demo.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_recovery_demo(path: Union[str, Path]) -> RecoveryDemo:
-    """Read a scenario written by :func:`save_recovery_demo`."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no recovery demo at {path}")
-    return RecoveryDemo.from_json_dict(
-        json.loads(path.read_text(encoding="utf-8"))
-    )

@@ -111,8 +111,8 @@ class Experts(Module):
 
         The shapes must match the stacked layout exactly
         (``w1 (M, H)``, ``b1 (1, H)``, ``w2 (H, M)``, ``b2 (1, M)``) —
-        the per-expert slices :func:`repro.nn.serialization.
-        shard_expert_state` produces.
+        one expert's rows of the bank :func:`repro.nn.serialization.
+        read_expert_bank` returns.
         """
         if not 0 <= expert < self.num_experts:
             raise IndexError(

@@ -27,10 +27,8 @@ from .serialization import (
     checkpoint_placement,
     load_checkpoint,
     load_extra_arrays,
-    merge_expert_shards,
     read_expert_bank,
     save_checkpoint,
-    shard_expert_state,
     stack_expert_state,
 )
 from .tensor import (
@@ -81,10 +79,8 @@ __all__ = [
     "load_checkpoint",
     "read_expert_bank",
     "load_extra_arrays",
-    "merge_expert_shards",
     "normal",
     "save_checkpoint",
-    "shard_expert_state",
     "scatter_add",
     "scratch_empty",
     "scratch_zeros",

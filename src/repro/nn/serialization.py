@@ -18,9 +18,9 @@ Elastic re-sharding support (see :mod:`repro.moe.placement` and
   (``save_checkpoint(..., placement=...)`` /
   :func:`checkpoint_placement`), so a resumed or recovered run knows
   where every expert lived;
-* :func:`shard_expert_state` / :func:`merge_expert_shards` slice a
-  stacked bank into per-worker shards along any placement and
-  reassemble them losslessly — the redistribution a re-shard performs;
+* :func:`read_expert_bank` reads one stacked bank back, so recovery
+  can restore lost experts row by row
+  (:meth:`~repro.moe.experts.Experts.load_expert_slice`);
 * ``save_checkpoint(..., extra_arrays=...)`` stores non-parameter
   arrays (optimizer moments, RNG state) under a reserved prefix,
   readable via :func:`load_extra_arrays` — what a bit-exact
@@ -302,92 +302,3 @@ def read_expert_bank(
             "pass prefix= to pick one"
         )
     return {n: state[base + n] for n in ("w1", "b1", "w2", "b2")}
-
-
-def shard_expert_state(
-    state: Dict[str, np.ndarray], placement
-) -> List[Dict[str, np.ndarray]]:
-    """Slice stacked expert banks into per-worker shards.
-
-    ``placement`` is an :class:`~repro.moe.placement.ExpertPlacement`;
-    shard ``w`` holds, for every recognised bank, the parameter rows
-    of the experts ``placement.experts_of(w)`` stacked in ascending
-    global-id order (possibly zero rows).  Non-bank keys — gate
-    weights, embeddings — are replicated into every shard, mirroring
-    how non-expert parameters are data-parallel-replicated on the real
-    system.  :func:`merge_expert_shards` inverts this exactly, for any
-    placement: re-sharding a checkpoint from one placement to another
-    is ``merge`` then ``shard`` and loses nothing.
-    """
-    bases = set(_bank_bases(state, placement.num_experts))
-    bank_keys = {
-        base + name for base in bases for name in ("w1", "b1", "w2", "b2")
-    }
-    shards: List[Dict[str, np.ndarray]] = []
-    for w in range(placement.num_workers):
-        hosted = list(placement.experts_of(w))
-        shard = {}
-        for key, value in state.items():
-            if key in bank_keys:
-                shard[key] = np.asarray(value)[hosted]
-            else:
-                shard[key] = value
-        shards.append(shard)
-    return shards
-
-
-def merge_expert_shards(
-    shards: List[Dict[str, np.ndarray]], placement
-) -> Dict[str, np.ndarray]:
-    """Reassemble :func:`shard_expert_state` output into full banks.
-
-    The inverse redistribution: every expert's rows come from the
-    worker hosting it under ``placement``; replicated non-bank keys
-    are taken from the first shard holding them.  Raises if the shard
-    list does not match the placement's worker count or a bank row
-    count disagrees with a worker's hosted experts.
-    """
-    if len(shards) != placement.num_workers:
-        raise ValueError(
-            f"expected {placement.num_workers} shards, got {len(shards)}"
-        )
-    merged: Dict[str, np.ndarray] = {}
-    # Identify banks from shard key quartets; row counts are
-    # per-worker, so recognition uses the merged (global) shapes after
-    # a first pass collects every worker's slices.
-    for w, shard in enumerate(shards):
-        hosted = list(placement.experts_of(w))
-        for key, value in shard.items():
-            quartet = _quartet_base(key, shard)
-            if quartet is None:
-                merged.setdefault(key, value)
-                continue
-            value = np.asarray(value)
-            if value.shape[0] != len(hosted):
-                raise ValueError(
-                    f"shard {w} key {key}: {value.shape[0]} expert rows "
-                    f"but worker {w} hosts {len(hosted)} experts"
-                )
-            full = merged.get(key)
-            if full is None:
-                full = np.zeros(
-                    (placement.num_experts,) + value.shape[1:], value.dtype
-                )
-                merged[key] = full
-            full[hosted] = value
-    return merged
-
-
-def _quartet_base(key: str, state: Dict[str, np.ndarray]) -> Optional[str]:
-    """The bank prefix if ``key`` belongs to a complete stacked
-    w1/b1/w2/b2 quartet of 3-D/2-D-per-expert arrays, else ``None``."""
-    for name in ("w1", "b1", "w2", "b2"):
-        if key == name or key.endswith("." + name):
-            base = key[: -len(name)]
-            names = [base + n for n in ("w1", "b1", "w2", "b2")]
-            if all(n in state for n in names) and all(
-                np.asarray(state[n]).ndim == 3 for n in names
-            ):
-                return base
-            return None
-    return None

@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.cluster import paper_testbed
 from repro.core import ScheMoELayer
 from repro.core.trace import export_schedule_trace
+from repro.systems import recovery
 from repro.systems.tables import TABLES
 
 OUT_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
@@ -170,44 +171,37 @@ def test_plan_smoke(tmp_path, capsys):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_reshard_demo_checkpoint_strategy(capsys):
-    assert main(
-        ["reshard", "--strategy", "checkpoint", "--tokens", "32"]
-    ) == 0
+def test_reshard_prints_the_bench_sidecar(capsys):
+    """`repro reshard` prints exactly the recovery bench's lines."""
+    assert main(["reshard"]) == 0
     out = capsys.readouterr().out
-    assert "recovered == fresh group w/ same placement: True" in out
-    assert "checkpoint restore == pre-kill healthy output: True" in out
-    assert "scale-up" in out
-    assert "breakeven" in out
+    sidecar = json.loads((OUT_DIR / "ablation_recovery.json").read_text())
+    assert out.splitlines() == sidecar["lines"]
 
 
-def test_reshard_reinit_no_scale_up(capsys):
-    assert main(
-        ["reshard", "--strategy", "reinit", "--no-scale-up",
-         "--tokens", "32"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "recovered == fresh group w/ same placement: True" in out
-    assert "scale-up" not in out
+def test_reshard_exits_1_when_a_parity_check_fails(monkeypatch, capsys):
+    real = recovery._parity_study
+
+    def broken():
+        parity = real()
+        parity["checks"]["recovered_matches_fresh_group"] = False
+        return parity
+
+    monkeypatch.setattr(recovery, "_parity_study", broken)
+    assert main(["reshard"]) == 1
+    assert "recovered_matches_fresh_group            False" in (
+        capsys.readouterr().out
+    )
 
 
-def test_faults_write_recovery_demo_then_reshard(tmp_path, capsys):
-    demo_path = tmp_path / "demo.json"
-    assert main(
-        ["faults", "--write-demo", str(demo_path), "--recovery",
-         "--slowdown", "3.0"]
-    ) == 0
-    assert "recovery demo written" in capsys.readouterr().out
-    blob = json.loads(demo_path.read_text())
-    assert blob["strategy"] == "reinit"
-    assert blob["faults"]["stragglers"][0]["slowdown"] == 3.0
-    assert main(["reshard", "--plan", str(demo_path)]) == 0
-    assert "all parity checks passed: True" in capsys.readouterr().out
+def test_reshard_on_another_cluster(capsys):
+    assert main(["--cluster", "nvlink_dgx", "reshard"]) == 0
+    assert "on the 3 surviving nodes" in capsys.readouterr().out
 
 
-def test_faults_recovery_flag_requires_write_demo(capsys):
-    assert main(["faults", "--recovery"]) == 1
-    assert "--write-demo" in capsys.readouterr().out
+def test_recovery_study_rejects_a_one_node_cluster():
+    with pytest.raises(ValueError, match="no survivors"):
+        recovery.run_recovery_study(paper_testbed(num_nodes=1))
 
 
 @pytest.mark.parametrize("codec", ["zfp", ""])

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.collectives import get_a2a, measure_a2a
 from repro.faults import FaultPlan, single_straggler
 from repro.faults.recovery import (
     RecoveryController,
-    RecoveryDemo,
-    load_recovery_demo,
     price_reshard,
     reshard_vs_degraded,
-    save_recovery_demo,
 )
 from repro.moe import MoELayer
 from repro.moe.parallel import ExpertParallelGroup
+from repro.moe.placement import expert_param_bytes, reshard_traffic
 from repro.nn import Tensor, xavier_uniform
 from repro.nn.serialization import save_checkpoint
 
@@ -293,36 +292,18 @@ def test_reshard_vs_degraded_decision():
         reshard_vs_degraded(1.0, 0.01, 0.01, -1)
 
 
-def test_event_pricing_uses_event_bytes(small_spec, tmp_path):
+def test_event_pricing_uses_event_bytes(small_spec):
     group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
     ctrl = RecoveryController(group, reinit_seed=0)
     group.set_dead_workers({1})
     event = ctrl.recover()
-    assert event.reshard_per_gpu_bytes > 0
-    seconds = ctrl.price_event(event, small_spec)
-    assert seconds == price_reshard(small_spec, event.reshard_per_gpu_bytes)
-
-
-# -- demo plans (S6) -------------------------------------------------------
-
-
-def test_recovery_demo_round_trip(tmp_path):
-    demo = RecoveryDemo(
-        kill_worker=2,
-        strategy="checkpoint",
-        faults=single_straggler(rank=1, slowdown=3.0),
+    traffic = reshard_traffic(
+        event.moves, expert_param_bytes(16, 24), group.placement.num_workers
     )
-    path = tmp_path / "demo.json"
-    save_recovery_demo(demo, path)
-    assert load_recovery_demo(path) == demo
-
-
-def test_recovery_demo_validation():
-    with pytest.raises(ValueError, match="kill_worker"):
-        RecoveryDemo(kill_worker=9)
-    with pytest.raises(ValueError, match="strategy"):
-        RecoveryDemo(strategy="wish")
-    with pytest.raises(ValueError, match="divisible"):
-        RecoveryDemo(num_workers=3)
-    with pytest.raises(ValueError, match="unknown"):
-        RecoveryDemo.from_json_dict({"bogus": 1})
+    assert event.reshard_per_gpu_bytes == traffic["per_gpu_bytes"] > 0
+    # One A2A of the busiest endpoint's payload on the given cluster.
+    assert price_reshard(
+        small_spec, event.reshard_per_gpu_bytes
+    ) == measure_a2a(
+        get_a2a("pipe"), small_spec, event.reshard_per_gpu_bytes
+    ).seconds

@@ -189,75 +189,6 @@ def test_extra_arrays_round_trip_and_stay_out_of_state(tmp_path):
     assert load_extra_arrays(tmp_path / "noextra.npz") == {}
 
 
-def test_shard_merge_round_trip_any_placement(tmp_path):
-    from repro.models import TransformerLM
-    from repro.moe import ExpertPlacement
-    from repro.nn import merge_expert_shards, shard_expert_state
-
-    model = TransformerLM(
-        vocab_size=20, model_dim=16, hidden_dim=24, num_layers=1,
-        num_heads=2, moe=True, num_experts=8, max_seq_len=16, seed=0,
-    )
-    state = model.state_dict()
-    for pl in (
-        ExpertPlacement.contiguous(8, 4),
-        ExpertPlacement(8, 4, owners=(3, 0, 2, 0, 1, 3, 0, 2)),
-        ExpertPlacement(8, 3, owners=(2, 2, 2, 2, 2, 2, 2, 2)),
-    ):
-        shards = shard_expert_state(state, pl)
-        assert len(shards) == pl.num_workers
-        for w, shard in enumerate(shards):
-            hosted = pl.experts_of(w)
-            for key, value in shard.items():
-                if key.endswith((".w1", ".b1", ".w2", ".b2")):
-                    assert value.shape[0] == len(hosted)
-        merged = merge_expert_shards(shards, pl)
-        assert set(merged) == set(state)
-        for key in state:
-            np.testing.assert_array_equal(merged[key], state[key])
-
-
-def test_reshard_is_merge_then_shard_lossless():
-    from repro.models import TransformerLM
-    from repro.moe import ExpertPlacement
-    from repro.nn import merge_expert_shards, shard_expert_state
-
-    model = TransformerLM(
-        vocab_size=20, model_dim=16, hidden_dim=24, num_layers=1,
-        num_heads=2, moe=True, num_experts=8, max_seq_len=16, seed=3,
-    )
-    state = model.state_dict()
-    old = ExpertPlacement.contiguous(8, 4)
-    new = old.with_workers_removed({1})
-    redistributed = shard_expert_state(
-        merge_expert_shards(shard_expert_state(state, old), old), new
-    )
-    again = merge_expert_shards(redistributed, new)
-    for key in state:
-        np.testing.assert_array_equal(again[key], state[key])
-
-
-def test_merge_rejects_mismatched_shards():
-    from repro.moe import ExpertPlacement
-    from repro.nn import merge_expert_shards, shard_expert_state
-
-    rng = np.random.default_rng(0)
-    state = {
-        "w1": rng.standard_normal((4, 3, 5)).astype(np.float32),
-        "b1": np.zeros((4, 1, 5), np.float32),
-        "w2": rng.standard_normal((4, 5, 3)).astype(np.float32),
-        "b2": np.zeros((4, 1, 3), np.float32),
-    }
-    pl = ExpertPlacement.contiguous(4, 2)
-    shards = shard_expert_state(state, pl)
-    with pytest.raises(ValueError, match="shards"):
-        merge_expert_shards(shards[:1], pl)
-    bad = [dict(s) for s in shards]
-    bad[0]["w1"] = bad[0]["w1"][:1]
-    with pytest.raises(ValueError, match="expert rows"):
-        merge_expert_shards(bad, pl)
-
-
 def test_extra_prefix_is_reserved_for_parameters(tmp_path):
     class Weird:
         # A pathological model whose parameter name collides with the
