@@ -34,8 +34,6 @@ from .faults import (
     LinkFault,
     StragglerFault,
     TransientFaults,
-    load_fault_plan,
-    save_fault_plan,
 )
 from .compression import available_compressors, get_compressor, register_compressor
 from .core import (
@@ -62,8 +60,6 @@ __all__ = [
     "MoELayer",
     "StragglerFault",
     "TransientFaults",
-    "load_fault_plan",
-    "save_fault_plan",
     "OptScheScheduler",
     "Profiler",
     "ScheMoELayer",

@@ -6,11 +6,9 @@ Usage::
     python -m repro table7               # CT-MoE-x system comparison
     python -m repro fig9                 # A2A algorithm sweep
     python -m repro a2a --algo pipe --size 256e6
-    python -m repro a2a --algo pipe --faults plan.json
     python -m repro step --model ct_moe --layers 12 --policy ScheMoE
     python -m repro plan --layers 12 --budget 40 --out /tmp/plan.json
-    python -m repro faults --slowdown 2.0 --scheduler optsche
-    python -m repro faults --plan plan.json --write-demo plan.json
+    python -m repro faults               # straggler / flapping / retries
     python -m repro reshard              # kill -> recover -> scale-up
     python -m repro pipeline --num-chunks 4 --workers 4
     python -m repro infer --tokens 4096 --experts 32
@@ -21,13 +19,13 @@ The table commands (``table1``, ``table7``, ``table8``, ``table10``,
 ``benchmarks/out/``: both run the one builder and renderer of
 :mod:`repro.systems.tables`, the CLI on any ``--cluster`` preset and
 the bench on the paper testbed, where it also asserts the paper's
-shape.
+shape.  ``faults`` and ``reshard`` do the same for the studies of
+:mod:`repro.systems.faults` and :mod:`repro.systems.recovery`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
@@ -72,11 +70,8 @@ def cmd_table(args) -> int:
 
 def cmd_a2a(args) -> int:
     """Measure one all-to-all call on the selected cluster."""
-    from .faults import load_fault_plan
-
     spec = get_preset(args.cluster)
-    plan = load_fault_plan(args.faults) if args.faults else None
-    result = measure_a2a(get_a2a(args.algo), spec, args.size, faults=plan)
+    result = measure_a2a(get_a2a(args.algo), spec, args.size)
     if result.oom:
         print(f"{args.algo} @ {args.size:.3e} B: OOM "
               f"(peak {result.peak_bytes_per_gpu / 2**30:.1f} GiB/GPU)")
@@ -87,65 +82,25 @@ def cmd_a2a(args) -> int:
         f"  intra {result.stats['intra_bytes'] / 1e6:.1f} MB"
         f"  inter {result.stats['inter_bytes'] / 1e6:.1f} MB"
     )
-    if "transient_failures" in result.stats:
-        print(
-            f"  transient failures "
-            f"{result.stats['transient_failures']:.0f}, retries "
-            f"{result.stats['transient_retries']:.0f}"
-        )
     return 0
 
 
 def cmd_faults(args) -> int:
-    """Execute one MoE layer pass under a fault plan.
+    """Schedules and A2A algorithms under injected faults.
 
-    Runs the layer twice — on the healthy cluster and under the plan —
-    and reports the makespans and the degradation factor.  The
-    schedule is planned against the healthy profile both times, so
-    this shows how the chosen policy absorbs faults it did not plan
-    for.  Without ``--plan``, a demo straggler plan (``--rank`` slowed
-    ``--slowdown``x) is used; ``--write-demo`` saves that plan as JSON
-    for editing.
+    Prints the fault study of :mod:`repro.systems.faults` on
+    ``--cluster`` — the exact text ``bench_ablation_faults.py`` saves
+    on the paper testbed.  Exit status is 0 iff every acceptance check
+    holds; the failing checks are named otherwise.
     """
-    from .compression import get_compressor
-    from .core import ModelExecutor, get_scheduler
-    from .faults import load_fault_plan, save_fault_plan, single_straggler
+    from .systems import faults
 
-    if args.plan:
-        plan = load_fault_plan(args.plan)
-    else:
-        plan = single_straggler(rank=args.rank, slowdown=args.slowdown)
-    if args.write_demo:
-        save_fault_plan(plan, args.write_demo)
-        print(f"fault plan written to {args.write_demo}")
-        return 0
-
-    spec = get_preset(args.cluster)
-    cfg = dataclasses.replace(ct_moe(), num_layers=1, layer_only=True)
-
-    def run(faults):
-        return ModelExecutor(
-            spec,
-            get_a2a(args.algo),
-            get_compressor("zfp"),
-            get_scheduler(args.scheduler),
-            partitions=2,
-            faults=faults,
-        ).run(cfg)
-
-    healthy = run(None)
-    faulted = run(plan)
-    print(
-        f"{cfg.name} layer pass, {args.scheduler} + {args.algo} on "
-        f"{args.cluster}:"
-    )
-    print(f"  healthy makespan: {healthy.makespan * 1e3:9.3f} ms")
-    print(f"  faulted makespan: {faulted.makespan * 1e3:9.3f} ms "
-          f"({faulted.makespan / healthy.makespan:.2f}x)")
-    for key in ("transient_failures", "transient_retries"):
-        if key in faulted.traffic:
-            print(f"  {key.replace('_', ' ')}: {faulted.traffic[key]:.0f}")
-    return 0
+    report = faults.run_faults_study(get_preset(args.cluster))
+    print(faults.render(report))
+    failed = faults.failed_checks(report)
+    for name in failed:
+        print(f"FAILED: {name}")
+    return 1 if failed else 0
 
 
 def cmd_reshard(args) -> int:
@@ -439,10 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_a2a = sub.add_parser("a2a", help="measure one all-to-all")
     p_a2a.add_argument("--algo", default="pipe")
     p_a2a.add_argument("--size", type=float, default=2.56e8)
-    p_a2a.add_argument(
-        "--faults", metavar="PLAN_JSON",
-        help="run on a faulted cluster (FaultPlan JSON file)",
-    )
 
     p_step = sub.add_parser("step", help="one model step breakdown")
     p_step.add_argument("--model", default="ct_moe",
@@ -496,22 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list overriding the capacity-factor grid",
     )
 
-    p_faults = sub.add_parser(
-        "faults", help="one layer pass under a fault plan"
-    )
-    p_faults.add_argument(
-        "--plan", metavar="PLAN_JSON",
-        help="FaultPlan JSON (default: demo straggler plan)",
-    )
-    p_faults.add_argument("--rank", type=int, default=0,
-                          help="demo straggler rank (default: 0)")
-    p_faults.add_argument("--slowdown", type=float, default=2.0,
-                          help="demo straggler slowdown (default: 2.0)")
-    p_faults.add_argument("--scheduler", default="optsche")
-    p_faults.add_argument("--algo", default="pipe")
-    p_faults.add_argument(
-        "--write-demo", metavar="PATH",
-        help="write the selected plan as JSON and exit",
+    sub.add_parser(
+        "faults",
+        help="fault study: straggler, flapping link, transient retries",
     )
 
     sub.add_parser(

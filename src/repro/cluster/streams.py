@@ -18,7 +18,7 @@ send/recv operations proceed concurrently.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 from .engine import Engine, Event, ProcessGenerator
 
@@ -30,23 +30,7 @@ class Stream:
         self.engine = engine
         self.name = name
         self._tail: Optional[Event] = None
-        self._items: List[Tuple[str, Event]] = []  # (label, completion)
-
-    @property
-    def depth(self) -> int:
-        """Number of items ever submitted (for diagnostics)."""
-        return len(self._items)
-
-    def outstanding(self) -> List[str]:
-        """Labels of submitted items that have not completed yet.
-
-        Under fault injection a stalled or deadlocked simulation is
-        diagnosed by which stream items never finished — the engine's
-        deadlock report names processes, this names them per stream in
-        submission order.  A label shared by several unfinished items
-        appears once per item.
-        """
-        return [label for label, proc in self._items if not proc.fired]
+        self._submitted = 0
 
     def submit(
         self,
@@ -68,10 +52,10 @@ class Stream:
         deps: List[Event] = list(after)
         if self._tail is not None:
             deps.append(self._tail)
-        label = name or f"{self.name}#{len(self._items) + 1}"
+        self._submitted += 1
+        label = name or f"{self.name}#{self._submitted}"
         proc = self.engine.process(self._run(deps, work), name=label)
         self._tail = proc
-        self._items.append((label, proc))
         return proc
 
     def _run(

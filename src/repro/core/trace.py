@@ -1,9 +1,9 @@
 """Chrome-trace export of schedules (view in chrome://tracing / Perfetto).
 
-Turns a :class:`~repro.core.scheduler.ScheduleResult` (or a whole
-model's per-layer schedule) into the Trace Event JSON format, with the
-computing stream and the communication stream as separate "threads" —
-the same visualization the paper's Fig. 3/5 timelines convey.
+Turns a :class:`~repro.core.scheduler.ScheduleResult` into the Trace
+Event JSON format, with the computing stream and the communication
+stream as separate "threads" — the same visualization the paper's
+Fig. 3/5 timelines convey.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ def schedule_to_trace_events(
     result: ScheduleResult,
     pid: int = 0,
     time_offset_s: float = 0.0,
-    label_prefix: str = "",
 ) -> List[Dict]:
     """Trace events (microsecond timestamps) of one schedule."""
     events: List[Dict] = []
@@ -42,7 +41,7 @@ def schedule_to_trace_events(
     ):
         events.append(
             {
-                "name": f"{label_prefix}{task}",
+                "name": str(task),
                 "cat": "comm" if task.is_comm else "comp",
                 "ph": "X",
                 "ts": (time_offset_s + start) * 1e6,
@@ -94,35 +93,6 @@ def export_schedule_trace(
         }
     )
     events.extend(schedule_to_trace_events(result))
-    payload = json.dumps({"traceEvents": events}, indent=1)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    return payload
-
-
-def export_layer_sequence_trace(
-    schedules: List[ScheduleResult],
-    path: Optional[str] = None,
-    labels: Optional[List[str]] = None,
-) -> str:
-    """Chain several schedules back-to-back (e.g. fwd of every layer).
-
-    Each schedule starts when the previous one's makespan ends, which
-    is how the step-time simulator composes layers.
-    """
-    if labels is not None and len(labels) != len(schedules):
-        raise ValueError("labels must match schedules")
-    events = _thread_metadata(0)
-    offset = 0.0
-    for i, result in enumerate(schedules):
-        prefix = f"{labels[i]}:" if labels else f"L{i}:"
-        events.extend(
-            schedule_to_trace_events(
-                result, time_offset_s=offset, label_prefix=prefix
-            )
-        )
-        offset += result.makespan
     payload = json.dumps({"traceEvents": events}, indent=1)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

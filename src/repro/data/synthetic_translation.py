@@ -137,22 +137,3 @@ class SyntheticTranslation:
                 tgt_in[i, 1 : len(t)] = t[:-1]
                 tgt_out[i, : len(t)] = t
             yield src, tgt_in, tgt_out
-
-    def references_for(self, src: np.ndarray) -> List[List[int]]:
-        """Ground-truth target token sequences for a padded src batch."""
-        refs = []
-        for row in np.asarray(src):
-            tokens = [int(t) for t in row if t not in (PAD,)]
-            if not tokens:
-                refs.append([])
-                continue
-            topic_token = tokens[0]
-            topic = self._topic_tokens.index(topic_token)
-            words = [
-                t - self._word_tokens[0]
-                for t in tokens[1:]
-                if t in range(self._word_tokens[0], self._word_tokens[0] + self.config.num_words)
-            ]
-            mapped = self.translate(topic, words)
-            refs.append([self._word_tokens[w] for w in mapped] + [EOS])
-        return refs

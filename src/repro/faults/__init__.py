@@ -39,11 +39,9 @@ training degraded forever.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.costmodel import LinkModel
 from ..cluster.engine import SimulationError
@@ -207,7 +205,7 @@ class FaultPlan:
     transient: Optional[TransientFaults] = None
 
     def __post_init__(self) -> None:
-        # Tolerate lists (e.g. a plan parsed from JSON).
+        # Accept lists; store tuples.
         object.__setattr__(self, "stragglers", tuple(self.stragglers))
         object.__setattr__(self, "links", tuple(self.links))
 
@@ -215,41 +213,6 @@ class FaultPlan:
         """True when the plan injects nothing (healthy cluster)."""
         return (
             not self.stragglers and not self.links and self.transient is None
-        )
-
-    # -- (de)serialization ------------------------------------------------
-    def to_json_dict(self) -> dict:
-        """A JSON-encodable view (``inf`` windows become ``null``)."""
-        blob = asdict(self)
-        for group in ("stragglers", "links"):
-            blob[group] = [_window_to_json(f) for f in blob[group]]
-        if blob["transient"] is not None:
-            blob["transient"] = _window_to_json(blob["transient"])
-        return blob
-
-    @staticmethod
-    def from_json_dict(blob: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_json_dict` (strict on unknown keys)."""
-        known = {"seed", "stragglers", "links", "transient"}
-        unknown = set(blob) - known
-        if unknown:
-            raise ValueError(f"unknown fault-plan keys: {sorted(unknown)}")
-        transient = blob.get("transient")
-        return FaultPlan(
-            seed=int(blob.get("seed", 0)),
-            stragglers=tuple(
-                StragglerFault(**_window_from_json(f))
-                for f in blob.get("stragglers", ())
-            ),
-            links=tuple(
-                LinkFault(**_window_from_json(f))
-                for f in blob.get("links", ())
-            ),
-            transient=(
-                TransientFaults(**_window_from_json(transient))
-                if transient is not None
-                else None
-            ),
         )
 
 
@@ -260,38 +223,6 @@ def _check_window(start_s: float, end_s: float) -> None:
         raise ValueError(
             f"window must satisfy end_s > start_s, got [{start_s}, {end_s})"
         )
-
-
-def _window_to_json(fields: dict) -> dict:
-    out = dict(fields)
-    if out.get("end_s") == math.inf:
-        out["end_s"] = None
-    return out
-
-
-def _window_from_json(fields: dict) -> dict:
-    out = dict(fields)
-    if out.get("end_s", math.inf) is None:
-        out["end_s"] = math.inf
-    return out
-
-
-def save_fault_plan(plan: FaultPlan, path: Union[str, Path]) -> None:
-    """Write a plan as a JSON file (the CLI's ``--faults`` format)."""
-    Path(path).write_text(
-        json.dumps(plan.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
-    """Read a plan written by :func:`save_fault_plan`."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no fault plan at {path}")
-    return FaultPlan.from_json_dict(
-        json.loads(path.read_text(encoding="utf-8"))
-    )
 
 
 def single_straggler(

@@ -177,22 +177,6 @@ def scaled_dot_product_attention(
     return Tensor(out)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) computed stably."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - logsumexp
-    if is_inference():
-        # Skip the backward-only exp(out) materialization.
-        return Tensor(out)
-    s = np.exp(out)
-
-    def backward(g):
-        return ((x, g - s * g.sum(axis=axis, keepdims=True)),)
-
-    return x._make(out, (x,), backward)
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout; identity when not training or p == 0."""
     if not training or p <= 0.0:

@@ -16,8 +16,6 @@ from repro.faults import (
     StragglerFault,
     TransientFaults,
     flapping_link,
-    load_fault_plan,
-    save_fault_plan,
     single_straggler,
 )
 
@@ -62,35 +60,6 @@ def test_empty_plan_is_empty():
     assert FaultPlan().is_empty()
     assert not single_straggler(0, 2.0).is_empty()
     assert not FaultPlan(transient=TransientFaults(0.1)).is_empty()
-
-
-def test_plan_json_roundtrip(tmp_path):
-    plan = FaultPlan(
-        seed=41,
-        stragglers=(
-            StragglerFault(rank=3, slowdown=2.0),  # open-ended window
-            StragglerFault(rank=0, slowdown=4.0, start_s=1.0, end_s=2.0),
-        ),
-        links=flapping_link(
-            1, "nic", period_s=0.01, down_fraction=0.3, cycles=4
-        ),
-        transient=TransientFaults(probability=0.05, link="fabric"),
-    )
-    path = tmp_path / "plan.json"
-    save_fault_plan(plan, path)
-    assert load_fault_plan(path) == plan
-    # The file is strict JSON (inf encoded as null, not a bare literal).
-    assert "Infinity" not in path.read_text()
-
-
-def test_plan_json_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown fault-plan keys"):
-        FaultPlan.from_json_dict({"seed": 0, "gremlins": []})
-
-
-def test_load_missing_plan_raises(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_fault_plan(tmp_path / "nope.json")
 
 
 def test_flapping_link_windows():

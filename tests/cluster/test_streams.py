@@ -91,45 +91,13 @@ def test_make_streams():
         make_streams(eng, 0)
 
 
-def test_outstanding_names_unfinished_items():
+def test_default_labels_number_every_submission():
     eng = Engine()
     s = Stream(eng, "gpu0:comm")
-    gate = eng.event("gate")
 
     def quick():
         yield eng.timeout(1.0)
 
-    def stuck():
-        yield gate
-
-    s.submit(quick, name="a2a-chunk0")
-    s.submit(stuck, name="a2a-chunk1")
-    s.submit(quick, name="a2a-chunk2")
-    assert s.outstanding() == ["a2a-chunk0", "a2a-chunk1", "a2a-chunk2"]
-    assert eng.run(until=5.0) == 1.0  # queue drains at t=1
-    # chunk0 finished; chunk1 blocks the FIFO, chunk2 behind it.
-    assert s.outstanding() == ["a2a-chunk1", "a2a-chunk2"]
-    gate.succeed()
-    eng.run()
-    assert s.outstanding() == []
-
-
-def test_outstanding_lists_each_item_of_a_shared_label():
-    """A finished item must not hide an unfinished one with its label."""
-    eng = Engine()
-    s = Stream(eng, "gpu0:comm")
-    gate = eng.event("gate")
-
-    def quick():
-        yield eng.timeout(1.0)
-
-    def stuck():
-        yield gate
-
-    s.submit(quick, name="retry")
-    s.submit(stuck, name="retry")
-    eng.run(until=5.0)
-    assert s.outstanding() == ["retry"]
-    gate.succeed()
-    eng.run()
-    assert s.outstanding() == []
+    names = [s.submit(quick).name, s.submit(quick, name="x").name,
+             s.submit(quick).name]
+    assert names == ["gpu0:comm#1", "x", "gpu0:comm#3"]

@@ -8,7 +8,6 @@ from repro.core import TaskDurations, get_scheduler
 from repro.core.trace import (
     COMM_TID,
     COMP_TID,
-    export_layer_sequence_trace,
     export_schedule_trace,
     schedule_to_trace_events,
 )
@@ -53,21 +52,3 @@ def test_export_is_valid_json(schedule, tmp_path):
     # Metadata rows name the streams.
     meta = [e for e in parsed["traceEvents"] if e["ph"] == "M"]
     assert any(e["args"].get("name") == "compute stream" for e in meta)
-
-
-def test_layer_sequence_offsets(schedule):
-    payload = export_layer_sequence_trace(
-        [schedule, schedule], labels=["fwd", "bwd"]
-    )
-    events = json.loads(payload)["traceEvents"]
-    fwd = [e for e in events if e["name"].startswith("fwd:")]
-    bwd = [e for e in events if e["name"].startswith("bwd:")]
-    assert len(fwd) == len(bwd) == 14
-    fwd_end = max(e["ts"] + e["dur"] for e in fwd)
-    bwd_start = min(e["ts"] for e in bwd)
-    assert bwd_start == pytest.approx(fwd_end, rel=1e-6)
-
-
-def test_layer_sequence_label_validation(schedule):
-    with pytest.raises(ValueError):
-        export_layer_sequence_trace([schedule], labels=["a", "b"])

@@ -1,7 +1,7 @@
 """The benches' ``--tiny`` smoke runs print their block and save nothing.
 
 A smoke run must never replace a committed full-mode output under
-``benchmarks/out/`` (or the root ``BENCH_faults.json``).
+``benchmarks/out/``.
 """
 
 import importlib
@@ -13,9 +13,7 @@ import pytest
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
-@pytest.mark.parametrize(
-    "bench", ["bench_ablation_faults", "bench_inference", "bench_hotpath"]
-)
+@pytest.mark.parametrize("bench", ["bench_inference", "bench_hotpath"])
 def test_tiny_run_writes_nothing(bench, monkeypatch, tmp_path, capsys):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     util = importlib.import_module("_util")

@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.cluster import paper_testbed
 from repro.core import ScheMoELayer
 from repro.core.trace import export_schedule_trace
-from repro.systems import recovery
+from repro.systems import faults, recovery
 from repro.systems.tables import TABLES
 
 OUT_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
@@ -110,42 +110,28 @@ def test_unknown_command_rejected():
         main(["unknown-command"])
 
 
-def test_faults_demo_straggler(capsys):
-    assert main(["faults", "--slowdown", "2.0"]) == 0
+def test_faults_prints_the_bench_sidecar(capsys):
+    """`repro faults` prints exactly the faults bench's lines."""
+    assert main(["faults"]) == 0
     out = capsys.readouterr().out
-    assert "healthy makespan:    10.912 ms" in out
-    assert "faulted makespan:    21.825 ms" in out
-    assert "2.00x" in out  # optsche+pipe is compute-bound: 2x straggler
+    sidecar = json.loads((OUT_DIR / "ablation_faults.json").read_text())
+    assert out.splitlines() == sidecar["lines"]
 
 
-def test_faults_write_demo_then_load(tmp_path, capsys):
-    plan_path = tmp_path / "plan.json"
-    assert main(
-        ["faults", "--slowdown", "3.0", "--write-demo", str(plan_path)]
-    ) == 0
-    capsys.readouterr()
-    assert json.loads(plan_path.read_text())["stragglers"]
-    assert main(["faults", "--plan", str(plan_path)]) == 0
-    assert "3.00x" in capsys.readouterr().out
+def test_faults_exits_1_when_a_check_fails(monkeypatch, capsys):
+    def shrinking(spec):
+        # A straggler that speeds the layer up breaks monotonicity.
+        return [
+            {"scheduler": "optsche", "a2a": "pipe", "slowdown": s,
+             "makespan_s": m, "degradation": m}
+            for s, m in ((1.0, 1.0), (2.0, 0.5))
+        ]
 
-
-def test_a2a_with_fault_plan(tmp_path, capsys):
-    from repro.faults import FaultPlan, TransientFaults, save_fault_plan
-
-    plan_path = tmp_path / "plan.json"
-    save_fault_plan(
-        FaultPlan(
-            seed=7,
-            transient=TransientFaults(probability=0.2, max_retries=8),
-        ),
-        plan_path,
-    )
-    assert main(
-        ["a2a", "--algo", "pipe", "--size", "1e7",
-         "--faults", str(plan_path)]
-    ) == 0
+    monkeypatch.setattr(faults, "_straggler_grid", shrinking)
+    assert main(["faults"]) == 1
     out = capsys.readouterr().out
-    assert "transient failures" in out and "retries" in out
+    assert "FAILED: degradation_monotone_in_slowdown" in out
+    assert "FAILED: transient_retries_observed" not in out
 
 
 def test_plan_smoke(tmp_path, capsys):
