@@ -90,10 +90,6 @@ class GpuStreams:
         self.intra = Stream(engine, name=f"gpu{rank}:intra")
         self.inter = Stream(engine, name=f"gpu{rank}:inter")
 
-    def all_streams(self) -> List[Stream]:
-        """Every stream of this GPU."""
-        return [self.compute, self.comm, self.intra, self.inter]
-
 
 def make_streams(engine: Engine, world_size: int) -> List[GpuStreams]:
     """Create one :class:`GpuStreams` per rank."""

@@ -349,9 +349,3 @@ class SimCluster:
                 start = self.engine.now
                 finish = self._injector.compute_finish(rank, start, seconds)
                 yield self.engine.timeout(finish - start)
-
-    def reset_memory(self) -> None:
-        """Zero all simulated allocations (between experiments)."""
-        for gpu in self.gpus:
-            gpu.allocated_bytes = 0.0
-            gpu.peak_allocated_bytes = 0.0

@@ -82,11 +82,6 @@ class SyntheticLM:
         """Total token ids, specials included."""
         return self.vocab.size
 
-    @property
-    def optimal_perplexity(self) -> float:
-        """Per-token perplexity of the true generative process."""
-        return float(self.config.branching)
-
     def sample_document(self, rng: np.random.Generator) -> np.ndarray:
         """One document: [topic, w_1, ..., w_{seq_len-1}]."""
         cfg = self.config

@@ -1,14 +1,11 @@
-"""Evaluation metrics: BLEU, perplexity, timing statistics."""
+"""Evaluation metrics: BLEU and perplexity."""
 
 from .bleu import corpus_bleu, sentence_bleu
 from .perplexity import evaluate_lm_perplexity, perplexity_from_nll
-from .timing import TimingStats, measure
 
 __all__ = [
-    "TimingStats",
     "corpus_bleu",
     "evaluate_lm_perplexity",
-    "measure",
     "perplexity_from_nll",
     "sentence_bleu",
 ]

@@ -18,23 +18,22 @@ produce.
 Since the pipelined rewrite the sparse hot path is *chunked* (paper
 Section 4): each worker's shard splits into ``num_chunks`` contiguous
 token ranges, and every chunk runs the seven-task chain
-C1 A1 D1 E C2 A2 D2 of :mod:`repro.core.tasks` with real work —
+C1 A1 D1 E C2 A2 D2 of :mod:`repro.core.tasks` with real work, split
+as the paper splits it (Section 3.1): the tasks only hand payloads to
+the all-to-all.
 
-* C1: build the flat per-destination payloads (rows sorted by expert,
-  plus per-expert segment counts) for the chunk's routed tokens, and
-  encode each with the layer's codec
-  (:meth:`~repro.compression.base.Compressor.encode`);
-* A1: the dispatch all-to-all — a memcpy of each encoded payload into
-  pooled staging buffers (:class:`~repro.nn.buffer_pool.BufferPool`);
-* D1: each destination decompresses what it received and assembles
-  the segments into one contiguous sorted-by-expert row block;
-* E:  grouped expert execution
-  (:meth:`~repro.moe.experts.Experts.run_grouped`);
-* C2: split results back per source, in payload row order, and encode
-  each split;
-* A2: the combine all-to-all (pooled memcpy of the encoded payloads);
-* D2: the owner decompresses and merges the chunk's results into its
-  output rows, in the gate's original assignment order.
+* The transport (:class:`_Transport`, one per direction) moves bytes.
+  It owns the codec on the wire (encode in C1/C2, decode in D1/D2),
+  the per-chunk outbox and inbox, A1/A2's memcpy into pooled staging
+  buffers (:class:`~repro.nn.buffer_pool.BufferPool`), the ``(P, P)``
+  traffic matrix, the wire-time wait, and the return of every staging
+  buffer to the pool, after its decode or after an aborted pass.
+* The forward's routing decides what the bytes are: C1 picks each
+  destination's rows (sorted by expert, with segment counts), D1
+  assembles one expert-major block per destination, E runs
+  :meth:`~repro.moe.experts.Experts.run_grouped`, C2 splits results
+  back per source in payload row order, and D2 merges them, weighted,
+  into the owner's output rows in the gate's assignment order.
 
 The codec runs where the paper's task model (:mod:`repro.core.tasks`)
 puts it: compression and decompression are computing tasks, and the
@@ -58,7 +57,8 @@ under :func:`~repro.nn.tensor.inference_mode` (no masks, closures or
 aux loss, bit-identical outputs).  It uses no arena either, so every
 returned array is a fresh allocation the caller owns.  A future
 expert-parallel backward must save the per-chunk E inputs it needs
-explicitly, not lean on an incidental tape.
+explicitly, not lean on an incidental tape, and runs its tasks over
+the same transport in the other direction.
 
 The group runs only the production path: a layer built with
 ``dispatch_mode="dense"`` is rejected at construction.  Its reference
@@ -70,7 +70,10 @@ worker gates only its own shard and the expert FFNs work row by row.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -117,6 +120,103 @@ class A2ATraffic:
     def off_diagonal_bytes(self) -> float:
         """Bytes that actually cross worker boundaries."""
         return float(self.matrix.sum() - np.trace(self.matrix))
+
+
+class _Transport:
+    """One direction of the chunked all-to-all, as the tasks see it.
+
+    The forward builds one per direction (dispatch, combine) and only
+    hands it payloads: :meth:`post` is C1/C2's encode half,
+    :meth:`send` the whole of A1/A2, :meth:`received` D1/D2's decode
+    half, and :meth:`drain` the cleanup after an aborted pass.  ``meta``
+    is routing data the receiver needs; it travels with its payload
+    untouched and uncounted.
+
+    Each chunk's outbox entry is written by one task and popped by its
+    chain successor (likewise each ``(chunk, dst)`` inbox entry), so
+    the overlap executor's two streams never race on them.
+    """
+
+    def __init__(
+        self,
+        codec: Optional[Compressor],
+        pool: BufferPool,
+        num_workers: int,
+        link_bandwidth: Optional[float],
+    ):
+        # The codec on the wire; None ships the fp32 rows themselves.
+        if codec is not None and codec.bits_per_value >= 32:
+            codec = None
+        self._codec = codec
+        self._pool = pool
+        self._link_bandwidth = link_bandwidth
+        #: (P, P) bytes staged from src to dst: each payload's encoded
+        #: ``nbytes`` under a codec, its fp32 rows without one.
+        self.traffic = np.zeros((num_workers, num_workers))
+        self._outbox: Dict[int, list] = {}
+        self._inbox: Dict[tuple, list] = {}
+
+    def post(self, c: int, src: int, dst: int, rows: np.ndarray, meta) -> None:
+        """C1/C2: encode ``rows`` for chunk ``c``'s ``src -> dst`` send."""
+        payload = rows if self._codec is None else self._codec.encode(rows)
+        self._outbox.setdefault(c, []).append((src, dst, payload, meta))
+
+    def send(self, c: int) -> None:
+        """A1/A2: stage chunk ``c``'s payloads and hold the link for them.
+
+        Staging is a memcpy into pooled buffers; the link is held for
+        the cross-worker bytes by a GIL-released wait, not CPU work
+        (the group's ``link_bandwidth`` model).
+        """
+        wire_bytes = 0
+        for src, dst, payload, meta in self._outbox.pop(c, ()):
+            staged = self._stage(payload)
+            self.traffic[src, dst] += staged.nbytes
+            if src != dst:
+                wire_bytes += staged.nbytes
+            self._inbox.setdefault((c, dst), []).append((src, staged, meta))
+        if self._link_bandwidth and wire_bytes:
+            time.sleep(wire_bytes / self._link_bandwidth)
+
+    @contextmanager
+    def received(self, c: int, dst: int):
+        """D1/D2: ``(src, rows, meta)`` sent to ``dst`` in chunk ``c``.
+
+        Yields an iterator in post order that decodes each payload to
+        fp32 rows as it is reached.  Leaving the block returns every
+        staging buffer to the pool, also when a decode or the block
+        raised.  Without a codec ``rows`` *are* those buffers, so copy
+        what outlives the block.
+        """
+        entries = self._inbox.pop((c, dst), [])
+        codec = self._codec
+        try:
+            yield (
+                (src, staged if codec is None else codec.decompress(staged), meta)
+                for src, staged, meta in entries
+            )
+        finally:
+            self._release(entries)
+
+    def drain(self) -> None:
+        """Release what was staged but never received (an aborted pass)."""
+        for entries in self._inbox.values():
+            self._release(entries)
+        self._inbox.clear()
+
+    def _stage(self, payload: Payload) -> Payload:
+        take = self._pool.take_copy
+        if self._codec is None:
+            return take(payload)
+        return dataclasses.replace(
+            payload, payload={k: take(v) for k, v in payload.payload.items()}
+        )
+
+    def _release(self, entries: list) -> None:
+        for _, staged, _ in entries:
+            bufs = [staged] if self._codec is None else staged.payload.values()
+            for buf in bufs:
+                self._pool.release(buf)
 
 
 class ExpertParallelGroup:
@@ -185,11 +285,16 @@ class ExpertParallelGroup:
             placement = ExpertPlacement.contiguous(num_experts, num_workers)
         elif num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+        if not float(num_chunks).is_integer():
+            raise ValueError(f"num_chunks must be an integer, got {num_chunks}")
         if num_chunks < 1:
             raise ValueError(f"num_chunks must be >= 1, got {num_chunks}")
-        if link_bandwidth is not None and link_bandwidth <= 0:
+        if link_bandwidth is not None and not (
+            math.isfinite(link_bandwidth) and link_bandwidth > 0
+        ):
             raise ValueError(
-                f"link_bandwidth must be > 0 bytes/s, got {link_bandwidth}"
+                "link_bandwidth must be a finite number > 0 bytes/s, "
+                f"got {link_bandwidth}"
             )
         self.link_bandwidth = link_bandwidth
         self.layer = layer
@@ -320,18 +425,6 @@ class ExpertParallelGroup:
         self._dead_workers = dead
 
     # -- helpers -----------------------------------------------------------
-    def _occupy_link(self, wire_bytes: int) -> None:
-        """Wire-time model: hold the link for the transfer duration.
-
-        A timed wait, not CPU work — exactly the resource an
-        interconnect transfer occupies — so the overlap executor can
-        hide it behind the computing stream's GEMMs while sync pays it
-        inline.  No-op when ``link_bandwidth`` is None or nothing
-        crossed a worker boundary.
-        """
-        if self.link_bandwidth and wire_bytes:
-            time.sleep(wire_bytes / self.link_bandwidth)
-
     def _validate_shards(self, shards: List[np.ndarray]) -> List[np.ndarray]:
         if len(shards) != self.num_workers:
             raise ValueError(
@@ -405,7 +498,6 @@ class ExpertParallelGroup:
         workers = range(self.num_workers)
         dead_workers = self._dead_workers
         r = self.num_chunks
-        pool = self._pool
         # The placement, frozen for this forward: owner per expert and
         # each worker's hosted experts in ascending global-id order —
         # the local segment order of every expert-major buffer below.
@@ -415,11 +507,15 @@ class ExpertParallelGroup:
             for w in workers
         ]
 
+        def by_chunk(bounds: np.ndarray, ids: np.ndarray) -> list:
+            """Per chunk, the positions of the ``ids`` inside it."""
+            chunk_of = np.searchsorted(bounds, ids, side="right") - 1
+            return [np.nonzero(chunk_of == c)[0] for c in range(r)]
+
         # Per-worker routing metadata, gated once over the full shard
         # (chunking never re-gates: capacity, drops and weights are
         # those of the whole shard, so results match num_chunks=1).
         token_ids: List[np.ndarray] = []
-        expert_ids: List[np.ndarray] = []
         weights: List[np.ndarray] = []
         members: List[List[np.ndarray]] = []  # [w][c] kept positions
         plans = []  # [w] the gate's cached RoutingPlan
@@ -429,74 +525,28 @@ class ExpertParallelGroup:
             plan = gate_outputs[w].plan
             plans.append(plan)
             token_ids.append(plan.kept_token_ids)
-            expert_ids.append(plan.kept_expert_ids)
             weights.append(
                 gate_outputs[w].gate_weights.data[plan.kept_weight_index]
             )
             bounds = chunk_bounds(shards[w].shape[0], r)
             chunk_edges.append(bounds)
-            chunk_of = np.searchsorted(
-                bounds, plan.kept_token_ids, side="right"
-            ) - 1
-            members.append(
-                [np.nonzero(chunk_of == c)[0] for c in range(r)]
-            )
+            members.append(by_chunk(bounds, plan.kept_token_ids))
             # The same restriction over the plan's expert-major order:
             # C1 slices these instead of re-sorting per chunk.
-            g_chunk = np.searchsorted(
-                bounds, plan.grouped_token_ids, side="right"
-            ) - 1
-            grouped_members.append(
-                [np.nonzero(g_chunk == c)[0] for c in range(r)]
-            )
+            grouped_members.append(by_chunk(bounds, plan.grouped_token_ids))
 
         outputs = [
             np.zeros((shards[w].shape[0], model_dim), dtype=np.float32)
             for w in workers
         ]
-        dispatch_traffic = np.zeros((self.num_workers, self.num_workers))
-        combine_traffic = np.zeros((self.num_workers, self.num_workers))
-
-        # The codec on the wire; None ships the fp32 rows themselves.
-        codec: Optional[Compressor] = self.layer.compressor
-        if codec is not None and codec.bits_per_value >= 32:
-            codec = None
-
-        def encode(rows: np.ndarray) -> Payload:
-            """C1/C2's codec half: the payload as it crosses the wire."""
-            return rows if codec is None else codec.encode(rows)
-
-        def stage(payload: Payload) -> Payload:
-            """A1/A2: memcpy the payload into pooled staging buffers."""
-            if codec is None:
-                return pool.take_copy(payload)
-            return dataclasses.replace(
-                payload,
-                payload={
-                    k: pool.take_copy(v) for k, v in payload.payload.items()
-                },
-            )
-
-        def decode(staged: Payload) -> np.ndarray:
-            """D1/D2's codec half: the fp32 rows of a staged payload."""
-            return staged if codec is None else codec.decompress(staged)
-
-        def release(staged: Payload) -> None:
-            """Return a drained payload's staging buffers to the pool."""
-            for buf in [staged] if codec is None else staged.payload.values():
-                pool.release(buf)
-
-        # Mutable per-chunk state handed from task to task.  Keys are
-        # chunk-scoped, every entry is written by exactly one task and
-        # consumed (popped) by its chain successor, so the two streams
-        # never race on it.
-        pending_dispatch: Dict[int, list] = {}
-        inbox: Dict[tuple, list] = {}
-        assembled: Dict[tuple, tuple] = {}
+        wire = (self.layer.compressor, self._pool, self.num_workers)
+        dispatch = _Transport(*wire, self.link_bandwidth)
+        combine = _Transport(*wire, self.link_bandwidth)
+        # Per-chunk hand-off around E.  Keys are chunk-scoped, every
+        # entry is written by exactly one task and consumed (popped) by
+        # its chain successor, so the two streams never race on it.
+        expert_in: Dict[tuple, tuple] = {}
         expert_out: Dict[tuple, tuple] = {}
-        pending_return: Dict[int, list] = {}
-        returned: Dict[tuple, list] = {}
-        return_map: Dict[tuple, np.ndarray] = {}
 
         def compress_dispatch(c: int) -> None:
             """C1: per-source flat payloads for the chunk's tokens, encoded.
@@ -509,10 +559,9 @@ class ExpertParallelGroup:
             A destination's rows are that order restricted to the
             experts it hosts (``nonzero`` preserves order, so under a
             contiguous placement this is exactly the historical
-            contiguous slice); ``dst_counts`` aligns with the
+            contiguous slice); their segment counts align with the
             destination's ascending hosted-expert order.
             """
-            payloads = []
             for src in workers:
                 sel = members[src][c]
                 if sel.size == 0:
@@ -521,9 +570,7 @@ class ExpertParallelGroup:
                 sorted_sel = plans[src].grouped_kept_pos[gm]
                 order = np.searchsorted(sel, sorted_sel)
                 g_experts = plans[src].grouped_expert_ids[gm]
-                counts = np.bincount(
-                    g_experts, minlength=num_experts
-                ).astype(np.int64)
+                counts = np.bincount(g_experts, minlength=num_experts)
                 dst_of_row = owner_of[g_experts]
                 for dst in workers:
                     if dst in dead_workers:
@@ -531,71 +578,48 @@ class ExpertParallelGroup:
                     rowsel = np.nonzero(dst_of_row == dst)[0]
                     if rowsel.size == 0:
                         continue
-                    dst_counts = counts[hosted[dst]]
-                    rows = shards[src][
-                        token_ids[src][sorted_sel[rowsel]]
-                    ]
-                    payloads.append((src, dst, encode(rows), dst_counts))
-                    # Positions within the chunk's kept-order list —
-                    # how D2 puts returned rows back in gate order.
-                    return_map[(c, src, dst)] = order[rowsel]
-            pending_dispatch[c] = payloads
-
-        def a2a_dispatch(c: int) -> None:
-            """A1: stage the encoded payloads and hold the link for them."""
-            wire_bytes = 0
-            for src, dst, payload, counts in pending_dispatch.pop(c):
-                staged = stage(payload)
-                dispatch_traffic[src, dst] += staged.nbytes
-                if src != dst:
-                    wire_bytes += staged.nbytes
-                inbox.setdefault((c, dst), []).append((src, staged, counts))
-            self._occupy_link(wire_bytes)
+                    rows = shards[src][token_ids[src][sorted_sel[rowsel]]]
+                    # The rows' positions within the chunk's kept-order
+                    # list ride along to D2, which puts the returned
+                    # rows back in gate order with them.
+                    dispatch.post(
+                        c, src, dst, rows, (counts[hosted[dst]], order[rowsel])
+                    )
 
         def decompress_dispatch(c: int) -> None:
-            """D1: decompress, then assemble one sorted-by-expert block."""
+            """D1: decompress, then assemble one sorted-by-expert block.
+
+            A stable argsort of the received rows' local expert ids is
+            the layout run_grouped consumes: expert-major over the
+            destination's hosted experts (ascending global id), sources
+            in rank order within an expert, payload order within a
+            source.  Its inverse is where each source's rows went.
+            """
             for dst in workers:
-                entries = inbox.pop((c, dst), None)
-                if not entries:
-                    continue
-                received = [decode(staged) for _, staged, _ in entries]
-                src_offsets = [
-                    np.concatenate([[0], np.cumsum(counts)])
-                    for _, _, counts in entries
-                ]
-                pieces = []
-                backs = [[] for _ in entries]
+                with dispatch.received(c, dst) as got:
+                    got = list(got)
+                    if not got:
+                        continue
+                    srcs, blocks, metas = zip(*got)
+                    rows = np.concatenate(blocks)
+                counts, positions = zip(*metas)
+                local = np.repeat(
+                    np.tile(np.arange(hosted[dst].size), len(srcs)),
+                    np.concatenate(counts),
+                )
+                perm = np.argsort(local, kind="stable")
+                inverse = np.empty_like(perm)
+                inverse[perm] = np.arange(perm.size)
                 counts_full = np.zeros(num_experts, dtype=np.int64)
-                pos = 0
-                # Expert-major over the destination's hosted experts
-                # (ascending global id), sources in rank order within
-                # an expert — the contiguous-segment layout
-                # run_grouped consumes.
-                for e_local, e in enumerate(hosted[dst]):
-                    for i, (_, _, counts) in enumerate(entries):
-                        n = int(counts[e_local])
-                        if n == 0:
-                            continue
-                        lo = int(src_offsets[i][e_local])
-                        pieces.append(received[i][lo : lo + n])
-                        backs[i].append(np.arange(pos, pos + n))
-                        pos += n
-                    counts_full[e] = sum(
-                        int(counts[e_local]) for _, _, counts in entries
-                    )
-                rows = np.concatenate(pieces, axis=0)
-                back_index = [
-                    (entries[i][0], np.concatenate(backs[i]))
-                    for i in range(len(entries))
-                ]
-                assembled[(c, dst)] = (rows, counts_full, back_index)
-                for _, staged, _ in entries:
-                    release(staged)
+                counts_full[hosted[dst]] = np.sum(counts, axis=0)
+                split = np.cumsum([k.sum() for k in counts])[:-1]
+                back_index = list(zip(srcs, np.split(inverse, split), positions))
+                expert_in[(c, dst)] = (rows[perm], counts_full, back_index)
 
         def run_experts(c: int) -> None:
             """E: grouped expert execution."""
             for dst in workers:
-                item = assembled.pop((c, dst), None)
+                item = expert_in.pop((c, dst), None)
                 if item is None:
                     continue
                 rows, counts_full, back_index = item
@@ -604,26 +628,13 @@ class ExpertParallelGroup:
 
         def compress_combine(c: int) -> None:
             """C2: split results back per source in row order, and encode."""
-            returns = []
             for dst in workers:
                 item = expert_out.pop((c, dst), None)
                 if item is None:
                     continue
                 out_rows, back_index = item
-                for src, idx in back_index:
-                    returns.append((dst, src, encode(out_rows[idx])))
-            pending_return[c] = returns
-
-        def a2a_combine(c: int) -> None:
-            """A2: stage the encoded results and hold the link for them."""
-            wire_bytes = 0
-            for dst, src, payload in pending_return.pop(c):
-                staged = stage(payload)
-                combine_traffic[dst, src] += staged.nbytes
-                if src != dst:
-                    wire_bytes += staged.nbytes
-                returned.setdefault((c, src), []).append((dst, staged))
-            self._occupy_link(wire_bytes)
+                for src, idx, positions in back_index:
+                    combine.post(c, dst, src, out_rows[idx], positions)
 
         def decompress_combine(c: int) -> None:
             """D2: decompress, then merge into the chunk's token rows."""
@@ -632,9 +643,9 @@ class ExpertParallelGroup:
                 if sel.size == 0:
                     continue
                 contrib = np.zeros((sel.size, model_dim), dtype=np.float32)
-                for dst, staged in returned.pop((c, w), []):
-                    contrib[return_map.pop((c, w, dst))] = decode(staged)
-                    release(staged)
+                with combine.received(c, w) as got:
+                    for _, rows, positions in got:
+                        contrib[positions] = rows
                 # Accumulate in the gate's original assignment order:
                 # bit-identical to the unchunked merge because every
                 # contribution to one token lives in this chunk, in
@@ -650,39 +661,26 @@ class ExpertParallelGroup:
 
         step = {
             TaskKind.C1: compress_dispatch,
-            TaskKind.A1: a2a_dispatch,
+            TaskKind.A1: dispatch.send,
             TaskKind.D1: decompress_dispatch,
             TaskKind.E: run_experts,
             TaskKind.C2: compress_combine,
-            TaskKind.A2: a2a_combine,
+            TaskKind.A2: combine.send,
             TaskKind.D2: decompress_combine,
         }
 
-        def bind(kind: TaskKind, chunk: int):
-            return lambda: step[kind](chunk)
-
         fns = {
-            Task(kind, chunk): bind(kind, chunk)
+            Task(kind, chunk): functools.partial(fn, chunk)
             for chunk in range(r)
-            for kind in step
+            for kind, fn in step.items()
         }
+        run = self._executor.run if self.pipeline == "overlap" else run_inline
         try:
-            if self.pipeline == "overlap":
-                self.last_timeline = self._executor.run(r, fns)
-            else:
-                self.last_timeline = run_inline(r, fns)
+            self.last_timeline = run(r, fns)
         finally:
-            # A pass that aborts between A1/A2 and the D1/D2 that
-            # drains them leaves staged payloads behind; both streams
-            # have joined here, so hand them back to the pool.  Empty
-            # after a clean pass.
-            for entries in inbox.values():
-                for _, staged, _ in entries:
-                    release(staged)
-            for entries in returned.values():
-                for _, staged in entries:
-                    release(staged)
+            dispatch.drain()
+            combine.drain()
 
-        self.last_dispatch_traffic = A2ATraffic(dispatch_traffic)
-        self.last_combine_traffic = A2ATraffic(combine_traffic)
+        self.last_dispatch_traffic = A2ATraffic(dispatch.traffic)
+        self.last_combine_traffic = A2ATraffic(combine.traffic)
         return outputs

@@ -78,16 +78,6 @@ def tanh(x: Tensor) -> Tensor:
     return x._make(t, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function."""
-    s = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        return ((x, g * s * (1.0 - s)),)
-
-    return x._make(s, (x,), backward)
-
-
 def exp(x: Tensor) -> Tensor:
     """Elementwise exponential."""
     e = np.exp(x.data)
@@ -350,11 +340,3 @@ def take_along_axis(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
         return ((x, grad),)
 
     return x._make(data, (x,), backward)
-
-
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
-    """Raw one-hot encoding (float32)."""
-    idx = np.asarray(indices)
-    out = np.zeros(idx.shape + (depth,), dtype=np.float32)
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return out

@@ -86,7 +86,6 @@ def test_make_streams():
     streams = make_streams(eng, 4)
     assert len(streams) == 4
     assert isinstance(streams[0], GpuStreams)
-    assert len(streams[0].all_streams()) == 4
     with pytest.raises(ValueError):
         make_streams(eng, 0)
 

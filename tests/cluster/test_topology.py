@@ -180,14 +180,6 @@ def test_memory_accounting_and_oom(small_spec):
     assert gpu.peak_allocated_bytes >= 9e9
 
 
-def test_reset_memory(small_spec):
-    cluster = SimCluster(small_spec)
-    cluster.gpu(1).allocate(1e9)
-    cluster.reset_memory()
-    assert cluster.gpu(1).allocated_bytes == 0
-    assert cluster.gpu(1).peak_allocated_bytes == 0
-
-
 def test_compute_occupies_gpu(small_spec):
     cluster = SimCluster(small_spec)
     done = []

@@ -1,17 +1,10 @@
-"""Tests of BLEU, perplexity and timing statistics."""
+"""Tests of BLEU and perplexity."""
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.metrics import (
-    TimingStats,
-    corpus_bleu,
-    measure,
-    perplexity_from_nll,
-    sentence_bleu,
-)
+from repro.metrics import corpus_bleu, perplexity_from_nll, sentence_bleu
 
 
 def test_bleu_perfect_match_is_100():
@@ -67,21 +60,3 @@ def test_perplexity_from_nll():
     with pytest.raises(ValueError):
         perplexity_from_nll(-0.1)
     assert perplexity_from_nll(1000.0) < float("inf")  # capped
-
-
-def test_timing_stats():
-    stats = TimingStats(samples=[0.1, 0.2, 0.3])
-    assert stats.mean == pytest.approx(0.2)
-    assert stats.std == pytest.approx(0.1)
-    assert "±" in stats.format_ms()
-    single = TimingStats(samples=[0.5])
-    assert single.std == 0.0
-
-
-def test_measure_runs_fn():
-    calls = []
-    stats = measure(lambda: calls.append(1), repeats=3)
-    assert len(calls) == 3
-    assert len(stats.samples) == 3
-    with pytest.raises(ValueError):
-        measure(lambda: None, repeats=0)

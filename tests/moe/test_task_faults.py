@@ -12,6 +12,10 @@ clean one.  The pool's free-list counters are compared only under
 ``pipeline="sync"``: under ``"overlap"`` how many buffers sit idle at
 once (and so how many a bounded free list drops) depends on how the
 two streams interleave.
+
+A fault inside the codec is covered too: a ``decompress`` that raises
+partway through D1 or D2, after that task took its staged payloads
+off the inbox, must still hand every one of them back.
 """
 
 import numpy as np
@@ -94,6 +98,45 @@ def test_exception_in_any_task_aborts_cleanly(
         # after it is served from the pool and leaves it as warm-up did.
         assert group._pool.misses == warm_misses
         assert group._pool.idle_buffers() == warm_idle
+    reference = ExpertParallelGroup(
+        layer, 4, pipeline="sync", num_chunks=NUM_CHUNKS
+    )
+    np.testing.assert_array_equal(
+        out.view(np.int32),
+        reference.forward_concatenated(shards).view(np.int32),
+    )
+
+
+@pytest.mark.parametrize("fail_at", [2, 5, 20, 90])
+@pytest.mark.parametrize("pipeline", ["sync", "overlap"])
+def test_decode_fault_returns_every_staging_buffer(
+    rng, monkeypatch, pipeline, fail_at
+):
+    codec = get_compressor("zfp")
+    layer = make_layer(codec)
+    shards = make_shards(rng)
+    group = ExpertParallelGroup(
+        layer, 4, pipeline=pipeline, num_chunks=NUM_CHUNKS
+    )
+    decompress = codec.decompress
+    calls = []
+
+    def failing(compressed):
+        calls.append(compressed)
+        if len(calls) == fail_at:
+            raise InjectedFault(f"decode {fail_at}")
+        return decompress(compressed)
+
+    monkeypatch.setattr(codec, "decompress", failing)
+    _, exc = forward_or_hang(group, shards)
+    assert isinstance(exc, InjectedFault)
+    assert group._pool.checked_out == 0
+    assert not is_inference()
+
+    monkeypatch.setattr(codec, "decompress", decompress)
+    out, exc = forward_or_hang(group, shards)
+    assert exc is None
+    assert group._pool.checked_out == 0
     reference = ExpertParallelGroup(
         layer, 4, pipeline="sync", num_chunks=NUM_CHUNKS
     )

@@ -23,7 +23,6 @@ def test_gelu(x):
 
 def test_tanh_sigmoid_exp_log(x):
     check_grads(lambda t: F.tanh(t), x)
-    check_grads(lambda t: F.sigmoid(t), x)
     check_grads(lambda t: F.exp(t * 0.3), x)
     check_grads(lambda t: F.log(t * t + 1.0), x)
 
@@ -137,8 +136,3 @@ def test_top_k_validation(rng):
         F.top_k_indices(scores, 0)
     with pytest.raises(ValueError):
         F.top_k_indices(scores, 5)
-
-
-def test_one_hot():
-    oh = F.one_hot(np.array([0, 2]), 3)
-    np.testing.assert_array_equal(oh, [[1, 0, 0], [0, 0, 1]])
