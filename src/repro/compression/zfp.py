@@ -26,6 +26,9 @@ BLOCK = 64
 
 _SUPPORTED_RATES = (4, 8, 16)
 
+#: Largest block exponent an int8 holds: peaks must stay below 2^127.
+_MAX_EXPONENT = 127
+
 
 class ZfpLikeCompressor(Compressor):
     """Fixed-rate block floating-point compression.
@@ -63,6 +66,12 @@ class ZfpLikeCompressor(Compressor):
         # frexp: |x| = m * 2^e with m in [0.5, 1); e is the exponent of
         # the block's largest magnitude (0 for all-zero blocks).
         _mant, exps = np.frexp(peaks)
+        if np.any(exps > _MAX_EXPONENT):
+            raise ValueError(
+                f"{self.name}: a block peak is >= 2^{_MAX_EXPONENT}, past "
+                f"the int8 block exponent's limit of {_MAX_EXPONENT}; "
+                "refusing to compress (the exponent would wrap)"
+            )
         exps = exps.astype(np.int8)
 
         # Quantize mantissas to `rate` signed bits against 2^e: values

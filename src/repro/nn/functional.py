@@ -6,11 +6,11 @@ dot-product attention, embedding lookup, dropout and the cross-entropy
 loss.
 
 Under :func:`~repro.nn.tensor.inference_mode` the hot primitives
-(relu/gelu, softmax, layer_norm, embedding) skip their backward-only
-intermediates and write results into the ambient arena's pooled
-buffers via ``out=`` — same floating-point operations in the same
-order, so outputs stay bit-identical to the training-mode forward on
-finite inputs.
+(gelu, softmax, layer_norm, embedding) skip their backward-only
+intermediates, and they and relu write results into the ambient
+arena's pooled buffers via ``out=`` — same floating-point operations
+in the same order, so outputs stay bit-identical to the training-mode
+forward.
 """
 
 from __future__ import annotations
@@ -29,21 +29,18 @@ from .tensor import (
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0)."""
-    if is_inference():
-        # No backward, so no mask array; np.maximum matches the
-        # masked-where result everywhere on finite inputs (both return
-        # +0.0 for x = -0.0; they differ only on NaN, which where()
-        # silently mapped to 0.0 and maximum propagates).
-        return Tensor(
-            np.maximum(x.data, np.float32(0.0), out=_arena_out(x.shape))
-        )
-    mask = x.data > 0
+    """max(x, 0), one branch-free pass in both modes.
+
+    ``-0.0`` maps to ``+0.0`` and NaN propagates (a NaN input yields a
+    NaN output, in training as in inference).  The backward recomputes
+    the ``x > 0`` mask from ``x`` instead of keeping it on the tape.
+    """
 
     def backward(g):
-        return ((x, g * mask),)
+        return ((x, g * (x.data > 0)),)
 
-    return x._make(np.where(mask, x.data, 0.0), (x,), backward)
+    out = np.maximum(x.data, np.float32(0.0), out=_arena_out(x.shape))
+    return x._make(out, (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -202,13 +199,23 @@ def layer_norm(
     def backward(g):
         d = x.data.shape[-1]
         gx_hat = g * weight.data
+        # On a near-constant row (var below 1e3 * eps) inv is large and
+        # the fp32 xhat no longer sums to zero, so dx would pick up a
+        # spurious component along the ones vector.  Re-centre xhat on
+        # those rows only; every other row keeps its bits.
+        xc = xhat
+        near_constant = var < 1e3 * eps
+        if near_constant.any():
+            xc = np.where(
+                near_constant, xhat - xhat.mean(axis=-1, keepdims=True), xhat
+            )
         gx = (
             inv
             / d
             * (
                 d * gx_hat
                 - gx_hat.sum(axis=-1, keepdims=True)
-                - xhat * (gx_hat * xhat).sum(axis=-1, keepdims=True)
+                - xc * (gx_hat * xc).sum(axis=-1, keepdims=True)
             )
         )
         axes = tuple(range(g.ndim - 1))

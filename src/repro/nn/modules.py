@@ -84,8 +84,6 @@ class Module:
     def modules(self) -> Iterator["Module"]:
         """This module and all descendants."""
         yield self
-        for value in vars(self).items():
-            pass
         for value in vars(self).values():
             if isinstance(value, Module):
                 yield from value.modules()

@@ -97,6 +97,21 @@ def test_zfp_non_multiple_of_block_shapes():
         assert np.abs(out - x).max() < np.abs(x).max() / 50 + 1e-6
 
 
+@pytest.mark.parametrize("rate", [4, 8, 16])
+def test_zfp_rejects_a_block_exponent_past_int8(rate):
+    """A peak >= 2^127 has frexp exponent 128, which int8 wraps to -128."""
+    codec = ZfpLikeCompressor(rate=rate)
+    limit = np.float32(2.0**127)
+    below = np.nextafter(limit, np.float32(0.0))
+    out = codec.roundtrip(np.full(64, below, np.float32))
+    np.testing.assert_allclose(out, below, rtol=0.01)
+    x = np.zeros(130, np.float32)
+    x[70] = 2e38  # the second block only
+    for bad in (np.full(64, limit), x, -x):
+        with pytest.raises(ValueError, match="2\\^127"):
+            codec.compress(bad)
+
+
 def test_zfp4_nibble_packing_roundtrip():
     codec = get_compressor("zfp4")
     x = np.random.default_rng(2).standard_normal(256).astype(np.float32)

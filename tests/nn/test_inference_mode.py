@@ -8,7 +8,7 @@ like the other process-wide defaults.  Second, the arena plumbing:
 ambient :class:`~repro.nn.Arena` only for large shapes, the working
 set recycles across steps (steady state stops accumulating pool
 misses), and every inference op is bit-identical to its training
-counterpart on finite inputs.
+counterpart.
 """
 
 import numpy as np
@@ -201,6 +201,24 @@ def test_elementwise_and_norm_parity(rng, shape):
     _parity(F.gelu, x)
     _parity(F.softmax, x)
     _parity(lambda t: F.layer_norm(t, Tensor(w), Tensor(b)), x)
+
+
+@pytest.mark.parametrize("size", [7, _ARENA_MIN_ELEMS + 5])
+def test_relu_parity_on_signed_zeros_nan_and_inf(rng, size):
+    """One relu body: both modes agree bit for bit off the finite range."""
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf], np.float32)
+    x = rng.standard_normal(size).astype(np.float32)
+    x[: special.size] = special
+    train = F.relu(Tensor(x)).data.copy()
+    arena = Arena()
+    with inference_mode(), use_arena(arena):
+        infer = F.relu(Tensor(x)).data.copy()
+    arena.reset()
+    np.testing.assert_array_equal(train.view(np.int32), infer.view(np.int32))
+    expected = np.array([0.0, 0.0, np.nan, np.inf, 0.0], np.float32)
+    np.testing.assert_array_equal(
+        train[: special.size].view(np.int32), expected.view(np.int32)
+    )
 
 
 def test_matmul_gather_concat_parity(rng):

@@ -14,7 +14,7 @@ import pytest
 from repro.nn import Arena, Tensor, inference_mode, use_arena
 from repro.nn import functional as F
 from repro.nn.modules import Parameter
-from repro.nn.optim import Adam
+from repro.nn.optim import _CHUNK, Adam
 import repro.nn.tensor as tensor_module
 from repro.nn.tensor import (
     _SCATTER_ROUNDS_MAX_DEPTH,
@@ -288,7 +288,8 @@ def test_bias_of_the_wrong_shape_raises_naming_both(rng, shape):
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_in_place_adam_matches_the_textbook_expressions(rng, weight_decay):
-    shapes = [(6, 5, 7), (7,), (3, 4), (1,)]
+    # The last: two slices, the second of 37 elements.
+    shapes = [(6, 5, 7), (7,), (3, 4), (1,), (_CHUNK + 37, 1)]
     start = [spread(rng, s) for s in shapes]
     grads = [[spread(rng, s) for s in shapes] for _ in range(20)]
 
@@ -310,3 +311,21 @@ def test_in_place_adam_matches_the_textbook_expressions(rng, weight_decay):
         for a, b in zip(got, expected):
             assert_bits_equal(a, b)
     assert_bits_equal(in_place[-1][2], start[2])  # never moved
+
+
+@pytest.mark.parametrize("moment", [None, "_m", "_v"])
+def test_adam_rejects_a_non_contiguous_parameter(rng, moment):
+    """A flat view of a transposed array would be a copy: no silent no-op."""
+    params = [Parameter(spread(rng, (4,))), Parameter(spread(rng, (3, 5)))]
+    opt = Adam(params, lr=1e-2)
+    if moment is None:
+        params[1].data = params[1].data.T
+    else:
+        getattr(opt, moment)[1] = np.zeros((5, 3), np.float32).T
+    for p in params:
+        p.grad = np.ones_like(p.data)
+    before = params[0].data.copy()
+    with pytest.raises(ValueError, match="parameter 1's"):
+        opt.step()
+    assert_bits_equal(params[0].data, before)  # a rejected step moves nothing
+    assert opt._step == 0
