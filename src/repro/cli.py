@@ -7,7 +7,7 @@ Usage::
     python -m repro fig9                 # A2A algorithm sweep
     python -m repro a2a --algo pipe --size 256e6
     python -m repro step --model ct_moe --layers 12 --policy ScheMoE
-    python -m repro plan --layers 12 --budget 40 --out /tmp/plan.json
+    python -m repro plan                 # auto-tune the system config
     python -m repro faults               # straggler / flapping / retries
     python -m repro reshard              # kill -> recover -> scale-up
     python -m repro pipeline --num-chunks 4 --workers 4
@@ -19,8 +19,9 @@ The table commands (``table1``, ``table7``, ``table8``, ``table10``,
 ``benchmarks/out/``: both run the one builder and renderer of
 :mod:`repro.systems.tables`, the CLI on any ``--cluster`` preset and
 the bench on the paper testbed, where it also asserts the paper's
-shape.  ``faults`` and ``reshard`` do the same for the studies of
-:mod:`repro.systems.faults` and :mod:`repro.systems.recovery`.
+shape.  ``plan``, ``faults`` and ``reshard`` do the same for the
+studies of :mod:`repro.systems.planner`, :mod:`repro.systems.faults`
+and :mod:`repro.systems.recovery`.
 """
 
 from __future__ import annotations
@@ -41,13 +42,6 @@ SINGLE_SAMPLE_NOTE = (
     "timing: one warm-up pass, then a single timed sample per side; the "
     "paired A/B claim is benchmarks/bench_hotpath.py"
 )
-
-
-def _model(args):
-    """The ``--model`` config; CT-MoE takes its depth from ``--layers``."""
-    if args.model == "ct_moe":
-        return ct_moe(args.layers)
-    return PAPER_MODELS[args.model]()
 
 
 def cmd_list(_args) -> int:
@@ -121,7 +115,10 @@ def cmd_reshard(args) -> int:
 
 def cmd_step(args) -> int:
     """Per-component breakdown of one model step under a policy."""
-    cfg = _model(args)
+    if args.model == "ct_moe":  # CT-MoE takes its depth from --layers
+        cfg = ct_moe(args.layers)
+    else:
+        cfg = PAPER_MODELS[args.model]()
     policy = ALL_POLICIES[args.policy]
     result = SystemRunner(get_preset(args.cluster)).step(cfg, policy)
     if result.oom:
@@ -142,50 +139,21 @@ def cmd_step(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    """Auto-tune the system configuration for one workload.
+    """Auto-tune the system configuration for CT-MoE-12.
 
-    Runs the three-stage planner: a budgeted probe set calibrates
-    alpha-beta and roofline cost models, the whole joint knob space is
-    scored analytically against them, and only the top-K candidates
-    are validated with real simulations.  ``--regret`` additionally
-    runs the exhaustive sweep over the same grid and reports how far
-    the recommendation is from its optimum.
+    Prints the planner study of :mod:`repro.systems.planner` on
+    ``--cluster`` — the exact text ``bench_planner.py`` saves on the
+    paper testbed.  Exit status is 0 iff every acceptance check holds;
+    the failing checks are named otherwise.
     """
-    from .systems import PlanSpace, plan
+    from .systems import planner
 
-    cfg = _model(args)
-
-    space_kwargs = {}
-    for attr, flag, cast in (
-        ("schedulers", args.schedulers, str),
-        ("a2a_algorithms", args.a2a, str),
-        ("compressors", args.codecs, str),
-        ("partition_degrees", args.partitions, int),
-        ("capacity_factors", args.capacity_factors, float),
-    ):
-        if flag:
-            space_kwargs[attr] = tuple(
-                cast(v) for v in flag.split(",") if v
-            )
-    space = PlanSpace(**space_kwargs)
-
-    report = plan(
-        cfg,
-        get_preset(args.cluster),
-        space=space,
-        seed=args.seed,
-        budget=args.budget,
-        top_k=args.top_k,
-        processes=args.processes,
-        regret=args.regret,
-    )
-    for line in report.summary_lines():
-        print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"report written to {args.out}")
-    return 0
+    report = planner.plan(get_preset(args.cluster))
+    print("\n".join(report.summary_lines()))
+    failed = planner.failed_checks(report)
+    for name in failed:
+        print(f"FAILED: {name}")
+    return 1 if failed else 0
 
 
 def cmd_pipeline(args) -> int:
@@ -402,49 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_step.add_argument("--policy", default="ScheMoE",
                         choices=sorted(ALL_POLICIES))
 
-    p_plan = sub.add_parser(
-        "plan", help="auto-tune the system config for one workload"
-    )
-    p_plan.add_argument("--model", default="ct_moe",
-                        choices=sorted(PAPER_MODELS) + ["ct_moe"])
-    p_plan.add_argument("--layers", type=int, default=12)
-    p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument(
-        "--budget", type=int, default=None,
-        help="cap on calibration probe measurements (default: no cap)",
-    )
-    p_plan.add_argument(
-        "--top-k", type=int, default=8,
-        help="analytic candidates validated by real simulation",
-    )
-    p_plan.add_argument("--processes", type=int, default=None)
-    p_plan.add_argument(
-        "--regret", action="store_true",
-        help="also run the exhaustive sweep and report the regret",
-    )
-    p_plan.add_argument(
-        "--out", metavar="PATH",
-        help="write the full report JSON to PATH",
-    )
-    p_plan.add_argument(
-        "--schedulers", default="",
-        help="comma list overriding the scheduler grid",
-    )
-    p_plan.add_argument(
-        "--a2a", default="",
-        help="comma list overriding the A2A-algorithm grid",
-    )
-    p_plan.add_argument(
-        "--codecs", default="",
-        help="comma list overriding the compressor grid",
-    )
-    p_plan.add_argument(
-        "--partitions", default="",
-        help="comma list overriding the partition-degree grid",
-    )
-    p_plan.add_argument(
-        "--capacity-factors", default="",
-        help="comma list overriding the capacity-factor grid",
+    sub.add_parser(
+        "plan", help="auto-tuning planner study: calibrate, search, validate"
     )
 
     sub.add_parser(

@@ -203,11 +203,20 @@ def expert_capacity(
 def fit_alpha_beta(
     sizes: Sequence[float], times: Sequence[float]
 ) -> Tuple[float, float]:
-    """Least-squares ``(alpha, beta)`` of ``t(size) = alpha + beta*size``."""
-    if len(sizes) != len(times) or len(sizes) < 2:
-        raise ValueError("need at least two (size, time) measurements")
-    a = np.vstack([np.ones(len(sizes)), np.asarray(sizes, float)]).T
-    coef, *_ = np.linalg.lstsq(a, np.asarray(times, float), rcond=None)
+    """Least-squares ``(alpha, beta)`` of ``t(size) = alpha + beta*size``.
+
+    The slope is only identifiable from at least two distinct sizes,
+    and every size and time must be finite.
+    """
+    x, y = np.asarray(sizes, float), np.asarray(times, float)
+    if x.shape != y.shape or len(np.unique(x)) < 2:
+        raise ValueError(
+            "need (size, time) measurements at two or more distinct sizes"
+        )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("sizes and times must be finite")
+    a = np.vstack([np.ones(len(x)), x]).T
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     return float(coef[0]), float(coef[1])
 
 

@@ -119,9 +119,13 @@ class GpuRuntime:
     peak_allocated_bytes: float = 0.0
 
     def allocate(self, nbytes: float) -> None:
-        """Reserve simulated device memory; raise on exhaustion."""
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
+        """Reserve simulated device memory; raise on exhaustion.
+
+        ``inf`` is a valid size (it reports OOM); NaN and negative
+        sizes are rejected.
+        """
+        if not nbytes >= 0:
+            raise ValueError(f"invalid allocation size: {nbytes}")
         self.allocated_bytes += nbytes
         self.peak_allocated_bytes = max(
             self.peak_allocated_bytes, self.allocated_bytes
@@ -135,8 +139,8 @@ class GpuRuntime:
 
     def free(self, nbytes: float) -> None:
         """Release simulated device memory."""
-        if nbytes < 0:
-            raise ValueError(f"negative free: {nbytes}")
+        if not nbytes >= 0:
+            raise ValueError(f"invalid free size: {nbytes}")
         self.allocated_bytes = max(0.0, self.allocated_bytes - nbytes)
 
 

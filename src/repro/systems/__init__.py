@@ -8,15 +8,6 @@ simulated hardware the way the paper's comparisons ran on identical
 physical hardware.
 """
 
-from .planner import (
-    Calibration,
-    FittedProfiler,
-    PlanCandidate,
-    PlanReport,
-    PlanSpace,
-    calibrate,
-    plan,
-)
 from .policies import (
     ALL_POLICIES,
     ablation_suite,
@@ -34,20 +25,13 @@ from .sweep import SweepTask, run_sweep
 
 __all__ = [
     "ALL_POLICIES",
-    "Calibration",
-    "FittedProfiler",
-    "PlanCandidate",
-    "PlanReport",
-    "PlanSpace",
     "SpeedupStats",
     "SweepTask",
     "SystemRunner",
     "ablation_suite",
-    "calibrate",
     "comparison_suite",
     "fastermoe",
     "naive",
-    "plan",
     "run_sweep",
     "schemoe",
     "schemoe_no_compression",

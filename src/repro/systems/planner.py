@@ -1,48 +1,51 @@
-"""Auto-tuning planner: profile -> fit cost models -> search the space.
+"""The planner study: profile -> fit cost models -> search the grid.
+
+One study, built once and shared by ``benchmarks/bench_planner.py``
+(which saves the rendered text as its sidecar) and
+``python -m repro plan`` (which prints the same text for any
+``--cluster`` preset).
 
 The repo exposes many orthogonal knobs — scheduler policy, all-to-all
-algorithm, compressor, partition degree ``r``, capacity factor — and a
-parallel sweep runner, but until now a human read sweep output to pick
-the winning combination.  This module closes that loop the way
-FSMoE-style systems do: run a *small seeded set of probe measurements*
-through the existing :class:`~repro.core.profiler.Profiler` machinery,
-fit alpha-beta link parameters and a GEMM roofline from them
+algorithm, compressor, partition degree ``r``, capacity factor — and
+the paper's question is which combination wins on a given cluster.
+This module answers it the way FSMoE-style systems do: run a *small
+seeded set of probe measurements* through the existing
+:class:`~repro.core.profiler.Profiler` machinery, fit alpha-beta link
+parameters and a GEMM roofline from them
 (:func:`~repro.cluster.costmodel.fit_link_model` /
 :func:`~repro.cluster.costmodel.fit_gemm_roofline`), then score the
-*entire* joint configuration space against the fitted models — which
-is pure arithmetic, no event-engine simulation — and validate only the
-top-K analytic candidates with real :func:`~repro.systems.sweep.run_sweep`
-simulations.
+*entire* :data:`GRID` against the fitted models — which is pure
+arithmetic, no event-engine simulation — and validate only the top
+:data:`TOP_K` analytic candidates with real
+:func:`~repro.systems.sweep.run_sweep` simulations.
 
 Three stages, three artefacts:
 
 1. **calibrate** — :class:`Calibration`: per-(a2a, codec) affine A2A
    models fitted in wire-byte space (plus the equivalent fitted
    :class:`~repro.cluster.costmodel.LinkModel` view), per-codec
-   compress/decompress models, and a fitted GEMM roofline.  ``budget``
-   caps the number of probe measurements.
-2. **search** — every candidate of the :class:`PlanSpace` is priced by
-   running the unchanged
-   :func:`~repro.core.system.simulate_model_step` with a
+   compress/decompress models, and a fitted GEMM roofline.
+2. **search** — every candidate of :data:`GRID` is priced by running
+   the unchanged :func:`~repro.core.system.simulate_model_step` with a
    :class:`FittedProfiler` (predictions instead of measurements), so
    scheduling, memory accounting and OOM pruning stay bit-faithful to
    the real simulator's logic; only the task *durations* are modeled.
 3. **report** — :class:`PlanReport`: the recommended
    :class:`~repro.core.system.SystemPolicy` + layer config with
    predicted-vs-measured step time for every validated candidate, and
-   (optionally) the regret against the exhaustive sweep of the same
-   grid.  ``PlanReport.to_json()`` is byte-deterministic for a given
-   (workload, cluster, space, seed, budget, top_k).
+   the regret against the exhaustive sweep of the same grid.
+   ``PlanReport.to_json()`` is byte-deterministic for a given cluster.
 
-Everything is deterministic: probe sizes come from a seeded generator,
-fits are least squares, ranking breaks ties lexicographically.
+Everything is deterministic: probe sizes come from a generator seeded
+with :data:`SEED`, fits are least squares, ranking breaks ties
+lexicographically, and every simulation runs serially.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,73 +61,46 @@ from ..cluster.topology import ClusterSpec
 from ..collectives.base import get_a2a
 from ..compression.base import get_compressor
 from ..core.profiler import LinearPerfModel, Profiler
-from ..core.scheduler import get_scheduler
 from ..core.system import StepBreakdown, SystemPolicy, simulate_model_step
+from ..models import ct_moe
 from ..models.configs import MoEModelConfig
 from .sweep import SweepTask, run_sweep
 
 __all__ = [
+    "GRID",
+    "MODEL",
     "Calibration",
     "FittedProfiler",
     "PlanCandidate",
     "PlanReport",
     "PlanSpace",
     "calibrate",
+    "failed_checks",
     "plan",
+    "predict_step",
 ]
 
-#: Default probe points per (a2a, codec) pair / for the GEMM curve.
-DEFAULT_A2A_PROBES = 5
-DEFAULT_GEMM_PROBES = 5
-#: A fit needs at least two points.
-MIN_PROBES = 2
 
-
-# -- the joint configuration space -------------------------------------------
+# -- the study ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PlanSpace:
-    """The joint knob space the planner searches.
+    """The joint knob grid the planner searches.
 
-    Every entry must name a registered scheduler / A2A algorithm /
-    compressor; the numerical-substrate knobs (the layer's
-    ``dispatch_mode``, and ``pipeline`` / ``num_chunks`` of
+    The numerical-substrate knobs (the layer's ``dispatch_mode``, and
+    ``pipeline`` / ``num_chunks`` of
     :class:`~repro.moe.parallel.ExpertParallelGroup`) are not part of
     the analytic search — the hot-path benchmarks show one dominant
     choice (sparse, overlap iff r > 1), which the report derives from
     the winning partition degree (see :func:`layer_recommendation`).
     """
 
-    schedulers: Tuple[str, ...] = ("sequential", "chunk-pipeline", "optsche")
-    a2a_algorithms: Tuple[str, ...] = ("nccl", "pipe")
-    compressors: Tuple[str, ...] = ("none", "zfp")
-    partition_degrees: Tuple[int, ...] = (1, 2, 4, 8)
-    capacity_factors: Tuple[float, ...] = (1.0, 1.2)
-
-    def __post_init__(self) -> None:
-        for name, values in (
-            ("schedulers", self.schedulers),
-            ("a2a_algorithms", self.a2a_algorithms),
-            ("compressors", self.compressors),
-            ("partition_degrees", self.partition_degrees),
-            ("capacity_factors", self.capacity_factors),
-        ):
-            if not values:
-                raise ValueError(f"PlanSpace.{name} must not be empty")
-        if any(r < 1 for r in self.partition_degrees):
-            raise ValueError("partition degrees must be >= 1")
-        if any(f <= 0 for f in self.capacity_factors):
-            raise ValueError("capacity factors must be positive")
-
-    def validate_registries(self) -> None:
-        """Resolve every name once, so typos fail before probing."""
-        for name in self.schedulers:
-            get_scheduler(name)
-        for name in self.a2a_algorithms:
-            get_a2a(name)
-        for name in self.compressors:
-            get_compressor(name)
+    schedulers: Tuple[str, ...]
+    a2a_algorithms: Tuple[str, ...]
+    compressors: Tuple[str, ...]
+    partition_degrees: Tuple[int, ...]
+    capacity_factors: Tuple[float, ...]
 
     @property
     def size(self) -> int:
@@ -154,10 +130,6 @@ class PlanSpace:
             for f in self.capacity_factors
         ]
 
-    def tasks(self, cfg: MoEModelConfig) -> List[SweepTask]:
-        """The exhaustive sweep over this space (regret baseline)."""
-        return [cand.task(cfg) for cand in self.candidates()]
-
     def to_dict(self) -> dict:
         return {
             "schedulers": list(self.schedulers),
@@ -166,6 +138,27 @@ class PlanSpace:
             "partition_degrees": list(self.partition_degrees),
             "capacity_factors": list(self.capacity_factors),
         }
+
+
+#: The workload every candidate trains.
+MODEL = ct_moe(12)
+#: 3 schedulers x 2 A2A x 2 codecs x 3 degrees x 2 capacity factors.
+GRID = PlanSpace(
+    schedulers=("sequential", "chunk-pipeline", "optsche"),
+    a2a_algorithms=("nccl", "pipe"),
+    compressors=("none", "zfp"),
+    partition_degrees=(1, 2, 4),
+    capacity_factors=(1.0, 1.2),
+)
+#: Seeds the probe sizes' jitter.
+SEED = 0
+#: Probe points per (a2a, codec) pair and for the GEMM curve.
+A2A_PROBES = 5
+GEMM_PROBES = 5
+#: Cap on calibration measurements (A2A runs + GEMM points).
+PROBE_BUDGET = 40
+#: Analytic candidates validated by real simulation.
+TOP_K = 6
 
 
 @dataclass(frozen=True)
@@ -195,14 +188,12 @@ class PlanCandidate:
             partitions=self.partitions,
         )
 
-    def config(self, base: MoEModelConfig) -> MoEModelConfig:
-        """``base`` at this candidate's capacity factor."""
-        if base.capacity_factor == self.capacity_factor:
-            return base
-        return replace(base, capacity_factor=self.capacity_factor)
+    def config(self) -> MoEModelConfig:
+        """:data:`MODEL` at this candidate's capacity factor."""
+        return replace(MODEL, capacity_factor=self.capacity_factor)
 
-    def task(self, base: MoEModelConfig) -> SweepTask:
-        return SweepTask(self.config(base), self.policy())
+    def task(self) -> SweepTask:
+        return SweepTask(self.config(), self.policy())
 
     def to_dict(self) -> dict:
         return {
@@ -292,59 +283,26 @@ class Calibration:
         }
 
 
-def _probe_counts(
-    space: PlanSpace, budget: Optional[int]
-) -> Tuple[int, int]:
-    """-> (probes per (a2a, codec) pair, GEMM probes) under ``budget``."""
-    pairs = len(space.pairs)
-    per_pair, gemm = DEFAULT_A2A_PROBES, DEFAULT_GEMM_PROBES
-    if budget is None:
-        return per_pair, gemm
-    floor = pairs * MIN_PROBES + MIN_PROBES
-    if budget < floor:
-        raise ValueError(
-            f"budget={budget} is too small: calibrating {pairs} "
-            f"(a2a, codec) pairs plus the GEMM curve needs at least "
-            f"{floor} probes"
-        )
-    while pairs * per_pair + gemm > budget:
-        if per_pair > MIN_PROBES:
-            per_pair -= 1
-        else:
-            gemm -= 1
-    return per_pair, gemm
-
-
-def _probe_raw_sizes(
-    cfg: MoEModelConfig,
-    space: PlanSpace,
-    count: int,
-    rng: np.random.Generator,
-) -> List[float]:
+def _probe_raw_sizes(count: int, rng: np.random.Generator) -> List[float]:
     """Seeded raw-payload probe sizes spanning the search's chunk range."""
     payloads = [
-        replace(cfg, capacity_factor=f).a2a_bytes
-        for f in space.capacity_factors
+        replace(MODEL, capacity_factor=f).a2a_bytes
+        for f in GRID.capacity_factors
     ]
-    lo = max(1.0, min(payloads) / max(space.partition_degrees))
+    lo = max(1.0, min(payloads) / max(GRID.partition_degrees))
     hi = max(max(payloads), lo * 1.01)
     base = np.geomspace(lo, hi, count)
     jitter = rng.uniform(0.85, 1.15, size=count)
     return sorted(float(s) for s in base * jitter)
 
 
-def _probe_token_counts(
-    cfg: MoEModelConfig,
-    space: PlanSpace,
-    count: int,
-    rng: np.random.Generator,
-) -> List[int]:
+def _probe_token_counts(count: int, rng: np.random.Generator) -> List[int]:
     """Seeded expert-token probe counts spanning the per-chunk range."""
     totals = [
-        replace(cfg, capacity_factor=f).capacity * cfg.num_experts
-        for f in space.capacity_factors
+        replace(MODEL, capacity_factor=f).capacity * MODEL.num_experts
+        for f in GRID.capacity_factors
     ]
-    lo = max(1, min(totals) // max(space.partition_degrees))
+    lo = max(1, min(totals) // max(GRID.partition_degrees))
     hi = max(max(totals), lo + 1)
     base = np.geomspace(lo, hi, count)
     jitter = rng.uniform(0.9, 1.1, size=count)
@@ -354,30 +312,28 @@ def _probe_token_counts(
     return tokens
 
 
-def calibrate(
-    cfg: MoEModelConfig,
-    spec: ClusterSpec,
-    space: Optional[PlanSpace] = None,
-    seed: int = 0,
-    budget: Optional[int] = None,
-) -> Calibration:
+def calibrate(spec: ClusterSpec) -> Calibration:
     """Stage 1: run the seeded probe set and fit every cost model.
 
     Probes run through the existing :class:`Profiler` machinery — real
     :func:`~repro.collectives.base.measure_a2a` event simulations for
     the A2A curve, the codec and GPU cost models for the rest — at
-    sizes drawn deterministically from ``seed`` around the payload and
-    token ranges the search will actually query.  ``budget`` caps the
-    number of measurements (A2A probes across all pairs + GEMM
-    probes); pairs whose probes OOM everywhere simply get no model and
-    are pruned from the search.
+    sizes drawn deterministically from :data:`SEED` around the payload
+    and token ranges the search will actually query.  Pairs whose
+    probes leave no usable fit (fewer than two finite points, or a
+    non-physical slope) simply get no model and are pruned from the
+    search.
     """
-    space = space or PlanSpace()
-    space.validate_registries()
-    rng = np.random.default_rng(seed)
-    per_pair, gemm_count = _probe_counts(space, budget)
-    raw_sizes = _probe_raw_sizes(cfg, space, per_pair, rng)
-    token_counts = _probe_token_counts(cfg, space, gemm_count, rng)
+    needed = len(GRID.pairs) * A2A_PROBES + GEMM_PROBES
+    if needed > PROBE_BUDGET:
+        raise ValueError(
+            f"the grid needs {needed} probes ({len(GRID.pairs)} (a2a, "
+            f"codec) pairs x {A2A_PROBES} + {GEMM_PROBES} GEMM points), "
+            f"more than PROBE_BUDGET={PROBE_BUDGET}"
+        )
+    rng = np.random.default_rng(SEED)
+    raw_sizes = _probe_raw_sizes(A2A_PROBES, rng)
+    token_counts = _probe_token_counts(GEMM_PROBES, rng)
 
     a2a_models: Dict[Tuple[str, str], LinearPerfModel] = {}
     fitted_links: Dict[Tuple[str, str], LinkModel] = {}
@@ -385,7 +341,7 @@ def calibrate(
     codec_models: Dict[str, Tuple[LinearPerfModel, LinearPerfModel]] = {}
     num_probes = 0
 
-    for a2a_name, codec_name in space.pairs:
+    for a2a_name, codec_name in GRID.pairs:
         profiler = Profiler(
             spec, a2a=get_a2a(a2a_name), compressor=get_compressor(codec_name)
         )
@@ -398,18 +354,17 @@ def calibrate(
         oom_wire[(a2a_name, codec_name)] = (
             min(oom_sizes) if oom_sizes else float("inf")
         )
-        if len(finite) >= MIN_PROBES:
-            sizes = [s for s, _ in finite]
-            times = [t for _, t in finite]
-            try:
-                link = fit_link_model(
-                    sizes, times, name=f"fit[{a2a_name}+{codec_name}]"
-                )
-            except ValueError:
-                continue  # degenerate fit: prune the pair
-            alpha, beta = fit_alpha_beta(sizes, times)
+        sizes = [s for s, _ in finite]
+        times = [t for _, t in finite]
+        try:
+            link = fit_link_model(
+                sizes, times, name=f"fit[{a2a_name}+{codec_name}]"
+            )
+        except ValueError:
+            pass  # too few finite probes or a degenerate fit: prune
+        else:
             a2a_models[(a2a_name, codec_name)] = LinearPerfModel(
-                alpha=alpha, beta=beta
+                *fit_alpha_beta(sizes, times)
             )
             fitted_links[(a2a_name, codec_name)] = link
         if codec_name not in codec_models:
@@ -421,11 +376,11 @@ def calibrate(
 
     gemm_profiler = Profiler(
         spec,
-        a2a=get_a2a(space.a2a_algorithms[0]),
+        a2a=get_a2a(GRID.a2a_algorithms[0]),
         compressor=get_compressor("none"),
     )
     gemm_points = gemm_profiler.probe_expert(
-        token_counts, cfg.model_dim, cfg.hidden_dim
+        token_counts, MODEL.model_dim, MODEL.hidden_dim
     )
     num_probes += len(gemm_points)
     flops = [f for f, _ in gemm_points]
@@ -495,10 +450,7 @@ class FittedProfiler(Profiler):
 
 
 def predict_step(
-    cand: PlanCandidate,
-    cfg: MoEModelConfig,
-    spec: ClusterSpec,
-    calibration: Calibration,
+    cand: PlanCandidate, spec: ClusterSpec, calibration: Calibration
 ) -> StepBreakdown:
     """Analytic step-time estimate of one candidate (no event engine)."""
     policy = cand.policy()
@@ -508,9 +460,7 @@ def predict_step(
         compressor=get_compressor(policy.compressor),
         calibration=calibration,
     )
-    return simulate_model_step(
-        cand.config(cfg), spec, policy, profiler=profiler
-    )
+    return simulate_model_step(cand.config(), spec, policy, profiler=profiler)
 
 
 # -- stage 3: validate + report ----------------------------------------------
@@ -522,10 +472,6 @@ class PlanReport:
 
     workload: str
     cluster: str
-    seed: int
-    budget: Optional[int]
-    top_k: int
-    space: PlanSpace
     calibration: Calibration
     #: All candidates with a finite analytic estimate, best first.
     scored: int
@@ -534,9 +480,9 @@ class PlanReport:
     recommended: PlanCandidate
     predicted_s: float
     measured_s: float
-    validated: List[dict] = field(default_factory=list)
-    #: Regret vs the exhaustive sweep (None unless requested).
-    regret: Optional[dict] = None
+    validated: List[dict]
+    #: Regret vs the exhaustive sweep of :data:`GRID`.
+    regret: dict
 
     @property
     def prediction_error_pct(self) -> float:
@@ -553,11 +499,11 @@ class PlanReport:
         return {
             "workload": self.workload,
             "cluster": self.cluster,
-            "seed": self.seed,
-            "budget": self.budget,
-            "top_k": self.top_k,
-            "space": self.space.to_dict(),
-            "space_size": self.space.size,
+            "seed": SEED,
+            "budget": PROBE_BUDGET,
+            "top_k": TOP_K,
+            "space": GRID.to_dict(),
+            "space_size": GRID.size,
             "calibration": self.calibration.to_dict(),
             "scored": self.scored,
             "simulated": self.simulated,
@@ -573,14 +519,13 @@ class PlanReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def summary_lines(self) -> List[str]:
-        """Human-readable digest (CLI + bench rendering)."""
+        """The study's text: CLI output and the bench's sidecar lines."""
         rec = self.recommended
         layer = layer_recommendation(rec.partitions)
-        lines = [
+        return [
             f"workload {self.workload} on {self.cluster}",
-            f"probes: {self.calibration.num_probes}"
-            + (f" (budget {self.budget})" if self.budget else ""),
-            f"space: {self.space.size} configurations, "
+            f"probes: {self.calibration.num_probes} (budget {PROBE_BUDGET})",
+            f"space: {GRID.size} configurations, "
             f"{self.scored} analytically feasible, "
             f"{self.simulated} simulated for validation",
             f"recommendation: scheduler={rec.scheduler} a2a={rec.a2a} "
@@ -592,45 +537,27 @@ class PlanReport:
             f"predicted {self.predicted_s * 1e3:.2f} ms, simulated "
             f"{self.measured_s * 1e3:.2f} ms "
             f"({self.prediction_error_pct:+.1f}% analytic error)",
+            f"regret vs exhaustive sweep "
+            f"({self.regret['exhaustive_simulated']} configs): "
+            f"{self.regret['regret_pct']:+.2f}% "
+            f"(optimum {self.regret['best_label']}, "
+            f"{self.regret['best_s'] * 1e3:.2f} ms)",
         ]
-        if self.regret is not None:
-            lines.append(
-                f"regret vs exhaustive sweep "
-                f"({self.regret['exhaustive_simulated']} configs): "
-                f"{self.regret['regret_pct']:+.2f}% "
-                f"(optimum {self.regret['best_label']}, "
-                f"{self.regret['best_s'] * 1e3:.2f} ms)"
-            )
-        return lines
 
 
-def plan(
-    cfg: MoEModelConfig,
-    spec: ClusterSpec,
-    space: Optional[PlanSpace] = None,
-    seed: int = 0,
-    budget: Optional[int] = None,
-    top_k: int = 8,
-    processes: Optional[int] = None,
-    regret: bool = False,
-) -> PlanReport:
-    """Run all three planner stages and return the report.
+def plan(spec: ClusterSpec) -> PlanReport:
+    """Run all three planner stages on ``spec`` and return the report.
 
-    ``top_k`` bounds how many candidates are simulated for real —
-    strictly fewer than the exhaustive sweep whenever
-    ``top_k < space.size``.  ``regret=True`` additionally runs the
-    exhaustive sweep over the same grid and reports the
-    recommendation's regret against its optimum.
+    Only the analytic top :data:`TOP_K` candidates are validated with
+    real simulations; the exhaustive sweep over :data:`GRID` then
+    prices the recommendation's regret against the true optimum.
+    Every simulation runs serially.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    space = space or PlanSpace()
-    calibration = calibrate(cfg, spec, space, seed=seed, budget=budget)
+    calibration = calibrate(spec)
 
-    candidates = space.candidates()
+    candidates = GRID.candidates()
     estimates = [
-        (cand, predict_step(cand, cfg, spec, calibration))
-        for cand in candidates
+        (cand, predict_step(cand, spec, calibration)) for cand in candidates
     ]
     feasible = [
         (cand, est)
@@ -640,25 +567,23 @@ def plan(
     if not feasible:
         raise RuntimeError(
             "planner found no feasible candidate: every configuration "
-            "in the space OOMs under the fitted models"
+            "in the grid OOMs under the fitted models"
         )
     feasible.sort(key=lambda pair: (pair[1].total_s, pair[0].label))
-    top = feasible[: min(top_k, len(feasible))]
+    top = feasible[:TOP_K]
 
-    tasks = [cand.task(cfg) for cand, _ in top]
-    results = run_sweep(tasks, spec, processes=processes)
+    results = run_sweep([cand.task() for cand, _ in top], spec, processes=1)
 
     validated = []
     best: Optional[Tuple[PlanCandidate, float, float]] = None
     for (cand, est), measured in zip(top, results):
-        entry = {
+        validated.append({
             "candidate": cand.to_dict(),
             "label": cand.label,
             "predicted_s": est.total_s,
             "measured_s": measured.total_s,
             "oom": measured.oom,
-        }
-        validated.append(entry)
+        })
         if measured.oom or not np.isfinite(measured.total_s):
             continue
         if best is None or (measured.total_s, cand.label) < (
@@ -670,38 +595,50 @@ def plan(
         raise RuntimeError(
             "planner validation failed: every top-K candidate OOM'd in "
             "the real simulator — the analytic estimate missed a "
-            "feasibility cliff; widen top_k or the probe budget"
+            "feasibility cliff"
         )
 
-    regret_info = None
-    if regret:
-        exhaustive = run_sweep(space.tasks(cfg), spec, processes=processes)
-        finite = [
-            (r.total_s, cand.label)
-            for cand, r in zip(candidates, exhaustive)
-            if not r.oom and np.isfinite(r.total_s)
-        ]
-        best_s, best_label = min(finite)
-        regret_info = {
-            "exhaustive_simulated": space.size,
-            "best_s": best_s,
-            "best_label": best_label,
-            "regret_pct": (best[2] - best_s) / best_s * 100.0,
-        }
+    exhaustive = run_sweep(
+        [cand.task() for cand in candidates], spec, processes=1
+    )
+    best_s, best_label = min(
+        (r.total_s, cand.label)
+        for cand, r in zip(candidates, exhaustive)
+        if not r.oom and np.isfinite(r.total_s)
+    )
 
     return PlanReport(
-        workload=cfg.name,
+        workload=MODEL.name,
         cluster=spec.name,
-        seed=seed,
-        budget=budget,
-        top_k=top_k,
-        space=space,
         calibration=calibration,
         scored=len(feasible),
-        simulated=len(tasks),
+        simulated=len(top),
         recommended=best[0],
         predicted_s=best[1],
         measured_s=best[2],
         validated=validated,
-        regret=regret_info,
+        regret={
+            "exhaustive_simulated": len(exhaustive),
+            "best_s": best_s,
+            "best_label": best_label,
+            "regret_pct": (best[2] - best_s) / best_s * 100.0,
+        },
     )
+
+
+def failed_checks(report: PlanReport) -> List[str]:
+    """Names of the acceptance checks ``report`` fails (empty: all hold).
+
+    The planner must simulate strictly fewer configurations than the
+    exhaustive sweep, and still land within 5% of its optimum with an
+    analytic estimate within 5% of the simulated step time.
+    """
+    checks = {
+        "simulated_fewer_than_grid": report.simulated < GRID.size,
+        "regret_measured": bool(np.isfinite(report.regret["regret_pct"])),
+        "regret_within_5pct": report.regret["regret_pct"] <= 5.0,
+        "prediction_error_within_5pct": (
+            abs(report.prediction_error_pct) <= 5.0
+        ),
+    }
+    return [name for name, ok in checks.items() if not ok]

@@ -1,5 +1,7 @@
 """Unit tests of cluster topology and transfer primitives."""
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -10,6 +12,7 @@ from repro.cluster import (
     paper_testbed,
 )
 from repro.cluster.presets import rtx2080ti
+from repro.collectives import get_a2a, measure_a2a
 
 
 def test_spec_rank_arithmetic(paper_spec):
@@ -178,6 +181,20 @@ def test_memory_accounting_and_oom(small_spec):
     gpu.free(9e9)
     assert gpu.allocated_bytes >= 0
     assert gpu.peak_allocated_bytes >= 9e9
+
+
+def test_nan_memory_sizes_rejected(small_spec):
+    """NaN slips past a `< 0` check; inf is a size and reports OOM."""
+    gpu = SimCluster(small_spec).gpu(0)
+    gpu.allocate(1e9)
+    with pytest.raises(ValueError, match="nan"):
+        gpu.allocate(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        gpu.free(math.nan)
+    assert gpu.allocated_bytes == 1e9
+    with pytest.raises(ValueError, match="nan"):
+        measure_a2a(get_a2a("pipe"), paper_testbed(), math.nan)
+    assert measure_a2a(get_a2a("pipe"), paper_testbed(), math.inf).oom
 
 
 def test_compute_occupies_gpu(small_spec):

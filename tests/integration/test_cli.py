@@ -11,7 +11,7 @@ from repro.cli import main
 from repro.cluster import paper_testbed
 from repro.core import ScheMoELayer
 from repro.core.trace import export_schedule_trace
-from repro.systems import faults, recovery
+from repro.systems import faults, planner, recovery
 from repro.systems.tables import TABLES
 
 OUT_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
@@ -134,27 +134,30 @@ def test_faults_exits_1_when_a_check_fails(monkeypatch, capsys):
     assert "FAILED: transient_retries_observed" not in out
 
 
-def test_plan_smoke(tmp_path, capsys):
-    def run(out):
-        return main([
-            "plan", "--layers", "12", "--budget", "20", "--top-k", "2",
-            "--schedulers", "sequential,optsche", "--a2a", "pipe",
-            "--codecs", "none", "--partitions", "1,2",
-            "--capacity-factors", "1.0", "--processes", "1",
-            "--regret", "--out", str(out),
-        ])
-
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    assert run(first) == 0
+def test_plan_prints_the_bench_sidecar(capsys):
+    """`repro plan` prints exactly the planner bench's lines."""
+    assert main(["plan"]) == 0
     out = capsys.readouterr().out
-    assert "recommendation:" in out
-    assert "regret vs exhaustive sweep" in out
-    report = json.loads(first.read_text())
-    assert report["recommendation"]["layer"]["dispatch_mode"] == "sparse"
-    assert report["regret"]["regret_pct"] <= 5.0
-    # A rerun simulates everything again and writes the same bytes.
-    assert run(second) == 0
-    assert second.read_bytes() == first.read_bytes()
+    sidecar = json.loads((OUT_DIR / "planner.json").read_text())
+    assert out.splitlines() == sidecar["lines"]
+    assert sidecar["data"]["recommendation"]["layer"]["dispatch_mode"] == (
+        "sparse"
+    )
+
+
+def test_plan_exits_1_when_a_check_fails(monkeypatch, capsys):
+    # Validating the whole grid leaves nothing for the analytic stage
+    # to save.
+    monkeypatch.setattr(planner, "TOP_K", planner.GRID.size)
+    assert main(["plan"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED: simulated_fewer_than_grid" in out
+    assert "FAILED: regret_within_5pct" not in out
+
+
+def test_plan_on_another_cluster(capsys):
+    assert main(["--cluster", "nvlink_dgx", "plan"]) == 0
+    assert "on dgx-4x8-a100-nvlink" in capsys.readouterr().out
 
 
 def test_reshard_prints_the_bench_sidecar(capsys):

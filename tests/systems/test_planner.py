@@ -2,10 +2,13 @@
 
 The planner's two hard guarantees: determinism (same seed + probes ->
 byte-identical recommendation JSON) and fidelity (the fitted cost
-models recover the presets that generated the probes, and the
+models recover the presets that generated the probes, the analytic
+stage reproduces the simulator on every candidate, and the
 recommendation lands within a few percent of the exhaustive sweep's
 optimum while simulating strictly fewer configurations).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,18 +19,25 @@ from repro.cluster import (
     fit_link_model,
     paper_testbed,
 )
-from repro.models import ct_moe
-from repro.systems import PlanSpace, calibrate, plan
-from repro.systems.planner import layer_recommendation
-
-#: A small grid so each test runs a handful of simulations at most.
-TINY = PlanSpace(
-    schedulers=("sequential", "optsche"),
-    a2a_algorithms=("nccl", "pipe"),
-    compressors=("none",),
-    partition_degrees=(1, 2),
-    capacity_factors=(1.0,),
+from repro.cluster.presets import PRESETS
+from repro.core.system import simulate_model_step
+from repro.systems import planner
+from repro.systems.planner import (
+    GRID,
+    PROBE_BUDGET,
+    TOP_K,
+    calibrate,
+    failed_checks,
+    layer_recommendation,
+    plan,
+    predict_step,
 )
+
+
+@pytest.fixture(scope="module")
+def report():
+    """The study on the paper testbed, shared by the tests below."""
+    return plan(paper_testbed())
 
 
 # -- cost-model fits ----------------------------------------------------------
@@ -50,6 +60,11 @@ def test_fit_link_model_rejects_flat_data():
         fit_link_model([1e5, 1e6, 1e7], [2.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="two"):
         fit_link_model([1e5], [2.0])
+    # One distinct size leaves the slope unidentifiable.
+    with pytest.raises(ValueError, match="distinct"):
+        fit_link_model([1e6, 1e6], [1e-3, 2e-3])
+    with pytest.raises(ValueError, match="finite"):
+        fit_link_model([1e5, math.nan, 1e7], [1e-3, 2e-3, 3e-3])
 
 
 def test_fit_gemm_roofline_reproduces_gemm_time():
@@ -82,7 +97,8 @@ def test_calibration_recovers_a2a_affinity():
     from repro.core.profiler import Profiler
 
     spec = paper_testbed()
-    calib = calibrate(ct_moe(12), spec, TINY, seed=0)
+    calib = calibrate(spec)
+    assert calib.num_probes <= PROBE_BUDGET
     for (a2a_name, codec_name), model in calib.a2a_models.items():
         profiler = Profiler(
             spec,
@@ -97,77 +113,44 @@ def test_calibration_recovers_a2a_affinity():
                 )
 
 
-def test_calibration_budget_caps_probes():
-    cfg, spec = ct_moe(12), paper_testbed()
-    free = calibrate(cfg, spec, TINY, seed=0)
-    capped = calibrate(cfg, spec, TINY, seed=0, budget=12)
-    assert capped.num_probes <= 12 < free.num_probes
+def test_calibration_budget_too_small_raises(monkeypatch):
+    # 4 (a2a, codec) pairs x 5 + 5 GEMM points = 25 probes.
+    monkeypatch.setattr(planner, "PROBE_BUDGET", 24)
+    with pytest.raises(ValueError, match="PROBE_BUDGET=24"):
+        calibrate(paper_testbed())
 
 
-def test_calibration_budget_too_small_raises():
-    with pytest.raises(ValueError, match="budget"):
-        # 2 pairs * 2 + 2 = 6 is the floor for TINY.
-        calibrate(ct_moe(12), paper_testbed(), TINY, seed=0, budget=5)
-
-
-def test_unknown_names_raise_before_probing():
-    with pytest.raises(KeyError, match="no-such-a2a"):
-        plan(
-            ct_moe(12),
-            paper_testbed(),
-            space=PlanSpace(a2a_algorithms=("no-such-a2a",)),
-            processes=1,
-        )
-    with pytest.raises(KeyError, match="no-such-scheduler"):
-        plan(
-            ct_moe(12),
-            paper_testbed(),
-            space=PlanSpace(schedulers=("no-such-scheduler",)),
-            processes=1,
-        )
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_predict_step_matches_the_simulator_on_every_candidate(preset):
+    """The analytic stage reproduces the event simulation everywhere,
+    not only at the recommendation: the substrate's costs are affine,
+    so the fits are exact."""
+    spec = PRESETS[preset]()
+    calibration = calibrate(spec)
+    for cand in GRID.candidates():
+        est = predict_step(cand, spec, calibration)
+        real = simulate_model_step(cand.config(), spec, cand.policy())
+        assert est.oom == real.oom, cand.label
+        if not real.oom:
+            assert est.total_s == pytest.approx(real.total_s, rel=1e-9)
 
 
 # -- the full planner ---------------------------------------------------------
 
 
-def test_plan_deterministic_and_within_regret_bound():
+def test_plan_deterministic_and_within_regret_bound(report):
     """Same seed -> byte-identical JSON; recommendation within 5% of
     the exhaustive optimum while simulating strictly fewer configs."""
-    cfg, spec = ct_moe(12), paper_testbed()
-
-    def run():
-        return plan(
-            cfg,
-            spec,
-            space=TINY,
-            seed=0,
-            budget=20,
-            top_k=3,
-            processes=1,
-            regret=True,
-        )
-
-    a = run()
-    b = run()
-    assert a.to_json() == b.to_json()
-    assert a.simulated == 3 < TINY.size
-    assert a.regret is not None
-    assert a.regret["regret_pct"] <= 5.0
-    assert abs(a.prediction_error_pct) <= 5.0
-
-
-def test_plan_works_without_cache():
-    report = plan(
-        ct_moe(12), paper_testbed(), space=TINY, top_k=2, processes=1
-    )
-    assert report.simulated == 2
+    assert plan(paper_testbed()).to_json() == report.to_json()
+    assert report.simulated == len(report.validated) == TOP_K < GRID.size
     assert np.isfinite(report.measured_s)
+    assert report.regret["exhaustive_simulated"] == GRID.size
+    assert report.regret["regret_pct"] <= 5.0
+    assert abs(report.prediction_error_pct) <= 5.0
+    assert failed_checks(report) == []
 
 
-def test_recommendation_includes_layer_knobs():
-    report = plan(
-        ct_moe(12), paper_testbed(), space=TINY, top_k=2, processes=1
-    )
+def test_recommendation_includes_layer_knobs(report):
     rec = report.recommendation()
     layer = rec["layer"]
     assert layer == layer_recommendation(rec["partitions"])
@@ -177,14 +160,3 @@ def test_recommendation_includes_layer_knobs():
     assert layer["pipeline"] == (
         "overlap" if rec["partitions"] > 1 else "sync"
     )
-
-
-def test_plan_space_validation():
-    with pytest.raises(ValueError, match="empty"):
-        PlanSpace(schedulers=())
-    with pytest.raises(ValueError, match=">= 1"):
-        PlanSpace(partition_degrees=(0,))
-    with pytest.raises(ValueError, match="positive"):
-        PlanSpace(capacity_factors=(0.0,))
-    with pytest.raises(ValueError, match="top_k"):
-        plan(ct_moe(12), paper_testbed(), space=TINY, top_k=0)
