@@ -116,52 +116,144 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(s, (x,), backward)
 
 
+#: Query rows per causal attention block (a multiple of 8, see _row_sum).
+_ATTN_BLOCK = 32
+
+
+#: Additive mask for a diagonal tile: 0 on and below the diagonal,
+#: -1e9 above it.  A shorter last block uses its top-left corner.
+_CAUSAL_TILE = np.where(
+    np.tril(np.ones((_ATTN_BLOCK, _ATTN_BLOCK), bool)), 0.0, -1e9
+).astype(np.float32)
+_CAUSAL_TILE.flags.writeable = False
+
+
+def _row_sum(x: np.ndarray, n: int) -> np.ndarray:
+    """Last-axis sums of ``x`` as numpy sums each row zero-padded to ``n``.
+
+    ``x`` is (..., w) with ``w == n`` or ``w`` a multiple of 8.  Numpy
+    sums a contiguous float row pairwise: above 128 elements it splits
+    at ``n // 2`` rounded down to a multiple of 8 and adds the halves;
+    below, eight strided accumulators run to the end, so trailing zeros
+    leave them unchanged.  Following the splits down to the halves
+    that hold data reproduces the padded sum bit for bit.
+    """
+    w = x.shape[-1]
+    while w < n and n > 128:
+        half = n // 2 - (n // 2) % 8
+        if w > half:
+            left = x[..., :half].sum(axis=-1, keepdims=True)
+            return left + _row_sum(x[..., half:], n - half)
+        n = half
+    return x.sum(axis=-1, keepdims=True)
+
+
+def _bias_block(bias: np.ndarray, a: int, b: int, w: int) -> np.ndarray:
+    """Rows ``[a, b)`` and keys ``[0, w)`` of a bias broadcast against
+    (..., Tq, Tk) scores."""
+    if bias.ndim >= 2 and bias.shape[-2] != 1:
+        bias = bias[..., a:b, :]
+    return bias if bias.shape[-1] == 1 else bias[..., :w]
+
+
 def scaled_dot_product_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     scale: float,
     biases: Sequence[np.ndarray] = (),
+    causal: bool = False,
 ) -> Tensor:
     """``softmax(q kᵀ · scale + Σ biases) v`` as one autograd node.
 
     ``q`` is (..., Tq, D), ``k`` (..., Tk, D), ``v`` (..., Tk, Dv) with
     the same leading dimensions; each bias broadcasts against the
-    (..., Tq, Tk) scores and is added in the order given.  The forward runs the composed chain's
-    floating-point ops in the composed chain's order — ``q @ kᵀ``,
-    ``× scale``, ``+ bias`` each, subtract the row max, ``exp``, divide
-    by the row sum, ``@ v`` — but in place on a single scores buffer
-    (arena-backed under inference), so the tape keeps one (..., Tq, Tk)
-    array per call instead of four.  The hand-written backward
-    evaluates the composed tape's expressions (matmul adjoints, softmax
-    ``s · (g − Σ g·s)``, ``× scale``) and skips the gradients of the
-    constant scale and biases, which the tape would discard.
+    (..., Tq, Tk) scores and is added in the order given.  ``causal``
+    (self-attention, Tq == Tk) lets query ``i`` see keys ``0..i`` only,
+    as a last bias of -1e9 above the diagonal would.
+
+    The scores are computed one block of query rows at a time.  Causal
+    block ``[a, b)`` of ``_ATTN_BLOCK`` rows scores keys ``[0, b)``
+    only and masks its diagonal tile: every later key would get weight
+    exactly 0, so the masked triangle is never computed.  Any other
+    call is one block over every key.  Each block runs the composed
+    chain's floating-point ops in its order — ``q @ kᵀ``, ``× scale``,
+    ``+`` each bias, subtract the row max, ``exp``, divide by the row
+    sum (:func:`_row_sum`, the sum of the zero-padded row), ``@ v`` —
+    in place on one contiguous work buffer.  With a tape the divide
+    lands each block in one zero-filled (..., Tq, Tk) array, the only
+    one it keeps; without one no (Tq, Tk) array exists at all.  The
+    hand-written backward runs the same blocks through the composed
+    tape's expressions (matmul adjoints, softmax ``s · (g − Σ g·s)``,
+    ``× scale``) and skips the gradients of the constant scale and
+    biases, which the tape would discard.
     """
     scale = np.float32(scale)
-    s = scratch_empty(q.shape[:-1] + k.shape[-2:-1])
-    np.matmul(q.data, np.swapaxes(k.data, -1, -2), out=s)
-    np.multiply(s, scale, out=s)
-    for bias in biases:
-        np.add(s, bias, out=s)
-    np.subtract(s, s.max(axis=-1, keepdims=True), out=s)
-    np.exp(s, out=s)
-    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
-    out = np.matmul(s, v.data, out=_arena_out(s.shape[:-1] + v.shape[-1:]))
+    lead, t_q, t_k = q.shape[:-2], q.shape[-2], k.shape[-2]
+    if causal and t_q != t_k:
+        raise ValueError(f"causal attention needs t_q == t_k, got {t_q} and {t_k}")
+    step = _ATTN_BLOCK if causal else max(t_q, 1)
+    blocks = [(a, min(a + step, t_q)) for a in range(0, t_q, step)]
+    full = lead + (t_q, t_k)
+    n_lead = int(np.prod(lead, dtype=np.int64))
+    single = len(blocks) == 1
+    work = scratch_empty(full if single else (n_lead * step * t_k,))
+    s = None
+    if Tensor._needs_grad(q, k, v):
+        s = work if single else np.zeros(full, np.float32)
+    k_t = np.swapaxes(k.data, -1, -2)
+    out = scratch_empty(lead + (t_q, v.shape[-1]))
+    for a, b in blocks:
+        w = b if causal else t_k
+        blk = work.reshape(-1)[: n_lead * (b - a) * w].reshape(lead + (b - a, w))
+        np.matmul(q.data[..., a:b, :], k_t[..., :w], out=blk)
+        np.multiply(blk, scale, out=blk)
+        for bias in biases:
+            np.add(blk, _bias_block(bias, a, b, w), out=blk)
+        if causal:
+            tile = blk[..., a:b]
+            np.add(tile, _CAUSAL_TILE[: b - a, : b - a], out=tile)
+        np.subtract(blk, blk.max(axis=-1, keepdims=True), out=blk)
+        np.exp(blk, out=blk)
+        # With or without a tape, ``@ v`` gets operands of the same
+        # shapes, which keeps forward_inference bit-identical to the tape.
+        probs = blk if s is None else s[..., a:b, :w]
+        np.divide(blk, _row_sum(blk, t_k), out=probs)
+        np.matmul(probs, v.data[..., :w, :], out=out[..., a:b, :])
+    if s is None:
+        return Tensor(out)
 
     def backward(g):
-        gs = g @ np.swapaxes(v.data, -1, -2)
-        gv = np.swapaxes(s, -1, -2) @ g
-        dot = (gs * s).sum(axis=-1, keepdims=True)
-        np.subtract(gs, dot, out=gs)
-        np.multiply(s, gs, out=gs)
-        np.multiply(gs, scale, out=gs)
-        gq = gs @ k.data
-        gk = np.swapaxes(np.swapaxes(q.data, -1, -2) @ gs, -1, -2)
-        return ((q, gq), (k, gk), (v, gv))
+        v_t = np.swapaxes(v.data, -1, -2)
+        gq = np.empty(q.shape, np.float32)
+        gs = None if single else np.zeros(full, np.float32)
+        for a, b in blocks:
+            w = b if causal else t_k
+            probs = s[..., a:b, :w]
+            blk = np.matmul(g[..., a:b, :], v_t[..., :w])
+            dot = _row_sum(blk * probs, t_k)
+            np.subtract(blk, dot, out=blk)
+            np.multiply(probs, blk, out=blk)
+            np.multiply(blk, scale, out=blk)
+            np.matmul(blk, k.data[..., :w, :], out=gq[..., a:b, :])
+            if single:
+                gs = blk
+            else:
+                gs[..., a:b, :w] = blk
+        # Key block [c, d) is seen by query rows c..Tq-1 only: one
+        # matmul each over exactly those rows.
+        q_t = np.swapaxes(q.data, -1, -2)
+        gv = np.empty(v.shape, np.float32)
+        gk_t = np.empty(lead + (q.shape[-1], t_k), np.float32)
+        for c, d in blocks if causal else [(0, t_k)]:
+            np.matmul(
+                np.swapaxes(s[..., c:, c:d], -1, -2), g[..., c:, :],
+                out=gv[..., c:d, :],
+            )
+            np.matmul(q_t[..., c:], gs[..., c:, c:d], out=gk_t[..., c:d])
+        return ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv))
 
-    if Tensor._needs_grad(q, k, v):
-        return Tensor(out, _parents=(q, k, v), _backward=backward)
-    return Tensor(out)
+    return Tensor(out, _parents=(q, k, v), _backward=backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

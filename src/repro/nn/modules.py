@@ -8,7 +8,6 @@ transformer MoE models are assembled from.
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,16 +224,6 @@ class FeedForward(Module):
         return self.fc2(h)
 
 
-@functools.lru_cache(maxsize=32)
-def _causal_bias(t_q: int, t_k: int) -> np.ndarray:
-    """Read-only (t_q, t_k) additive mask: 0 on and below the diagonal,
-    -1e9 above it.  Built once per shape and shared by every call."""
-    bias = np.where(np.tril(np.ones((t_q, t_k), dtype=bool)), 0.0, -1e9)
-    bias = bias.astype(np.float32)
-    bias.flags.writeable = False
-    return bias
-
-
 class MultiHeadAttention(Module):
     """Multi-head scaled dot-product attention.
 
@@ -286,10 +275,9 @@ class MultiHeadAttention(Module):
             biases.append(
                 np.where(mask[:, None, None, :], 0.0, -1e9).astype(np.float32)
             )
-        if self.causal and context is None:
-            biases.append(_causal_bias(q.shape[-2], k.shape[-2]))
         out = F.scaled_dot_product_attention(
-            q, k, v, 1.0 / np.sqrt(self.head_dim), biases
+            q, k, v, 1.0 / np.sqrt(self.head_dim), biases,
+            causal=self.causal and context is None,
         )
         b, h, t, d = out.shape
         out = out.transpose(0, 2, 1, 3).reshape(b, t, h * d)

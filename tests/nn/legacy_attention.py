@@ -14,9 +14,19 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 
-def composed_attention(q, k, v, scale, biases=()):
-    """The fused primitive's semantics as separate tensor ops."""
+def causal_bias(t_q, t_k):
+    """The additive causal mask: 0 on and below the diagonal, -1e9 above."""
+    return np.where(np.tril(np.ones((t_q, t_k), dtype=bool)), 0.0, -1e9).astype(
+        np.float32
+    )
+
+
+def composed_attention(q, k, v, scale, biases=(), causal=False):
+    """The fused primitive's semantics as separate tensor ops; ``causal``
+    adds the full causal mask as a last bias."""
     scores = (q @ k.swapaxes(-1, -2)) * scale
+    if causal:
+        biases = list(biases) + [causal_bias(*scores.shape[-2:])]
     for bias in biases:
         scores = scores + Tensor(bias)
     return F.softmax(scores, axis=-1) @ v
@@ -32,10 +42,7 @@ def legacy_forward(self, x, context=None, mask=None):
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
     bias = np.zeros(scores.shape[-2:], dtype=np.float32)
     if self.causal and context is None:
-        t_q, t_k = scores.shape[-2], scores.shape[-1]
-        bias = np.where(
-            np.tril(np.ones((t_q, t_k), dtype=bool)), 0.0, -1e9
-        ).astype(np.float32)
+        bias = causal_bias(*scores.shape[-2:])
     if mask is not None:
         # mask: (batch, t_k) boolean, True = attend.
         pad = np.where(mask[:, None, None, :], 0.0, -1e9).astype(np.float32)
