@@ -59,10 +59,10 @@ from repro.moe import (
 )
 from repro.moe.gating_ec import ExpertChoiceGate
 from repro.nn import Tensor
+from repro.systems.inference import FULL as FULL_INFER
+from repro.systems.inference import make_input, make_layer
 
 from _util import emit, once
-from bench_inference import FULL as FULL_INFER, TINY as TINY_INFER
-from bench_inference import make_input, make_layer
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 from compare import summary  # noqa: E402
@@ -141,6 +141,15 @@ TINY_OVERLAP = {
     "link_gbps": 1.0,
     "num_chunks_sweep": [1, 2],
     "headline_chunks": 2,
+}
+TINY_INFER = {
+    "tokens": 256,
+    "experts": 8,
+    "top_k": 2,
+    "model_dim": 64,
+    "hidden_dim": 64,
+    "capacity_factor": 2.0,
+    "steps": 3,
 }
 
 #: Each claim's floor on its acceptance value: (comparison, threshold).

@@ -220,6 +220,21 @@ def fit_alpha_beta(
     return float(coef[0]), float(coef[1])
 
 
+#: A slope whose rise over the probed sizes is within this many ulps of
+#: the largest time is rounding noise of the fit, not a measured slope
+#: (flat data fits to a few ulps either side of zero).
+_FLAT_FIT_ULPS = 64
+
+
+def _grows(
+    sizes: Sequence[float], times: Sequence[float], beta: float
+) -> bool:
+    """Whether slope ``beta`` can be told from zero at the data's scale."""
+    x, t = np.asarray(sizes, float), np.abs(np.asarray(times, float))
+    rise = beta * (x.max() - x.min())
+    return bool(rise > _FLAT_FIT_ULPS * np.finfo(float).eps * t.max())
+
+
 def fit_link_model(
     sizes: Sequence[float], times: Sequence[float], name: str = "fitted"
 ) -> LinkModel:
@@ -227,11 +242,12 @@ def fit_link_model(
 
     ``alpha`` maps to the per-message latency (clipped at zero: noisy
     fits may place the intercept marginally below it) and ``beta`` to
-    the inverse bandwidth.  A non-positive slope means the points do
-    not describe a link at all and is rejected.
+    the inverse bandwidth.  A slope that is not positive at the data's
+    scale means the points do not describe a link at all and is
+    rejected.
     """
     alpha, beta = fit_alpha_beta(sizes, times)
-    if beta <= 0.0:
+    if not _grows(sizes, times, beta):
         raise ValueError(
             f"non-physical link fit (beta={beta:.3e} s/B): time must "
             "grow with message size"
@@ -257,10 +273,11 @@ def fit_gemm_roofline(
     and the launch cost absorbs the remainder of the intercept after
     the pinned ``half_saturation_flops``.  The memory-side parameters
     are pass-throughs for callers that know them; GEMM probes carry no
-    information about them.
+    information about them.  Like :func:`fit_link_model` it rejects a
+    slope that is not positive at the data's scale.
     """
     alpha, beta = fit_alpha_beta(flops, times)
-    if beta <= 0.0:
+    if not _grows(flops, times, beta):
         raise ValueError(
             f"non-physical GEMM fit (beta={beta:.3e} s/flop): time "
             "must grow with flop count"

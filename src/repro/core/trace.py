@@ -1,18 +1,18 @@
 """Chrome-trace export of schedules (view in chrome://tracing / Perfetto).
 
-Turns a :class:`~repro.core.scheduler.ScheduleResult` into the Trace
-Event JSON format, with the computing stream and the communication
+Turns a :class:`~repro.core.scheduler.ScheduleResult` into Trace
+Event Format events, with the computing stream and the communication
 stream as separate "threads" — the same visualization the paper's
-Fig. 3/5 timelines convey.
+Fig. 3/5 timelines convey.  ``benchmarks/e2e/run.py --trace`` puts
+the overlap executor's task timeline into its Perfetto traces this way.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .scheduler import ScheduleResult
-from .tasks import Task, TaskKind
+from .tasks import TaskKind
 
 #: Trace-viewer category colors keyed by task kind.
 _COLORS = {
@@ -72,29 +72,3 @@ def _thread_metadata(pid: int) -> List[Dict]:
             "args": {"name": "communication stream"},
         },
     ]
-
-
-def export_schedule_trace(
-    result: ScheduleResult,
-    path: Optional[str] = None,
-    process_name: str = "MoE layer",
-) -> str:
-    """Serialize one schedule as a Trace Event JSON string.
-
-    When ``path`` is given the JSON is also written there.
-    """
-    events = _thread_metadata(0)
-    events.append(
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": process_name},
-        }
-    )
-    events.extend(schedule_to_trace_events(result))
-    payload = json.dumps({"traceEvents": events}, indent=1)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    return payload

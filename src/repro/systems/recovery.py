@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import tempfile
 from pathlib import Path
+from typing import List
 
 import numpy as np
 
@@ -289,6 +290,11 @@ def run_recovery_study(spec: ClusterSpec) -> dict:
             ),
         },
     }
+
+
+def failed_checks(report: dict) -> List[str]:
+    """Names of the acceptance flags ``report`` fails (empty: all hold)."""
+    return [name for name, ok in report["acceptance"].items() if not ok]
 
 
 def render(report: dict, spec: ClusterSpec) -> str:

@@ -1,16 +1,9 @@
-"""Tests of the chrome-trace exporter."""
-
-import json
+"""Tests of the chrome-trace events of a schedule."""
 
 import pytest
 
 from repro.core import TaskDurations, get_scheduler
-from repro.core.trace import (
-    COMM_TID,
-    COMP_TID,
-    export_schedule_trace,
-    schedule_to_trace_events,
-)
+from repro.core.trace import COMM_TID, COMP_TID, schedule_to_trace_events
 
 
 @pytest.fixture
@@ -41,14 +34,3 @@ def test_durations_match_timeline(schedule):
         assert event["ts"] == pytest.approx(start * 1e6)
         assert event["dur"] == pytest.approx((end - start) * 1e6)
 
-
-def test_export_is_valid_json(schedule, tmp_path):
-    path = tmp_path / "trace.json"
-    payload = export_schedule_trace(schedule, path=str(path))
-    parsed = json.loads(payload)
-    assert "traceEvents" in parsed
-    on_disk = json.loads(path.read_text())
-    assert on_disk == parsed
-    # Metadata rows name the streams.
-    meta = [e for e in parsed["traceEvents"] if e["ph"] == "M"]
-    assert any(e["args"].get("name") == "compute stream" for e in meta)

@@ -13,7 +13,7 @@ import pytest
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
-@pytest.mark.parametrize("bench", ["bench_inference", "bench_hotpath"])
+@pytest.mark.parametrize("bench", ["bench_hotpath"])
 def test_tiny_run_writes_nothing(bench, monkeypatch, tmp_path, capsys):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     util = importlib.import_module("_util")

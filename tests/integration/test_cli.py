@@ -1,17 +1,14 @@
 """Smoke tests of the command-line interface."""
 
 import json
-import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, main
 from repro.cluster import paper_testbed
-from repro.core import ScheMoELayer
-from repro.core.trace import export_schedule_trace
-from repro.systems import faults, planner, recovery
+from repro.moe import MoELayer
+from repro.systems import faults, pipeline, planner, recovery
 from repro.systems.tables import TABLES
 
 OUT_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
@@ -44,65 +41,17 @@ def test_table_prints_the_bench_sidecar(command, capsys):
     assert all(marker in out for marker in TABLE_MARKERS[command])
 
 
-def test_a2a_measurement(capsys):
-    assert main(["a2a", "--algo", "pipe", "--size", "1e6"]) == 0
-    out = capsys.readouterr().out
-    assert "busbw" in out
-
-
-def test_a2a_oom_exit_code(capsys):
-    assert main(["a2a", "--algo", "1dh", "--size", "2e9"]) == 1
-    assert "OOM" in capsys.readouterr().out
-
-
-def test_step_breakdown(capsys):
-    assert main(
-        ["step", "--model", "ct_moe", "--layers", "12", "--policy", "ScheMoE"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "ms/step" in out and "allreduce" in out
-
-
-def test_step_oom(capsys):
-    assert main(
-        ["step", "--model", "bert_large_moe", "--policy", "Faster-MoE"]
-    ) == 1
-    assert "OOM" in capsys.readouterr().out
-
-
-def test_trace_export(tmp_path, capsys):
-    out_path = tmp_path / "trace.json"
-    assert main(
-        ["trace", "--out", str(out_path), "--model-dim", "64",
-         "--hidden-dim", "128", "--batch", "2", "--seq", "64"]
-    ) == 0
-    payload = json.loads(out_path.read_text())
-    assert payload["traceEvents"]
-    # The exported schedule is the one ScheMoELayer.plan returns.
-    layer = ScheMoELayer(64, 128, 32, np.random.default_rng(0), partitions=2)
-    plan = layer.plan(paper_testbed(), batch_per_gpu=2, seq_len=64)
-    assert out_path.read_text() == export_schedule_trace(plan.forward)
-
-
-def test_trace_allocates_no_expert_weights(tmp_path):
-    """At its default dims `repro trace` only prices the layer's shape.
-
-    Building the numerical layer would allocate 32 experts of
-    1024x4096 fp32 weights, about 1 GiB.
-    """
-    tracemalloc.start()
-    try:
-        assert main(["trace", "--out", str(tmp_path / "trace.json")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * 2**20
-
-
 def test_alternate_cluster(capsys):
     assert main(["--cluster", "ethernet_cluster", "table1"]) == 0
     out = capsys.readouterr().out
     assert "%" in out
+
+
+def test_commands_take_no_flags():
+    """Every command is a fixed study: `--cluster` is the only option."""
+    for command in COMMANDS:
+        with pytest.raises(SystemExit):
+            main([command, "--tokens", "64"])
 
 
 def test_unknown_command_rejected():
@@ -193,26 +142,69 @@ def test_recovery_study_rejects_a_one_node_cluster():
         recovery.run_recovery_study(paper_testbed(num_nodes=1))
 
 
-@pytest.mark.parametrize("codec", ["zfp", ""])
-def test_pipeline_reports_wire_bytes(capsys, codec):
-    assert main(
-        ["pipeline", "--tokens", "128", "--experts", "8", "--model-dim",
-         "64", "--hidden-dim", "64", "--link-gbps", "0",
-         "--compressor", codec]
-    ) == 0
+def test_reshard_names_a_failed_check(monkeypatch, capsys):
+    real = recovery._pricing_study
+
+    def free_reshard(spec):
+        pricing = real(spec)
+        pricing["reshard_s"] = 0.0
+        return pricing
+
+    monkeypatch.setattr(recovery, "_pricing_study", free_reshard)
+    assert main(["reshard"]) == 1
     out = capsys.readouterr().out
-    assert "outputs bit-identical: True" in out
-    assert "within 1%: True" in out
-    assert "single timed sample" in out
-    assert "benchmarks/bench_hotpath.py" in out
+    assert "FAILED: reshard_priced_positive" in out
+    assert "FAILED: all_parity_checks_pass" not in out
 
 
-def test_infer_reports_a_single_sample(capsys):
-    assert main(
-        ["infer", "--tokens", "64", "--experts", "4", "--model-dim", "16",
-         "--hidden-dim", "16"]
-    ) == 0
+def test_pipeline_prints_the_bench_sidecar(capsys):
+    """`repro pipeline` prints exactly the pipeline bench's lines."""
+    assert main(["pipeline"]) == 0
     out = capsys.readouterr().out
-    assert "outputs bit-identical: True" in out
-    assert "no new misses after warmup): True" in out
-    assert "single timed sample" in out
+    sidecar = json.loads((OUT_DIR / "pipeline.json").read_text())
+    assert out.splitlines() == sidecar["lines"]
+
+
+def test_pipeline_exits_1_when_a_check_fails(monkeypatch, capsys):
+    # A codec that claims twice its real ratio makes every cell's wire
+    # bytes miss the nominal count; the outputs stay bit-identical.
+    real = pipeline.get_compressor
+
+    def boastful(name):
+        codec = real(name)
+        nominal = codec.compressed_bytes
+        codec.compressed_bytes = lambda nbytes: nominal(nbytes) / 2
+        return codec
+
+    monkeypatch.setattr(pipeline, "get_compressor", boastful)
+    monkeypatch.setattr(pipeline, "SCHEDULERS", ("optsche",))
+    monkeypatch.setattr(pipeline, "NUM_CHUNKS", (2,))
+    assert main(["pipeline"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED: optsche.r2.bytes_within_1pct" in out
+    assert "FAILED: optsche.r2.bit_identical" not in out
+
+
+def test_infer_prints_the_bench_sidecar(capsys):
+    """`repro infer` prints exactly the inference bench's lines."""
+    assert main(["infer"]) == 0
+    out = capsys.readouterr().out
+    sidecar = json.loads((OUT_DIR / "inference.json").read_text())
+    assert out.splitlines() == sidecar["lines"]
+
+
+def test_infer_exits_1_when_a_check_fails(monkeypatch, capsys):
+    # An inference forward that nudges one output value is no longer
+    # bit-identical to the tape; it still builds no tape.
+    real = MoELayer.forward_inference
+
+    def nudged(self, x):
+        y = real(self, x)
+        y.data[0, 0] += 1.0
+        return y
+
+    monkeypatch.setattr(MoELayer, "forward_inference", nudged)
+    assert main(["infer"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED: bit_identical" in out
+    assert "FAILED: no_tape" not in out

@@ -65,6 +65,18 @@ def test_fit_link_model_rejects_flat_data():
         fit_link_model([1e6, 1e6], [1e-3, 2e-3])
     with pytest.raises(ValueError, match="finite"):
         fit_link_model([1e5, math.nan, 1e7], [1e-3, 2e-3, 3e-3])
+    # Flat data whose least-squares slope comes back a few ulps above
+    # zero (how far depends on the BLAS kernel) is still flat.
+    with pytest.raises(ValueError, match="beta"):
+        fit_link_model([1e5, 1e6, 1e7], [7.0] * 3)
+    with pytest.raises(ValueError, match="beta"):
+        fit_link_model([1e3, 1e4, 1e5, 1e6], [2.0] * 4)
+
+
+def test_fit_gemm_roofline_rejects_flat_data():
+    for times in ([2.0] * 4, [7.0] * 4, [3e-3] * 4):
+        with pytest.raises(ValueError, match="beta"):
+            fit_gemm_roofline([1e9, 4e9, 2e10, 8e10], times)
 
 
 def test_fit_gemm_roofline_reproduces_gemm_time():
