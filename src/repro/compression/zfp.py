@@ -13,6 +13,19 @@ Table 6 shows ZFP preserving convergence where INT8 does not.
 Supported rates are 4, 8 and 16 mantissa bits per value; 4-bit
 mantissas are packed two per byte.  The per-block exponent adds
 ``8 / BLOCK`` bits per value of overhead.
+
+A block's peak magnitude is read from the bit patterns: with the sign
+bit cleared, a float32 orders like its int32 bits (NaN above inf above
+every finite value, -0.0 as +0.0), so the row max of those ints,
+viewed back as float32, is ``max(abs(block))`` bit for bit without a
+float reduction.  The non-finite check lives on those peaks too: a
+NaN or inf anywhere makes its block's peak non-finite, so
+:meth:`ZfpLikeCompressor.compress` rejects it with no extra pass over
+the payload, and ``encode`` is that checked ``compress``.  Block
+exponents are stored as int8: a peak at or above 2^127 is rejected,
+and exponents below -128 (peaks under 2^-129, all subnormal) are
+floored at -128, so such a block quantizes against 2^-128 instead of
+wrapping to a huge scale and decoding to zeros.
 """
 
 from __future__ import annotations
@@ -28,6 +41,12 @@ _SUPPORTED_RATES = (4, 8, 16)
 
 #: Largest block exponent an int8 holds: peaks must stay below 2^127.
 _MAX_EXPONENT = 127
+
+#: Smallest block exponent an int8 holds; lower ones are floored here.
+_MIN_EXPONENT = -128
+
+#: A float32's bits with the sign bit cleared: its magnitude's bits.
+_MAGNITUDE_BITS = np.int32(0x7FFFFFFF)
 
 
 class ZfpLikeCompressor(Compressor):
@@ -54,6 +73,10 @@ class ZfpLikeCompressor(Compressor):
         self.rate = rate
         self.bits_per_value = rate + 8.0 / BLOCK
 
+    def encode(self, tensor: np.ndarray) -> CompressedTensor:
+        """:meth:`compress`, which checks for non-finite input itself."""
+        return self.compress(tensor)
+
     def compress(self, tensor: np.ndarray) -> CompressedTensor:
         arr = np.asarray(tensor, dtype=np.float32)
         flat = arr.ravel()
@@ -62,7 +85,16 @@ class ZfpLikeCompressor(Compressor):
             flat = np.concatenate([flat, np.zeros(pad, dtype=np.float32)])
         blocks = flat.reshape(-1, BLOCK)
 
-        peaks = np.max(np.abs(blocks), axis=1)
+        # Each block's max(abs) from its magnitude bits (module
+        # docstring); the bits' buffer is reused for the quantized
+        # values below.
+        work = np.bitwise_and(blocks.view(np.int32), _MAGNITUDE_BITS)
+        peaks = work.max(axis=1).view(np.float32)
+        if not np.all(np.isfinite(peaks)):
+            raise ValueError(
+                f"{self.name}: payload contains non-finite values; "
+                "refusing to compress (scale factors would be poisoned)"
+            )
         # frexp: |x| = m * 2^e with m in [0.5, 1); e is the exponent of
         # the block's largest magnitude (0 for all-zero blocks).
         _mant, exps = np.frexp(peaks)
@@ -72,16 +104,16 @@ class ZfpLikeCompressor(Compressor):
                 f"the int8 block exponent's limit of {_MAX_EXPONENT}; "
                 "refusing to compress (the exponent would wrap)"
             )
-        exps = exps.astype(np.int8)
+        np.maximum(exps, _MIN_EXPONENT, out=exps)
 
-        # Quantize mantissas to `rate` signed bits against 2^e: values
-        # land in [-(2^(rate-1) - 1), 2^(rate-1) - 1].
+        # Quantize mantissas to `rate` signed bits against 2^e: every
+        # |x| <= peak < 2^e, so values land in [-qmax, qmax] with
+        # qmax = 2^(rate-1) - 1, and no clip is needed.
         qmax = float(2 ** (self.rate - 1) - 1)
-        scales = np.ldexp(np.float32(1.0), exps.astype(np.int32))  # 2^e
-        quant = blocks / scales[:, None]
+        scales = np.ldexp(np.float32(1.0), exps)  # 2^e
+        quant = np.divide(blocks, scales[:, None], out=work.view(np.float32))
         quant *= qmax
         np.rint(quant, out=quant)
-        np.clip(quant, -qmax, qmax, out=quant)
 
         if self.rate == 4:
             data = _pack_nibbles(quant.astype(np.int8))
@@ -93,7 +125,7 @@ class ZfpLikeCompressor(Compressor):
             codec=self.name,
             shape=arr.shape,
             dtype=np.dtype(np.float32),
-            payload={"data": data, "exponents": exps},
+            payload={"data": data, "exponents": exps.astype(np.int8)},
             meta={"rate": self.rate, "pad": pad},
         )
 

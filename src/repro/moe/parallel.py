@@ -89,7 +89,7 @@ from ..core.runtime import (
 from ..core.scheduler import Scheduler
 from ..core.tasks import Task, TaskKind
 from ..nn.buffer_pool import BufferPool
-from ..nn.tensor import Tensor, _scatter_add_rows, inference_mode
+from ..nn.tensor import Tensor, _scatter_add_parts, inference_mode
 from .experts import Experts
 from .layer import MoELayer
 from .placement import ExpertPlacement
@@ -180,21 +180,23 @@ class _Transport:
 
     @contextmanager
     def received(self, c: int, dst: int):
-        """D1/D2: ``(src, rows, meta)`` sent to ``dst`` in chunk ``c``.
+        """D1/D2: ``(src, meta, rows)`` sent to ``dst`` in chunk ``c``.
 
-        Yields an iterator in post order that decodes each payload to
-        fp32 rows as it is reached.  Leaving the block returns every
-        staging buffer to the pool, also when a decode or the block
-        raised.  Without a codec ``rows`` *are* those buffers, so copy
-        what outlives the block.
+        Yields a list in post order, before anything is decoded, so a
+        task can lay out its result from the metas first; ``rows()``
+        decodes that payload to fp32 rows.  Leaving the block returns
+        every staging buffer to the pool, also when a decode or the
+        block raised.  Without a codec ``rows()`` returns those buffers
+        themselves, so copy what outlives the block.
         """
         entries = self._inbox.pop((c, dst), [])
         codec = self._codec
+        decode = (lambda rows: rows) if codec is None else codec.decompress
         try:
-            yield (
-                (src, staged if codec is None else codec.decompress(staged), meta)
+            yield [
+                (src, meta, functools.partial(decode, staged))
                 for src, staged, meta in entries
-            )
+            ]
         finally:
             self._release(entries)
 
@@ -217,6 +219,60 @@ class _Transport:
             bufs = [staged] if self._codec is None else staged.payload.values()
             for buf in bufs:
                 self._pool.release(buf)
+
+
+def _assemble_expert_major(counts: np.ndarray, payloads, width: int):
+    """D1's assembly: one expert-major block from per-source payloads.
+
+    ``counts[s]`` are source s's segment counts over the receiver's
+    hosted experts (its payload's rows run expert by expert in that
+    order), and ``payloads[s]()`` decodes its rows.  The block is the
+    layout ``run_grouped`` consumes: expert-major, sources in rank
+    order within an expert, payload order within a source -- what a
+    stable argsort of the concatenated rows' local expert ids gives.
+    Each source's rows are decoded straight into their places; the
+    returned per-source ``inverse`` says where they went (C2 gathers
+    the results back with it).
+    """
+    flat = counts.ravel()
+    # Each (source, expert) segment's first row in the payloads'
+    # concatenation, and in the block.
+    in_payloads = np.cumsum(flat) - flat
+    by_expert = counts.T.ravel()
+    in_block = (np.cumsum(by_expert) - by_expert).reshape(counts.T.shape).T
+    inverse = np.repeat(in_block.ravel() - in_payloads, flat)
+    inverse += np.arange(inverse.size)
+    inverses = np.split(inverse, np.cumsum(counts.sum(axis=1))[:-1])
+    block = np.empty((inverse.size, width), dtype=np.float32)
+    for idx, rows in zip(inverses, payloads):
+        block[idx] = rows()
+    return block, inverses
+
+
+def _merge_weighted(
+    out: np.ndarray, idx: np.ndarray, weights: np.ndarray, got: list
+) -> None:
+    """D2's merge: ``out[idx] += weights[:, None] * values``, np.add.at-exact.
+
+    ``got`` is what the receiver got back (``received``'s list), each
+    entry's meta the positions in ``idx`` its rows belong to.  Each
+    source's rows are weighted in place (a decode's fresh array, or a
+    staging buffer the transport reclaims anyway) and staged straight
+    into the occurrence-round scatter; a weight is one float multiply
+    per element, as on the assembled ``values``.
+    """
+
+    def weighted(positions, rows):
+        rows = rows()
+        rows *= weights[positions, None]
+        return positions, rows
+
+    _scatter_add_parts(
+        out,
+        idx,
+        np.float32,
+        (weighted(positions, rows) for _, positions, rows in got),
+    )
 
 
 class ExpertParallelGroup:
@@ -587,34 +643,26 @@ class ExpertParallelGroup:
                     )
 
         def decompress_dispatch(c: int) -> None:
-            """D1: decompress, then assemble one sorted-by-expert block.
+            """D1: decode into one expert-major block per destination.
 
-            A stable argsort of the received rows' local expert ids is
-            the layout run_grouped consumes: expert-major over the
-            destination's hosted experts (ascending global id), sources
-            in rank order within an expert, payload order within a
-            source.  Its inverse is where each source's rows went.
+            The block is expert-major over the destination's hosted
+            experts (ascending global id); each source's inverse (where
+            its rows went) and positions ride along to C2.
             """
             for dst in workers:
                 with dispatch.received(c, dst) as got:
-                    got = list(got)
                     if not got:
                         continue
-                    srcs, blocks, metas = zip(*got)
-                    rows = np.concatenate(blocks)
-                counts, positions = zip(*metas)
-                local = np.repeat(
-                    np.tile(np.arange(hosted[dst].size), len(srcs)),
-                    np.concatenate(counts),
-                )
-                perm = np.argsort(local, kind="stable")
-                inverse = np.empty_like(perm)
-                inverse[perm] = np.arange(perm.size)
+                    srcs, metas, payloads = zip(*got)
+                    counts, positions = zip(*metas)
+                    counts = np.stack(counts)
+                    rows, inverses = _assemble_expert_major(
+                        counts, payloads, model_dim
+                    )
                 counts_full = np.zeros(num_experts, dtype=np.int64)
-                counts_full[hosted[dst]] = np.sum(counts, axis=0)
-                split = np.cumsum([k.sum() for k in counts])[:-1]
-                back_index = list(zip(srcs, np.split(inverse, split), positions))
-                expert_in[(c, dst)] = (rows[perm], counts_full, back_index)
+                counts_full[hosted[dst]] = counts.sum(axis=0)
+                back_index = list(zip(srcs, inverses, positions))
+                expert_in[(c, dst)] = (rows, counts_full, back_index)
 
         def run_experts(c: int) -> None:
             """E: grouped expert execution."""
@@ -637,15 +685,11 @@ class ExpertParallelGroup:
                     combine.post(c, dst, src, out_rows[idx], positions)
 
         def decompress_combine(c: int) -> None:
-            """D2: decompress, then merge into the chunk's token rows."""
+            """D2: decode and merge, weighted, into the chunk's token rows."""
             for w in workers:
                 sel = members[w][c]
                 if sel.size == 0:
                     continue
-                contrib = np.zeros((sel.size, model_dim), dtype=np.float32)
-                with combine.received(c, w) as got:
-                    for _, rows, positions in got:
-                        contrib[positions] = rows
                 # Accumulate in the gate's original assignment order:
                 # bit-identical to the unchunked merge because every
                 # contribution to one token lives in this chunk, in
@@ -653,11 +697,13 @@ class ExpertParallelGroup:
                 # +0.0 here (chunks own disjoint token ranges), which
                 # is the scatter's np.add.at-parity contract.
                 lo, hi = chunk_edges[w][c], chunk_edges[w][c + 1]
-                _scatter_add_rows(
-                    outputs[w][lo:hi],
-                    token_ids[w][sel] - lo,
-                    weights[w][sel][:, None] * contrib,
-                )
+                with combine.received(c, w) as got:
+                    _merge_weighted(
+                        outputs[w][lo:hi],
+                        token_ids[w][sel] - lo,
+                        weights[w][sel],
+                        got,
+                    )
 
         step = {
             TaskKind.C1: compress_dispatch,

@@ -662,29 +662,64 @@ def _scatter_add_rows(
     here.  The padded staging buffer comes from the ambient arena
     under inference.
     """
+    _scatter_add_parts(out, idx, values.dtype, ((slice(None), values),))
+
+
+def _scatter_add_parts(out: np.ndarray, idx: np.ndarray, dtype, parts) -> None:
+    """:func:`_scatter_add_rows` with ``values`` arriving in parts.
+
+    ``parts`` yields ``(positions, rows)`` pairs, ``values[positions]
+    = rows`` (of ``dtype``); a position no part names leaves ``out``
+    untouched (the round sums stage +0.0 for it, an exact identity on
+    the zeroed ``out`` that :func:`_scatter_add_rows` requires).  Each
+    part goes straight into the round staging, so a caller whose
+    values come in pieces (the expert-parallel combine, one per source
+    worker) never assembles them.  On a zeroed ``out`` this is
+    bit-identical to ``np.add.at`` on the assembled ``values``: the
+    rounds, and so every destination's accumulation order, follow
+    ``idx`` alone.
+    """
     if idx.size == 0:
         return
-    if idx.min() < 0:
-        # np.bincount rejects what np.take accepted.
-        idx = np.where(idx < 0, idx + out.shape[0], idx)
-    counts = np.bincount(idx, minlength=out.shape[0])
-    depth = int(counts.max(initial=0))
+    idx, depth, occ = _occurrence_rounds(idx, out.shape[0])
     if depth <= 1:
         # No duplicates at all: the compound fancy-index add is safe
         # and fully vectorized.
-        out[idx] += values
-        return
-    if depth > _SCATTER_ROUNDS_MAX_DEPTH:
+        for positions, rows in parts:
+            out[idx[positions]] += rows
+    elif occ is None:
+        values = np.zeros((idx.size,) + out.shape[1:], dtype)
+        for positions, rows in parts:
+            values[positions] = rows
         np.add.at(out, idx, values)
-        return
+    else:
+        pad = scratch_zeros((out.shape[0], depth) + out.shape[1:], dtype)
+        for positions, rows in parts:
+            pad[idx[positions], occ[positions]] = rows
+        for r in range(depth):
+            out += pad[:, r]
+
+
+def _occurrence_rounds(idx: np.ndarray, num_rows: int):
+    """``(idx, depth, occ)``: the rounds of the accumulating scatter.
+
+    Negative entries of ``idx`` are wrapped (``np.bincount`` rejects
+    what ``np.take`` accepted); ``depth`` is the deepest index
+    multiplicity, and ``occ[n]`` is element n's round, computed only
+    for the padded round sum (``1 < depth <=
+    _SCATTER_ROUNDS_MAX_DEPTH``; ``None`` otherwise).
+    """
+    if idx.min() < 0:
+        idx = np.where(idx < 0, idx + num_rows, idx)
+    counts = np.bincount(idx, minlength=num_rows)
+    depth = int(counts.max(initial=0))
+    if not 1 < depth <= _SCATTER_ROUNDS_MAX_DEPTH:
+        return idx, depth, None
     order = np.argsort(idx, kind="stable")
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     occ = np.empty(idx.shape[0], dtype=np.int64)
     occ[order] = np.arange(idx.shape[0], dtype=np.int64) - starts[idx[order]]
-    pad = scratch_zeros((out.shape[0], depth) + values.shape[1:], values.dtype)
-    pad[idx, occ] = values
-    for r in range(depth):
-        out += pad[:, r]
+    return idx, depth, occ
 
 
 def scatter_add(

@@ -9,7 +9,8 @@ stage and ship the encoded bytes, and D1/D2 decompress.  This pins:
 * that the codec runs only on the computing stream;
 * that the non-finite check, now raised at C1/C2, aborts both
   pipelines cleanly and leaves the group usable;
-* that D2's vectorized merge is bit-identical to ``np.add.at``.
+* that D1's assembly is the stable-argsort layout it replaced, and
+  D2's vectorized merge is bit-identical to ``np.add.at``.
 """
 
 import threading
@@ -175,7 +176,26 @@ def test_inf_expert_output_aborts_at_c2(rng, pipeline, monkeypatch):
     )
 
 
-# -- D2's merge is np.add.at, bit for bit -------------------------------------
+# -- D1's layout is the stable argsort's; D2's merge is np.add.at ------------
+
+
+@pytest.mark.parametrize("sources,experts", [(1, 1), (3, 4), (4, 8)])
+def test_d1_assembly_is_the_stable_argsort_layout(rng, sources, experts):
+    counts = rng.integers(0, 4, size=(sources, experts))
+    counts[:, 0] += 1  # every source sends something
+    payloads = [
+        rng.standard_normal((k, 3)).astype(np.float32) for k in counts.sum(1)
+    ]
+    block, inverses = parallel_module._assemble_expert_major(
+        counts, [lambda p=p: p for p in payloads], 3
+    )
+    local = np.repeat(np.tile(np.arange(experts), sources), counts.ravel())
+    perm = np.argsort(local, kind="stable")
+    np.testing.assert_array_equal(block, np.concatenate(payloads)[perm])
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    np.testing.assert_array_equal(np.concatenate(inverses), inverse)
+
 
 
 @pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
@@ -186,6 +206,16 @@ def test_d2_merge_matches_np_add_at(
 ):
     layer = make_layer(gate_type=gate_type, dim=16)
     shards = make_shards(rng, dim=16)
+    calls = []
+
+    def legacy_scatter_add_parts(out, idx, dtype, parts):
+        """D2's staged merge rebuilt on ``np.add.at``: the parts are
+        assembled into one zero-filled ``values`` first."""
+        calls.append(idx.size)
+        values = np.zeros((idx.size,) + out.shape[1:], dtype)
+        for positions, rows in parts:
+            values[positions] = rows
+        legacy_scatter_add_rows(out, idx, values)
 
     def run():
         group = ExpertParallelGroup(
@@ -195,6 +225,9 @@ def test_d2_merge_matches_np_add_at(
 
     out = run()
     monkeypatch.setattr(
-        parallel_module, "_scatter_add_rows", legacy_scatter_add_rows
+        parallel_module, "_scatter_add_parts", legacy_scatter_add_parts
     )
-    np.testing.assert_array_equal(out.view(np.int32), run().view(np.int32))
+    legacy = run()
+    # The swap took effect: every worker's merge ran through it.
+    assert len(calls) >= len(shards) and sum(calls) > 0
+    np.testing.assert_array_equal(out.view(np.int32), legacy.view(np.int32))
