@@ -19,8 +19,6 @@ from typing import Any, Dict, List, Type
 
 import numpy as np
 
-from ..cluster.costmodel import GpuModel
-
 
 @dataclass
 class CompressedTensor:
@@ -48,26 +46,23 @@ class Compressor(ABC):
 
     ``bits_per_value`` is the average wire bits per fp32 element and
     determines the communication-volume reduction; ``compress_cost`` /
-    ``decompress_cost`` price the computing tasks on a GPU model.
+    ``decompress_cost`` price the computing tasks as
+    ``fixed_cost_s + nbytes / bandwidth``.
     """
 
     #: Registry key; subclasses must override.
     name: str = ""
     #: Average wire bits per input element (32 = no compression).
     bits_per_value: float = 32.0
-    #: Memory passes over the data per compress kernel (fallback cost).
-    compress_passes: float = 2.0
-    #: Memory passes over the data per decompress kernel (fallback cost).
-    decompress_passes: float = 2.0
     #: Fixed per-invocation cost (kernel pipeline launch, layout
     #: gather/scatter, stream sync).  Dominates on small payloads —
     #: the reason compression barely pays off on models with small A2A
     #: tensors (paper Sections 6.3 and 7).
     fixed_cost_s: float = 0.0
-    #: Sustained codec throughput in input fp32 bytes/second; 0 falls
-    #: back to the memory-pass model.
-    compress_bandwidth_bps: float = 0.0
-    decompress_bandwidth_bps: float = 0.0
+    #: Sustained codec throughput in input fp32 bytes/second; the
+    #: infinite default prices a codec at ``fixed_cost_s`` alone.
+    compress_bandwidth_bps: float = float("inf")
+    decompress_bandwidth_bps: float = float("inf")
 
     @abstractmethod
     def compress(self, tensor: np.ndarray) -> CompressedTensor:
@@ -105,23 +100,13 @@ class Compressor(ABC):
         """Wire size of an fp32 payload of ``nbytes``."""
         return nbytes / self.ratio
 
-    def compress_cost(self, gpu: GpuModel, nbytes: float) -> float:
+    def compress_cost(self, nbytes: float) -> float:
         """Seconds of GPU time to compress an fp32 payload of ``nbytes``."""
-        if self.compress_bandwidth_bps > 0:
-            return self.fixed_cost_s + nbytes / self.compress_bandwidth_bps
-        if self.compress_passes <= 0:
-            return 0.0
-        return self.fixed_cost_s + gpu.memory_time(self.compress_passes * nbytes)
+        return self.fixed_cost_s + nbytes / self.compress_bandwidth_bps
 
-    def decompress_cost(self, gpu: GpuModel, nbytes: float) -> float:
+    def decompress_cost(self, nbytes: float) -> float:
         """Seconds of GPU time to decompress back to ``nbytes`` of fp32."""
-        if self.decompress_bandwidth_bps > 0:
-            return self.fixed_cost_s + nbytes / self.decompress_bandwidth_bps
-        if self.decompress_passes <= 0:
-            return 0.0
-        return self.fixed_cost_s + gpu.memory_time(
-            self.decompress_passes * nbytes
-        )
+        return self.fixed_cost_s + nbytes / self.decompress_bandwidth_bps
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} {self.bits_per_value:g}b>"

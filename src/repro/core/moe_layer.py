@@ -106,7 +106,6 @@ class ScheMoELayer(MoELayer):
         comm_name: str = "pipe",
         scheduler_name: str = "optsche",
         partitions="auto",
-        activation: str = "relu",
     ):
         self.policy = layer_policy(
             compress_name, comm_name, scheduler_name, partitions
@@ -119,7 +118,6 @@ class ScheMoELayer(MoELayer):
             top_k=top_k,
             capacity_factor=capacity_factor,
             compressor=get_compressor(compress_name),
-            activation=activation,
         )
 
     # -- system side -----------------------------------------------------

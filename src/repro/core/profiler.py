@@ -82,11 +82,11 @@ class Profiler:
 
     def compress_seconds(self, raw_bytes: float) -> float:
         """One compression task over ``raw_bytes`` of fp32 payload."""
-        return self.compressor.compress_cost(self.spec.gpu, raw_bytes)
+        return self.compressor.compress_cost(raw_bytes)
 
     def decompress_seconds(self, raw_bytes: float) -> float:
         """One decompression task back to ``raw_bytes`` of fp32."""
-        return self.compressor.decompress_cost(self.spec.gpu, raw_bytes)
+        return self.compressor.decompress_cost(raw_bytes)
 
     def expert_seconds(self, tokens: int, model_dim: int, hidden_dim: int) -> float:
         """Forward time of one GPU's local experts over ``tokens``."""

@@ -131,12 +131,7 @@ class StreamExecutor:
             scheduler = get_scheduler(scheduler)
         self.scheduler = scheduler
 
-    def run(
-        self,
-        partitions: int,
-        fns: TaskFns,
-        durations: TaskDurations = _UNIT_DURATIONS,
-    ) -> Timeline:
+    def run(self, partitions: int, fns: TaskFns) -> Timeline:
         """Execute every task once; returns the measured timeline.
 
         Each stream thread walks its enqueue order strictly FIFO,
@@ -146,7 +141,9 @@ class StreamExecutor:
         skipped, events still fire so neither stream deadlocks) and is
         re-raised here on the calling thread.
         """
-        comp_order, comm_order = self.scheduler.order(partitions, durations)
+        comp_order, comm_order = self.scheduler.order(
+            partitions, _UNIT_DURATIONS
+        )
         fns = dict(fns)
         _check_coverage(partitions, fns)
         done = {task: threading.Event() for task in fns}

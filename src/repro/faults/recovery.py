@@ -186,11 +186,9 @@ class RecoveryController:
     experts are restored *exactly* from it (the training loss picks up
     where the checkpoint left those experts).  Without one, lost
     experts are seeded-re-initialized — deterministic (see the module
-    docstring) but fresh, so those experts restart learning.
-    ``bank_prefix`` names the expert bank inside the checkpoint when
-    the archive holds more than one (e.g. ``"experts"`` for a bare
-    :class:`MoELayer` checkpoint, ``"blocks.items.3.ffn.experts"`` inside a
-    full LM); with exactly one bank it is found automatically.
+    docstring) but fresh, so those experts restart learning.  The
+    checkpoint is one of the group's own layer, so its bank is the
+    layer's ``experts``.
 
     The controller remembers every worker it has retired, so repeated
     failures never rebalance experts back onto a dead rank, and each
@@ -202,12 +200,10 @@ class RecoveryController:
         group,
         checkpoint: Optional[Union[str, Path]] = None,
         reinit_seed: int = 0,
-        bank_prefix: Optional[str] = None,
     ):
         self.group = group
         self.checkpoint = Path(checkpoint) if checkpoint else None
         self.reinit_seed = int(reinit_seed)
-        self.bank_prefix = bank_prefix
         self.retired: frozenset = frozenset()
         self.events: List[RecoveryEvent] = []
 
@@ -221,9 +217,7 @@ class RecoveryController:
         from ..nn.serialization import read_expert_bank
 
         experts = self.group.layer.experts
-        bank = read_expert_bank(
-            self.checkpoint, experts.num_experts, prefix=self.bank_prefix
-        )
+        bank = read_expert_bank(self.checkpoint, experts.num_experts, "experts")
         if bank["w1"].shape != (
             experts.num_experts, experts.model_dim, experts.hidden_dim
         ):

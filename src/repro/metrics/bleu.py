@@ -1,7 +1,8 @@
 """Corpus BLEU (n-gram precision with brevity penalty).
 
-Standard BLEU-4 with add-one smoothing on higher-order n-grams (the
-"method 1" smoothing of Chen & Cherry), over integer token sequences.
+Standard BLEU-4 with add-one smoothing on higher-order n-grams: one
+is added to both the matches and the totals for n >= 2 (Lin & Och
+2004, "method 2" of Chen & Cherry 2014), over integer token sequences.
 Used for the translation column of paper Table 6.
 """
 
@@ -22,7 +23,6 @@ def corpus_bleu(
     hypotheses: List[Sequence[int]],
     references: List[Sequence[int]],
     max_n: int = 4,
-    smooth: bool = True,
 ) -> float:
     """BLEU score in [0, 100] over a corpus of token sequences."""
     if len(hypotheses) != len(references):
@@ -52,7 +52,7 @@ def corpus_bleu(
     log_precision = 0.0
     for n in range(max_n):
         m, t = matches[n], totals[n]
-        if smooth and n > 0:
+        if n > 0:
             m, t = m + 1, t + 1
         if m == 0 or t == 0:
             return 0.0
@@ -65,10 +65,3 @@ def corpus_bleu(
         1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     )
     return 100.0 * brevity * math.exp(log_precision)
-
-
-def sentence_bleu(
-    hypothesis: Sequence[int], reference: Sequence[int], max_n: int = 4
-) -> float:
-    """BLEU of a single sentence pair (smoothed)."""
-    return corpus_bleu([hypothesis], [reference], max_n=max_n)

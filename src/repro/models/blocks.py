@@ -15,7 +15,6 @@ import numpy as np
 from ..compression.base import Compressor
 from ..moe import MoELayer
 from ..nn.modules import (
-    Dropout,
     FeedForward,
     LayerNorm,
     Module,
@@ -33,11 +32,10 @@ def make_ffn(
     top_k: int = 2,
     capacity_factor: float = 1.0,
     compressor: Optional[Compressor] = None,
-    activation: str = "relu",
 ) -> Module:
     """Dense fflayer or MoE layer, per the model variant."""
     if not moe:
-        return FeedForward(model_dim, hidden_dim, rng, activation=activation)
+        return FeedForward(model_dim, hidden_dim, rng)
     return MoELayer(
         model_dim,
         hidden_dim,
@@ -46,7 +44,6 @@ def make_ffn(
         top_k=top_k,
         capacity_factor=capacity_factor,
         compressor=compressor,
-        activation=activation,
     )
 
 
@@ -61,7 +58,6 @@ class TransformerBlock(Module):
         rng: np.random.Generator,
         causal: bool = False,
         cross_attention: bool = False,
-        dropout: float = 0.0,
     ):
         super().__init__()
         self.norm1 = LayerNorm(model_dim)
@@ -73,10 +69,6 @@ class TransformerBlock(Module):
             self.cross = MultiHeadAttention(model_dim, num_heads, rng)
         self.norm2 = LayerNorm(model_dim)
         self.ffn = ffn
-        self.drop = Dropout(dropout, rng) if dropout > 0 else None
-
-    def _maybe_drop(self, x: Tensor) -> Tensor:
-        return self.drop(x) if self.drop is not None else x
 
     def forward(
         self,
@@ -85,15 +77,14 @@ class TransformerBlock(Module):
         self_mask: Optional[np.ndarray] = None,
         context_mask: Optional[np.ndarray] = None,
     ) -> Tensor:
-        x = x + self._maybe_drop(self.attn(self.norm1(x), mask=self_mask))
+        x = x + self.attn(self.norm1(x), mask=self_mask)
         if self.cross is not None:
             if context is None:
                 raise ValueError("cross-attention block requires context")
-            x = x + self._maybe_drop(
-                self.cross(self.norm_cross(x), context=context, mask=context_mask)
+            x = x + self.cross(
+                self.norm_cross(x), context=context, mask=context_mask
             )
-        x = x + self._maybe_drop(self.ffn(self.norm2(x)))
-        return x
+        return x + self.ffn(self.norm2(x))
 
     @property
     def moe_layer(self) -> Optional[MoELayer]:

@@ -34,7 +34,6 @@ class TransformerLM(Module):
         top_k: int = 2,
         capacity_factor: float = 1.25,
         compressor: Optional[Compressor] = None,
-        dropout: float = 0.0,
         seed: int = 0,
     ):
         super().__init__()
@@ -61,7 +60,6 @@ class TransformerLM(Module):
                     ),
                     rng,
                     causal=True,
-                    dropout=dropout,
                 )
                 for _ in range(num_layers)
             ]

@@ -35,7 +35,6 @@ class Seq2SeqTransformer(Module):
         top_k: int = 2,
         capacity_factor: float = 1.25,
         compressor: Optional[Compressor] = None,
-        dropout: float = 0.0,
         pad_id: int = 0,
         seed: int = 0,
     ):
@@ -62,7 +61,7 @@ class Seq2SeqTransformer(Module):
 
         self.encoder = ModuleList(
             [
-                TransformerBlock(model_dim, num_heads, ffn(), rng, dropout=dropout)
+                TransformerBlock(model_dim, num_heads, ffn(), rng)
                 for _ in range(num_layers)
             ]
         )
@@ -75,7 +74,6 @@ class Seq2SeqTransformer(Module):
                     rng,
                     causal=True,
                     cross_attention=True,
-                    dropout=dropout,
                 )
                 for _ in range(num_layers)
             ]

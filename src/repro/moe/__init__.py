@@ -15,7 +15,7 @@ from .dispatch import (
 )
 from .experts import Experts
 from .gating import GateOutput, TopKGate, load_balancing_loss
-from .layer import MoELayer, default_dispatch_mode
+from .layer import MoELayer
 from .parallel import A2ATraffic, ExpertParallelGroup
 from .placement import (
     ExpertPlacement,
@@ -35,7 +35,6 @@ __all__ = [
     "GateOutput",
     "MoELayer",
     "RoutingPlan",
-    "default_dispatch_mode",
     "TopKGate",
     "combine",
     "combine_grouped",

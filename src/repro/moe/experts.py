@@ -20,7 +20,7 @@ and offers exactly two ways to run it:
 * :meth:`Experts.forward` — the reference: one expert at a time over
   its full slice of an (E, C, M) capacity buffer, Python-level, what
   the dense GShard layer runs.  Padding slots go through the FFN too
-  (producing ``fc2(act(b1))``), which no combine ever reads.
+  (producing ``fc2(relu(b1))``), which no combine ever reads.
 
 Every row of the grouped output is bit-identical to the loop's output
 at the same (expert, slot): both are the same per-row 2-d GEMMs
@@ -46,17 +46,13 @@ class Experts(Module):
         model_dim: int,
         hidden_dim: int,
         rng: np.random.Generator,
-        activation: str = "relu",
     ):
         super().__init__()
         if num_experts < 1:
             raise ValueError(f"num_experts must be >= 1, got {num_experts}")
-        if activation not in ("relu", "gelu"):
-            raise ValueError(f"unsupported activation {activation!r}")
         self.num_experts = num_experts
         self.model_dim = model_dim
         self.hidden_dim = hidden_dim
-        self.activation = activation
         # Draw per-expert weights in the exact rng order the historical
         # per-expert FeedForward construction used (fc1 then fc2, one
         # expert at a time), so seeded models are bit-identical to
@@ -70,9 +66,6 @@ class Experts(Module):
         self.b1 = Parameter(np.zeros((num_experts, 1, hidden_dim), np.float32))
         self.w2 = Parameter(w2)
         self.b2 = Parameter(np.zeros((num_experts, 1, model_dim), np.float32))
-
-    def _act(self, x: Tensor) -> Tensor:
-        return F.relu(x) if self.activation == "relu" else F.gelu(x)
 
     def reinit_expert(self, expert: int, rng: np.random.Generator) -> None:
         """Re-initialize one expert's parameters in place (recovery).
@@ -143,7 +136,7 @@ class Experts(Module):
             raise IndexError(
                 f"expert {expert} out of range [0, {self.num_experts})"
             )
-        h = self._act(x @ self.w1[expert] + self.b1[expert])
+        h = F.relu(x @ self.w1[expert] + self.b1[expert])
         return h @ self.w2[expert] + self.b2[expert]
 
     def run_grouped(
@@ -173,7 +166,7 @@ class Experts(Module):
             )
         b1 = self.b1.reshape(self.num_experts, self.hidden_dim)
         b2 = self.b2.reshape(self.num_experts, self.model_dim)
-        h = self._act(segment_matmul(rows, self.w1, counts, bias=b1))
+        h = F.relu(segment_matmul(rows, self.w1, counts, bias=b1))
         return segment_matmul(h, self.w2, counts, bias=b2)
 
     def forward(self, dispatched: Tensor) -> Tensor:

@@ -255,7 +255,6 @@ class TopKGate(Module):
         rng: np.random.Generator,
         top_k: int = 2,
         capacity_factor: float = 1.0,
-        noise_std: float = 0.0,
     ):
         super().__init__()
         if top_k < 1 or top_k > num_experts:
@@ -269,9 +268,7 @@ class TopKGate(Module):
         self.num_experts = num_experts
         self.top_k = top_k
         self.capacity_factor = capacity_factor
-        self.noise_std = noise_std
         self.wg = Linear(model_dim, num_experts, rng, bias=False)
-        self._rng = rng
 
     def capacity(self, num_tokens: int) -> int:
         """Paper Eq. (1) with B*L folded into ``num_tokens``.
@@ -292,7 +289,7 @@ class TopKGate(Module):
         )
         return max(min(cap, num_tokens), 1)
 
-    def forward(self, tokens: Tensor, capacity: Optional[int] = None) -> GateOutput:
+    def forward(self, tokens: Tensor) -> GateOutput:
         """Route a flat (num_tokens, model_dim) tensor.
 
         Returns the fused routing plan with (T, k) indices and
@@ -302,16 +299,8 @@ class TopKGate(Module):
             raise ValueError(
                 f"gate expects (tokens, model_dim), got shape {tokens.shape}"
             )
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        num_tokens = tokens.shape[0]
-        cap = capacity if capacity is not None else self.capacity(num_tokens)
-
-        logits = self.wg(tokens)
-        if self.training and self.noise_std > 0:
-            noise = self._rng.standard_normal(logits.shape).astype(np.float32)
-            logits = logits + Tensor(noise * self.noise_std)
-        probs = F.softmax(logits, axis=-1)
+        cap = self.capacity(tokens.shape[0])
+        probs = F.softmax(self.wg(tokens), axis=-1)
 
         # Discrete routing on raw values.
         raw = probs.data

@@ -78,19 +78,15 @@ class ExpertChoiceGate(Module):
         )
         return max(1, min(cap, num_tokens))
 
-    def forward(self, tokens: Tensor, capacity=None) -> GateOutput:
+    def forward(self, tokens: Tensor) -> GateOutput:
         if tokens.ndim != 2:
             raise ValueError(
                 f"gate expects (tokens, model_dim), got shape {tokens.shape}"
             )
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
         num_tokens = tokens.shape[0]
-        cap = capacity if capacity is not None else self.capacity(num_tokens)
-        cap = min(cap, num_tokens)
+        cap = self.capacity(num_tokens)
 
-        logits = self.wg(tokens)
-        probs = F.softmax(logits, axis=-1)  # (T, E)
+        probs = F.softmax(self.wg(tokens), axis=-1)  # (T, E)
         # Perfectly balanced by construction -> aux loss constant 1
         # (wired to the gate's tape so an empty backward still works;
         # the forward-only path skips the tape-keeping sum).
@@ -100,7 +96,7 @@ class ExpertChoiceGate(Module):
             aux = Tensor(np.float32(1.0)) + (probs.sum() * 0.0)
 
         if cap == 0:
-            # Zero tokens (or zero slots): empty flat routing.
+            # Zero tokens: empty flat routing.
             token_ids = expert_ids = slot_ids = np.zeros(0, dtype=np.int64)
         else:
             # Each expert picks its top-cap tokens by affinity.  Flatten

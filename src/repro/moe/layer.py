@@ -20,7 +20,6 @@ discussion in Section 7).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -38,34 +37,6 @@ from .dispatch import (
 from .experts import Experts
 from .gating import GateOutput, TopKGate
 
-#: Backend used when ``MoELayer(dispatch_mode=None)`` — see
-#: :func:`default_dispatch_mode`.
-_default_dispatch_mode = "sparse"
-
-
-@contextmanager
-def default_dispatch_mode(mode: str):
-    """Temporarily change the backend new ``MoELayer``s default to.
-
-    Lets experiments that construct models deep inside a stack (e.g.
-    the Table 6 convergence study, whose recorded trajectories were
-    measured on the dense reference backend) pin a backend without
-    threading ``dispatch_mode`` through every constructor.
-    """
-    global _default_dispatch_mode
-    if mode not in DISPATCH_MODES:
-        raise ValueError(
-            f"unknown dispatch_mode {mode!r}; "
-            f"expected one of {DISPATCH_MODES}"
-        )
-    previous = _default_dispatch_mode
-    _default_dispatch_mode = mode
-    try:
-        yield
-    finally:
-        _default_dispatch_mode = previous
-
-
 class MoELayer(Module):
     """Sparsely activated feed-forward layer (paper Fig. 1).
 
@@ -73,9 +44,7 @@ class MoELayer(Module):
     ``hidden_dim`` H, ``num_experts`` E, ``top_k`` k and
     ``capacity_factor`` f.
 
-    ``dispatch_mode`` is the layer's one execution switch (``None``
-    means the process default, normally sparse — see
-    :func:`default_dispatch_mode`):
+    ``dispatch_mode`` is the layer's one execution switch:
 
     * ``"sparse"`` — production: the layer gathers the routed rows in
       the gate's :class:`~repro.moe.routing.RoutingPlan` expert-major
@@ -112,14 +81,10 @@ class MoELayer(Module):
         top_k: int = 2,
         capacity_factor: float = 1.0,
         compressor: Optional[Compressor] = None,
-        activation: str = "relu",
-        gate_noise_std: float = 0.0,
         gate_type: str = "topk",
-        dispatch_mode: Optional[str] = None,
+        dispatch_mode: str = "sparse",
     ):
         super().__init__()
-        if dispatch_mode is None:
-            dispatch_mode = _default_dispatch_mode
         if dispatch_mode not in DISPATCH_MODES:
             raise ValueError(
                 f"unknown dispatch_mode {dispatch_mode!r}; "
@@ -134,7 +99,6 @@ class MoELayer(Module):
                 rng,
                 top_k=top_k,
                 capacity_factor=capacity_factor,
-                noise_std=gate_noise_std,
             )
         elif gate_type == "expert-choice":
             from .gating_ec import ExpertChoiceGate
@@ -151,13 +115,7 @@ class MoELayer(Module):
                 f"unknown gate_type {gate_type!r}; "
                 "expected 'topk' or 'expert-choice'"
             )
-        self.experts = Experts(
-            num_experts,
-            model_dim,
-            hidden_dim,
-            rng,
-            activation=activation,
-        )
+        self.experts = Experts(num_experts, model_dim, hidden_dim, rng)
         self.compressor = compressor
         #: Experts currently considered lost (graceful degradation);
         #: see :meth:`set_dead_experts`.

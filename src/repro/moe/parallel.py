@@ -527,9 +527,8 @@ class ExpertParallelGroup:
         through the group: the gate and the expert GEMMs run under
         ``inference_mode()`` and record no autograd tape.  That flag
         only skips the tape; every op keeps its float operations, so
-        the outputs are bit-identical to a taped forward, and it does
-        not touch ``training`` (a train-mode noisy gate still draws
-        its noise).
+        the outputs are bit-identical to a taped forward.  It does not
+        touch ``training`` either, which no forward reads.
         """
         shards = self._validate_shards(shards)
         with inference_mode():

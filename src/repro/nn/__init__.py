@@ -9,9 +9,8 @@ on this substrate for real.
 
 from . import functional
 from .buffer_pool import Arena, BufferPool
-from .init import kaiming_normal, normal, xavier_uniform
+from .init import normal, xavier_uniform
 from .modules import (
-    Dropout,
     Embedding,
     FeedForward,
     Linear,
@@ -22,14 +21,13 @@ from .modules import (
     Parameter,
     Sequential,
 )
-from .optim import SGD, Adam, Optimizer, WarmupInverseSqrt, clip_grad_norm
+from .optim import Adam, Optimizer, clip_grad_norm
 from .serialization import (
     checkpoint_placement,
     load_checkpoint,
     load_extra_arrays,
     read_expert_bank,
     save_checkpoint,
-    stack_expert_state,
 )
 from .tensor import (
     Tensor,
@@ -52,7 +50,6 @@ __all__ = [
     "Adam",
     "Arena",
     "BufferPool",
-    "Dropout",
     "Embedding",
     "FeedForward",
     "LayerNorm",
@@ -62,11 +59,9 @@ __all__ = [
     "MultiHeadAttention",
     "Optimizer",
     "Parameter",
-    "SGD",
     "Sequential",
     "Tensor",
     "active_arena",
-    "WarmupInverseSqrt",
     "clip_grad_norm",
     "concatenate",
     "einsum",
@@ -74,7 +69,6 @@ __all__ = [
     "gather",
     "inference_mode",
     "is_inference",
-    "kaiming_normal",
     "checkpoint_placement",
     "load_checkpoint",
     "read_expert_bank",
@@ -87,7 +81,6 @@ __all__ = [
     "segment_matmul",
     "stack",
     "use_arena",
-    "stack_expert_state",
     "where",
     "xavier_uniform",
 ]

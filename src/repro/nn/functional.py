@@ -2,11 +2,10 @@
 
 Everything the paper's models need: activations, normalization,
 softmax/log-softmax (for gates and output heads), fused scaled
-dot-product attention, embedding lookup, dropout and the cross-entropy
-loss.
+dot-product attention, embedding lookup and the cross-entropy loss.
 
 Under :func:`~repro.nn.tensor.inference_mode` the hot primitives
-(gelu, softmax, layer_norm, embedding) skip their backward-only
+(softmax, layer_norm, embedding) skip their backward-only
 intermediates, and they and relu write results into the ambient
 arena's pooled buffers via ``out=`` — same floating-point operations
 in the same order, so outputs stay bit-identical to the training-mode
@@ -41,38 +40,6 @@ def relu(x: Tensor) -> Tensor:
 
     out = np.maximum(x.data, np.float32(0.0), out=_arena_out(x.shape))
     return x._make(out, (x,), backward)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    c = np.float32(np.sqrt(2.0 / np.pi))
-    u = c * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(u, out=u) if is_inference() else np.tanh(u)
-    if is_inference():
-        # Same expression tree as below — ((0.5 * x) * (1 + t)) — with
-        # the final product landing in a pooled buffer.
-        return Tensor(
-            np.multiply(0.5 * x.data, 1.0 + t, out=_arena_out(x.shape))
-        )
-    out = 0.5 * x.data * (1.0 + t)
-
-    def backward(g):
-        du = c * (1.0 + 3 * 0.044715 * x.data**2)
-        dt = (1.0 - t * t) * du
-        grad = 0.5 * (1.0 + t) + 0.5 * x.data * dt
-        return ((x, g * grad),)
-
-    return x._make(out, (x,), backward)
-
-
-def tanh(x: Tensor) -> Tensor:
-    """Hyperbolic tangent."""
-    t = np.tanh(x.data)
-
-    def backward(g):
-        return ((x, g * (1.0 - t * t)),)
-
-    return x._make(t, (x,), backward)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -254,20 +221,6 @@ def scaled_dot_product_attention(
         return ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv))
 
     return Tensor(out, _parents=(q, k, v), _backward=backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-
-    def backward(g):
-        return ((x, g * keep),)
-
-    return x._make(x.data * keep, (x,), backward)
 
 
 def layer_norm(

@@ -16,17 +16,6 @@ def xavier_uniform(
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
-def kaiming_normal(
-    rng: np.random.Generator, fan_in: int, shape=None
-) -> np.ndarray:
-    """He normal initialization for ReLU fan-in."""
-    if fan_in <= 0:
-        raise ValueError("fan_in must be positive")
-    std = np.sqrt(2.0 / fan_in)
-    shape = shape if shape is not None else (fan_in,)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
 def normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Plain scaled normal (embedding tables, GPT-style)."""
     return (rng.standard_normal(shape) * std).astype(np.float32)

@@ -43,8 +43,8 @@ class Module:
         anything that must live longer.
 
         The module is switched to ``eval()`` for the duration (and
-        restored), so dropout is off; outputs are bit-identical to an
-        ``eval()``-mode training-tape forward.
+        restored).  No forward reads the ``training`` flag, so outputs
+        are bit-identical to a training-tape forward in either mode.
         """
         arena = getattr(self, "_inference_arena", None)
         if arena is None:
@@ -184,20 +184,8 @@ class LayerNorm(Module):
         return F.layer_norm(x, self.weight, self.bias, self.eps)
 
 
-class Dropout(Module):
-    """Inverted dropout with its own seeded stream."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        self.p = p
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.rng, training=self.training)
-
-
 class FeedForward(Module):
-    """The transformer fflayer: Linear -> activation -> Linear.
+    """The transformer fflayer: Linear -> ReLU -> Linear.
 
     This is exactly the "expert" of the paper's MoE layer (Section
     2.1): an MoE layer replaces one FeedForward with E of them plus a
@@ -209,19 +197,13 @@ class FeedForward(Module):
         model_dim: int,
         hidden_dim: int,
         rng: np.random.Generator,
-        activation: str = "relu",
     ):
         super().__init__()
         self.fc1 = Linear(model_dim, hidden_dim, rng)
         self.fc2 = Linear(hidden_dim, model_dim, rng)
-        if activation not in ("relu", "gelu"):
-            raise ValueError(f"unsupported activation {activation!r}")
-        self.activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.fc1(x)
-        h = F.relu(h) if self.activation == "relu" else F.gelu(h)
-        return self.fc2(h)
+        return self.fc2(F.relu(self.fc1(x)))
 
 
 class MultiHeadAttention(Module):

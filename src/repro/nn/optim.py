@@ -28,37 +28,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """SGD with optional momentum and decoupled weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-
 #: Elements per slice of an :class:`Adam` step.  A slice's six arrays
 #: (parameter, gradient, both moments, two scratch buffers) take
 #: ~1.5 MiB, so the step's 13 passes over it stay in L2.
@@ -160,25 +129,3 @@ def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
         for p in params:
             p.grad *= scale
     return total
-
-
-class WarmupInverseSqrt:
-    """Transformer LR schedule: linear warmup then inverse sqrt decay."""
-
-    def __init__(self, optimizer: Optimizer, base_lr: float, warmup_steps: int):
-        if warmup_steps < 1:
-            raise ValueError(f"warmup_steps must be >= 1, got {warmup_steps}")
-        self.optimizer = optimizer
-        self.base_lr = base_lr
-        self.warmup_steps = warmup_steps
-        self._step = 0
-
-    def step(self) -> float:
-        """Advance one step; returns the LR now in effect."""
-        self._step += 1
-        if self._step <= self.warmup_steps:
-            lr = self.base_lr * self._step / self.warmup_steps
-        else:
-            lr = self.base_lr * (self.warmup_steps / self._step) ** 0.5
-        self.optimizer.lr = lr
-        return lr

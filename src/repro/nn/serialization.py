@@ -3,12 +3,7 @@
 Checkpoints store MoE expert parameters in the *stacked* bank layout
 (``<bank>.w1`` (E, M, H), ``<bank>.b1`` (E, 1, H), ``<bank>.w2``
 (E, H, M), ``<bank>.b2`` (E, 1, M)) matching
-:class:`~repro.moe.experts.Experts`.  Checkpoints written before the
-bank existed used one FeedForward module per expert
-(``<bank>.experts.items.<i>.fc{1,2}.{weight,bias}``);
-:func:`load_checkpoint` upgrades that layout transparently.  The
-conversion is key-pattern based — it needs no model, only the state
-dict.
+:class:`~repro.moe.experts.Experts`.
 
 Elastic re-sharding support (see :mod:`repro.moe.placement` and
 :mod:`repro.faults.recovery`):
@@ -18,7 +13,7 @@ Elastic re-sharding support (see :mod:`repro.moe.placement` and
   (``save_checkpoint(..., placement=...)`` /
   :func:`checkpoint_placement`), so a resumed or recovered run knows
   where every expert lived;
-* :func:`read_expert_bank` reads one stacked bank back, so recovery
+* :func:`read_expert_bank` reads one named bank back, so recovery
   can restore lost experts row by row
   (:meth:`~repro.moe.experts.Experts.load_expert_slice`);
 * ``save_checkpoint(..., extra_arrays=...)`` stores non-parameter
@@ -31,9 +26,8 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -49,58 +43,8 @@ _EXTRA_PREFIX = "__extra__."
 #: Metadata key under which ``save_checkpoint`` records a placement.
 _PLACEMENT_META_KEY = "expert_placement"
 
-#: Legacy per-expert parameter key:
-#: ``<bank>.experts.items.<i>.fc{1,2}.{weight,bias}`` (the old Experts
-#: held a ModuleList of FeedForwards in its ``experts`` attribute).
-_LEGACY_EXPERT_RE = re.compile(
-    r"^(?:(?P<bank>.+)\.)?experts\.items\.(?P<idx>\d+)"
-    r"\.fc(?P<fc>[12])\.(?P<kind>weight|bias)$"
-)
-
-#: (fc index, weight|bias) -> stacked parameter name.
-_STACKED_NAMES = {
-    ("1", "weight"): "w1",
-    ("1", "bias"): "b1",
-    ("2", "weight"): "w2",
-    ("2", "bias"): "b2",
-}
-
-def stack_expert_state(
-    state: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Upgrade legacy per-expert FFN keys to the stacked bank layout.
-
-    Non-expert keys pass through untouched; a state dict already in
-    stacked layout is returned unchanged (a fresh dict, same arrays).
-    Raises ``KeyError`` if a bank's expert indices have gaps.
-    """
-    out = {
-        key: value
-        for key, value in state.items()
-        if not _LEGACY_EXPERT_RE.match(key)
-    }
-    groups: Dict[tuple, Dict[int, np.ndarray]] = {}
-    for key, value in state.items():
-        match = _LEGACY_EXPERT_RE.match(key)
-        if not match:
-            continue
-        name = _STACKED_NAMES[(match["fc"], match["kind"])]
-        groups.setdefault((match["bank"], name), {})[int(match["idx"])] = (
-            np.asarray(value)
-        )
-    for (bank, name), parts in groups.items():
-        indices = sorted(parts)
-        if indices != list(range(len(indices))):
-            raise KeyError(
-                f"expert bank {bank or '<root>'}.{name}: "
-                f"non-contiguous expert indices {indices}"
-            )
-        slabs = [parts[i] for i in indices]
-        if name in ("b1", "b2"):  # (H,) -> (1, H) per expert
-            slabs = [s.reshape(1, -1) for s in slabs]
-        stacked_key = f"{bank}.{name}" if bank else name
-        out[stacked_key] = np.stack(slabs, axis=0)
-    return out
+#: Parameter names of one stacked expert bank.
+_BANK_NAMES = ("w1", "b1", "w2", "b2")
 
 
 def save_checkpoint(
@@ -191,9 +135,7 @@ def load_checkpoint(
     """Load parameters saved by :func:`save_checkpoint` into ``model``.
 
     Returns the stored metadata dict.  Raises on any name or shape
-    mismatch (strict loading).  Checkpoints written in the legacy
-    per-expert layout are upgraded to the stacked bank layout before
-    loading, so old archives load into current models unchanged.
+    mismatch (strict loading).
     """
     path = Path(path)
     if not path.exists():
@@ -201,7 +143,7 @@ def load_checkpoint(
     with np.load(path, allow_pickle=False) as archive:
         meta_raw = archive[_META_KEY].tobytes().decode("utf-8")
         state = _parameter_arrays(archive)
-    model.load_state_dict(stack_expert_state(state))
+    model.load_state_dict(state)
     return json.loads(meta_raw)
 
 
@@ -235,70 +177,32 @@ def checkpoint_placement(metadata: Dict[str, Any]):
     return ExpertPlacement.from_json_dict(blob)
 
 
-def _bank_bases(state: Dict[str, np.ndarray], num_experts: int) -> List[str]:
-    """Key prefixes of every stacked expert bank with ``num_experts``
-    experts in ``state`` (``""`` for root-level ``w1``..``b2``)."""
-    bases = []
-    for key in state:
-        if key != "w1" and not key.endswith(".w1"):
-            continue
-        base = key[: -len("w1")]
-        names = {n: base + n for n in ("w1", "b1", "w2", "b2")}
-        if not all(n in state for n in names.values()):
-            continue
-        w1 = np.asarray(state[names["w1"]])
-        w2 = np.asarray(state[names["w2"]])
-        b1 = np.asarray(state[names["b1"]])
-        b2 = np.asarray(state[names["b2"]])
-        if w1.ndim != 3 or w1.shape[0] != num_experts:
-            continue
-        _, model_dim, hidden_dim = w1.shape
-        if (
-            w2.shape != (num_experts, hidden_dim, model_dim)
-            or b1.shape != (num_experts, 1, hidden_dim)
-            or b2.shape != (num_experts, 1, model_dim)
-        ):
-            continue
-        bases.append(base)
-    return bases
-
-
 def read_expert_bank(
-    path: Union[str, Path], num_experts: int, prefix: Optional[str] = None
+    path: Union[str, Path], num_experts: int, prefix: str
 ) -> Dict[str, np.ndarray]:
     """The stacked ``w1``/``b1``/``w2``/``b2`` expert bank in a checkpoint.
 
     ``prefix`` names the bank's module path (``"experts"`` in a
     :class:`~repro.moe.layer.MoELayer` checkpoint, ``""`` for a bank at
     the root, ``"blocks.items.3.ffn.experts"`` inside a model; a
-    trailing ``"."`` is optional); ``None`` picks the one
-    bank of ``num_experts`` experts the checkpoint holds.  Legacy
-    per-expert checkpoints are stacked first.  Raises ``KeyError``
-    when the named bank is missing, when no bank has ``num_experts``
-    experts, or when ``prefix=None`` finds more than one.
+    trailing ``"."`` is optional).  Raises ``KeyError`` unless the
+    checkpoint holds all four arrays there, each with ``num_experts``
+    experts.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no checkpoint at {path}")
+    base = prefix if not prefix or prefix.endswith(".") else prefix + "."
     with np.load(path, allow_pickle=False) as archive:
-        state = stack_expert_state(_parameter_arrays(archive))
-    bases = _bank_bases(state, num_experts)
-    if prefix is not None:
-        base = prefix if not prefix or prefix.endswith(".") else prefix + "."
-        if base not in bases:
-            raise KeyError(
-                f"no expert bank {prefix!r} with {num_experts} experts "
-                f"in {path} (found: {sorted(bases)})"
-            )
-    elif len(bases) == 1:
-        base = bases[0]
-    elif not bases:
+        bank = {
+            name: archive[base + name]
+            for name in _BANK_NAMES
+            if base + name in archive.files
+        }
+    if len(bank) < len(_BANK_NAMES) or any(
+        value.shape[:1] != (num_experts,) for value in bank.values()
+    ):
         raise KeyError(
-            f"no stacked expert bank with {num_experts} experts in {path}"
+            f"no expert bank {prefix!r} with {num_experts} experts in {path}"
         )
-    else:
-        raise KeyError(
-            f"{path} holds {len(bases)} expert banks ({sorted(bases)}); "
-            "pass prefix= to pick one"
-        )
-    return {n: state[base + n] for n in ("w1", "b1", "w2", "b2")}
+    return bank

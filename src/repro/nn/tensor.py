@@ -12,8 +12,7 @@ sorts the tape and accumulates gradients into ``.grad`` of leaf
 tensors with ``requires_grad=True``.
 
 **Inference mode.**  :func:`inference_mode` is a process-wide context
-(mirroring ``default_dispatch_mode``) under
-which the tape is never built: :meth:`Tensor._needs_grad` — the single
+under which the tape is never built: :meth:`Tensor._needs_grad` — the single
 guard every op consults before attaching parents and a backward
 closure — reports False, so ``_parents`` stays empty, no closure is
 retained, and every intermediate array is released the moment its
@@ -55,8 +54,7 @@ _ARENA_MIN_ELEMS = 4096
 def inference_mode():
     """Forward-only execution: no autograd tape anywhere inside.
 
-    Process-wide and re-entrant, in the style of
-    ``repro.moe.layer.default_dispatch_mode``.  Inside the block every
+    Process-wide and re-entrant.  Inside the block every
     op short-circuits its tape construction (``_parents`` empty, no
     backward closure), so intermediates die as soon as their consumers
     run and a pure forward pass stops paying training-peak memory.
@@ -726,7 +724,6 @@ def scatter_add(
     values: Tensor,
     indices: np.ndarray,
     num_rows: int,
-    unique_indices: bool = False,
 ) -> Tensor:
     """Differentiable scatter-add of rows into a zero tensor.
 
@@ -739,12 +736,7 @@ def scatter_add(
     Repeated indices accumulate in input order through the
     occurrence-round scatter :func:`_scatter_add_rows`, in training
     and inference alike — bit-identical to ``np.add.at`` but
-    vectorized.  ``unique_indices`` is a caller promise that no index
-    repeats, in which case even that is replaced by a plain
-    fancy-index store.  MoE dispatch destinations
-    (``expert * capacity + slot``) hold at most one token each, so the
-    hot path qualifies.  The promise is trusted, not checked: with
-    duplicate indices the fast path keeps only the last write.
+    vectorized.
     """
     values = Tensor._lift(values)
     idx = np.asarray(indices)
@@ -763,10 +755,7 @@ def scatter_add(
             f"[{idx.min()}, {idx.max()}]"
         )
     out = scratch_zeros((num_rows,) + values.shape[1:], np.float32)
-    if unique_indices:
-        out[idx] = values.data
-    else:
-        _scatter_add_rows(out, idx, values.data)
+    _scatter_add_rows(out, idx, values.data)
 
     def backward(g):
         return ((values, g[idx]),)

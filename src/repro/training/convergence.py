@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..compression.base import get_compressor
-from ..moe import default_dispatch_mode
 from ..data.synthetic_lm import LMConfig, SyntheticLM
 from ..data.synthetic_translation import SyntheticTranslation, TranslationConfig
 from ..models.gpt2_tiny import TransformerLM
 from ..models.transformer import Seq2SeqTransformer
+from ..moe import MoELayer
+from ..nn.modules import Module
 from .trainer import TrainHistory, train_lm, train_translation
 
 #: The paper's Table 6 rows, in order.
@@ -120,6 +121,22 @@ def _mt_model(
     )
 
 
+def _pin_dense(model: Module) -> Module:
+    """Run every MoE layer of ``model`` on the dense reference backend.
+
+    The recorded Table 6 trajectories are measured on the dense
+    reference layer (GShard einsums around the per-expert loop); the
+    sparse production path reassociates reductions, which shifts
+    chaotic training runs, so the study is pinned to the reference
+    numerics.  ``dispatch_mode`` plays no part in construction or the
+    seeded init, so pinning after the build changes nothing else.
+    """
+    for module in model.modules():
+        if isinstance(module, MoELayer):
+            module.dispatch_mode = "dense"
+    return model
+
+
 def run_lm_convergence(
     steps: int = 450,
     batch_size: int = 16,
@@ -134,23 +151,14 @@ def run_lm_convergence(
     corpus = corpus if corpus is not None else default_lm_corpus()
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
-    # The recorded Table 6 trajectories are measured on the dense
-    # reference layer (GShard einsums around the per-expert loop); the
-    # sparse production path reassociates reductions, which shifts
-    # chaotic training runs, so the study is pinned to the reference
-    # numerics.  (The trajectories were still re-recorded once when
-    # the bank's stacked parameter layout landed: global-norm clipping
-    # now sums each stacked grad in one reduction instead of
-    # per-expert pieces.)
-    with default_dispatch_mode("dense"):
-        for variant in variants or list(VARIANTS):
-            model = _lm_model(variant, corpus, scale, seed=seed)
-            history = train_lm(
-                model, corpus, steps=steps, batch_size=batch_size,
-                seed=seed, lr=lr, eval_batches=eval_batches,
-            )
-            metrics[variant] = history.metric
-            histories[variant] = history
+    for variant in variants or list(VARIANTS):
+        model = _pin_dense(_lm_model(variant, corpus, scale, seed=seed))
+        history = train_lm(
+            model, corpus, steps=steps, batch_size=batch_size,
+            seed=seed, lr=lr, eval_batches=eval_batches,
+        )
+        metrics[variant] = history.metric
+        histories[variant] = history
     return ConvergenceResult(
         task="GPT2-Tiny-MoE",
         metric_name="perplexity",
@@ -172,16 +180,14 @@ def run_translation_convergence(
     corpus = corpus if corpus is not None else default_mt_corpus()
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
-    # Pinned to the reference numerics; see run_lm_convergence.
-    with default_dispatch_mode("dense"):
-        for variant in variants or list(VARIANTS):
-            model = _mt_model(variant, corpus, scale, seed=seed)
-            history = train_translation(
-                model, corpus, steps=steps, batch_size=batch_size,
-                seed=seed, lr=lr,
-            )
-            metrics[variant] = history.metric
-            histories[variant] = history
+    for variant in variants or list(VARIANTS):
+        model = _pin_dense(_mt_model(variant, corpus, scale, seed=seed))
+        history = train_translation(
+            model, corpus, steps=steps, batch_size=batch_size,
+            seed=seed, lr=lr,
+        )
+        metrics[variant] = history.metric
+        histories[variant] = history
     return ConvergenceResult(
         task="Transformer-MoE",
         metric_name="bleu",

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster.presets import rtx2080ti
 from repro.compression import (
     CompressedTensor,
     Fp16Compressor,
@@ -130,20 +129,18 @@ def test_compressed_bytes_accounting():
 
 
 def test_cost_models_monotone():
-    gpu = rtx2080ti()
     for name in available_compressors():
         codec = get_compressor(name)
-        small = codec.compress_cost(gpu, 1e6)
-        large = codec.compress_cost(gpu, 1e9)
+        small = codec.compress_cost(1e6)
+        large = codec.compress_cost(1e9)
         assert large >= small
-        assert codec.decompress_cost(gpu, 1e6) >= 0
+        assert codec.decompress_cost(1e6) >= 0
 
 
 def test_noop_costs_zero():
-    gpu = rtx2080ti()
     codec = get_compressor("none")
-    assert codec.compress_cost(gpu, 1e9) == 0.0
-    assert codec.decompress_cost(gpu, 1e9) == 0.0
+    assert codec.compress_cost(1e9) == 0.0
+    assert codec.decompress_cost(1e9) == 0.0
 
 
 def test_compressed_tensor_nbytes():

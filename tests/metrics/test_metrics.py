@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics import corpus_bleu, perplexity_from_nll, sentence_bleu
+from repro.metrics import corpus_bleu, perplexity_from_nll
 
 
 def test_bleu_perfect_match_is_100():
@@ -40,10 +40,6 @@ def test_bleu_validation():
         corpus_bleu([[1]], [[1], [2]])
     with pytest.raises(ValueError):
         corpus_bleu([], [])
-
-
-def test_sentence_bleu_consistency():
-    assert sentence_bleu([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(100.0)
 
 
 def test_bleu_clipping():

@@ -12,6 +12,7 @@ training step does not move by a single bit against them.
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.tensor import gather, segment_matmul
 
 
@@ -23,7 +24,7 @@ def legacy_run_grouped(self, rows, segment_counts):
     )
     b1 = self.b1.reshape(self.num_experts, self.hidden_dim)
     b2 = self.b2.reshape(self.num_experts, self.model_dim)
-    h = self._act(
+    h = F.relu(
         segment_matmul(rows, self.w1, counts) + gather(b1, expert_of_row)
     )
     return segment_matmul(h, self.w2, counts) + gather(b2, expert_of_row)

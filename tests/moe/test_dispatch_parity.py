@@ -116,22 +116,32 @@ def test_dense_mode_still_selectable(rng):
     assert y.shape == (10, 8)
 
 
-def test_default_dispatch_mode_context():
-    from repro.moe import default_dispatch_mode
+def test_table6_pins_each_model_dense(monkeypatch):
+    """The convergence study trains every MoE layer on the dense
+    reference, while its model builders keep the sparse default."""
+    from types import SimpleNamespace
 
-    rng = np.random.default_rng(1)
-    assert MoELayer(8, 16, 4, rng).dispatch_mode == "sparse"
-    with default_dispatch_mode("dense"):
-        assert MoELayer(8, 16, 4, rng).dispatch_mode == "dense"
-        # An explicit argument still wins over the ambient default.
-        assert (
-            MoELayer(8, 16, 4, rng, dispatch_mode="sparse").dispatch_mode
-            == "sparse"
+    from repro.training import convergence
+
+    seen = []
+
+    def record(model, *args, **kwargs):
+        seen.append(
+            [m.dispatch_mode for m in model.modules() if isinstance(m, MoELayer)]
         )
-    assert MoELayer(8, 16, 4, rng).dispatch_mode == "sparse"
-    with pytest.raises(ValueError):
-        with default_dispatch_mode("fast"):
-            pass
+        return SimpleNamespace(metric=0.0)
+
+    monkeypatch.setattr(convergence, "train_lm", record)
+    monkeypatch.setattr(convergence, "train_translation", record)
+    convergence.run_lm_convergence(variants=["Base", "MoE"])
+    convergence.run_translation_convergence(variants=["Base", "MoE w/ZFP"])
+    assert [len(modes) for modes in seen] == [0, 2, 0, 4]
+    assert all(mode == "dense" for modes in seen for mode in modes)
+
+    corpus = convergence.default_lm_corpus()
+    model = convergence._lm_model("MoE", corpus, "tiny", seed=0)
+    modes = [m.dispatch_mode for m in model.modules() if isinstance(m, MoELayer)]
+    assert modes and all(mode == "sparse" for mode in modes)
 
 
 def test_unknown_dispatch_mode_rejected():

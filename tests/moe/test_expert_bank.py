@@ -6,18 +6,15 @@ GEMMs — the production path) must be indistinguishable from
 capacity buffer — the reference) *at every occupied slot*: bit-exact
 forward outputs and gradients matching to 1e-6 (``segment_matmul``
 re-associates the stacked weight-grad reductions).  The loop also runs
-its FFN on the padding slots; no combine ever reads those.  Also
-covers loading checkpoints written in the legacy per-expert layout.
+its FFN on the padding slots; no combine ever reads those.
 """
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.moe import Experts, MoELayer
 from repro.moe.parallel import ExpertParallelGroup
-from repro.nn import Tensor, load_checkpoint, stack_expert_state
+from repro.nn import Tensor
 
 
 def make_bank(num_experts, model_dim, hidden_dim, seed=0):
@@ -142,84 +139,3 @@ def test_run_expert_bounds(rng):
     bank = make_bank(2, 8, 16)
     with pytest.raises(IndexError):
         bank.run_expert(2, Tensor(np.zeros((3, 8), np.float32)))
-
-
-# -- checkpoint layout conversion -------------------------------------------
-
-
-def legacy_expert_keys(state):
-    """Rewrite stacked banks as the old one-FeedForward-per-expert keys."""
-    out = dict(state)
-    for key in [k for k in state if k.endswith(".w1")]:
-        base = key[: -len("w1")]
-        w1, b1 = out.pop(base + "w1"), out.pop(base + "b1")
-        w2, b2 = out.pop(base + "w2"), out.pop(base + "b2")
-        for e in range(w1.shape[0]):
-            prefix = f"{base}experts.items.{e}"
-            out[f"{prefix}.fc1.weight"] = w1[e]
-            out[f"{prefix}.fc1.bias"] = b1[e, 0]
-            out[f"{prefix}.fc2.weight"] = w2[e]
-            out[f"{prefix}.fc2.bias"] = b2[e, 0]
-    return out
-
-
-def test_stack_unstack_round_trip():
-    """Legacy keys upgrade back to exactly the stacked state."""
-    from repro.models import TransformerLM
-
-    model = TransformerLM(
-        vocab_size=20, model_dim=16, hidden_dim=24, num_layers=2,
-        num_heads=2, moe=True, num_experts=4, max_seq_len=16, seed=0,
-    )
-    state = model.state_dict()
-    legacy = legacy_expert_keys(state)
-    assert "blocks.items.0.ffn.experts.experts.items.0.fc1.weight" in legacy
-    assert not any(k.endswith(".w1") for k in legacy)
-    back = stack_expert_state(legacy)
-    assert set(back) == set(state)
-    for key in state:
-        np.testing.assert_array_equal(back[key], state[key])
-
-
-def test_stack_is_noop_on_stacked_state():
-    from repro.models import TransformerLM
-
-    model = TransformerLM(
-        vocab_size=10, model_dim=8, hidden_dim=8, num_layers=1,
-        num_heads=2, moe=True, num_experts=2, max_seq_len=8, seed=0,
-    )
-    state = model.state_dict()
-    again = stack_expert_state(state)
-    assert set(again) == set(state)
-
-
-def test_stack_rejects_index_gaps():
-    legacy = {
-        "experts.items.0.fc1.weight": np.zeros((4, 8), np.float32),
-        "experts.items.2.fc1.weight": np.zeros((4, 8), np.float32),
-    }
-    with pytest.raises(KeyError):
-        stack_expert_state(legacy)
-
-
-def test_per_expert_checkpoint_loads_into_stacked_model(tmp_path):
-    """Legacy-layout archives load transparently."""
-    from repro.models import TransformerLM
-
-    def make(seed):
-        return TransformerLM(
-            vocab_size=20, model_dim=16, hidden_dim=24, num_layers=1,
-            num_heads=2, moe=True, num_experts=4, max_seq_len=16,
-            seed=seed,
-        )
-
-    model = make(0)
-    legacy = legacy_expert_keys(model.state_dict())
-    path = tmp_path / "legacy.npz"
-    meta = np.frombuffer(json.dumps({"step": 9}).encode("utf-8"), np.uint8)
-    np.savez(path, __checkpoint_meta__=meta, **legacy)
-
-    clone = make(7)
-    assert load_checkpoint(clone, path) == {"step": 9}
-    tokens = np.random.default_rng(0).integers(0, 20, (2, 8))
-    np.testing.assert_array_equal(clone(tokens).data, model(tokens).data)

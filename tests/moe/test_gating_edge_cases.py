@@ -106,31 +106,3 @@ def test_expert_choice_forward_zero_tokens(rng):
     assert out.dispatch_mask.shape == (0, 4, 0)
     assert np.isfinite(out.aux_loss.data)
     out.aux_loss.backward()  # tape survives the empty batch
-
-
-@pytest.mark.parametrize("bad_capacity", [-1, -100])
-def test_expert_choice_negative_capacity_rejected(rng, bad_capacity):
-    # Regression: min(cap, num_tokens) used to pass a negative
-    # explicit capacity straight through to top_k_indices, failing
-    # later with a cryptic shape error (or silently misrouting).
-    gate = ExpertChoiceGate(model_dim=8, num_experts=4, rng=rng)
-    x = Tensor(np.zeros((6, 8), dtype=np.float32))
-    with pytest.raises(ValueError, match="capacity"):
-        gate(x, capacity=bad_capacity)
-
-
-@pytest.mark.parametrize("bad_capacity", [-1, -100])
-def test_topk_negative_capacity_rejected(gate, bad_capacity):
-    # Mirrors the expert-choice validation on the top-k gate.
-    x = Tensor(np.zeros((6, 8), dtype=np.float32))
-    with pytest.raises(ValueError, match="capacity"):
-        gate(x, capacity=bad_capacity)
-
-
-def test_expert_choice_explicit_zero_capacity_drops_everything(rng):
-    # capacity=0 with tokens present is valid: every token dropped.
-    gate = ExpertChoiceGate(model_dim=8, num_experts=4, rng=rng)
-    out = gate(Tensor(np.zeros((6, 8), dtype=np.float32)), capacity=0)
-    assert out.capacity == 0
-    assert out.dropped_tokens == 6
-    assert out.dispatch_mask.shape == (6, 4, 0)

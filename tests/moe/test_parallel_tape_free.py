@@ -161,23 +161,3 @@ def test_outputs_outlive_the_next_forward(rng, pipeline, num_chunks):
         assert a.flags.owndata
         for b in outputs[i + 1:]:
             assert not np.shares_memory(a, b)
-
-
-def test_train_mode_noisy_gate_routes_as_before(rng):
-    """``inference_mode()`` leaves ``training`` alone: a train-mode
-    noisy gate draws the same noise and routes as the taped forward."""
-    shards = make_shards(rng)
-    groups = [
-        ExpertParallelGroup(
-            make_layer(seed=3, gate_noise_std=1.0).train(), 4, num_chunks=2
-        )
-        for _ in range(2)
-    ]
-    out = groups[0].forward(shards)
-    assert groups[0].layer.training
-    assert_bits_equal(out, taped_forward(groups[1], shards))
-    # The noise really was drawn: an eval() forward routes differently.
-    evaluated = ExpertParallelGroup(
-        make_layer(seed=3, gate_noise_std=1.0).eval(), 4, num_chunks=2
-    ).forward(shards)
-    assert not all(np.array_equal(a, b) for a, b in zip(evaluated, out))

@@ -189,6 +189,13 @@ def test_scale_up_with_dead_workers_raises():
 def test_checkpoint_bank_prefix_disambiguates(tmp_path, tokens):
     from repro.models import TransformerLM
 
+    def dead_group():
+        group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
+        group.set_dead_workers({1})
+        return group
+
+    # Recovery reads the group's own layer bank, ``experts``: a whole-LM
+    # checkpoint keeps its one 8-expert bank elsewhere and is rejected.
     lm = TransformerLM(
         vocab_size=20, model_dim=16, hidden_dim=24, num_layers=1,
         num_heads=2, moe=True, num_experts=NUM_EXPERTS, max_seq_len=16,
@@ -196,20 +203,14 @@ def test_checkpoint_bank_prefix_disambiguates(tmp_path, tokens):
     )
     ck = tmp_path / "lm.npz"
     save_checkpoint(lm, ck)
-    group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
-    group.set_dead_workers({1})
-    # The LM checkpoint holds exactly one 8-expert bank, so recovery
-    # finds it without a prefix — but its shapes must match the live
-    # bank or the restore is rejected.
-    ctrl = RecoveryController(group, checkpoint=ck)
-    events = ctrl.recover()
-    assert events.source == "checkpoint"
-    with pytest.raises(KeyError, match="no expert bank"):
-        group2 = ExpertParallelGroup(make_layer(), NUM_WORKERS)
-        group2.set_dead_workers({1})
-        RecoveryController(
-            group2, checkpoint=ck, bank_prefix="nope"
-        ).recover()
+    with pytest.raises(KeyError, match="no expert bank 'experts'"):
+        RecoveryController(dead_group(), checkpoint=ck).recover()
+    # An 8-expert layer bank whose shapes differ from the live bank's is
+    # rejected by the live-shape check.
+    wide = MoELayer(16, 32, NUM_EXPERTS, np.random.default_rng(0))
+    save_checkpoint(wide, ck)
+    with pytest.raises(ValueError, match="does not match the live bank"):
+        RecoveryController(dead_group(), checkpoint=ck).recover()
 
 
 # -- in-flight guards (S1) -------------------------------------------------

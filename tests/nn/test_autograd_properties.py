@@ -39,9 +39,9 @@ def test_product_rule(x, y):
 def test_linearity_of_backward(x):
     """grad of (2f) == 2 * grad of f."""
     a1 = Tensor(x, requires_grad=True)
-    F.gelu(a1).sum().backward()
+    F.exp(a1).sum().backward()
     a2 = Tensor(x, requires_grad=True)
-    (F.gelu(a2) * 2.0).sum().backward()
+    (F.exp(a2) * 2.0).sum().backward()
     np.testing.assert_allclose(a2.grad, 2.0 * a1.grad, rtol=1e-4, atol=1e-6)
 
 

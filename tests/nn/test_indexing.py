@@ -102,35 +102,6 @@ class TestScatterAdd:
         with pytest.raises(IndexError):
             scatter_add(v, np.array([0, 5]), num_rows=3)
 
-    def test_unique_indices_parity_with_add_at(self, rng):
-        """The fancy-index fast path == np.add.at when indices are
-        unique — values, untouched-row zeros, and gradients alike."""
-        v_data = rng.standard_normal((6, 3)).astype(np.float32)
-        idx = rng.permutation(10)[:6]  # unique by construction
-        w = rng.standard_normal((10, 3)).astype(np.float32)
-
-        results = {}
-        for unique in (False, True):
-            v = Tensor(v_data.copy(), requires_grad=True)
-            out = scatter_add(v, idx, num_rows=10, unique_indices=unique)
-            (out * Tensor(w)).sum().backward()
-            results[unique] = (out.data.copy(), v.grad.copy())
-
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        np.testing.assert_array_equal(results[True][1], results[False][1])
-        # Rows no index names stay exactly zero on the fast path too.
-        untouched = np.setdiff1d(np.arange(10), idx)
-        assert np.all(results[True][0][untouched] == 0.0)
-
-    def test_unique_indices_empty(self, rng):
-        out = scatter_add(
-            Tensor(np.zeros((0, 2), dtype=np.float32)),
-            np.zeros(0, dtype=np.int64),
-            num_rows=4,
-            unique_indices=True,
-        )
-        np.testing.assert_array_equal(out.data, np.zeros((4, 2)))
-
 
 class TestTakeAlongAxis:
     def test_forward(self, rng):

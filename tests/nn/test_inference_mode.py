@@ -198,7 +198,7 @@ def test_elementwise_and_norm_parity(rng, shape):
     w = rng.standard_normal(shape[-1]).astype(np.float32)
     b = rng.standard_normal(shape[-1]).astype(np.float32)
     _parity(F.relu, x)
-    _parity(F.gelu, x)
+    _parity(F.exp, x)
     _parity(F.softmax, x)
     _parity(lambda t: F.layer_norm(t, Tensor(w), Tensor(b)), x)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Linear, Tensor, WarmupInverseSqrt, clip_grad_norm
+from repro.nn import Adam, clip_grad_norm
 from repro.nn.modules import Parameter
 
 
@@ -20,18 +20,6 @@ def minimize(opt, params, steps=300):
     return float((params[0] ** 2).sum().data)
 
 
-def test_sgd_minimizes_quadratic(rng):
-    params = quadratic_params(rng)
-    final = minimize(SGD(params, lr=0.1), params)
-    assert final < 1e-6
-
-
-def test_sgd_momentum_minimizes(rng):
-    params = quadratic_params(rng)
-    final = minimize(SGD(params, lr=0.05, momentum=0.9), params)
-    assert final < 1e-6
-
-
 def test_adam_minimizes_quadratic(rng):
     params = quadratic_params(rng)
     final = minimize(Adam(params, lr=0.1), params)
@@ -40,7 +28,7 @@ def test_adam_minimizes_quadratic(rng):
 
 def test_weight_decay_shrinks_weights(rng):
     p = Parameter(np.ones(4, dtype=np.float32))
-    opt = SGD([p], lr=0.1, weight_decay=0.5)
+    opt = Adam([p], lr=0.1, weight_decay=0.5)
     p.grad = np.zeros(4, dtype=np.float32)
     opt.step()
     np.testing.assert_allclose(p.data, 0.95 * np.ones(4))
@@ -56,13 +44,11 @@ def test_optimizer_skips_gradless_params(rng):
 def test_optimizer_validation(rng):
     p = Parameter(np.ones(2, dtype=np.float32))
     with pytest.raises(ValueError):
-        SGD([p], lr=0.0)
-    with pytest.raises(ValueError):
-        SGD([p], lr=0.1, momentum=1.0)
+        Adam([p], lr=0.0)
     with pytest.raises(ValueError):
         Adam([p], lr=0.1, betas=(1.0, 0.9))
     with pytest.raises(ValueError):
-        SGD([], lr=0.1)
+        Adam([], lr=0.1)
 
 
 def test_clip_grad_norm(rng):
@@ -77,16 +63,3 @@ def test_clip_grad_norm(rng):
     np.testing.assert_allclose(p.grad, 0.1)
     with pytest.raises(ValueError):
         clip_grad_norm([p], max_norm=0.0)
-
-
-def test_warmup_inverse_sqrt_schedule(rng):
-    p = Parameter(np.ones(2, dtype=np.float32))
-    opt = Adam([p], lr=1.0)
-    sched = WarmupInverseSqrt(opt, base_lr=1.0, warmup_steps=10)
-    lrs = [sched.step() for _ in range(30)]
-    assert lrs[4] == pytest.approx(0.5)
-    assert lrs[9] == pytest.approx(1.0)
-    assert max(lrs) == pytest.approx(1.0)
-    assert lrs[29] == pytest.approx((10 / 30) ** 0.5)
-    with pytest.raises(ValueError):
-        WarmupInverseSqrt(opt, base_lr=1.0, warmup_steps=0)

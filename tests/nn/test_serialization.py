@@ -218,7 +218,7 @@ def test_read_expert_bank_finds_the_one_bank(tmp_path):
     layer = MoELayer(16, 24, 4, np.random.default_rng(0))
     path = tmp_path / "layer.npz"
     save_checkpoint(layer, path)
-    for prefix in (None, "experts", "experts."):
+    for prefix in ("experts", "experts."):
         bank = read_expert_bank(path, 4, prefix=prefix)
         assert sorted(bank) == ["b1", "b2", "w1", "w2"]
         for name, value in bank.items():
@@ -245,16 +245,5 @@ def test_read_expert_bank_raises_on_a_missing_bank(tmp_path):
         read_expert_bank(path, 4, prefix="nope")
     with pytest.raises(KeyError, match="no expert bank"):
         read_expert_bank(path, 8, prefix="blocks.items.0.ffn.experts")
-    plain = tmp_path / "plain.npz"
-    save_checkpoint(make_model(0), plain)
-    with pytest.raises(KeyError, match="no stacked expert bank with 4"):
-        read_expert_bank(plain, 4)
     with pytest.raises(FileNotFoundError):
-        read_expert_bank(tmp_path / "absent.npz", 4)
-
-
-def test_read_expert_bank_raises_on_an_ambiguous_bank(tmp_path):
-    path = tmp_path / "lm.npz"
-    save_checkpoint(two_bank_lm(), path)
-    with pytest.raises(KeyError, match="holds 2 expert banks"):
-        read_expert_bank(path, 4)
+        read_expert_bank(tmp_path / "absent.npz", 4, prefix="experts")
