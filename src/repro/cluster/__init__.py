@@ -16,8 +16,6 @@ table).  It provides:
 from .costmodel import (
     GpuModel,
     LinkModel,
-    a2a_input_bytes,
-    bytes_of,
     expert_capacity,
     fit_alpha_beta,
     fit_gemm_roofline,
@@ -53,8 +51,6 @@ __all__ = [
     "SimulatedOOM",
     "Stream",
     "Timeout",
-    "a2a_input_bytes",
-    "bytes_of",
     "custom_ratio_testbed",
     "ethernet_cluster",
     "expert_capacity",

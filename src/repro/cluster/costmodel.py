@@ -138,11 +138,6 @@ def ffn_forward_flops(tokens: int, model_dim: int, hidden_dim: int) -> float:
     return 2.0 * tokens * model_dim * hidden_dim * 2.0
 
 
-def ffn_backward_flops(tokens: int, model_dim: int, hidden_dim: int) -> float:
-    """Backward pass costs roughly 2x forward (dgrad + wgrad)."""
-    return 2.0 * ffn_forward_flops(tokens, model_dim, hidden_dim)
-
-
 def attention_forward_flops(tokens: int, model_dim: int, seq_len: int) -> float:
     """Approximate flops of a multi-head attention block forward.
 
@@ -154,33 +149,26 @@ def attention_forward_flops(tokens: int, model_dim: int, seq_len: int) -> float:
     return proj + scores
 
 
-def bytes_of(num_elements: float, bits: int = 32) -> float:
-    """Message size in bytes of ``num_elements`` at ``bits`` precision."""
-    if bits <= 0:
-        raise ValueError(f"bits must be positive, got {bits}")
-    return num_elements * bits / 8.0
-
-
-def a2a_input_bytes(
-    batch: int,
-    seq_len: int,
-    model_dim: int,
-    capacity_factor: float,
-    top_k: int,
-    bits: int = 32,
-) -> float:
-    """Paper Eq. (2): per-GPU A2A payload S = f*k*B*L*M*b/8 bytes."""
-    elements = capacity_factor * top_k * batch * seq_len * model_dim
-    return bytes_of(elements, bits)
-
-
 def expert_capacity(
-    batch: int, seq_len: int, num_experts: int, capacity_factor: float, top_k: int
+    tokens: int, num_experts: int, capacity_factor: float, top_k: int
 ) -> int:
-    """Paper Eq. (1): C = f * k * B * L / E, rounded up."""
-    if num_experts <= 0:
-        raise ValueError(f"num_experts must be positive, got {num_experts}")
-    return int(math.ceil(capacity_factor * top_k * batch * seq_len / num_experts))
+    """Paper Eq. (1): slots per expert, ``C = ceil(f * k * T / E)``.
+
+    ``T`` is the B*L tokens routed together.  Clamped to ``[1, T]``:
+    a token contributes at most one assignment per expert (its top-k
+    experts are distinct), so slots beyond ``T`` can never fill and
+    would only pad every (E, C, M) buffer; zero tokens need zero
+    slots.  Both substrates size their buffers from this one rule.
+    """
+    if tokens < 0 or num_experts < 1:
+        raise ValueError(
+            f"need tokens >= 0 and num_experts >= 1, got {tokens} and "
+            f"{num_experts}"
+        )
+    if tokens == 0:
+        return 0
+    cap = math.ceil(capacity_factor * top_k * tokens / num_experts)
+    return max(1, min(cap, tokens))
 
 
 # -- fitting measured costs back into model form -----------------------------

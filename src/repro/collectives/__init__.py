@@ -21,7 +21,6 @@ from .hier_1d import Hier1DA2A
 from .hier_2d import Hier2DA2A
 from .nccl_a2a import NcclA2A
 from .pipe_a2a import PipeA2A, phase_times, theoretical_max_speedup
-from .pxn import PxnA2A
 
 __all__ = [
     "A2AResult",
@@ -30,7 +29,6 @@ __all__ = [
     "Hier2DA2A",
     "NcclA2A",
     "PipeA2A",
-    "PxnA2A",
     "available_a2a",
     "get_a2a",
     "hierarchical_allreduce_time",

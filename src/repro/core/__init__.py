@@ -2,12 +2,13 @@
 
 The paper's primary contribution (Sections 3-4): time-consuming MoE
 operations are modularized behind ``AbsCompressor`` / ``AbsAlltoAll``
-/ ``AbsExpert``; the resulting tasks are profiled and re-ordered by a
-pluggable scheduler, with :class:`OptScheScheduler` implementing the
-provably optimal order of Theorem 1.
+(the experts are :class:`~repro.moe.experts.Experts`); the resulting
+tasks are profiled and re-ordered by a pluggable scheduler, with
+:class:`OptScheScheduler` implementing the provably optimal order of
+Theorem 1.
 """
 
-from .abstractions import AbsAlltoAll, AbsCompressor, AbsExpert, register_plugins
+from .abstractions import AbsAlltoAll, AbsCompressor, register_plugins
 from .imbalance import BALANCED, RoutingSkew
 from .model_executor import ExecutionReport, ModelExecutor
 from .moe_layer import ScheMoELayer
@@ -50,7 +51,6 @@ from .tasks import CHAIN, Task, TaskDurations, TaskKind, make_tasks
 __all__ = [
     "AbsAlltoAll",
     "AbsCompressor",
-    "AbsExpert",
     "BruteForceScheduler",
     "BALANCED",
     "CHAIN",

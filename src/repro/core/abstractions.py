@@ -1,4 +1,4 @@
-"""The three abstraction modules of ScheMoE (paper Section 3.1).
+"""The pluggable abstraction modules of ScheMoE (paper Section 3.1).
 
 The paper modularizes the MoE layer's time-consuming operations behind
 three abstract interfaces so that new implementations plug into the
@@ -9,50 +9,25 @@ scheduling framework unchanged (Listing 1):
   :mod:`repro.compression` (none / fp16 / int8 / zfp).
 * :class:`AbsAlltoAll` — the all-to-all collective (``all_to_all``);
   implemented by :mod:`repro.collectives` (nccl / 1dh / 2dh / pipe).
-* :class:`AbsExpert` — expert computation; default fflayers are "fast
-  enough" (paper), so the abstraction only exposes profiling hooks.
+* the expert abstraction — expert computation.  The paper does not
+  make experts customizable ("the default fflayers are fast enough"),
+  so no base class stands for it here: the experts are
+  :class:`~repro.moe.experts.Experts`, and their task is priced by
+  :meth:`~repro.core.profiler.Profiler.expert_seconds`.
 
 This module re-exports the two pluggable bases under their paper names
-and defines :class:`AbsExpert`, plus :func:`register_plugins`, the
-one-call equivalent of the paper's Listing 2 registration lines.
+and defines :func:`register_plugins`, the one-call equivalent of the
+paper's Listing 2 registration lines.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Type
 
-from ..cluster.costmodel import GpuModel, ffn_forward_flops
 from ..collectives.base import AllToAll as AbsAlltoAll
 from ..collectives.base import register_a2a
 from ..compression.base import Compressor as AbsCompressor
 from ..compression.base import register_compressor
-
-
-class AbsExpert:
-    """Expert-computation abstraction: an fflayer cost/profiling hook.
-
-    The paper does not make experts customizable ("the default
-    fflayers are fast enough") but abstracts them so the profiler can
-    time them and the scheduler can partition them into sub-tasks.
-    """
-
-    def __init__(self, model_dim: int, hidden_dim: int):
-        if model_dim < 1 or hidden_dim < 1:
-            raise ValueError("dimensions must be >= 1")
-        self.model_dim = model_dim
-        self.hidden_dim = hidden_dim
-
-    def forward_flops(self, tokens: int) -> float:
-        """Flops of one forward pass over ``tokens``."""
-        return ffn_forward_flops(tokens, self.model_dim, self.hidden_dim)
-
-    def forward_seconds(self, gpu: GpuModel, tokens: int) -> float:
-        """Predicted forward time on ``gpu``."""
-        return gpu.gemm_time(self.forward_flops(tokens), tensor_core=True)
-
-    def backward_seconds(self, gpu: GpuModel, tokens: int) -> float:
-        """Predicted backward time (dgrad + wgrad ~ 2x forward)."""
-        return 2.0 * self.forward_seconds(gpu, tokens)
 
 
 def register_plugins(

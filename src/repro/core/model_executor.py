@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Tuple
 
-from ..cluster.costmodel import attention_forward_flops
 from ..cluster.engine import Event
 from ..cluster.streams import make_streams
 from ..cluster.topology import ClusterSpec, SimCluster
@@ -101,7 +100,7 @@ class ModelExecutor:
         r = self.partitions
         durations = self._profiler.profile_layer(cfg, r)
         comp_order, comm_order = self.scheduler.order(r, durations)
-        attn_seconds = self._attention_seconds(cfg) / r
+        attn_seconds = self._profiler.attention_seconds(cfg) / r
         wire_chunk = self.compressor.compressed_bytes(cfg.a2a_bytes / r)
 
         # Whole-model stream queues: every layer in the scheduler's
@@ -199,16 +198,6 @@ class ModelExecutor:
             task_finish=finish_times,
             traffic=cluster.stats,
         )
-
-    def _attention_seconds(self, cfg: MoEModelConfig) -> float:
-        if cfg.layer_only:
-            return 0.0
-        gpu = self.spec.gpu
-        return gpu.gemm_time(
-            attention_forward_flops(
-                cfg.tokens_per_gpu, cfg.model_dim, cfg.seq_len
-            )
-        ) + gpu.memory_time(8.0 * cfg.tokens_per_gpu * cfg.model_dim * 4.0)
 
 
 def _wait(event: Event):

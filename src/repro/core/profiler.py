@@ -5,21 +5,26 @@ profiled so the scheduler can order tasks from measured time, not
 assumptions: communication tasks are measured by actually running the
 configured all-to-all algorithm on the simulated cluster;
 compress/decompress tasks are priced by the codec's cost model; expert
-tasks by the GPU GEMM model.
+tasks by the GPU GEMM model.  Its methods are the one home of each
+task's price: :meth:`Profiler.expert_seconds` prices the paper's
+expert abstraction (:class:`~repro.moe.experts.Experts`, two GEMMs)
+and :meth:`Profiler.attention_seconds` a dense attention block; the
+step model (:mod:`repro.core.system`) and the event executor
+(:mod:`repro.core.model_executor`) both ask it.
 
-Alongside point measurements the profiler's probe hooks return the
-curves the planner fits into linear (alpha + beta * size) performance
-models (:class:`LinearPerfModel`), so durations at unmeasured sizes
-can be predicted — the "meta-data (e.g. time performance models)" the
-paper's scheduler consumes.
+The planner samples the same methods at probe sizes and fits the
+curves into linear (alpha + beta * size) performance models
+(:class:`LinearPerfModel`), so durations at unmeasured sizes can be
+predicted — the "meta-data (e.g. time performance models)" the paper's
+scheduler consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..cluster.costmodel import ffn_forward_flops
+from ..cluster.costmodel import attention_forward_flops, ffn_forward_flops
 from ..cluster.topology import ClusterSpec
 from ..collectives.base import AllToAll, measure_a2a
 from ..compression.base import Compressor
@@ -61,7 +66,7 @@ class Profiler:
         self.spec = spec
         self.a2a = a2a
         self.compressor = compressor
-        self._a2a_cache: Dict[Tuple[str, int], float] = {}
+        self._a2a_cache: Dict[Tuple[str, float], float] = {}
         #: Real (cache-missing) A2A measurements this profiler ran —
         #: the planner's probe accounting reads it.
         self.a2a_measurements = 0
@@ -73,7 +78,7 @@ class Profiler:
         Returns ``inf`` when the algorithm runs out of simulated
         device memory (paper Fig. 9(c), 1DH-A2A at large tensors).
         """
-        key = (self.a2a.name, int(round(wire_bytes)))
+        key = (self.a2a.name, wire_bytes)
         if key not in self._a2a_cache:
             result = measure_a2a(self.a2a, self.spec, wire_bytes)
             self._a2a_cache[key] = result.seconds
@@ -93,18 +98,21 @@ class Profiler:
         flops = ffn_forward_flops(tokens, model_dim, hidden_dim)
         return self.spec.gpu.gemm_time(flops, tensor_core=True)
 
-    # -- layer-level profile ----------------------------------------------
-    def expert_tokens_per_gpu(self, cfg: MoEModelConfig) -> int:
-        """Tokens each GPU's local experts process per pass.
+    def attention_seconds(self, cfg: MoEModelConfig) -> float:
+        """Forward time of one dense attention block (0 for ``layer_only``).
 
-        Each of the E experts receives up to C tokens from each of the
-        P GPUs; with E experts spread over P GPUs a GPU computes
-        ``(E / P) * C * P = E * C`` tokens — which equals
-        ``f * k * B * L`` (all of a GPU's routed assignments,
-        rebalanced by the capacity mechanism).
+        Attention runs in fp32: the softmax/masking chain and the fp32
+        A2A-era activation layout keep it off tensor cores.
         """
-        return cfg.num_experts * cfg.capacity
+        if cfg.layer_only:
+            return 0.0
+        gpu = self.spec.gpu
+        tokens = cfg.tokens_per_gpu
+        return gpu.gemm_time(
+            attention_forward_flops(tokens, cfg.model_dim, cfg.seq_len)
+        ) + gpu.memory_time(8.0 * tokens * cfg.model_dim * 4.0)
 
+    # -- layer-level profile ----------------------------------------------
     def profile_layer(
         self, cfg: MoEModelConfig, partitions: int
     ) -> TaskDurations:
@@ -113,7 +121,7 @@ class Profiler:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
         raw_chunk = cfg.a2a_bytes / partitions
         wire_chunk = self.compressor.compressed_bytes(raw_chunk)
-        tokens_chunk = max(1, self.expert_tokens_per_gpu(cfg) // partitions)
+        tokens_chunk = max(1, cfg.expert_tokens_per_gpu // partitions)
         return TaskDurations(
             compress=self.compress_seconds(raw_chunk),
             a2a=self.measure_a2a_seconds(wire_chunk),
@@ -122,42 +130,3 @@ class Profiler:
                 tokens_chunk, cfg.model_dim, cfg.hidden_dim
             ),
         )
-
-    # -- probe hooks (the planner's calibration stage) ---------------------
-    def probe_a2a(
-        self, wire_sizes: List[float]
-    ) -> List[Tuple[float, float]]:
-        """Measure the A2A at each wire size -> ``(bytes, seconds)``.
-
-        OOM sizes report ``inf`` seconds like
-        :meth:`measure_a2a_seconds`; callers decide whether to fit
-        around them or treat them as a feasibility boundary.
-        """
-        return [
-            (float(s), self.measure_a2a_seconds(float(s)))
-            for s in wire_sizes
-        ]
-
-    def probe_codec(
-        self, raw_sizes: List[float]
-    ) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:
-        """Codec cost curves -> (compress, decompress) point lists."""
-        compress = [
-            (float(s), self.compress_seconds(float(s))) for s in raw_sizes
-        ]
-        decompress = [
-            (float(s), self.decompress_seconds(float(s))) for s in raw_sizes
-        ]
-        return compress, decompress
-
-    def probe_expert(
-        self, token_counts: List[int], model_dim: int, hidden_dim: int
-    ) -> List[Tuple[float, float]]:
-        """Expert GEMM curve -> ``(flops, seconds)`` per token count."""
-        points = []
-        for tokens in token_counts:
-            flops = ffn_forward_flops(int(tokens), model_dim, hidden_dim)
-            points.append(
-                (flops, self.expert_seconds(int(tokens), model_dim, hidden_dim))
-            )
-        return points

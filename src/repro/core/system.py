@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cluster.costmodel import attention_forward_flops
 from ..cluster.topology import ClusterSpec
 from ..collectives.allreduce import hierarchical_allreduce_time
 from ..collectives.base import get_a2a
@@ -203,7 +202,7 @@ def estimate_memory_bytes(
     params = local_param_count(cfg, spec) * PARAM_STATE_BYTES
 
     tokens = cfg.tokens_per_gpu
-    assignments = cfg.num_experts * cfg.capacity  # ~ f * k * B * L
+    assignments = cfg.expert_tokens_per_gpu  # ~ f * k * B * L
     elem = 4.0
     # Live working set of one MoE layer: input/output token tensors,
     # dispatched input and expert output at capacity, expert hidden.
@@ -290,7 +289,7 @@ def simulate_model_step(
     if skew is not None and not policy.enforces_capacity:
         # Capacity-free systems size receive buffers for the hot
         # expert's actual intake on its GPU.
-        assignments = cfg.num_experts * cfg.capacity
+        assignments = cfg.expert_tokens_per_gpu
         working = (
             2.0 * assignments * cfg.model_dim
             + assignments * cfg.hidden_dim
@@ -314,17 +313,11 @@ def simulate_model_step(
         )
 
     tokens = cfg.tokens_per_gpu
+    # fwd + 2x bwd
+    attention = cfg.num_layers * 3.0 * profiler.attention_seconds(cfg)
     if cfg.layer_only:
-        attention = 0.0
         head = 0.0
     else:
-        # Attention runs in fp32: the softmax/masking chain and the
-        # fp32 A2A-era activation layout keep it off tensor cores.
-        attn_fwd = gpu.gemm_time(
-            attention_forward_flops(tokens, cfg.model_dim, cfg.seq_len)
-        ) + gpu.memory_time(8.0 * tokens * cfg.model_dim * 4.0)
-        attention = cfg.num_layers * 3.0 * attn_fwd  # fwd + 2x bwd
-
         head_fwd = gpu.gemm_time(
             2.0 * tokens * cfg.model_dim * cfg.vocab_size
         )

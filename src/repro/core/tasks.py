@@ -131,16 +131,7 @@ class TaskDurations:
             2 * self.compress + 2 * self.decompress + self.expert
         ) * partitions
 
-    def scaled(self, expert_factor: float = 1.0) -> "TaskDurations":
-        """A copy with the expert duration scaled (backward ~2x)."""
-        return TaskDurations(
-            compress=self.compress,
-            a2a=self.a2a,
-            decompress=self.decompress,
-            expert=self.expert * expert_factor,
-        )
-
-    def backward(self, expert_factor: float = 2.0) -> "TaskDurations":
+    def backward(self, expert_factor: float) -> "TaskDurations":
         """Durations of the reversed (backward) pass.
 
         The paper notes the data dependency simply reverses during
@@ -148,7 +139,9 @@ class TaskDurations:
         with gradients flowing the other way, so the same scheduling
         problem applies with (a) compress and decompress swapping
         roles (where an activation was compressed, its gradient is
-        decompressed) and (b) the expert costing ~2x (dgrad + wgrad).
+        decompressed) and (b) the expert costing ``expert_factor`` x
+        forward (dgrad + wgrad;
+        :data:`~repro.core.system.BACKWARD_EXPERT_FACTOR`).
         """
         return TaskDurations(
             compress=self.decompress,

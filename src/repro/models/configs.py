@@ -8,9 +8,10 @@ MoE's 6.4 B parameters never have to exist in RAM.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List
+
+from ..cluster.costmodel import expert_capacity
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,6 @@ class MoEModelConfig:
     num_experts: int
     capacity_factor: float = 1.0
     vocab_size: int = 32768
-    num_heads: int = 8
-    dtype_bits: int = 32
     #: Microbenchmark mode: a bare MoE layer with no attention,
     #: embedding or LM head around it (the paper's Table 4 sweep and
     #: Section 6.5 ablation are layer benchmarks, not full models).
@@ -62,29 +61,37 @@ class MoEModelConfig:
 
     @property
     def capacity(self) -> int:
-        """Paper Eq. (1)."""
-        return max(
-            1,
-            int(
-                math.ceil(
-                    self.capacity_factor
-                    * self.top_k
-                    * self.tokens_per_gpu
-                    / self.num_experts
-                )
-            ),
+        """Paper Eq. (1) (:func:`~repro.cluster.costmodel.expert_capacity`)."""
+        return expert_capacity(
+            self.tokens_per_gpu,
+            self.num_experts,
+            self.capacity_factor,
+            self.top_k,
         )
 
     @property
+    def expert_tokens_per_gpu(self) -> int:
+        """Tokens each GPU's local experts process per pass.
+
+        Each of the E experts receives up to C tokens from each of the
+        P GPUs; with E experts spread over P GPUs a GPU computes
+        ``(E / P) * C * P = E * C`` tokens — which equals
+        ``f * k * B * L`` (all of a GPU's routed assignments,
+        rebalanced by the capacity mechanism).
+        """
+        return self.num_experts * self.capacity
+
+    @property
     def a2a_bytes(self) -> float:
-        """Paper Eq. (2): per-GPU A2A payload per MoE layer direction."""
+        """Paper Eq. (2): per-GPU A2A payload per MoE layer direction,
+        at 4 bytes (fp32) per value."""
         elements = (
             self.capacity_factor
             * self.top_k
             * self.tokens_per_gpu
             * self.model_dim
         )
-        return elements * self.dtype_bits / 8.0
+        return elements * 4.0
 
     @property
     def expert_params(self) -> int:
@@ -193,7 +200,6 @@ def bert_large_moe() -> MoEModelConfig:
         top_k=1,
         num_experts=32,
         capacity_factor=1.0,
-        num_heads=16,
     )
 
 

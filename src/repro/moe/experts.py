@@ -1,9 +1,10 @@
 """Expert bank: E independent feed-forward networks over stacked weights.
 
-The paper's ``AbsExpert``: experts are ordinary fflayers (two GEMMs),
-abstracted so the profiler can time them and the scheduler can split
-them into sub-tasks.  This module stores the whole bank as *stacked*
-parameters
+The paper's expert abstraction: experts are ordinary fflayers (two
+GEMMs), abstracted so the profiler can time them
+(:meth:`~repro.core.profiler.Profiler.expert_seconds`) and the
+scheduler can split them into sub-tasks.  This module stores the
+whole bank as *stacked* parameters
 
 * ``w1``: ``(E, M, H)``,  ``b1``: ``(E, 1, H)``
 * ``w2``: ``(E, H, M)``,  ``b2``: ``(E, 1, M)``

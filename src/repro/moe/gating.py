@@ -2,13 +2,14 @@
 
 The gate is a small learned linear layer followed by a softmax (paper
 Section 2.1).  Each token selects its top-k experts; per-expert intake
-is capped at the capacity ``C = ceil(f * k * B * L / E)`` of paper
-Eq. (1), with overflow tokens dropped (their combine weight is zero,
-so they pass through the MoE layer as zeros — exactly GShard's
-behaviour).  Routing *decisions* are discrete and not differentiated;
-the combine *weights* carry gradient through the softmax, and the
-standard load-balancing auxiliary loss keeps the router from
-collapsing onto few experts.
+is capped at the capacity of paper Eq. (1)
+(:func:`~repro.cluster.costmodel.expert_capacity`), with overflow
+tokens dropped (their combine weight is zero, so they pass through
+the MoE layer as zeros — exactly GShard's behaviour).  Routing
+*decisions* are discrete and not differentiated; the combine
+*weights* carry gradient through the softmax, and the standard
+load-balancing auxiliary loss keeps the router from collapsing onto
+few experts.
 
 Slot assignment runs through the fused routing kernel
 (:func:`~repro.moe.routing.route_fused`): one stable argsort over the
@@ -34,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..cluster.costmodel import expert_capacity
 from ..nn import functional as F
 from ..nn.modules import Linear, Module
 from ..nn.tensor import Tensor, is_inference
@@ -271,23 +273,11 @@ class TopKGate(Module):
         self.wg = Linear(model_dim, num_experts, rng, bias=False)
 
     def capacity(self, num_tokens: int) -> int:
-        """Paper Eq. (1) with B*L folded into ``num_tokens``.
-
-        Clamped to ``[1, num_tokens]``: a token contributes at most
-        one assignment per expert (its top-k experts are distinct), so
-        slots beyond ``num_tokens`` can never fill and would only pad
-        every (E, C, M) buffer; zero tokens need zero slots.
-        """
-        if num_tokens < 0:
-            raise ValueError(f"num_tokens must be >= 0, got {num_tokens}")
-        if num_tokens == 0:
-            return 0
-        cap = int(
-            np.ceil(
-                self.capacity_factor * self.top_k * num_tokens / self.num_experts
-            )
+        """Paper Eq. (1) with B*L folded into ``num_tokens``
+        (:func:`~repro.cluster.costmodel.expert_capacity`)."""
+        return expert_capacity(
+            num_tokens, self.num_experts, self.capacity_factor, self.top_k
         )
-        return max(min(cap, num_tokens), 1)
 
     def forward(self, tokens: Tensor) -> GateOutput:
         """Route a flat (num_tokens, model_dim) tensor.

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..cluster.costmodel import expert_capacity
 from ..nn import functional as F
 from ..nn.modules import Linear, Module
 from ..nn.tensor import Tensor, is_inference
@@ -61,22 +62,11 @@ class ExpertChoiceGate(Module):
         self.wg = Linear(model_dim, num_experts, rng, bias=False)
 
     def capacity(self, num_tokens: int) -> int:
-        """Tokens each expert selects: C = ceil(f * k * T / E).
-
-        Zero tokens need zero slots; otherwise clamped to
-        ``[1, num_tokens]`` (an expert cannot select more tokens than
-        exist).
-        """
-        if num_tokens < 0:
-            raise ValueError(f"num_tokens must be >= 0, got {num_tokens}")
-        if num_tokens == 0:
-            return 0
-        cap = int(
-            np.ceil(
-                self.capacity_factor * self.top_k * num_tokens / self.num_experts
-            )
+        """Tokens each expert selects: paper Eq. (1)
+        (:func:`~repro.cluster.costmodel.expert_capacity`)."""
+        return expert_capacity(
+            num_tokens, self.num_experts, self.capacity_factor, self.top_k
         )
-        return max(1, min(cap, num_tokens))
 
     def forward(self, tokens: Tensor) -> GateOutput:
         if tokens.ndim != 2:

@@ -299,7 +299,7 @@ def _probe_raw_sizes(count: int, rng: np.random.Generator) -> List[float]:
 def _probe_token_counts(count: int, rng: np.random.Generator) -> List[int]:
     """Seeded expert-token probe counts spanning the per-chunk range."""
     totals = [
-        replace(MODEL, capacity_factor=f).capacity * MODEL.num_experts
+        replace(MODEL, capacity_factor=f).expert_tokens_per_gpu
         for f in GRID.capacity_factors
     ]
     lo = max(1, min(totals) // max(GRID.partition_degrees))
@@ -347,7 +347,7 @@ def calibrate(spec: ClusterSpec) -> Calibration:
         )
         codec = profiler.compressor
         wire_sizes = [codec.compressed_bytes(s) for s in raw_sizes]
-        points = profiler.probe_a2a(wire_sizes)
+        points = [(s, profiler.measure_a2a_seconds(s)) for s in wire_sizes]
         num_probes += profiler.a2a_measurements
         finite = [(s, t) for s, t in points if np.isfinite(t)]
         oom_sizes = [s for s, t in points if not np.isfinite(t)]
@@ -368,10 +368,11 @@ def calibrate(spec: ClusterSpec) -> Calibration:
             )
             fitted_links[(a2a_name, codec_name)] = link
         if codec_name not in codec_models:
-            comp, dec = profiler.probe_codec(raw_sizes)
+            comp = [profiler.compress_seconds(s) for s in raw_sizes]
+            dec = [profiler.decompress_seconds(s) for s in raw_sizes]
             codec_models[codec_name] = (
-                LinearPerfModel(*fit_alpha_beta(*zip(*comp))),
-                LinearPerfModel(*fit_alpha_beta(*zip(*dec))),
+                LinearPerfModel(*fit_alpha_beta(raw_sizes, comp)),
+                LinearPerfModel(*fit_alpha_beta(raw_sizes, dec)),
             )
 
     gemm_profiler = Profiler(
@@ -379,12 +380,10 @@ def calibrate(spec: ClusterSpec) -> Calibration:
         a2a=get_a2a(GRID.a2a_algorithms[0]),
         compressor=get_compressor("none"),
     )
-    gemm_points = gemm_profiler.probe_expert(
-        token_counts, MODEL.model_dim, MODEL.hidden_dim
-    )
-    num_probes += len(gemm_points)
-    flops = [f for f, _ in gemm_points]
-    times = [t for _, t in gemm_points]
+    dims = (MODEL.model_dim, MODEL.hidden_dim)
+    flops = [ffn_forward_flops(t, *dims) for t in token_counts]
+    times = [gemm_profiler.expert_seconds(t, *dims) for t in token_counts]
+    num_probes += len(token_counts)
     gemm = fit_gemm_roofline(flops, times, name=f"fit[{spec.gpu.name}]")
     gemm_model = LinearPerfModel(*fit_alpha_beta(flops, times))
 

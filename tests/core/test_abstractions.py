@@ -3,24 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cluster.presets import rtx2080ti
 from repro.collectives import available_a2a, get_a2a
 from repro.compression import (
     CompressedTensor,
     available_compressors,
     get_compressor,
 )
-from repro.core import AbsAlltoAll, AbsCompressor, AbsExpert, register_plugins
-
-
-def test_abs_expert_cost_hooks():
-    expert = AbsExpert(model_dim=512, hidden_dim=2048)
-    gpu = rtx2080ti()
-    assert expert.forward_flops(100) == pytest.approx(2 * 100 * 512 * 2048 * 2)
-    fwd = expert.forward_seconds(gpu, 1000)
-    assert expert.backward_seconds(gpu, 1000) == pytest.approx(2 * fwd)
-    with pytest.raises(ValueError):
-        AbsExpert(0, 8)
+from repro.core import AbsAlltoAll, AbsCompressor, register_plugins
 
 
 def test_register_custom_compressor_via_listing2_api():

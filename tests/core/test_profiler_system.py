@@ -1,10 +1,13 @@
 """Tests of the profiler, ScheMoELayer planning, and step simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster import fit_alpha_beta, paper_testbed
-from repro.collectives import get_a2a
+from repro.cluster.costmodel import attention_forward_flops, ffn_forward_flops
+from repro.collectives import get_a2a, measure_a2a
 from repro.compression import get_compressor
 from repro.core import (
     PARTITION_CANDIDATES,
@@ -17,6 +20,7 @@ from repro.core import (
     local_param_count,
     simulate_model_step,
 )
+from repro.core.system import BACKWARD_EXPERT_FACTOR
 from repro.models import bert_large_moe, ct_moe
 
 
@@ -60,11 +64,39 @@ def test_profile_layer_chunking_shrinks_tasks(profiler):
         profiler.profile_layer(ct_moe(12), partitions=0)
 
 
-def test_expert_tokens_match_capacity_math(profiler):
+def test_profiler_a2a_cache_keys_the_exact_size(paper_spec):
+    # Two sizes in one rounding bucket: each gets its own measurement,
+    # whichever was asked first.
+    profiler = Profiler(paper_spec, get_a2a("nccl"), get_compressor("none"))
+    for size in (1000.3, 1000.4):
+        want = measure_a2a(get_a2a("nccl"), paper_spec, size).seconds
+        assert profiler.measure_a2a_seconds(size) == want
+    assert profiler.a2a_measurements == 2
+
+
+def test_expert_tokens_match_capacity_math():
     cfg = ct_moe(12)
-    tokens = profiler.expert_tokens_per_gpu(cfg)
-    # E * C ~ f * k * B * L.
-    assert tokens == cfg.num_experts * cfg.capacity
+    # E * C ~ f * k * B * L, with C = ceil(1.0 * 1 * 136 * 31 / 32).
+    assert cfg.expert_tokens_per_gpu == 32 * 132
+    assert cfg.expert_tokens_per_gpu >= 136 * 31
+
+
+def test_expert_and_attention_pricing(profiler, paper_spec):
+    gpu = paper_spec.gpu
+    fwd = profiler.expert_seconds(1000, 512, 2048)
+    assert fwd == gpu.gemm_time(ffn_forward_flops(1000, 512, 2048), True)
+    cfg = ct_moe(12)
+    tokens = cfg.tokens_per_gpu
+    assert profiler.attention_seconds(cfg) == gpu.gemm_time(
+        attention_forward_flops(tokens, cfg.model_dim, cfg.seq_len)
+    ) + gpu.memory_time(8.0 * tokens * cfg.model_dim * 4.0)
+    layer = replace(cfg, layer_only=True)
+    assert profiler.attention_seconds(layer) == 0.0
+    # Backward: dgrad + wgrad, 2x the expert forward.
+    assert BACKWARD_EXPERT_FACTOR == 2.0
+    durations = profiler.profile_layer(cfg, 2)
+    backward = durations.backward(BACKWARD_EXPERT_FACTOR)
+    assert backward.expert == 2.0 * durations.expert
 
 
 def test_compressed_wire_size_drives_a2a(paper_spec):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CHAIN, Task, TaskDurations, TaskKind, make_tasks
+from repro.core.system import BACKWARD_EXPERT_FACTOR
 
 
 def test_chain_order_matches_paper():
@@ -55,13 +56,6 @@ def test_durations_lookup_and_totals():
     assert d.comp_total(2) == pytest.approx(22.0)
 
 
-def test_durations_scaled():
-    d = TaskDurations(1.0, 3.0, 2.0, 5.0)
-    b = d.scaled(2.0)
-    assert b.expert == 10.0
-    assert b.compress == 1.0
-
-
 def test_durations_validation():
     with pytest.raises(ValueError):
         TaskDurations(-1.0, 1.0, 1.0, 1.0)
@@ -69,7 +63,7 @@ def test_durations_validation():
 
 def test_backward_durations_swap_codec_roles():
     d = TaskDurations(compress=1.0, a2a=3.0, decompress=2.0, expert=5.0)
-    b = d.backward()
+    b = d.backward(BACKWARD_EXPERT_FACTOR)
     assert b.compress == 2.0
     assert b.decompress == 1.0
     assert b.a2a == 3.0
@@ -86,7 +80,7 @@ def test_backward_schedule_symmetry():
     against brute force)."""
     from repro.core.scheduler import get_scheduler
 
-    d = TaskDurations(0.7, 2.5, 1.1, 3.0).backward()
+    d = TaskDurations(0.7, 2.5, 1.1, 3.0).backward(BACKWARD_EXPERT_FACTOR)
     opt = get_scheduler("optsche").schedule(2, d).makespan
     best = get_scheduler("brute-force").schedule(2, d).makespan
     assert opt == pytest.approx(best)
