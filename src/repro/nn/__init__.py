@@ -7,6 +7,7 @@ optimizers (:mod:`~repro.nn.optim`).  All convergence experiments run
 on this substrate for real.
 """
 
+from . import _heap  # noqa: F401  (sets the process's malloc policy)
 from . import functional
 from .buffer_pool import Arena, BufferPool
 from .init import normal, xavier_uniform

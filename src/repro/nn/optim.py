@@ -13,7 +13,7 @@ class Optimizer:
     """Base optimizer over a fixed parameter list."""
 
     def __init__(self, parameters: Iterable[Tensor], lr: float):
-        if lr <= 0:
+        if not lr > 0:  # also rejects NaN
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters: List[Tensor] = list(parameters)
         if not self.parameters:
@@ -63,6 +63,10 @@ class Adam(Optimizer):
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
+        if not eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {eps}")
+        if not weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
         self.weight_decay = weight_decay
@@ -120,7 +124,7 @@ def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
 
     Returns the pre-clip norm.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:  # also rejects NaN
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     params = [p for p in parameters if p.grad is not None]
     total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))

@@ -33,6 +33,7 @@ valid until then and must be copied if they need to live longer.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -168,6 +169,25 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _refs_in_callee(grad: np.ndarray) -> int:
+    return sys.getrefcount(grad)
+
+
+def _sole_owner_refs() -> int:
+    """What ``sys.getrefcount`` reads in :meth:`Tensor._accumulate` on
+    an array that only the backward walk's local holds.
+
+    The call and getrefcount's own argument add references, and how
+    many differs between CPython versions, so the count is measured
+    once on a frame pair shaped like the walk's.
+    """
+    node_grad = np.empty(0, np.float32)
+    return _refs_in_callee(node_grad)
+
+
+_SOLE_OWNER_REFS = _sole_owner_refs()
+
+
 class Tensor:
     """A numpy array with an autograd tape."""
 
@@ -239,10 +259,25 @@ class Tensor:
         return any(t.requires_grad or t._parents for t in tensors)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = grad.astype(np.float32, copy=True)
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif (
+            self._backward is None
+            and grad.dtype == np.float32
+            and grad.flags.c_contiguous
+            and grad.flags.writeable
+            and grad.base is None
+            and sys.getrefcount(grad) <= _SOLE_OWNER_REFS
+        ):
+            # A leaf's fresh gradient that nothing else holds is adopted,
+            # not copied (PyTorch's AccumulateGrad steals on the same
+            # use-count test).  An array the walk also routes to another
+            # parent is still in its ``grads`` dict, so the count rules
+            # out aliasing; so does the caller's seed, which
+            # :meth:`backward`'s ``grad`` keeps.
+            self.grad = grad
+        else:
+            self.grad = grad.astype(np.float32, copy=True)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode AD from this tensor.
@@ -308,6 +343,7 @@ class Tensor:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
+            pgrad = None  # a leftover reference would block adoption
 
     # -- arithmetic ------------------------------------------------------
     @staticmethod
@@ -918,7 +954,9 @@ def segment_matmul(
 
     def backward(g):
         grad_x = np.empty_like(x.data)
-        grad_w = np.zeros_like(weight.data)
+        # Every occupied expert's slice is overwritten below.
+        grad_w = np.empty_like(weight.data)
+        grad_w[counts == 0] = 0.0
         for experts, rows in batched:
             g_b = g[rows]
             grad_x[rows] = np.matmul(

@@ -49,6 +49,15 @@ def test_optimizer_validation(rng):
         Adam([p], lr=0.1, betas=(1.0, 0.9))
     with pytest.raises(ValueError):
         Adam([], lr=0.1)
+    for bad in (
+        dict(lr=float("nan")),
+        dict(eps=float("nan")),
+        dict(eps=-1.0),
+        dict(weight_decay=float("nan")),
+        dict(weight_decay=-0.5),
+    ):
+        with pytest.raises(ValueError):
+            Adam([p], **bad)
 
 
 def test_clip_grad_norm(rng):
@@ -63,3 +72,5 @@ def test_clip_grad_norm(rng):
     np.testing.assert_allclose(p.grad, 0.1)
     with pytest.raises(ValueError):
         clip_grad_norm([p], max_norm=0.0)
+    with pytest.raises(ValueError):
+        clip_grad_norm([p], max_norm=float("nan"))

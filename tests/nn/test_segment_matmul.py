@@ -126,6 +126,43 @@ def test_bucketed_matches_unbucketed(rng, counts):
             assert np.array_equal(a.view(np.int32), ref.view(np.int32))
 
 
+def test_empty_experts_get_zero_weight_grad_from_any_memory(rng, monkeypatch):
+    """The weight gradient starts uninitialised and only the empty
+    experts' slices are zeroed.  With ``np.empty_like`` handing out
+    NaN-filled memory (fresh pages would be zero and pass by luck), the
+    empty experts still read exactly +0.0 and every slice equals the
+    unbucketed loop bit for bit."""
+    import repro.nn.tensor as tensor_module
+
+    counts = np.asarray([4, 0, 4, 1, 0, 3])  # a bucket, singles, empties
+    n, e = int(counts.sum()), len(counts)
+    x = rng.standard_normal((n, 6)).astype(np.float32)
+    w = rng.standard_normal((e, 6, 5)).astype(np.float32)
+    seed = rng.standard_normal((n, 5)).astype(np.float32)
+
+    def grads(fn):
+        xs = Tensor(x.copy(), requires_grad=True)
+        ws = Tensor(w.copy(), requires_grad=True)
+        fn(xs, ws, counts).backward(seed.copy())
+        return xs.grad, ws.grad
+
+    ref_x, ref_w = grads(legacy_segment_matmul)
+    empty_like, calls = np.empty_like, []
+
+    def nan_empty_like(*args, **kwargs):
+        out = empty_like(*args, **kwargs)
+        out.fill(np.nan)
+        calls.append(out.shape)
+        return out
+
+    monkeypatch.setattr(tensor_module.np, "empty_like", nan_empty_like)
+    grad_x, grad_w = grads(segment_matmul)
+    assert w.shape in calls  # the swap ran on the weight gradient
+    assert not grad_w[counts == 0].view(np.int32).any()
+    assert np.array_equal(grad_w.view(np.int32), ref_w.view(np.int32))
+    assert np.array_equal(grad_x.view(np.int32), ref_x.view(np.int32))
+
+
 # -- bucketing threshold -----------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Unit tests of the autograd tensor."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,84 @@ def test_deep_chain_does_not_recurse(rng):
         out = out + 1.0
     out.sum().backward()
     np.testing.assert_allclose(t.grad, np.ones(4))
+
+
+# -- leaf-gradient adoption --------------------------------------------------
+
+
+def _passthrough(leaf, backward):
+    """A one-parent node over ``leaf`` with a hand-written backward."""
+    return Tensor(leaf.data.copy(), _parents=(leaf,), _backward=backward)
+
+
+def test_unaliased_leaf_gradient_is_adopted(a):
+    """A fresh gradient nothing else holds becomes ``.grad`` itself.  The
+    test keeps only a weakref, so it adds no reference of its own."""
+    t = Tensor(a, requires_grad=True)
+    made = []
+
+    def backward(g):
+        fresh = g * 2.0
+        made.append(weakref.ref(fresh))
+        return ((t, fresh),)
+
+    _passthrough(t, backward).backward(np.ones_like(a))
+    assert made[0]() is t.grad
+    np.testing.assert_array_equal(t.grad, 2 * np.ones_like(a))
+
+
+def test_add_does_not_alias_its_parents_gradients(a, rng):
+    """``__add__`` routes one array to both equal-shaped parents; the
+    walk's dict still holds it for the second, so the first copies."""
+    x = Tensor(a.copy(), requires_grad=True)
+    y = Tensor(a.copy(), requires_grad=True)
+    scale = Tensor(rng.standard_normal(a.shape).astype(np.float32))
+    ((x + y) * scale).sum().backward()
+    assert x.grad is not y.grad
+    np.testing.assert_array_equal(x.grad, scale.data)
+    np.testing.assert_array_equal(y.grad, scale.data)
+    x.grad[...] = 7.0
+    np.testing.assert_array_equal(y.grad, scale.data)
+
+
+def test_square_sums_both_contributions(a):
+    t = Tensor(a, requires_grad=True)
+    (t * t).sum().backward()
+    np.testing.assert_array_equal(t.grad, a + a)
+
+
+def test_backward_seed_is_never_adopted(a):
+    """The caller's seed stays the caller's, on a leaf and through a
+    node that hands it on unchanged."""
+    for make in (lambda t: t, lambda t: _passthrough(t, lambda g: ((t, g),))):
+        t = Tensor(a, requires_grad=True)
+        seed = np.ones_like(a)
+        make(t).backward(seed)
+        seed[...] = 5.0
+        np.testing.assert_array_equal(t.grad, np.ones_like(a))
+
+
+def test_adopted_gradient_accumulates_like_a_copy(a, rng):
+    """Two backward() calls without zero_grad: the adopted array
+    accumulates the same bits as the copied one."""
+    seeds = [rng.standard_normal(a.shape).astype(np.float32) for _ in range(2)]
+
+    def run(keep):
+        t = Tensor(a, requires_grad=True)
+        made, kept = [], []
+
+        def backward(g):
+            fresh = g * 3.0
+            made.append(weakref.ref(fresh))
+            if keep:
+                kept.append(fresh)  # a second holder forces the copy
+            return ((t, fresh),)
+
+        node = _passthrough(t, backward)
+        for seed in seeds:
+            node.backward(seed)
+        assert (made[0]() is t.grad) is not keep
+        return t.grad
+
+    adopted, copied = run(keep=False), run(keep=True)
+    assert np.array_equal(adopted.view(np.int32), copied.view(np.int32))
