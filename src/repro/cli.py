@@ -9,7 +9,6 @@ Usage::
     python -m repro faults               # straggler / flapping / retries
     python -m repro reshard              # kill -> recover -> scale-up
     python -m repro pipeline             # sync vs overlap, bit for bit
-    python -m repro infer                # inference path vs the tape
     python -m repro --cluster nvlink_dgx table7
 
 Every command prints the exact text its bench saves under
@@ -19,10 +18,10 @@ run the one builder and renderer of :mod:`repro.systems.tables`, the
 CLI on any ``--cluster`` preset and the bench on the paper testbed,
 where it also asserts the paper's shape.  The study commands run the
 studies of :mod:`repro.systems.planner`, :mod:`~repro.systems.faults`,
-:mod:`~repro.systems.recovery`, :mod:`~repro.systems.pipeline` and
-:mod:`~repro.systems.inference`, and exit 1 after one
-``FAILED: <check>`` line per failing check.  ``pipeline`` and
-``infer`` run on the numerical substrate and ignore ``--cluster``.
+:mod:`~repro.systems.recovery` and :mod:`~repro.systems.pipeline`,
+and exit 1 after one ``FAILED: <check>`` line per failing check.
+``pipeline`` runs on the numerical substrate and ignores
+``--cluster``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .models import PAPER_MODELS
 from .systems import (
     ALL_POLICIES,
     faults,
-    inference,
     pipeline,
     planner,
     recovery,
@@ -97,13 +95,6 @@ STUDIES: Dict[str, Study] = {
         lambda spec: pipeline.run_pipeline_study(),
         lambda report, spec: pipeline.render(report),
         pipeline.failed_checks,
-    ),
-    "infer": Study(
-        "autograd-free inference forward vs training-tape forward "
-        "(ignores --cluster)",
-        lambda spec: inference.run_inference_study(),
-        lambda report, spec: inference.render(report),
-        inference.failed_checks,
     ),
 }
 

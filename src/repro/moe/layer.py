@@ -225,8 +225,7 @@ class MoELayer(Module):
             plan = gate_out.plan
             rows = dispatch_grouped(tokens, plan)
             # Forward-only steps don't keep the wire payload around for
-            # fidelity studies — and must not pin an arena buffer past
-            # the next reset.
+            # fidelity studies.
             self.last_dispatched = None if is_inference() else rows.data
             rows = self._transport(rows)  # first A2A
             expert_rows = self.experts.run_grouped(rows, plan.segment_counts)
@@ -247,11 +246,11 @@ class MoELayer(Module):
     def forward_inference(self, x: Tensor) -> Tensor:
         """Forward-only hot path (see :meth:`Module.forward_inference`).
 
-        Runs the *same* :meth:`forward` code under ``inference_mode()``
-        with the layer's arena installed, so outputs are bit-identical
-        to an ``eval()`` training-tape forward while skipping tape
-        construction, dense-mask densification, aux-loss bookkeeping
-        and ``last_dispatched`` recording.  Requires the sparse
+        Runs the *same* :meth:`forward` code under ``inference_mode()``,
+        so outputs are bit-identical to an ``eval()`` training-tape
+        forward while skipping tape construction, dense-mask
+        densification, aux-loss bookkeeping and ``last_dispatched``
+        recording.  Requires the sparse
         dispatch backend: the dense reference path exists to check
         gradients and would densify (T, E, C) masks on a path that
         must never materialize them.

@@ -24,10 +24,9 @@ the all-to-all.
 
 * The transport (:class:`_Transport`, one per direction) moves bytes.
   It owns the codec on the wire (encode in C1/C2, decode in D1/D2),
-  the per-chunk outbox and inbox, A1/A2's memcpy into pooled staging
-  buffers (:class:`~repro.nn.buffer_pool.BufferPool`), the ``(P, P)``
-  traffic matrix, the wire-time wait, and the return of every staging
-  buffer to the pool, after its decode or after an aborted pass.
+  the per-chunk outbox and inbox, A1/A2's memcpy of each payload into
+  a fresh staging copy, the ``(P, P)`` traffic matrix and the
+  wire-time wait.
 * The forward's routing decides what the bytes are: C1 picks each
   destination's rows (sorted by expert, with segment counts), D1
   assembles one expert-major block per destination, E runs
@@ -54,11 +53,11 @@ is per payload, makes chunking visible — to codec-sized error).
 The forward records no autograd tape: it returns numpy arrays, so
 nothing could backprop through it, and the gate and every task run
 under :func:`~repro.nn.tensor.inference_mode` (no masks, closures or
-aux loss, bit-identical outputs).  It uses no arena either, so every
-returned array is a fresh allocation the caller owns.  A future
-expert-parallel backward must save the per-chunk E inputs it needs
-explicitly, not lean on an incidental tape, and runs its tasks over
-the same transport in the other direction.
+aux loss, bit-identical outputs).  Every returned array is a fresh
+allocation the caller owns.  A future expert-parallel backward must
+save the per-chunk E inputs it needs explicitly, not lean on an
+incidental tape, and runs its tasks over the same transport in the
+other direction.
 
 The group runs only the production path: a layer built with
 ``dispatch_mode="dense"`` is rejected at construction.  Its reference
@@ -73,7 +72,6 @@ import dataclasses
 import functools
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -88,7 +86,6 @@ from ..core.runtime import (
 )
 from ..core.scheduler import Scheduler
 from ..core.tasks import Task, TaskKind
-from ..nn.buffer_pool import BufferPool
 from ..nn.tensor import Tensor, _scatter_add_parts, inference_mode
 from .experts import Experts
 from .layer import MoELayer
@@ -127,10 +124,9 @@ class _Transport:
 
     The forward builds one per direction (dispatch, combine) and only
     hands it payloads: :meth:`post` is C1/C2's encode half,
-    :meth:`send` the whole of A1/A2, :meth:`received` D1/D2's decode
-    half, and :meth:`drain` the cleanup after an aborted pass.  ``meta``
-    is routing data the receiver needs; it travels with its payload
-    untouched and uncounted.
+    :meth:`send` the whole of A1/A2 and :meth:`received` D1/D2's
+    decode half.  ``meta`` is routing data the receiver needs; it
+    travels with its payload untouched and uncounted.
 
     Each chunk's outbox entry is written by one task and popped by its
     chain successor (likewise each ``(chunk, dst)`` inbox entry), so
@@ -140,7 +136,6 @@ class _Transport:
     def __init__(
         self,
         codec: Optional[Compressor],
-        pool: BufferPool,
         num_workers: int,
         link_bandwidth: Optional[float],
     ):
@@ -148,7 +143,6 @@ class _Transport:
         if codec is not None and codec.bits_per_value >= 32:
             codec = None
         self._codec = codec
-        self._pool = pool
         self._link_bandwidth = link_bandwidth
         #: (P, P) bytes staged from src to dst: each payload's encoded
         #: ``nbytes`` under a codec, its fp32 rows without one.
@@ -164,7 +158,7 @@ class _Transport:
     def send(self, c: int) -> None:
         """A1/A2: stage chunk ``c``'s payloads and hold the link for them.
 
-        Staging is a memcpy into pooled buffers; the link is held for
+        Staging is a memcpy of each payload; the link is held for
         the cross-worker bytes by a GIL-released wait, not CPU work
         (the group's ``link_bandwidth`` model).
         """
@@ -178,47 +172,26 @@ class _Transport:
         if self._link_bandwidth and wire_bytes:
             time.sleep(wire_bytes / self._link_bandwidth)
 
-    @contextmanager
-    def received(self, c: int, dst: int):
+    def received(self, c: int, dst: int) -> list:
         """D1/D2: ``(src, meta, rows)`` sent to ``dst`` in chunk ``c``.
 
-        Yields a list in post order, before anything is decoded, so a
-        task can lay out its result from the metas first; ``rows()``
-        decodes that payload to fp32 rows.  Leaving the block returns
-        every staging buffer to the pool, also when a decode or the
-        block raised.  Without a codec ``rows()`` returns those buffers
-        themselves, so copy what outlives the block.
+        A list in post order, before anything is decoded, so a task
+        can lay out its result from the metas first; ``rows()`` decodes
+        that payload to fp32 rows.
         """
-        entries = self._inbox.pop((c, dst), [])
         codec = self._codec
         decode = (lambda rows: rows) if codec is None else codec.decompress
-        try:
-            yield [
-                (src, meta, functools.partial(decode, staged))
-                for src, staged, meta in entries
-            ]
-        finally:
-            self._release(entries)
-
-    def drain(self) -> None:
-        """Release what was staged but never received (an aborted pass)."""
-        for entries in self._inbox.values():
-            self._release(entries)
-        self._inbox.clear()
+        return [
+            (src, meta, functools.partial(decode, staged))
+            for src, staged, meta in self._inbox.pop((c, dst), [])
+        ]
 
     def _stage(self, payload: Payload) -> Payload:
-        take = self._pool.take_copy
         if self._codec is None:
-            return take(payload)
+            return payload.copy()
         return dataclasses.replace(
-            payload, payload={k: take(v) for k, v in payload.payload.items()}
+            payload, payload={k: v.copy() for k, v in payload.payload.items()}
         )
-
-    def _release(self, entries: list) -> None:
-        for _, staged, _ in entries:
-            bufs = [staged] if self._codec is None else staged.payload.values()
-            for buf in bufs:
-                self._pool.release(buf)
 
 
 def _assemble_expert_major(counts: np.ndarray, payloads, width: int):
@@ -256,10 +229,10 @@ def _merge_weighted(
 
     ``got`` is what the receiver got back (``received``'s list), each
     entry's meta the positions in ``idx`` its rows belong to.  Each
-    source's rows are weighted in place (a decode's fresh array, or a
-    staging buffer the transport reclaims anyway) and staged straight
-    into the occurrence-round scatter; a weight is one float multiply
-    per element, as on the assembled ``values``.
+    source's rows are weighted in place (a decode's fresh array, or the
+    transport's own staging copy) and staged straight into the
+    occurrence-round scatter; a weight is one float multiply per
+    element, as on the assembled ``values``.
     """
 
     def weighted(positions, rows):
@@ -358,7 +331,6 @@ class ExpertParallelGroup:
         self.pipeline = validate_pipeline(pipeline)
         self.num_chunks = int(num_chunks)
         self._executor = StreamExecutor(scheduler)
-        self._pool = BufferPool()
         #: Per-task (start, end) seconds of the most recent chunked
         #: forward (both pipeline modes), for overlap introspection.
         self.last_timeline: Optional[dict] = None
@@ -594,7 +566,7 @@ class ExpertParallelGroup:
             np.zeros((shards[w].shape[0], model_dim), dtype=np.float32)
             for w in workers
         ]
-        wire = (self.layer.compressor, self._pool, self.num_workers)
+        wire = (self.layer.compressor, self.num_workers)
         dispatch = _Transport(*wire, self.link_bandwidth)
         combine = _Transport(*wire, self.link_bandwidth)
         # Per-chunk hand-off around E.  Keys are chunk-scoped, every
@@ -649,15 +621,15 @@ class ExpertParallelGroup:
             its rows went) and positions ride along to C2.
             """
             for dst in workers:
-                with dispatch.received(c, dst) as got:
-                    if not got:
-                        continue
-                    srcs, metas, payloads = zip(*got)
-                    counts, positions = zip(*metas)
-                    counts = np.stack(counts)
-                    rows, inverses = _assemble_expert_major(
-                        counts, payloads, model_dim
-                    )
+                got = dispatch.received(c, dst)
+                if not got:
+                    continue
+                srcs, metas, payloads = zip(*got)
+                counts, positions = zip(*metas)
+                counts = np.stack(counts)
+                rows, inverses = _assemble_expert_major(
+                    counts, payloads, model_dim
+                )
                 counts_full = np.zeros(num_experts, dtype=np.int64)
                 counts_full[hosted[dst]] = counts.sum(axis=0)
                 back_index = list(zip(srcs, inverses, positions))
@@ -696,13 +668,12 @@ class ExpertParallelGroup:
                 # +0.0 here (chunks own disjoint token ranges), which
                 # is the scatter's np.add.at-parity contract.
                 lo, hi = chunk_edges[w][c], chunk_edges[w][c + 1]
-                with combine.received(c, w) as got:
-                    _merge_weighted(
-                        outputs[w][lo:hi],
-                        token_ids[w][sel] - lo,
-                        weights[w][sel],
-                        got,
-                    )
+                _merge_weighted(
+                    outputs[w][lo:hi],
+                    token_ids[w][sel] - lo,
+                    weights[w][sel],
+                    combine.received(c, w),
+                )
 
         step = {
             TaskKind.C1: compress_dispatch,
@@ -720,11 +691,7 @@ class ExpertParallelGroup:
             for kind, fn in step.items()
         }
         run = self._executor.run if self.pipeline == "overlap" else run_inline
-        try:
-            self.last_timeline = run(r, fns)
-        finally:
-            dispatch.drain()
-            combine.drain()
+        self.last_timeline = run(r, fns)
 
         self.last_dispatch_traffic = A2ATraffic(dispatch.traffic)
         self.last_combine_traffic = A2ATraffic(combine.traffic)

@@ -9,7 +9,6 @@ on this substrate for real.
 
 from . import _heap  # noqa: F401  (sets the process's malloc policy)
 from . import functional
-from .buffer_pool import Arena, BufferPool
 from .init import normal, xavier_uniform
 from .modules import (
     Embedding,
@@ -32,25 +31,19 @@ from .serialization import (
 )
 from .tensor import (
     Tensor,
-    active_arena,
     concatenate,
     einsum,
     gather,
     inference_mode,
     is_inference,
     scatter_add,
-    scratch_empty,
-    scratch_zeros,
     segment_matmul,
     stack,
-    use_arena,
     where,
 )
 
 __all__ = [
     "Adam",
-    "Arena",
-    "BufferPool",
     "Embedding",
     "FeedForward",
     "LayerNorm",
@@ -62,7 +55,6 @@ __all__ = [
     "Parameter",
     "Sequential",
     "Tensor",
-    "active_arena",
     "clip_grad_norm",
     "concatenate",
     "einsum",
@@ -77,11 +69,8 @@ __all__ = [
     "normal",
     "save_checkpoint",
     "scatter_add",
-    "scratch_empty",
-    "scratch_zeros",
     "segment_matmul",
     "stack",
-    "use_arena",
     "where",
     "xavier_uniform",
 ]

@@ -6,10 +6,8 @@ dot-product attention, embedding lookup and the cross-entropy loss.
 
 Under :func:`~repro.nn.tensor.inference_mode` the hot primitives
 (softmax, layer_norm, embedding) skip their backward-only
-intermediates, and they and relu write results into the ambient
-arena's pooled buffers via ``out=`` — same floating-point operations
-in the same order, so outputs stay bit-identical to the training-mode
-forward.
+intermediates — same floating-point operations in the same order, so
+outputs stay bit-identical to the training-mode forward.
 """
 
 from __future__ import annotations
@@ -18,13 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    _arena_out,
-    _scatter_add_rows,
-    is_inference,
-    scratch_empty,
-)
+from .tensor import Tensor, _scatter_add_rows, is_inference
 
 
 def relu(x: Tensor) -> Tensor:
@@ -38,7 +30,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g):
         return ((x, g * (x.data > 0)),)
 
-    out = np.maximum(x.data, np.float32(0.0), out=_arena_out(x.shape))
+    out = np.maximum(x.data, np.float32(0.0))
     return x._make(out, (x,), backward)
 
 
@@ -64,11 +56,9 @@ def log(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     if is_inference():
-        # Same subtract / exp / divide sequence as below, fused into a
-        # single pooled buffer (exp and the final divide run in place).
-        s = np.subtract(
-            x.data, x.data.max(axis=axis, keepdims=True), out=_arena_out(x.shape)
-        )
+        # Same subtract / exp / divide sequence as below, in one
+        # buffer (exp and the final divide run in place).
+        s = x.data - x.data.max(axis=axis, keepdims=True)
         np.exp(s, out=s)
         np.divide(s, s.sum(axis=axis, keepdims=True), out=s)
         return Tensor(s)
@@ -164,12 +154,12 @@ def scaled_dot_product_attention(
     full = lead + (t_q, t_k)
     n_lead = int(np.prod(lead, dtype=np.int64))
     single = len(blocks) == 1
-    work = scratch_empty(full if single else (n_lead * step * t_k,))
+    work = np.empty(full if single else (n_lead * step * t_k,), np.float32)
     s = None
     if Tensor._needs_grad(q, k, v):
         s = work if single else np.zeros(full, np.float32)
     k_t = np.swapaxes(k.data, -1, -2)
-    out = scratch_empty(lead + (t_q, v.shape[-1]))
+    out = np.empty(lead + (t_q, v.shape[-1]), np.float32)
     for a, b in blocks:
         w = b if causal else t_k
         blk = work.reshape(-1)[: n_lead * (b - a) * w].reshape(lead + (b - a, w))
@@ -232,8 +222,8 @@ def layer_norm(
     inv = 1.0 / np.sqrt(var + eps)
     if is_inference():
         # Identical op sequence to the training path — (x - mu) * inv,
-        # * weight, + bias — chained in place through one pooled buffer.
-        xhat = np.subtract(x.data, mu, out=_arena_out(x.shape))
+        # * weight, + bias — chained in place through one buffer.
+        xhat = x.data - mu
         np.multiply(xhat, inv, out=xhat)
         np.multiply(xhat, weight.data, out=xhat)
         np.add(xhat, bias.data, out=xhat)
@@ -281,9 +271,6 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError(f"indices must be integers, got {idx.dtype}")
     if is_inference():
-        out = _arena_out(idx.shape + weight.data.shape[1:])
-        if out is not None:
-            return Tensor(np.take(weight.data, idx, axis=0, out=out))
         return Tensor(weight.data[idx])
 
     def backward(g):

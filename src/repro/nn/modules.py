@@ -8,18 +8,25 @@ transformer MoE models are assembled from.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import functional as F
-from .buffer_pool import Arena
 from .init import normal, xavier_uniform
-from .tensor import Tensor, inference_mode, use_arena
+from .tensor import Tensor, inference_mode
 
 
 class Module:
     """Base class with parameter discovery and train/eval modes."""
+
+    # Bridge for the end-to-end harness, which in traced runs reads
+    # arena hit/miss counters (benchmarks/e2e/workloads.py:261-269).
+    # There is no arena, so both read 0.  Nothing in src/ or tests/
+    # reads it; it goes with the benchmark change that drops the
+    # harness's ``arena.*`` counters.
+    _inference_arena = SimpleNamespace(stats=lambda: {"hits": 0, "misses": 0})
 
     def __init__(self):
         self.training = True
@@ -34,27 +41,18 @@ class Module:
         """Run :meth:`forward` on the autograd-free fast path.
 
         Enters :func:`~repro.nn.tensor.inference_mode` (no backward
-        closures, no ``_parents``) with a module-owned
-        :class:`~repro.nn.buffer_pool.Arena` installed as the ambient
-        scratch allocator, so large intermediates draw from a pooled
-        free list instead of the heap.  The arena is reset at the
-        *start* of each call: outputs of call N stay readable until
-        call N+1 begins, after which their storage is recycled — copy
-        anything that must live longer.
+        closures, no ``_parents``), so each intermediate is freed as
+        soon as its consumer has run.
 
         The module is switched to ``eval()`` for the duration (and
         restored).  No forward reads the ``training`` flag, so outputs
         are bit-identical to a training-tape forward in either mode.
         """
-        arena = getattr(self, "_inference_arena", None)
-        if arena is None:
-            arena = self._inference_arena = Arena()
         was_training = self.training
         if was_training:
             self.eval()
-        arena.reset()
         try:
-            with inference_mode(), use_arena(arena):
+            with inference_mode():
                 return self.forward(*args, **kwargs)
         finally:
             if was_training:

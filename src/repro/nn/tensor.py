@@ -19,16 +19,6 @@ retained, and every intermediate array is released the moment its
 consumer has run.  Tensors produced inside the context are marked, and
 calling :meth:`Tensor.backward` on one raises instead of silently
 walking an empty tape.
-
-**Arenas.**  :func:`use_arena` installs a step-scoped scratch
-allocator (:class:`~repro.nn.buffer_pool.Arena`).  While *both* an
-arena is active and inference mode is on, the large-output kernels
-below (`matmul`, `gather`, `scatter_add`, `segment_matmul`,
-`concatenate`, elementwise add/mul) write their results into pooled
-buffers via ``out=`` instead of fresh allocations, so a steady-state
-forward loop stops allocating entirely after its first step.  Arena
-buffers are recycled at the caller's ``Arena.reset()`` — outputs are
-valid until then and must be copied if they need to live longer.
 """
 
 from __future__ import annotations
@@ -41,14 +31,9 @@ import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-# -- inference mode + active arena (process-wide, context-managed) ------
+# -- inference mode (process-wide, context-managed) ------------------
 
 _inference_mode = False
-_active_arena = None
-
-#: Below this element count an arena indirection costs more than the
-#: allocation it saves — small results stay on the plain allocator.
-_ARENA_MIN_ELEMS = 4096
 
 
 @contextmanager
@@ -79,79 +64,6 @@ def inference_mode():
 def is_inference() -> bool:
     """Whether an :func:`inference_mode` block is active."""
     return _inference_mode
-
-
-@contextmanager
-def use_arena(arena):
-    """Install ``arena`` as the ambient scratch allocator.
-
-    Only consulted while :func:`inference_mode` is also active (a
-    training forward must keep its intermediates alive for backward,
-    which is exactly what an arena's step-scoped recycling forbids).
-    Nests: the previous arena is restored on exit.
-    """
-    global _active_arena
-    previous = _active_arena
-    _active_arena = arena
-    try:
-        yield arena
-    finally:
-        _active_arena = previous
-
-
-def active_arena():
-    """The ambient arena installed by :func:`use_arena`, or None."""
-    return _active_arena
-
-
-def _elems(shape) -> int:
-    n = 1
-    for s in shape:
-        n *= int(s)
-    return n
-
-
-def scratch_empty(shape, dtype=np.float32) -> np.ndarray:
-    """An uninitialized result buffer: pooled when an arena is active.
-
-    Falls back to ``np.empty`` outside inference mode, without an
-    arena, or for results too small to be worth pooling — callers use
-    it unconditionally and get the right allocator either way.
-    """
-    if (
-        _inference_mode
-        and _active_arena is not None
-        and _elems(shape) >= _ARENA_MIN_ELEMS
-    ):
-        return _active_arena.empty(shape, dtype)
-    return np.empty(shape, dtype=dtype)
-
-
-def scratch_zeros(shape, dtype=np.float32) -> np.ndarray:
-    """Zero-filled variant of :func:`scratch_empty`."""
-    if (
-        _inference_mode
-        and _active_arena is not None
-        and _elems(shape) >= _ARENA_MIN_ELEMS
-    ):
-        return _active_arena.zeros(shape, dtype)
-    return np.zeros(shape, dtype=dtype)
-
-
-def _arena_out(shape) -> Optional[np.ndarray]:
-    """A pooled ``out=`` target, or None when the op should allocate.
-
-    Unlike :func:`scratch_empty` this returns None rather than a fresh
-    array outside the pooled regime, so ops can keep their original
-    (and occasionally cheaper) no-``out`` expression on that path.
-    """
-    if (
-        _inference_mode
-        and _active_arena is not None
-        and _elems(shape) >= _ARENA_MIN_ELEMS
-    ):
-        return _active_arena.empty(shape, np.float32)
-    return None
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -359,16 +271,7 @@ class Tensor:
                 (other, _unbroadcast(g, other.shape)),
             )
 
-        if _inference_mode:
-            data = np.add(
-                self.data,
-                other.data,
-                out=_arena_out(
-                    np.broadcast_shapes(self.data.shape, other.data.shape)
-                ),
-            )
-        else:
-            data = self.data + other.data
+        data = self.data + other.data
         return self._make(data, (self, other), backward)
 
     __radd__ = __add__
@@ -394,16 +297,7 @@ class Tensor:
                 (other, _unbroadcast(g * self.data, other.shape)),
             )
 
-        if _inference_mode:
-            data = np.multiply(
-                self.data,
-                other.data,
-                out=_arena_out(
-                    np.broadcast_shapes(self.data.shape, other.data.shape)
-                ),
-            )
-        else:
-            data = self.data * other.data
+        data = self.data * other.data
         return self._make(data, (self, other), backward)
 
     __rmul__ = __mul__
@@ -460,15 +354,7 @@ class Tensor:
             return ((self, _unbroadcast(ga, a.shape)),
                     (other, _unbroadcast(gb, b.shape)))
 
-        a, b = self.data, other.data
-        if _inference_mode and a.ndim >= 2 and b.ndim >= 2:
-            shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-                a.shape[-2], b.shape[-1],
-            )
-            data = np.matmul(a, b, out=_arena_out(shape))
-        else:
-            data = a @ b
-        return self._make(data, (self, other), backward)
+        return self._make(self.data @ other.data, (self, other), backward)
 
     # -- reductions ------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -557,12 +443,7 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [Tensor._lift(t) for t in tensors]
     arrays = [t.data for t in tensors]
-    if _inference_mode and arrays:
-        shape = list(arrays[0].shape)
-        shape[axis] = sum(a.shape[axis] for a in arrays)
-        data = np.concatenate(arrays, axis=axis, out=_arena_out(tuple(shape)))
-    else:
-        data = np.concatenate(arrays, axis=axis)
+    data = np.concatenate(arrays, axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -633,13 +514,7 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     if x.ndim == 0:
         raise ValueError("cannot gather from a 0-d tensor")
     axis = axis % x.ndim
-    if _inference_mode and axis == 0:
-        data = np.take(
-            x.data, idx, axis=0,
-            out=_arena_out(idx.shape + x.data.shape[1:]),
-        )
-    else:
-        data = np.take(x.data, idx, axis=axis)
+    data = np.take(x.data, idx, axis=axis)
 
     def backward(g):
         grad = np.zeros_like(x.data)
@@ -693,8 +568,7 @@ def _scatter_add_rows(
 
     The forward combine (:func:`scatter_add`, both modes) and the
     backward of :func:`gather` and ``embedding`` all scatter through
-    here.  The padded staging buffer comes from the ambient arena
-    under inference.
+    here.
     """
     _scatter_add_parts(out, idx, values.dtype, ((slice(None), values),))
 
@@ -727,7 +601,7 @@ def _scatter_add_parts(out: np.ndarray, idx: np.ndarray, dtype, parts) -> None:
             values[positions] = rows
         np.add.at(out, idx, values)
     else:
-        pad = scratch_zeros((out.shape[0], depth) + out.shape[1:], dtype)
+        pad = np.zeros((out.shape[0], depth) + out.shape[1:], dtype)
         for positions, rows in parts:
             pad[idx[positions], occ[positions]] = rows
         for r in range(depth):
@@ -790,7 +664,7 @@ def scatter_add(
             f"indices out of range for {num_rows} rows: "
             f"[{idx.min()}, {idx.max()}]"
         )
-    out = scratch_zeros((num_rows,) + values.shape[1:], np.float32)
+    out = np.zeros((num_rows,) + values.shape[1:], np.float32)
     _scatter_add_rows(out, idx, values.data)
 
     def backward(g):
@@ -939,7 +813,7 @@ def segment_matmul(
             batched.append((experts, rows))
         singles = np.asarray(sorted(singles), dtype=np.int64)
 
-    data = scratch_empty((x.shape[0], weight.shape[2]), np.float32)
+    data = np.empty((x.shape[0], weight.shape[2]), np.float32)
     for experts, rows in batched:
         out = np.matmul(x.data[rows], weight.data[experts])
         if bias is not None:

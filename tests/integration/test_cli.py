@@ -7,7 +7,6 @@ import pytest
 
 from repro.cli import COMMANDS, main
 from repro.cluster import paper_testbed
-from repro.moe import MoELayer
 from repro.systems import faults, pipeline, planner, recovery
 from repro.systems.tables import TABLES
 
@@ -184,27 +183,3 @@ def test_pipeline_exits_1_when_a_check_fails(monkeypatch, capsys):
     assert "FAILED: optsche.r2.bytes_within_1pct" in out
     assert "FAILED: optsche.r2.bit_identical" not in out
 
-
-def test_infer_prints_the_bench_sidecar(capsys):
-    """`repro infer` prints exactly the inference bench's lines."""
-    assert main(["infer"]) == 0
-    out = capsys.readouterr().out
-    sidecar = json.loads((OUT_DIR / "inference.json").read_text())
-    assert out.splitlines() == sidecar["lines"]
-
-
-def test_infer_exits_1_when_a_check_fails(monkeypatch, capsys):
-    # An inference forward that nudges one output value is no longer
-    # bit-identical to the tape; it still builds no tape.
-    real = MoELayer.forward_inference
-
-    def nudged(self, x):
-        y = real(self, x)
-        y.data[0, 0] += 1.0
-        return y
-
-    monkeypatch.setattr(MoELayer, "forward_inference", nudged)
-    assert main(["infer"]) == 1
-    out = capsys.readouterr().out
-    assert "FAILED: bit_identical" in out
-    assert "FAILED: no_tape" not in out

@@ -75,19 +75,6 @@ def test_parity_under_capacity_pressure(rng):
     assert_inference_matches(layer, tokens(rng, n=128))
 
 
-def test_steady_state_reuses_the_arena(rng):
-    layer = make_layer()
-    x = Tensor(tokens(rng))
-    layer.forward_inference(x)  # warm-up populates the pool
-    stats = layer._inference_arena.stats()
-    assert stats["misses"] > 0
-    ref = layer.forward_inference(x).data.copy()
-    steady = layer._inference_arena.stats()
-    assert steady["misses"] == stats["misses"]  # zero new allocations
-    assert steady["hits"] > stats["hits"]
-    np.testing.assert_array_equal(ref, layer(x).data)
-
-
 def test_training_flag_and_tape_restored_after_inference(rng):
     layer = make_layer().train()
     x = Tensor(tokens(rng), requires_grad=False)

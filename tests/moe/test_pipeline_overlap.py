@@ -274,5 +274,3 @@ def test_fresh_group_state_is_defined():
     assert group.last_timeline is None
     assert group.last_dispatch_traffic is None
     assert group.last_combine_traffic is None
-    assert group._pool.checked_out == 0
-    assert group._pool.stats()["misses"] == 0

@@ -11,7 +11,7 @@ sign of zero is exactly what a reordered accumulation gets wrong.
 import numpy as np
 import pytest
 
-from repro.nn import Arena, Tensor, inference_mode, use_arena
+from repro.nn import Tensor, inference_mode
 from repro.nn import functional as F
 from repro.nn.modules import Parameter
 from repro.nn.optim import _CHUNK, Adam
@@ -263,14 +263,10 @@ def test_bias_forward_under_inference_matches_training(
     b = spread(rng, (4, 48))
     train = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b)).data
     assert_bits_equal(train, legacy_segment_matmul(x, w, counts, bias=b).data)
-    arena = Arena()
-    with inference_mode(), use_arena(arena):
-        for _ in range(2):  # the second step replays pooled buffers
-            arena.reset()
-            out = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b))
-            assert out._parents == ()
-            assert_bits_equal(out.data, train)
-    arena.reset()
+    with inference_mode():
+        out = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b))
+    assert out._parents == ()
+    assert_bits_equal(out.data, train)
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 5), (4, 6), (3, 5), (5,)])
