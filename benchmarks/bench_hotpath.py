@@ -13,7 +13,7 @@ pair.  The claims and their floors (asserted by
   over one-hot (T, E, C) masks (``O(T * E * C * M)`` work) against the
   capacity-free grouped pair (:func:`~repro.moe.dispatch.dispatch_grouped`
   / :func:`~repro.moe.dispatch.combine_grouped`, ``O(T * k * M)``
-  work), for the top-k and the expert-choice gate — >= 5x each;
+  work) — >= 5x;
 * capacity-freedom: the grouped routed step (sort the flat rows by
   expert, segment-matmul, combine from the flat rows — no (E, C, M)
   buffer) at cf against cf=1 — max/min of the ratios (and 1) <= 2;
@@ -58,7 +58,6 @@ from repro.moe import (
     dispatch,
     dispatch_grouped,
 )
-from repro.moe.gating_ec import ExpertChoiceGate
 from repro.nn import Tensor
 
 from _util import emit, once
@@ -163,7 +162,6 @@ TINY_INFER = {
 #: Each claim's floor on its acceptance value: (comparison, threshold).
 FLOORS = {
     "dispatch_combine_speedup": (">=", 5.0),
-    "ec_dispatch_combine_speedup": (">=", 5.0),
     "grouped_cf_flatness": ("<=", 2.0),
     "overlap_speedup": (">=", 1.15),
     "train_step_speedup": (">", 1.2),
@@ -204,18 +202,16 @@ def paired(a, b) -> dict:
     }
 
 
-def bench_routing(cfg: dict, gate_cls) -> dict:
+def bench_routing(cfg: dict) -> dict:
     """Dense einsum dispatch+combine f+b against the grouped pair.
 
     B is the production pair (:func:`dispatch_grouped` /
-    :func:`combine_grouped`, reading the gate's routing plan exactly
-    as the layer does).  ``gate_cls`` is :class:`TopKGate`
-    (token-major routing) or :class:`ExpertChoiceGate` (the flat
-    expert-major form).
+    :func:`combine_grouped`, reading the :class:`TopKGate`'s routing
+    plan exactly as the layer does).
     """
     tokens, experts = cfg["tokens"], cfg["experts"]
     rng = np.random.default_rng(0)
-    gate = gate_cls(cfg["model_dim"], experts, rng, top_k=cfg["top_k"])
+    gate = TopKGate(cfg["model_dim"], experts, rng, top_k=cfg["top_k"])
     x = Tensor(
         rng.standard_normal((tokens, cfg["model_dim"])).astype(np.float32),
         requires_grad=True,
@@ -412,7 +408,7 @@ def bench_train_step(cfg: dict) -> dict:
     }
 
 
-def make_layer(cfg: dict, gate_type: str) -> MoELayer:
+def make_layer(cfg: dict) -> MoELayer:
     """A seeded ``eval()`` layer at shape ``cfg``."""
     return MoELayer(
         model_dim=cfg["model_dim"],
@@ -421,7 +417,6 @@ def make_layer(cfg: dict, gate_type: str) -> MoELayer:
         rng=np.random.default_rng(0),
         top_k=cfg["top_k"],
         capacity_factor=cfg["capacity_factor"],
-        gate_type=gate_type,
     ).eval()
 
 
@@ -460,15 +455,13 @@ def bench_inference(cfg: dict) -> dict:
     this shape the tape-free forward saves memory, not time: both
     forwards run the same numpy calls.
     """
-    layer = make_layer(cfg, "topk")
+    layer = make_layer(cfg)
     x = make_input(cfg)
     timed = paired(lambda: layer(x), lambda: layer.forward_inference(x))
     # Memory, untimed (tracemalloc slows every allocation), each on a
     # fresh layer.
-    tape_peak = _cold_then_steady_peak(make_layer(cfg, "topk"), x)
-    infer_peak = _cold_then_steady_peak(
-        make_layer(cfg, "topk").forward_inference, x
-    )
+    tape_peak = _cold_then_steady_peak(make_layer(cfg), x)
+    infer_peak = _cold_then_steady_peak(make_layer(cfg).forward_inference, x)
     return {
         "config": dict(cfg),
         **timed,
@@ -479,9 +472,7 @@ def bench_inference(cfg: dict) -> dict:
 
 
 def run_hotpath(tiny: bool = False) -> dict:
-    routing_cfg = TINY if tiny else FULL
-    routing = bench_routing(routing_cfg, TopKGate)
-    routing_ec = bench_routing(routing_cfg, ExpertChoiceGate)
+    routing = bench_routing(TINY if tiny else FULL)
     grouped = bench_grouped(TINY_GROUPED if tiny else FULL_GROUPED)
     overlap = bench_overlap(TINY_OVERLAP if tiny else FULL_OVERLAP)
     step = bench_train_step(TINY_STEP if tiny else FULL_STEP)
@@ -491,14 +482,12 @@ def run_hotpath(tiny: bool = False) -> dict:
         "mode": "tiny" if tiny else "full",
         "pairs": PAIRS,
         "routing": routing,
-        "routing_expert_choice": routing_ec,
         "grouped": grouped,
         "overlap": overlap,
         "train_step": step,
         "inference": inference,
         "acceptance": {
             "dispatch_combine_speedup": routing["ratio"]["median"],
-            "ec_dispatch_combine_speedup": routing_ec["ratio"]["median"],
             "grouped_cf_flatness": grouped["grouped_cf_flatness"],
             "overlap_speedup": overlap["headline"]["ratio"]["median"],
             "train_step_speedup": step["ratio"]["median"],
@@ -545,11 +534,9 @@ def render(report: dict) -> str:
         f"side; A runs first on even pairs, B on odd ({report['mode']})",
         "",
         f"routing: T={c['tokens']} E={c['experts']} k={c['top_k']} "
-        f"M={c['model_dim']} C={c['capacity']} "
-        f"(expert-choice C={report['routing_expert_choice']['config']['capacity']})",
+        f"M={c['model_dim']} C={c['capacity']}",
         header,
         _row("top-k dispatch+combine f+b", report["routing"]),
-        _row("EC dispatch+combine f+b", report["routing_expert_choice"]),
         "",
         "grouped routed step f+b at cf / at "
         f"cf={grouped['base_capacity_factor']:g}:",

@@ -14,8 +14,8 @@ The dense einsums contract over a one-hot (T, E, C) mask — an
 data movement.  They stay as the executable reference semantics.
 
 The production form is *capacity-free* and reads the gate's
-:class:`~repro.moe.routing.RoutingPlan`, the one routing record both
-gate families emit: :func:`dispatch_grouped` gathers the token rows
+:class:`~repro.moe.routing.RoutingPlan`, the one routing record the
+gate emits: :func:`dispatch_grouped` gathers the token rows
 in the plan's expert-major order into contiguous per-expert segments,
 the layout :meth:`~repro.moe.experts.Experts.run_grouped` consumes via
 :func:`~repro.nn.tensor.segment_matmul`.  No ``(E, C, M)`` buffer, no
@@ -96,10 +96,10 @@ def combine_grouped(
     Scales each sorted output row by its differentiable gate weight
     and scatter-adds it straight into the owning token — no gather
     from a capacity buffer, because the rows never left the flat
-    form.  Token destinations repeat (up to k ways for top-k, up to E
-    under expert-choice), so this is the accumulating scatter; the
-    backward is the exact adjoint gather, and the zero gradient at
-    dropped assignments falls out because they were never dispatched.
+    form.  Token destinations repeat (up to k ways), so this is the
+    accumulating scatter; the backward is the exact adjoint gather,
+    and the zero gradient at dropped assignments falls out because
+    they were never dispatched.
     """
     if expert_rows.ndim != 2:
         raise ValueError(
@@ -110,7 +110,9 @@ def combine_grouped(
             f"expert rows {expert_rows.shape} do not match the "
             f"{plan.num_kept} routed assignments"
         )
-    weights = gate_weights[plan.grouped_weight_index].reshape(-1, 1)
+    weights = gate_weights[
+        plan.grouped_token_ids, plan.grouped_choice_ids
+    ].reshape(-1, 1)
     return scatter_add(
         expert_rows * weights, plan.grouped_token_ids, plan.num_tokens
     )

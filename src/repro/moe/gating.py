@@ -50,21 +50,11 @@ class GateOutput:
     dispatch and combine, dense mask densification, expert-parallel
     C1) reads it, and ``expert_load``, ``capacity``, ``slot_indices``,
     ``num_tokens`` and ``num_experts`` are views of it.  Beside the
-    plan the output holds the gate's index arrays and a
-    differentiable tensor of combine weights, in one of two layouts:
-
-    * **token-major** ``(T, k)`` — row t holds token t's k choices:
-      ``expert_indices`` is ``(T, k)`` (a plan slot of ``-1`` marks
-      a dropped assignment) and ``gate_weights`` a differentiable
-      ``(T, k)`` tensor of combine weights (zero at dropped entries).
-      This is :class:`TopKGate`'s natural form; ``token_indices`` is
-      None, because the row index is the token.
-    * **flat** ``(N,)`` — one entry per assignment with no per-token
-      structure: ``expert_indices``/``token_indices`` are aligned
-      ``(N,)`` arrays and ``gate_weights`` a differentiable ``(N,)``
-      tensor.  Gates whose assignment count varies per token —
-      expert-choice, where each *expert* picks its top-C tokens and a
-      token may appear 0..E times — emit this form.
+    plan the output holds the gate's token-major choices — row t
+    holds token t's k choices: ``expert_indices`` is ``(T, k)`` (a
+    plan slot of ``-1`` marks a dropped assignment) and
+    ``gate_weights`` a differentiable ``(T, k)`` tensor of combine
+    weights (zero at dropped entries).
 
     The dense GShard ``(T, E, C)`` operands (``dispatch_mask``,
     ``combine_weights``) are densified lazily from the plan on first
@@ -80,13 +70,11 @@ class GateOutput:
         dropped_tokens: int,
         expert_indices: np.ndarray,
         gate_weights: Tensor,
-        token_indices: Optional[np.ndarray] = None,
     ):
         self.plan = plan
         self.aux_loss = aux_loss
         self.dropped_tokens = dropped_tokens
         self.expert_indices = expert_indices
-        self.token_indices = token_indices
         self.gate_weights = gate_weights
         self._dispatch_mask: Optional[np.ndarray] = None
         self._combine_weights: Optional[Tensor] = None
@@ -107,7 +95,7 @@ class GateOutput:
 
     @property
     def slot_indices(self) -> np.ndarray:
-        """Slot of every assignment (``-1`` = dropped), gate's layout."""
+        """(T, k) slot of every assignment (``-1`` = dropped)."""
         return self.plan.slot_indices
 
     @property
@@ -130,13 +118,10 @@ class GateOutput:
         worker lost mid-step takes its expert shards with it, and the
         tokens routed there are handled by the layer's existing
         capacity-drop semantics — slot ``-1``, zero combine weight,
-        pass through as zeros.  Token-major (top-k) routing
-        additionally *renormalizes* each token's weights over its
-        surviving experts (differentiably, through the same masked
-        softmax-renorm the gate itself uses), so a token that keeps
-        one of its two experts leans fully on it; flat expert-choice
-        routing carries raw unnormalized affinities, so there the dead
-        entries are only zeroed, matching its combine semantics.
+        pass through as zeros.  Each token's weights are then
+        *renormalized* over its surviving experts (differentiably,
+        through the same masked softmax-renorm the gate itself uses),
+        so a token that keeps one of its two experts leans fully on it.
 
         Returns a new :class:`GateOutput` sharing the untouched index
         arrays, with a plan rebuilt by
@@ -166,26 +151,17 @@ class GateOutput:
         survives = Tensor(
             ((self.slot_indices >= 0) & ~hit).astype(np.float32)
         )
-        if self.expert_indices.ndim == 2:  # token-major: renormalize
-            masked = self.gate_weights * survives
-            denom = masked.sum(axis=-1, keepdims=True) + 1e-9
-            weights = masked / denom
-        else:  # flat: raw affinities, zero the dead entries
-            weights = self.gate_weights * survives
+        masked = self.gate_weights * survives
+        denom = masked.sum(axis=-1, keepdims=True) + 1e-9
+        weights = masked / denom
         return GateOutput(
             plan=plan_from_indices(
-                self.expert_indices,
-                slot_indices,
-                self.token_indices,
-                num_experts,
-                self.num_tokens,
-                self.capacity,
+                self.expert_indices, slot_indices, num_experts, self.capacity
             ),
             aux_loss=self.aux_loss,
             dropped_tokens=self.dropped_tokens + int(hit.sum()),
             expert_indices=self.expert_indices,
             gate_weights=weights,
-            token_indices=self.token_indices,
         )
 
     # -- lazy densification --------------------------------------------
@@ -233,7 +209,7 @@ class GateOutput:
             coords = (
                 plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
             )
-            w_idx = plan.kept_weight_index
+            w_idx = (plan.kept_token_ids, plan.kept_choice_ids)
             shape = (plan.num_tokens, plan.num_experts, plan.capacity)
             data = np.zeros(shape, dtype=np.float32)
             data[coords] = norm.data[w_idx]
@@ -320,10 +296,7 @@ class TopKGate(Module):
             aux = Tensor(np.float32(0.0))
         else:
             aux = load_balancing_loss(
-                probs,
-                None,
-                self.num_experts,
-                first_choice_counts=plan.choice_counts[:, 0],
+                probs, plan.choice_counts[:, 0], self.num_experts
             )
         return GateOutput(
             plan=plan,
@@ -335,29 +308,20 @@ class TopKGate(Module):
 
 
 def load_balancing_loss(
-    probs: Tensor,
-    first_choice: Optional[np.ndarray],
-    num_experts: int,
-    first_choice_counts: Optional[np.ndarray] = None,
+    probs: Tensor, first_choice_counts: np.ndarray, num_experts: int
 ) -> Tensor:
     """GShard / Switch auxiliary loss: ``E * sum_e m_e * c_e``.
 
     ``m_e`` is the mean gate probability of expert e over the batch
     (differentiable); ``c_e`` the fraction of tokens whose first
-    choice is e (discrete).  Minimized at uniform routing where it
-    equals 1.  The per-expert first-choice counts may be passed in
-    precomputed (``first_choice_counts``, e.g. a
-    :attr:`~repro.moe.routing.RoutingPlan.choice_counts` column) in
-    place of the raw ``first_choice`` id array.
+    choice is e (discrete), from the ``(E,)`` ``first_choice_counts``
+    (e.g. a :attr:`~repro.moe.routing.RoutingPlan.choice_counts`
+    column).  Minimized at uniform routing where it equals 1.
     """
     num_tokens = probs.shape[0]
     if num_tokens == 0:
         # No tokens: a zero loss still wired to the gate's tape.
         return probs.sum() * 0.0
-    if first_choice_counts is None:
-        first_choice_counts = np.bincount(
-            first_choice, minlength=num_experts
-        )
     counts = first_choice_counts.astype(np.float32)
     frac = counts / max(num_tokens, 1)
     mean_probs = probs.mean(axis=0)  # (E,)

@@ -60,10 +60,9 @@ class MoELayer(Module):
       (T, E, C) masks around the per-expert loop
       (:meth:`~repro.moe.experts.Experts.forward`).
 
-    Both compute the same outputs and gradients for every gate type
-    (top-k emits token-major ``(T, k)`` indices, expert-choice flat
-    ``(N,)`` indices): expert outputs agree bit-for-bit, combined
-    tokens to float-addition reassociation (~1e-6).
+    Both compute the same outputs and gradients: expert outputs agree
+    bit-for-bit, combined tokens to float-addition reassociation
+    (~1e-6).
 
     The layer itself never chunks: the paper's Section 4 pipeline (the
     C1 A1 D1 E C2 A2 D2 chain per chunk on two streams) runs in
@@ -81,7 +80,6 @@ class MoELayer(Module):
         top_k: int = 2,
         capacity_factor: float = 1.0,
         compressor: Optional[Compressor] = None,
-        gate_type: str = "topk",
         dispatch_mode: str = "sparse",
     ):
         super().__init__()
@@ -92,29 +90,13 @@ class MoELayer(Module):
             )
         self.dispatch_mode = dispatch_mode
         self.model_dim = model_dim
-        if gate_type == "topk":
-            self.gate = TopKGate(
-                model_dim,
-                num_experts,
-                rng,
-                top_k=top_k,
-                capacity_factor=capacity_factor,
-            )
-        elif gate_type == "expert-choice":
-            from .gating_ec import ExpertChoiceGate
-
-            self.gate = ExpertChoiceGate(
-                model_dim,
-                num_experts,
-                rng,
-                capacity_factor=capacity_factor,
-                top_k=top_k,
-            )
-        else:
-            raise ValueError(
-                f"unknown gate_type {gate_type!r}; "
-                "expected 'topk' or 'expert-choice'"
-            )
+        self.gate = TopKGate(
+            model_dim,
+            num_experts,
+            rng,
+            top_k=top_k,
+            capacity_factor=capacity_factor,
+        )
         self.experts = Experts(num_experts, model_dim, hidden_dim, rng)
         self.compressor = compressor
         #: Experts currently considered lost (graceful degradation);

@@ -553,7 +553,9 @@ class ExpertParallelGroup:
             plans.append(plan)
             token_ids.append(plan.kept_token_ids)
             weights.append(
-                gate_outputs[w].gate_weights.data[plan.kept_weight_index]
+                gate_outputs[w].gate_weights.data[
+                    plan.kept_token_ids, plan.kept_choice_ids
+                ]
             )
             bounds = chunk_bounds(shards[w].shape[0], r)
             chunk_edges.append(bounds)

@@ -42,17 +42,15 @@ what a per-chunk stable argsort would — so a chunk's routing is a
 masked slice of the plan.
 
 :func:`plan_from_indices` is the one other builder: it derives the
-same plan from arbitrary sparse index arrays (either layout) for
-routings that do not come out of the fused top-k kernel — the
-expert-choice gate's flat routing, and degraded routings whose slot
-holes break the FCFS-prefix invariant
+same plan from arbitrary ``(T, k)`` index arrays for degraded
+routings whose slot holes break the FCFS-prefix invariant
 (:meth:`GateOutput.with_experts_dropped`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -63,16 +61,18 @@ class RoutingPlan:
 
     Arrays come in three alignments:
 
-    * per-assignment (``slot_indices`` — token-major ``(T, k)`` or
-      flat ``(N,)``, matching the gate's layout);
+    * per-assignment (``slot_indices`` — token-major ``(T, k)``, the
+      gate's layout);
     * kept-assignment order (``kept_*`` — the ``np.nonzero`` scan
-      order of the kept mask, i.e. ascending flat position);
+      order of the kept mask, i.e. ascending ``(t, c)``);
     * grouped (expert-major) order (``grouped_*`` — kept assignments
       sorted stably by expert, the ``segment_matmul`` layout).
 
     ``grouped_kept_pos`` is the permutation between the last two: it
     maps each grouped row to its position in the kept-order arrays
-    (``kept_token_ids[grouped_kept_pos] == grouped_token_ids``).
+    (``kept_token_ids[grouped_kept_pos] == grouped_token_ids``).  A
+    ``(token, choice)`` id pair indexes the gate's ``(T, k)`` arrays,
+    e.g. its combine weight.
     """
 
     num_tokens: int
@@ -83,7 +83,7 @@ class RoutingPlan:
     counts: np.ndarray
     #: (E, k) assignments per (expert, choice) — fused top-k only.
     choice_counts: Optional[np.ndarray]
-    #: Slot of every assignment (``-1`` = dropped), gate's layout.
+    #: (T, k) slot of every assignment (``-1`` = dropped).
     slot_indices: np.ndarray
     #: Assignments dropped by the capacity cut.
     dropped_assignments: int
@@ -92,8 +92,7 @@ class RoutingPlan:
     kept_token_ids: np.ndarray
     kept_expert_ids: np.ndarray
     kept_slot_ids: np.ndarray
-    #: Index tuple selecting each kept assignment's gate weight.
-    kept_weight_index: Tuple[np.ndarray, ...]
+    kept_choice_ids: np.ndarray
 
     #: (N,) grouped row -> position in the kept-order arrays.
     grouped_kept_pos: np.ndarray
@@ -101,8 +100,8 @@ class RoutingPlan:
     grouped_token_ids: np.ndarray
     #: (N,) expert of each grouped row (non-decreasing).
     grouped_expert_ids: np.ndarray
-    #: Index tuple selecting each grouped row's gate weight.
-    grouped_weight_index: Tuple[np.ndarray, ...]
+    #: (N,) choice column of each grouped row.
+    grouped_choice_ids: np.ndarray
     #: (E,) kept assignments per expert — the segment lengths.
     segment_counts: np.ndarray
 
@@ -175,11 +174,11 @@ def route_fused(
             kept_token_ids=empty,
             kept_expert_ids=empty,
             kept_slot_ids=empty,
-            kept_weight_index=(empty, empty),
+            kept_choice_ids=empty,
             grouped_kept_pos=empty,
             grouped_token_ids=empty,
             grouped_expert_ids=empty,
-            grouped_weight_index=(empty, empty),
+            grouped_choice_ids=empty,
             segment_counts=np.zeros(num_experts, dtype=np.int64),
         )
 
@@ -246,11 +245,11 @@ def route_fused(
         kept_token_ids=kept_token_ids,
         kept_expert_ids=kept_expert_ids,
         kept_slot_ids=kept_slot_ids,
-        kept_weight_index=(kept_token_ids, kept_choice_ids),
+        kept_choice_ids=kept_choice_ids,
         grouped_kept_pos=grouped_kept_pos,
         grouped_token_ids=grouped_token_ids,
         grouped_expert_ids=top_idx[grouped_token_ids, grouped_choice_ids],
-        grouped_weight_index=(grouped_token_ids, grouped_choice_ids),
+        grouped_choice_ids=grouped_choice_ids,
         segment_counts=np.minimum(counts, capacity),
     )
 
@@ -258,22 +257,22 @@ def route_fused(
 def plan_from_indices(
     expert_indices: np.ndarray,
     slot_indices: np.ndarray,
-    token_indices: Optional[np.ndarray],
     num_experts: int,
-    num_tokens: int,
     capacity: int,
 ) -> RoutingPlan:
-    """Build a plan from arbitrary sparse index arrays (either layout).
+    """Build a plan from arbitrary ``(T, k)`` index arrays.
 
-    The builder for routings that did not come out of
-    :func:`route_fused` — flat expert-choice indices (already
-    expert-major, so the sort is the identity), or token-major
-    routings whose slots are no longer an FCFS prefix (dead-expert
-    degradation punches holes).  An ``np.nonzero`` scan of the kept
-    mask, then one stable argsort over the kept expert ids.
+    The builder for top-k routings whose slots are no longer an FCFS
+    prefix (dead-expert degradation punches holes), which
+    :func:`route_fused` cannot take.  An ``np.nonzero`` scan of the
+    kept mask, then one stable argsort over the kept expert ids.
     """
     expert_indices = np.asarray(expert_indices)
     slot_indices = np.asarray(slot_indices)
+    if expert_indices.ndim != 2:
+        raise ValueError(
+            f"routing indices must be (T, k), got {expert_indices.shape}"
+        )
     if expert_indices.shape != slot_indices.shape:
         raise ValueError(
             f"expert_indices {expert_indices.shape} and slot_indices "
@@ -287,34 +286,15 @@ def plan_from_indices(
             f"expert index {int(expert_indices.max())} out of range for "
             f"{num_experts} experts"
         )
-    if expert_indices.ndim == 2:
-        kept = slot_indices >= 0
-        kept_token_ids, kept_choice_ids = np.nonzero(kept)
-        kept_expert_ids = expert_indices[kept_token_ids, kept_choice_ids]
-        kept_slot_ids = slot_indices[kept_token_ids, kept_choice_ids]
-        kept_weight_index = (kept_token_ids, kept_choice_ids)
-    elif expert_indices.ndim == 1:
-        if token_indices is None:
-            raise ValueError(
-                "flat (N,) routing indices require token_indices"
-            )
-        token_indices = np.asarray(token_indices)
-        (pos,) = np.nonzero(slot_indices >= 0)
-        kept_token_ids = token_indices[pos]
-        kept_expert_ids = expert_indices[pos]
-        kept_slot_ids = slot_indices[pos]
-        kept_weight_index = (pos,)
-    else:
-        raise ValueError(
-            f"routing indices must be (T, k) or flat (N,), got "
-            f"{expert_indices.shape}"
-        )
+    kept_token_ids, kept_choice_ids = np.nonzero(slot_indices >= 0)
+    kept_expert_ids = expert_indices[kept_token_ids, kept_choice_ids]
+    kept_slot_ids = slot_indices[kept_token_ids, kept_choice_ids]
     order = np.argsort(kept_expert_ids, kind="stable")
     segment_counts = np.bincount(
         kept_expert_ids, minlength=num_experts
     ).astype(np.int64)
     return RoutingPlan(
-        num_tokens=num_tokens,
+        num_tokens=expert_indices.shape[0],
         num_experts=num_experts,
         capacity=capacity,
         counts=counts_all,
@@ -324,13 +304,10 @@ def plan_from_indices(
         kept_token_ids=kept_token_ids,
         kept_expert_ids=kept_expert_ids,
         kept_slot_ids=kept_slot_ids,
-        kept_weight_index=kept_weight_index,
+        kept_choice_ids=kept_choice_ids,
         grouped_kept_pos=order,
         grouped_token_ids=kept_token_ids[order],
         grouped_expert_ids=kept_expert_ids[order],
-        grouped_weight_index=tuple(
-            np.asarray(ix)[order] for ix in kept_weight_index
-        ),
+        grouped_choice_ids=kept_choice_ids[order],
         segment_counts=segment_counts,
     )
-

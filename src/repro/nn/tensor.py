@@ -533,9 +533,8 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
 #: Deepest index multiplicity the padded round-sum scatter handles:
 #: its (rows, depth, ...) staging buffer and its depth sequential adds
 #: both scale with the deepest duplicate, so past ~top-k depths the
-#: buffered ``np.add.at`` is the better loser.  Expert-choice combines
-#: (a token selected by up to E experts) and the embedding gradient of
-#: a frequent token fall back there.
+#: buffered ``np.add.at`` is the better loser.  The embedding gradient
+#: of a frequent token falls back there.
 _SCATTER_ROUNDS_MAX_DEPTH = 8
 
 

@@ -14,7 +14,6 @@ from repro.cluster.costmodel import (
 )
 from repro.models import MoEModelConfig
 from repro.moe.gating import TopKGate
-from repro.moe.gating_ec import ExpertChoiceGate
 
 
 def test_link_alpha_beta():
@@ -108,17 +107,15 @@ def test_expert_capacity_matches_eq1():
     assert expert_capacity(0, 8, 1.0, 2) == 0
     assert expert_capacity(4, 1, 1.5, 2) == 4  # f*k > E: ceil(12) -> T
     assert expert_capacity(3, 64, 0.01, 1) == 1
-    # Both gates and the timing substrate's config size capacity with
+    # The gate and the timing substrate's config size capacity with
     # this one rule, the T clamp included (f*k > E at E=1, k=2).
     rng = np.random.default_rng(0)
     grid = itertools.product((1, 4, 24, 130), (1, 2, 8), (1, 2), (1.0, 1.5))
     for tokens, num_experts, top_k, f in grid:
         want = expert_capacity(tokens, num_experts, f, top_k)
         assert 1 <= want <= tokens
-        gates = [ExpertChoiceGate(4, num_experts, rng, f, top_k)]
         if top_k <= num_experts:
-            gates.append(TopKGate(4, num_experts, rng, top_k, f))
-        for gate in gates:
+            gate = TopKGate(4, num_experts, rng, top_k, f)
             assert gate.capacity(tokens) == want
         cfg = MoEModelConfig(
             name="eq1", num_layers=1, batch_per_gpu=1, seq_len=tokens,

@@ -64,20 +64,6 @@ def test_with_experts_dropped_validates_range(rng):
         out.with_experts_dropped({4})
 
 
-def test_expert_choice_drop_zeroes_without_renorm(rng):
-    layer = make_layer(rng, gate_type="expert-choice").eval()
-    tokens = rng.standard_normal((16, 16)).astype(np.float32)
-    out = layer.gate(Tensor(tokens))
-    degraded = out.with_experts_dropped({0})
-    dead = out.expert_indices == 0
-    # Dead entries zeroed; surviving entries carry their original raw
-    # affinities untouched (EC does not renormalize per token).
-    assert np.all(degraded.gate_weights.data[dead] == 0.0)
-    np.testing.assert_array_equal(
-        degraded.gate_weights.data[~dead], out.gate_weights.data[~dead]
-    )
-
-
 def test_renorm_carries_gradient(rng):
     """Degraded combine weights still backprop into the router."""
     layer = make_layer(rng).eval()

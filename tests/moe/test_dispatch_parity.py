@@ -153,45 +153,8 @@ def test_plan_from_indices_rejects_shape_mismatch():
     expert_idx = np.zeros((4, 2), dtype=np.int64)
     slot_idx = np.zeros((4, 1), dtype=np.int64)
     with pytest.raises(ValueError, match="same shape"):
-        plan_from_indices(expert_idx, slot_idx, None, 4, 4, 1)
-
-
-def test_flat_routing_requires_token_indices():
+        plan_from_indices(expert_idx, slot_idx, 4, 1)
+    # A 1-D routing has no (T, k) structure.
     flat = np.zeros(3, dtype=np.int64)
-    with pytest.raises(ValueError, match="token_indices"):
-        plan_from_indices(flat, flat, None, 4, 4, 1)
-
-
-def test_flat_form_matches_token_major_form(rng):
-    """A (T, k) routing re-expressed flat routes identically."""
-    gate = TopKGate(8, 4, np.random.default_rng(3), top_k=2)
-    x = Tensor(
-        rng.standard_normal((10, 8)).astype(np.float32), requires_grad=True
-    )
-    out = gate(x.detach())
-
-    plan_tk = plan_from_indices(
-        out.expert_indices, out.slot_indices, None, 4, 10, out.capacity
-    )
-    # Flatten (T, k) row-major: token t repeats k times.
-    t_ids = np.repeat(np.arange(10), 2)
-    plan_flat = plan_from_indices(
-        out.expert_indices.reshape(-1), out.slot_indices.reshape(-1),
-        t_ids, 4, 10, out.capacity,
-    )
-    np.testing.assert_array_equal(
-        plan_flat.grouped_token_ids, plan_tk.grouped_token_ids
-    )
-    np.testing.assert_array_equal(
-        plan_flat.segment_counts, plan_tk.segment_counts
-    )
-    rows_tk = dispatch_grouped(x, plan_tk)
-    rows_flat = dispatch_grouped(x, plan_flat)
-    np.testing.assert_array_equal(rows_flat.data, rows_tk.data)
-
-    w_flat = out.gate_weights.reshape(-1)
-    merged_tk = combine_grouped(rows_tk, plan_tk, out.gate_weights)
-    merged_flat = combine_grouped(rows_flat, plan_flat, w_flat)
-    np.testing.assert_allclose(
-        merged_flat.data, merged_tk.data, rtol=1e-6, atol=1e-7
-    )
+    with pytest.raises(ValueError, match=r"\(T, k\)"):
+        plan_from_indices(flat, flat, 4, 1)

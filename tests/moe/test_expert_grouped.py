@@ -8,10 +8,9 @@ expert-sorted rather than einsum order, and ``segment_matmul``
 re-associates the stacked weight-grad reductions.
 
 Covers the routing shapes that stress the segment form: zero routed
-tokens, every token on one expert, capacity drops, duplicate tokens
-under expert-choice, E=1, and the literal multi-worker
-``ExpertParallelGroup`` execution (which runs its received blocks
-through the same ``run_grouped`` machinery).
+tokens, every token on one expert, capacity drops, E=1, and the
+literal multi-worker ``ExpertParallelGroup`` execution (which runs its
+received blocks through the same ``run_grouped`` machinery).
 """
 
 import numpy as np
@@ -64,17 +63,13 @@ def test_topk_sparse_matches_dense(rng):
 
 
 def test_zero_routed_tokens(rng):
-    """T=0: empty segments everywhere, both gate families."""
-    for gate_type in ("topk", "expert-choice"):
-        layer = MoELayer(
-            8, 16, 4, np.random.default_rng(3), top_k=2,
-            gate_type=gate_type,
-        )
-        x = Tensor(np.zeros((0, 8), np.float32), requires_grad=True)
-        y = layer(x)
-        assert y.shape == (0, 8)
-        ((y**2).sum() + 0.01 * layer.last_aux_loss).backward()
-        assert x.grad is not None and x.grad.shape == (0, 8)
+    """T=0: empty segments everywhere."""
+    layer = MoELayer(8, 16, 4, np.random.default_rng(3), top_k=2)
+    x = Tensor(np.zeros((0, 8), np.float32), requires_grad=True)
+    y = layer(x)
+    assert y.shape == (0, 8)
+    ((y**2).sum() + 0.01 * layer.last_aux_loss).backward()
+    assert x.grad is not None and x.grad.shape == (0, 8)
 
 
 def test_all_tokens_to_one_expert(rng):
@@ -100,19 +95,6 @@ def test_dropped_tokens_under_capacity_pressure(rng):
     assert_matches_reference(x0, capacity_factor=0.5)
     layer, _, _ = run_layer(x0, "sparse", capacity_factor=0.5)
     assert layer.last_gate_output.dropped_tokens > 0
-
-
-def test_expert_choice_duplicates(rng):
-    """EC routes one token to several experts (flat layout duplicates)."""
-    x0 = rng.standard_normal((16, 8)).astype(np.float32)
-    assert_matches_reference(
-        x0, gate_type="expert-choice", capacity_factor=2.0
-    )
-    layer, _, _ = run_layer(x0, "sparse", gate_type="expert-choice",
-                            capacity_factor=2.0)
-    out = layer.last_gate_output
-    tokens, counts = np.unique(out.token_indices, return_counts=True)
-    assert counts.max() > 1  # a token really was chosen twice
 
 
 def test_single_expert(rng):
@@ -145,18 +127,17 @@ def test_grouped_dispatch_combine_match_dense(rng):
     )
 
 
-@pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
-def test_expert_parallel_group_grouped(rng, gate_type):
+def test_expert_parallel_group_grouped(rng):
     """The multi-worker execution batches blocks via run_grouped.
 
     Its reference is the dense layer applied to each worker's shard:
-    every worker gates only its own shard, so this is exact for both
-    gate families, drops included.
+    every worker gates only its own shard, so this is exact, drops
+    included.
     """
     def make(mode):
         return MoELayer(
             8, 16, 4, np.random.default_rng(5), top_k=2,
-            capacity_factor=2.0, gate_type=gate_type, dispatch_mode=mode,
+            capacity_factor=2.0, dispatch_mode=mode,
         ).eval()
 
     x = rng.standard_normal((16, 8)).astype(np.float32)

@@ -25,10 +25,9 @@ from .legacy_expert_step import (
 )
 
 
-def _layer(**kwargs) -> MoELayer:
+def _layer() -> MoELayer:
     return MoELayer(
-        16, 24, 6, np.random.default_rng(0), top_k=2, capacity_factor=1.0,
-        **kwargs,
+        16, 24, 6, np.random.default_rng(0), top_k=2, capacity_factor=1.0
     )
 
 
@@ -53,7 +52,6 @@ def _lm_loss(model: TransformerLM) -> Tensor:
 
 MODELS = {
     "topk": (_layer, _layer_loss),
-    "expert_choice": (lambda: _layer(gate_type="expert-choice"), _layer_loss),
     "lm": (_lm, _lm_loss),
 }
 

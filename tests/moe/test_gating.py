@@ -90,12 +90,14 @@ def test_gate_is_differentiable(gate, rng):
 def test_aux_loss_minimized_at_uniform(rng):
     probs = Tensor(np.full((32, 4), 0.25, dtype=np.float32))
     uniform_first = np.tile(np.arange(4), 8)
-    loss = load_balancing_loss(probs, uniform_first, 4)
+    loss = load_balancing_loss(
+        probs, np.bincount(uniform_first, minlength=4), 4
+    )
     assert float(loss.data) == pytest.approx(1.0)
     # Collapsed routing scores E x worse.
     collapsed = load_balancing_loss(
         Tensor(np.eye(4, dtype=np.float32)[np.zeros(32, int)]),
-        np.zeros(32, int),
+        np.bincount(np.zeros(32, int), minlength=4),
         4,
     )
     assert float(collapsed.data) == pytest.approx(4.0)

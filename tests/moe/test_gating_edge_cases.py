@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.moe import TopKGate
-from repro.moe.gating_ec import ExpertChoiceGate
 from repro.nn import Tensor
 
 from .legacy_routing import assign_capacity_slots
@@ -90,19 +89,3 @@ def test_drop_fraction_counts_dropped(rng):
     # counts dropped *assignments*, so it can legitimately exceed 1.0.
     assert out.drop_fraction == out.dropped_tokens / 32
 
-
-def test_expert_choice_capacity_edges(rng):
-    gate = ExpertChoiceGate(model_dim=8, num_experts=4, rng=rng)
-    assert gate.capacity(0) == 0
-    with pytest.raises(ValueError):
-        gate.capacity(-5)
-    assert gate.capacity(1) == 1
-
-
-def test_expert_choice_forward_zero_tokens(rng):
-    gate = ExpertChoiceGate(model_dim=8, num_experts=4, rng=rng)
-    out = gate(Tensor(np.zeros((0, 8), dtype=np.float32)))
-    assert out.capacity == 0
-    assert out.dispatch_mask.shape == (0, 4, 0)
-    assert np.isfinite(out.aux_loss.data)
-    out.aux_loss.backward()  # tape survives the empty batch

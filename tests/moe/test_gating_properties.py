@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.moe import TopKGate
-from repro.moe.gating_ec import ExpertChoiceGate
 from repro.nn import Tensor
 
 
@@ -52,22 +51,6 @@ def test_topk_gate_invariants(num_tokens, num_experts, data):
     assert np.all(w >= -1e-7)
     assert np.all(w[out.dispatch_mask == 0] == 0)
     assert np.all(w.sum(axis=(1, 2)) <= 1.0 + 1e-5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    num_tokens=st.integers(min_value=2, max_value=48),
-    num_experts=st.integers(min_value=1, max_value=8),
-)
-def test_expert_choice_always_balanced(num_tokens, num_experts):
-    rng = np.random.default_rng(1)
-    gate = ExpertChoiceGate(8, num_experts, rng, capacity_factor=1.0)
-    tokens = Tensor(
-        rng.standard_normal((num_tokens, 8)).astype(np.float32)
-    )
-    out = gate(tokens)
-    assert np.all(out.expert_load == out.capacity)
-    assert np.all(out.dispatch_mask.sum(axis=0) == 1)
 
 
 @settings(max_examples=20, deadline=None)

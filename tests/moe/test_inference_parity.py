@@ -2,10 +2,8 @@
 
 ``MoELayer.forward_inference`` must compute *byte-for-byte* the same
 output as the training-tape ``forward`` on an ``eval()`` layer —
-across both gate families, dead-expert degradation and the T=0
-edge — while recording no tape and drawing its large intermediates
-from the layer's step-scoped arena (so steady state performs zero
-large allocations).  Anything weaker than ``np.array_equal`` here
+across dead-expert degradation and the T=0 edge — while recording
+no tape.  Anything weaker than ``np.array_equal`` here
 would hide a divergence between what we benchmark and what we train.
 The expert-parallel group's forward is tape-free by construction; its
 parity with the taped forward lives in ``test_parallel_tape_free.py``.
@@ -20,7 +18,6 @@ from repro.nn import Tensor
 
 def make_layer(
     seed=0,
-    gate_type="topk",
     num_experts=8,
     capacity_factor=2.0,
 ):
@@ -31,7 +28,6 @@ def make_layer(
         rng=np.random.default_rng(seed),
         top_k=2,
         capacity_factor=capacity_factor,
-        gate_type=gate_type,
     ).eval()
 
 
@@ -49,9 +45,8 @@ def assert_inference_matches(layer, x, rng_out=None):
     return ref
 
 
-@pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
-def test_parity_across_gates(rng, gate_type):
-    layer = make_layer(gate_type=gate_type)
+def test_parity(rng):
+    layer = make_layer()
     assert_inference_matches(layer, tokens(rng))
 
 

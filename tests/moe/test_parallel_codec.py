@@ -30,7 +30,7 @@ from .legacy_expert_step import legacy_scatter_add_rows
 LOSSY = ("zfp", "zfp4", "zfp16", "int8")
 
 
-def make_layer(compressor=None, gate_type="topk", dim=64):
+def make_layer(compressor=None, dim=64):
     return MoELayer(
         model_dim=dim,
         hidden_dim=2 * dim,
@@ -38,7 +38,6 @@ def make_layer(compressor=None, gate_type="topk", dim=64):
         rng=np.random.default_rng(7),
         top_k=2,
         capacity_factor=2.0,
-        gate_type=gate_type,
         compressor=compressor,
     ).eval()
 
@@ -198,13 +197,10 @@ def test_d1_assembly_is_the_stable_argsort_layout(rng, sources, experts):
 
 
 
-@pytest.mark.parametrize("gate_type", ["topk", "expert-choice"])
 @pytest.mark.parametrize("num_chunks", [1, 3, 4])
 @pytest.mark.parametrize("dead", [(), (1,)])
-def test_d2_merge_matches_np_add_at(
-    rng, gate_type, num_chunks, dead, monkeypatch
-):
-    layer = make_layer(gate_type=gate_type, dim=16)
+def test_d2_merge_matches_np_add_at(rng, num_chunks, dead, monkeypatch):
+    layer = make_layer(dim=16)
     shards = make_shards(rng, dim=16)
     calls = []
 

@@ -1,8 +1,8 @@
 """Differential property tests of the expert-parallel group (hypothesis).
 
-Draws the gate family, the expert placement (contiguous, permuted or
-unequal), a dead-worker set (never every worker), the chunk count and
-the pipeline mode, then checks the group against two oracles:
+Draws the capacity factor, the expert placement (contiguous, permuted
+or unequal), a dead-worker set (never every worker), the chunk count
+and the pipeline mode, then checks the group against two oracles:
 
 * with no codec, :meth:`ExpertParallelGroup.forward` equals the dense
   single-process reference layer applied to each worker's shard with
@@ -26,12 +26,11 @@ NUM_EXPERTS = 8
 MODEL_DIM = 8
 
 
-def make_layer(gate_type, capacity_factor, dispatch_mode="sparse",
-               compressor=None):
+def make_layer(capacity_factor, dispatch_mode="sparse", compressor=None):
     return MoELayer(
         MODEL_DIM, 16, NUM_EXPERTS, np.random.default_rng(5), top_k=2,
-        capacity_factor=capacity_factor, gate_type=gate_type,
-        dispatch_mode=dispatch_mode, compressor=compressor,
+        capacity_factor=capacity_factor, dispatch_mode=dispatch_mode,
+        compressor=compressor,
     ).eval()
 
 
@@ -67,7 +66,6 @@ def group_configs(draw):
         )
     )
     return dict(
-        gate_type=draw(st.sampled_from(["topk", "expert-choice"])),
         capacity_factor=draw(st.sampled_from([0.5, 1.0, 2.0])),
         placement=placement,
         dead=dead,
@@ -100,13 +98,11 @@ def make_group(layer, cfg, pipeline):
 @given(cfg=group_configs(), pipeline=st.sampled_from(["sync", "overlap"]))
 def test_group_matches_single_process_reference(cfg, pipeline):
     shards = make_shards(cfg)
-    layer = make_layer(cfg["gate_type"], cfg["capacity_factor"])
+    layer = make_layer(cfg["capacity_factor"])
     group = make_group(layer, cfg, pipeline)
     out = group.forward_concatenated(shards)
 
-    ref_layer = make_layer(
-        cfg["gate_type"], cfg["capacity_factor"], dispatch_mode="dense"
-    )
+    ref_layer = make_layer(cfg["capacity_factor"], dispatch_mode="dense")
     ref_layer.set_dead_experts(group.dead_experts)
     ref = np.concatenate(
         [ref_layer(Tensor(s)).data for s in shards], axis=0
@@ -119,8 +115,7 @@ def test_group_matches_single_process_reference(cfg, pipeline):
 def test_zfp_overlap_equals_sync_bitwise(cfg):
     shards = make_shards(cfg)
     layer = make_layer(
-        cfg["gate_type"], cfg["capacity_factor"],
-        compressor=get_compressor("zfp"),
+        cfg["capacity_factor"], compressor=get_compressor("zfp")
     )
     sync = make_group(layer, cfg, "sync").forward_concatenated(shards)
     overlap = make_group(layer, cfg, "overlap").forward_concatenated(shards)

@@ -3,9 +3,9 @@
 The contract that gates the overlap work (paper Section 4 made real):
 
 * ``pipeline="overlap"`` is *bit-identical* to ``pipeline="sync"`` at
-  any chunk count, for top-k and expert-choice gates, with dead
-  workers, with a lossy codec, and with the wire-time model — the two
-  modes run the same task callables, only thread interleaving differs.
+  any chunk count, with dead workers, with a lossy codec, and with the
+  wire-time model — the two modes run the same task callables, only
+  thread interleaving differs.
 * Without a lossy codec, the chunk count itself is invisible: chunks
   are token ranges, per-row GEMM results don't depend on batching, and
   the per-token combine accumulation order is preserved, so any
@@ -27,10 +27,8 @@ from repro.moe import MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
-GATES = ("topk", "expert-choice")
 
-
-def make_layer(gate_type, compressor=None, num_experts=8, dim=16, **kw):
+def make_layer(compressor=None, num_experts=8, dim=16, **kw):
     return MoELayer(
         model_dim=dim,
         hidden_dim=2 * dim,
@@ -38,7 +36,6 @@ def make_layer(gate_type, compressor=None, num_experts=8, dim=16, **kw):
         rng=np.random.default_rng(7),
         top_k=2,
         capacity_factor=2.0,
-        gate_type=gate_type,
         compressor=compressor,
         **kw,
     )
@@ -57,10 +54,9 @@ def group_forward(layer, shards, **group_kw):
 # -- overlap == sync, bit for bit --------------------------------------------
 
 
-@pytest.mark.parametrize("gate_type", GATES)
 @pytest.mark.parametrize("num_chunks", [1, 3, 4])
-def test_overlap_matches_sync_bitwise(rng, gate_type, num_chunks):
-    layer = make_layer(gate_type).eval()
+def test_overlap_matches_sync_bitwise(rng, num_chunks):
+    layer = make_layer().eval()
     shards = make_shards(rng)
     out_sync = group_forward(
         layer, shards, pipeline="sync", num_chunks=num_chunks
@@ -71,10 +67,9 @@ def test_overlap_matches_sync_bitwise(rng, gate_type, num_chunks):
     np.testing.assert_array_equal(out_overlap, out_sync)
 
 
-@pytest.mark.parametrize("gate_type", GATES)
-def test_overlap_matches_sync_with_codec(rng, gate_type):
+def test_overlap_matches_sync_with_codec(rng):
     """Lossy transport: same-chunk-count modes still agree bitwise."""
-    layer = make_layer(gate_type, compressor=Zfp16Compressor()).eval()
+    layer = make_layer(compressor=Zfp16Compressor()).eval()
     shards = make_shards(rng)
     for num_chunks in (1, 4):
         out_sync = group_forward(
@@ -86,9 +81,8 @@ def test_overlap_matches_sync_with_codec(rng, gate_type):
         np.testing.assert_array_equal(out_overlap, out_sync)
 
 
-@pytest.mark.parametrize("gate_type", GATES)
-def test_overlap_matches_sync_with_dead_workers(rng, gate_type):
-    layer = make_layer(gate_type, compressor=Zfp16Compressor()).eval()
+def test_overlap_matches_sync_with_dead_workers(rng):
+    layer = make_layer(compressor=Zfp16Compressor()).eval()
     shards = make_shards(rng)
     outs = {}
     for pipeline in ("sync", "overlap"):
@@ -104,7 +98,7 @@ def test_overlap_matches_sync_with_dead_workers(rng, gate_type):
 
 def test_overlap_matches_sync_with_wire_model(rng):
     """The wire-time model changes timing only, never values."""
-    layer = make_layer("topk").eval()
+    layer = make_layer().eval()
     shards = make_shards(rng)
     base = group_forward(layer, shards, num_chunks=2)
     for pipeline in ("sync", "overlap"):
@@ -121,7 +115,7 @@ def test_overlap_matches_sync_with_wire_model(rng):
 @pytest.mark.parametrize("scheduler", ["sequential", "chunk-pipeline", "optsche"])
 def test_overlap_identical_across_schedulers(rng, scheduler):
     """Any valid task order computes the same bits."""
-    layer = make_layer("topk").eval()
+    layer = make_layer().eval()
     shards = make_shards(rng)
     base = group_forward(layer, shards, pipeline="sync", num_chunks=4)
     out = group_forward(
@@ -133,11 +127,10 @@ def test_overlap_identical_across_schedulers(rng, scheduler):
 # -- chunk count invisibility (no codec) -------------------------------------
 
 
-@pytest.mark.parametrize("gate_type", GATES)
 @pytest.mark.parametrize("num_chunks", [2, 3, 5, 12, 100])
-def test_chunk_count_is_bit_invisible_without_codec(rng, gate_type, num_chunks):
+def test_chunk_count_is_bit_invisible_without_codec(rng, num_chunks):
     """Including num_chunks > tokens-per-shard (trailing chunks empty)."""
-    layer = make_layer(gate_type).eval()
+    layer = make_layer().eval()
     shards = make_shards(rng)  # 12 tokens per shard < 100 chunks
     base = group_forward(layer, shards, num_chunks=1)
     for pipeline in ("sync", "overlap"):
@@ -147,10 +140,9 @@ def test_chunk_count_is_bit_invisible_without_codec(rng, gate_type, num_chunks):
         np.testing.assert_array_equal(out, base)
 
 
-@pytest.mark.parametrize("gate_type", GATES)
-def test_empty_shard(rng, gate_type):
+def test_empty_shard(rng):
     """A worker with a zero-token shard participates without effect."""
-    layer = make_layer(gate_type).eval()
+    layer = make_layer().eval()
     data = rng.standard_normal((30, 16)).astype(np.float32)
     shards = [data[:0], data[:10], data[10:12], data[12:]]
     base = group_forward(layer, shards, num_chunks=1)
@@ -215,7 +207,9 @@ def legacy_reference_forward(layer, shards):
         t_ids, e_ids, s_ids = (
             plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
         )
-        weights = out.gate_weights.data[plan.kept_weight_index]
+        weights = out.gate_weights.data[
+            plan.kept_token_ids, plan.kept_choice_ids
+        ]
         expert_out = np.zeros(
             (num_experts, out.capacity, model_dim), dtype=np.float32
         )
@@ -227,12 +221,9 @@ def legacy_reference_forward(layer, shards):
     return np.concatenate(merged, axis=0)
 
 
-@pytest.mark.parametrize("gate_type", GATES)
 @pytest.mark.parametrize("num_workers", [1, 2, 4])
-def test_single_chunk_sync_matches_legacy_reference(
-    rng, gate_type, num_workers
-):
-    layer = make_layer(gate_type).eval()
+def test_single_chunk_sync_matches_legacy_reference(rng, num_workers):
+    layer = make_layer().eval()
     shards = make_shards(rng, num_workers=num_workers)
     legacy = legacy_reference_forward(layer, shards)
     out = group_forward(layer, shards, pipeline="sync", num_chunks=1)
@@ -240,7 +231,7 @@ def test_single_chunk_sync_matches_legacy_reference(
 
 
 def test_validation():
-    layer = make_layer("topk")
+    layer = make_layer()
     with pytest.raises(ValueError, match="pipeline"):
         ExpertParallelGroup(layer, 4, pipeline="bogus")
     with pytest.raises(ValueError, match="num_chunks"):
@@ -251,7 +242,7 @@ def test_validation():
 
 def test_group_rejects_dense_layer():
     """The group runs only the sparse path; a dense layer raises."""
-    layer = make_layer("topk", dispatch_mode="dense")
+    layer = make_layer(dispatch_mode="dense")
     with pytest.raises(ValueError, match="dispatch_mode"):
         ExpertParallelGroup(layer, 4)
     with pytest.raises(ValueError, match="dispatch_mode"):
@@ -259,7 +250,7 @@ def test_group_rejects_dense_layer():
 
 
 def test_timeline_recorded(rng):
-    layer = make_layer("topk").eval()
+    layer = make_layer().eval()
     shards = make_shards(rng)
     group = ExpertParallelGroup(layer, 4, pipeline="overlap", num_chunks=3)
     group.forward(shards)
@@ -270,7 +261,7 @@ def test_timeline_recorded(rng):
 
 def test_fresh_group_state_is_defined():
     """Every ``last_*`` record reads ``None`` before the first forward."""
-    group = ExpertParallelGroup(make_layer("topk"), 4)
+    group = ExpertParallelGroup(make_layer(), 4)
     assert group.last_timeline is None
     assert group.last_dispatch_traffic is None
     assert group.last_combine_traffic is None

@@ -14,19 +14,15 @@ independently-derived references on every field:
 The grid crosses token counts (empty batch, single token, 513 to
 straddle chunking shapes, 4096 = the bench headline), top-k, expert
 counts, and capacity regimes (0 = all dropped, 1 = maximal drop
-pressure, tight, loose = no drops), plus adversarial layouts a real
-gate never emits: duplicate experts within one token's choices and
-expert-choice-style duplicate token selections.  The generic plan
-builder is pinned to the same chain, and the expert-choice gate's plan
-to the identity permutation.
+pressure, tight, loose = no drops), plus an adversarial layout a real
+gate never emits: duplicate experts within one token's choices.  The
+generic plan builder is pinned to the same chain.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.moe import MoELayer, RoutingPlan, route_fused
+from repro.moe import RoutingPlan, route_fused
 from repro.moe.gating import TopKGate
 from repro.moe.routing import plan_from_indices
 from repro.nn import Tensor
@@ -84,10 +80,7 @@ def assert_plan_matches_references(plan, top_idx, num_experts, capacity):
     )
     np.testing.assert_array_equal(plan.kept_slot_ids, chain["kept_slot_ids"])
     np.testing.assert_array_equal(
-        plan.kept_weight_index[0], chain["kept_token_ids"]
-    )
-    np.testing.assert_array_equal(
-        plan.kept_weight_index[1], chain["kept_choice_ids"]
+        plan.kept_choice_ids, chain["kept_choice_ids"]
     )
     np.testing.assert_array_equal(
         plan.grouped_kept_pos, chain["grouped_kept_pos"]
@@ -99,10 +92,7 @@ def assert_plan_matches_references(plan, top_idx, num_experts, capacity):
         plan.grouped_expert_ids, chain["grouped_expert_ids"]
     )
     np.testing.assert_array_equal(
-        plan.grouped_weight_index[0], chain["grouped_token_ids"]
-    )
-    np.testing.assert_array_equal(
-        plan.grouped_weight_index[1], chain["grouped_choice_ids"]
+        plan.grouped_choice_ids, chain["grouped_choice_ids"]
     )
     np.testing.assert_array_equal(
         plan.segment_counts, chain["segment_counts"]
@@ -123,18 +113,17 @@ def assert_plan_matches_references(plan, top_idx, num_experts, capacity):
             else np.zeros(num_experts, dtype=np.int64),
         )
     # The generic builder reproduces the fused result from the arrays.
-    generic = plan_from_indices(
-        top_idx, ref_slots, None, num_experts, T, capacity
-    )
+    generic = plan_from_indices(top_idx, ref_slots, num_experts, capacity)
     for field in (
         "kept_token_ids", "kept_expert_ids", "kept_slot_ids",
-        "grouped_kept_pos", "grouped_token_ids", "grouped_expert_ids",
-        "segment_counts",
+        "kept_choice_ids", "grouped_kept_pos", "grouped_token_ids",
+        "grouped_expert_ids", "grouped_choice_ids", "segment_counts",
     ):
         np.testing.assert_array_equal(
             getattr(generic, field), getattr(plan, field), err_msg=field
         )
     assert generic.dropped_assignments == plan.dropped_assignments
+    assert generic.num_tokens == plan.num_tokens
 
 
 @pytest.mark.parametrize("num_tokens", [0, 1, 513, 4096])
@@ -212,58 +201,6 @@ def test_dropped_expert_plan_rebuilds_generically(rng):
     )
     assert plan.segment_counts[1] == 0
     np.testing.assert_array_equal(plan.segment_counts, degraded.expert_load)
-
-
-def assert_plans_equal(a, b):
-    """Every RoutingPlan field equal, arrays in value and dtype."""
-    for field in dataclasses.fields(RoutingPlan):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, tuple):
-            assert len(x) == len(y), field.name
-            pairs = list(zip(x, y))
-        else:
-            pairs = [(x, y)]
-        for u, v in pairs:
-            if isinstance(u, np.ndarray):
-                assert u.dtype == v.dtype, field.name
-                np.testing.assert_array_equal(u, v, err_msg=field.name)
-            else:
-                assert u == v, field.name
-
-
-def test_expert_choice_identity_plan(rng):
-    """EC's flat layout is structurally expert-major: its plan is the
-    identity permutation and equals the generic builder's, field by
-    field, the empty batch included."""
-    layer = MoELayer(
-        8, 16, 4, np.random.default_rng(0), gate_type="expert-choice",
-        capacity_factor=2.0,
-    )
-    for num_tokens in (16, 0):
-        x = rng.standard_normal((num_tokens, 8)).astype(np.float32)
-        layer(Tensor(x))
-        out = layer.last_gate_output
-        plan = out.plan
-        n = out.expert_indices.shape[0]
-        assert plan.num_kept == n == 4 * out.capacity
-        identity = np.arange(n)
-        np.testing.assert_array_equal(plan.grouped_kept_pos, identity)
-        np.testing.assert_array_equal(plan.grouped_weight_index[0], identity)
-        np.testing.assert_array_equal(
-            plan.grouped_token_ids, out.token_indices
-        )
-        np.testing.assert_array_equal(
-            plan.grouped_expert_ids, out.expert_indices
-        )
-        np.testing.assert_array_equal(
-            plan.segment_counts, np.full(4, out.capacity)
-        )
-        assert plan.dropped_assignments == 0
-        generic = plan_from_indices(
-            out.expert_indices, out.slot_indices, out.token_indices,
-            4, out.num_tokens, out.capacity,
-        )
-        assert_plans_equal(generic, plan)
 
 
 def test_route_fused_validation():
