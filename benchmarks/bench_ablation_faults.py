@@ -8,10 +8,9 @@ link and transient transfer failures with seeded retry/backoff.
 
 Everything runs in simulated time, so the output is bit-for-bit
 deterministic: the same :class:`~repro.faults.FaultPlan` seed must
-yield a byte-identical ``BENCH_faults.json`` on every machine and
-every rerun (asserted below by building the report twice).  The root
-artifact and the ``benchmarks/out/ablation_faults.json`` sidecar are
-both part of the deterministic drift gate in CI.
+yield a byte-identical ``benchmarks/out/ablation_faults.json`` on
+every machine and every rerun (asserted below by building the report
+twice).  That sidecar is part of the deterministic drift gate in CI.
 
 Run directly (~6 s)::
 
@@ -23,30 +22,17 @@ or via pytest-benchmark like the other benches.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.cluster import paper_testbed
 from repro.systems.faults import failed_checks, render, run_faults_study
 
 from _util import emit, once
 
-ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 SPEC = paper_testbed()
 
 
 def write_report(report: dict) -> None:
     emit("ablation_faults", render(report), data=report)
-    merged = dict(report)
-    if ROOT_JSON.exists():
-        # bench_ablation_recovery owns the "recovery" section of the
-        # root artifact; rewriting the fault grid must not drop it.
-        prior = json.loads(ROOT_JSON.read_text(encoding="utf-8"))
-        if "recovery" in prior:
-            merged["recovery"] = prior["recovery"]
-    ROOT_JSON.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def _study_twice() -> dict:

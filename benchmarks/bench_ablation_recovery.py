@@ -7,10 +7,8 @@ dies on the timing substrate.  ``python -m repro reshard`` prints the
 same text.
 
 Everything is seeded or simulated-time, so the report is bit-for-bit
-deterministic (asserted by building it twice).  The ``recovery``
-section is merged into the root ``BENCH_faults.json`` artifact —
-preserving the fault grid written by ``bench_ablation_faults`` — and
-the ``benchmarks/out/ablation_recovery.json`` sidecar joins the CI
+deterministic (asserted by building it twice), and the
+``benchmarks/out/ablation_recovery.json`` sidecar is part of the CI
 drift gate.
 
 Run directly (~1 s)::
@@ -23,14 +21,12 @@ or via pytest-benchmark like the other benches.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.cluster import paper_testbed
 from repro.systems.recovery import failed_checks, render, run_recovery_study
 
 from _util import emit, once
 
-ROOT_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 SPEC = paper_testbed()
 
 
@@ -46,15 +42,6 @@ def _assert_acceptance(report: dict) -> None:
 
 def write_report(report: dict) -> None:
     emit("ablation_recovery", render(report, SPEC), data=report)
-    # The root fault artifact gains a "recovery" section; everything
-    # bench_ablation_faults wrote there is preserved.
-    if ROOT_JSON.exists():
-        merged = json.loads(ROOT_JSON.read_text(encoding="utf-8"))
-        merged["recovery"] = report
-        ROOT_JSON.write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
 
 def _study_twice() -> dict:

@@ -27,10 +27,7 @@ by far the slowest in the harness (~5-8 minutes).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.compression.fidelity import collect_a2a_tensors, measure_fidelity
-from repro.models.gpt2_tiny import TransformerLM
 from repro.training import (
     default_lm_corpus,
     run_lm_convergence,
@@ -52,7 +49,7 @@ def gradient_fidelity():
     experts), the process default.
     """
     corpus = default_lm_corpus()
-    model = _lm_model("MoE", corpus, "tiny", seed=0)
+    model = _lm_model("MoE", corpus, seed=0)
     train_lm(model, corpus, steps=150, batch_size=16)
     model.zero_grad()
     tokens = next(corpus.batches(16, 1, seed=999))
@@ -64,10 +61,8 @@ def gradient_fidelity():
 
 
 def run_table6():
-    lm = run_lm_convergence(steps=LM_STEPS, batch_size=16, scale="tiny")
-    mt = run_translation_convergence(
-        steps=MT_STEPS, batch_size=16, scale="tiny"
-    )
+    lm = run_lm_convergence(steps=LM_STEPS, batch_size=16)
+    mt = run_translation_convergence(steps=MT_STEPS, batch_size=16)
     fidelity = gradient_fidelity()
     return mt, lm, fidelity
 

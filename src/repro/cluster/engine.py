@@ -276,22 +276,15 @@ class Engine:
         """An event firing when the first of ``events`` fires."""
         return AnyOf(self, events)
 
-    def run(self, until: Optional[float] = None) -> float:
+    def run(self) -> float:
         """Drain the event queue; returns the final simulation time.
-
-        ``until`` caps the simulated time; events past the cap stay
-        queued and ``now`` is advanced to ``until``.  A cap before
-        ``now`` raises :class:`ValueError`.
 
         Raises :class:`SimulationError` when the queue drains while
         processes are still blocked on events nobody can fire anymore —
         a deadlock.  The message names the blocked processes and what
-        each is waiting on (an ``until`` cap suppresses the check:
-        stopping early legitimately strands in-flight processes).
+        each is waiting on.
         """
         now = self.now
-        if until is not None and until < now:
-            raise ValueError(f"run(until={until!r}) is before now={now!r}")
         queue = self._queue
         ready = self._ready
         popleft = ready.popleft
@@ -307,15 +300,12 @@ class Engine:
             elif not queue:
                 break
             when = queue[0][0]
-            if until is not None and when > until:
-                self.now = until
-                return until
             if when < now:
                 raise SimulationError("time went backwards")
             _when, _seq, fn, arg = heappop(queue)
             self.now = now = when
             fn(arg)
-        if until is None and self._live_processes:
+        if self._live_processes:
             raise SimulationError(self._deadlock_message())
         return now
 

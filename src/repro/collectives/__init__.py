@@ -8,7 +8,7 @@ then schedulable by the ScheMoE core unchanged (the paper's
 ``AbsAlltoAll`` extension point).
 """
 
-from .allreduce import hierarchical_allreduce_time, ring_allreduce_time
+from .allreduce import hierarchical_allreduce_time
 from .base import (
     A2AResult,
     AllToAll,
@@ -35,6 +35,5 @@ __all__ = [
     "measure_a2a",
     "phase_times",
     "register_a2a",
-    "ring_allreduce_time",
     "theoretical_max_speedup",
 ]

@@ -1,11 +1,10 @@
-"""Ring allreduce time model.
+"""Hierarchical allreduce time model.
 
 The non-MoE parameters of the models in the paper (attention layers,
 embeddings, gating networks) are trained data-parallel, so every step
 ends with an allreduce of their gradients.  The step-time simulator
-prices this with the standard ring-allreduce cost: ``2 (P-1) / P``
-times the payload crosses each GPU's bottleneck link, hierarchical
-variant reducing intra-node first.
+prices this as NCCL runs it on a multi-node cluster: reduce
+intra-node, ring across nodes, broadcast intra-node.
 """
 
 from __future__ import annotations
@@ -13,40 +12,10 @@ from __future__ import annotations
 from ..cluster.topology import ClusterSpec
 
 
-def ring_allreduce_time(spec: ClusterSpec, nbytes: float) -> float:
-    """Flat ring over all P GPUs in rank order.
-
-    Each of the ``2 (P - 1)`` ring steps moves one ``nbytes / P``
-    chunk per GPU to its ring successor.  With consecutive rank
-    placement, ``M - 1`` of a node's hops stay on the intra fabric
-    (pairwise send/recv path) and one crosses the NIC; the step time
-    is the slower of the two — which is why flat rings are poor on
-    hierarchical clusters whose pairwise fabric path is slow.
-    """
-    if nbytes < 0:
-        raise ValueError(f"negative payload: {nbytes}")
-    if nbytes == 0:
-        return 0.0
-    world = spec.world_size
-    if world == 1:
-        return 0.0
-    steps = 2 * (world - 1)
-    chunk = nbytes / world
-    intra_hops = spec.gpus_per_node - 1
-    fabric = (
-        spec.intra_link.transfer_time(chunk * intra_hops)
-        if intra_hops > 0
-        else 0.0
-    )
-    nic = spec.inter_link.transfer_time(chunk) if spec.num_nodes > 1 else 0.0
-    return steps * max(fabric, nic)
-
-
 def hierarchical_allreduce_time(spec: ClusterSpec, nbytes: float) -> float:
     """Reduce intra-node, ring across nodes, broadcast intra-node.
 
-    This is how NCCL actually handles multi-node allreduce; it is the
-    default used by the step-time simulator.
+    This is how NCCL actually handles multi-node allreduce.
     """
     if nbytes < 0:
         raise ValueError(f"negative payload: {nbytes}")

@@ -8,8 +8,7 @@ reproduces.  We construct a *topic-conditional* translation language:
 * a sentence's first source token names one of ``num_topics`` topics;
 * each topic defines its own random token permutation ("dialect
   lexicon"); the target is the source mapped through the topic's
-  lexicon (optionally with even topics reversing word order — a
-  harder alignment variant, off by default).
+  lexicon, in source word order.
 
 A dense feed-forward of width H must superpose all topic lexicons;
 an MoE layer can dedicate experts per topic — the same heterogeneity
@@ -37,10 +36,6 @@ class TranslationConfig:
     min_len: int = 4
     max_len: int = 8
     seed: int = 1234
-    #: When True, even topics additionally reverse word order (a much
-    #: harder alignment problem; off by default so CPU-scale models
-    #: converge within benchmark budgets).
-    reverse_even_topics: bool = False
 
     def __post_init__(self) -> None:
         if self.num_words < 2:
@@ -87,10 +82,7 @@ class SyntheticTranslation:
     def translate(self, topic: int, words: List[int]) -> List[int]:
         """Ground-truth target word indices for source word indices."""
         lex = self._lexicons[topic]
-        mapped = [int(lex[w]) for w in words]
-        if self.config.reverse_even_topics and topic % 2 == 0:
-            mapped = mapped[::-1]
-        return mapped
+        return [int(lex[w]) for w in words]
 
     def sample_pair(
         self, rng: np.random.Generator

@@ -145,14 +145,13 @@ def reshard_vs_degraded(
 def price_reshard(
     spec,
     per_gpu_bytes: Union[int, float],
-    algo: str = "pipe",
     faults: Optional[FaultPlan] = None,
 ) -> float:
     """Simulated seconds to move ``per_gpu_bytes`` of expert slices.
 
     The re-shard exchange is all-to-all-shaped (several workers send
     expert slices to several others at once), so it is priced as one
-    A2A of the busiest endpoint's payload
+    Pipe-A2A of the busiest endpoint's payload
     (``reshard_traffic(...)["per_gpu_bytes"]``) — a conservative bound,
     since the real exchange is sparser.  ``faults`` prices it on a
     degraded cluster: recovering *through* the fault costs more than
@@ -168,7 +167,7 @@ def price_reshard(
     from ..collectives import get_a2a, measure_a2a
 
     result = measure_a2a(
-        get_a2a(algo), spec, per_gpu_bytes, faults=faults
+        get_a2a("pipe"), spec, per_gpu_bytes, faults=faults
     )
     if result.oom:
         raise MemoryError(

@@ -19,20 +19,22 @@ def _ngrams(tokens: Sequence[int], n: int) -> Counter:
     )
 
 
+#: Highest n-gram order.
+MAX_N = 4
+
+
 def corpus_bleu(
-    hypotheses: List[Sequence[int]],
-    references: List[Sequence[int]],
-    max_n: int = 4,
+    hypotheses: List[Sequence[int]], references: List[Sequence[int]]
 ) -> float:
-    """BLEU score in [0, 100] over a corpus of token sequences."""
+    """BLEU-4 score in [0, 100] over a corpus of token sequences."""
     if len(hypotheses) != len(references):
         raise ValueError(
             f"{len(hypotheses)} hypotheses vs {len(references)} references"
         )
     if not hypotheses:
         raise ValueError("empty corpus")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -40,7 +42,7 @@ def corpus_bleu(
         ref = list(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             hyp_ngrams = _ngrams(hyp, n)
             ref_ngrams = _ngrams(ref, n)
             totals[n - 1] += max(len(hyp) - n + 1, 0)
@@ -50,14 +52,14 @@ def corpus_bleu(
             )
 
     log_precision = 0.0
-    for n in range(max_n):
+    for n in range(MAX_N):
         m, t = matches[n], totals[n]
         if n > 0:
             m, t = m + 1, t + 1
         if m == 0 or t == 0:
             return 0.0
         log_precision += math.log(m / t)
-    log_precision /= max_n
+    log_precision /= MAX_N
 
     if hyp_len == 0:
         return 0.0

@@ -101,6 +101,17 @@ def collect_aux_loss(module: Module) -> Optional[Tensor]:
     return total
 
 
+#: Weight of the summed load-balancing loss in every model's training
+#: loss.
+AUX_LOSS_WEIGHT = 0.01
+
+
+def with_aux_loss(model: Module, nll: Tensor) -> Tensor:
+    """``nll`` plus ``AUX_LOSS_WEIGHT`` times the model's aux loss."""
+    aux = collect_aux_loss(model)
+    return nll if aux is None else nll + aux * AUX_LOSS_WEIGHT
+
+
 def sinusoidal_positions(seq_len: int, dim: int) -> np.ndarray:
     """Standard sinusoidal positional encoding, (seq_len, dim)."""
     positions = np.arange(seq_len)[:, None].astype(np.float32)

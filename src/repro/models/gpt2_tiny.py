@@ -15,7 +15,7 @@ from ..compression.base import Compressor
 from ..nn import functional as F
 from ..nn.modules import Embedding, LayerNorm, Linear, Module, ModuleList
 from ..nn.tensor import Tensor
-from .blocks import TransformerBlock, collect_aux_loss, make_ffn, sinusoidal_positions
+from .blocks import TransformerBlock, make_ffn, sinusoidal_positions, with_aux_loss
 
 
 class TransformerLM(Module):
@@ -82,17 +82,15 @@ class TransformerLM(Module):
             x = block(x)
         return self.head(self.final_norm(x))
 
-    def loss(self, tokens: np.ndarray, aux_weight: float = 0.01) -> Tensor:
-        """Next-token cross entropy (+ MoE aux loss if applicable).
+    def loss(self, tokens: np.ndarray) -> Tensor:
+        """Next-token cross entropy (+ the MoE aux loss, weighted by
+        ``blocks.AUX_LOSS_WEIGHT``, if applicable).
 
         Predicts tokens[:, 1:] from tokens[:, :-1].
         """
         logits = self.forward(tokens[:, :-1])
         nll = F.cross_entropy(logits, tokens[:, 1:])
-        aux = collect_aux_loss(self)
-        if aux is not None and aux_weight > 0:
-            return nll + aux * aux_weight
-        return nll
+        return with_aux_loss(self, nll)
 
     def perplexity_loss(self, tokens: np.ndarray) -> float:
         """Pure next-token NLL (no aux), for evaluation."""

@@ -12,14 +12,19 @@ from typing import Optional
 import numpy as np
 
 from ..compression.base import Compressor
+from ..data.vocab import PAD
 from ..nn import functional as F
 from ..nn.modules import Embedding, LayerNorm, Linear, Module, ModuleList
 from ..nn.tensor import Tensor
-from .blocks import TransformerBlock, collect_aux_loss, make_ffn, sinusoidal_positions
+from .blocks import TransformerBlock, make_ffn, sinusoidal_positions, with_aux_loss
 
 
 class Seq2SeqTransformer(Module):
-    """Encoder-decoder with optional MoE feed-forwards."""
+    """Encoder-decoder with optional MoE feed-forwards.
+
+    Token id ``vocab.PAD`` pads both sides: it is masked out of
+    attention and of the loss.
+    """
 
     def __init__(
         self,
@@ -35,12 +40,10 @@ class Seq2SeqTransformer(Module):
         top_k: int = 2,
         capacity_factor: float = 1.25,
         compressor: Optional[Compressor] = None,
-        pad_id: int = 0,
         seed: int = 0,
     ):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.pad_id = pad_id
         self.model_dim = model_dim
         self.max_seq_len = max_seq_len
         self.src_embed = Embedding(src_vocab, model_dim, rng)
@@ -85,7 +88,7 @@ class Seq2SeqTransformer(Module):
     def encode(self, src: np.ndarray) -> Tensor:
         """(B, Ls) int source tokens -> (B, Ls, M) memory."""
         src = np.asarray(src)
-        mask = src != self.pad_id
+        mask = src != PAD
         x = self.src_embed(src) + Tensor(self._positions[: src.shape[1]])
         for block in self.encoder:
             x = block(x, self_mask=mask)
@@ -98,26 +101,20 @@ class Seq2SeqTransformer(Module):
         if src.shape[0] != tgt_in.shape[0]:
             raise ValueError("source and target batch sizes differ")
         memory = self.encode(src)
-        src_mask = src != self.pad_id
+        src_mask = src != PAD
         y = self.tgt_embed(tgt_in) + Tensor(self._positions[: tgt_in.shape[1]])
         for block in self.decoder:
             y = block(y, context=memory, context_mask=src_mask)
         return self.head(self.dec_norm(y))
 
     def loss(
-        self,
-        src: np.ndarray,
-        tgt_in: np.ndarray,
-        tgt_out: np.ndarray,
-        aux_weight: float = 0.01,
+        self, src: np.ndarray, tgt_in: np.ndarray, tgt_out: np.ndarray
     ) -> Tensor:
-        """Cross entropy over non-pad target tokens (+ MoE aux loss)."""
+        """Cross entropy over non-pad target tokens (+ the MoE aux loss,
+        weighted by ``blocks.AUX_LOSS_WEIGHT``)."""
         logits = self.forward(src, tgt_in)
-        nll = F.cross_entropy(logits, tgt_out, ignore_index=self.pad_id)
-        aux = collect_aux_loss(self)
-        if aux is not None and aux_weight > 0:
-            return nll + aux * aux_weight
-        return nll
+        nll = F.cross_entropy(logits, tgt_out, ignore_index=PAD)
+        return with_aux_loss(self, nll)
 
     def greedy_decode(
         self, src: np.ndarray, bos_id: int, eos_id: int, max_len: int = 32
@@ -126,7 +123,7 @@ class Seq2SeqTransformer(Module):
         src = np.asarray(src)
         batch = src.shape[0]
         memory = self.encode(src)
-        src_mask = src != self.pad_id
+        src_mask = src != PAD
         out = np.full((batch, 1), bos_id, dtype=np.int64)
         finished = np.zeros(batch, dtype=bool)
         for _ in range(max_len):
@@ -135,7 +132,7 @@ class Seq2SeqTransformer(Module):
                 y = block(y, context=memory, context_mask=src_mask)
             logits = self.head(self.dec_norm(y))
             next_tokens = logits.data[:, -1].argmax(axis=-1)
-            next_tokens = np.where(finished, self.pad_id, next_tokens)
+            next_tokens = np.where(finished, PAD, next_tokens)
             out = np.concatenate([out, next_tokens[:, None]], axis=1)
             finished |= next_tokens == eos_id
             if finished.all():

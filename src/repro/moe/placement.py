@@ -288,16 +288,13 @@ class ExpertPlacement:
 # --------------------------------------------------------------------------
 
 
-def expert_param_bytes(
-    model_dim: int, hidden_dim: int, itemsize: int = 4
-) -> int:
+def expert_param_bytes(model_dim: int, hidden_dim: int) -> int:
     """Bytes of one expert's FFN parameters in the stacked bank.
 
-    ``w1 (M, H) + b1 (H,) + w2 (H, M) + b2 (M,)`` at ``itemsize``
-    bytes per value (float32 by default) — what moving one expert
-    slice between workers costs on the wire.
+    ``w1 (M, H) + b1 (H,) + w2 (H, M) + b2 (M,)`` in float32 — what
+    moving one expert slice between workers costs on the wire.
     """
-    return itemsize * (
+    return 4 * (
         model_dim * hidden_dim + hidden_dim
         + hidden_dim * model_dim + model_dim
     )

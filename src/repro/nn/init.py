@@ -16,6 +16,6 @@ def xavier_uniform(
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
-def normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Plain scaled normal (embedding tables, GPT-style)."""
-    return (rng.standard_normal(shape) * std).astype(np.float32)
+def normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal with std 0.02 (embedding tables, GPT-style)."""
+    return (rng.standard_normal(shape) * 0.02).astype(np.float32)

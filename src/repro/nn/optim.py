@@ -34,8 +34,12 @@ class Optimizer:
 _CHUNK = 1 << 16
 
 
+#: Adam's moment decay rates and denominator offset.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(Optimizer):
-    """Adam with bias correction and decoupled weight decay (AdamW).
+    """Adam with bias correction (``BETA1``, ``BETA2``, ``EPS``).
 
     The update is evaluated in place, one ``_CHUNK``-element slice of
     each parameter at a time, through two scratch buffers of one slice
@@ -44,32 +48,15 @@ class Adam(Optimizer):
     so the result is bit-identical to
 
     ``m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g²;``
-    ``p −= lr · ((m / bc1) / (√(v / bc2) + eps) + wd·p)``.
+    ``p −= lr · ((m / bc1) / (√(v / bc2) + eps))``.
 
     Slicing needs flat writable views, so :meth:`step` raises
     ``ValueError``, before it moves anything, on a parameter whose data
     or moments are not C-contiguous.
     """
 
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, parameters: Iterable[Tensor], lr: float = 1e-3):
         super().__init__(parameters, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {betas}")
-        if not eps >= 0:
-            raise ValueError(f"eps must be >= 0, got {eps}")
-        if not weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -87,8 +74,8 @@ class Adam(Optimizer):
                         "the in-place step needs a flat view of it"
                     )
         self._step += 1
-        bc1 = 1.0 - self.beta1**self._step
-        bc2 = 1.0 - self.beta2**self._step
+        bc1 = 1.0 - BETA1**self._step
+        bc2 = 1.0 - BETA2**self._step
         for p, m, v in state:
             if p.grad is None:
                 continue
@@ -100,21 +87,18 @@ class Adam(Optimizer):
     def _update(self, p, g, m, v, bc1: float, bc2: float) -> None:
         """One slice's update, in place on ``p``, ``m`` and ``v``."""
         a, b = (s[: g.size] for s in self._scratch)
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=a)
+        m *= BETA1
+        np.multiply(1.0 - BETA1, g, out=a)
         m += a
-        v *= self.beta2
+        v *= BETA2
         np.multiply(g, g, out=a)
-        np.multiply(1.0 - self.beta2, a, out=a)
+        np.multiply(1.0 - BETA2, a, out=a)
         v += a
         np.divide(m, bc1, out=a)  # a: the update
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)
-        if self.weight_decay:
-            np.multiply(self.weight_decay, p, out=b)
-            np.add(a, b, out=a)
         np.multiply(self.lr, a, out=a)
         p -= a
 

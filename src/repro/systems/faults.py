@@ -2,7 +2,7 @@
 
 One study, built once and shared by
 ``benchmarks/bench_ablation_faults.py`` (which saves the rendered text
-as its sidecar and the report as ``BENCH_faults.json``) and
+and the report as its sidecar) and
 ``python -m repro faults`` (which prints the same text for any
 ``--cluster`` preset).
 

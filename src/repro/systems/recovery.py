@@ -2,9 +2,8 @@
 
 One scenario, built once and shared by
 ``benchmarks/bench_ablation_recovery.py`` (which saves the rendered
-text as its sidecar and merges the report into ``BENCH_faults.json``)
-and ``python -m repro reshard`` (which prints the same text for any
-``--cluster`` preset).
+text and the report as its sidecar) and ``python -m repro reshard``
+(which prints the same text for any ``--cluster`` preset).
 
 On the **numerical substrate** a 4-worker expert-parallel group loses a
 worker, the survivors adopt its experts
@@ -197,7 +196,7 @@ def _pricing_study(spec: ClusterSpec) -> dict:
         moves, bytes_per_expert, survivors_pl.num_workers
     )
     # The exchange runs on the surviving cluster.
-    reshard_s = price_reshard(survivors, traffic["per_gpu_bytes"], ALGO)
+    reshard_s = price_reshard(survivors, traffic["per_gpu_bytes"])
 
     def makespan(cluster, m):
         layer = dataclasses.replace(m, num_layers=1, layer_only=True)
@@ -246,7 +245,7 @@ def _pricing_study(spec: ClusterSpec) -> dict:
     back_traffic = reshard_traffic(
         back_moves, bytes_per_expert, spec.world_size
     )
-    back_s = price_reshard(spec, back_traffic["per_gpu_bytes"], ALGO)
+    back_s = price_reshard(spec, back_traffic["per_gpu_bytes"])
     back = dataclasses.asdict(
         reshard_vs_degraded(back_s, recovered_s, healthy_s, max(HORIZONS))
     )

@@ -80,14 +80,14 @@ def default_mt_corpus() -> SyntheticTranslation:
     )
 
 
-def _lm_model(variant: str, corpus: SyntheticLM, scale: str, seed: int) -> TransformerLM:
-    sizes = {
-        "tiny": dict(model_dim=32, hidden_dim=32, num_layers=2, num_heads=4),
-        "small": dict(model_dim=48, hidden_dim=64, num_layers=2, num_heads=4),
-    }[scale]
+def _lm_model(variant: str, corpus: SyntheticLM, seed: int) -> TransformerLM:
     codec_name = _CODEC_OF[variant]
     return TransformerLM(
         vocab_size=corpus.vocab_size,
+        model_dim=32,
+        hidden_dim=32,
+        num_layers=2,
+        num_heads=4,
         max_seq_len=corpus.config.seq_len,
         moe=variant != "Base",
         num_experts=corpus.config.num_topics,
@@ -95,21 +95,20 @@ def _lm_model(variant: str, corpus: SyntheticLM, scale: str, seed: int) -> Trans
         capacity_factor=1.5,
         compressor=get_compressor(codec_name) if codec_name else None,
         seed=seed,
-        **sizes,
     )
 
 
 def _mt_model(
-    variant: str, corpus: SyntheticTranslation, scale: str, seed: int
+    variant: str, corpus: SyntheticTranslation, seed: int
 ) -> Seq2SeqTransformer:
-    sizes = {
-        "tiny": dict(model_dim=32, hidden_dim=24, num_layers=2, num_heads=4),
-        "small": dict(model_dim=48, hidden_dim=48, num_layers=2, num_heads=4),
-    }[scale]
     codec_name = _CODEC_OF[variant]
     return Seq2SeqTransformer(
         src_vocab=corpus.src_vocab_size,
         tgt_vocab=corpus.tgt_vocab_size,
+        model_dim=32,
+        hidden_dim=24,
+        num_layers=2,
+        num_heads=4,
         max_seq_len=corpus.max_seq_len,
         moe=variant != "Base",
         num_experts=corpus.config.num_topics + 1,
@@ -117,7 +116,6 @@ def _mt_model(
         capacity_factor=1.5,
         compressor=get_compressor(codec_name) if codec_name else None,
         seed=seed,
-        **sizes,
     )
 
 
@@ -140,22 +138,23 @@ def _pin_dense(model: Module) -> Module:
 def run_lm_convergence(
     steps: int = 450,
     batch_size: int = 16,
-    scale: str = "tiny",
     variants: Optional[List[str]] = None,
     seed: int = 0,
     corpus: Optional[SyntheticLM] = None,
-    lr: float = 3e-3,
-    eval_batches: int = 32,
 ) -> ConvergenceResult:
-    """GPT2-Tiny-MoE column of Table 6 (perplexity, lower = better)."""
+    """GPT2-Tiny-MoE column of Table 6 (perplexity, lower = better).
+
+    Each variant trains at lr 3e-3 and is scored on 32 held-out
+    batches.
+    """
     corpus = corpus if corpus is not None else default_lm_corpus()
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     for variant in variants or list(VARIANTS):
-        model = _pin_dense(_lm_model(variant, corpus, scale, seed=seed))
+        model = _pin_dense(_lm_model(variant, corpus, seed=seed))
         history = train_lm(
             model, corpus, steps=steps, batch_size=batch_size,
-            seed=seed, lr=lr, eval_batches=eval_batches,
+            seed=seed, lr=3e-3, eval_batches=32,
         )
         metrics[variant] = history.metric
         histories[variant] = history
@@ -170,21 +169,22 @@ def run_lm_convergence(
 def run_translation_convergence(
     steps: int = 600,
     batch_size: int = 16,
-    scale: str = "tiny",
     variants: Optional[List[str]] = None,
     seed: int = 0,
     corpus: Optional[SyntheticTranslation] = None,
-    lr: float = 5e-3,
 ) -> ConvergenceResult:
-    """Transformer-MoE column of Table 6 (BLEU, higher = better)."""
+    """Transformer-MoE column of Table 6 (BLEU, higher = better).
+
+    Each variant trains at lr 5e-3.
+    """
     corpus = corpus if corpus is not None else default_mt_corpus()
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     for variant in variants or list(VARIANTS):
-        model = _pin_dense(_mt_model(variant, corpus, scale, seed=seed))
+        model = _pin_dense(_mt_model(variant, corpus, seed=seed))
         history = train_translation(
             model, corpus, steps=steps, batch_size=batch_size,
-            seed=seed, lr=lr,
+            seed=seed, lr=5e-3,
         )
         metrics[variant] = history.metric
         histories[variant] = history

@@ -6,13 +6,17 @@ gradients), so these runs stand in for the paper's 32-GPU convergence
 study at a CPU-tractable scale.  Compression variants train with the
 codec applied to both A2A hops of every MoE layer, exactly where the
 real system would corrupt activations.
+
+Both trainers run one step loop: Adam, the global gradient norm
+clipped to :data:`GRAD_CLIP`, and an :class:`AnomalyGuard` on every
+step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Union
 
 import numpy as np
 
@@ -23,14 +27,20 @@ from ..metrics.bleu import corpus_bleu
 from ..metrics.perplexity import evaluate_lm_perplexity
 from ..models.gpt2_tiny import TransformerLM
 from ..models.transformer import Seq2SeqTransformer
+from ..nn.modules import Module
 from ..nn.optim import Adam, clip_grad_norm
+from ..nn.tensor import Tensor
+
+#: Global L2 norm every training step clips its gradients to.
+GRAD_CLIP = 1.0
+#: Consecutive non-finite steps a run skips before it raises.
+MAX_CONSECUTIVE_SKIPS = 3
 
 
 class TrainingDivergedError(RuntimeError):
     """Raised when an :class:`AnomalyGuard` exhausts its retry budget."""
 
 
-@dataclass
 class AnomalyGuard:
     """Skip-don't-crash protection against non-finite training steps.
 
@@ -39,26 +49,19 @@ class AnomalyGuard:
     a degraded worker's garbage output): the optimizer step is
     *skipped* — weights and Adam state stay untouched — and training
     continues.  Each consecutive skip decays the retry budget; a
-    healthy step restores it.  ``max_consecutive_skips`` exhausted
-    means the run has genuinely diverged and
+    healthy step restores it.  More than :data:`MAX_CONSECUTIVE_SKIPS`
+    in a row means the run has genuinely diverged, and
     :class:`TrainingDivergedError` is raised rather than silently
     training on garbage forever.
     """
 
-    max_consecutive_skips: int = 3
-    #: Total steps skipped over the run (diagnostics).
-    skipped_steps: int = 0
-    #: Current consecutive-skip streak; resets on a healthy step.
-    consecutive_skips: int = 0
-    #: Human-readable reason of the most recent skip.
-    last_reason: str = ""
-
-    def __post_init__(self) -> None:
-        if self.max_consecutive_skips < 1:
-            raise ValueError(
-                "max_consecutive_skips must be >= 1, got "
-                f"{self.max_consecutive_skips}"
-            )
+    def __init__(self) -> None:
+        #: Total steps skipped over the run (diagnostics).
+        self.skipped_steps = 0
+        #: Current consecutive-skip streak; resets on a healthy step.
+        self.consecutive_skips = 0
+        #: Human-readable reason of the most recent skip.
+        self.last_reason = ""
 
     def step_is_safe(self, loss: float, grad_norm: float) -> bool:
         """Whether the optimizer step may be applied.
@@ -75,10 +78,10 @@ class AnomalyGuard:
         self.last_reason = (
             f"non-finite {culprit} (loss={loss}, grad_norm={grad_norm})"
         )
-        if self.consecutive_skips > self.max_consecutive_skips:
+        if self.consecutive_skips > MAX_CONSECUTIVE_SKIPS:
             raise TrainingDivergedError(
                 f"{self.consecutive_skips} consecutive anomalous steps "
-                f"(budget {self.max_consecutive_skips}); last: "
+                f"(budget {MAX_CONSECUTIVE_SKIPS}); last: "
                 f"{self.last_reason}"
             )
         return False
@@ -88,16 +91,50 @@ class AnomalyGuard:
 class TrainHistory:
     """Loss trace and final validation metric of one run."""
 
-    losses: List[float] = field(default_factory=list)
-    metric_name: str = ""
-    metric: float = float("nan")
+    losses: List[float]
+    metric_name: str
+    metric: float
 
-    def smoothed_final_loss(self, window: int = 10) -> float:
-        """Mean of the last ``window`` losses."""
+    def smoothed_final_loss(self) -> float:
+        """Mean of the last 10 losses."""
         if not self.losses:
             raise ValueError("no training steps recorded")
-        tail = self.losses[-window:]
-        return float(np.mean(tail))
+        return float(np.mean(self.losses[-10:]))
+
+
+def _train(
+    model: Module,
+    corpus: Union[SyntheticLM, SyntheticTranslation],
+    loss_of: Callable[..., Tensor],
+    steps: int,
+    batch_size: int,
+    lr: float,
+    seed: int,
+) -> List[float]:
+    """The guarded step loop of both trainers; returns the losses.
+
+    ``loss_of`` maps one ``corpus.batches`` item to the loss tensor.
+    A step with a non-finite loss or gradient norm is skipped (weights
+    and optimizer state untouched); more than
+    :data:`MAX_CONSECUTIVE_SKIPS` in a row raise
+    :class:`TrainingDivergedError`.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    optimizer = Adam(model.parameters(), lr=lr)
+    guard = AnomalyGuard()
+    losses: List[float] = []
+    model.train()
+    for batch in corpus.batches(batch_size, steps, seed=seed):
+        optimizer.zero_grad()
+        loss = loss_of(batch)
+        loss.backward()
+        grad_norm = clip_grad_norm(model.parameters(), GRAD_CLIP)
+        value = float(loss.data)
+        if guard.step_is_safe(value, grad_norm):
+            optimizer.step()
+        losses.append(value)
+    return losses
 
 
 def train_lm(
@@ -106,38 +143,21 @@ def train_lm(
     steps: int = 200,
     batch_size: int = 16,
     lr: float = 3e-3,
-    grad_clip: float = 1.0,
     seed: int = 0,
     eval_batches: int = 8,
-    guard: Optional[AnomalyGuard] = None,
 ) -> TrainHistory:
-    """Train a causal LM; metric = validation perplexity.
+    """Train a causal LM; metric = validation perplexity over
+    ``eval_batches`` held-out batches.
 
-    ``guard`` enables anomaly protection: a step with non-finite loss
-    or gradient norm is skipped (weights and optimizer state
-    untouched) instead of corrupting the run; see
-    :class:`AnomalyGuard`.  Without a guard, behaviour is exactly the
-    historical unconditional-step loop.
+    A non-finite step is skipped; more than
+    :data:`MAX_CONSECUTIVE_SKIPS` in a row raise
+    :class:`TrainingDivergedError` instead of returning a NaN metric.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    optimizer = Adam(model.parameters(), lr=lr)
-    history = TrainHistory(metric_name="perplexity")
-    model.train()
-    for step, tokens in enumerate(
-        corpus.batches(batch_size, steps, seed=seed)
-    ):
-        optimizer.zero_grad()
-        loss = model.loss(tokens)
-        loss.backward()
-        grad_norm = clip_grad_norm(model.parameters(), grad_clip)
-        if guard is None or guard.step_is_safe(float(loss.data), grad_norm):
-            optimizer.step()
-        history.losses.append(float(loss.data))
-    history.metric = evaluate_lm_perplexity(
+    losses = _train(model, corpus, model.loss, steps, batch_size, lr, seed)
+    perplexity = evaluate_lm_perplexity(
         model, corpus.batches(batch_size, eval_batches, seed=seed + 10_000)
     )
-    return history
+    return TrainHistory(losses, "perplexity", perplexity)
 
 
 def train_translation(
@@ -146,33 +166,19 @@ def train_translation(
     steps: int = 200,
     batch_size: int = 16,
     lr: float = 3e-3,
-    grad_clip: float = 1.0,
     seed: int = 0,
-    eval_batches: int = 8,
-    guard: Optional[AnomalyGuard] = None,
 ) -> TrainHistory:
-    """Train a seq2seq model; metric = validation BLEU.
-
-    ``guard`` works as in :func:`train_lm`.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    optimizer = Adam(model.parameters(), lr=lr)
-    history = TrainHistory(metric_name="bleu")
-    model.train()
-    for src, tgt_in, tgt_out in corpus.batches(batch_size, steps, seed=seed):
-        optimizer.zero_grad()
-        loss = model.loss(src, tgt_in, tgt_out)
-        loss.backward()
-        grad_norm = clip_grad_norm(model.parameters(), grad_clip)
-        if guard is None or guard.step_is_safe(float(loss.data), grad_norm):
-            optimizer.step()
-        history.losses.append(float(loss.data))
-    history.metric = evaluate_translation_bleu(
-        model, corpus, num_batches=eval_batches, seed=seed + 10_000,
+    """Train a seq2seq model; metric = validation BLEU over 8 held-out
+    batches.  Guarded as :func:`train_lm`."""
+    losses = _train(
+        model, corpus, lambda batch: model.loss(*batch),
+        steps, batch_size, lr, seed,
+    )
+    bleu = evaluate_translation_bleu(
+        model, corpus, num_batches=8, seed=seed + 10_000,
         batch_size=batch_size,
     )
-    return history
+    return TrainHistory(losses, "bleu", bleu)
 
 
 def evaluate_translation_bleu(

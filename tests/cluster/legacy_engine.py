@@ -9,7 +9,6 @@ fire the same callbacks in the same order at the same times.
 """
 
 import heapq
-from typing import Optional
 
 from repro.cluster.engine import Engine, SimulationError
 
@@ -20,20 +19,15 @@ class LegacyEngine(Engine):
     def _schedule_callback(self, cb, ev):
         heapq.heappush(self._queue, (self.now, next(self._seq), cb, ev))
 
-    def run(self, until: Optional[float] = None) -> float:
+    def run(self) -> float:
         queue = self._queue
         heappop = heapq.heappop
         while queue:
-            entry = heappop(queue)
-            when, _seq, fn, arg = entry
-            if until is not None and when > until:
-                heapq.heappush(queue, entry)
-                self.now = until
-                return self.now
+            when, _seq, fn, arg = heappop(queue)
             if when < self.now:
                 raise SimulationError("time went backwards")
             self.now = when
             fn(arg)
-        if until is None and self._live_processes:
+        if self._live_processes:
             raise SimulationError(self._deadlock_message())
         return self.now

@@ -33,29 +33,6 @@ def test_negative_timeout_rejected():
         eng.timeout(-1.0)
 
 
-def test_run_until_caps_time():
-    eng = Engine()
-
-    def proc(eng):
-        yield eng.timeout(10.0)
-
-    eng.process(proc(eng))
-    assert eng.run(until=3.0) == 3.0
-    assert eng.now == 3.0
-    # Remaining events still execute on a later full run.
-    eng.run()
-    assert eng.now == 10.0
-
-
-def test_run_until_before_now_rejected():
-    eng = Engine()
-    eng.timeout(2.0)
-    eng.run(until=1.0)
-    with pytest.raises(ValueError, match="before now"):
-        eng.run(until=0.5)
-    assert eng.run() == 2.0
-
-
 def test_event_fires_once():
     eng = Engine()
     ev = eng.event("x")
@@ -267,18 +244,6 @@ def test_deadlock_lists_blocked_processes_in_creation_order():
     assert "4 process(es)" in message
     positions = [message.index(f"'stuck{i}'") for i in range(4)]
     assert positions == sorted(positions)
-
-
-def test_run_until_suppresses_deadlock_check():
-    """Stopping early legitimately strands in-flight processes."""
-    eng = Engine()
-
-    def waits(eng):
-        yield eng.timeout(10.0)
-
-    eng.process(waits(eng))
-    assert eng.run(until=1.0) == 1.0  # no raise
-    assert eng.run() == 10.0  # finishing cleanly later is fine
 
 
 def test_deadlock_on_unreleased_resource():

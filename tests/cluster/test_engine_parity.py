@@ -27,7 +27,6 @@ OPS = st.one_of(
     st.tuples(st.just("spawn"), DELAYS),
 )
 BATCH = st.lists(st.lists(OPS, max_size=6), min_size=1, max_size=6)
-UNTIL = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 2.0]))
 
 
 def _traced(base):
@@ -58,9 +57,9 @@ def _traced(base):
     return Traced
 
 
-def _simulate(engine_cls, first, second, until):
-    """Run ``first``, optionally capped at ``until``; then add ``second``
-    and run to the end.  Returns everything observable."""
+def _simulate(engine_cls, first, second):
+    """Run ``first`` to the end; then add ``second`` and run to the
+    end.  Returns everything observable."""
     eng = _traced(engine_cls)()
     resources = [Resource(eng, "r0"), Resource(eng, "r1", capacity=2)]
     signals = [eng.event(f"sig{i}") for i in range(3)]
@@ -96,11 +95,11 @@ def _simulate(engine_cls, first, second, until):
         procs.append(eng.process(body(len(procs), ops), name=f"p{len(procs)}"))
 
     outcome = []
-    for batch, cap in ((first, until), (second, None)):
+    for batch in (first, second):
         for ops in batch:
             start(ops)
         try:
-            outcome.append(eng.run(until=cap))
+            outcome.append(eng.run())
         except SimulationError as exc:  # a deadlock: compare its report
             outcome.append(f"{type(exc).__name__}: {exc}")
             break
@@ -109,10 +108,10 @@ def _simulate(engine_cls, first, second, until):
 
 
 @settings(max_examples=300, deadline=None)
-@given(first=BATCH, second=BATCH, until=UNTIL)
-def test_engine_matches_heap_only_order(first, second, until):
-    new = _simulate(Engine, first, second, until)
-    old = _simulate(LegacyEngine, first, second, until)
+@given(first=BATCH, second=BATCH)
+def test_engine_matches_heap_only_order(first, second):
+    new = _simulate(Engine, first, second)
+    old = _simulate(LegacyEngine, first, second)
     assert new == old
 
 

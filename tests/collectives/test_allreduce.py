@@ -1,20 +1,17 @@
-"""Tests of the allreduce cost models."""
+"""Tests of the allreduce cost model."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, LinkModel, paper_testbed
+from repro.cluster import ClusterSpec, LinkModel
 from repro.cluster.presets import rtx2080ti
-from repro.collectives import hierarchical_allreduce_time, ring_allreduce_time
+from repro.collectives import hierarchical_allreduce_time
 
 
 def test_zero_payload_is_free(paper_spec):
-    assert ring_allreduce_time(paper_spec, 0.0) == 0.0
     assert hierarchical_allreduce_time(paper_spec, 0.0) == 0.0
 
 
 def test_negative_payload_rejected(paper_spec):
-    with pytest.raises(ValueError):
-        ring_allreduce_time(paper_spec, -1.0)
     with pytest.raises(ValueError):
         hierarchical_allreduce_time(paper_spec, -1.0)
 
@@ -28,7 +25,6 @@ def test_single_gpu_is_free():
         intra_link=LinkModel("i", 1e-6, 1e9),
         inter_link=LinkModel("e", 1e-6, 1e9),
     )
-    assert ring_allreduce_time(spec, 1e8) == 0.0
     # Hierarchical with one GPU: no intra peers, no inter nodes.
     assert hierarchical_allreduce_time(spec, 1e8) == 0.0
 
@@ -37,32 +33,6 @@ def test_monotone_in_payload(paper_spec):
     small = hierarchical_allreduce_time(paper_spec, 1e6)
     large = hierarchical_allreduce_time(paper_spec, 1e9)
     assert large > small > 0
-
-
-def test_hierarchical_beats_flat_ring_on_testbed(paper_spec):
-    """With 32 ranks behind 8 NICs the flat ring pays 62 serialized
-    NIC steps; the hierarchical version reduces intra-node first."""
-    payload = 4e8
-    assert hierarchical_allreduce_time(
-        paper_spec, payload
-    ) < ring_allreduce_time(paper_spec, payload)
-
-
-def test_single_node_ring_uses_fabric():
-    spec = ClusterSpec(
-        name="one-node",
-        num_nodes=1,
-        gpus_per_node=4,
-        gpu=rtx2080ti(),
-        intra_link=LinkModel("i", 1e-6, 2e9),
-        inter_link=LinkModel("e", 1e-6, 100e9),
-    )
-    t = ring_allreduce_time(spec, 1e8)
-    # 2*(P-1) steps; each step's fabric carries (gpn-1) chunks and
-    # there is no NIC term on a single node.
-    steps = 2 * (4 - 1)
-    expected = steps * spec.intra_link.transfer_time(1e8 / 4 * 3)
-    assert t == pytest.approx(expected)
 
 
 def test_bandwidth_scaling(paper_spec):

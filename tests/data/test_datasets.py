@@ -57,16 +57,6 @@ def test_translation_mapping_is_topic_dependent():
     assert len(outputs) > 1  # different topics map differently
 
 
-def test_translation_reversal_flag():
-    plain = SyntheticTranslation(TranslationConfig())
-    hard = SyntheticTranslation(
-        TranslationConfig(reverse_even_topics=True)
-    )
-    words = [0, 1, 2]
-    assert plain.translate(0, words) == hard.translate(0, words)[::-1]
-    assert plain.translate(1, words) == hard.translate(1, words)
-
-
 def test_translation_validation():
     corpus = SyntheticTranslation(TranslationConfig())
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ training step does not move by a single bit against them.
 import numpy as np
 
 from repro.nn import functional as F
+from repro.nn.optim import BETA1, BETA2, EPS
 from repro.nn.tensor import gather, segment_matmul
 
 
@@ -38,17 +39,15 @@ def legacy_scatter_add_rows(out, idx, values):
 def legacy_adam_step(self):
     """``Adam.step`` over fresh temporaries."""
     self._step += 1
-    bc1 = 1.0 - self.beta1**self._step
-    bc2 = 1.0 - self.beta2**self._step
+    bc1 = 1.0 - BETA1**self._step
+    bc2 = 1.0 - BETA2**self._step
     for p, m, v in zip(self.parameters, self._m, self._v):
         if p.grad is None:
             continue
         g = p.grad
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        if self.weight_decay:
-            update = update + self.weight_decay * p.data
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.data -= self.lr * update

@@ -19,7 +19,8 @@ from repro.moe import MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.training import AnomalyGuard, TrainingDivergedError, train_lm
+from repro.training import AnomalyGuard, TrainingDivergedError
+from repro.training.trainer import MAX_CONSECUTIVE_SKIPS
 
 
 def make_layer(rng, num_experts=4, capacity_factor=4.0, **kwargs):
@@ -164,32 +165,29 @@ def test_group_zero_dead_is_bit_identical(rng):
 
 # -- AnomalyGuard -----------------------------------------------------------
 def test_guard_passes_healthy_steps():
-    guard = AnomalyGuard(max_consecutive_skips=2)
+    guard = AnomalyGuard()
     assert guard.step_is_safe(1.0, 0.5)
     assert guard.skipped_steps == 0
 
 
 def test_guard_skips_then_recovers():
-    guard = AnomalyGuard(max_consecutive_skips=2)
+    guard = AnomalyGuard()
     assert not guard.step_is_safe(float("nan"), 1.0)
+    assert not guard.step_is_safe(float("inf"), 1.0)
     assert not guard.step_is_safe(1.0, float("inf"))
-    assert guard.consecutive_skips == 2
+    assert guard.consecutive_skips == MAX_CONSECUTIVE_SKIPS == 3
     assert guard.step_is_safe(1.0, 1.0)  # budget restored
     assert guard.consecutive_skips == 0
-    assert guard.skipped_steps == 2
+    assert guard.skipped_steps == 3
     assert "grad-norm" in guard.last_reason
 
 
 def test_guard_raises_on_exhausted_budget():
-    guard = AnomalyGuard(max_consecutive_skips=1)
-    assert not guard.step_is_safe(float("nan"), 1.0)
-    with pytest.raises(TrainingDivergedError):
+    guard = AnomalyGuard()
+    for _ in range(MAX_CONSECUTIVE_SKIPS):
+        assert not guard.step_is_safe(float("nan"), 1.0)
+    with pytest.raises(TrainingDivergedError, match="4 consecutive"):
         guard.step_is_safe(float("nan"), 1.0)
-
-
-def test_guard_validates_budget():
-    with pytest.raises(ValueError):
-        AnomalyGuard(max_consecutive_skips=0)
 
 
 def test_guarded_training_skips_poisoned_step():
@@ -209,7 +207,7 @@ def test_guarded_training_skips_poisoned_step():
         num_experts=4,
         seed=0,
     )
-    guard = AnomalyGuard(max_consecutive_skips=5)
+    guard = AnomalyGuard()
     # Poison one expert weight: the first steps produce non-finite
     # loss; the guard must keep the optimizer from stepping into it.
     moe = model.blocks[0].moe_layer
@@ -298,18 +296,3 @@ def test_zero_faults_training_is_bit_identical():
     a = _train_with_failure(frozenset(), kill_at=0)
     b = _train_with_failure(frozenset(), kill_at=5)
     assert a == b
-
-
-def test_train_lm_accepts_guard():
-    corpus = SyntheticLM(
-        LMConfig(num_words=12, num_topics=2, seq_len=12, branching=2)
-    )
-    model = TransformerLM(
-        vocab_size=corpus.vocab_size, model_dim=16, hidden_dim=24,
-        num_layers=1, num_heads=2, max_seq_len=12, seed=0,
-    )
-    history = train_lm(
-        model, corpus, steps=3, batch_size=4, guard=AnomalyGuard()
-    )
-    assert len(history.losses) == 3
-    assert all(math.isfinite(x) for x in history.losses)

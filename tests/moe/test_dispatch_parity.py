@@ -139,7 +139,7 @@ def test_table6_pins_each_model_dense(monkeypatch):
     assert all(mode == "dense" for modes in seen for mode in modes)
 
     corpus = convergence.default_lm_corpus()
-    model = convergence._lm_model("MoE", corpus, "tiny", seed=0)
+    model = convergence._lm_model("MoE", corpus, seed=0)
     modes = [m.dispatch_mode for m in model.modules() if isinstance(m, MoELayer)]
     assert modes and all(mode == "sparse" for mode in modes)
 

@@ -63,7 +63,7 @@ def _copy(array):
 def _train(build, loss, steps: int = 2):
     """Loss, every gradient and every parameter after each Adam step."""
     model = build()
-    opt = Adam(model.parameters(), lr=1e-2, weight_decay=0.01)
+    opt = Adam(model.parameters(), lr=1e-2)
     trace = []
     for _ in range(steps):
         opt.zero_grad()

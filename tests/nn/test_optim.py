@@ -26,14 +26,6 @@ def test_adam_minimizes_quadratic(rng):
     assert final < 1e-5
 
 
-def test_weight_decay_shrinks_weights(rng):
-    p = Parameter(np.ones(4, dtype=np.float32))
-    opt = Adam([p], lr=0.1, weight_decay=0.5)
-    p.grad = np.zeros(4, dtype=np.float32)
-    opt.step()
-    np.testing.assert_allclose(p.data, 0.95 * np.ones(4))
-
-
 def test_optimizer_skips_gradless_params(rng):
     p = Parameter(np.ones(2, dtype=np.float32))
     opt = Adam([p], lr=0.1)
@@ -46,18 +38,9 @@ def test_optimizer_validation(rng):
     with pytest.raises(ValueError):
         Adam([p], lr=0.0)
     with pytest.raises(ValueError):
-        Adam([p], lr=0.1, betas=(1.0, 0.9))
-    with pytest.raises(ValueError):
         Adam([], lr=0.1)
-    for bad in (
-        dict(lr=float("nan")),
-        dict(eps=float("nan")),
-        dict(eps=-1.0),
-        dict(weight_decay=float("nan")),
-        dict(weight_decay=-0.5),
-    ):
-        with pytest.raises(ValueError):
-            Adam([p], **bad)
+    with pytest.raises(ValueError):
+        Adam([p], lr=float("nan"))
 
 
 def test_clip_grad_norm(rng):

@@ -1,11 +1,15 @@
 """Tests of the training loops and convergence machinery."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from repro.data import LMConfig, SyntheticLM, SyntheticTranslation, TranslationConfig
 from repro.models import Seq2SeqTransformer, TransformerLM
 from repro.training import (
+    TrainingDivergedError,
     evaluate_translation_bleu,
     run_lm_convergence,
     train_lm,
@@ -63,8 +67,7 @@ def test_bleu_eval_runs(mt_corpus):
 
 def test_lm_convergence_variants_run(lm_corpus):
     result = run_lm_convergence(
-        steps=25, batch_size=8, scale="tiny",
-        variants=["Base", "MoE"], corpus=lm_corpus,
+        steps=25, batch_size=8, variants=["Base", "MoE"], corpus=lm_corpus,
     )
     assert set(result.metrics) == {"Base", "MoE"}
     assert all(m > 1.0 for m in result.metrics.values())
@@ -85,3 +88,41 @@ def test_training_is_deterministic(lm_corpus):
         return train_lm(model, lm_corpus, steps=10, batch_size=4).losses
 
     assert run() == run()
+
+
+def _tiny_lm(corpus):
+    return TransformerLM(
+        vocab_size=corpus.vocab_size, model_dim=16, hidden_dim=24,
+        num_layers=1, num_heads=2, max_seq_len=16, seed=0,
+    )
+
+
+def _poison_loss(model, bad_calls):
+    """Make ``model.loss`` non-finite (loss and gradients) on the
+    calls numbered in ``bad_calls``."""
+    loss, calls = model.loss, itertools.count()
+
+    def poisoned(tokens):
+        out = loss(tokens)
+        return out * float("nan") if next(calls) in bad_calls else out
+
+    model.loss = poisoned
+
+
+def test_train_lm_skips_three_nonfinite_steps_in_a_row(lm_corpus):
+    model = _tiny_lm(lm_corpus)
+    _poison_loss(model, {1, 2, 3})
+    history = train_lm(model, lm_corpus, steps=6, batch_size=4)
+    assert [math.isnan(x) for x in history.losses] == [
+        False, True, True, True, False, False,
+    ]
+    # The skipped steps left the weights finite, so the metric is too.
+    assert math.isfinite(history.metric)
+    assert all(np.isfinite(p.data).all() for p in model.parameters())
+
+
+def test_train_lm_raises_on_a_fourth_nonfinite_step_in_a_row(lm_corpus):
+    model = _tiny_lm(lm_corpus)
+    _poison_loss(model, {1, 2, 3, 4})
+    with pytest.raises(TrainingDivergedError, match="4 consecutive"):
+        train_lm(model, lm_corpus, steps=6, batch_size=4)
