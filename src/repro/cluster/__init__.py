@@ -21,7 +21,7 @@ from .costmodel import (
     fit_gemm_roofline,
     fit_link_model,
 )
-from .engine import AllOf, AnyOf, Engine, Event, Process, Resource, Timeout
+from .engine import AllOf, Engine, Event, Process, Resource, Timeout
 from .presets import (
     PRESETS,
     custom_ratio_testbed,
@@ -35,7 +35,6 @@ from .topology import ClusterSpec, GpuRuntime, NodeRuntime, SimCluster, Simulate
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ClusterSpec",
     "Engine",
     "Event",

@@ -47,34 +47,6 @@ class LinkModel:
             raise ValueError(f"negative message size: {nbytes}")
         return self.latency_s + nbytes / self.bandwidth_bps
 
-    def degraded(
-        self, bandwidth_factor: float = 1.0, extra_latency_s: float = 0.0
-    ) -> "LinkModel":
-        """This link under a fault: bandwidth cut and/or latency spike.
-
-        Alpha-beta composes cleanly with degradation — a cut multiplies
-        beta's denominator, a spike adds to alpha — so a degraded link
-        is just another :class:`LinkModel`.  Used by the fault layer
-        (:mod:`repro.faults`) for whole-window degradation; transfers
-        that *straddle* a fault window are priced piecewise by the
-        injector instead.
-        """
-        if not 0.0 < bandwidth_factor <= 1.0:
-            raise ValueError(
-                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
-            )
-        if extra_latency_s < 0:
-            raise ValueError(
-                f"extra_latency_s must be >= 0, got {extra_latency_s}"
-            )
-        if bandwidth_factor == 1.0 and extra_latency_s == 0.0:
-            return self
-        return LinkModel(
-            name=f"{self.name}[degraded]",
-            latency_s=self.latency_s + extra_latency_s,
-            bandwidth_bps=self.bandwidth_bps * bandwidth_factor,
-        )
-
 
 @dataclass(frozen=True)
 class GpuModel:

@@ -144,21 +144,6 @@ class AllOf(Event):
             self.succeed([ev.value for ev in self._children])
 
 
-class AnyOf(Event):
-    """Fires as soon as any child event fires."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: Iterable[Event], name: str = ""):
-        super().__init__(engine, name or "any_of")
-        for ev in events:
-            ev.add_callback(self._child_fired)
-
-    def _child_fired(self, ev: Event) -> None:
-        if not self.fired:
-            self.succeed(ev.value)
-
-
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -271,10 +256,6 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event firing when all of ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     def run(self) -> float:
         """Drain the event queue; returns the final simulation time.

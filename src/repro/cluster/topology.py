@@ -314,7 +314,7 @@ class SimCluster:
         while True:
             with (yield from resource.acquire()):
                 start = self.engine.now
-                failed = injector.transfer_attempt_fails(kind, start)
+                failed = injector.transfer_attempt_fails()
                 finish = injector.transfer_finish(
                     kind, src_node, start, nbytes, link
                 )
@@ -339,9 +339,8 @@ class SimCluster:
     def compute(self, rank: int, seconds: float) -> ProcessGenerator:
         """Process generator occupying GPU ``rank``'s compute engine.
 
-        ``seconds`` is the *healthy* kernel duration; an active
-        straggler fault on ``rank`` stretches it piecewise over the
-        fault's time window.
+        ``seconds`` is the *healthy* kernel duration; a straggler fault
+        on ``rank`` stretches it by the fault's slowdown.
         """
         if seconds < 0:
             raise ValueError(f"negative compute duration: {seconds}")

@@ -24,7 +24,7 @@ from .simple import (
     Int8Compressor,
     NoopCompressor,
 )
-from .zfp import Zfp4Compressor, Zfp8Compressor, Zfp16Compressor, ZfpLikeCompressor
+from .zfp import ZfpLikeCompressor
 
 __all__ = [
     "CompressedTensor",
@@ -37,9 +37,6 @@ __all__ = [
     "measure_fidelity",
     "Int8Compressor",
     "NoopCompressor",
-    "Zfp4Compressor",
-    "Zfp8Compressor",
-    "Zfp16Compressor",
     "ZfpLikeCompressor",
     "available_compressors",
     "get_compressor",

@@ -3,7 +3,8 @@
 * ``none`` ships raw fp32 (the "MoE" row).
 * ``fp16`` casts to IEEE half precision — 2x volume, near-lossless on
   activation magnitudes, "almost no impact on the model convergence"
-  (paper Section 6.2).
+  (paper Section 6.2).  A value past float16's finite range (±65504)
+  is rejected instead of decoding as inf.
 * ``int8`` quantizes with a single per-tensor scale to signed 8-bit —
   4x volume, but the coarse global scale loses small-magnitude values,
   which is why the paper measures a clear perplexity regression for
@@ -49,11 +50,19 @@ class Fp16Compressor(Compressor):
 
     def compress(self, tensor: np.ndarray) -> CompressedTensor:
         arr = np.asarray(tensor, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            half = arr.astype(np.float16)
+        if np.isinf(half).any():
+            raise ValueError(
+                f"{self.name}: a value is beyond float16's finite range "
+                f"(max {np.finfo(np.float16).max}); refusing to compress "
+                "(it would decode as inf)"
+            )
         return CompressedTensor(
             codec=self.name,
             shape=arr.shape,
             dtype=np.dtype(np.float32),
-            payload={"data": arr.astype(np.float16)},
+            payload={"data": half},
         )
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:

@@ -10,9 +10,8 @@ each block's local dynamic range instead of the whole tensor's, so the
 roundtrip error stays proportional to the *local* scale — the reason
 Table 6 shows ZFP preserving convergence where INT8 does not.
 
-Supported rates are 4, 8 and 16 mantissa bits per value; 4-bit
-mantissas are packed two per byte.  The per-block exponent adds
-``8 / BLOCK`` bits per value of overhead.
+Mantissas are signed 8-bit integers, the paper's one operating point;
+the per-block exponent adds ``8 / BLOCK`` bits per value of overhead.
 
 A block's peak magnitude is read from the bit patterns: with the sign
 bit cleared, a float32 orders like its int32 bits (NaN above inf above
@@ -37,7 +36,8 @@ from .base import CompressedTensor, Compressor, register_compressor
 #: Values per block (ZFP uses 4^d; we block the flattened tensor).
 BLOCK = 64
 
-_SUPPORTED_RATES = (4, 8, 16)
+#: Signed mantissa bits per value.
+RATE = 8
 
 #: Largest block exponent an int8 holds: peaks must stay below 2^127.
 _MAX_EXPONENT = 127
@@ -45,12 +45,16 @@ _MAX_EXPONENT = 127
 #: Smallest block exponent an int8 holds; lower ones are floored here.
 _MIN_EXPONENT = -128
 
+#: Largest quantized mantissa magnitude, 2^(RATE-1) - 1.
+_QMAX = float(2 ** (RATE - 1) - 1)
+
 #: A float32's bits with the sign bit cleared: its magnitude's bits.
 _MAGNITUDE_BITS = np.int32(0x7FFFFFFF)
 
 
+@register_compressor
 class ZfpLikeCompressor(Compressor):
-    """Fixed-rate block floating-point compression.
+    """Fixed-rate block floating-point compression at ~8 bits per value.
 
     Cost model: GPU ZFP implementations on 2021-era consumer cards
     sustain on the order of 12-14 GB/s with a ~1 ms pipeline setup per
@@ -64,14 +68,7 @@ class ZfpLikeCompressor(Compressor):
     fixed_cost_s = 1.0e-3
     compress_bandwidth_bps = 12.0e9
     decompress_bandwidth_bps = 14.0e9
-
-    def __init__(self, rate: int = 8):
-        if rate not in _SUPPORTED_RATES:
-            raise ValueError(
-                f"rate must be one of {_SUPPORTED_RATES}, got {rate}"
-            )
-        self.rate = rate
-        self.bits_per_value = rate + 8.0 / BLOCK
+    bits_per_value = RATE + 8.0 / BLOCK
 
     def encode(self, tensor: np.ndarray) -> CompressedTensor:
         """:meth:`compress`, which checks for non-finite input itself."""
@@ -106,89 +103,32 @@ class ZfpLikeCompressor(Compressor):
             )
         np.maximum(exps, _MIN_EXPONENT, out=exps)
 
-        # Quantize mantissas to `rate` signed bits against 2^e: every
-        # |x| <= peak < 2^e, so values land in [-qmax, qmax] with
-        # qmax = 2^(rate-1) - 1, and no clip is needed.
-        qmax = float(2 ** (self.rate - 1) - 1)
+        # Quantize mantissas to RATE signed bits against 2^e: every
+        # |x| <= peak < 2^e, so values land in [-_QMAX, _QMAX], and no
+        # clip is needed.
         scales = np.ldexp(np.float32(1.0), exps)  # 2^e
         quant = np.divide(blocks, scales[:, None], out=work.view(np.float32))
-        quant *= qmax
+        quant *= _QMAX
         np.rint(quant, out=quant)
-
-        if self.rate == 4:
-            data = _pack_nibbles(quant.astype(np.int8))
-        elif self.rate == 8:
-            data = quant.astype(np.int8)
-        else:
-            data = quant.astype(np.int16)
         return CompressedTensor(
             codec=self.name,
             shape=arr.shape,
             dtype=np.dtype(np.float32),
-            payload={"data": data, "exponents": exps.astype(np.int8)},
-            meta={"rate": self.rate, "pad": pad},
+            payload={
+                "data": quant.astype(np.int8),
+                "exponents": exps.astype(np.int8),
+            },
+            meta={"pad": pad},
         )
 
     def decompress(self, compressed: CompressedTensor) -> np.ndarray:
-        rate = compressed.meta["rate"]
         pad = compressed.meta["pad"]
         exps = compressed.payload["exponents"].astype(np.int32)
-        raw = compressed.payload["data"]
-        if rate == 4:
-            raw = _unpack_nibbles(raw)
-        blocks = raw.reshape(len(exps), BLOCK).astype(np.float32)
-        qmax = float(2 ** (rate - 1) - 1)
+        data = compressed.payload["data"]
+        blocks = data.reshape(len(exps), BLOCK).astype(np.float32)
         scales = np.ldexp(np.float32(1.0), exps)
-        blocks *= scales[:, None] / qmax
+        blocks *= scales[:, None] / _QMAX
         flat = blocks.ravel()
         if pad:
             flat = flat[:-pad]
         return flat.reshape(compressed.shape)
-
-
-def _pack_nibbles(values: np.ndarray) -> np.ndarray:
-    """Pack int8 values in [-7, 7] two per byte (offset-8 nibbles)."""
-    offset = (values + 8).astype(np.uint8)
-    lo = offset[:, 0::2]
-    hi = offset[:, 1::2]
-    return (lo | (hi << 4)).astype(np.uint8)
-
-
-def _unpack_nibbles(packed: np.ndarray) -> np.ndarray:
-    """Invert :func:`_pack_nibbles`."""
-    lo = (packed & 0x0F).astype(np.int16) - 8
-    hi = ((packed >> 4) & 0x0F).astype(np.int16) - 8
-    out = np.empty(packed.shape[:-1] + (packed.shape[-1] * 2,), dtype=np.int16)
-    out[..., 0::2] = lo
-    out[..., 1::2] = hi
-    return out
-
-
-@register_compressor
-class Zfp8Compressor(ZfpLikeCompressor):
-    """The paper's operating point: ~8 bits per value, 4x reduction."""
-
-    name = "zfp"
-
-    def __init__(self):
-        super().__init__(rate=8)
-
-
-@register_compressor
-class Zfp4Compressor(ZfpLikeCompressor):
-    """Aggressive 4-bit variant for the compression ablation."""
-
-    name = "zfp4"
-
-    def __init__(self):
-        super().__init__(rate=4)
-
-
-@register_compressor
-class Zfp16Compressor(ZfpLikeCompressor):
-    """Conservative 16-bit variant (near-lossless, 2x reduction)."""
-
-    name = "zfp16"
-
-    def __init__(self):
-        super().__init__(rate=16)

@@ -7,17 +7,18 @@ stragglers, flapping links and failed ranks.  This module gives the
 reproduction a way to ask "what happens then":
 
 * a :class:`FaultPlan` is a pure-literal description of the faults to
-  inject — straggler GPUs (compute slowdown over a simulated-time
-  window), degraded or flapping links (bandwidth cut / latency spike
-  in the alpha-beta model), and transient transfer failures that
-  trigger retry with exponential backoff — fully reproducible from its
-  ``seed``;
+  inject — straggler GPUs (a constant compute slowdown for the whole
+  run), degraded or flapping links (a bandwidth cut in the alpha-beta
+  model over simulated-time windows), and transient transfer failures
+  that trigger retry with exponential backoff — fully reproducible
+  from its ``seed``;
 * a :class:`FaultInjector` is the per-:class:`~repro.cluster.topology.
   SimCluster` runtime that answers "how long does this kernel/transfer
-  actually take, starting now?" by piecewise integration over the
-  plan's fault windows, and draws transient-failure decisions from a
-  counter-indexed hash of the seed (no wall clock, no global RNG
-  state), so the same plan produces byte-identical simulations.
+  actually take, starting now?" — a straggler's kernels stretch by its
+  factor, a transfer drains piecewise across the link's fault windows
+  — and draws transient-failure decisions from a counter-indexed hash
+  of the seed (no wall clock, no global RNG state), so the same plan
+  produces byte-identical simulations.
 
 The numerical substrate consumes the companion degradation hooks
 directly (:meth:`repro.moe.gating.GateOutput.with_experts_dropped`,
@@ -46,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..cluster.costmodel import LinkModel
 from ..cluster.engine import SimulationError
 
-#: Link classes a fault can target (``"any"`` is transient-only).
+#: Link classes a link fault can target.
 LINK_KINDS = ("fabric", "nic")
 
 
@@ -57,20 +58,15 @@ class FaultError(SimulationError):
 
 @dataclass(frozen=True)
 class StragglerFault:
-    """One GPU computing slower by ``slowdown``x during a time window.
+    """One GPU computing ``slowdown``x slower for the whole run.
 
     Models a thermally throttled / contended / misbehaving device: all
     kernels on ``rank``'s compute stream take ``slowdown`` times their
-    healthy duration while the simulated clock is inside
-    ``[start_s, end_s)``.  Kernels spanning a window edge are priced
-    piecewise, so a 2x straggler that recovers halfway through a
-    kernel slows exactly the first half.
+    healthy duration.  Several stragglers on one rank multiply.
     """
 
     rank: int
     slowdown: float
-    start_s: float = 0.0
-    end_s: float = math.inf
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -79,12 +75,11 @@ class StragglerFault:
             raise ValueError(
                 f"slowdown must be >= 1 (1 = healthy), got {self.slowdown}"
             )
-        _check_window(self.start_s, self.end_s)
 
 
 @dataclass(frozen=True)
 class LinkFault:
-    """A degraded link: bandwidth cut and/or latency spike in a window.
+    """A degraded link: a bandwidth cut inside a time window.
 
     ``link`` selects the resource class — ``"nic"`` degrades the
     node's inter-node egress, ``"fabric"`` its intra-node fabric (both
@@ -96,7 +91,6 @@ class LinkFault:
     node: int
     link: str
     bandwidth_factor: float = 1.0
-    extra_latency_s: float = 0.0
     start_s: float = 0.0
     end_s: float = math.inf
 
@@ -112,10 +106,6 @@ class LinkFault:
                 "bandwidth_factor must be in (0, 1], got "
                 f"{self.bandwidth_factor}"
             )
-        if self.extra_latency_s < 0:
-            raise ValueError(
-                f"extra_latency_s must be >= 0, got {self.extra_latency_s}"
-            )
         _check_window(self.start_s, self.end_s)
 
 
@@ -123,7 +113,7 @@ class LinkFault:
 class TransientFaults:
     """Seeded random per-message transfer failures with retry/backoff.
 
-    Inside ``[start_s, end_s)`` every matching transfer attempt fails
+    Every transfer attempt, over any link class and at any time, fails
     independently with ``probability``; a failed attempt still occupies
     its link for the full transfer duration (the bytes moved, then the
     CRC said no), after which the sender backs off
@@ -137,22 +127,14 @@ class TransientFaults:
     """
 
     probability: float
-    link: str = "any"
     max_retries: int = 5
     backoff_s: float = 100e-6
     backoff_multiplier: float = 2.0
-    start_s: float = 0.0
-    end_s: float = math.inf
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability < 1.0:
             raise ValueError(
                 f"probability must be in [0, 1), got {self.probability}"
-            )
-        if self.link not in LINK_KINDS + ("any",):
-            raise ValueError(
-                f"link must be one of {LINK_KINDS + ('any',)}, "
-                f"got {self.link!r}"
             )
         if self.max_retries < 0:
             raise ValueError(
@@ -165,11 +147,6 @@ class TransientFaults:
                 "backoff_multiplier must be >= 1, got "
                 f"{self.backoff_multiplier}"
             )
-        _check_window(self.start_s, self.end_s)
-
-    def matches(self, kind: str) -> bool:
-        """Whether this fault class applies to link class ``kind``."""
-        return self.link == "any" or self.link == kind
 
     #: Cap on the backoff exponent: beyond this the delay saturates
     #: instead of growing.  2**30 ≈ 1e9 multiplier is already far past
@@ -225,21 +202,10 @@ def _check_window(start_s: float, end_s: float) -> None:
         )
 
 
-def single_straggler(
-    rank: int,
-    slowdown: float,
-    start_s: float = 0.0,
-    end_s: float = math.inf,
-    seed: int = 0,
-) -> FaultPlan:
+def single_straggler(rank: int, slowdown: float) -> FaultPlan:
     """The canonical one-slow-GPU scenario (the faults ablation's axis)."""
     return FaultPlan(
-        seed=seed,
-        stragglers=(
-            StragglerFault(
-                rank=rank, slowdown=slowdown, start_s=start_s, end_s=end_s
-            ),
-        ),
+        stragglers=(StragglerFault(rank=rank, slowdown=slowdown),)
     )
 
 
@@ -250,15 +216,13 @@ def flapping_link(
     down_fraction: float,
     cycles: int,
     bandwidth_factor: float = 0.1,
-    extra_latency_s: float = 0.0,
-    start_s: float = 0.0,
 ) -> Tuple[LinkFault, ...]:
     """Degradation windows of a flapping link.
 
-    Each of ``cycles`` periods of ``period_s`` seconds starts with a
-    "down" phase of ``down_fraction`` of the period in which the link
-    runs at ``bandwidth_factor`` of its bandwidth (plus an optional
-    latency spike), then recovers for the rest of the period.
+    Each of ``cycles`` periods of ``period_s`` seconds, the first
+    starting at t=0, begins with a "down" phase of ``down_fraction`` of
+    the period in which the link runs at ``bandwidth_factor`` of its
+    bandwidth, then recovers for the rest of the period.
     """
     if period_s <= 0:
         raise ValueError(f"period_s must be positive, got {period_s}")
@@ -273,9 +237,8 @@ def flapping_link(
             node=node,
             link=link,
             bandwidth_factor=bandwidth_factor,
-            extra_latency_s=extra_latency_s,
-            start_s=start_s + c * period_s,
-            end_s=start_s + c * period_s + down_fraction * period_s,
+            start_s=c * period_s,
+            end_s=c * period_s + down_fraction * period_s,
         )
         for c in range(cycles)
     )
@@ -314,9 +277,7 @@ def _piecewise_finish(
 
     ``rate_at(t)`` is the instantaneous completion rate (units/sec),
     constant between consecutive ``boundaries`` (sorted ascending,
-    finite).  This is the one integration routine both fault classes
-    share: compute work in healthy-seconds against slowdown factors,
-    transfer work in bytes against degraded bandwidth.
+    finite): a transfer's bytes against its link's degraded bandwidth.
     """
     if work <= 0:
         return start
@@ -364,9 +325,12 @@ class FaultInjector:
                 )
         self.plan = plan
         self._attempts = 0
-        self._stragglers_by_rank: Dict[int, List[StragglerFault]] = {}
+        #: Per straggling rank, the product of its slowdowns.
+        self._slowdown_by_rank: Dict[int, float] = {}
         for s in plan.stragglers:
-            self._stragglers_by_rank.setdefault(s.rank, []).append(s)
+            self._slowdown_by_rank[s.rank] = (
+                self._slowdown_by_rank.get(s.rank, 1.0) * s.slowdown
+            )
         self._links_by_key: Dict[Tuple[str, int], List[LinkFault]] = {}
         for lf in plan.links:
             nodes = range(num_nodes) if lf.node == -1 else (lf.node,)
@@ -377,20 +341,13 @@ class FaultInjector:
     def compute_finish(self, rank: int, start: float, seconds: float) -> float:
         """When a kernel of ``seconds`` healthy time, started at
         ``start`` on ``rank``, actually finishes."""
-        faults = self._stragglers_by_rank.get(rank)
-        if not faults:
+        factor = self._slowdown_by_rank.get(rank)
+        if factor is None:
             return start + seconds
-
-        def rate_at(t: float) -> float:
-            factor = 1.0
-            for f in faults:
-                if f.start_s <= t < f.end_s:
-                    factor *= f.slowdown
-            return 1.0 / factor
-
-        return _piecewise_finish(
-            start, seconds, rate_at, _edges(faults, start)
-        )
+        # Divides by the rate 1/factor rather than multiplying by the
+        # factor: the two round differently, and the fault sidecars
+        # were recorded with this form.
+        return start + seconds / (1.0 / factor)
 
     # -- links ------------------------------------------------------------
     def transfer_finish(
@@ -404,18 +361,13 @@ class FaultInjector:
         """When a transfer of ``nbytes`` over ``link`` (class ``kind``
         on ``node``), started at ``start``, actually finishes.
 
-        The fixed latency term is priced at the transfer's start (a
-        latency spike delays message setup); the byte drain integrates
+        The fixed latency term is paid first; the byte drain integrates
         the bandwidth cut piecewise across windows.
         """
         faults = self._links_by_key.get((kind, node))
         if not faults:
             return start + link.transfer_time(nbytes)
-        latency = link.latency_s
-        for f in faults:
-            if f.start_s <= start < f.end_s:
-                latency += f.extra_latency_s
-        drain_start = start + latency
+        drain_start = start + link.latency_s
 
         def rate_at(t: float) -> float:
             factor = 1.0
@@ -429,12 +381,10 @@ class FaultInjector:
         )
 
     # -- transient failures ----------------------------------------------
-    def transfer_attempt_fails(self, kind: str, when: float) -> bool:
-        """Seeded verdict for one transfer attempt starting at ``when``."""
+    def transfer_attempt_fails(self) -> bool:
+        """Seeded verdict for the next transfer attempt."""
         t = self.plan.transient
-        if t is None or not t.matches(kind):
-            return False
-        if not t.start_s <= when < t.end_s:
+        if t is None:
             return False
         index = self._attempts
         self._attempts += 1

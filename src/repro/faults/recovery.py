@@ -34,12 +34,11 @@ the minimal move set.
 Every transition is priced through the *timing* substrate: the expert
 slices that must move are counted in bytes
 (:func:`~repro.moe.placement.reshard_traffic`) and converted to
-simulated seconds by :func:`price_reshard` — on a healthy cluster or
-under a :class:`~repro.faults.FaultPlan` (the re-shard happens on the
-*degraded* cluster, after all).  :func:`reshard_vs_degraded` turns
-those numbers into the planner's decision hook: pay the one-off
-re-shard or keep stepping as-is.  :mod:`repro.systems.recovery` runs
-the whole kill → recover → scale-up scenario and prices it.
+simulated seconds by :func:`price_reshard` on a healthy cluster.
+:func:`reshard_vs_degraded` turns those numbers into the planner's
+decision hook: pay the one-off re-shard or keep stepping as-is.
+:mod:`repro.systems.recovery` runs the whole kill → recover →
+scale-up scenario and prices it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import FaultPlan
 from ..moe.placement import (
     expert_param_bytes,
     reshard_moves,
@@ -142,20 +140,14 @@ def reshard_vs_degraded(
     )
 
 
-def price_reshard(
-    spec,
-    per_gpu_bytes: Union[int, float],
-    faults: Optional[FaultPlan] = None,
-) -> float:
+def price_reshard(spec, per_gpu_bytes: Union[int, float]) -> float:
     """Simulated seconds to move ``per_gpu_bytes`` of expert slices.
 
     The re-shard exchange is all-to-all-shaped (several workers send
     expert slices to several others at once), so it is priced as one
     Pipe-A2A of the busiest endpoint's payload
     (``reshard_traffic(...)["per_gpu_bytes"]``) — a conservative bound,
-    since the real exchange is sparser.  ``faults`` prices it on a
-    degraded cluster: recovering *through* the fault costs more than
-    the healthy number, and that difference is part of the decision.
+    since the real exchange is sparser.
     """
     per_gpu_bytes = float(per_gpu_bytes)
     if per_gpu_bytes < 0:
@@ -166,9 +158,7 @@ def price_reshard(
         return 0.0
     from ..collectives import get_a2a, measure_a2a
 
-    result = measure_a2a(
-        get_a2a("pipe"), spec, per_gpu_bytes, faults=faults
-    )
+    result = measure_a2a(get_a2a("pipe"), spec, per_gpu_bytes)
     if result.oom:
         raise MemoryError(
             f"re-shard A2A of {per_gpu_bytes:.3e} B/GPU does not fit "

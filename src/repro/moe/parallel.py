@@ -289,7 +289,6 @@ class ExpertParallelGroup:
         self,
         layer: MoELayer,
         num_workers: int,
-        dead_workers=(),
         pipeline: str = "sync",
         num_chunks: int = 1,
         scheduler: Union[str, Scheduler] = "optsche",
@@ -342,8 +341,6 @@ class ExpertParallelGroup:
         self._dead_workers: frozenset = frozenset()
         self._placement: ExpertPlacement = placement
         self._validate_placement(placement)
-        if dead_workers:
-            self.set_dead_workers(dead_workers)
 
     # -- placement ---------------------------------------------------------
     @property

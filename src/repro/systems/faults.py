@@ -133,7 +133,6 @@ def _transient_study(spec: ClusterSpec) -> dict:
         seed=TRANSIENT["seed"],
         transient=TransientFaults(
             probability=TRANSIENT["probability"],
-            link="any",
             max_retries=TRANSIENT["max_retries"],
             backoff_s=TRANSIENT["backoff_s"],
             backoff_multiplier=TRANSIENT["backoff_multiplier"],

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.engine import (
     AllOf,
-    AnyOf,
     Engine,
     Resource,
     SimulationError,
@@ -123,19 +122,6 @@ def test_all_of_with_already_fired_children():
     combined = AllOf(eng, [ev])
     assert combined.fired
     assert combined.value == [1]
-
-
-def test_any_of_fires_on_first_child():
-    eng = Engine()
-    times = []
-
-    def waiter(eng, events):
-        yield AnyOf(eng, events)
-        times.append(eng.now)
-
-    eng.process(waiter(eng, [eng.timeout(5.0), eng.timeout(2.0)]))
-    eng.run()
-    assert times == [2.0]
 
 
 def test_process_return_value_propagates():

@@ -20,7 +20,6 @@ OPS = st.one_of(
     st.tuples(st.just("timeout"), DELAYS),
     st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
     st.tuples(st.just("all_of"), st.lists(DELAYS, max_size=3)),
-    st.tuples(st.just("any_of"), st.lists(DELAYS, min_size=1, max_size=3)),
     st.tuples(st.just("join"), st.integers(0, 15)),
     st.tuples(st.just("signal"), st.integers(0, 2)),
     st.tuples(st.just("wait"), st.integers(0, 2)),
@@ -75,8 +74,6 @@ def _simulate(engine_cls, first, second):
                     yield eng.timeout(op[2])
             elif kind == "all_of":
                 yield eng.all_of([eng.timeout(d) for d in op[1]])
-            elif kind == "any_of":
-                yield eng.any_of([eng.timeout(d) for d in op[1]])
             elif kind == "join":
                 # Joining oneself (or a cycle) deadlocks: both engines
                 # must then report the same blocked processes.

@@ -29,7 +29,7 @@ def test_plan_validation_rejects_bad_fields():
     with pytest.raises(ValueError):
         StragglerFault(rank=0, slowdown=0.5)  # faster than healthy
     with pytest.raises(ValueError):
-        StragglerFault(rank=0, slowdown=2.0, start_s=3.0, end_s=1.0)
+        LinkFault(node=0, link="nic", start_s=3.0, end_s=1.0)
     with pytest.raises(ValueError):
         LinkFault(node=0, link="warp-core")
     with pytest.raises(ValueError):
@@ -40,8 +40,6 @@ def test_plan_validation_rejects_bad_fields():
         TransientFaults(probability=1.0)  # would never succeed
     with pytest.raises(ValueError):
         TransientFaults(probability=0.1, backoff_multiplier=0.5)
-    with pytest.raises(ValueError):
-        TransientFaults(probability=0.1, link="pcie")
 
 
 def test_injector_rejects_out_of_range_targets():
@@ -64,33 +62,16 @@ def test_empty_plan_is_empty():
 
 def test_flapping_link_windows():
     windows = flapping_link(
-        0, "fabric", period_s=1.0, down_fraction=0.25, cycles=3, start_s=2.0
+        0, "fabric", period_s=1.0, down_fraction=0.25, cycles=3
     )
     assert [(w.start_s, w.end_s) for w in windows] == [
+        (0.0, 0.25),
+        (1.0, 1.25),
         (2.0, 2.25),
-        (3.0, 3.25),
-        (4.0, 4.25),
     ]
 
 
 # -- injector math ----------------------------------------------------------
-def test_straggler_piecewise_integration():
-    inj = FaultInjector(
-        single_straggler(0, 2.0, start_s=1.0, end_s=3.0),
-        SPEC.world_size,
-        SPEC.num_nodes,
-    )
-    # 4s of healthy work from t=0: [0,1) yields 1 unit, [1,3) at half
-    # rate yields 1, the remaining 2 run healthy -> finish at 5.
-    assert inj.compute_finish(0, 0.0, 4.0) == 5.0
-    # Started inside the window.
-    assert inj.compute_finish(0, 1.5, 1.0) == 3.25
-    # Started after the window: untouched.
-    assert inj.compute_finish(0, 10.0, 1.0) == 11.0
-    # Other ranks: untouched.
-    assert inj.compute_finish(1, 0.0, 4.0) == 4.0
-
-
 def test_overlapping_stragglers_multiply():
     plan = FaultPlan(
         stragglers=(
@@ -102,7 +83,7 @@ def test_overlapping_stragglers_multiply():
     assert inj.compute_finish(0, 0.0, 1.0) == pytest.approx(6.0)
 
 
-def test_link_fault_piecewise_and_latency():
+def test_link_fault_piecewise():
     link = LinkModel(name="t", latency_s=0.5, bandwidth_bps=100.0)
     plan = FaultPlan(
         links=(
@@ -110,17 +91,16 @@ def test_link_fault_piecewise_and_latency():
                 node=0,
                 link="nic",
                 bandwidth_factor=0.5,
-                extra_latency_s=0.25,
                 start_s=0.0,
                 end_s=2.0,
             ),
         )
     )
     inj = FaultInjector(plan, SPEC.world_size, SPEC.num_nodes)
-    # 100 B at t=0: latency 0.5+0.25, drain starts at 0.75; [0.75,2) at
-    # 50 B/s moves 62.5 B, remaining 37.5 B at 100 B/s -> 2.375.
+    # 100 B at t=0: latency 0.5, drain starts at 0.5; [0.5,2) at 50 B/s
+    # moves 75 B, remaining 25 B at 100 B/s -> 2.25.
     assert inj.transfer_finish("nic", 0, 0.0, 100.0, link) == pytest.approx(
-        2.375
+        2.25
     )
     # Outside the window: plain alpha-beta.
     assert inj.transfer_finish("nic", 0, 5.0, 100.0, link) == pytest.approx(
@@ -143,23 +123,12 @@ def test_link_fault_node_wildcard():
         assert inj.transfer_finish("nic", node, 0.0, 100.0, link) == 2.0
 
 
-def test_degraded_link_model():
-    link = LinkModel(name="nic", latency_s=1e-5, bandwidth_bps=1e9)
-    cut = link.degraded(bandwidth_factor=0.25, extra_latency_s=1e-4)
-    assert cut.bandwidth_bps == 0.25e9
-    assert cut.latency_s == pytest.approx(1.1e-4)
-    # Identity degradation returns the same (hashable, frozen) object.
-    assert link.degraded() is link
-    with pytest.raises(ValueError):
-        link.degraded(bandwidth_factor=0.0)
-
-
 def test_transient_decisions_are_seeded_and_stateless():
     plan = FaultPlan(seed=9, transient=TransientFaults(probability=0.3))
     a = FaultInjector(plan, SPEC.world_size, SPEC.num_nodes)
     b = FaultInjector(plan, SPEC.world_size, SPEC.num_nodes)
-    seq_a = [a.transfer_attempt_fails("nic", 0.0) for _ in range(200)]
-    seq_b = [b.transfer_attempt_fails("nic", 0.0) for _ in range(200)]
+    seq_a = [a.transfer_attempt_fails() for _ in range(200)]
+    seq_b = [b.transfer_attempt_fails() for _ in range(200)]
     assert seq_a == seq_b
     assert any(seq_a) and not all(seq_a)
     # A different seed gives a different sequence.
@@ -168,19 +137,7 @@ def test_transient_decisions_are_seeded_and_stateless():
         SPEC.world_size,
         SPEC.num_nodes,
     )
-    assert [other.transfer_attempt_fails("nic", 0.0) for _ in range(200)] != seq_a
-
-
-def test_transient_window_and_link_filters():
-    plan = FaultPlan(
-        transient=TransientFaults(
-            probability=0.99, link="nic", start_s=1.0, end_s=2.0
-        )
-    )
-    inj = FaultInjector(plan, SPEC.world_size, SPEC.num_nodes)
-    assert not inj.transfer_attempt_fails("nic", 0.5)  # before window
-    assert not inj.transfer_attempt_fails("fabric", 1.5)  # other link
-    assert not inj.transfer_attempt_fails("nic", 2.0)  # window closed
+    assert [other.transfer_attempt_fails() for _ in range(200)] != seq_a
 
 
 # -- cluster behaviour ------------------------------------------------------
@@ -287,12 +244,14 @@ def test_stalled_work_with_no_recovery_raises():
         _piecewise_finish(0.0, 1.0, lambda t: 0.0, [])
 
 
-def test_infinite_window_slowdown_applies_forever():
+def test_straggler_slowdown_applies_for_the_whole_run():
     inj = FaultInjector(
         single_straggler(2, 2.0), SPEC.world_size, SPEC.num_nodes
     )
+    assert inj.compute_finish(2, 0.0, 4.0) == 8.0
     assert inj.compute_finish(2, 1e6, 3.0) == pytest.approx(1e6 + 6.0)
-    assert math.isinf(StragglerFault(0, 2.0).end_s)
+    # Other ranks: untouched.
+    assert inj.compute_finish(1, 0.0, 4.0) == 4.0
 
 
 def test_backoff_delay_saturates_instead_of_overflowing():

@@ -8,17 +8,15 @@ as a function of the codec instance, and the parity suite checks that
 the rewrite does not move a bit against it on any input both accept
 (blocks whose peak is below 2^-129 aside: there the parent's int8
 exponent wraps).  ``decompress`` did not change, so the suite decodes
-both payloads with the production one.
+both payloads with the production one.  The parent also ran at 4 and
+16 bits per value; only its 8-bit branch, the codec's one rate, is
+kept, and its ``meta`` no longer records the rate.
 """
 
 import numpy as np
 
 from repro.compression.base import CompressedTensor
-from repro.compression.zfp import (
-    _MAX_EXPONENT,
-    BLOCK,
-    _pack_nibbles,
-)
+from repro.compression.zfp import _MAX_EXPONENT, BLOCK
 
 
 def legacy_compress(self, tensor: np.ndarray) -> CompressedTensor:
@@ -41,25 +39,19 @@ def legacy_compress(self, tensor: np.ndarray) -> CompressedTensor:
         )
     exps = exps.astype(np.int8)
 
-    # Quantize mantissas to `rate` signed bits against 2^e: values
-    # land in [-(2^(rate-1) - 1), 2^(rate-1) - 1].
-    qmax = float(2 ** (self.rate - 1) - 1)
+    # Quantize mantissas to 8 signed bits against 2^e: values land in
+    # [-127, 127].
+    qmax = float(2 ** (8 - 1) - 1)
     scales = np.ldexp(np.float32(1.0), exps.astype(np.int32))  # 2^e
     quant = blocks / scales[:, None]
     quant *= qmax
     np.rint(quant, out=quant)
     np.clip(quant, -qmax, qmax, out=quant)
 
-    if self.rate == 4:
-        data = _pack_nibbles(quant.astype(np.int8))
-    elif self.rate == 8:
-        data = quant.astype(np.int8)
-    else:
-        data = quant.astype(np.int16)
     return CompressedTensor(
         codec=self.name,
         shape=arr.shape,
         dtype=np.dtype(np.float32),
-        payload={"data": data, "exponents": exps},
-        meta={"rate": self.rate, "pad": pad},
+        payload={"data": quant.astype(np.int8), "exponents": exps},
+        meta={"pad": pad},
     )

@@ -8,7 +8,6 @@ from repro.compression import (
     Fp16Compressor,
     Int8Compressor,
     NoopCompressor,
-    ZfpLikeCompressor,
     available_compressors,
     get_compressor,
 )
@@ -45,6 +44,20 @@ def test_fp16_near_lossless(activations):
     assert codec.ratio == pytest.approx(2.0)
 
 
+def test_fp16_rejects_values_past_its_finite_range():
+    """A finite fp32 value past float16's range would decode as +-inf."""
+    codec = get_compressor("fp16")
+    for method in (codec.roundtrip, codec.compress):
+        with pytest.raises(ValueError, match="fp16") as info:
+            method(np.array([1, 7e4, -1e5], np.float32))
+        assert "range" in str(info.value)
+    # The largest value that still rounds to a finite half is accepted.
+    edge = np.array([65519.0, -65519.0, 1.0], np.float32)
+    np.testing.assert_array_equal(
+        codec.roundtrip(edge), np.array([65504.0, -65504.0, 1.0], np.float32)
+    )
+
+
 def test_int8_ratio_and_bounded_error(activations):
     codec = Int8Compressor()
     compressed = codec.compress(activations)
@@ -76,17 +89,6 @@ def test_zfp_blockwise_beats_int8_on_outliers(activations):
     assert err_zfp < err_int8 / 2.0
 
 
-def test_zfp_rates():
-    x = np.random.default_rng(0).standard_normal((32, 64)).astype(np.float32)
-    errors = {}
-    for rate in (4, 8, 16):
-        codec = ZfpLikeCompressor(rate=rate)
-        errors[rate] = float(np.abs(codec.roundtrip(x) - x).max())
-    assert errors[16] < errors[8] < errors[4]
-    with pytest.raises(ValueError):
-        ZfpLikeCompressor(rate=5)
-
-
 def test_zfp_non_multiple_of_block_shapes():
     codec = get_compressor("zfp")
     for shape in [(1,), (63,), (65,), (7, 9), (3, 5, 11)]:
@@ -96,10 +98,9 @@ def test_zfp_non_multiple_of_block_shapes():
         assert np.abs(out - x).max() < np.abs(x).max() / 50 + 1e-6
 
 
-@pytest.mark.parametrize("rate", [4, 8, 16])
-def test_zfp_rejects_a_block_exponent_past_int8(rate):
+def test_zfp_rejects_a_block_exponent_past_int8():
     """A peak >= 2^127 has frexp exponent 128, which int8 wraps to -128."""
-    codec = ZfpLikeCompressor(rate=rate)
+    codec = get_compressor("zfp")
     limit = np.float32(2.0**127)
     below = np.nextafter(limit, np.float32(0.0))
     out = codec.roundtrip(np.full(64, below, np.float32))
@@ -109,16 +110,6 @@ def test_zfp_rejects_a_block_exponent_past_int8(rate):
     for bad in (np.full(64, limit), x, -x):
         with pytest.raises(ValueError, match="2\\^127"):
             codec.compress(bad)
-
-
-def test_zfp4_nibble_packing_roundtrip():
-    codec = get_compressor("zfp4")
-    x = np.random.default_rng(2).standard_normal(256).astype(np.float32)
-    out = codec.roundtrip(x)
-    assert out.shape == x.shape
-    # 4-bit mantissas: coarse but sign-correct for non-tiny values.
-    big = np.abs(x) > 0.5 * np.abs(x).max()
-    assert np.all(np.sign(out[big]) == np.sign(x[big]))
 
 
 def test_compressed_bytes_accounting():

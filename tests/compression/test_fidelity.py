@@ -36,13 +36,6 @@ def test_snr_ordering_on_heavy_tailed_data(rng):
     assert snr_zfp - snr_int8 > 10.0  # decisive gap
 
 
-def test_snr_higher_rate_higher_fidelity(rng):
-    x = rng.standard_normal((256,)).astype(np.float32)
-    assert codec_snr_db(get_compressor("zfp16"), x) > codec_snr_db(
-        get_compressor("zfp"), x
-    ) > codec_snr_db(get_compressor("zfp4"), x)
-
-
 def test_measure_fidelity_aggregates(rng):
     tensors = [
         rng.standard_normal((16, 16)).astype(np.float32) for _ in range(3)

@@ -18,12 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.compression import ZfpLikeCompressor, get_compressor
+from repro.compression import get_compressor
 from repro.compression.zfp import BLOCK
 
 from .legacy_zfp import legacy_compress
-
-RATES = (4, 8, 16)
 
 #: The largest float32 below 2^127, the last peak int8 exponents hold.
 BELOW_2_127 = float(np.nextafter(np.float32(2.0**127), np.float32(0.0)))
@@ -58,19 +56,19 @@ def floored_blocks(x: np.ndarray) -> np.ndarray:
     return exps < -128
 
 
-def max_floored_error(rate: int) -> float:
+def max_floored_error() -> float:
     """Roundtrip error bound of a block quantized against 2^-128.
 
     Half a quantization step, plus the subnormal rounding of the
     decode's scale factor and product (one 2^-150 ulp each per unit of
     the quantized value).
     """
-    qmax = 2 ** (rate - 1) - 1
+    qmax = 127
     return 2.0**-128 / (2 * qmax) + (qmax + 1) * 2.0**-150
 
 
-def assert_matches_legacy(rate: int, x: np.ndarray) -> None:
-    codec = ZfpLikeCompressor(rate=rate)
+def assert_matches_legacy(x: np.ndarray) -> None:
+    codec = get_compressor("zfp")
     new = codec.compress(x)
     old = legacy_compress(codec, x)
     keep = ~floored_blocks(x)
@@ -89,17 +87,16 @@ def assert_matches_legacy(rate: int, x: np.ndarray) -> None:
     assert np.all(new.payload["exponents"][~keep] == -128)
     out = codec.decompress(new).ravel().astype(np.float64)
     err = np.abs(out - x.ravel().astype(np.float64))[~in_kept]
-    assert np.all(err <= max_floored_error(rate))
+    assert np.all(err <= max_floored_error())
 
 
 @settings(max_examples=150, deadline=None)
-@given(x=payloads(), rate=st.sampled_from(RATES))
-def test_payload_and_decode_match_the_parent(x, rate):
-    assert_matches_legacy(rate, x)
+@given(x=payloads())
+def test_payload_and_decode_match_the_parent(x):
+    assert_matches_legacy(x)
 
 
-@pytest.mark.parametrize("rate", RATES)
-def test_edge_values_match_the_parent(rate):
+def test_edge_values_match_the_parent():
     """Signed zeros, subnormals and peaks just below 2^127, per block."""
     smallest = float(np.float32(2.0**-149))
     blocks = [
@@ -111,27 +108,26 @@ def test_edge_values_match_the_parent(rate):
     ]
     x = np.concatenate(blocks).astype(np.float32)
     for size in (x.size, x.size - 7, 100):  # also ragged last blocks
-        assert_matches_legacy(rate, x[:size])
+        assert_matches_legacy(x[:size])
 
 
-@pytest.mark.parametrize("rate", RATES)
 @pytest.mark.parametrize("value", [1e-39, -1e-39, 3e-40, 1.4e-45])
-def test_tiny_block_exponent_is_floored_not_wrapped(rate, value):
+def test_tiny_block_exponent_is_floored_not_wrapped(value):
     """A peak below 2^-129 quantizes against 2^-128.
 
     The parent stored frexp's exponent (-129 for 1e-39, -148 for the
     smallest subnormal) straight into int8, which wrapped it to a huge
     positive scale: the block decoded to all zeros.
     """
-    codec = ZfpLikeCompressor(rate=rate)
+    codec = get_compressor("zfp")
     x = np.full(BLOCK, value, np.float32)
     ct = codec.compress(x)
     assert ct.payload["exponents"].tolist() == [-128]
     out = codec.decompress(ct).astype(np.float64)
-    assert np.abs(out - x.astype(np.float64)).max() <= max_floored_error(rate)
+    assert np.abs(out - x.astype(np.float64)).max() <= max_floored_error()
     # A tiny block beside an ordinary one leaves the ordinary one alone.
     mixed = np.r_[x, np.linspace(-1.0, 1.0, 70)].astype(np.float32)
-    assert_matches_legacy(rate, mixed)
+    assert_matches_legacy(mixed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,13 +135,10 @@ def test_tiny_block_exponent_is_floored_not_wrapped(rate, value):
     x=payloads(200),
     bad=st.sampled_from([np.nan, np.inf, -np.inf, 2.0**127, -FLOAT32_MAX]),
     where=st.floats(0.0, 1.0),
-    name=st.sampled_from(["zfp", "zfp4", "zfp16"]),
 )
-def test_encode_and_compress_reject_non_finite_and_past_2_127(
-    x, bad, where, name
-):
+def test_encode_and_compress_reject_non_finite_and_past_2_127(x, bad, where):
     """NaN and inf as non-finite input, peaks from 2^127 as past int8."""
-    codec = get_compressor(name)
+    codec = get_compressor("zfp")
     x[min(int(where * x.size), x.size - 1)] = bad
     match = "2\\^127" if np.isfinite(bad) else "non-finite"
     for method in (codec.encode, codec.compress):

@@ -32,7 +32,7 @@ FAULTS = {
     "healthy": None,
     "straggler": single_straggler(rank=0, slowdown=2.0),
     "transient": FaultPlan(
-        seed=7, transient=TransientFaults(probability=0.2, link="any")
+        seed=7, transient=TransientFaults(probability=0.2)
     ),
 }
 MODELS = {

@@ -130,7 +130,8 @@ def test_dead_worker_matches_layer_with_dead_experts(rng, num_workers, dead):
     """The substitution claim under failure: group with dead workers ==
     single-process layer with those workers' experts dead."""
     layer = make_layer(rng).eval()
-    group = ExpertParallelGroup(layer, num_workers=num_workers, dead_workers=dead)
+    group = ExpertParallelGroup(layer, num_workers=num_workers)
+    group.set_dead_workers(dead)
     tokens = rng.standard_normal((24, 16)).astype(np.float32)
     shards = list(np.split(tokens, num_workers))
 
@@ -143,7 +144,8 @@ def test_dead_worker_matches_layer_with_dead_experts(rng, num_workers, dead):
 
 def test_dead_worker_receives_and_sends_nothing(rng):
     layer = make_layer(rng).eval()
-    group = ExpertParallelGroup(layer, num_workers=4, dead_workers={1})
+    group = ExpertParallelGroup(layer, num_workers=4)
+    group.set_dead_workers({1})
     tokens = rng.standard_normal((32, 16)).astype(np.float32)
     group.forward(list(np.split(tokens, 4)))
     assert group.last_dispatch_traffic.matrix[:, 1].sum() == 0.0
@@ -155,7 +157,8 @@ def test_group_zero_dead_is_bit_identical(rng):
     tokens = rng.standard_normal((24, 16)).astype(np.float32)
     shards = list(np.split(tokens, 4))
     healthy = ExpertParallelGroup(layer, num_workers=4)
-    toggled = ExpertParallelGroup(layer, num_workers=4, dead_workers={2})
+    toggled = ExpertParallelGroup(layer, num_workers=4)
+    toggled.set_dead_workers({2})
     toggled.set_dead_workers(())
     np.testing.assert_array_equal(
         toggled.forward_concatenated(shards),

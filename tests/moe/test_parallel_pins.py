@@ -27,7 +27,7 @@ PINS = json.loads(
     (Path(__file__).with_name("parallel_pins.json")).read_text()
 )
 
-CODECS = ("zfp", "zfp4", "zfp16", "int8", "none")
+CODECS = ("zfp", "int8", "none")
 RUNS = {
     "sync-r1": ("sync", 1),
     "sync-r3": ("sync", 3),
@@ -51,12 +51,9 @@ def output_digests(codec: str, run: str, fault: str) -> list:
     tokens = np.random.default_rng(3).standard_normal((96, 32))
     shards = np.split(tokens.astype(np.float32), 4)
     group = ExpertParallelGroup(
-        layer,
-        4,
-        dead_workers=FAULTS[fault],
-        pipeline=pipeline,
-        num_chunks=num_chunks,
+        layer, 4, pipeline=pipeline, num_chunks=num_chunks
     )
+    group.set_dead_workers(FAULTS[fault])
     return [
         hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
         for out in group.forward(shards)
@@ -73,4 +70,6 @@ def test_pins_cover_the_grid():
     assert sorted(PINS) == sorted(
         f"{c}|{r}|{f}" for c in CODECS for r in RUNS for f in FAULTS
     )
-    assert len({tuple(PINS[f"{c}|sync-r1|healthy"]) for c in CODECS}) == 5
+    assert len({tuple(PINS[f"{c}|sync-r1|healthy"]) for c in CODECS}) == len(
+        CODECS
+    )

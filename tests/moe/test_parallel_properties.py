@@ -84,14 +84,15 @@ def make_shards(cfg):
 
 
 def make_group(layer, cfg, pipeline):
-    return ExpertParallelGroup(
+    group = ExpertParallelGroup(
         layer,
         cfg["placement"].num_workers,
-        dead_workers=cfg["dead"],
         pipeline=pipeline,
         num_chunks=cfg["num_chunks"],
         placement=cfg["placement"],
     )
+    group.set_dead_workers(cfg["dead"])
+    return group
 
 
 @settings(max_examples=40, deadline=None)

@@ -53,8 +53,9 @@ def assert_bits_equal(got, expected):
         assert np.array_equal(a.view(np.int32), b.view(np.int32))
 
 
-def group_parity(rng, **kwargs):
+def group_parity(rng, dead_workers=(), **kwargs):
     group = ExpertParallelGroup(make_layer().eval(), num_workers=4, **kwargs)
+    group.set_dead_workers(dead_workers)
     shards = make_shards(rng)
     ref = taped_forward(group, shards)
     assert_bits_equal(group.forward(shards), ref)

@@ -22,7 +22,7 @@ runs unchunked); its sync pipeline is the reference for overlap.
 import numpy as np
 import pytest
 
-from repro.compression.zfp import Zfp16Compressor
+from repro.compression import get_compressor
 from repro.moe import MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
@@ -69,7 +69,7 @@ def test_overlap_matches_sync_bitwise(rng, num_chunks):
 
 def test_overlap_matches_sync_with_codec(rng):
     """Lossy transport: same-chunk-count modes still agree bitwise."""
-    layer = make_layer(compressor=Zfp16Compressor()).eval()
+    layer = make_layer(compressor=get_compressor("zfp")).eval()
     shards = make_shards(rng)
     for num_chunks in (1, 4):
         out_sync = group_forward(
@@ -82,13 +82,12 @@ def test_overlap_matches_sync_with_codec(rng):
 
 
 def test_overlap_matches_sync_with_dead_workers(rng):
-    layer = make_layer(compressor=Zfp16Compressor()).eval()
+    layer = make_layer(compressor=get_compressor("zfp")).eval()
     shards = make_shards(rng)
     outs = {}
     for pipeline in ("sync", "overlap"):
-        group = ExpertParallelGroup(
-            layer, 4, dead_workers=[1], pipeline=pipeline, num_chunks=3
-        )
+        group = ExpertParallelGroup(layer, 4, pipeline=pipeline, num_chunks=3)
+        group.set_dead_workers([1])
         outs[pipeline] = group.forward_concatenated(shards)
         # The dead worker neither receives nor sends anything.
         assert group.last_dispatch_traffic.matrix[:, 1].sum() == 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.collectives import get_a2a, measure_a2a
-from repro.faults import FaultPlan, single_straggler
 from repro.faults.recovery import (
     RecoveryController,
     price_reshard,
@@ -261,15 +260,8 @@ def test_layer_dead_expert_swap_blocked_mid_forward(monkeypatch, tokens):
 # -- pricing and the decision hook ----------------------------------------
 
 
-def test_price_reshard_on_healthy_and_faulted_cluster(small_spec):
-    per_gpu = 1 << 20
-    healthy = price_reshard(small_spec, per_gpu)
-    assert healthy > 0
-    plan = FaultPlan(seed=0, stragglers=single_straggler(
-        rank=0, slowdown=4.0
-    ).stragglers)
-    faulted = price_reshard(small_spec, per_gpu, faults=plan)
-    assert faulted >= healthy
+def test_price_reshard_on_a_healthy_cluster(small_spec):
+    assert price_reshard(small_spec, 1 << 20) > 0
     assert price_reshard(small_spec, 0) == 0.0
     with pytest.raises(ValueError):
         price_reshard(small_spec, -1)

@@ -202,12 +202,11 @@ class RecoveryMachine(RuleBasedStateMachine):
     def forward_matches_a_fresh_group(self):
         shards = self.shards()
         out = self.group.forward_concatenated(shards)
-        fresh = ExpertParallelGroup(
-            self.layer,
-            self.group.num_workers,
-            dead_workers=self.group.dead_workers,
-            placement=self.group.placement,
-        ).forward_concatenated(shards)
+        twin = ExpertParallelGroup(
+            self.layer, self.group.num_workers, placement=self.group.placement
+        )
+        twin.set_dead_workers(self.group.dead_workers)
+        fresh = twin.forward_concatenated(shards)
         assert np.array_equal(out.view(np.int32), fresh.view(np.int32))
         if not self.group.dead_workers:
             single = self.layer(Tensor(self.tokens)).data
