@@ -56,7 +56,7 @@ def pipe_sequential() -> SystemPolicy:
         compressor="none",
         a2a="pipe",
         scheduler="sequential",
-        partitions=1,
+        partitions=(1,),
     )
 
 

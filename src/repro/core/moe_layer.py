@@ -86,8 +86,7 @@ def layer_policy(
         compressor=compress_name,
         a2a=comm_name,
         scheduler=scheduler_name,
-        partitions=PARTITION_CANDIDATES[0] if auto else int(partitions),
-        partition_candidates=PARTITION_CANDIDATES if auto else (),
+        partitions=PARTITION_CANDIDATES if auto else (int(partitions),),
     )
 
 

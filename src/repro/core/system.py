@@ -21,8 +21,9 @@ OOM behaviours the paper observed — FasterMoE on BERT-Large-MoE
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..cluster.topology import ClusterSpec
 from ..collectives.allreduce import hierarchical_allreduce_time
@@ -66,13 +67,12 @@ class SystemPolicy:
     compressor: str = "none"
     a2a: str = "nccl"
     scheduler: str = "sequential"
-    partitions: int = 1
-    #: Partition degrees the system's heuristic may choose among; when
-    #: non-empty the simulator picks the degree with the best layer
-    #: makespan, mirroring Tutel's heuristic search and ScheMoE's
-    #: adaptive choice (paper Section 4 cites PipeMoE [43] for
-    #: selecting r).  FasterMoE keeps a fixed degree of 2 (Section 8).
-    partition_candidates: tuple = ()
+    #: Partition degrees r the system may run at.  The simulator picks
+    #: the degree with the best layer makespan, the first on a tie,
+    #: mirroring Tutel's heuristic search and ScheMoE's adaptive choice
+    #: (paper Section 4 cites PipeMoE [43] for selecting r).  A 1-tuple
+    #: is a fixed degree: FasterMoE keeps r = 2 (Section 8).
+    partitions: Tuple[int, ...] = (1,)
     shadow_expert_layers: int = 0
     #: Multiplier on A2A task durations: prices implementation slack
     #: of a system's own grouped send/recv path relative to plain
@@ -84,8 +84,18 @@ class SystemPolicy:
     enforces_capacity: bool = True
 
     def __post_init__(self) -> None:
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
+        if not (
+            isinstance(self.partitions, tuple)
+            and self.partitions
+            and all(
+                isinstance(r, numbers.Integral) and r >= 1
+                for r in self.partitions
+            )
+        ):
+            raise ValueError(
+                "partitions must be a non-empty tuple of degrees >= 1, "
+                f"got {self.partitions!r}"
+            )
         if self.comm_inefficiency < 1.0:
             raise ValueError("comm_inefficiency must be >= 1")
 
@@ -94,8 +104,8 @@ class SystemPolicy:
 class LayerTiming:
     """One MoE layer's scheduled forward and backward passes.
 
-    ``partitions`` is the degree r both schedules run at: the policy's
-    fixed degree, or the winner among its candidates.
+    ``partitions`` is the degree r both schedules run at: the fastest
+    of the policy's degrees.
     """
 
     durations: TaskDurations
@@ -254,8 +264,6 @@ def simulate_model_step(
     scheduler = get_scheduler(policy.scheduler)
     gpu = spec.gpu
 
-    candidates = policy.partition_candidates or (policy.partitions,)
-
     expert_factor = 1.0
     if skew is not None:
         expert_factor = skew.load_factor(
@@ -282,8 +290,8 @@ def simulate_model_step(
             ),
         )
 
-    # The first of equally fast candidates wins.
-    layer = min(map(layer_timing, candidates), key=lambda t: t.total_s)
+    # The first of equally fast degrees wins.
+    layer = min(map(layer_timing, policy.partitions), key=lambda t: t.total_s)
 
     memory = estimate_memory_bytes(cfg, spec, policy)
     if skew is not None and not policy.enforces_capacity:

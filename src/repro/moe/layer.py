@@ -167,9 +167,7 @@ class MoELayer(Module):
         def backward(g):
             return ((x, codec.roundtrip(g)),)
 
-        if Tensor._needs_grad(x):
-            return Tensor(corrupted, _parents=(x,), _backward=backward)
-        return Tensor(corrupted)
+        return Tensor._make(corrupted, (x,), backward)
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, L, M) or (T, M) in; same shape out."""
@@ -224,23 +222,3 @@ class MoELayer(Module):
         dispatched = self._transport(dispatched)  # first A2A
         expert_out = self._transport(self.experts(dispatched))  # second A2A
         return combine(expert_out, gate_out.combine_weights)
-
-    def forward_inference(self, x: Tensor) -> Tensor:
-        """Forward-only hot path (see :meth:`Module.forward_inference`).
-
-        Runs the *same* :meth:`forward` code under ``inference_mode()``,
-        so outputs are bit-identical to an ``eval()`` training-tape
-        forward while skipping tape construction, dense-mask
-        densification, aux-loss bookkeeping and ``last_dispatched``
-        recording.  Requires the sparse
-        dispatch backend: the dense reference path exists to check
-        gradients and would densify (T, E, C) masks on a path that
-        must never materialize them.
-        """
-        if self.dispatch_mode != "sparse":
-            raise RuntimeError(
-                "forward_inference requires dispatch_mode='sparse'; "
-                f"this layer uses {self.dispatch_mode!r} (the dense "
-                "einsum backend is a training-time reference path)"
-            )
-        return super().forward_inference(x)

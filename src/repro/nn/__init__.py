@@ -31,7 +31,6 @@ from .serialization import (
 )
 from .tensor import (
     Tensor,
-    concatenate,
     einsum,
     gather,
     inference_mode,
@@ -39,7 +38,6 @@ from .tensor import (
     scatter_add,
     segment_matmul,
     stack,
-    where,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "Sequential",
     "Tensor",
     "clip_grad_norm",
-    "concatenate",
     "einsum",
     "functional",
     "gather",
@@ -71,6 +68,5 @@ __all__ = [
     "scatter_add",
     "segment_matmul",
     "stack",
-    "where",
     "xavier_uniform",
 ]

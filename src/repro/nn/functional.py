@@ -1,13 +1,14 @@
 """Differentiable neural-network primitives on :class:`Tensor`.
 
-Everything the paper's models need: activations, normalization,
-softmax/log-softmax (for gates and output heads), fused scaled
-dot-product attention, embedding lookup and the cross-entropy loss.
+Everything the paper's models need: relu, softmax (for gates),
+layer normalization, fused scaled dot-product attention, embedding
+lookup and the cross-entropy loss.
 
-Under :func:`~repro.nn.tensor.inference_mode` the hot primitives
-(softmax, layer_norm, embedding) skip their backward-only
-intermediates — same floating-point operations in the same order, so
-outputs stay bit-identical to the training-mode forward.
+Each primitive has one forward.  It always computes its output the
+same way, and :meth:`~repro.nn.tensor.Tensor._make` decides whether
+to attach the backward closure, so under
+:func:`~repro.nn.tensor.inference_mode` the output is bit-identical to
+the training forward's and only the tape is missing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _scatter_add_rows, is_inference
+from .tensor import Tensor, _scatter_add_rows
 
 
 def relu(x: Tensor) -> Tensor:
@@ -34,37 +35,15 @@ def relu(x: Tensor) -> Tensor:
     return x._make(out, (x,), backward)
 
 
-def exp(x: Tensor) -> Tensor:
-    """Elementwise exponential."""
-    e = np.exp(x.data)
-
-    def backward(g):
-        return ((x, g * e),)
-
-    return x._make(e, (x,), backward)
-
-
-def log(x: Tensor) -> Tensor:
-    """Elementwise natural log."""
-
-    def backward(g):
-        return ((x, g / x.data),)
-
-    return x._make(np.log(x.data), (x,), backward)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    if is_inference():
-        # Same subtract / exp / divide sequence as below, in one
-        # buffer (exp and the final divide run in place).
-        s = x.data - x.data.max(axis=axis, keepdims=True)
-        np.exp(s, out=s)
-        np.divide(s, s.sum(axis=axis, keepdims=True), out=s)
-        return Tensor(s)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``.
+
+    Subtract the row max, ``exp`` and divide by the row sum, all in
+    one buffer; the backward keeps only that buffer, the output.
+    """
+    s = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    np.divide(s, s.sum(axis=axis, keepdims=True), out=s)
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -220,16 +199,10 @@ def layer_norm(
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    if is_inference():
-        # Identical op sequence to the training path — (x - mu) * inv,
-        # * weight, + bias — chained in place through one buffer.
-        xhat = x.data - mu
-        np.multiply(xhat, inv, out=xhat)
-        np.multiply(xhat, weight.data, out=xhat)
-        np.add(xhat, bias.data, out=xhat)
-        return Tensor(xhat)
-    xhat = (x.data - mu) * inv
-    out = xhat * weight.data + bias.data
+    xhat = x.data - mu
+    xhat *= inv
+    out = xhat * weight.data
+    out += bias.data
 
     def backward(g):
         d = x.data.shape[-1]
@@ -260,18 +233,28 @@ def layer_norm(
             (bias, g.sum(axis=axes)),
         )
 
-    if Tensor._needs_grad(x, weight, bias):
-        return Tensor(out, _parents=(x, weight, bias), _backward=backward)
-    return Tensor(out)
+    return Tensor._make(out, (x, weight, bias), backward)
+
+
+def _check_ids(ids: np.ndarray, num: int, what: str) -> None:
+    """Refuse ids outside ``[0, num)``: numpy would wrap a negative id
+    to a row from the end instead of failing."""
+    if ids.size and (ids.min() < 0 or ids.max() >= num):
+        raise ValueError(
+            f"{what} must lie in [0, {num}), got values in "
+            f"[{ids.min()}, {ids.max()}]"
+        )
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``weight[indices]`` with scatter-add gradient."""
+    """Row lookup ``weight[indices]`` with scatter-add gradient.
+
+    Every index must lie in ``[0, V)`` for a ``(V, ...)`` table.
+    """
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError(f"indices must be integers, got {idx.dtype}")
-    if is_inference():
-        return Tensor(weight.data[idx])
+    _check_ids(idx, weight.shape[0], "embedding indices")
 
     def backward(g):
         grad = np.zeros_like(weight.data)
@@ -291,7 +274,8 @@ def cross_entropy(
     """Mean token-level cross entropy from raw logits.
 
     ``logits`` has shape (..., vocab); ``targets`` the matching integer
-    shape.  ``ignore_index`` masks padding tokens out of the mean.
+    shape, each in ``[0, vocab)``.  ``ignore_index`` (any value) masks
+    padding tokens out of the mean.
     """
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
@@ -307,6 +291,7 @@ def cross_entropy(
         mask = np.ones_like(flat_targets, dtype=bool)
     count = max(int(mask.sum()), 1)
     safe_targets = np.where(mask, flat_targets, 0)
+    _check_ids(safe_targets, logits.shape[-1], "targets")
 
     shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -321,9 +306,7 @@ def cross_entropy(
         probs *= (mask / count)[:, None]
         return ((logits, (g * probs).reshape(logits.shape)),)
 
-    if Tensor._needs_grad(logits):
-        return Tensor(value, _parents=(logits,), _backward=backward)
-    return Tensor(value)
+    return logits._make(value, (logits,), backward)
 
 
 def top_k_indices(scores: np.ndarray, k: int, axis: int = -1) -> np.ndarray:

@@ -38,25 +38,17 @@ class Module:
         return self.forward(*args, **kwargs)
 
     def forward_inference(self, *args, **kwargs):
-        """Run :meth:`forward` on the autograd-free fast path.
+        """Run :meth:`forward` under
+        :func:`~repro.nn.tensor.inference_mode`.
 
-        Enters :func:`~repro.nn.tensor.inference_mode` (no backward
-        closures, no ``_parents``), so each intermediate is freed as
-        soon as its consumer has run.
-
-        The module is switched to ``eval()`` for the duration (and
-        restored).  No forward reads the ``training`` flag, so outputs
-        are bit-identical to a training-tape forward in either mode.
+        The same forward code runs, so outputs are bit-identical to a
+        training-tape forward; only the tape (backward closures,
+        ``_parents``) is missing, so each intermediate is freed as soon
+        as its consumer has run.  The ``training`` flag is left alone:
+        no forward reads it.
         """
-        was_training = self.training
-        if was_training:
-            self.eval()
-        try:
-            with inference_mode():
-                return self.forward(*args, **kwargs)
-        finally:
-            if was_training:
-                self.train()
+        with inference_mode():
+            return self.forward(*args, **kwargs)
 
     # -- tree walking -----------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Tensor]]:

@@ -5,20 +5,21 @@ so the MoE layer's full training semantics — gating softmax, top-k
 routing, dispatch/combine einsums, expert FFNs — differentiate exactly
 like they would in the paper's PyTorch implementation.
 
-Design: every operation returns a new :class:`Tensor` holding the
-result, its parents and a closure that maps the output gradient to
-parent-gradient contributions.  :meth:`Tensor.backward` topologically
-sorts the tape and accumulates gradients into ``.grad`` of leaf
-tensors with ``requires_grad=True``.
+Design: every operation computes its result and hands it, its parents
+and a closure that maps the output gradient to parent-gradient
+contributions to :meth:`Tensor._make`, which builds the output tensor.
+:meth:`Tensor.backward` topologically sorts the tape and accumulates
+gradients into ``.grad`` of leaf tensors with ``requires_grad=True``.
 
 **Inference mode.**  :func:`inference_mode` is a process-wide context
-under which the tape is never built: :meth:`Tensor._needs_grad` — the single
-guard every op consults before attaching parents and a backward
-closure — reports False, so ``_parents`` stays empty, no closure is
-retained, and every intermediate array is released the moment its
-consumer has run.  Tensors produced inside the context are marked, and
-calling :meth:`Tensor.backward` on one raises instead of silently
-walking an empty tape.
+under which the tape is never built: :meth:`Tensor._needs_grad`, which
+:meth:`Tensor._make` consults, reports False, so ``_parents`` stays
+empty, no closure is retained, and every intermediate array is
+released the moment its consumer has run.  The forward itself is the
+same code in both modes, so its outputs are the same bits.  Tensors
+produced inside the context are marked, and calling
+:meth:`Tensor.backward` on one raises instead of silently walking an
+empty tape.
 """
 
 from __future__ import annotations
@@ -139,13 +140,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """The underlying array (shared, not copied)."""
-        return self.data
 
     def detach(self) -> "Tensor":
         """A view with the tape cut."""
@@ -285,9 +279,6 @@ class Tensor:
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-self._lift(other))
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return self._lift(other) + (-self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
 
@@ -317,9 +308,6 @@ class Tensor:
             )
 
         return self._make(self.data / other.data, (self, other), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return self._lift(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -376,21 +364,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            expanded = out_data
-            grad = g
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(out_data, axis)
-                grad = np.expand_dims(g, axis)
-            mask = (self.data == expanded).astype(np.float32)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            return ((self, mask * grad),)
-
-        return self._make(out_data, (self,), backward)
-
     # -- shape ops --------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -428,36 +401,17 @@ class Tensor:
         return self._make(self.data[index], (self,), backward)
 
     # -- constructor helper ------------------------------------------------
+    @staticmethod
     def _make(
-        self,
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
         backward: Callable,
     ) -> "Tensor":
+        """The op's output: a tape node when a parent needs grad, else
+        a bare tensor (``backward`` is dropped)."""
         if Tensor._needs_grad(*parents):
             return Tensor(data, _parents=parents, _backward=backward)
         return Tensor(data)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation along ``axis``."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    arrays = [t.data for t in tensors]
-    data = np.concatenate(arrays, axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        slices = []
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(start, stop)
-            slices.append((tensor, g[tuple(index)]))
-        return tuple(slices)
-
-    if Tensor._needs_grad(*tensors):
-        return Tensor(data, _parents=tuple(tensors), _backward=backward)
-    return Tensor(data)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -472,27 +426,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             for tensor, part in zip(tensors, parts)
         )
 
-    if Tensor._needs_grad(*tensors):
-        return Tensor(data, _parents=tuple(tensors), _backward=backward)
-    return Tensor(data)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable selection: ``condition`` is a raw boolean array."""
-    a = Tensor._lift(a)
-    b = Tensor._lift(b)
-    cond = np.asarray(condition)
-    data = np.where(cond, a.data, b.data)
-
-    def backward(g):
-        return (
-            (a, _unbroadcast(np.where(cond, g, 0.0), a.shape)),
-            (b, _unbroadcast(np.where(cond, 0.0, g), b.shape)),
-        )
-
-    if Tensor._needs_grad(a, b):
-        return Tensor(data, _parents=(a, b), _backward=backward)
-    return Tensor(data)
+    return Tensor._make(data, tuple(tensors), backward)
 
 
 def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
@@ -850,9 +784,7 @@ def segment_matmul(
             grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
         return ((x, grad_x), (weight, grad_w), (bias, grad_b))
 
-    if Tensor._needs_grad(*parents):
-        return Tensor(data, _parents=parents, _backward=backward)
-    return Tensor(data)
+    return Tensor._make(data, parents, backward)
 
 
 def einsum(subscripts: str, *tensors: Tensor) -> Tensor:
@@ -886,6 +818,4 @@ def einsum(subscripts: str, *tensors: Tensor) -> Tensor:
             grads.append((tensor, grad))
         return tuple(grads)
 
-    if Tensor._needs_grad(*tensors):
-        return Tensor(data, _parents=tuple(tensors), _backward=backward)
-    return Tensor(data)
+    return Tensor._make(data, tuple(tensors), backward)

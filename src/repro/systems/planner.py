@@ -185,7 +185,7 @@ class PlanCandidate:
             compressor=self.compressor,
             a2a=self.a2a,
             scheduler=self.scheduler,
-            partitions=self.partitions,
+            partitions=(self.partitions,),
         )
 
     def config(self) -> MoEModelConfig:

@@ -6,17 +6,22 @@ training system executes an MoE layer:
 * **Naive** — no compression, NCCL-A2A, strictly sequential tasks
   (paper Fig. 5(a) / Table 9 row 1).
 * **Tutel** — no compression, NCCL-based all-to-all, chunk-major
-  pipelining with its heuristically chosen degree (we use the paper's
-  demonstration degree r = 2).  Tutel's 2DH-A2A exists as an optional
+  pipelining at its heuristically chosen degree (the fastest of
+  r in {1, 2, 4} per layer).  Tutel's 2DH-A2A exists as an optional
   algorithm for very large scale; its default dispatch path is
   NCCL-based, and at the paper's message sizes 2DH would only slow it
   down (Fig. 9), so the stronger NCCL variant is the fair baseline.
 * **FasterMoE** — no compression, NCCL-A2A, fixed pipeline degree 2,
   plus its shadow-expert replication pool, which prices the extra
   memory behind its BERT-Large-MoE OOM (paper Table 8).
-* **ScheMoE** — ZFP compression, Pipe-A2A, OptSche ordering, r = 2;
-  with the partial variants ScheMoE-Z and ScheMoE-ZP of the ablation
-  study (paper Table 9/10).
+* **ScheMoE** — ZFP compression, Pipe-A2A, OptSche ordering, the
+  fastest of r in {1, 2, 4} per layer; with the partial variants
+  ScheMoE-Z and ScheMoE-ZP (r = 1) of the ablation study (paper
+  Table 9/10).
+
+``SystemPolicy.partitions`` lists the degrees a system may run at; a
+1-tuple is a fixed degree.  On CT-MoE on the paper testbed every
+adaptive system picks r = 1.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ def naive() -> SystemPolicy:
         compressor="none",
         a2a="nccl",
         scheduler="sequential",
-        partitions=1,
+        partitions=(1,),
     )
 
 
@@ -48,8 +53,7 @@ def tutel() -> SystemPolicy:
         compressor="none",
         a2a="nccl",
         scheduler="chunk-pipeline",
-        partitions=2,
-        partition_candidates=PARTITION_CANDIDATES,
+        partitions=PARTITION_CANDIDATES,
     )
 
 
@@ -60,7 +64,7 @@ def fastermoe() -> SystemPolicy:
         compressor="none",
         a2a="nccl",
         scheduler="chunk-pipeline",
-        partitions=2,
+        partitions=(2,),
         shadow_expert_layers=6,
         comm_inefficiency=1.10,
         enforces_capacity=False,
@@ -79,13 +83,12 @@ def schemoe() -> SystemPolicy:
         compressor="zfp",
         a2a="pipe",
         scheduler="optsche",
-        partitions=2,
-        partition_candidates=PARTITION_CANDIDATES,
+        partitions=PARTITION_CANDIDATES,
     )
 
 
 def schemoe_no_compression() -> SystemPolicy:
-    """ScheMoE with Pipe-A2A + OptSche but raw fp32 payloads.
+    """ScheMoE with Pipe-A2A + OptSche but raw fp32 payloads, adaptive r.
 
     The configuration behind the paper's Figure 8 sweep: the 675-layer
     grid compares scheduling + Pipe-A2A against Tutel (compression is
@@ -98,8 +101,7 @@ def schemoe_no_compression() -> SystemPolicy:
         compressor="none",
         a2a="pipe",
         scheduler="optsche",
-        partitions=2,
-        partition_candidates=PARTITION_CANDIDATES,
+        partitions=PARTITION_CANDIDATES,
     )
 
 
@@ -110,7 +112,7 @@ def schemoe_z() -> SystemPolicy:
         compressor="zfp",
         a2a="nccl",
         scheduler="sequential",
-        partitions=1,
+        partitions=(1,),
     )
 
 
@@ -121,7 +123,7 @@ def schemoe_zp() -> SystemPolicy:
         compressor="zfp",
         a2a="pipe",
         scheduler="sequential",
-        partitions=1,
+        partitions=(1,),
     )
 
 

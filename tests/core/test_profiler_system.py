@@ -162,8 +162,9 @@ def test_schemoe_layer_accepts_numpy_integer_partitions(paper_spec):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        SystemPolicy(name="x", partitions=0)
+    for partitions in (0, 2, (), (0,), (2, 0), (1.5,)):
+        with pytest.raises(ValueError, match="partitions"):
+            SystemPolicy(name="x", partitions=partitions)
     with pytest.raises(ValueError):
         SystemPolicy(name="x", comm_inefficiency=0.5)
 
@@ -171,7 +172,7 @@ def test_policy_validation():
 def test_simulate_model_step_breakdown(paper_spec):
     policy = SystemPolicy(
         name="test", compressor="zfp", a2a="pipe",
-        scheduler="optsche", partitions=2,
+        scheduler="optsche", partitions=(2,),
     )
     result = simulate_model_step(ct_moe(12), paper_spec, policy)
     assert not result.oom

