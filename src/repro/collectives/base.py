@@ -92,13 +92,6 @@ class A2AResult:
     oom: bool = False
     stats: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def busbw_bps(self) -> float:
-        """Per-GPU effective bus bandwidth (nbytes moved / time)."""
-        if self.seconds <= 0 or self.oom:
-            return 0.0
-        return self.nbytes / self.seconds
-
 
 def measure_a2a(
     algo: AllToAll,

@@ -58,11 +58,6 @@ def num_intra_rounds(spec: ClusterSpec) -> int:
     return spec.gpus_per_node
 
 
-def num_rounds(spec: ClusterSpec) -> int:
-    """Total rounds (= world size)."""
-    return spec.world_size
-
-
 def lockstep_rounds(
     cluster: SimCluster,
     stream_of: Callable[[int], Stream],

@@ -179,12 +179,6 @@ class StepBreakdown:
             return 0.0
         return min(1.0, self.a2a_total_s / total)
 
-    def tokens_per_second(self, tokens_per_gpu_step: int, world_size: int) -> float:
-        """Cluster-wide training throughput at this step time."""
-        if self.oom or self.total_s <= 0:
-            return 0.0
-        return tokens_per_gpu_step * world_size / self.total_s
-
 
 def dense_param_count(cfg: MoEModelConfig) -> int:
     """Data-parallel (replicated) parameters: attention, embeddings, gates."""

@@ -30,10 +30,6 @@ class Vocab:
             raise ValueError(f"word index {index} out of range")
         return index + NUM_SPECIAL
 
-    def is_word(self, token: int) -> bool:
-        """Whether ``token`` is a content word (not a special)."""
-        return NUM_SPECIAL <= token < self.size
-
     def words(self, indices: Iterable[int]) -> List[int]:
         """Map word indices to token ids."""
         return [self.word(i) for i in indices]

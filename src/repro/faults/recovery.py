@@ -55,6 +55,7 @@ from ..moe.placement import (
     reshard_moves,
     reshard_traffic,
 )
+from ..nn.serialization import load_checkpoint
 
 __all__ = [
     "RecoveryController",
@@ -170,14 +171,15 @@ def price_reshard(spec, per_gpu_bytes: Union[int, float]) -> float:
 class RecoveryController:
     """Drives a live :class:`ExpertParallelGroup` through recovery.
 
-    ``checkpoint`` (optional) is a crash-safe archive written by
-    :func:`repro.nn.serialization.save_checkpoint`; when given, lost
-    experts are restored *exactly* from it (the training loss picks up
-    where the checkpoint left those experts).  Without one, lost
-    experts are seeded-re-initialized — deterministic (see the module
-    docstring) but fresh, so those experts restart learning.  The
-    checkpoint is one of the group's own layer, so its bank is the
-    layer's ``experts``.
+    ``checkpoint`` (optional) is an archive of the group's own layer,
+    written by :func:`repro.nn.serialization.save_checkpoint`; when
+    given, lost experts are restored *exactly* from it (the training
+    loss picks up where the checkpoint left those experts).  It is read
+    with :func:`~repro.nn.serialization.load_checkpoint` and must hold
+    exactly the live layer's parameter names and shapes; a missing or
+    mismatched archive raises before any group state changes.  Without
+    one, lost experts are seeded-re-initialized — deterministic (see
+    the module docstring) but fresh, so those experts restart learning.
 
     The controller remembers every worker it has retired, so repeated
     failures never rebalance experts back onto a dead rank, and each
@@ -201,35 +203,40 @@ class RecoveryController:
         experts = self.group.layer.experts
         return expert_param_bytes(experts.model_dim, experts.hidden_dim)
 
-    def _checkpoint_bank(self) -> Dict[str, np.ndarray]:
-        """The stacked w1/b1/w2/b2 bank stored in the checkpoint."""
-        from ..nn.serialization import read_expert_bank
-
-        experts = self.group.layer.experts
-        bank = read_expert_bank(self.checkpoint, experts.num_experts, "experts")
-        if bank["w1"].shape != (
-            experts.num_experts, experts.model_dim, experts.hidden_dim
-        ):
+    def _checkpoint_state(self) -> Dict[str, np.ndarray]:
+        """The checkpoint's arrays, checked against the live layer."""
+        state = load_checkpoint(self.checkpoint)
+        live = {
+            name: p.data.shape
+            for name, p in self.group.layer.named_parameters()
+        }
+        stored = {name: value.shape for name, value in state.items()}
+        if stored != live:
+            reshaped = [
+                n for n in sorted(live.keys() & stored.keys())
+                if live[n] != stored[n]
+            ]
             raise ValueError(
-                f"checkpoint bank shape {bank['w1'].shape} does not "
-                f"match the live bank ({experts.num_experts}, "
-                f"{experts.model_dim}, {experts.hidden_dim})"
+                f"checkpoint {self.checkpoint} does not match the live "
+                f"layer: missing {sorted(live.keys() - stored.keys())}, "
+                f"unexpected {sorted(stored.keys() - live.keys())}, "
+                f"reshaped {reshaped}"
             )
-        return bank
+        return state
 
     def _restore_experts(
         self, lost: Tuple[int, ...], new_version: int
     ) -> str:
         experts = self.group.layer.experts
         if self.checkpoint is not None:
-            bank = self._checkpoint_bank()
+            state = self._checkpoint_state()
             for e in lost:
                 experts.load_expert_slice(
                     e,
-                    bank["w1"][e],
-                    bank["b1"][e],
-                    bank["w2"][e],
-                    bank["b2"][e],
+                    state["experts.w1"][e],
+                    state["experts.b1"][e],
+                    state["experts.w2"][e],
+                    state["experts.b2"][e],
                 )
             return "checkpoint"
         for e in lost:
@@ -243,38 +250,22 @@ class RecoveryController:
         return "reinit"
 
     # -- transitions -------------------------------------------------------
-    def recover(self, dead_workers=None) -> RecoveryEvent:
-        """Adopt + re-instantiate a dead worker's experts on survivors.
+    def recover(self) -> RecoveryEvent:
+        """Adopt + re-instantiate the dead workers' experts on survivors.
 
-        ``dead_workers`` defaults to the group's currently declared
-        dead set (the usual flow: ``group.set_dead_workers({w})`` on
-        detection, possibly some degraded steps, then ``recover()``).
-        An explicit set must include every declared-dead worker, or
-        ``ValueError`` is raised before anything changes.
-        Afterwards the group is healthy again: full expert count, no
-        gate renormalization, placement version bumped — and its
-        forward is bit-identical to a freshly built group with the
-        same placement and parameters.
+        Recovers the group's declared dead set (the usual flow:
+        ``group.set_dead_workers({w})`` on detection, possibly some
+        degraded steps, then ``recover()``).  Afterwards the group is
+        healthy again: full expert count, no gate renormalization,
+        placement version bumped — and its forward is bit-identical to
+        a freshly built group with the same placement and parameters.
         """
         group = self.group
-        dead = frozenset(
-            int(w)
-            for w in (
-                group.dead_workers if dead_workers is None else dead_workers
-            )
-        )
+        dead = group.dead_workers
         if not dead:
             raise ValueError(
                 "no dead workers to recover from: declare them via "
-                "group.set_dead_workers(...) or pass dead_workers="
-            )
-        left_out = group.dead_workers - dead
-        if left_out:
-            # Recovery clears the group's dead set, which would revive
-            # these workers with their experts still placed on them.
-            raise ValueError(
-                f"dead_workers={sorted(dead)} leaves out declared-dead "
-                f"workers {sorted(left_out)}; recover them together"
+                "group.set_dead_workers(...)"
             )
         old = group.placement
         lost = tuple(
@@ -307,18 +298,14 @@ class RecoveryController:
     def scale_up(self) -> RecoveryEvent:
         """Admit a new worker and move its fair share of experts to it.
 
-        The group must be healthy (recover first); the new rank is
-        ``group.num_workers`` before the call.  Parameters never
-        change — expert slices only *move* (the shared bank makes that
-        a no-op single-process; the byte cost of the real movement is
-        in the returned event).
+        The group must be healthy (recover first:
+        :meth:`~repro.moe.parallel.ExpertParallelGroup.admit_worker`
+        raises otherwise); the new rank is ``group.num_workers`` before
+        the call.  Parameters never change — expert slices only *move*
+        (the shared bank makes that a no-op single-process; the byte
+        cost of the real movement is in the returned event).
         """
         group = self.group
-        if group.dead_workers:
-            raise RuntimeError(
-                "cannot scale up around dead workers "
-                f"{sorted(group.dead_workers)}; recover() first"
-            )
         old = group.placement
         new = group.admit_worker()
         moves = reshard_moves(old, new)

@@ -8,7 +8,7 @@ MoE's 6.4 B parameters never have to exist in RAM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..cluster.costmodel import expert_capacity
@@ -123,10 +123,6 @@ class MoEModelConfig:
     def total_params(self) -> int:
         """All parameters: experts + gates + attention + embeddings."""
         return self.moe_params + self.attention_params + self.embedding_params
-
-    def with_layers(self, num_layers: int) -> "MoEModelConfig":
-        """CT-MoE-x style depth variant."""
-        return replace(self, name=f"{self.name.rsplit('-', 1)[0]}-{num_layers}", num_layers=num_layers)
 
 
 def transformer_moe() -> MoEModelConfig:

@@ -105,8 +105,9 @@ class Experts(Module):
 
         The shapes must match the stacked layout exactly
         (``w1 (M, H)``, ``b1 (1, H)``, ``w2 (H, M)``, ``b2 (1, M)``) —
-        one expert's rows of the bank :func:`repro.nn.serialization.
-        read_expert_bank` returns.
+        row ``expert`` of each bank array that
+        :func:`repro.nn.serialization.load_checkpoint` returns for a
+        checkpoint of this bank's layer.
         """
         if not 0 <= expert < self.num_experts:
             raise IndexError(

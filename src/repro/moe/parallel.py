@@ -394,8 +394,16 @@ class ExpertParallelGroup:
         minimal move set (:meth:`ExpertPlacement.with_worker_added`);
         the new placement (version bumped) is installed and returned.
         Callers then pass ``num_workers + 1`` shards to :meth:`forward`.
+        Raises while any worker is dead: the rebalance could hand a
+        dead worker's lost experts to the new rank with nothing
+        restored, so recover them first.
         """
         self._check_not_in_forward("the worker count")
+        if self._dead_workers:
+            raise RuntimeError(
+                "cannot admit a worker around dead workers "
+                f"{sorted(self._dead_workers)}; recover them first"
+            )
         new_placement = self._placement.with_worker_added()
         self.num_workers += 1
         self._placement = new_placement

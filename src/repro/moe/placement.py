@@ -4,15 +4,14 @@ Historically :class:`~repro.moe.parallel.ExpertParallelGroup` hard-coded
 ``owner(e) = e // (E // P)`` — a contiguous, equal-shard
 layout baked in at construction.  That arithmetic makes elastic
 behaviour impossible: a dead worker's experts cannot move to survivors,
-a newly admitted worker cannot take over shards, and checkpoints cannot
-record where experts lived.  FastMoE's dynamic expert shadowing and
-FoMoE's federation framing (PAPERS.md) both treat the expert-to-worker
-map as a *runtime knob*; this module makes it one.
+and a newly admitted worker cannot take over shards.  FastMoE's dynamic
+expert shadowing and FoMoE's federation framing (PAPERS.md) both treat
+the expert-to-worker map as a *runtime knob*; this module makes it one.
 
 An :class:`ExpertPlacement` is an immutable assignment of every expert
 to one worker, plus a monotonically increasing ``version`` so
-checkpoints, recovery events and in-flight consumers can tell stale
-maps from current ones.  Shards may be unequal — worker loads after a
+recovery events and in-flight consumers can tell stale maps from
+current ones.  Shards may be unequal — worker loads after a
 failure are ``ceil``/``floor`` mixes — and a worker may own zero
 experts (a just-admitted scale-up target before rebalancing).
 
@@ -29,11 +28,6 @@ Rebalancing is deterministic and minimal-move:
 re-shard must perform, and :func:`reshard_traffic` prices them in bytes
 (the quantity :func:`repro.collectives.measure_a2a` converts into
 simulated seconds — see :mod:`repro.faults.recovery`).
-
-JSON round-trip (:meth:`to_json_dict` / :meth:`from_json_dict`) is
-strict on unknown keys, mirroring :class:`repro.faults.FaultPlan`, so
-checkpoint metadata written today still fails loudly rather than
-silently when the schema grows.
 """
 
 from __future__ import annotations
@@ -67,7 +61,7 @@ class ExpertPlacement:
     version: int = 0
 
     def __post_init__(self) -> None:
-        # Tolerate lists/arrays (e.g. parsed from JSON).
+        # Tolerate lists and arrays.
         object.__setattr__(
             self, "owners", tuple(int(w) for w in self.owners)
         )
@@ -127,14 +121,6 @@ class ExpertPlacement:
             self.__dict__["_owner_array"] = cached
         return cached
 
-    def owner(self, expert: int) -> int:
-        """The worker hosting ``expert``."""
-        if not 0 <= expert < self.num_experts:
-            raise IndexError(
-                f"expert {expert} out of range [0, {self.num_experts})"
-            )
-        return self.owners[expert]
-
     def experts_of(self, worker: int) -> Tuple[int, ...]:
         """Experts hosted by ``worker``, in ascending global id order.
 
@@ -157,14 +143,6 @@ class ExpertPlacement:
         for w in self.owners:
             loads[w] += 1
         return tuple(loads)
-
-    @property
-    def is_contiguous(self) -> bool:
-        """Whether this is the historical equal contiguous layout."""
-        if self.num_experts % self.num_workers != 0:
-            return False
-        per = self.num_experts // self.num_workers
-        return all(w == e // per for e, w in enumerate(self.owners))
 
     def bump(self) -> "ExpertPlacement":
         """The same assignment with ``version + 1``."""
@@ -251,37 +229,6 @@ class ExpertPlacement:
             version=self.version + 1,
         )
 
-    # -- (de)serialization -------------------------------------------------
-    def to_json_dict(self) -> dict:
-        """A JSON-encodable view of the placement."""
-        return {
-            "num_experts": self.num_experts,
-            "num_workers": self.num_workers,
-            "owners": list(self.owners),
-            "version": self.version,
-        }
-
-    @staticmethod
-    def from_json_dict(blob: dict) -> "ExpertPlacement":
-        """Inverse of :meth:`to_json_dict` (strict on unknown keys)."""
-        known = {"num_experts", "num_workers", "owners", "version"}
-        unknown = set(blob) - known
-        if unknown:
-            raise ValueError(
-                f"unknown placement keys: {sorted(unknown)}"
-            )
-        missing = {"num_experts", "num_workers", "owners"} - set(blob)
-        if missing:
-            raise ValueError(
-                f"placement is missing keys: {sorted(missing)}"
-            )
-        return ExpertPlacement(
-            num_experts=int(blob["num_experts"]),
-            num_workers=int(blob["num_workers"]),
-            owners=tuple(int(w) for w in blob["owners"]),
-            version=int(blob.get("version", 0)),
-        )
-
 
 # --------------------------------------------------------------------------
 # Re-shard accounting
@@ -329,9 +276,8 @@ def reshard_traffic(
 ) -> Dict[str, int]:
     """Byte accounting of a re-shard's expert-slice moves.
 
-    Returns ``total_bytes`` (all slices crossing workers),
-    ``max_worker_send_bytes`` / ``max_worker_recv_bytes`` (the busiest
-    endpoints), and ``per_gpu_bytes`` — the max over both directions,
+    Returns ``total_bytes`` (all slices crossing workers) and
+    ``per_gpu_bytes`` — the busiest endpoint's bytes, sent or received,
     which is the per-GPU payload an all-to-all-shaped exchange must
     carry and therefore what :func:`repro.collectives.measure_a2a`
     prices (a conservative bound: the real exchange is sparser than a
@@ -344,11 +290,7 @@ def reshard_traffic(
             continue
         sent[src] += bytes_per_expert
         recv[dst] += bytes_per_expert
-    max_send = max(sent, default=0)
-    max_recv = max(recv, default=0)
     return {
         "total_bytes": sum(sent),
-        "max_worker_send_bytes": max_send,
-        "max_worker_recv_bytes": max_recv,
-        "per_gpu_bytes": max(max_send, max_recv),
+        "per_gpu_bytes": max(max(sent, default=0), max(recv, default=0)),
     }

@@ -22,13 +22,7 @@ from .modules import (
     Sequential,
 )
 from .optim import Adam, Optimizer, clip_grad_norm
-from .serialization import (
-    checkpoint_placement,
-    load_checkpoint,
-    load_extra_arrays,
-    read_expert_bank,
-    save_checkpoint,
-)
+from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
     einsum,
@@ -59,10 +53,7 @@ __all__ = [
     "gather",
     "inference_mode",
     "is_inference",
-    "checkpoint_placement",
     "load_checkpoint",
-    "read_expert_bank",
-    "load_extra_arrays",
     "normal",
     "save_checkpoint",
     "scatter_add",

@@ -106,7 +106,7 @@ def _parity_study() -> dict:
     healthy = group.forward_concatenated(shards)
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
         ck = Path(tmp) / "healthy.npz"
-        save_checkpoint(layer, ck, placement=group.placement)
+        save_checkpoint(layer, ck)
         group.set_dead_workers({kill})
         degraded = group.forward_concatenated(shards)
         ctrl = RecoveryController(group, checkpoint=ck)

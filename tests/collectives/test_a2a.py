@@ -11,11 +11,7 @@ from repro.collectives import (
     phase_times,
     theoretical_max_speedup,
 )
-from repro.collectives.ordering import (
-    node_aligned_peers,
-    num_intra_rounds,
-    num_rounds,
-)
+from repro.collectives.ordering import node_aligned_peers, num_intra_rounds
 
 
 def test_registry_contains_paper_algorithms():
@@ -41,7 +37,7 @@ def test_node_aligned_rounds_are_class_consistent(paper_spec):
     world = paper_spec.world_size
     orders = [node_aligned_peers(paper_spec, r) for r in range(world)]
     intra = num_intra_rounds(paper_spec)
-    for t in range(num_rounds(paper_spec)):
+    for t in range(world):
         classes = {
             paper_spec.same_node(r, orders[r][t]) for r in range(world)
         }
@@ -63,7 +59,6 @@ def test_algorithms_complete_and_report(name, small_spec):
     assert isinstance(result, A2AResult)
     assert not result.oom
     assert result.seconds > 0
-    assert result.busbw_bps > 0
 
 
 def test_traffic_conservation(small_spec):

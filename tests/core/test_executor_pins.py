@@ -35,9 +35,13 @@ FAULTS = {
         seed=7, transient=TransientFaults(probability=0.2)
     ),
 }
+#: Keyed as in ``executor_pins.json``; the BERT key names the two-layer
+#: variant the pins were recorded on.
 MODELS = {
     "ct_moe(3)": ct_moe(3),
-    "bert_large_moe().with_layers(2)": bert_large_moe().with_layers(2),
+    "bert_large_moe().with_layers(2)": dataclasses.replace(
+        bert_large_moe(), num_layers=2
+    ),
 }
 LAYER = dataclasses.replace(ct_moe(12), num_layers=1, layer_only=True)
 

@@ -1,5 +1,7 @@
 """Tests of multi-layer execution and cross-layer chunk pipelining."""
 
+import dataclasses
+
 import pytest
 
 from repro.collectives import get_a2a
@@ -48,7 +50,7 @@ def test_cross_layer_gain_when_comm_bound(paper_spec):
     is per layer boundary, so depth beyond a few layers only adds
     simulation time.)"""
     executor = make(paper_spec, a2a="nccl", codec="none", partitions=4)
-    cfg = bert_large_moe().with_layers(6)
+    cfg = dataclasses.replace(bert_large_moe(), num_layers=6)
     barrier = executor.run(cfg, mode="layer-barrier").makespan
     chunked = executor.run(cfg, mode="chunked").makespan
     assert barrier / chunked > 1.12

@@ -248,16 +248,3 @@ def test_schemoe_layer_partition_validation(rng):
         ScheMoELayer(16, 32, 4, rng, partitions="many")
     with pytest.raises(ValueError):
         ScheMoELayer(16, 32, 4, rng, partitions=-1)
-
-
-def test_tokens_per_second(paper_spec):
-    policy = SystemPolicy(name="t", scheduler="sequential")
-    cfg = ct_moe(12)
-    result = simulate_model_step(cfg, paper_spec, policy)
-    tps = result.tokens_per_second(cfg.tokens_per_gpu, paper_spec.world_size)
-    assert tps == pytest.approx(
-        cfg.tokens_per_gpu * 32 / result.total_s
-    )
-    oom_policy = SystemPolicy(name="fat", shadow_expert_layers=500)
-    oom = simulate_model_step(bert_large_moe(), paper_spec, oom_policy)
-    assert oom.tokens_per_second(1, 32) == 0.0

@@ -19,8 +19,6 @@ def test_vocab_specials_and_words():
     v = Vocab(10)
     assert v.size == 14
     assert v.word(0) == 4
-    assert v.is_word(4)
-    assert not v.is_word(PAD)
     with pytest.raises(ValueError):
         v.word(10)
     assert v.words([0, 1]) == [4, 5]

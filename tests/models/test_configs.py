@@ -90,9 +90,3 @@ def test_config_validation():
             hidden_dim=1, model_dim=1, top_k=1, num_experts=1,
             capacity_factor=0.0,
         )
-
-
-def test_with_layers_variant():
-    cfg = ct_moe(12).with_layers(16)
-    assert cfg.num_layers == 16
-    assert cfg.model_dim == ct_moe(12).model_dim

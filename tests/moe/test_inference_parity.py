@@ -1,12 +1,13 @@
-"""Bit-exact parity of the autograd-free MoE inference fast path.
+"""Bit-exact parity of the autograd-free MoE inference path.
 
-``MoELayer.forward_inference`` must compute *byte-for-byte* the same
-output as the training-tape ``forward`` on an ``eval()`` layer —
-across dead-expert degradation and the T=0 edge — while recording
-no tape.  Anything weaker than ``np.array_equal`` here
-would hide a divergence between what we benchmark and what we train.
-The expert-parallel group's forward is tape-free by construction; its
-parity with the taped forward lives in ``test_parallel_tape_free.py``.
+``Module.forward_inference`` runs the layer's ``forward`` under
+``inference_mode()``.  It must compute *byte-for-byte* the same output
+as the tape ``forward``, across dead-expert degradation and the T=0
+edge, while recording no tape.  Anything weaker than
+``np.array_equal`` here would hide a divergence between what we
+benchmark and what we train.  The expert-parallel group's forward is
+tape-free by construction; its parity with the taped forward lives in
+``test_parallel_tape_free.py``.
 """
 
 import numpy as np

@@ -101,9 +101,7 @@ def test_expert_placement(rng):
     layer = make_layer(rng, num_experts=8)
     group = ExpertParallelGroup(layer, num_workers=4)
     assert group.placement.counts() == (2, 2, 2, 2)
-    assert group.placement.owner(0) == 0
-    assert group.placement.owner(7) == 3
-    assert group.placement.is_contiguous
+    assert group.placement.owners == (0, 0, 1, 1, 2, 2, 3, 3)
     assert group.placement.version == 0
 
 

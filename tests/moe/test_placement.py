@@ -1,7 +1,5 @@
 """Tests of the versioned expert→worker placement map."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,7 @@ from repro.moe import (
 def test_contiguous_matches_historical_owner_arithmetic():
     pl = ExpertPlacement.contiguous(8, 4)
     assert pl.owners == (0, 0, 1, 1, 2, 2, 3, 3)
-    assert pl.is_contiguous
     assert pl.version == 0
-    assert [pl.owner(e) for e in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
     assert pl.experts_of(2) == (4, 5)
     assert pl.counts() == (2, 2, 2, 2)
 
@@ -30,7 +26,6 @@ def test_contiguous_requires_divisibility():
 
 def test_arbitrary_placement_validation():
     pl = ExpertPlacement(4, 3, owners=(2, 0, 2, 1), version=7)
-    assert not pl.is_contiguous
     assert pl.experts_of(2) == (0, 2)
     assert pl.counts() == (1, 1, 2)
     with pytest.raises(ValueError):
@@ -70,7 +65,7 @@ def test_workers_removed_is_deterministic_and_order_free():
     assert a == b
     assert a.experts_of(0) == () and a.experts_of(2) == ()
     assert sorted(a.counts())[-1] - sorted(a.counts())[0] <= len(
-        [e for e in range(8) if pl.owner(e) in (0, 2)]
+        [e for e in range(8) if pl.owners[e] in (0, 2)]
     )
 
 
@@ -92,22 +87,6 @@ def test_worker_added_takes_fair_share_from_most_loaded():
     assert len(grown.experts_of(4)) == 1
 
 
-def test_json_round_trip_is_strict():
-    pl = ExpertPlacement(8, 4, owners=(3, 0, 2, 0, 1, 3, 0, 2), version=5)
-    blob = pl.to_json_dict()
-    assert ExpertPlacement.from_json_dict(blob) == pl
-    # Survives an actual JSON encode/decode.
-    assert (
-        ExpertPlacement.from_json_dict(json.loads(json.dumps(blob))) == pl
-    )
-    with pytest.raises(ValueError):
-        ExpertPlacement.from_json_dict(dict(blob, bogus=1))
-    incomplete = dict(blob)
-    del incomplete["owners"]
-    with pytest.raises(ValueError):
-        ExpertPlacement.from_json_dict(incomplete)
-
-
 def test_reshard_traffic_accounting():
     old = ExpertPlacement.contiguous(8, 4)
     new = old.with_workers_removed({1})
@@ -116,9 +95,8 @@ def test_reshard_traffic_accounting():
     assert bpe == 4 * (16 * 24 + 24 + 24 * 16 + 16)
     traffic = reshard_traffic(moves, bpe, new.num_workers)
     assert traffic["total_bytes"] == len(moves) * bpe
-    # Worker 1 sends both lost experts; no receiver gets more than one.
-    assert traffic["max_worker_send_bytes"] == 2 * bpe
-    assert traffic["max_worker_recv_bytes"] == bpe
+    # Worker 1 sends both lost experts; no receiver gets more than one,
+    # so the busiest endpoint is the sender.
     assert traffic["per_gpu_bytes"] == 2 * bpe
     # No moves, no traffic.
     empty = reshard_traffic((), bpe, 4)

@@ -9,7 +9,7 @@ from repro.faults.recovery import (
     price_reshard,
     reshard_vs_degraded,
 )
-from repro.moe import MoELayer
+from repro.moe import ExpertPlacement, MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.moe.placement import expert_param_bytes, reshard_traffic
 from repro.nn import Tensor, xavier_uniform
@@ -46,7 +46,7 @@ def test_recover_from_checkpoint_is_bit_exact(tmp_path, tokens):
     shards = shards_of(tokens)
     healthy = group.forward_concatenated(shards)
     ck = tmp_path / "healthy.npz"
-    save_checkpoint(layer, ck, placement=group.placement)
+    save_checkpoint(layer, ck)
 
     group.set_dead_workers({1})
     degraded = group.forward_concatenated(shards)
@@ -120,25 +120,6 @@ def test_recover_without_dead_workers_raises():
         RecoveryController(group).recover()
 
 
-def test_recover_rejects_a_partial_dead_set():
-    """An explicit dead set that leaves out a declared-dead worker would
-    clear the group's dead set and revive that worker's experts."""
-    group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
-    group.set_dead_workers({1, 2})
-    placement = group.placement
-    ctrl = RecoveryController(group)
-    with pytest.raises(ValueError, match=r"leaves out .*\[2\]"):
-        ctrl.recover(dead_workers={1})
-    # Nothing changed: the group is still degraded around both workers.
-    assert group.dead_workers == frozenset({1, 2})
-    assert group.placement is placement
-    assert ctrl.retired == frozenset() and ctrl.events == []
-    # Naming both recovers both.
-    event = ctrl.recover(dead_workers={1, 2})
-    assert event.dead_workers == (1, 2)
-    assert not group.dead_workers
-
-
 def test_repeated_failures_never_use_retired_ranks(tokens):
     group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
     ctrl = RecoveryController(group, reinit_seed=3)
@@ -185,31 +166,73 @@ def test_scale_up_with_dead_workers_raises():
         RecoveryController(group).scale_up()
 
 
-def test_checkpoint_bank_prefix_disambiguates(tmp_path, tokens):
+def test_admit_worker_refuses_a_degraded_group():
+    """Admitting a rank around a dead worker would hand the dead
+    worker's experts to the new rank with nothing restored."""
+    group = ExpertParallelGroup(
+        make_layer(),
+        3,
+        placement=ExpertPlacement(
+            NUM_EXPERTS, 3, owners=(0, 1, 1, 1, 1, 2, 2, 0)
+        ),
+    )
+    group.set_dead_workers({1})
+    placement = group.placement
+    with pytest.raises(RuntimeError, match="recover them first"):
+        group.admit_worker()
+    assert group.num_workers == 3
+    assert group.placement is placement
+    assert group.dead_experts == frozenset({1, 2, 3, 4})
+
+
+def test_rejected_checkpoint_leaves_the_group_untouched(tmp_path):
+    """Recovery reads a checkpoint of the group's own layer and checks
+    it against the live layer before any group state changes."""
     from repro.models import TransformerLM
 
-    def dead_group():
-        group = ExpertParallelGroup(make_layer(), NUM_WORKERS)
-        group.set_dead_workers({1})
-        return group
+    layer = make_layer()
+    group = ExpertParallelGroup(layer, NUM_WORKERS)
+    ctrl = RecoveryController(group, reinit_seed=5)
+    group.set_dead_workers({0})
+    ctrl.recover()  # one earlier transition: non-empty retired/events
+    group.set_dead_workers({1})
 
-    # Recovery reads the group's own layer bank, ``experts``: a whole-LM
-    # checkpoint keeps its one 8-expert bank elsewhere and is rejected.
     lm = TransformerLM(
         vocab_size=20, model_dim=16, hidden_dim=24, num_layers=1,
         num_heads=2, moe=True, num_experts=NUM_EXPERTS, max_seq_len=16,
         seed=0,
     )
-    ck = tmp_path / "lm.npz"
-    save_checkpoint(lm, ck)
-    with pytest.raises(KeyError, match="no expert bank 'experts'"):
-        RecoveryController(dead_group(), checkpoint=ck).recover()
-    # An 8-expert layer bank whose shapes differ from the live bank's is
-    # rejected by the live-shape check.
+    save_checkpoint(lm, tmp_path / "lm.npz")
     wide = MoELayer(16, 32, NUM_EXPERTS, np.random.default_rng(0))
-    save_checkpoint(wide, ck)
-    with pytest.raises(ValueError, match="does not match the live bank"):
-        RecoveryController(dead_group(), checkpoint=ck).recover()
+    save_checkpoint(wide, tmp_path / "wide.npz")
+    cases = [
+        # A whole-LM archive: same bank shapes, other parameter names.
+        ("lm.npz", ValueError, r"missing \['experts.b1', 'experts.b2'"),
+        # A layer archive with a different hidden width.
+        (
+            "wide.npz",
+            ValueError,
+            r"missing \[\], unexpected \[\], "
+            r"reshaped \['experts.b1', 'experts.w1', 'experts.w2'\]",
+        ),
+        ("absent.npz", FileNotFoundError, "no checkpoint"),
+    ]
+    for name, error, match in cases:
+        placement = group.placement
+        events = list(ctrl.events)
+        bank = {
+            n: getattr(layer.experts, n).data.tobytes()
+            for n in ("w1", "b1", "w2", "b2")
+        }
+        ctrl.checkpoint = tmp_path / name
+        with pytest.raises(error, match=match):
+            ctrl.recover()
+        assert group.dead_workers == frozenset({1})
+        assert group.placement is placement and placement.version == 1
+        assert ctrl.retired == frozenset({0})
+        assert ctrl.events == events and len(events) == 1
+        for n, before in bank.items():
+            assert getattr(layer.experts, n).data.tobytes() == before
 
 
 # -- in-flight guards (S1) -------------------------------------------------

@@ -16,8 +16,8 @@ every rule it checks:
 * ``events`` matches the transitions the machine performed, and
   recovered experts carry the checkpoint's (or the kept) parameters.
 
-A recovery that names only part of the dead set is rejected with the
-group left untouched.
+A scale-up while any worker is dead is rejected with the group left
+untouched.
 """
 
 import shutil
@@ -159,16 +159,17 @@ class RecoveryMachine(RuleBasedStateMachine):
         self.ctrl.checkpoint = None
         self.recover("reinit")
 
-    @precondition(lambda self: len(self.group.dead_workers) > 1)
-    @rule(data=st.data())
-    def partial_recover_is_rejected(self, data):
-        dead = sorted(self.group.dead_workers)
-        subset = data.draw(
-            st.sets(st.sampled_from(dead), min_size=1, max_size=len(dead) - 1)
-        )
-        with pytest.raises(ValueError, match="leaves out"):
-            self.ctrl.recover(dead_workers=subset)
-        assert self.group.dead_workers == frozenset(dead)
+    @precondition(lambda self: self.group.dead_workers)
+    @rule()
+    def scale_up_is_rejected_while_degraded(self):
+        placement = self.group.placement
+        dead = self.group.dead_workers
+        num_workers = self.group.num_workers
+        with pytest.raises(RuntimeError, match="recover them first"):
+            self.ctrl.scale_up()
+        assert self.group.placement is placement
+        assert self.group.dead_workers == dead
+        assert self.group.num_workers == num_workers
 
     @precondition(
         lambda self: not self.group.dead_workers
@@ -194,7 +195,7 @@ class RecoveryMachine(RuleBasedStateMachine):
     @rule()
     def save(self):
         path = self.tmp / f"ck{len(list(self.tmp.iterdir()))}.npz"
-        save_checkpoint(self.layer, path, placement=self.group.placement)
+        save_checkpoint(self.layer, path)
         self.checkpoint = (path, bank_of(self.layer))
 
     # -- invariants --------------------------------------------------------
