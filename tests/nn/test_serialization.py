@@ -26,11 +26,20 @@ def test_roundtrip_restores_outputs(tmp_path, rng):
     x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
     assert not np.allclose(other(x).data, model(x).data)
 
-    state = load_checkpoint(path)
-    # The archive holds the parameters and nothing else.
-    assert sorted(state) == sorted(model.state_dict())
-    other.load_state_dict(state)
+    other.load_state_dict(load_checkpoint(path))
     np.testing.assert_array_equal(other(x).data, model(x).data)
+
+
+def test_metadata_optional(tmp_path):
+    # A checkpoint carries no metadata: the archive holds the
+    # parameters and nothing else.
+    model = make_model(1)
+    path = tmp_path / "m.npz"
+    save_checkpoint(model, path)
+    state = load_checkpoint(path)
+    assert sorted(state) == sorted(model.state_dict())
+    for name, value in model.state_dict().items():
+        np.testing.assert_array_equal(state[name], value)
 
 
 def test_missing_file_raises(tmp_path):
