@@ -106,8 +106,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, name: str = ""):
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay}")
+        # ``not >=`` also rejects NaN, which would turn the clock into
+        # NaN; ``inf`` stays a valid delay.
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN timeout: {delay}")
         super().__init__(engine, name)
         self.delay = delay
         engine._schedule_at(engine.now + delay, self)

@@ -7,11 +7,13 @@ first and all inter-node rounds after, so the fabric idles while the
 NIC works and vice versa — the total is ``t_intra + t_inter`` exactly
 as in the paper's Eq. 17, which is the inefficiency Pipe-A2A removes.
 
-Rounds are separated by a barrier event (NCCL grouped P2P kernels are
+Rounds are separated by a barrier (NCCL grouped P2P kernels are
 bulk-synchronous across the communicator), keeping the simulation
 faithful to lockstep progress even when resource contention would let
-one rank run ahead.  Every submission of a round waits on that one
-shared event, so an all-to-all queues ``O(P²)`` simulator events.
+one rank run ahead.  Each rank posts one stream item that runs all its
+rounds; the last rank to finish a round wakes every rank into the next
+one in rank order (:func:`~.ordering.lockstep_rounds`), so an
+all-to-all queues about ``4·P²`` simulator entries.
 """
 
 from __future__ import annotations

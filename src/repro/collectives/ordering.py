@@ -12,6 +12,11 @@ This mirrors how NCCL group-launched point-to-point operations
 progress in lockstep rounds, and it is the execution model behind the
 paper's Eq. 17 (NCCL-A2A time = intra phase + inter phase, strictly
 sequential).
+
+:func:`lockstep_rounds` runs such rounds with one stream item per rank
+and a per-round countdown instead of a barrier event, so an all-to-all
+queues about ``4·P²`` simulator entries.  :func:`transfer_work` is the
+one-transfer stream item the hierarchical algorithms submit.
 """
 
 from __future__ import annotations
@@ -68,28 +73,47 @@ def lockstep_rounds(
     """Post one ``chunk``-byte SR per rank per step, round by round.
 
     In round ``t`` every rank sends to its ``t``-th
-    :func:`node_aligned_peers` entry on ``stream_of(rank)``.  Rounds
-    are separated by one shared barrier event: all submissions of a
-    round wait on a single ``all_of`` over the previous round, so one
-    all-to-all queues ``O(P²)`` simulator events.  Returns the
-    completion events of the last round.
+    :func:`node_aligned_peers` entry.  Each rank submits one item on
+    ``stream_of(rank)`` that runs all its rounds: before round ``t``
+    (but the first) it waits on its own wake event.  A per-round
+    countdown tracks the ranks still in round ``t - 1``; the last one
+    to finish does not run on into round ``t`` but queues one callback
+    that fires round ``t``'s wake events in rank order.  Ranks
+    therefore start each round in rank order, never in arrival order,
+    which keeps the global order of transfer attempts (transient-fault
+    verdicts hash it).  One all-to-all queues about ``4·P²`` simulator
+    entries and one process per rank.  Returns the completion events
+    of the ranks' items.
     """
-    peer_lists = [node_aligned_peers(cluster.spec, r) for r in cluster.iter_ranks()]
-    prev_round: List[Event] = []
-    for step in steps:
-        after = [cluster.engine.all_of(prev_round)] if prev_round else []
-        this_round: List[Event] = []
-        for rank in cluster.iter_ranks():
-            peer = peer_lists[rank][step]
-            this_round.append(
-                stream_of(rank).submit(
-                    transfer_work(cluster, rank, peer, chunk),
-                    after=after,
-                    name=f"{tag}({rank}->{peer})",
-                )
-            )
-        prev_round = this_round
-    return prev_round
+    engine = cluster.engine
+    steps = list(steps)
+    ranks = list(cluster.iter_ranks())
+    # wake[i][rank] releases ``rank`` into round ``steps[i + 1]``.
+    names = [f"{tag}:wake{step}" for step in steps[1:]]
+    wake = [[engine.event(name) for _ in ranks] for name in names]
+    in_round = [len(ranks)] * len(wake)
+
+    def rounds(rank: int) -> ProcessGenerator:
+        peers = node_aligned_peers(cluster.spec, rank)
+        for i, step in enumerate(steps):
+            if i:
+                yield wake[i - 1][rank]
+            yield from cluster.transfer(rank, peers[step], chunk)
+            if i < len(wake):
+                in_round[i] -= 1
+                if not in_round[i]:
+                    engine._schedule_callback(_wake_all, wake[i])
+
+    return [
+        stream_of(rank).submit(functools.partial(rounds, rank), name=f"{tag}@{rank}")
+        for rank in ranks
+    ]
+
+
+def _wake_all(events: List[Event]) -> None:
+    """Queued callback firing one round's wake events in rank order."""
+    for ev in events:
+        ev.succeed()
 
 
 def transfer_work(

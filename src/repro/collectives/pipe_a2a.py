@@ -17,8 +17,10 @@ Eq. 16 vs Eq. 17), with the theoretical speedup bound of Eq. 18
 implemented as :func:`theoretical_max_speedup`.
 
 Each stream still progresses in lockstep rounds among its own class
-(the sends/recvs pair up within the class, one shared barrier event
-per round), but the two classes are never ordered against each other.
+(the sends/recvs pair up within the class; each rank posts one item per
+stream, woken into every round by the class's last finisher of the
+previous one), but the two classes are never ordered against each
+other.
 """
 
 from __future__ import annotations

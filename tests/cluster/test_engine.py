@@ -1,5 +1,7 @@
 """Unit tests of the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.cluster.engine import (
@@ -30,6 +32,26 @@ def test_negative_timeout_rejected():
     eng = Engine()
     with pytest.raises(ValueError):
         eng.timeout(-1.0)
+
+
+def test_nan_timeout_rejected():
+    """NaN slips past a `< 0` check and would make the clock NaN."""
+    eng = Engine()
+
+    def proc(eng):
+        yield eng.timeout(1.0)
+        yield eng.timeout(math.nan)
+
+    eng.process(proc(eng))
+    with pytest.raises(ValueError, match="nan"):
+        eng.run()
+    assert eng.now == 1.0
+
+
+def test_infinite_timeout_accepted():
+    eng = Engine()
+    eng.timeout(math.inf)
+    assert eng.run() == math.inf
 
 
 def test_event_fires_once():

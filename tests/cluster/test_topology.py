@@ -210,3 +210,11 @@ def test_compute_occupies_gpu(small_spec):
     cluster.engine.process(kernel(1, 1.0))  # other GPU: parallel
     cluster.engine.run()
     assert sorted(done) == [1.0, 1.0, 2.0]
+
+
+def test_nan_compute_rejected():
+    cluster = SimCluster(paper_testbed())
+    cluster.engine.process(cluster.compute(0, math.nan))
+    with pytest.raises(ValueError, match="nan"):
+        cluster.engine.run()
+    assert cluster.engine.now == 0.0

@@ -1,10 +1,11 @@
 """The per-submission fan-in lockstep schedules, kept as a test reference.
 
-Production NCCL-A2A and Pipe-A2A separate their lockstep rounds with one
-shared barrier event per round: every submission of round ``t`` waits
-on a single ``all_of`` over round ``t - 1``.  These are the schedules
-that barrier replaced, in which each of the ``P`` submissions of round
-``t`` built its own ``all_of`` over all ``P`` events of round ``t - 1``
+Production NCCL-A2A and Pipe-A2A post one stream item per rank that
+runs all its rounds; the last rank to finish round ``t - 1`` queues one
+callback that wakes every rank into round ``t`` in rank order
+(``ordering.lockstep_rounds``).  Here instead every transfer is its
+own submission, and each of the ``P`` submissions of round ``t``
+builds its own ``all_of`` over all ``P`` events of round ``t - 1``
 (``P²`` callbacks per round, ``≈P³`` per all-to-all).  The parity
 suite checks that both forms simulate bit-identical results.
 """

@@ -1,9 +1,11 @@
-"""Lockstep all-to-alls: one shared barrier per round.
+"""Lockstep all-to-alls: one stream item per rank, woken round by round.
 
-NCCL-A2A and Pipe-A2A separate their lockstep rounds with a single
-``all_of`` per round.  These tests pin that schedule bit-identical to
-the per-submission fan-in it replaced (``legacy_lockstep.py``) and
-bound the number of events one all-to-all queues.
+NCCL-A2A and Pipe-A2A post one item per rank per stream class; the
+last rank to finish a round wakes all ranks into the next one in rank
+order.  These tests pin that schedule bit-identical to the
+per-submission fan-in (``legacy_lockstep.py``), healthy, under fault
+plans and behind ``ModelExecutor``'s stream gates, and bound the
+entries and processes one all-to-all creates.
 """
 
 import pytest
@@ -11,6 +13,9 @@ import pytest
 from repro.cluster.engine import Engine
 from repro.cluster.presets import nvlink_dgx, paper_testbed
 from repro.collectives import base, get_a2a, measure_a2a
+from repro.compression import get_compressor
+from repro.core import ModelExecutor, get_scheduler
+from repro.core.model_executor import MODES
 from repro.core.system import simulate_model_step
 from repro.faults import FaultPlan, TransientFaults, flapping_link
 from repro.models.configs import ct_moe
@@ -81,12 +86,38 @@ def test_model_step_matches_fan_in(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("algo", ["nccl", "pipe"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("r", [1, 2])
+def test_executor_matches_fan_in_under_faults(algo, mode, r):
+    """Two layers at P=32, each A2A task behind the executor's stream
+    gates; Pipe runs its intra and inter chains concurrently."""
+    plan = FaultPlan(seed=5, transient=TransientFaults(probability=0.05))
+    reports = [
+        ModelExecutor(
+            paper_testbed(),
+            a2a,
+            get_compressor("zfp"),
+            get_scheduler("optsche"),
+            partitions=r,
+            faults=plan,
+        ).run(ct_moe(2), mode)
+        for a2a in (get_a2a(algo), LEGACY[algo]())
+    ]
+    new, old = (
+        (rep.makespan.hex(), rep.task_finish, rep.traffic) for rep in reports
+    )
+    assert new == old
+    assert reports[0].traffic["transient_failures"] > 0
+
+
 class CountingEngine(Engine):
-    """An engine counting every entry it queues."""
+    """An engine counting every entry it queues and every process."""
 
     def __init__(self):
         super().__init__()
         self.scheduled = 0
+        self.processes = 0
 
     def _schedule_at(self, when, event):
         self.scheduled += 1
@@ -96,13 +127,24 @@ class CountingEngine(Engine):
         self.scheduled += 1
         super()._schedule_callback(cb, ev)
 
+    def process(self, gen, name=""):
+        self.processes += 1
+        return super().process(gen, name)
+
+
+#: Streams one all-to-all posts to per rank.
+STREAM_CLASSES = {"nccl": 1, "pipe": 2}
+
 
 @pytest.mark.parametrize("algo", ["nccl", "pipe"])
 @pytest.mark.parametrize("shape", [(8, 4), (8, 8)], ids=["P32", "P64"])
 def test_a2a_queues_quadratic_events(algo, shape):
-    """O(P²) events per all-to-all; per-submission fan-in needs O(P³)."""
+    """At most 4·P² entries per all-to-all and one process per rank per
+    stream; a process per transfer queues ~8·P², per-submission fan-in
+    O(P³)."""
     spec = paper_testbed(*shape)
     engine = CountingEngine()
     result = measure_a2a(get_a2a(algo), spec, 4e6, engine=engine)
     assert not result.oom and result.seconds > 0
-    assert engine.scheduled <= 8 * spec.world_size**2
+    assert engine.scheduled <= 4 * spec.world_size**2
+    assert engine.processes <= STREAM_CLASSES[algo] * spec.world_size
