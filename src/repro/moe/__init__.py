@@ -23,7 +23,7 @@ from .placement import (
     reshard_moves,
     reshard_traffic,
 )
-from .routing import RoutingPlan, plan_from_indices, route_fused
+from .routing import RoutingPlan, route_fused
 
 __all__ = [
     "A2ATraffic",
@@ -41,7 +41,6 @@ __all__ = [
     "dispatch",
     "dispatch_grouped",
     "load_balancing_loss",
-    "plan_from_indices",
     "reshard_moves",
     "reshard_traffic",
     "route_fused",

@@ -27,10 +27,15 @@ consumer reads — beside the ``(T, k)`` expert indices and ``(T, k)``
 differentiable combine weights; the dense GShard ``(T, E, C)`` masks
 used by the reference einsum backend are materialized from the plan
 lazily on first access, so the sparse hot path never pays for them.
+Dead-expert degradation masks the plan's expert-major arrays rather
+than rebuilding them, so every routing, degraded or not, is read in
+the one order both combines (single-process and expert-parallel D2)
+add up a token's contributions in.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -39,7 +44,7 @@ from ..cluster.costmodel import expert_capacity
 from ..nn import functional as F
 from ..nn.modules import Linear, Module
 from ..nn.tensor import Tensor, is_inference
-from .routing import RoutingPlan, plan_from_indices, route_fused
+from .routing import RoutingPlan, route_fused
 
 
 class GateOutput:
@@ -48,11 +53,11 @@ class GateOutput:
     The routing itself is ``plan``, the batch's
     :class:`~repro.moe.routing.RoutingPlan`: every consumer (grouped
     dispatch and combine, dense mask densification, expert-parallel
-    C1) reads it, and ``expert_load``, ``capacity``, ``slot_indices``,
-    ``num_tokens`` and ``num_experts`` are views of it.  Beside the
-    plan the output holds the gate's token-major choices — row t
-    holds token t's k choices: ``expert_indices`` is ``(T, k)`` (a
-    plan slot of ``-1`` marks a dropped assignment) and
+    C1 and D2) reads it, and ``expert_load``, ``capacity``, ``slot_indices``,
+    ``dropped_tokens``, ``num_tokens`` and ``num_experts`` are views
+    of it.  Beside the plan the output holds the gate's token-major
+    choices — row t holds token t's k choices: ``expert_indices`` is
+    ``(T, k)`` (a plan slot of ``-1`` marks a dropped assignment) and
     ``gate_weights`` a differentiable ``(T, k)`` tensor of combine
     weights (zero at dropped entries).
 
@@ -67,13 +72,11 @@ class GateOutput:
         *,
         plan: RoutingPlan,
         aux_loss: Tensor,
-        dropped_tokens: int,
         expert_indices: np.ndarray,
         gate_weights: Tensor,
     ):
         self.plan = plan
         self.aux_loss = aux_loss
-        self.dropped_tokens = dropped_tokens
         self.expert_indices = expert_indices
         self.gate_weights = gate_weights
         self._dispatch_mask: Optional[np.ndarray] = None
@@ -104,6 +107,11 @@ class GateOutput:
         return self.plan.expert_load
 
     @property
+    def dropped_tokens(self) -> int:
+        """Assignments not routed (capacity drops and dead experts)."""
+        return self.plan.dropped_assignments
+
+    @property
     def drop_fraction(self) -> float:
         """Dropped assignments per token (0 when capacity suffices)."""
         if self.num_tokens == 0:
@@ -124,10 +132,11 @@ class GateOutput:
         so a token that keeps one of its two experts leans fully on it.
 
         Returns a new :class:`GateOutput` sharing the untouched index
-        arrays, with a plan rebuilt by
-        :func:`~repro.moe.routing.plan_from_indices` (the slot holes
-        break the fused kernel's FCFS-prefix invariant).  An empty
-        ``dead_experts`` returns ``self``.
+        arrays.  Its plan is this one with the dead experts' rows
+        masked out of the grouped arrays (what is left keeps the
+        expert-major order), their segments zeroed and their slots
+        set to ``-1``; the per-(expert, choice) counts stay the
+        pre-drop ones.  An empty ``dead_experts`` returns ``self``.
 
         Dropping is per-forward and stateless: recovery (see
         :class:`repro.faults.recovery.RecoveryController`) does not
@@ -154,12 +163,18 @@ class GateOutput:
         masked = self.gate_weights * survives
         denom = masked.sum(axis=-1, keepdims=True) + 1e-9
         weights = masked / denom
+        plan = self.plan
+        live = ~dead_mask[plan.grouped_expert_ids]
         return GateOutput(
-            plan=plan_from_indices(
-                self.expert_indices, slot_indices, num_experts, self.capacity
+            plan=dataclasses.replace(
+                plan,
+                slot_indices=slot_indices,
+                grouped_token_ids=plan.grouped_token_ids[live],
+                grouped_expert_ids=plan.grouped_expert_ids[live],
+                grouped_choice_ids=plan.grouped_choice_ids[live],
+                segment_counts=np.where(dead_mask, 0, plan.segment_counts),
             ),
             aux_loss=self.aux_loss,
-            dropped_tokens=self.dropped_tokens + int(hit.sum()),
             expert_indices=self.expert_indices,
             gate_weights=weights,
         )
@@ -181,9 +196,7 @@ class GateOutput:
                 (plan.num_tokens, plan.num_experts, plan.capacity),
                 dtype=np.float32,
             )
-            mask[
-                plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
-            ] = 1.0
+            mask[self._grouped_coords()] = 1.0
             self._dispatch_mask = mask
         return self._dispatch_mask
 
@@ -206,10 +219,8 @@ class GateOutput:
                 )
             norm = self.gate_weights
             plan = self.plan
-            coords = (
-                plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
-            )
-            w_idx = (plan.kept_token_ids, plan.kept_choice_ids)
+            coords = self._grouped_coords()
+            w_idx = (plan.grouped_token_ids, plan.grouped_choice_ids)
             shape = (plan.num_tokens, plan.num_experts, plan.capacity)
             data = np.zeros(shape, dtype=np.float32)
             data[coords] = norm.data[w_idx]
@@ -221,6 +232,19 @@ class GateOutput:
 
             self._combine_weights = norm._make(data, (norm,), backward)
         return self._combine_weights
+
+    def _grouped_coords(self) -> tuple:
+        """(t, e, slot) of every routed assignment, in grouped order.
+
+        The coordinates are unique, so a scatter through them is the
+        same whatever order they come in.
+        """
+        plan = self.plan
+        return (
+            plan.grouped_token_ids,
+            plan.grouped_expert_ids,
+            plan.slot_indices[plan.grouped_token_ids, plan.grouped_choice_ids],
+        )
 
 
 class TopKGate(Module):
@@ -301,7 +325,6 @@ class TopKGate(Module):
         return GateOutput(
             plan=plan,
             aux_loss=aux,
-            dropped_tokens=plan.dropped_assignments,
             expert_indices=top_idx,
             gate_weights=norm,
         )

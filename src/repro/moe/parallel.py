@@ -32,7 +32,9 @@ the all-to-all.
   assembles one expert-major block per destination, E runs
   :meth:`~repro.moe.experts.Experts.run_grouped`, C2 splits results
   back per source in payload row order, and D2 merges them, weighted,
-  into the owner's output rows in the gate's assignment order.
+  into the owner's output rows in the plan's expert-major order — the
+  order in which the single-process ``combine_grouped`` adds up a
+  token's contributions, so the two agree bit for bit at any top-k.
 
 The codec runs where the paper's task model (:mod:`repro.core.tasks`)
 puts it: compression and decompression are computing tasks, and the
@@ -546,28 +548,23 @@ class ExpertParallelGroup:
 
         # Per-worker routing metadata, gated once over the full shard
         # (chunking never re-gates: capacity, drops and weights are
-        # those of the whole shard, so results match num_chunks=1).
-        token_ids: List[np.ndarray] = []
-        weights: List[np.ndarray] = []
-        members: List[List[np.ndarray]] = []  # [w][c] kept positions
+        # those of the whole shard, so results match num_chunks=1),
+        # all in the plan's expert-major order.
         plans = []  # [w] the gate's cached RoutingPlan
+        weights: List[np.ndarray] = []  # [w] per grouped row
         chunk_edges: List[np.ndarray] = []  # [w] the shard's chunk_bounds
-        grouped_members: List[List[np.ndarray]] = []  # [w][c] grouped rows
+        members: List[List[np.ndarray]] = []  # [w][c] grouped rows
         for w in workers:
             plan = gate_outputs[w].plan
             plans.append(plan)
-            token_ids.append(plan.kept_token_ids)
             weights.append(
                 gate_outputs[w].gate_weights.data[
-                    plan.kept_token_ids, plan.kept_choice_ids
+                    plan.grouped_token_ids, plan.grouped_choice_ids
                 ]
             )
             bounds = chunk_bounds(shards[w].shape[0], r)
             chunk_edges.append(bounds)
-            members.append(by_chunk(bounds, plan.kept_token_ids))
-            # The same restriction over the plan's expert-major order:
-            # C1 slices these instead of re-sorting per chunk.
-            grouped_members.append(by_chunk(bounds, plan.grouped_token_ids))
+            members.append(by_chunk(bounds, plan.grouped_token_ids))
 
         outputs = [
             np.zeros((shards[w].shape[0], model_dim), dtype=np.float32)
@@ -586,11 +583,10 @@ class ExpertParallelGroup:
             """C1: per-source flat payloads for the chunk's tokens, encoded.
 
             No per-chunk argsort: the chunk's expert-major order is
-            the gate plan's global permutation restricted to the
-            chunk's (contiguous) token range, bit-identical to what
-            sorting the chunk's kept assignments would produce —
-            ``searchsorted`` re-bases it to chunk-local positions.
-            A destination's rows are that order restricted to the
+            the gate plan's grouped order restricted to the chunk's
+            (contiguous) token range, bit-identical to what sorting
+            the chunk's kept assignments would produce.  A
+            destination's rows are that order restricted to the
             experts it hosts (``nonzero`` preserves order, so under a
             contiguous placement this is exactly the historical
             contiguous slice); their segment counts align with the
@@ -600,10 +596,8 @@ class ExpertParallelGroup:
                 sel = members[src][c]
                 if sel.size == 0:
                     continue
-                gm = grouped_members[src][c]
-                sorted_sel = plans[src].grouped_kept_pos[gm]
-                order = np.searchsorted(sel, sorted_sel)
-                g_experts = plans[src].grouped_expert_ids[gm]
+                g_tokens = plans[src].grouped_token_ids[sel]
+                g_experts = plans[src].grouped_expert_ids[sel]
                 counts = np.bincount(g_experts, minlength=num_experts)
                 dst_of_row = owner_of[g_experts]
                 for dst in workers:
@@ -612,12 +606,12 @@ class ExpertParallelGroup:
                     rowsel = np.nonzero(dst_of_row == dst)[0]
                     if rowsel.size == 0:
                         continue
-                    rows = shards[src][token_ids[src][sorted_sel[rowsel]]]
-                    # The rows' positions within the chunk's kept-order
-                    # list ride along to D2, which puts the returned
-                    # rows back in gate order with them.
+                    # The rows' positions within the chunk's grouped
+                    # rows ride along to D2, which merges the returned
+                    # rows at them.
                     dispatch.post(
-                        c, src, dst, rows, (counts[hosted[dst]], order[rowsel])
+                        c, src, dst, shards[src][g_tokens[rowsel]],
+                        (counts[hosted[dst]], rowsel),
                     )
 
         def decompress_dispatch(c: int) -> None:
@@ -668,16 +662,18 @@ class ExpertParallelGroup:
                 sel = members[w][c]
                 if sel.size == 0:
                     continue
-                # Accumulate in the gate's original assignment order:
-                # bit-identical to the unchunked merge because every
+                # Accumulate in the plan's expert-major order, the
+                # order of the single-process combine_grouped: every
                 # contribution to one token lives in this chunk, in
-                # the same relative order.  The chunk's rows are still
-                # +0.0 here (chunks own disjoint token ranges), which
-                # is the scatter's np.add.at-parity contract.
+                # the same relative order, so each token's sum is
+                # bit-identical to the layer's at any top-k.  The
+                # chunk's rows are still +0.0 here (chunks own
+                # disjoint token ranges), which is the scatter's
+                # np.add.at-parity contract.
                 lo, hi = chunk_edges[w][c], chunk_edges[w][c + 1]
                 _merge_weighted(
                     outputs[w][lo:hi],
-                    token_ids[w][sel] - lo,
+                    plans[w].grouped_token_ids[sel] - lo,
                     weights[w][sel],
                     combine.received(c, w),
                 )

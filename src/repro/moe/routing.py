@@ -31,26 +31,27 @@ reference):
   ``bincount``/``repeat`` pass — ``O(k * (T*k + E))`` total.
 * Rank ``>= capacity`` is precisely the assignment the greedy loop
   drops, because a skipped assignment never frees a slot; everything
-  else (kept coordinates, the grouped permutation, segment counts,
-  the per-``(e, c)`` counts the aux loss needs) falls out of the same
-  arrays.
+  else (the grouped permutation, segment counts, the per-``(e, c)``
+  counts the aux loss needs) falls out of the same arrays.
 
-Chunked consumers rely on the *restriction property*: chunk
-boundaries never split a token's k assignments, and restricting the
-global ``(e, t, c)`` order to a contiguous token range gives exactly
-what a per-chunk stable argsort would — so a chunk's routing is a
-masked slice of the plan.
-
-:func:`plan_from_indices` is the one other builder: it derives the
-same plan from arbitrary ``(T, k)`` index arrays for degraded
-routings whose slot holes break the FCFS-prefix invariant
-(:meth:`GateOutput.with_experts_dropped`).
+The plan stores one assignment order, the expert-major ``(e, t, c)``
+order every consumer reads.  Both combines add up a token's
+contributions in it — ``combine_grouped`` and the expert-parallel
+D2 — so the two agree bit for bit at any top-k.  Chunked consumers
+rely on its *restriction property*: chunk boundaries never split a
+token's k assignments, and restricting the global ``(e, t, c)`` order
+to a contiguous token range gives exactly what a per-chunk stable
+argsort would — so a chunk's routing is a masked slice of the plan.
+The same
+property makes :func:`route_fused` the only builder: a degraded
+routing (:meth:`~repro.moe.gating.GateOutput.with_experts_dropped`)
+masks the dead experts' rows out of the grouped arrays, and what is
+left is still in ``(e, t, c)`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,43 +60,28 @@ import numpy as np
 class RoutingPlan:
     """Every ordering-derived quantity of one batch's routing, computed once.
 
-    Arrays come in three alignments:
+    Arrays come in two alignments:
 
     * per-assignment (``slot_indices`` — token-major ``(T, k)``, the
       gate's layout);
-    * kept-assignment order (``kept_*`` — the ``np.nonzero`` scan
-      order of the kept mask, i.e. ascending ``(t, c)``);
     * grouped (expert-major) order (``grouped_*`` — kept assignments
-      sorted stably by expert, the ``segment_matmul`` layout).
+      sorted stably by expert, i.e. ascending ``(e, t, c)``, the
+      ``segment_matmul`` layout).
 
-    ``grouped_kept_pos`` is the permutation between the last two: it
-    maps each grouped row to its position in the kept-order arrays
-    (``kept_token_ids[grouped_kept_pos] == grouped_token_ids``).  A
-    ``(token, choice)`` id pair indexes the gate's ``(T, k)`` arrays,
-    e.g. its combine weight.
+    A ``(grouped_token_ids, grouped_choice_ids)`` pair indexes the
+    gate's ``(T, k)`` arrays: a combine weight, or through
+    ``slot_indices`` the assignment's capacity slot.
     """
 
     num_tokens: int
     num_experts: int
     capacity: int
 
-    #: (E,) assignments per expert *before* the capacity cut.
-    counts: np.ndarray
-    #: (E, k) assignments per (expert, choice) — fused top-k only.
-    choice_counts: Optional[np.ndarray]
+    #: (E, k) assignments per (expert, choice) *before* the capacity cut.
+    choice_counts: np.ndarray
     #: (T, k) slot of every assignment (``-1`` = dropped).
     slot_indices: np.ndarray
-    #: Assignments dropped by the capacity cut.
-    dropped_assignments: int
 
-    #: Kept-order coordinate arrays.
-    kept_token_ids: np.ndarray
-    kept_expert_ids: np.ndarray
-    kept_slot_ids: np.ndarray
-    kept_choice_ids: np.ndarray
-
-    #: (N,) grouped row -> position in the kept-order arrays.
-    grouped_kept_pos: np.ndarray
     #: (N,) owning token of each grouped row.
     grouped_token_ids: np.ndarray
     #: (N,) expert of each grouped row (non-decreasing).
@@ -114,6 +100,11 @@ class RoutingPlan:
     def num_kept(self) -> int:
         return int(self.grouped_token_ids.shape[0])
 
+    @property
+    def dropped_assignments(self) -> int:
+        """Assignments not routed: capacity drops and dead experts."""
+        return int(self.slot_indices.size) - self.num_kept
+
 
 def route_fused(
     top_idx: np.ndarray, num_experts: int, capacity: int
@@ -122,9 +113,8 @@ def route_fused(
 
     Bit-identical to the legacy chain: ``slot_indices`` matches the
     one-hot-cumsum slot assignment (choice-major FCFS with drops at
-    capacity), the ``kept_*`` arrays match the
-    ``np.nonzero`` scan of the kept mask, and the ``grouped_*`` arrays
-    match a stable argsort of the kept expert ids (token-major
+    capacity), and the ``grouped_*`` arrays match a stable argsort of
+    the ``np.nonzero`` scan's kept expert ids (token-major
     tie-breaking within an expert).  See the module docstring for the
     derivation.
     """
@@ -140,46 +130,33 @@ def route_fused(
     num_tokens, top_k = top_idx.shape
     n = num_tokens * top_k
 
+    # Per-(expert, choice) counts, real whatever the capacity: the
+    # gate's aux loss reads the first-choice column even when
+    # everything drops.
     flat_experts = top_idx.reshape(-1)
-    counts = np.bincount(flat_experts, minlength=num_experts).astype(np.int64)
-    if counts.shape[0] != num_experts:
+    pair_counts = np.bincount(
+        flat_experts * top_k + np.arange(n, dtype=np.int64) % top_k,
+        minlength=num_experts * top_k,
+    )
+    if pair_counts.shape[0] != num_experts * top_k:
         raise ValueError(
             f"expert index {int(flat_experts.max())} out of range for "
             f"{num_experts} experts"
         )
+    choice_counts = pair_counts.reshape(num_experts, top_k).astype(np.int64)
+    segment_counts = np.minimum(choice_counts.sum(axis=1), capacity)
     if n == 0 or capacity == 0:
-        # Everything drops, but the per-(expert, choice) counts must
-        # still be real: the gate's aux loss reads first-choice counts
-        # from the plan whatever the capacity.
-        if n:
-            pair_all = flat_experts * top_k + (
-                np.arange(n, dtype=np.int64) % top_k
-            )
-            choice_counts = (
-                np.bincount(pair_all, minlength=num_experts * top_k)
-                .reshape(num_experts, top_k)
-                .astype(np.int64)
-            )
-        else:
-            choice_counts = np.zeros((num_experts, top_k), dtype=np.int64)
         empty = np.zeros(0, dtype=np.int64)
         return RoutingPlan(
             num_tokens=num_tokens,
             num_experts=num_experts,
             capacity=capacity,
-            counts=counts,
             choice_counts=choice_counts,
             slot_indices=np.full((num_tokens, top_k), -1, dtype=np.int64),
-            dropped_assignments=n,
-            kept_token_ids=empty,
-            kept_expert_ids=empty,
-            kept_slot_ids=empty,
-            kept_choice_ids=empty,
-            grouped_kept_pos=empty,
             grouped_token_ids=empty,
             grouped_expert_ids=empty,
             grouped_choice_ids=empty,
-            segment_counts=np.zeros(num_experts, dtype=np.int64),
+            segment_counts=segment_counts,
         )
 
     # THE sort: stable over token-major flat ids -> (e, t, c) order.
@@ -191,8 +168,6 @@ def route_fused(
     # sort.  term 1: assignments of the same expert with a strictly
     # smaller choice all precede it in the (e, c, t) priority order.
     pair = sorted_experts * top_k + sorted_choice
-    pair_counts = np.bincount(pair, minlength=num_experts * top_k)
-    choice_counts = pair_counts.reshape(num_experts, top_k).astype(np.int64)
     cum = np.concatenate(([0], np.cumsum(pair_counts)))
     rank = cum[pair] - cum[sorted_experts * top_k]
     # term 2: its occurrence index within the (e, c) group.  The
@@ -212,102 +187,18 @@ def route_fused(
     slot_sorted = np.where(rank < capacity, rank, -1)
     slot_flat = np.empty(n, dtype=np.int64)
     slot_flat[order] = slot_sorted
-    slot_indices = slot_flat.reshape(num_tokens, top_k)
-
-    # Kept coordinates in nonzero-scan (ascending flat q) order.
-    kept = slot_indices >= 0
-    kept_token_ids, kept_choice_ids = np.nonzero(kept)
-    kept_expert_ids = top_idx[kept_token_ids, kept_choice_ids]
-    kept_slot_ids = slot_indices[kept_token_ids, kept_choice_ids]
-    num_kept = kept_token_ids.shape[0]
 
     # Grouped permutation: the kept subsequence of THE sort.
     kept_sorted = slot_sorted >= 0
     perm = order[kept_sorted]  # flat q positions, expert-major
-    grouped_token_ids = perm // top_k
-    grouped_choice_ids = perm % top_k
-    # Position of each grouped row in the kept-order arrays, via the
-    # inverse kept-rank map — O(n), no second sort.
-    kept_rank = np.empty(n, dtype=np.int64)
-    kept_rank[kept_token_ids * top_k + kept_choice_ids] = np.arange(
-        num_kept, dtype=np.int64
-    )
-    grouped_kept_pos = kept_rank[perm]
-
     return RoutingPlan(
         num_tokens=num_tokens,
         num_experts=num_experts,
         capacity=capacity,
-        counts=counts,
         choice_counts=choice_counts,
-        slot_indices=slot_indices,
-        dropped_assignments=n - num_kept,
-        kept_token_ids=kept_token_ids,
-        kept_expert_ids=kept_expert_ids,
-        kept_slot_ids=kept_slot_ids,
-        kept_choice_ids=kept_choice_ids,
-        grouped_kept_pos=grouped_kept_pos,
-        grouped_token_ids=grouped_token_ids,
-        grouped_expert_ids=top_idx[grouped_token_ids, grouped_choice_ids],
-        grouped_choice_ids=grouped_choice_ids,
-        segment_counts=np.minimum(counts, capacity),
-    )
-
-
-def plan_from_indices(
-    expert_indices: np.ndarray,
-    slot_indices: np.ndarray,
-    num_experts: int,
-    capacity: int,
-) -> RoutingPlan:
-    """Build a plan from arbitrary ``(T, k)`` index arrays.
-
-    The builder for top-k routings whose slots are no longer an FCFS
-    prefix (dead-expert degradation punches holes), which
-    :func:`route_fused` cannot take.  An ``np.nonzero`` scan of the
-    kept mask, then one stable argsort over the kept expert ids.
-    """
-    expert_indices = np.asarray(expert_indices)
-    slot_indices = np.asarray(slot_indices)
-    if expert_indices.ndim != 2:
-        raise ValueError(
-            f"routing indices must be (T, k), got {expert_indices.shape}"
-        )
-    if expert_indices.shape != slot_indices.shape:
-        raise ValueError(
-            f"expert_indices {expert_indices.shape} and slot_indices "
-            f"{slot_indices.shape} must have the same shape"
-        )
-    counts_all = np.bincount(
-        expert_indices.reshape(-1), minlength=num_experts
-    ).astype(np.int64)
-    if counts_all.shape[0] != num_experts:
-        raise ValueError(
-            f"expert index {int(expert_indices.max())} out of range for "
-            f"{num_experts} experts"
-        )
-    kept_token_ids, kept_choice_ids = np.nonzero(slot_indices >= 0)
-    kept_expert_ids = expert_indices[kept_token_ids, kept_choice_ids]
-    kept_slot_ids = slot_indices[kept_token_ids, kept_choice_ids]
-    order = np.argsort(kept_expert_ids, kind="stable")
-    segment_counts = np.bincount(
-        kept_expert_ids, minlength=num_experts
-    ).astype(np.int64)
-    return RoutingPlan(
-        num_tokens=expert_indices.shape[0],
-        num_experts=num_experts,
-        capacity=capacity,
-        counts=counts_all,
-        choice_counts=None,
-        slot_indices=slot_indices,
-        dropped_assignments=int(slot_indices.size - kept_token_ids.shape[0]),
-        kept_token_ids=kept_token_ids,
-        kept_expert_ids=kept_expert_ids,
-        kept_slot_ids=kept_slot_ids,
-        kept_choice_ids=kept_choice_ids,
-        grouped_kept_pos=order,
-        grouped_token_ids=kept_token_ids[order],
-        grouped_expert_ids=kept_expert_ids[order],
-        grouped_choice_ids=kept_choice_ids[order],
+        slot_indices=slot_flat.reshape(num_tokens, top_k),
+        grouped_token_ids=perm // top_k,
+        grouped_expert_ids=sorted_experts[kept_sorted],
+        grouped_choice_ids=perm % top_k,
         segment_counts=segment_counts,
     )

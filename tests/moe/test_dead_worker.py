@@ -42,7 +42,7 @@ def test_dropped_experts_zeroed_and_renormalized(rng):
     out = layer.gate(Tensor(tokens))
     degraded = out.with_experts_dropped({1})
     # No surviving assignment references expert 1.
-    assert 1 not in degraded.plan.kept_expert_ids
+    assert 1 not in degraded.plan.grouped_expert_ids
     assert degraded.expert_load[1] == 0
     assert degraded.dropped_tokens >= out.dropped_tokens
     # Token-major renorm: surviving weights of each token sum to ~1

@@ -18,7 +18,6 @@ from repro.moe import (
     combine_grouped,
     dispatch,
     dispatch_grouped,
-    plan_from_indices,
 )
 from repro.nn import Tensor
 
@@ -148,13 +147,3 @@ def test_unknown_dispatch_mode_rejected():
     with pytest.raises(ValueError, match="dispatch_mode"):
         MoELayer(8, 16, 4, np.random.default_rng(1), dispatch_mode="fast")
 
-
-def test_plan_from_indices_rejects_shape_mismatch():
-    expert_idx = np.zeros((4, 2), dtype=np.int64)
-    slot_idx = np.zeros((4, 1), dtype=np.int64)
-    with pytest.raises(ValueError, match="same shape"):
-        plan_from_indices(expert_idx, slot_idx, 4, 1)
-    # A 1-D routing has no (T, k) structure.
-    flat = np.zeros(3, dtype=np.int64)
-    with pytest.raises(ValueError, match=r"\(T, k\)"):
-        plan_from_indices(flat, flat, 4, 1)

@@ -81,7 +81,7 @@ def test_traffic_without_a_codec_is_the_fp32_rows(rng):
     group.forward(shards)
     owner = group.placement.owner_array
     crossing = sum(
-        int(np.sum(owner[layer.gate(Tensor(s)).plan.kept_expert_ids] != w))
+        int(np.sum(owner[layer.gate(Tensor(s)).plan.grouped_expert_ids] != w))
         for w, s in enumerate(shards)
     )
     assert wire_bytes(group) == (crossing * 64 * 4.0,) * 2

@@ -15,7 +15,9 @@ from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
 
-def make_layer(rng, compressor=None, num_experts=4, capacity_factor=4.0):
+def make_layer(
+    rng, compressor=None, num_experts=4, capacity_factor=4.0, top_k=2
+):
     # capacity_factor >= E/k guarantees no token is ever dropped, which
     # is required for exact equivalence (drop resolution is FCFS in
     # token order and depends on how tokens are grouped).
@@ -24,7 +26,7 @@ def make_layer(rng, compressor=None, num_experts=4, capacity_factor=4.0):
         hidden_dim=24,
         num_experts=num_experts,
         rng=rng,
-        top_k=2,
+        top_k=top_k,
         capacity_factor=capacity_factor,
         compressor=compressor,
     )
@@ -105,10 +107,16 @@ def test_expert_placement(rng):
     assert group.placement.version == 0
 
 
-def test_non_contiguous_placement_matches_single_process(rng):
+@pytest.mark.parametrize("top_k", [2, 3, 4])
+def test_non_contiguous_placement_matches_single_process(rng, top_k):
+    """Bit for bit at any top-k: with three or more contributions per
+    token the sum depends on their order, and D2 adds them up in the
+    single-process combine's expert-major order."""
     from repro.moe import ExpertPlacement
 
-    layer = make_layer(rng, num_experts=8).eval()
+    layer = make_layer(
+        rng, num_experts=8, capacity_factor=8 / top_k, top_k=top_k
+    ).eval()
     tokens = rng.standard_normal((24, 16)).astype(np.float32)
     single = layer(Tensor(tokens)).data
     placement = ExpertPlacement(

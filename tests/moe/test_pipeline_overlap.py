@@ -171,12 +171,17 @@ def legacy_reference_forward(layer, shards):
     model_dim = layer.model_dim
     outs = [gate(Tensor(np.asarray(s, dtype=np.float32))) for s in shards]
 
+    def kept_coords(out):
+        # The np.nonzero scan of the kept mask: ascending (t, c).
+        t_ids, c_ids = np.nonzero(out.slot_indices >= 0)
+        return (
+            t_ids, c_ids, out.expert_indices[t_ids, c_ids],
+            out.slot_indices[t_ids, c_ids],
+        )
+
     blocks = {}
     for w, out in enumerate(outs):
-        plan = out.plan
-        t_ids, e_ids, s_ids = (
-            plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
-        )
+        t_ids, _, e_ids, s_ids = kept_coords(out)
         buf = np.zeros(
             (num_experts, out.capacity, model_dim), dtype=np.float32
         )
@@ -202,13 +207,8 @@ def legacy_reference_forward(layer, shards):
 
     merged = []
     for w, out in enumerate(outs):
-        plan = out.plan
-        t_ids, e_ids, s_ids = (
-            plan.kept_token_ids, plan.kept_expert_ids, plan.kept_slot_ids
-        )
-        weights = out.gate_weights.data[
-            plan.kept_token_ids, plan.kept_choice_ids
-        ]
+        t_ids, c_ids, e_ids, s_ids = kept_coords(out)
+        weights = out.gate_weights.data[t_ids, c_ids]
         expert_out = np.zeros(
             (num_experts, out.capacity, model_dim), dtype=np.float32
         )

@@ -9,14 +9,15 @@ independently-derived references on every field:
   capacity), for the slot array;
 * the legacy chain (``assign_capacity_slots`` + the ``np.nonzero``
   kept scan + stable ``argsort`` by expert + ``bincount``) for the
-  kept coordinates, the grouped permutation and the segment counts.
+  grouped permutation and the segment counts.
 
 The grid crosses token counts (empty batch, single token, 513 to
 straddle chunking shapes, 4096 = the bench headline), top-k, expert
 counts, and capacity regimes (0 = all dropped, 1 = maximal drop
 pressure, tight, loose = no drops), plus an adversarial layout a real
-gate never emits: duplicate experts within one token's choices.  The
-generic plan builder is pinned to the same chain.
+gate never emits: duplicate experts within one token's choices.  A
+degraded plan (dead experts masked out of the fused one) is pinned to
+the same chain over its punched slot array.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ import pytest
 
 from repro.moe import RoutingPlan, route_fused
 from repro.moe.gating import TopKGate
-from repro.moe.routing import plan_from_indices
 from repro.nn import Tensor
 
 from .legacy_routing import assign_capacity_slots
@@ -51,11 +51,6 @@ def legacy_chain(top_idx, slots, num_experts):
     e_ids = top_idx[tok, choice]
     order = np.argsort(e_ids, kind="stable")
     return dict(
-        kept_token_ids=tok,
-        kept_choice_ids=choice,
-        kept_expert_ids=e_ids,
-        kept_slot_ids=slots[tok, choice],
-        grouped_kept_pos=order,
         grouped_token_ids=tok[order],
         grouped_expert_ids=e_ids[order],
         grouped_choice_ids=choice[order],
@@ -68,41 +63,16 @@ def legacy_chain(top_idx, slots, num_experts):
 def assert_plan_matches_references(plan, top_idx, num_experts, capacity):
     T, k = top_idx.shape
     ref_slots = greedy_reference_slots(top_idx, num_experts, capacity)
-    np.testing.assert_array_equal(plan.slot_indices, ref_slots)
     np.testing.assert_array_equal(
         plan.slot_indices,
         assign_capacity_slots(top_idx, num_experts, capacity),
     )
-    chain = legacy_chain(top_idx, ref_slots, num_experts)
-    np.testing.assert_array_equal(plan.kept_token_ids, chain["kept_token_ids"])
-    np.testing.assert_array_equal(
-        plan.kept_expert_ids, chain["kept_expert_ids"]
-    )
-    np.testing.assert_array_equal(plan.kept_slot_ids, chain["kept_slot_ids"])
-    np.testing.assert_array_equal(
-        plan.kept_choice_ids, chain["kept_choice_ids"]
+    assert_grouped_match_chain(plan, top_idx, ref_slots, num_experts)
+    assert (plan.num_tokens, plan.num_experts, plan.capacity) == (
+        T, num_experts, capacity
     )
     np.testing.assert_array_equal(
-        plan.grouped_kept_pos, chain["grouped_kept_pos"]
-    )
-    np.testing.assert_array_equal(
-        plan.grouped_token_ids, chain["grouped_token_ids"]
-    )
-    np.testing.assert_array_equal(
-        plan.grouped_expert_ids, chain["grouped_expert_ids"]
-    )
-    np.testing.assert_array_equal(
-        plan.grouped_choice_ids, chain["grouped_choice_ids"]
-    )
-    np.testing.assert_array_equal(
-        plan.segment_counts, chain["segment_counts"]
-    )
-    np.testing.assert_array_equal(plan.expert_load, plan.segment_counts)
-    # Bookkeeping scalars and the fused per-(expert, choice) counts.
-    assert plan.dropped_assignments == int((ref_slots < 0).sum())
-    assert plan.num_kept == chain["grouped_token_ids"].shape[0]
-    np.testing.assert_array_equal(
-        plan.counts,
+        plan.choice_counts.sum(axis=1),
         np.bincount(top_idx.reshape(-1), minlength=num_experts),
     )
     for c in range(k):
@@ -112,26 +82,29 @@ def assert_plan_matches_references(plan, top_idx, num_experts, capacity):
             if T
             else np.zeros(num_experts, dtype=np.int64),
         )
-    # The generic builder reproduces the fused result from the arrays.
-    generic = plan_from_indices(top_idx, ref_slots, num_experts, capacity)
-    for field in (
-        "kept_token_ids", "kept_expert_ids", "kept_slot_ids",
-        "kept_choice_ids", "grouped_kept_pos", "grouped_token_ids",
-        "grouped_expert_ids", "grouped_choice_ids", "segment_counts",
-    ):
+
+
+def assert_grouped_match_chain(plan, top_idx, slots, num_experts):
+    """The plan's grouped arrays and drop bookkeeping are the legacy
+    chain's over the slot array ``slots``."""
+    np.testing.assert_array_equal(plan.slot_indices, slots)
+    chain = legacy_chain(top_idx, slots, num_experts)
+    for field, want in chain.items():
         np.testing.assert_array_equal(
-            getattr(generic, field), getattr(plan, field), err_msg=field
+            getattr(plan, field), want, err_msg=field
         )
-    assert generic.dropped_assignments == plan.dropped_assignments
-    assert generic.num_tokens == plan.num_tokens
+    np.testing.assert_array_equal(plan.expert_load, plan.segment_counts)
+    assert plan.dropped_assignments == int((slots < 0).sum())
+    assert plan.num_kept == chain["grouped_token_ids"].shape[0]
 
 
+# Every (experts, top_k) pair a top-k gate accepts: top_k <= experts.
 @pytest.mark.parametrize("num_tokens", [0, 1, 513, 4096])
-@pytest.mark.parametrize("top_k", [1, 2, 4])
-@pytest.mark.parametrize("num_experts", [1, 8, 32])
+@pytest.mark.parametrize(
+    ("num_experts", "top_k"),
+    [(e, k) for e in (1, 8, 32) for k in (1, 2, 4) if k <= e],
+)
 def test_fused_matches_greedy_reference(rng, num_tokens, top_k, num_experts):
-    if top_k > num_experts:
-        pytest.skip("top_k > num_experts")
     # Distinct experts per token, like a real top-k gate emits.
     top_idx = np.argsort(
         rng.random((num_tokens, num_experts)), axis=1
@@ -160,8 +133,10 @@ def test_all_dropped(rng):
     np.testing.assert_array_equal(plan.slot_indices, -1)
     np.testing.assert_array_equal(plan.segment_counts, np.zeros(8, np.int64))
     # But the pre-capacity counts survive (the aux loss reads them).
-    assert int(plan.counts.sum()) == 38
     assert int(plan.choice_counts.sum()) == 38
+    np.testing.assert_array_equal(
+        plan.choice_counts[:, 0], np.bincount(top_idx[:, 0], minlength=8)
+    )
 
 
 def test_gate_attaches_the_plan(rng):
@@ -181,26 +156,39 @@ def test_gate_attaches_the_plan(rng):
 
 def test_dropped_expert_plan_rebuilds_generically(rng):
     """with_experts_dropped punches non-FCFS slot holes; its plan must
-    come from the actual arrays, not the fused kernel."""
-    gate = TopKGate(8, 4, np.random.default_rng(0), top_k=2,
-                    capacity_factor=2.0)
-    out = gate(Tensor(rng.standard_normal((25, 8)).astype(np.float32)))
-    degraded = out.with_experts_dropped({1})
-    plan = degraded.plan
-    assert plan is not out.plan  # rebuilt, not inherited
-    chain = legacy_chain(
-        np.asarray(degraded.expert_indices),
-        np.asarray(degraded.slot_indices),
-        4,
-    )
-    np.testing.assert_array_equal(
-        plan.grouped_token_ids, chain["grouped_token_ids"]
-    )
-    np.testing.assert_array_equal(
-        plan.segment_counts, chain["segment_counts"]
-    )
-    assert plan.segment_counts[1] == 0
-    np.testing.assert_array_equal(plan.segment_counts, degraded.expert_load)
+    be the legacy chain's over the punched slot array, field by field,
+    for any dead set, with or without capacity drops."""
+    for top_k, num_experts, capacity_factor, dead_sets in (
+        (2, 4, 2.0, [{1}, {0, 3}, {0, 1, 2, 3}]),
+        (2, 4, 0.75, [{1}, {2, 3}]),
+        (3, 8, 1.0, [{0}, {1, 4, 6}, {7}]),
+    ):
+        gate = TopKGate(8, num_experts, np.random.default_rng(0),
+                        top_k=top_k, capacity_factor=capacity_factor)
+        out = gate(
+            Tensor(rng.standard_normal((25, 8)).astype(np.float32))
+        )
+        top_idx = np.asarray(out.expert_indices)
+        for dead in dead_sets:
+            degraded = out.with_experts_dropped(dead)
+            plan = degraded.plan
+            assert plan is not out.plan  # rebuilt, not inherited
+            dead_mask = np.isin(np.arange(num_experts), list(dead))
+            punched = np.where(dead_mask[top_idx], -1, out.slot_indices)
+            assert_grouped_match_chain(plan, top_idx, punched, num_experts)
+            assert not dead_mask[plan.grouped_expert_ids].any()
+            np.testing.assert_array_equal(
+                plan.segment_counts, degraded.expert_load
+            )
+            assert degraded.dropped_tokens == plan.dropped_assignments
+            # The pre-drop per-(expert, choice) counts and the shape
+            # scalars carry over.
+            np.testing.assert_array_equal(
+                plan.choice_counts, out.plan.choice_counts
+            )
+            assert (plan.num_tokens, plan.num_experts, plan.capacity) == (
+                out.num_tokens, num_experts, out.capacity
+            )
 
 
 def test_route_fused_validation():
