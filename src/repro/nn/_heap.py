@@ -1,7 +1,8 @@
 """Keep glibc's heap across training steps.
 
 A training step frees most of what it allocated: at ``zero_grad`` the
-previous step's gradients go, and at the end of ``backward`` the tape.
+previous step's gradients go, and during ``backward`` the tape, node by
+node.
 With its default dynamic thresholds glibc returns the top of the heap
 to the kernel whenever more than its trim threshold is free there, and
 the next forward and backward fault every page back in.  For

@@ -11,6 +11,17 @@ contributions to :meth:`Tensor._make`, which builds the output tensor.
 :meth:`Tensor.backward` topologically sorts the tape and accumulates
 gradients into ``.grad`` of leaf tensors with ``requires_grad=True``.
 
+**A tape is single-use.**  As the walk reaches each node it takes the
+node's backward closure and parents off it, so the activations that
+closure saved are freed as soon as it has run, block by block during
+the backward, and a tensor kept past the step (an MoE layer's
+``last_aux_loss``, say) holds only its data.  The node keeps a
+backward that raises: a second backward through the graph, or through
+a new graph built on one of its intermediates, raises a
+:class:`RuntimeError` before any gradient moves (PyTorch's default
+``retain_graph=False``, with no option to retain).  Leaves are never
+consumed, so gradients accumulate across fresh graphs as usual.
+
 **Inference mode.**  :func:`inference_mode` is a process-wide context
 under which the tape is never built: :meth:`Tensor._needs_grad`, which
 :meth:`Tensor._make` consults, reports False, so ``_parents`` stays
@@ -101,6 +112,16 @@ def _sole_owner_refs() -> int:
 _SOLE_OWNER_REFS = _sole_owner_refs()
 
 
+def _freed_backward(grad: np.ndarray):
+    """The backward of a node whose tape an earlier walk freed."""
+    raise RuntimeError(
+        "this tensor's autograd tape was freed by an earlier backward(): "
+        "the tape is single-use, and each node drops its saved "
+        "activations and parents once its backward has run.  Re-run the "
+        "forward to build a new graph."
+    )
+
+
 class Tensor:
     """A numpy array with an autograd tape."""
 
@@ -162,7 +183,11 @@ class Tensor:
             # parents and a backward closure: under inference_mode()
             # nothing ever needs grad, so no tape exists anywhere.
             return False
-        return any(t.requires_grad or t._parents for t in tensors)
+        # A freed node keeps its (raising) closure, so an op on it still
+        # records a node, and a backward through it fails loudly.
+        return any(
+            t.requires_grad or t._backward is not None for t in tensors
+        )
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is not None:
@@ -190,6 +215,12 @@ class Tensor:
 
         ``grad`` defaults to ones (only valid for scalar outputs this
         is the conventional seed of 1.0).
+
+        The walk consumes the graph: each non-leaf node drops its
+        closure (with the arrays it saved) and its parents when the walk
+        reaches it.  Calling ``backward`` again on any tensor whose
+        graph reaches a consumed node raises :class:`RuntimeError`
+        without touching a gradient; re-run the forward instead.
         """
         if self._inference:
             raise RuntimeError(
@@ -227,21 +258,31 @@ class Tensor:
                         advanced = True
                         break
                 if not advanced:
+                    if current._backward is _freed_backward:
+                        _freed_backward(grad)  # before any gradient moves
                     order.append(current)
                     stack.pop()
 
         visit(self)
 
         grads = {id(self): grad}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
+            backward = node._backward
+            if backward is not None:
+                # Single use: the node gives up its closure (and the
+                # activations it saved) and its parents before it runs,
+                # so only ``order`` and this frame hold the graph still
+                # to be walked.
+                node._backward, node._parents = _freed_backward, ()
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
             if node.requires_grad:
                 node._accumulate(node_grad)
-            if node._backward is None:
+            if backward is None:
                 continue
-            for parent, pgrad in node._backward(node_grad):
+            for parent, pgrad in backward(node_grad):
                 if pgrad is None:
                     continue
                 key = id(parent)

@@ -338,10 +338,10 @@ def test_whole_model_forward_inference_matches_the_eval_tape():
     assert np.array_equal(s2s.forward_inference(src, tgt_in).data, tape)
 
 
-def _attention_arrays(loss: Tensor, shape) -> int:
+def _attention_arrays(loss: Tensor, shape) -> list:
     """Distinct ``shape`` arrays the tape from ``loss`` keeps alive: node
     results plus arrays (and tensors) captured by backward closures."""
-    found, seen, stack = set(), set(), [loss]
+    found, seen, stack = {}, set(), [loss]
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -358,9 +358,9 @@ def _attention_arrays(loss: Tensor, shape) -> int:
             if isinstance(value, Tensor):
                 stack.append(value)
             elif isinstance(value, np.ndarray) and value.shape == shape:
-                found.add(id(value))
+                found[id(value)] = value
         stack.extend(node._parents)
-    return len(found)
+    return list(found.values())
 
 
 def test_forward_inference_keeps_no_score_square():
@@ -387,8 +387,8 @@ def test_tape_keeps_one_score_array_per_attention_layer(monkeypatch):
         model = _lm(max_seq_len=seq_len)
         monkeypatch.setattr(MultiHeadAttention, "forward", fused)
         loss = model.loss(_lm_tokens(batch, seq_len))
-        assert _attention_arrays(loss, shape) == len(model.blocks)
+        assert len(_attention_arrays(loss, shape)) == len(model.blocks)
         # The composed chain kept four: q·kᵀ, scaled, biased, softmax.
         monkeypatch.setattr(MultiHeadAttention, "forward", legacy_forward)
         loss = model.loss(_lm_tokens(batch, seq_len))
-        assert _attention_arrays(loss, shape) == 4 * len(model.blocks)
+        assert len(_attention_arrays(loss, shape)) == 4 * len(model.blocks)

@@ -7,6 +7,8 @@ import pytest
 
 from repro.nn import Tensor, einsum, stack
 
+from .test_attention import HEADS, MULTI_BLOCK_T, _attention_arrays, _lm, _lm_tokens
+
 
 def grad_of(build, *arrays):
     """Backward gradients of build(*tensors).sum()."""
@@ -172,6 +174,48 @@ def test_deep_chain_does_not_recurse(rng):
     np.testing.assert_allclose(t.grad, np.ones(4))
 
 
+# -- single-use tape ---------------------------------------------------------
+
+
+def test_backward_frees_the_tape_it_walks():
+    """After a training step's backward nothing pins its saved
+    activations, not even the loss and gate output each MoE layer keeps
+    until the next forward."""
+    model = _lm(max_seq_len=MULTI_BLOCK_T)
+    tokens = _lm_tokens(seq_len=MULTI_BLOCK_T)
+    loss = model.loss(tokens)
+    shape = (tokens.shape[0], HEADS, MULTI_BLOCK_T, MULTI_BLOCK_T)
+    saved = [weakref.ref(p) for p in _attention_arrays(loss, shape)]
+    assert len(saved) == len(model.blocks)
+    loss.backward()
+    del loss
+    assert all(ref() is None for ref in saved)
+    for block in model.blocks:
+        assert block.ffn.last_aux_loss is not None
+        assert block.ffn.last_aux_loss._parents == ()
+        assert block.ffn.last_gate_output is not None
+
+
+FREED = "tape was freed by an earlier backward"
+
+
+def test_backward_through_a_freed_graph_raises(a):
+    """A second backward, or one through a new graph built on a walked
+    intermediate, raises before any gradient moves."""
+    t = Tensor(a, requires_grad=True)
+    mid = t * 2.0
+    loss = (mid * mid).sum()
+    loss.backward()
+    first = t.grad.copy()
+    with pytest.raises(RuntimeError, match=FREED):
+        loss.backward()
+    w = Tensor(a, requires_grad=True)
+    with pytest.raises(RuntimeError, match=FREED):
+        (w * mid).sum().backward()
+    assert np.array_equal(t.grad, first)
+    assert w.grad is None
+
+
 # -- leaf-gradient adoption --------------------------------------------------
 
 
@@ -228,8 +272,9 @@ def test_backward_seed_is_never_adopted(a):
 
 
 def test_adopted_gradient_accumulates_like_a_copy(a, rng):
-    """Two backward() calls without zero_grad: the adopted array
-    accumulates the same bits as the copied one."""
+    """Two backward() calls without zero_grad, each through a fresh
+    node (a tape is single-use): the adopted array accumulates the same
+    bits as the copied one."""
     seeds = [rng.standard_normal(a.shape).astype(np.float32) for _ in range(2)]
 
     def run(keep):
@@ -243,9 +288,8 @@ def test_adopted_gradient_accumulates_like_a_copy(a, rng):
                 kept.append(fresh)  # a second holder forces the copy
             return ((t, fresh),)
 
-        node = _passthrough(t, backward)
         for seed in seeds:
-            node.backward(seed)
+            _passthrough(t, backward).backward(seed)
         assert (made[0]() is t.grad) is not keep
         return t.grad
 
