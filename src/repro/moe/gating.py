@@ -224,11 +224,12 @@ class GateOutput:
             shape = (plan.num_tokens, plan.num_experts, plan.capacity)
             data = np.zeros(shape, dtype=np.float32)
             data[coords] = norm.data[w_idx]
+            norm_shape = norm.shape
 
             def backward(g):
-                grad = np.zeros(norm.shape, dtype=np.float32)
+                grad = np.zeros(norm_shape, dtype=np.float32)
                 grad[w_idx] = g[coords]
-                return ((norm, grad),)
+                return (grad,)
 
             self._combine_weights = norm._make(data, (norm,), backward)
         return self._combine_weights

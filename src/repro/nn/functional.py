@@ -24,14 +24,18 @@ def relu(x: Tensor) -> Tensor:
     """max(x, 0), one branch-free pass in both modes.
 
     ``-0.0`` maps to ``+0.0`` and NaN propagates (a NaN input yields a
-    NaN output, in training as in inference).  The backward recomputes
-    the ``x > 0`` mask from ``x`` instead of keeping it on the tape.
+    NaN output, in training as in inference).  The backward saves the
+    output, not the input, and recomputes the mask as ``out > 0``: that
+    is ``x > 0`` bit for bit (a positive ``x``, subnormals and ``+inf``
+    included, passes through unchanged; ±0.0 and every negative become
+    +0.0; NaN stays NaN, and NaN > 0 is False), so the pre-activation
+    is freed once its producer's backward no longer needs it.
     """
+    out = np.maximum(x.data, np.float32(0.0))
 
     def backward(g):
-        return ((x, g * (x.data > 0)),)
+        return (g * (out > 0),)
 
-    out = np.maximum(x.data, np.float32(0.0))
     return x._make(out, (x,), backward)
 
 
@@ -47,7 +51,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
-        return ((x, s * (g - dot)),)
+        return (s * (g - dot),)
 
     return x._make(s, (x,), backward)
 
@@ -92,6 +96,14 @@ def _bias_block(bias: np.ndarray, a: int, b: int, w: int) -> np.ndarray:
     return bias if bias.shape[-1] == 1 else bias[..., :w]
 
 
+def _key_column(parts: Sequence[np.ndarray], c: int, d: int) -> np.ndarray:
+    """Key columns ``[c, d)`` of consecutive query blocks' arrays,
+    stacked along the query axis into one contiguous operand."""
+    if len(parts) == 1:
+        return np.ascontiguousarray(parts[0][..., c:d])
+    return np.concatenate([part[..., c:d] for part in parts], axis=-2)
+
+
 def scaled_dot_product_attention(
     q: Tensor,
     k: Tensor,
@@ -116,32 +128,46 @@ def scaled_dot_product_attention(
     chain's floating-point ops in its order — ``q @ kᵀ``, ``× scale``,
     ``+`` each bias, subtract the row max, ``exp``, divide by the row
     sum (:func:`_row_sum`, the sum of the zero-padded row), ``@ v`` —
-    in place on one contiguous work buffer.  With a tape the divide
-    lands each block in one zero-filled (..., Tq, Tk) array, the only
-    one it keeps; without one no (Tq, Tk) array exists at all.  The
-    hand-written backward runs the same blocks through the composed
+    in place on one contiguous buffer.  Without a tape every block
+    reuses one work buffer and no (Tq, Tk) array exists at all.  With
+    one, each block's ``(..., b − a, b)`` probabilities get a buffer of
+    their own, and those are all the node keeps besides q, k and v: the
+    lower block triangle, Σ (b − a)·b elements per (batch, head) (56%
+    of the square at Tq = 256), and never the zeros above it.
+
+    The hand-written backward runs the same blocks through the composed
     tape's expressions (matmul adjoints, softmax ``s · (g − Σ g·s)``,
     ``× scale``) and skips the gradients of the constant scale and
-    biases, which the tape would discard.
+    biases, which the tape would discard.  For key block ``[c, d)`` it
+    gathers column ``[c, d)`` of every later query block's
+    probabilities (and score gradients) into one contiguous operand, so
+    the dk and dv GEMMs keep the shapes of a square tape's slices.
     """
     scale = np.float32(scale)
     lead, t_q, t_k = q.shape[:-2], q.shape[-2], k.shape[-2]
     if causal and t_q != t_k:
         raise ValueError(f"causal attention needs t_q == t_k, got {t_q} and {t_k}")
-    step = _ATTN_BLOCK if causal else max(t_q, 1)
-    blocks = [(a, min(a + step, t_q)) for a in range(0, t_q, step)]
-    full = lead + (t_q, t_k)
+    if causal:
+        blocks = [
+            (a, min(a + _ATTN_BLOCK, t_q)) for a in range(0, t_q, _ATTN_BLOCK)
+        ]
+    else:
+        blocks = [(0, t_q)]
     n_lead = int(np.prod(lead, dtype=np.int64))
-    single = len(blocks) == 1
-    work = np.empty(full if single else (n_lead * step * t_k,), np.float32)
-    s = None
-    if Tensor._needs_grad(q, k, v):
-        s = work if single else np.zeros(full, np.float32)
+    tape = Tensor._needs_grad(q, k, v)
+    rows = min(_ATTN_BLOCK, t_q) if causal else t_q
+    work = None if tape else np.empty(n_lead * rows * t_k, np.float32)
+    saved = []
     k_t = np.swapaxes(k.data, -1, -2)
     out = np.empty(lead + (t_q, v.shape[-1]), np.float32)
     for a, b in blocks:
         w = b if causal else t_k
-        blk = work.reshape(-1)[: n_lead * (b - a) * w].reshape(lead + (b - a, w))
+        shape = lead + (b - a, w)
+        if tape:
+            blk = np.empty(shape, np.float32)
+            saved.append(blk)
+        else:
+            blk = work[: n_lead * (b - a) * w].reshape(shape)
         np.matmul(q.data[..., a:b, :], k_t[..., :w], out=blk)
         np.multiply(blk, scale, out=blk)
         for bias in biases:
@@ -151,45 +177,40 @@ def scaled_dot_product_attention(
             np.add(tile, _CAUSAL_TILE[: b - a, : b - a], out=tile)
         np.subtract(blk, blk.max(axis=-1, keepdims=True), out=blk)
         np.exp(blk, out=blk)
-        # With or without a tape, ``@ v`` gets operands of the same
-        # shapes, which keeps forward_inference bit-identical to the tape.
-        probs = blk if s is None else s[..., a:b, :w]
-        np.divide(blk, _row_sum(blk, t_k), out=probs)
-        np.matmul(probs, v.data[..., :w, :], out=out[..., a:b, :])
-    if s is None:
+        np.divide(blk, _row_sum(blk, t_k), out=blk)
+        np.matmul(blk, v.data[..., :w, :], out=out[..., a:b, :])
+    if not tape:
         return Tensor(out)
+    q_data, k_data, v_data = q.data, k.data, v.data
 
     def backward(g):
-        v_t = np.swapaxes(v.data, -1, -2)
-        gq = np.empty(q.shape, np.float32)
-        gs = None if single else np.zeros(full, np.float32)
-        for a, b in blocks:
+        v_t = np.swapaxes(v_data, -1, -2)
+        gq = np.empty(q_data.shape, np.float32)
+        gs = []
+        for (a, b), probs in zip(blocks, saved):
             w = b if causal else t_k
-            probs = s[..., a:b, :w]
             blk = np.matmul(g[..., a:b, :], v_t[..., :w])
             dot = _row_sum(blk * probs, t_k)
             np.subtract(blk, dot, out=blk)
             np.multiply(probs, blk, out=blk)
             np.multiply(blk, scale, out=blk)
-            np.matmul(blk, k.data[..., :w, :], out=gq[..., a:b, :])
-            if single:
-                gs = blk
-            else:
-                gs[..., a:b, :w] = blk
+            np.matmul(blk, k_data[..., :w, :], out=gq[..., a:b, :])
+            gs.append(blk)
         # Key block [c, d) is seen by query rows c..Tq-1 only: one
         # matmul each over exactly those rows.
-        q_t = np.swapaxes(q.data, -1, -2)
-        gv = np.empty(v.shape, np.float32)
-        gk_t = np.empty(lead + (q.shape[-1], t_k), np.float32)
-        for c, d in blocks if causal else [(0, t_k)]:
+        q_t = np.swapaxes(q_data, -1, -2)
+        gv = np.empty(v_data.shape, np.float32)
+        gk_t = np.empty(lead + (q_data.shape[-1], t_k), np.float32)
+        for j, (c, d) in enumerate(blocks if causal else [(0, t_k)]):
             np.matmul(
-                np.swapaxes(s[..., c:, c:d], -1, -2), g[..., c:, :],
+                np.swapaxes(_key_column(saved[j:], c, d), -1, -2),
+                g[..., c:, :],
                 out=gv[..., c:d, :],
             )
-            np.matmul(q_t[..., c:], gs[..., c:, c:d], out=gk_t[..., c:d])
-        return ((q, gq), (k, np.swapaxes(gk_t, -1, -2)), (v, gv))
+            np.matmul(q_t[..., c:], _key_column(gs[j:], c, d), out=gk_t[..., c:d])
+        return gq, np.swapaxes(gk_t, -1, -2), gv
 
-    return Tensor(out, _parents=(q, k, v), _backward=backward)
+    return Tensor._make(out, (q, k, v), backward)
 
 
 def layer_norm(
@@ -204,9 +225,11 @@ def layer_norm(
     out = xhat * weight.data
     out += bias.data
 
+    d = x.shape[-1]
+    w = weight.data
+
     def backward(g):
-        d = x.data.shape[-1]
-        gx_hat = g * weight.data
+        gx_hat = g * w
         # On a near-constant row (var below 1e3 * eps) inv is large and
         # the fp32 xhat no longer sums to zero, so dx would pick up a
         # spurious component along the ones vector.  Re-centre xhat on
@@ -227,11 +250,7 @@ def layer_norm(
             )
         )
         axes = tuple(range(g.ndim - 1))
-        return (
-            (x, gx),
-            (weight, (g * xhat).sum(axis=axes)),
-            (bias, g.sum(axis=axes)),
-        )
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return Tensor._make(out, (x, weight, bias), backward)
 
@@ -255,13 +274,14 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError(f"indices must be integers, got {idx.dtype}")
     _check_ids(idx, weight.shape[0], "embedding indices")
+    shape = weight.shape
 
     def backward(g):
-        grad = np.zeros_like(weight.data)
+        grad = np.zeros(shape, np.float32)
         _scatter_add_rows(
-            grad, idx.reshape(-1), g.reshape((idx.size,) + weight.shape[1:])
+            grad, idx.reshape(-1), g.reshape((idx.size,) + shape[1:])
         )
-        return ((weight, grad),)
+        return (grad,)
 
     return weight._make(weight.data[idx], (weight,), backward)
 
@@ -300,11 +320,13 @@ def cross_entropy(
     losses = -logp[rows, safe_targets] * mask
     value = losses.sum() / count
 
+    shape = logits.shape
+
     def backward(g):
         probs = np.exp(logp)
         probs[rows, safe_targets] -= 1.0
         probs *= (mask / count)[:, None]
-        return ((logits, (g * probs).reshape(logits.shape)),)
+        return ((g * probs).reshape(shape),)
 
     return logits._make(value, (logits,), backward)
 
@@ -346,19 +368,20 @@ def take_along_axis(x: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
             f"indices ndim {idx.ndim} must match tensor ndim {x.ndim}"
         )
     data = np.take_along_axis(x.data, idx, axis=axis)
+    shape = x.shape
 
     def backward(g):
-        along = axis % x.ndim
+        along = axis % len(shape)
         grid = np.indices(idx.shape, sparse=True)
         # The forward already rejected out-of-range indices; "wrap"
         # only maps the negative ones take_along_axis accepted.
         flat = np.ravel_multi_index(
-            tuple(idx if a == along else grid[a] for a in range(x.ndim)),
-            x.shape,
+            tuple(idx if a == along else grid[a] for a in range(len(shape))),
+            shape,
             mode="wrap",
         )
-        grad = np.zeros(x.shape, dtype=np.float32)
+        grad = np.zeros(shape, dtype=np.float32)
         _scatter_add_rows(grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
-        return ((x, grad),)
+        return (grad,)
 
     return x._make(data, (x,), backward)

@@ -42,9 +42,9 @@ class Module:
         :func:`~repro.nn.tensor.inference_mode`.
 
         The same forward code runs, so outputs are bit-identical to a
-        training-tape forward; only the tape (backward closures,
-        ``_parents``) is missing, so each intermediate is freed as soon
-        as its consumer has run.  The ``training`` flag is left alone:
+        training-tape forward; only the tape (the nodes and their
+        backward closures) is missing, so each intermediate is freed as
+        soon as its consumer has run.  The ``training`` flag is left alone:
         no forward reads it.
         """
         with inference_mode():

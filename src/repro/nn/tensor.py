@@ -5,39 +5,61 @@ so the MoE layer's full training semantics — gating softmax, top-k
 routing, dispatch/combine einsums, expert FFNs — differentiate exactly
 like they would in the paper's PyTorch implementation.
 
-Design: every operation computes its result and hands it, its parents
-and a closure that maps the output gradient to parent-gradient
-contributions to :meth:`Tensor._make`, which builds the output tensor.
-:meth:`Tensor.backward` topologically sorts the tape and accumulates
-gradients into ``.grad`` of leaf tensors with ``requires_grad=True``.
+Design: every operation computes its result and hands it, its inputs
+and a closure that maps the output gradient to one gradient per input
+to :meth:`Tensor._make`, which builds the output tensor and, when an
+input needs grad, the output's tape node.  The graph lives in those
+nodes, not in the tensors: a node holds its closure and one entry per
+input — the input's own node, the input itself when it is a leaf that
+requires grad (the tensor its gradient accumulates into), or ``None``
+for a constant.  A :class:`Tensor` holds only ``data``, ``grad``,
+``requires_grad``, its node and the inference mark below.
+:meth:`Tensor.backward` topologically sorts the nodes and accumulates gradients into ``.grad`` of leaf
+tensors with ``requires_grad=True``.
+
+**What a node saves.**  A closure captures only the arrays its formula
+reads, and shapes otherwise; it never captures an input tensor.  So an
+intermediate whose consumers' backwards do not read it — a ``Linear``'s
+pre-bias product (the bias add reads nothing), the residual stream
+(adds read nothing, ``layer_norm`` reads its normalized rows), the
+logits (``cross_entropy`` keeps its log-probabilities), the gate
+logits (``softmax`` keeps its output), the pre-ReLU hidden (``relu``
+keeps its output) — is freed as soon as the forward drops it, while
+the tape is still being built.  A product saves each factor only
+when the other factor needs a gradient, so scaling by a constant
+keeps nothing.  Attention keeps q, k, v and the lower block triangle
+of its probabilities (see
+:func:`~repro.nn.functional.scaled_dot_product_attention`).
 
 **A tape is single-use.**  As the walk reaches each node it takes the
-node's backward closure and parents off it, so the activations that
+node's backward closure and inputs off it, so the activations that
 closure saved are freed as soon as it has run, block by block during
 the backward, and a tensor kept past the step (an MoE layer's
-``last_aux_loss``, say) holds only its data.  The node keeps a
-backward that raises: a second backward through the graph, or through
-a new graph built on one of its intermediates, raises a
-:class:`RuntimeError` before any gradient moves (PyTorch's default
-``retain_graph=False``, with no option to retain).  Leaves are never
-consumed, so gradients accumulate across fresh graphs as usual.
+``last_aux_loss``, say) holds only its data and a spent node.  The
+spent node keeps a backward that raises: a second backward through the
+graph, or through a new graph built on one of its intermediates,
+raises a :class:`RuntimeError` before any gradient moves (PyTorch's
+default ``retain_graph=False``, with no option to retain).  Leaves are
+never consumed, so gradients accumulate across fresh graphs as usual.
+A backward from a tensor with no node that does not require grad (a
+loss built from constants only, or ``detach()``ed) raises too, since
+no gradient could reach a parameter.
 
 **Inference mode.**  :func:`inference_mode` is a process-wide context
 under which the tape is never built: :meth:`Tensor._needs_grad`, which
-:meth:`Tensor._make` consults, reports False, so ``_parents`` stays
-empty, no closure is retained, and every intermediate array is
-released the moment its consumer has run.  The forward itself is the
-same code in both modes, so its outputs are the same bits.  Tensors
-produced inside the context are marked, and calling
-:meth:`Tensor.backward` on one raises instead of silently walking an
-empty tape.
+:meth:`Tensor._make` consults, reports False, so no node is recorded,
+no closure is retained, and every intermediate array is released the
+moment its consumer has run.  The forward itself is the same code in
+both modes, so its outputs are the same bits.  Tensors produced inside
+the context are marked, and calling :meth:`Tensor.backward` on one
+raises an error that names the mode.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,10 +74,10 @@ _inference_mode = False
 def inference_mode():
     """Forward-only execution: no autograd tape anywhere inside.
 
-    Process-wide and re-entrant.  Inside the block every
-    op short-circuits its tape construction (``_parents`` empty, no
-    backward closure), so intermediates die as soon as their consumers
-    run and a pure forward pass stops paying training-peak memory.
+    Process-wide and re-entrant.  Inside the block every op
+    short-circuits its tape construction (no node, no backward
+    closure), so intermediates die as soon as their consumers run and
+    a pure forward pass stops paying training-peak memory.
     Tensors created inside are marked: calling ``backward()`` on one
     raises a :class:`RuntimeError`.
 
@@ -117,36 +139,44 @@ def _freed_backward(grad: np.ndarray):
     raise RuntimeError(
         "this tensor's autograd tape was freed by an earlier backward(): "
         "the tape is single-use, and each node drops its saved "
-        "activations and parents once its backward has run.  Re-run the "
+        "activations and inputs once its backward has run.  Re-run the "
         "forward to build a new graph."
     )
+
+
+class _Node:
+    """One recorded op: its backward closure and its inputs' entries.
+
+    ``backward`` maps the output gradient to a tuple of gradients
+    aligned with ``inputs`` (``None`` where it computes none).  Each
+    entry of ``inputs`` is the input's own node, the input itself when
+    it is a leaf that requires grad (the gradient's accumulation
+    target), or ``None`` for a constant.  No entry is an intermediate
+    tensor, so the node keeps none of their data alive.
+    """
+
+    __slots__ = ("backward", "inputs")
+
+    def __init__(self, backward: Callable, inputs: tuple):
+        self.backward = backward
+        self.inputs = inputs
 
 
 class Tensor:
     """A numpy array with an autograd tape."""
 
-    __slots__ = (
-        "data", "grad", "requires_grad", "_backward", "_parents",
-        "_inference",
-    )
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_inference")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        _parents: Tuple["Tensor", ...] = (),
-        _backward: Optional[Callable[[np.ndarray], None]] = None,
-    ):
+    def __init__(self, data: ArrayLike, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw arrays, not Tensors")
         self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
+        self._node: Optional[_Node] = None
         # Tensors born inside inference_mode() carry no tape by
-        # construction; the mark turns a later backward() into a clear
-        # error instead of a silent no-op walk of an empty graph.
+        # construction; the mark names that cause when backward()
+        # refuses them.
         self._inference = _inference_mode
 
     # -- basic introspection -------------------------------------------
@@ -164,9 +194,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A view with the tape cut."""
-        out = Tensor(self.data)
-        out.requires_grad = False
-        return out
+        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -178,23 +206,26 @@ class Tensor:
     # -- tape management -----------------------------------------------
     @staticmethod
     def _needs_grad(*tensors: "Tensor") -> bool:
+        """Whether a gradient must flow to any of ``tensors``.
+
+        An op asks it once for all its inputs before it records a node,
+        and about one input before it saves an array that only that
+        input's gradient reads.
+        """
         if _inference_mode:
-            # The single choke point every op consults before attaching
-            # parents and a backward closure: under inference_mode()
-            # nothing ever needs grad, so no tape exists anywhere.
+            # The single choke point every op consults before recording
+            # a node: under inference_mode() nothing ever needs grad, so
+            # no tape exists anywhere.
             return False
         # A freed node keeps its (raising) closure, so an op on it still
         # records a node, and a backward through it fails loudly.
-        return any(
-            t.requires_grad or t._backward is not None for t in tensors
-        )
+        return any(t.requires_grad or t._node is not None for t in tensors)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is not None:
             self.grad += grad
         elif (
-            self._backward is None
-            and grad.dtype == np.float32
+            grad.dtype == np.float32
             and grad.flags.c_contiguous
             and grad.flags.writeable
             and grad.base is None
@@ -203,7 +234,7 @@ class Tensor:
             # A leaf's fresh gradient that nothing else holds is adopted,
             # not copied (PyTorch's AccumulateGrad steals on the same
             # use-count test).  An array the walk also routes to another
-            # parent is still in its ``grads`` dict, so the count rules
+            # input is still in its ``grads`` dict, so the count rules
             # out aliasing; so does the caller's seed, which
             # :meth:`backward`'s ``grad`` keeps.
             self.grad = grad
@@ -216,18 +247,27 @@ class Tensor:
         ``grad`` defaults to ones (only valid for scalar outputs this
         is the conventional seed of 1.0).
 
-        The walk consumes the graph: each non-leaf node drops its
-        closure (with the arrays it saved) and its parents when the walk
-        reaches it.  Calling ``backward`` again on any tensor whose
-        graph reaches a consumed node raises :class:`RuntimeError`
-        without touching a gradient; re-run the forward instead.
+        The walk consumes the graph: each node drops its closure (with
+        the arrays it saved) and its inputs when the walk reaches it.
+        Calling ``backward`` again on any tensor whose graph reaches a
+        consumed node raises :class:`RuntimeError` without touching a
+        gradient; re-run the forward instead.  So does a tensor with
+        no tape at all that does not require grad (a constant, a
+        ``detach()`` result, an ``inference_mode()`` output): a
+        gradient from it could reach no parameter.
         """
-        if self._inference:
+        if self._node is None and not self.requires_grad:
+            if self._inference:
+                raise RuntimeError(
+                    "this tensor was produced under inference_mode(): no "
+                    "autograd tape was recorded, so there is nothing to "
+                    "differentiate.  Re-run the forward outside the "
+                    "inference_mode() block to train."
+                )
             raise RuntimeError(
-                "this tensor was produced under inference_mode(): no "
-                "autograd tape was recorded, so there is nothing to "
-                "differentiate.  Re-run the forward outside the "
-                "inference_mode() block to train."
+                "this tensor has no autograd tape and does not require "
+                "grad (built from constants only, or detach()ed), so "
+                "backward() would reach no parameter"
             )
         if grad is None:
             if self.data.size != 1:
@@ -242,50 +282,54 @@ class Tensor:
                 f"gradient shape {grad.shape} != tensor shape {self.shape}"
             )
 
-        order: List[Tensor] = []
+        # Vertices are nodes and the leaves they accumulate into.
+        root = self if self._node is None else self._node
+        order: list = []
         seen = set()
 
-        def visit(node: "Tensor") -> None:
-            stack = [(node, iter(node._parents))]
-            seen.add(id(node))
-            while stack:
-                current, parents = stack[-1]
-                advanced = False
-                for parent in parents:
-                    if id(parent) not in seen:
-                        seen.add(id(parent))
-                        stack.append((parent, iter(parent._parents)))
-                        advanced = True
-                        break
-                if not advanced:
-                    if current._backward is _freed_backward:
-                        _freed_backward(grad)  # before any gradient moves
-                    order.append(current)
-                    stack.pop()
+        def inputs_of(vertex) -> tuple:
+            return vertex.inputs if isinstance(vertex, _Node) else ()
 
-        visit(self)
+        stack = [(root, iter(inputs_of(root)))]
+        seen.add(id(root))
+        while stack:
+            current, inputs = stack[-1]
+            advanced = False
+            for entry in inputs:
+                if entry is not None and id(entry) not in seen:
+                    seen.add(id(entry))
+                    stack.append((entry, iter(inputs_of(entry))))
+                    advanced = True
+                    break
+            if not advanced:
+                if (
+                    isinstance(current, _Node)
+                    and current.backward is _freed_backward
+                ):
+                    _freed_backward(grad)  # before any gradient moves
+                order.append(current)
+                stack.pop()
 
-        grads = {id(self): grad}
+        grads = {id(root): grad}
         while order:
-            node = order.pop()
-            backward = node._backward
-            if backward is not None:
-                # Single use: the node gives up its closure (and the
-                # activations it saved) and its parents before it runs,
-                # so only ``order`` and this frame hold the graph still
-                # to be walked.
-                node._backward, node._parents = _freed_backward, ()
-            node_grad = grads.pop(id(node), None)
+            vertex = order.pop()
+            node_grad = grads.pop(id(vertex), None)
+            if not isinstance(vertex, _Node):
+                if node_grad is not None:
+                    vertex._accumulate(node_grad)
+                continue
+            # Single use: the node gives up its closure (and the
+            # activations it saved) and its inputs before it runs, so
+            # only ``order`` and this frame hold the graph still to be
+            # walked.
+            backward, inputs = vertex.backward, vertex.inputs
+            vertex.backward, vertex.inputs = _freed_backward, ()
             if node_grad is None:
                 continue
-            if node.requires_grad:
-                node._accumulate(node_grad)
-            if backward is None:
-                continue
-            for parent, pgrad in backward(node_grad):
-                if pgrad is None:
+            for entry, pgrad in zip(inputs, backward(node_grad)):
+                if entry is None or pgrad is None:
                     continue
-                key = id(parent)
+                key = id(entry)
                 if key in grads:
                     grads[key] = grads[key] + pgrad
                 else:
@@ -299,21 +343,18 @@ class Tensor:
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
+        sa, sb = self.shape, other.shape
 
         def backward(g):
-            return (
-                (self, _unbroadcast(g, self.shape)),
-                (other, _unbroadcast(g, other.shape)),
-            )
+            return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-        data = self.data + other.data
-        return self._make(data, (self, other), backward)
+        return self._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         def backward(g):
-            return ((self, -g),)
+            return (-g,)
 
         return self._make(-self.data, (self,), backward)
 
@@ -322,30 +363,32 @@ class Tensor:
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
+        sa, sb = self.shape, other.shape
+        # Each factor is saved only for the other's gradient.
+        a = self.data if self._needs_grad(other) else None
+        b = other.data if self._needs_grad(self) else None
 
         def backward(g):
             return (
-                (self, _unbroadcast(g * other.data, self.shape)),
-                (other, _unbroadcast(g * self.data, other.shape)),
+                None if b is None else _unbroadcast(g * b, sa),
+                None if a is None else _unbroadcast(g * a, sb),
             )
 
-        data = self.data * other.data
-        return self._make(data, (self, other), backward)
+        return self._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         other = self._lift(other)
+        sa, sb = self.shape, other.shape
+        a = self.data if self._needs_grad(other) else None
+        b = other.data
 
         def backward(g):
             return (
-                (self, _unbroadcast(g / other.data, self.shape)),
-                (
-                    other,
-                    _unbroadcast(
-                        -g * self.data / (other.data * other.data), other.shape
-                    ),
-                ),
+                _unbroadcast(g / b, sa),
+                None if a is None
+                else _unbroadcast(-g * a / (b * b), sb),
             )
 
         return self._make(self.data / other.data, (self, other), backward)
@@ -353,45 +396,55 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
+        x = self.data
 
         def backward(g):
-            return ((self, g * exponent * self.data ** (exponent - 1)),)
+            return (g * exponent * x ** (exponent - 1),)
 
-        return self._make(self.data**exponent, (self,), backward)
+        return self._make(x**exponent, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
+        sa, sb = self.shape, other.shape
+        # Each operand is saved only for the other's gradient.
+        a = self.data if self._needs_grad(other) else None
+        b = other.data if self._needs_grad(self) else None
 
         def backward(g):
-            a, b = self.data, other.data
-            if a.ndim == 1 and b.ndim == 1:
-                return ((self, g * b), (other, g * a))
-            if a.ndim == 1:
-                ga = g @ np.swapaxes(b, -1, -2)
-                gb = np.outer(a, g) if b.ndim == 2 else None
-                if gb is None:
+            ga = gb = None
+            if len(sa) == 1 and len(sb) == 1:
+                if b is not None:
+                    ga = g * b
+                if a is not None:
+                    gb = g * a
+                return ga, gb
+            if b is not None:
+                if len(sb) == 1:
+                    ga = g[..., :, None] * b[None, :]
+                else:
+                    ga = g @ np.swapaxes(b, -1, -2)
+                ga = _unbroadcast(ga, sa)
+            if a is not None:
+                if len(sa) != 1:
+                    gb = np.swapaxes(a, -1, -2) @ g
+                elif len(sb) == 2:
+                    gb = np.outer(a, g)
+                else:
                     gb = a[..., :, None] * g[..., None, :]
-                return ((self, _unbroadcast(ga, a.shape)),
-                        (other, _unbroadcast(gb, b.shape)))
-            if b.ndim == 1:
-                ga = g[..., :, None] * b[None, :]
-                gb = np.swapaxes(a, -1, -2) @ g
-                return ((self, _unbroadcast(ga, a.shape)),
-                        (other, _unbroadcast(gb, b.shape)))
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            return ((self, _unbroadcast(ga, a.shape)),
-                    (other, _unbroadcast(gb, b.shape)))
+                gb = _unbroadcast(gb, sb)
+            return ga, gb
 
         return self._make(self.data @ other.data, (self, other), backward)
 
     # -- reductions ------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        shape = self.shape
+
         def backward(g):
             grad = g
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis)
-            return ((self, np.broadcast_to(grad, self.shape).copy()),)
+            return (np.broadcast_to(grad, shape).copy(),)
 
         return self._make(
             self.data.sum(axis=axis, keepdims=keepdims), (self,), backward
@@ -409,9 +462,10 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
+        original = self.shape
 
         def backward(g):
-            return ((self, g.reshape(self.shape)),)
+            return (g.reshape(original),)
 
         return self._make(self.data.reshape(shape), (self,), backward)
 
@@ -423,21 +477,23 @@ class Tensor:
         inverse = np.argsort(axes)
 
         def backward(g):
-            return ((self, g.transpose(inverse)),)
+            return (g.transpose(inverse),)
 
         return self._make(self.data.transpose(axes), (self,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         def backward(g):
-            return ((self, g.swapaxes(a, b)),)
+            return (g.swapaxes(a, b),)
 
         return self._make(self.data.swapaxes(a, b), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
+        shape = self.shape
+
         def backward(g):
-            grad = np.zeros_like(self.data)
+            grad = np.zeros(shape, np.float32)
             np.add.at(grad, index, g)
-            return ((self, grad),)
+            return (grad,)
 
         return self._make(self.data[index], (self,), backward)
 
@@ -445,27 +501,38 @@ class Tensor:
     @staticmethod
     def _make(
         data: np.ndarray,
-        parents: Tuple["Tensor", ...],
+        inputs: Tuple["Tensor", ...],
         backward: Callable,
     ) -> "Tensor":
-        """The op's output: a tape node when a parent needs grad, else
-        a bare tensor (``backward`` is dropped)."""
-        if Tensor._needs_grad(*parents):
-            return Tensor(data, _parents=parents, _backward=backward)
-        return Tensor(data)
+        """The op's output, with a tape node when an input needs grad
+        (``backward`` is dropped otherwise).
+
+        ``backward`` returns one gradient per entry of ``inputs``; it
+        must close over the arrays its formula reads, never over an
+        input tensor, or it would keep that tensor's data alive.
+        """
+        out = Tensor(data)
+        if Tensor._needs_grad(*inputs):
+            out._node = _Node(
+                backward,
+                tuple(
+                    t._node if t._node is not None
+                    else (t if t.requires_grad else None)
+                    for t in inputs
+                ),
+            )
+        return out
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stacking along a new ``axis``."""
     tensors = [Tensor._lift(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def backward(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(
-            (tensor, np.squeeze(part, axis=axis))
-            for tensor, part in zip(tensors, parts)
-        )
+        parts = np.split(g, count, axis=axis)
+        return tuple(np.squeeze(part, axis=axis) for part in parts)
 
     return Tensor._make(data, tuple(tensors), backward)
 
@@ -490,17 +557,18 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
         raise ValueError("cannot gather from a 0-d tensor")
     axis = axis % x.ndim
     data = np.take(x.data, idx, axis=axis)
+    shape = x.shape
 
     def backward(g):
-        grad = np.zeros_like(x.data)
+        grad = np.zeros(shape, np.float32)
         if axis == 0:
             _scatter_add_rows(
-                grad, idx.reshape(-1), g.reshape((idx.size,) + x.shape[1:])
+                grad, idx.reshape(-1), g.reshape((idx.size,) + shape[1:])
             )
         else:
             moved = np.moveaxis(grad, axis, 0)
             np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-        return ((x, grad),)
+        return (grad,)
 
     return x._make(data, (x,), backward)
 
@@ -642,7 +710,7 @@ def scatter_add(
     _scatter_add_rows(out, idx, values.data)
 
     def backward(g):
-        return ((values, g[idx]),)
+        return (g[idx],)
 
     return values._make(out, (values,), backward)
 
@@ -712,7 +780,8 @@ def segment_matmul(
       segments)
 
     — so one tape node covers the whole bank, over ragged row groups
-    instead of a fixed capacity dimension.
+    instead of a fixed capacity dimension.  ``grad_x`` is skipped when
+    ``x`` needs no gradient (rows dispatched from a constant input).
 
     Occupied *small* segments of equal length are batched into one
     stacked ``np.matmul`` per size bucket — forward and backward — so
@@ -754,7 +823,7 @@ def segment_matmul(
         raise ValueError(
             f"segment_counts sum {int(counts.sum())} != rows {x.shape[0]}"
         )
-    parents = (x, weight)
+    inputs = (x, weight)
     if bias is not None:
         bias = Tensor._lift(bias)
         if bias.shape != (weight.shape[0], weight.shape[2]):
@@ -763,7 +832,7 @@ def segment_matmul(
                 f"{(weight.shape[0], weight.shape[2])} for weight "
                 f"{weight.shape}"
             )
-        parents = (x, weight, bias)
+        inputs = (x, weight, bias)
     offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
     occupied = np.nonzero(counts)[0]
 
@@ -800,32 +869,36 @@ def segment_matmul(
         if bias is not None:
             out += bias.data[e]
 
+    x_data, w_data = x.data, weight.data
+    need_x = Tensor._needs_grad(x)
+    bias_shape = None if bias is None else bias.shape
+
     def backward(g):
-        grad_x = np.empty_like(x.data)
+        grad_x = np.empty_like(x_data) if need_x else None
         # Every occupied expert's slice is overwritten below.
-        grad_w = np.empty_like(weight.data)
+        grad_w = np.empty_like(w_data)
         grad_w[counts == 0] = 0.0
         for experts, rows in batched:
             g_b = g[rows]
-            grad_x[rows] = np.matmul(
-                g_b, np.swapaxes(weight.data[experts], -1, -2)
-            )
-            grad_w[experts] = np.matmul(
-                np.swapaxes(x.data[rows], -1, -2), g_b
-            )
+            if need_x:
+                grad_x[rows] = np.matmul(
+                    g_b, np.swapaxes(w_data[experts], -1, -2)
+                )
+            grad_w[experts] = np.matmul(np.swapaxes(x_data[rows], -1, -2), g_b)
         for e in singles:
             lo, hi = offsets[e], offsets[e + 1]
-            np.matmul(g[lo:hi], weight.data[e].T, out=grad_x[lo:hi])
-            np.matmul(x.data[lo:hi].T, g[lo:hi], out=grad_w[e])
-        if bias is None:
-            return ((x, grad_x), (weight, grad_w))
-        grad_b = np.zeros_like(bias.data)
+            if need_x:
+                np.matmul(g[lo:hi], w_data[e].T, out=grad_x[lo:hi])
+            np.matmul(x_data[lo:hi].T, g[lo:hi], out=grad_w[e])
+        if bias_shape is None:
+            return grad_x, grad_w
+        grad_b = np.zeros(bias_shape, np.float32)
         g = np.ascontiguousarray(g)  # _row_sum's order needs C rows
         for e in occupied:
             grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
-        return ((x, grad_x), (weight, grad_w), (bias, grad_b))
+        return grad_x, grad_w, grad_b
 
-    return Tensor._make(data, parents, backward)
+    return Tensor._make(data, inputs, backward)
 
 
 def einsum(subscripts: str, *tensors: Tensor) -> Tensor:
@@ -844,19 +917,19 @@ def einsum(subscripts: str, *tensors: Tensor) -> Tensor:
         raise ValueError(
             f"einsum got {len(tensors)} operands for {len(terms)} terms"
         )
-    data = np.einsum(subscripts, *[t.data for t in tensors])
+    operands = [t.data for t in tensors]
+    data = np.einsum(subscripts, *operands)
 
     def backward(g):
         grads = []
-        for i, tensor in enumerate(tensors):
+        for i in range(len(terms)):
             other_terms = [terms[j] for j in range(len(terms)) if j != i]
-            other_data = [tensors[j].data for j in range(len(terms)) if j != i]
+            other_data = [operands[j] for j in range(len(terms)) if j != i]
             sub = ",".join([output] + other_terms) + "->" + terms[i]
             # Dimensions of terms[i] absent from output and the other
             # operands (summed-out free dims) need broadcasting; they
             # cannot appear for our use cases, so einsum suffices.
-            grad = np.einsum(sub, g, *other_data)
-            grads.append((tensor, grad))
+            grads.append(np.einsum(sub, g, *other_data))
         return tuple(grads)
 
     return Tensor._make(data, tuple(tensors), backward)

@@ -42,7 +42,7 @@ def assert_inference_matches(layer, x, rng_out=None):
     out = layer.forward_inference(Tensor(x))
     np.testing.assert_array_equal(out.data, ref)
     assert out._inference
-    assert out._parents == () and out._backward is None
+    assert out._node is None
     return ref
 
 
@@ -79,7 +79,7 @@ def test_training_flag_and_tape_restored_after_inference(rng):
     # A training forward afterwards records a tape again.
     layer.eval()
     y = layer(x)
-    assert y._backward is not None or y._parents
+    assert y._node is not None
 
 
 def test_forward_only_skips_gate_bookkeeping(rng):
@@ -87,7 +87,7 @@ def test_forward_only_skips_gate_bookkeeping(rng):
     layer = make_layer()
     layer.forward_inference(Tensor(tokens(rng)))
     aux = layer.last_aux_loss
-    assert aux is not None and aux._parents == ()
+    assert aux is not None and aux._node is None
     assert float(aux.data) == 0.0
     gate_out = layer.last_gate_output
     assert gate_out._dispatch_mask is None

@@ -84,12 +84,12 @@ def test_every_expert_call_runs_tape_free(rng, monkeypatch, pipeline, num_chunks
 
     def gate_spy(tokens):
         out = gate_forward(tokens)
-        seen.append(("gate", is_inference(), out.aux_loss._parents))
+        seen.append(("gate", is_inference(), out.aux_loss._node))
         return out
 
     def experts_spy(rows, counts):
         out = run_grouped(rows, counts)
-        seen.append(("experts", is_inference(), out._parents))
+        seen.append(("experts", is_inference(), out._node))
         return out
 
     monkeypatch.setattr(layer.gate, "forward", gate_spy)
@@ -98,7 +98,7 @@ def test_every_expert_call_runs_tape_free(rng, monkeypatch, pipeline, num_chunks
     assert not is_inference()
     assert [k for k, _, _ in seen].count("gate") == 4
     assert [k for k, _, _ in seen].count("experts") >= 4 * num_chunks
-    assert all(mode and parents == () for _, mode, parents in seen)
+    assert all(mode and node is None for _, mode, node in seen)
 
 
 @pytest.mark.parametrize("pipeline,num_chunks", PIPELINES)

@@ -19,10 +19,10 @@ def legacy_segment_matmul(x, weight, segment_counts, bias=None):
     x = Tensor._lift(x)
     weight = Tensor._lift(weight)
     counts = np.asarray(segment_counts)
-    parents = (x, weight)
+    inputs = (x, weight)
     if bias is not None:
         bias = Tensor._lift(bias)
-        parents = (x, weight, bias)
+        inputs = (x, weight, bias)
     offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
     occupied = np.nonzero(counts)[0]
 
@@ -33,21 +33,22 @@ def legacy_segment_matmul(x, weight, segment_counts, bias=None):
     if bias is not None:
         np.add(data, np.repeat(bias.data, counts, axis=0), out=data)
 
+    x_data, w_data = x.data, weight.data
+    b_data = None if bias is None else bias.data
+
     def backward(g):
-        grad_x = np.empty_like(x.data)
-        grad_w = np.zeros_like(weight.data)
+        grad_x = np.empty_like(x_data)
+        grad_w = np.zeros_like(w_data)
         for e in occupied:
             lo, hi = offsets[e], offsets[e + 1]
-            np.matmul(g[lo:hi], weight.data[e].T, out=grad_x[lo:hi])
-            np.matmul(x.data[lo:hi].T, g[lo:hi], out=grad_w[e])
-        if bias is None:
-            return ((x, grad_x), (weight, grad_w))
-        grad_b = np.zeros_like(bias.data)
+            np.matmul(g[lo:hi], w_data[e].T, out=grad_x[lo:hi])
+            np.matmul(x_data[lo:hi].T, g[lo:hi], out=grad_w[e])
+        if b_data is None:
+            return grad_x, grad_w
+        grad_b = np.zeros_like(b_data)
         g = np.ascontiguousarray(g)
         for e in occupied:
             grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
-        return ((x, grad_x), (weight, grad_w), (bias, grad_b))
+        return grad_x, grad_w, grad_b
 
-    if Tensor._needs_grad(*parents):
-        return Tensor(data, _parents=parents, _backward=backward)
-    return Tensor(data)
+    return Tensor._make(data, inputs, backward)

@@ -24,6 +24,7 @@ from repro.nn import MultiHeadAttention, Tensor
 from repro.nn import functional as F
 from repro.nn.functional import _ATTN_BLOCK, _CAUSAL_TILE, _row_sum
 from repro.nn.optim import Adam
+from repro.nn.tensor import _Node
 
 from .legacy_attention import causal_bias, composed_attention, legacy_forward
 
@@ -338,28 +339,46 @@ def test_whole_model_forward_inference_matches_the_eval_tape():
     assert np.array_equal(s2s.forward_inference(src, tgt_in).data, tape)
 
 
-def _attention_arrays(loss: Tensor, shape) -> list:
-    """Distinct ``shape`` arrays the tape from ``loss`` keeps alive: node
-    results plus arrays (and tensors) captured by backward closures."""
-    found, seen, stack = {}, set(), [loss]
+def _block_shapes(shape) -> list:
+    """Shapes of the per-block probabilities a causal ``shape`` =
+    (..., T, T) tape keeps: block [a, b) saves (..., b - a, b)."""
+    *lead, t, _ = shape
+    ends = [min(a + _ATTN_BLOCK, t) for a in range(0, t, _ATTN_BLOCK)]
+    return [(*lead, b - a, b) for a, b in zip(range(0, t, _ATTN_BLOCK), ends)]
+
+
+def _tape_nodes(loss: Tensor) -> list:
+    """Every node the tape from ``loss`` still reaches."""
+    nodes, seen, stack = [], set(), [loss._node]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if not isinstance(node, _Node) or id(node) in seen:
             continue
         seen.add(id(node))
-        values = [node.data]
-        for cell in getattr(node._backward, "__closure__", None) or ():
-            try:
-                value = cell.cell_contents
-            except ValueError:
-                continue
-            values.extend(value if isinstance(value, (list, tuple)) else [value])
-        for value in values:
-            if isinstance(value, Tensor):
-                stack.append(value)
-            elif isinstance(value, np.ndarray) and value.shape == shape:
-                found[id(value)] = value
-        stack.extend(node._parents)
+        nodes.append(node)
+        stack.extend(node.inputs)
+    return nodes
+
+
+def _attention_arrays(loss: Tensor, shape) -> list:
+    """What the tape from ``loss`` keeps of each attention layer's
+    ``shape`` = (..., T, T) probabilities, one list per layer: the
+    per-block lower triangle a fused causal node saves, or one array of
+    ``shape`` (a single block, or the composed chain's softmax).  Only
+    backward closures hold arrays; a node keeps no tensor."""
+    found = {}
+    for node in _tape_nodes(loss):
+        for cell in node.backward.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray) and value.shape == shape:
+                found[id(value)] = [value]
+            elif (
+                isinstance(value, list)
+                and value
+                and all(isinstance(a, np.ndarray) for a in value)
+                and [a.shape for a in value] in (_block_shapes(shape), [shape])
+            ):
+                found[id(value)] = list(value)
     return list(found.values())
 
 
@@ -380,6 +399,11 @@ def test_forward_inference_keeps_no_score_square():
 
 
 def test_tape_keeps_one_score_array_per_attention_layer(monkeypatch):
+    """One set of probabilities per attention layer: one square where a
+    single block covers the scores, the lower block triangle beyond.
+    The composed chain's nodes kept four squares (q·kᵀ, scaled, biased,
+    softmax) while the tape held tensors; now their closures keep only
+    the softmax output, which ``@ v`` shares."""
     batch, fused = 2, MultiHeadAttention.forward
     for seq_len in (8, MULTI_BLOCK_T):  # one block, then three
         shape = (batch, HEADS, seq_len, seq_len)
@@ -387,8 +411,11 @@ def test_tape_keeps_one_score_array_per_attention_layer(monkeypatch):
         model = _lm(max_seq_len=seq_len)
         monkeypatch.setattr(MultiHeadAttention, "forward", fused)
         loss = model.loss(_lm_tokens(batch, seq_len))
-        assert len(_attention_arrays(loss, shape)) == len(model.blocks)
-        # The composed chain kept four: q·kᵀ, scaled, biased, softmax.
+        kept = _attention_arrays(loss, shape)
+        assert len(kept) == len(model.blocks)
+        assert all([a.shape for a in s] == _block_shapes(shape) for s in kept)
         monkeypatch.setattr(MultiHeadAttention, "forward", legacy_forward)
         loss = model.loss(_lm_tokens(batch, seq_len))
-        assert len(_attention_arrays(loss, shape)) == 4 * len(model.blocks)
+        kept = _attention_arrays(loss, shape)
+        assert len(kept) == len(model.blocks)
+        assert all([a.shape for a in s] == [shape] for s in kept)

@@ -47,8 +47,7 @@ def test_no_tape_inside_inference_mode(rng):
                requires_grad=True)
     with inference_mode():
         out = F.relu(a @ b + a)
-    assert out._parents == ()
-    assert out._backward is None
+    assert out._node is None
     assert out._inference
 
 
@@ -77,10 +76,10 @@ def test_training_tape_works_again_after_the_block(rng):
 def _parity(fn, *arrays):
     """fn on the tape vs under inference: byte-for-byte equal."""
     train = fn(*[Tensor(a, requires_grad=True) for a in arrays])
-    assert train._parents and train._backward is not None
+    assert train._node is not None
     with inference_mode():
         infer = fn(*[Tensor(a, requires_grad=True) for a in arrays])
-    assert infer._parents == () and infer._backward is None
+    assert infer._node is None
     np.testing.assert_array_equal(train.data, infer.data)
 
 
@@ -182,5 +181,5 @@ def test_forward_inference_matches_eval_and_restores_training(rng):
     net.train()
     y1 = net.forward_inference(x)
     np.testing.assert_array_equal(y1.data, ref)
-    assert y1._inference and y1._parents == ()
+    assert y1._inference and y1._node is None
     assert net.training  # the training flag is left alone

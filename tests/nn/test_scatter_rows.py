@@ -109,7 +109,7 @@ def test_scatter_add_forward_matches_add_at_in_training(rng, depth):
     values = Tensor(spread(rng, (idx.size, 4)), requires_grad=True)
     out = scatter_add(values, idx, 10)
     assert_bits_equal(out.data, add_at((10, 4), idx, values.data))
-    assert out._parents == (values,)
+    assert out._node.inputs == (values,)
 
 
 def test_scatter_add_of_nothing_is_zeros():
@@ -266,7 +266,7 @@ def test_bias_forward_under_inference_matches_training(
     assert_bits_equal(train, legacy_segment_matmul(x, w, counts, bias=b).data)
     with inference_mode():
         out = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b))
-    assert out._parents == ()
+    assert out._node is None
     assert_bits_equal(out.data, train)
 
 

@@ -194,7 +194,7 @@ def test_no_grad_operands_skip_the_tape(rng):
     x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
     w = Tensor(rng.standard_normal((1, 3, 3)).astype(np.float32))
     out = segment_matmul(x, w, np.array([2]))
-    assert out._parents == () and out._backward is None
+    assert out._node is None
 
 
 def test_validation_errors(rng):

@@ -146,14 +146,13 @@ def test_gradient_accumulates_across_backward(a):
 def test_detach_cuts_tape(a):
     t = Tensor(a, requires_grad=True)
     out = (t * 2).detach()
-    assert out._parents == ()
+    assert out._node is None
     assert not out.requires_grad
 
 
 def test_no_tape_without_requires_grad(a, b):
     out = Tensor(a) @ Tensor(b)
-    assert out._parents == ()
-    assert out._backward is None
+    assert out._node is None
 
 
 def test_diamond_graph_gradient(a):
@@ -185,14 +184,16 @@ def test_backward_frees_the_tape_it_walks():
     tokens = _lm_tokens(seq_len=MULTI_BLOCK_T)
     loss = model.loss(tokens)
     shape = (tokens.shape[0], HEADS, MULTI_BLOCK_T, MULTI_BLOCK_T)
-    saved = [weakref.ref(p) for p in _attention_arrays(loss, shape)]
-    assert len(saved) == len(model.blocks)
+    kept = _attention_arrays(loss, shape)
+    assert len(kept) == len(model.blocks)  # one set of blocks per layer
+    saved = [weakref.ref(p) for blocks in kept for p in blocks]
+    del kept
     loss.backward()
     del loss
     assert all(ref() is None for ref in saved)
     for block in model.blocks:
         assert block.ffn.last_aux_loss is not None
-        assert block.ffn.last_aux_loss._parents == ()
+        assert block.ffn.last_aux_loss._node.inputs == ()  # spent
         assert block.ffn.last_gate_output is not None
 
 
@@ -220,8 +221,8 @@ def test_backward_through_a_freed_graph_raises(a):
 
 
 def _passthrough(leaf, backward):
-    """A one-parent node over ``leaf`` with a hand-written backward."""
-    return Tensor(leaf.data.copy(), _parents=(leaf,), _backward=backward)
+    """A one-input node over ``leaf`` with a hand-written backward."""
+    return Tensor._make(leaf.data.copy(), (leaf,), backward)
 
 
 def test_unaliased_leaf_gradient_is_adopted(a):
@@ -233,7 +234,7 @@ def test_unaliased_leaf_gradient_is_adopted(a):
     def backward(g):
         fresh = g * 2.0
         made.append(weakref.ref(fresh))
-        return ((t, fresh),)
+        return (fresh,)
 
     _passthrough(t, backward).backward(np.ones_like(a))
     assert made[0]() is t.grad
@@ -263,7 +264,7 @@ def test_square_sums_both_contributions(a):
 def test_backward_seed_is_never_adopted(a):
     """The caller's seed stays the caller's, on a leaf and through a
     node that hands it on unchanged."""
-    for make in (lambda t: t, lambda t: _passthrough(t, lambda g: ((t, g),))):
+    for make in (lambda t: t, lambda t: _passthrough(t, lambda g: (g,))):
         t = Tensor(a, requires_grad=True)
         seed = np.ones_like(a)
         make(t).backward(seed)
@@ -286,7 +287,7 @@ def test_adopted_gradient_accumulates_like_a_copy(a, rng):
             made.append(weakref.ref(fresh))
             if keep:
                 kept.append(fresh)  # a second holder forces the copy
-            return ((t, fresh),)
+            return (fresh,)
 
         for seed in seeds:
             _passthrough(t, backward).backward(seed)
