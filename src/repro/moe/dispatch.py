@@ -18,7 +18,7 @@ The production form is *capacity-free* and reads the gate's
 gate emits: :func:`dispatch_grouped` gathers the token rows
 in the plan's expert-major order into contiguous per-expert segments,
 the layout :meth:`~repro.moe.experts.Experts.run_grouped` consumes via
-:func:`~repro.nn.tensor.segment_matmul`.  No ``(E, C, M)`` buffer, no
+:func:`~repro.nn.fused.expert_ffn`.  No ``(E, C, M)`` buffer, no
 scatter into capacity slots, no empty-slot padding — memory traffic
 is ``O(N * M)`` in the routed assignment count however large the
 capacity factor grows, the same move FastMoE made when it replaced
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.tensor import Tensor, einsum, gather, scatter_add
+from ..nn.fused import weighted_scatter_add
+from ..nn.tensor import Tensor, einsum, gather
 from .routing import RoutingPlan
 
 #: Valid values of the MoE layer's ``dispatch_mode`` switch.
@@ -97,9 +98,15 @@ def combine_grouped(
     and scatter-adds it straight into the owning token — no gather
     from a capacity buffer, because the rows never left the flat
     form.  Token destinations repeat (up to k ways), so this is the
-    accumulating scatter; the backward is the exact adjoint gather,
-    and the zero gradient at dropped assignments falls out because
-    they were never dispatched.
+    accumulating scatter.  It is one node,
+    :func:`~repro.nn.fused.weighted_scatter_add`: each slice of rows
+    is weighted as it is staged into the scatter's occurrence rounds
+    (the expert-parallel D2 merge weights its rows the same way), so
+    the (N, M) weighted rows never exist, and the output is the bits
+    of ``scatter_add(expert_rows * weights)``.  The backward is that
+    chain's: the adjoint gather, then the product's formulas; the
+    zero gradient at dropped assignments falls out because they were
+    never dispatched.
     """
     if expert_rows.ndim != 2:
         raise ValueError(
@@ -113,6 +120,6 @@ def combine_grouped(
     weights = gate_weights[
         plan.grouped_token_ids, plan.grouped_choice_ids
     ].reshape(-1, 1)
-    return scatter_add(
-        expert_rows * weights, plan.grouped_token_ids, plan.num_tokens
+    return weighted_scatter_add(
+        expert_rows, weights, plan.grouped_token_ids, plan.num_tokens
     )

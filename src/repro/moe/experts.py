@@ -13,11 +13,12 @@ and offers exactly two ways to run it:
 
 * :meth:`Experts.run_grouped` — the production path, capacity-free and
   MegaBlocks-style: the flat routed rows, sorted by expert, flow
-  through :func:`~repro.nn.tensor.segment_matmul` — each expert's
-  contiguous row segment multiplies its stacked weight slice, occupied
-  experts only, no capacity dimension anywhere.  The sparse MoE layer
-  and :class:`~repro.moe.parallel.ExpertParallelGroup` both run it
-  (Megatron-Core's grouped GEMM is the same single expert path).
+  through :func:`~repro.nn.fused.expert_ffn` — each expert's
+  contiguous row segment runs through its stacked weight slices,
+  occupied experts only, no capacity dimension anywhere.  The sparse
+  MoE layer and :class:`~repro.moe.parallel.ExpertParallelGroup` both
+  run it (Megatron-Core's grouped GEMM, with bias and activation
+  folded in, is the same single expert path).
 * :meth:`Experts.forward` — the reference: one expert at a time over
   its full slice of an (E, C, M) capacity buffer, Python-level, what
   the dense GShard layer runs.  Padding slots go through the FFN too
@@ -35,7 +36,8 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.init import xavier_uniform
 from ..nn.modules import Module, Parameter
-from ..nn.tensor import Tensor, segment_matmul, stack
+from ..nn.fused import expert_ffn
+from ..nn.tensor import Tensor, stack
 
 
 class Experts(Module):
@@ -149,12 +151,14 @@ class Experts(Module):
         ``rows`` holds every routed token row, contiguous per expert
         (``segment_counts[e]`` rows for expert e, summing to N) — the
         sort-permutation form :func:`~repro.moe.dispatch.dispatch_grouped`
-        produces.  Two :func:`~repro.nn.tensor.segment_matmul` calls
-        run each occupied expert's segment through its FFN, each with
-        its stacked ``(E, 1, H)/(E, 1, M)`` bias folded in (viewed as
-        ``(E, J)``; its gradient is a per-segment row sum).  No
-        (E, C, M) buffer exists at any point, and an expert with an
-        empty segment costs nothing.
+        produces.  One :func:`~repro.nn.fused.expert_ffn` node runs
+        each occupied expert's segment through fc1, its bias, the ReLU,
+        fc2 and its bias, and saves only the rows and the post-ReLU
+        hidden; its backward works segment by segment, so neither a
+        pre-ReLU hidden nor an (N, H) gradient ever exists.  It is the
+        bits of ``segment_matmul → relu → segment_matmul`` with the
+        biases folded in.  No (E, C, M) buffer exists at any point, and
+        an expert with an empty segment costs nothing.
         """
         counts = np.asarray(segment_counts)
         if rows.ndim != 2 or rows.shape[1] != self.model_dim:
@@ -166,10 +170,7 @@ class Experts(Module):
                 f"segment_counts must be ({self.num_experts},), "
                 f"got {counts.shape}"
             )
-        b1 = self.b1.reshape(self.num_experts, self.hidden_dim)
-        b2 = self.b2.reshape(self.num_experts, self.model_dim)
-        h = F.relu(segment_matmul(rows, self.w1, counts, bias=b1))
-        return segment_matmul(h, self.w2, counts, bias=b2)
+        return expert_ffn(rows, self.w1, self.b1, self.w2, self.b2, counts)
 
     def forward(self, dispatched: Tensor) -> Tensor:
         """Reference loop: apply expert e to slice (e, :, :) of (E, C, M).

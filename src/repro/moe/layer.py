@@ -209,6 +209,9 @@ class MoELayer(Module):
             self.last_dispatched = None if is_inference() else rows.data
             rows = self._transport(rows)  # first A2A
             expert_rows = self.experts.run_grouped(rows, plan.segment_counts)
+            # Past the expert node only its tape reads the dispatched
+            # rows: under inference they go now, before the combine.
+            del rows
             expert_rows = self._transport(expert_rows)  # second A2A
             merged = combine_grouped(expert_rows, plan, gate_out.gate_weights)
         if len(original_shape) == 3:

@@ -88,6 +88,7 @@ from ..core.runtime import (
 )
 from ..core.scheduler import Scheduler
 from ..core.tasks import Task, TaskKind
+from ..nn.fused import _weighted_parts
 from ..nn.tensor import Tensor, _scatter_add_parts, inference_mode
 from .experts import Experts
 from .layer import MoELayer
@@ -222,32 +223,6 @@ def _assemble_expert_major(counts: np.ndarray, payloads, width: int):
     for idx, rows in zip(inverses, payloads):
         block[idx] = rows()
     return block, inverses
-
-
-def _merge_weighted(
-    out: np.ndarray, idx: np.ndarray, weights: np.ndarray, got: list
-) -> None:
-    """D2's merge: ``out[idx] += weights[:, None] * values``, np.add.at-exact.
-
-    ``got`` is what the receiver got back (``received``'s list), each
-    entry's meta the positions in ``idx`` its rows belong to.  Each
-    source's rows are weighted in place (a decode's fresh array, or the
-    transport's own staging copy) and staged straight into the
-    occurrence-round scatter; a weight is one float multiply per
-    element, as on the assembled ``values``.
-    """
-
-    def weighted(positions, rows):
-        rows = rows()
-        rows *= weights[positions, None]
-        return positions, rows
-
-    _scatter_add_parts(
-        out,
-        idx,
-        np.float32,
-        (weighted(positions, rows) for _, positions, rows in got),
-    )
 
 
 class ExpertParallelGroup:
@@ -669,13 +644,18 @@ class ExpertParallelGroup:
                 # bit-identical to the layer's at any top-k.  The
                 # chunk's rows are still +0.0 here (chunks own
                 # disjoint token ranges), which is the scatter's
-                # np.add.at-parity contract.
+                # np.add.at-parity contract.  Each source's rows are
+                # weighted as they are staged, as combine_grouped's.
                 lo, hi = chunk_edges[w][c], chunk_edges[w][c + 1]
-                _merge_weighted(
+                got = combine.received(c, w)
+                _scatter_add_parts(
                     outputs[w][lo:hi],
                     plans[w].grouped_token_ids[sel] - lo,
-                    weights[w][sel],
-                    combine.received(c, w),
+                    np.float32,
+                    _weighted_parts(
+                        weights[w][sel, None],
+                        ((positions, rows()) for _, positions, rows in got),
+                    ),
                 )
 
         step = {

@@ -9,6 +9,7 @@ on this substrate for real.
 
 from . import _heap  # noqa: F401  (sets the process's malloc policy)
 from . import functional
+from .fused import expert_ffn, weighted_scatter_add
 from .init import normal, xavier_uniform
 from .modules import (
     Embedding,
@@ -49,6 +50,7 @@ __all__ = [
     "Tensor",
     "clip_grad_norm",
     "einsum",
+    "expert_ffn",
     "functional",
     "gather",
     "inference_mode",
@@ -59,5 +61,6 @@ __all__ = [
     "scatter_add",
     "segment_matmul",
     "stack",
+    "weighted_scatter_add",
     "xavier_uniform",
 ]

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, _scatter_add_rows
+from .tensor import Tensor, _pairwise_split, _scatter_add_rows
 
 
 def relu(x: Tensor) -> Tensor:
@@ -72,15 +72,14 @@ def _row_sum(x: np.ndarray, n: int) -> np.ndarray:
     """Last-axis sums of ``x`` as numpy sums each row zero-padded to ``n``.
 
     ``x`` is (..., w) with ``w == n`` or ``w`` a multiple of 8.  Numpy
-    sums a contiguous float row pairwise: above 128 elements it splits
-    at ``n // 2`` rounded down to a multiple of 8 and adds the halves;
-    below, eight strided accumulators run to the end, so trailing zeros
-    leave them unchanged.  Following the splits down to the halves
-    that hold data reproduces the padded sum bit for bit.
+    sums a contiguous float row pairwise (:func:`_pairwise_split`);
+    below 128 elements eight strided accumulators run to the end, so
+    trailing zeros leave them unchanged.  Following the splits down to
+    the halves that hold data reproduces the padded sum bit for bit.
     """
     w = x.shape[-1]
     while w < n and n > 128:
-        half = n // 2 - (n // 2) % 8
+        half = _pairwise_split(n)
         if w > half:
             left = x[..., :half].sum(axis=-1, keepdims=True)
             return left + _row_sum(x[..., half:], n - half)

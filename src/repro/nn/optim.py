@@ -6,7 +6,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import _CHUNK, Tensor, _pairwise_split
 
 
 class Optimizer:
@@ -28,12 +28,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-#: Elements per slice of an :class:`Adam` step.  A slice's six arrays
-#: (parameter, gradient, both moments, two scratch buffers) take
-#: ~1.5 MiB, so the step's 13 passes over it stay in L2.
-_CHUNK = 1 << 16
-
-
 #: Adam's moment decay rates and denominator offset.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -43,9 +37,11 @@ class Adam(Optimizer):
 
     The update is evaluated in place, one ``_CHUNK``-element slice of
     each parameter at a time, through two scratch buffers of one slice
-    each instead of fresh temporaries.  Every slice runs the textbook
-    expressions' float ops in their order, and every op is elementwise,
-    so the result is bit-identical to
+    each instead of fresh temporaries.  A slice's six arrays
+    (parameter, gradient, both moments, two scratch buffers) take
+    ~1.5 MiB, so the step's 13 passes over it stay in L2.  Every slice
+    runs the textbook expressions' float ops in their order, and every
+    op is elementwise, so the result is bit-identical to
 
     ``m = b1·m + (1−b1)·g;  v = b2·v + (1−b2)·g²;``
     ``p −= lr · ((m / bc1) / (√(v / bc2) + eps))``.
@@ -103,15 +99,51 @@ class Adam(Optimizer):
         p -= a
 
 
+def _sum_of_squares(flat: np.ndarray, scratch: np.ndarray):
+    """``(flat**2).sum()`` of a contiguous 1-d array, one slice at a time.
+
+    A run longer than ``scratch`` is split where numpy's pairwise sum
+    splits it (:func:`~repro.nn.tensor._pairwise_split`) until each
+    piece fits; each piece is squared into ``scratch`` and summed, and
+    the pieces' sums add back up the same tree, so the result is
+    numpy's sum of the whole squared array, bit for bit.
+    """
+    n = flat.size
+    if n <= scratch.size:
+        squares = scratch[:n]
+        np.multiply(flat, flat, out=squares)
+        return squares.sum()
+    half = _pairwise_split(n)
+    return _sum_of_squares(flat[:half], scratch) + _sum_of_squares(
+        flat[half:], scratch
+    )
+
+
 def clip_grad_norm(parameters: Iterable[Tensor], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm,
+    ``sqrt(sum(float((p.grad**2).sum()) for each p))`` bit for bit.  A
+    gradient of at most one ``_CHUNK`` slice is squared whole, as that
+    expression does; a larger one is squared one slice at a time into
+    one scratch slice, summed along numpy's pairwise split points
+    (:func:`_sum_of_squares`), so no gradient-sized square is ever
+    allocated.  The clip scales each gradient in place.
     """
     if not max_norm > 0:  # also rejects NaN
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     params = [p for p in parameters if p.grad is not None]
-    total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))
+    scratch = None
+    sums = []
+    for p in params:
+        g = p.grad
+        if g.size <= _CHUNK:
+            sums.append(float((g**2).sum()))
+            continue
+        if scratch is None or scratch.dtype != g.dtype:
+            scratch = np.empty(_CHUNK, g.dtype)
+        sums.append(float(_sum_of_squares(g.reshape(-1), scratch)))
+    total = float(np.sqrt(sum(sums)))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:

@@ -23,13 +23,20 @@ intermediate whose consumers' backwards do not read it — a ``Linear``'s
 pre-bias product (the bias add reads nothing), the residual stream
 (adds read nothing, ``layer_norm`` reads its normalized rows), the
 logits (``cross_entropy`` keeps its log-probabilities), the gate
-logits (``softmax`` keeps its output), the pre-ReLU hidden (``relu``
-keeps its output) — is freed as soon as the forward drops it, while
-the tape is still being built.  A product saves each factor only
-when the other factor needs a gradient, so scaling by a constant
+logits (``softmax`` keeps its output), a dense FFN's pre-ReLU hidden
+(``relu`` keeps its output) — is freed as soon as the forward drops
+it, while the tape is still being built.  A product saves each factor
+only when the other factor needs a gradient, so scaling by a constant
 keeps nothing.  Attention keeps q, k, v and the lower block triangle
 of its probabilities (see
-:func:`~repro.nn.functional.scaled_dot_product_attention`).
+:func:`~repro.nn.functional.scaled_dot_product_attention`).  The MoE
+expert FFN is one node (:func:`~repro.nn.fused.expert_ffn`) that keeps its input rows
+and its post-ReLU hidden: no pre-ReLU hidden exists even in the
+forward, and its backward never holds an (N, H) gradient, only one
+segment's.  The weighted combine
+(:func:`~repro.nn.fused.weighted_scatter_add`) keeps
+the expert rows and their gate weights, and never builds the weighted
+rows.
 
 **A tape is single-use.**  As the walk reaches each node it takes the
 node's backward closure and inputs off it, so the activations that
@@ -113,6 +120,28 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+#: Elements per slice of a pass that streams a large array through one
+#: scratch buffer: the weighted combine's staging, ``clip_grad_norm``'s
+#: squares and Adam's update.  256 KiB of float32, so a slice stays in
+#: L2 while the pass works on it.
+_CHUNK = 1 << 16
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits a contiguous run of ``n`` floats.
+
+    Numpy sums such a run (a whole contiguous array, or one row of
+    one) pairwise: a run of more than 128 elements is summed as its
+    first ``n // 2`` elements, rounded down to a multiple of 8, plus
+    the rest, each half by the same rule; a shorter run is one pass of
+    eight strided accumulators.  Attention's padded row sums and
+    ``clip_grad_norm``'s sliced sum of squares follow these splits to
+    reproduce numpy's sum bit for bit.
+    """
+    half = n // 2
+    return half - half % 8
 
 
 def _refs_in_callee(grad: np.ndarray) -> int:
@@ -608,9 +637,9 @@ def _scatter_add_rows(
     ``+ 0.0`` would alter.  An ``out`` that already holds results
     (and so possibly -0.0) is outside that contract.
 
-    The forward combine (:func:`scatter_add`, both modes) and the
-    backward of :func:`gather` and ``embedding`` all scatter through
-    here.
+    :func:`scatter_add` and the backward of :func:`gather` and
+    ``embedding`` scatter through here; the weighted combine stages
+    its parts through :func:`_scatter_add_parts` directly.
     """
     _scatter_add_parts(out, idx, values.dtype, ((slice(None), values),))
 
@@ -672,6 +701,26 @@ def _occurrence_rounds(idx: np.ndarray, num_rows: int):
     return idx, depth, occ
 
 
+def _scatter_index(values: "Tensor", indices: np.ndarray, num_rows: int):
+    """``indices`` as an array, checked as scatter rows of ``values``."""
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"indices must be integers, got {idx.dtype}")
+    if idx.ndim != 1 or values.ndim < 1 or idx.shape[0] != values.shape[0]:
+        raise ValueError(
+            f"indices {idx.shape} must be 1-d and match the leading "
+            f"dimension of values {values.shape}"
+        )
+    if num_rows < 0:
+        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise IndexError(
+            f"indices out of range for {num_rows} rows: "
+            f"[{idx.min()}, {idx.max()}]"
+        )
+    return idx
+
+
 def scatter_add(
     values: Tensor,
     indices: np.ndarray,
@@ -691,21 +740,7 @@ def scatter_add(
     vectorized.
     """
     values = Tensor._lift(values)
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError(f"indices must be integers, got {idx.dtype}")
-    if idx.ndim != 1 or values.ndim < 1 or idx.shape[0] != values.shape[0]:
-        raise ValueError(
-            f"indices {idx.shape} must be 1-d and match the leading "
-            f"dimension of values {values.shape}"
-        )
-    if num_rows < 0:
-        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise IndexError(
-            f"indices out of range for {num_rows} rows: "
-            f"[{idx.min()}, {idx.max()}]"
-        )
+    idx = _scatter_index(values, indices, num_rows)
     out = np.zeros((num_rows,) + values.shape[1:], np.float32)
     _scatter_add_rows(out, idx, values.data)
 
@@ -738,6 +773,61 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=0) + 0.0
 
 
+def _segment_counts(
+    op: str, x_shape: tuple, w_shape: tuple, segment_counts
+) -> np.ndarray:
+    """``segment_counts`` as an array, checked against (N, K) rows and
+    an (E, K, J) weight bank."""
+    counts = np.asarray(segment_counts)
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise TypeError(f"segment_counts must be integers, got {counts.dtype}")
+    if len(x_shape) != 2 or len(w_shape) != 3:
+        raise ValueError(
+            f"{op} expects (N, K) x and (E, K, J) weight, "
+            f"got {x_shape} and {w_shape}"
+        )
+    if counts.ndim != 1 or counts.shape[0] != w_shape[0]:
+        raise ValueError(f"segment_counts {counts.shape} must be ({w_shape[0]},)")
+    if counts.size and counts.min() < 0:
+        raise ValueError("segment_counts must be >= 0")
+    if x_shape[1] != w_shape[1]:
+        raise ValueError(f"inner dimensions differ: {x_shape} @ {w_shape}")
+    if int(counts.sum()) != x_shape[0]:
+        raise ValueError(
+            f"segment_counts sum {int(counts.sum())} != rows {x_shape[0]}"
+        )
+    return counts
+
+
+def _segment_plan(counts: np.ndarray):
+    """``(offsets, classes)``: where each segment starts, and the
+    occupied segments grouped by length.
+
+    ``classes`` lists ``(length, experts)`` by increasing length, each
+    ``experts`` ascending.  A class of small equal-length segments runs
+    as one stacked GEMM (:func:`_stacks`), so balanced large-E routing
+    pays one GEMM call per distinct size instead of one per expert.
+    """
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    occupied = np.nonzero(counts)[0]
+    by_size: dict = {}
+    for e, length in zip(occupied.tolist(), counts[occupied].tolist()):
+        by_size.setdefault(length, []).append(e)
+    return offsets, sorted(by_size.items())
+
+
+def _stacks(length: int, experts: list, k: int) -> bool:
+    """Whether a size class's GEMMs over inner dimension ``k`` run as
+    one stacked ``np.matmul``: it has two or more members, and each
+    member's (length, k) block is at most ``_BUCKET_ROW_ELEMS``."""
+    return len(experts) > 1 and length * k <= _BUCKET_ROW_ELEMS
+
+
+def _class_rows(offsets: np.ndarray, length: int, experts: list) -> np.ndarray:
+    """The (B, length) row indices of a size class's segments."""
+    return offsets[experts][:, None] + np.arange(length)
+
+
 def segment_matmul(
     x: Tensor,
     weight: Tensor,
@@ -759,18 +849,17 @@ def segment_matmul(
     per-row gather of the bias, with no ``(N, J)`` bias rows ever
     materialized — and its gradient is each occupied segment's
     output-gradient rows summed in row order (zero for empty
-    segments), bit-identical to the gather's ``np.add.at`` adjoint.  The expert FFN's bias thus costs
-    no tape node of its own (Megatron-Core fuses it into its grouped
-    GEMM the same way).
+    segments), bit-identical to the gather's ``np.add.at`` adjoint.
 
-    This is the capacity-free MoE expert step: routed token rows
-    sorted by expert flow through each expert's weight without ever
+    This is the capacity-free grouped GEMM: routed token rows sorted by
+    expert flow through each expert's weight without ever
     materializing the (E, C, M) capacity buffer.  The forward loops
     over *occupied* segments only (``counts[e] == 0`` costs nothing —
     an expert that received no tokens is simply skipped, where the
     capacity formulation would still carry its C padding slots), and
     each segment GEMM is bit-identical to the per-expert reference
-    ``x_seg @ weight[e]``.
+    ``x_seg @ weight[e]``.  The MoE expert step runs two of these
+    around a ReLU as one fused node, :func:`~repro.nn.fused.expert_ffn`.
 
     The backward accumulates per-segment gradients into the stacked
     bank with the exact adjoints of each slice —
@@ -784,10 +873,8 @@ def segment_matmul(
     ``x`` needs no gradient (rows dispatched from a constant input).
 
     Occupied *small* segments of equal length are batched into one
-    stacked ``np.matmul`` per size bucket — forward and backward — so
-    balanced large-E routing (many small equal segments, the worst
-    case for per-segment Python dispatch) pays one GEMM call per
-    distinct size instead of one per expert.  Batched matmul computes each slice exactly as the
+    stacked ``np.matmul`` per size class (:func:`_segment_plan`) —
+    forward and backward.  Batched matmul computes each slice exactly as the
     corresponding 2-d product (numpy dispatches the same GEMM kernel
     per batch slice), so results are bit-identical to the unbucketed
     loop (``tests/nn/legacy_segment_matmul.py`` keeps that loop as the
@@ -801,28 +888,7 @@ def segment_matmul(
     """
     x = Tensor._lift(x)
     weight = Tensor._lift(weight)
-    counts = np.asarray(segment_counts)
-    if not np.issubdtype(counts.dtype, np.integer):
-        raise TypeError(f"segment_counts must be integers, got {counts.dtype}")
-    if x.ndim != 2 or weight.ndim != 3:
-        raise ValueError(
-            f"segment_matmul expects (N, K) x and (E, K, J) weight, "
-            f"got {x.shape} and {weight.shape}"
-        )
-    if counts.ndim != 1 or counts.shape[0] != weight.shape[0]:
-        raise ValueError(
-            f"segment_counts {counts.shape} must be ({weight.shape[0]},)"
-        )
-    if counts.size and counts.min() < 0:
-        raise ValueError("segment_counts must be >= 0")
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(
-            f"inner dimensions differ: {x.shape} @ {weight.shape}"
-        )
-    if int(counts.sum()) != x.shape[0]:
-        raise ValueError(
-            f"segment_counts sum {int(counts.sum())} != rows {x.shape[0]}"
-        )
+    counts = _segment_counts("segment_matmul", x.shape, weight.shape, segment_counts)
     inputs = (x, weight)
     if bias is not None:
         bias = Tensor._lift(bias)
@@ -833,41 +899,33 @@ def segment_matmul(
                 f"{weight.shape}"
             )
         inputs = (x, weight, bias)
-    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    occupied = np.nonzero(counts)[0]
-
-    # Size buckets: small segments of equal length run as one stacked
-    # GEMM.  ``batched`` holds (experts, (B, L) row indices) per
-    # multi-member bucket; ``singles`` keeps the rest on the plain
-    # per-segment path.
-    batched = []
-    singles = occupied
-    if occupied.size:
-        by_size = {}
-        for e in occupied:
-            by_size.setdefault(int(counts[e]), []).append(int(e))
-        singles = []
-        for length, experts in sorted(by_size.items()):
-            if len(experts) == 1 or length * x.shape[1] > _BUCKET_ROW_ELEMS:
-                singles.extend(experts)
-                continue
-            experts = np.asarray(experts)
-            rows = offsets[experts][:, None] + np.arange(length)
-            batched.append((experts, rows))
-        singles = np.asarray(sorted(singles), dtype=np.int64)
+    offsets, classes = _segment_plan(counts)
+    # Per class: its experts, and its (B, L) row indices when it runs
+    # as one stacked GEMM (None: one plain GEMM per segment).
+    plan = [
+        (
+            experts,
+            _class_rows(offsets, length, experts)
+            if _stacks(length, experts, x.shape[1])
+            else None,
+        )
+        for length, experts in classes
+    ]
 
     data = np.empty((x.shape[0], weight.shape[2]), np.float32)
-    for experts, rows in batched:
-        out = np.matmul(x.data[rows], weight.data[experts])
-        if bias is not None:
-            out += bias.data[experts][:, None, :]
-        data[rows] = out
-    for e in singles:
-        lo, hi = offsets[e], offsets[e + 1]
-        out = data[lo:hi]
-        np.matmul(x.data[lo:hi], weight.data[e], out=out)
-        if bias is not None:
-            out += bias.data[e]
+    for experts, rows in plan:
+        if rows is not None:
+            out = np.matmul(x.data[rows], weight.data[experts])
+            if bias is not None:
+                out += bias.data[experts][:, None, :]
+            data[rows] = out
+            continue
+        for e in experts:
+            lo, hi = offsets[e], offsets[e + 1]
+            out = data[lo:hi]
+            np.matmul(x.data[lo:hi], weight.data[e], out=out)
+            if bias is not None:
+                out += bias.data[e]
 
     x_data, w_data = x.data, weight.data
     need_x = Tensor._needs_grad(x)
@@ -878,24 +936,29 @@ def segment_matmul(
         # Every occupied expert's slice is overwritten below.
         grad_w = np.empty_like(w_data)
         grad_w[counts == 0] = 0.0
-        for experts, rows in batched:
-            g_b = g[rows]
-            if need_x:
-                grad_x[rows] = np.matmul(
-                    g_b, np.swapaxes(w_data[experts], -1, -2)
+        for experts, rows in plan:
+            if rows is not None:
+                g_b = g[rows]
+                if need_x:
+                    grad_x[rows] = np.matmul(
+                        g_b, np.swapaxes(w_data[experts], -1, -2)
+                    )
+                grad_w[experts] = np.matmul(
+                    np.swapaxes(x_data[rows], -1, -2), g_b
                 )
-            grad_w[experts] = np.matmul(np.swapaxes(x_data[rows], -1, -2), g_b)
-        for e in singles:
-            lo, hi = offsets[e], offsets[e + 1]
-            if need_x:
-                np.matmul(g[lo:hi], w_data[e].T, out=grad_x[lo:hi])
-            np.matmul(x_data[lo:hi].T, g[lo:hi], out=grad_w[e])
+                continue
+            for e in experts:
+                lo, hi = offsets[e], offsets[e + 1]
+                if need_x:
+                    np.matmul(g[lo:hi], w_data[e].T, out=grad_x[lo:hi])
+                np.matmul(x_data[lo:hi].T, g[lo:hi], out=grad_w[e])
         if bias_shape is None:
             return grad_x, grad_w
         grad_b = np.zeros(bias_shape, np.float32)
         g = np.ascontiguousarray(g)  # _row_sum's order needs C rows
-        for e in occupied:
-            grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
+        for _, experts in classes:
+            for e in experts:
+                grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
         return grad_x, grad_w, grad_b
 
     return Tensor._make(data, inputs, backward)

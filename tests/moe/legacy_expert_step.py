@@ -1,12 +1,17 @@
 """The expert step's composed forms, kept as test references.
 
-Production folds the expert biases into
-:func:`~repro.nn.tensor.segment_matmul`, scatters repeated rows through
-the occurrence-round :func:`~repro.nn.tensor._scatter_add_rows`, and
-runs :meth:`~repro.nn.optim.Adam.step` in place.  These are the forms
-they replaced — a per-row bias ``gather`` plus an add node after each
-segment GEMM, ``np.add.at`` for every accumulating scatter, and Adam
-over fresh temporaries — and the whole-step parity suite checks that a
+Production runs the expert FFN as one fused node
+(:func:`~repro.nn.fused.expert_ffn`, biases folded in), weights the
+combine's rows as it stages them into the occurrence-round scatter
+(:func:`~repro.nn.fused.weighted_scatter_add`), scatters repeated rows
+through the occurrence-round :func:`~repro.nn.tensor._scatter_add_rows`,
+runs :meth:`~repro.nn.optim.Adam.step` in place and squares large
+gradients slice by slice in :func:`~repro.nn.optim.clip_grad_norm`.
+These are the forms they replaced — two segment GEMMs around a ReLU
+node, each with a per-row bias ``gather`` plus an add node, the
+combine as a product node followed by ``np.add.at``, ``np.add.at``
+for every accumulating scatter, Adam over fresh temporaries and the
+clip's ``(g**2).sum()`` — and the whole-step parity suite checks that a
 training step does not move by a single bit against them.
 """
 
@@ -14,7 +19,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.optim import BETA1, BETA2, EPS
-from repro.nn.tensor import gather, segment_matmul
+from repro.nn.tensor import Tensor, gather, segment_matmul
 
 
 def legacy_run_grouped(self, rows, segment_counts):
@@ -51,3 +56,28 @@ def legacy_adam_step(self):
         v += (1.0 - BETA2) * (g * g)
         update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.data -= self.lr * update
+
+
+def legacy_combine_grouped(expert_rows, plan, gate_weights):
+    """``combine_grouped`` as a product node, then ``np.add.at``."""
+    idx = plan.grouped_token_ids
+    weights = gate_weights[idx, plan.grouped_choice_ids].reshape(-1, 1)
+    weighted = expert_rows * weights
+    out = np.zeros((plan.num_tokens, weighted.shape[1]), np.float32)
+    np.add.at(out, idx, weighted.data)
+
+    def backward(g):
+        return (g[idx],)
+
+    return Tensor._make(out, (weighted,), backward)
+
+
+def legacy_clip_grad_norm(parameters, max_norm):
+    """``clip_grad_norm`` squaring each whole gradient."""
+    params = [p for p in parameters if p.grad is not None]
+    total = float(np.sqrt(sum(float((p.grad**2).sum()) for p in params)))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        for p in params:
+            p.grad *= scale
+    return total

@@ -12,7 +12,7 @@ unbucketed loop with a repeated-row bias in ``legacy_segment_matmul``.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, segment_matmul, stack
+from repro.nn import Tensor, expert_ffn, segment_matmul, stack
 
 from .legacy_segment_matmul import legacy_segment_matmul
 
@@ -197,22 +197,32 @@ def test_no_grad_operands_skip_the_tape(rng):
     assert out._node is None
 
 
-def test_validation_errors(rng):
+def _expert_ffn_fc1(x, w, counts):
+    """``expert_ffn`` with ``w`` as its fc1 bank and zero fc2 and biases."""
+    e, k, j = w.shape
+    b1, w2, b2 = (np.zeros(s, np.float32) for s in ((e, 1, j), (e, j, k), (e, 1, k)))
+    return expert_ffn(x, w, b1, w2, b2, counts)
+
+
+@pytest.mark.parametrize(
+    "op", [segment_matmul, _expert_ffn_fc1], ids=["segment_matmul", "expert_ffn"]
+)
+def test_validation_errors(rng, op):
     x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
     w = Tensor(rng.standard_normal((2, 3, 5)).astype(np.float32))
     with pytest.raises(ValueError):
-        segment_matmul(x, w, np.array([1, 2]))  # sum != rows
+        op(x, w, np.array([1, 2]))  # sum != rows
     with pytest.raises(ValueError):
-        segment_matmul(x, w, np.array([4]))  # wrong number of segments
+        op(x, w, np.array([4]))  # wrong number of segments
     with pytest.raises(ValueError):
-        segment_matmul(x, w, np.array([5, -1]))  # negative count
+        op(x, w, np.array([5, -1]))  # negative count
     with pytest.raises(TypeError):
-        segment_matmul(x, w, np.array([2.0, 2.0]))  # non-integer counts
+        op(x, w, np.array([2.0, 2.0]))  # non-integer counts
     with pytest.raises(ValueError):
-        segment_matmul(
+        op(
             Tensor(np.zeros((4, 2), np.float32)), w, np.array([2, 2])
         )  # inner dim mismatch
     with pytest.raises(ValueError):
-        segment_matmul(
+        op(
             Tensor(np.zeros((2, 2, 3), np.float32)), w, np.array([1, 1])
         )  # x must be 2-d

@@ -70,17 +70,18 @@ def test_backward_without_a_tape_raises(rng):
 def test_the_forward_frees_what_no_backward_reads(monkeypatch):
     """Before backward(): every Linear's pre-bias product (the gate
     logits and the bias-free head's logits among them), every block's
-    residual output, the logits and the pre-ReLU expert hidden are dead
-    already, because no closure captured them."""
-    dead = {"product": [], "residual": [], "logits": [], "pre_relu": []}
+    residual output and the logits are dead already, because no closure
+    captured them.  The expert FFN is one node, which keeps its (N, M)
+    rows and its post-ReLU hidden and no other per-row array: the
+    pre-ReLU hidden is never made."""
+    dead = {"product": [], "residual": [], "logits": []}
     matmul, block = Tensor.__matmul__, TransformerBlock.forward
-    forward, relu = TransformerLM.forward, F.relu
+    forward = TransformerLM.forward
 
-    def spy(kind, fn, arg=None):
+    def spy(kind, fn):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            target = out if arg is None else args[arg]
-            dead[kind].append(weakref.ref(target.data))
+            dead[kind].append(weakref.ref(out.data))
             return out
 
         return wrapped
@@ -88,7 +89,6 @@ def test_the_forward_frees_what_no_backward_reads(monkeypatch):
     monkeypatch.setattr(Tensor, "__matmul__", spy("product", matmul))
     monkeypatch.setattr(TransformerBlock, "forward", spy("residual", block))
     monkeypatch.setattr(TransformerLM, "forward", spy("logits", forward))
-    monkeypatch.setattr(F, "relu", spy("pre_relu", relu, arg=0))
     model = _lm(max_seq_len=MULTI_BLOCK_T)
     loss = model.loss(_lm_tokens(seq_len=MULTI_BLOCK_T))
     blocks = len(model.blocks)
@@ -96,9 +96,19 @@ def test_the_forward_frees_what_no_backward_reads(monkeypatch):
     assert len(dead["product"]) == 5 * blocks + 1
     assert len(dead["residual"]) == blocks
     assert len(dead["logits"]) == 1
-    assert len(dead["pre_relu"]) == blocks
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
+    experts = _closures(loss, "expert_ffn")
+    assert len(experts) == blocks
+    for saved in experts:
+        rows = saved["xd"].shape[0]
+        per_row = [
+            name for name, value in saved.items()
+            if isinstance(value, np.ndarray) and value.shape[0] == rows
+        ]
+        assert sorted(per_row) == ["h", "xd"]
+        assert not (saved["h"] < 0).any()  # post-ReLU
+    del experts, saved
     loss.backward()
     assert all(p.grad is not None for p in model.parameters())
 
