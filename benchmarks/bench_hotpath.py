@@ -9,8 +9,9 @@ claim is the median pair ratio, so host-speed drift cancels within a
 pair.  The claims and their floors (asserted by
 :func:`check_acceptance` in full mode):
 
-* dispatch + combine, forward + backward: the ``dense`` GShard einsums
-  over one-hot (T, E, C) masks (``O(T * E * C * M)`` work) against the
+* dispatch + combine, forward + backward: the dense GShard einsums of
+  the test suite's reference (``tests/moe/legacy_dense.py``) over
+  one-hot (T, E, C) masks (``O(T * E * C * M)`` work) against the
   capacity-free grouped pair (:func:`~repro.moe.dispatch.dispatch_grouped`
   / :func:`~repro.moe.dispatch.combine_grouped`, ``O(T * k * M)``
   work) — >= 5x;
@@ -53,9 +54,7 @@ from repro.moe import (
     Experts,
     MoELayer,
     TopKGate,
-    combine,
     combine_grouped,
-    dispatch,
     dispatch_grouped,
 )
 from repro.nn import Tensor
@@ -64,6 +63,10 @@ from _util import emit, once
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 from compare import summary  # noqa: E402
+
+# The dense reference lives in the test suite, a package at the root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.moe import legacy_dense  # noqa: E402
 
 #: Timed pairs per claim, after one warm-up call of each side.
 PAIRS = 10
@@ -217,14 +220,16 @@ def bench_routing(cfg: dict) -> dict:
         requires_grad=True,
     )
     out = gate(x.detach())
-    mask = out.dispatch_mask
-    weights = out.combine_weights.detach()
+    mask = legacy_dense.dispatch_mask(out)
+    weights = legacy_dense.combine_weights(out).detach()
     gate_weights = out.gate_weights.detach()
     seed = np.ones((tokens, cfg["model_dim"]), dtype=np.float32)
 
     def dense_roundtrip():
         x.zero_grad()
-        combine(dispatch(x, mask), weights).backward(seed)
+        legacy_dense.combine(
+            legacy_dense.dispatch(x, mask), weights
+        ).backward(seed)
 
     def sparse_roundtrip():
         x.zero_grad()
@@ -371,12 +376,13 @@ def bench_overlap(cfg: dict) -> dict:
 def bench_train_step(cfg: dict) -> dict:
     """One MoE-layer training step (fwd + loss + bwd), dense vs sparse.
 
-    A is the dense layer (einsum dispatch around the per-expert
-    Python loop); B is the production sparse layer (grouped dispatch,
-    segment-GEMM experts, grouped combine).
+    A is the dense reference layer (einsum dispatch around the
+    per-expert Python loop, ``tests/moe/legacy_dense.py``); B is the
+    production layer (grouped dispatch, segment-GEMM experts, grouped
+    combine).
     """
 
-    def training_step(dispatch_mode: str):
+    def training_step(forward):
         rng = np.random.default_rng(7)
         layer = MoELayer(
             cfg["model_dim"],
@@ -384,7 +390,6 @@ def bench_train_step(cfg: dict) -> dict:
             cfg["experts"],
             rng,
             top_k=cfg["top_k"],
-            dispatch_mode=dispatch_mode,
         )
         x = Tensor(
             rng.standard_normal(
@@ -397,14 +402,17 @@ def bench_train_step(cfg: dict) -> dict:
             x.zero_grad()
             for p in layer.parameters():
                 p.zero_grad()
-            y = layer(x)
+            y = forward(layer, x)
             ((y**2).mean() + 0.01 * layer.last_aux_loss).backward()
 
         return step
 
     return {
         "config": dict(cfg),
-        **paired(training_step("dense"), training_step("sparse")),
+        **paired(
+            training_step(legacy_dense.forward),
+            training_step(MoELayer.__call__),
+        ),
     }
 
 

@@ -21,11 +21,20 @@ CPU-scale models — but the orderings must hold):
   paper needed 500k iterations to surface it there.  EXPERIMENTS.md
   discusses.)
 
+The recorded trajectories are the dense reference numerics: the
+convergence runs train under ``legacy_dense.pinned()`` from the test
+suite, because the production path reassociates reductions, which
+shifts these chaotic runs.  :func:`gradient_fidelity` runs on
+production.
+
 This bench trains 10 real models with the numpy autograd stack and is
 by far the slowest in the harness (~5-8 minutes).
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 from repro.compression.fidelity import collect_a2a_tensors, measure_fidelity
 from repro.training import (
@@ -37,6 +46,10 @@ from repro.training.convergence import VARIANTS, _lm_model
 from repro.training.trainer import train_lm
 
 from _util import emit, once
+
+# The dense reference lives in the test suite, a package at the root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.moe import legacy_dense  # noqa: E402
 
 LM_STEPS = 450
 MT_STEPS = 900
@@ -61,8 +74,9 @@ def gradient_fidelity():
 
 
 def run_table6():
-    lm = run_lm_convergence(steps=LM_STEPS, batch_size=16)
-    mt = run_translation_convergence(steps=MT_STEPS, batch_size=16)
+    with legacy_dense.pinned():
+        lm = run_lm_convergence(steps=LM_STEPS, batch_size=16)
+        mt = run_translation_convergence(steps=MT_STEPS, batch_size=16)
     fidelity = gradient_fidelity()
     return mt, lm, fidelity
 

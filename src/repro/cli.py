@@ -31,6 +31,7 @@ import sys
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from .cluster import ClusterSpec, get_preset
+from .cluster.presets import PRESETS
 from .models import PAPER_MODELS
 from .systems import (
     ALL_POLICIES,
@@ -47,8 +48,6 @@ def cmd_list(_args) -> int:
     print("experiments:", " ".join(c for c in COMMANDS if c != "list"))
     print("policies:   ", ", ".join(sorted(ALL_POLICIES)))
     print("models:     ", ", ".join(sorted(PAPER_MODELS)))
-    from .cluster.presets import PRESETS
-
     print("clusters:   ", ", ".join(sorted(PRESETS)))
     return 0
 
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "--cluster", default="paper_testbed",
+        "--cluster", default="paper_testbed", choices=sorted(PRESETS),
         help="cluster preset (default: paper_testbed)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

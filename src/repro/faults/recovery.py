@@ -193,7 +193,7 @@ class RecoveryController:
         reinit_seed: int = 0,
     ):
         self.group = group
-        self.checkpoint = Path(checkpoint) if checkpoint else None
+        self.checkpoint = None if checkpoint is None else Path(checkpoint)
         self.reinit_seed = int(reinit_seed)
         self.retired: frozenset = frozenset()
         self.events: List[RecoveryEvent] = []

@@ -6,13 +6,7 @@ the models and the Table 6 convergence experiments.  The distributed
 *timing* of this layer is handled by :mod:`repro.core`.
 """
 
-from .dispatch import (
-    DISPATCH_MODES,
-    combine,
-    combine_grouped,
-    dispatch,
-    dispatch_grouped,
-)
+from .dispatch import combine_grouped, dispatch_grouped
 from .experts import Experts
 from .gating import GateOutput, TopKGate, load_balancing_loss
 from .layer import MoELayer
@@ -27,7 +21,6 @@ from .routing import RoutingPlan, route_fused
 
 __all__ = [
     "A2ATraffic",
-    "DISPATCH_MODES",
     "ExpertParallelGroup",
     "ExpertPlacement",
     "Experts",
@@ -36,9 +29,7 @@ __all__ = [
     "MoELayer",
     "RoutingPlan",
     "TopKGate",
-    "combine",
     "combine_grouped",
-    "dispatch",
     "dispatch_grouped",
     "load_balancing_loss",
     "reshard_moves",

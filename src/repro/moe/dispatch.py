@@ -1,19 +1,13 @@
 """Dispatch and combine: the data movement the A2A collectives carry.
 
-GShard formulates both sides of expert parallelism as einsums over the
-gate's (tokens, experts, capacity) masks; the *dense* backend below
-reproduces that exactly.  In distributed execution the (E, C, M)
-dispatched tensor is what the first all-to-all ships between GPUs and
-the combined result is what the second all-to-all brings home (paper
-Fig. 2); numerically the single-process computation is identical to
-the synchronized multi-GPU computation, which is why the convergence
-experiments can run without physical GPUs.
+In distributed execution the dispatched rows are what the first
+all-to-all ships between GPUs and the combined result is what the
+second all-to-all brings home (paper Fig. 2); numerically the
+single-process computation is identical to the synchronized multi-GPU
+computation, which is why the convergence experiments can run without
+physical GPUs.
 
-The dense einsums contract over a one-hot (T, E, C) mask — an
-``O(T * E * C * M)`` computation for what is really an ``O(T * k * M)``
-data movement.  They stay as the executable reference semantics.
-
-The production form is *capacity-free* and reads the gate's
+Both sides are *capacity-free* and read the gate's
 :class:`~repro.moe.routing.RoutingPlan`, the one routing record the
 gate emits: :func:`dispatch_grouped` gathers the token rows
 in the plan's expert-major order into contiguous per-expert segments,
@@ -25,8 +19,10 @@ capacity factor grows, the same move FastMoE made when it replaced
 GShard's einsum dispatch with index-based scatter/gather kernels.
 :func:`combine_grouped` is its adjoint-structured inverse: weight and
 scatter-add the flat expert output rows straight into their owning
-tokens.  The grouped pair matches the dense einsums in outputs and
-gradients (`tests/moe/test_dispatch_parity.py`).
+tokens.  The grouped pair matches GShard's dense einsums over one-hot
+``(T, E, C)`` masks, which the test suite keeps as its reference
+(``tests/moe/legacy_dense.py``), in outputs and gradients
+(``tests/moe/test_dispatch_parity.py``).
 """
 
 from __future__ import annotations
@@ -34,43 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.fused import weighted_scatter_add
-from ..nn.tensor import Tensor, einsum, gather
+from ..nn.tensor import Tensor, gather
 from .routing import RoutingPlan
-
-#: Valid values of the MoE layer's ``dispatch_mode`` switch.
-DISPATCH_MODES = ("dense", "sparse")
-
-
-def dispatch(tokens: Tensor, dispatch_mask: np.ndarray) -> Tensor:
-    """Route (T, M) tokens to (E, C, M) expert inputs (dense einsum).
-
-    ``dispatch_mask`` is the gate's raw 0/1 (T, E, C) array; slots with
-    no token stay zero (padding the expert batch to capacity, as the
-    real system does so tensor shapes are static).
-    """
-    if tokens.ndim != 2:
-        raise ValueError(f"tokens must be (T, M), got {tokens.shape}")
-    if dispatch_mask.ndim != 3 or dispatch_mask.shape[0] != tokens.shape[0]:
-        raise ValueError(
-            f"mask {dispatch_mask.shape} incompatible with tokens "
-            f"{tokens.shape}"
-        )
-    return einsum("tm,tec->ecm", tokens, Tensor(dispatch_mask))
-
-
-def combine(expert_outputs: Tensor, combine_weights: Tensor) -> Tensor:
-    """Merge (E, C, M) expert outputs into (T, M) tokens (dense einsum).
-
-    ``combine_weights`` carries the differentiable gate probabilities;
-    a token dropped by capacity receives all-zero output (GShard
-    semantics — the residual connection around the MoE layer keeps its
-    representation alive).
-    """
-    if expert_outputs.ndim != 3:
-        raise ValueError(
-            f"expert outputs must be (E, C, M), got {expert_outputs.shape}"
-        )
-    return einsum("ecm,tec->tm", expert_outputs, combine_weights)
 
 
 def dispatch_grouped(tokens: Tensor, plan: RoutingPlan) -> Tensor:
@@ -79,10 +40,10 @@ def dispatch_grouped(tokens: Tensor, plan: RoutingPlan) -> Tensor:
     Gathers each kept assignment's token row in the plan's
     expert-major order — a single ``O(N * M)`` gather producing an
     ``(N, M)`` tensor whose rows are contiguous per expert
-    (``plan.segment_counts`` are the segment lengths).  Unlike
-    :func:`dispatch` there is no capacity dimension: memory and FLOPs
-    are independent of ``C``, dropped assignments simply don't
-    appear, and an expert with no tokens contributes an empty segment.
+    (``plan.segment_counts`` are the segment lengths).  There is no
+    capacity dimension: memory and FLOPs are independent of ``C``,
+    dropped assignments simply don't appear, and an expert with no
+    tokens contributes an empty segment.
     """
     if tokens.ndim != 2:
         raise ValueError(f"tokens must be (T, M), got {tokens.shape}")

@@ -9,35 +9,29 @@ whole bank as *stacked* parameters
 * ``w1``: ``(E, M, H)``,  ``b1``: ``(E, 1, H)``
 * ``w2``: ``(E, H, M)``,  ``b2``: ``(E, 1, M)``
 
-and offers exactly two ways to run it:
+and runs it one way, :meth:`Experts.run_grouped`: capacity-free and
+MegaBlocks-style, the flat routed rows, sorted by expert, flow through
+:func:`~repro.nn.fused.expert_ffn` — each expert's contiguous row
+segment runs through its stacked weight slices, occupied experts only,
+no capacity dimension anywhere.  The MoE layer and
+:class:`~repro.moe.parallel.ExpertParallelGroup` both run it
+(Megatron-Core's grouped GEMM, with bias and activation folded in, is
+the same single expert path).
 
-* :meth:`Experts.run_grouped` — the production path, capacity-free and
-  MegaBlocks-style: the flat routed rows, sorted by expert, flow
-  through :func:`~repro.nn.fused.expert_ffn` — each expert's
-  contiguous row segment runs through its stacked weight slices,
-  occupied experts only, no capacity dimension anywhere.  The sparse
-  MoE layer and :class:`~repro.moe.parallel.ExpertParallelGroup` both
-  run it (Megatron-Core's grouped GEMM, with bias and activation
-  folded in, is the same single expert path).
-* :meth:`Experts.forward` — the reference: one expert at a time over
-  its full slice of an (E, C, M) capacity buffer, Python-level, what
-  the dense GShard layer runs.  Padding slots go through the FFN too
-  (producing ``fc2(relu(b1))``), which no combine ever reads.
-
-Every row of the grouped output is bit-identical to the loop's output
-at the same (expert, slot): both are the same per-row 2-d GEMMs
-(`tests/moe/test_expert_bank.py`).
+Every row of the grouped output is bit-identical to the test suite's
+reference loop, one expert at a time over an (E, C, M) capacity buffer
+(``tests/moe/legacy_dense.py``), at the same (expert, slot): both are
+the same per-row 2-d GEMMs (``tests/moe/test_expert_bank.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.init import xavier_uniform
 from ..nn.modules import Module, Parameter
 from ..nn.fused import expert_ffn
-from ..nn.tensor import Tensor, stack
+from ..nn.tensor import Tensor
 
 
 class Experts(Module):
@@ -130,19 +124,6 @@ class Experts(Module):
                 )
             param.data[expert] = value
 
-    def run_expert(self, expert: int, x: Tensor) -> Tensor:
-        """Apply one expert's FFN to a (rows, M) tensor.
-
-        The step of the :meth:`forward` reference loop.  Gradients flow
-        into the stacked parameters through the slice.
-        """
-        if not 0 <= expert < self.num_experts:
-            raise IndexError(
-                f"expert {expert} out of range [0, {self.num_experts})"
-            )
-        h = F.relu(x @ self.w1[expert] + self.b1[expert])
-        return h @ self.w2[expert] + self.b2[expert]
-
     def run_grouped(
         self, rows: Tensor, segment_counts: np.ndarray
     ) -> Tensor:
@@ -171,23 +152,3 @@ class Experts(Module):
                 f"got {counts.shape}"
             )
         return expert_ffn(rows, self.w1, self.b1, self.w2, self.b2, counts)
-
-    def forward(self, dispatched: Tensor) -> Tensor:
-        """Reference loop: apply expert e to slice (e, :, :) of (E, C, M).
-
-        Every slot, padding included, goes through its expert's FFN;
-        returns (E, C, M).
-        """
-        if (
-            dispatched.ndim != 3
-            or dispatched.shape[0] != self.num_experts
-            or dispatched.shape[2] != self.model_dim
-        ):
-            raise ValueError(
-                f"expected ({self.num_experts}, C, {self.model_dim}) "
-                f"input, got {dispatched.shape}"
-            )
-        return stack(
-            [self.run_expert(e, dispatched[e]) for e in range(self.num_experts)],
-            axis=0,
-        )

@@ -24,9 +24,9 @@ a test helper).
 
 :class:`GateOutput` holds that plan — the one routing record every
 consumer reads — beside the ``(T, k)`` expert indices and ``(T, k)``
-differentiable combine weights; the dense GShard ``(T, E, C)`` masks
-used by the reference einsum backend are materialized from the plan
-lazily on first access, so the sparse hot path never pays for them.
+differentiable combine weights.  Nothing here builds GShard's dense
+``(T, E, C)`` masks; the test suite's dense reference derives them
+from the plan (``tests/moe/legacy_dense.py``).
 Dead-expert degradation masks the plan's expert-major arrays rather
 than rebuilding them, so every routing, degraded or not, is read in
 the one order both combines (single-process and expert-parallel D2)
@@ -36,7 +36,6 @@ add up a token's contributions in.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from ..cluster.costmodel import expert_capacity
 from ..nn import functional as F
 from ..nn.modules import Linear, Module
 from ..nn.tensor import Tensor, is_inference
+from .placement import checked_ids
 from .routing import RoutingPlan, route_fused
 
 
@@ -52,19 +52,14 @@ class GateOutput:
 
     The routing itself is ``plan``, the batch's
     :class:`~repro.moe.routing.RoutingPlan`: every consumer (grouped
-    dispatch and combine, dense mask densification, expert-parallel
-    C1 and D2) reads it, and ``expert_load``, ``capacity``, ``slot_indices``,
+    dispatch and combine, expert-parallel C1 and D2) reads it, and
+    ``expert_load``, ``capacity``, ``slot_indices``,
     ``dropped_tokens``, ``num_tokens`` and ``num_experts`` are views
     of it.  Beside the plan the output holds the gate's token-major
     choices — row t holds token t's k choices: ``expert_indices`` is
     ``(T, k)`` (a plan slot of ``-1`` marks a dropped assignment) and
     ``gate_weights`` a differentiable ``(T, k)`` tensor of combine
     weights (zero at dropped entries).
-
-    The dense GShard ``(T, E, C)`` operands (``dispatch_mask``,
-    ``combine_weights``) are densified lazily from the plan on first
-    access, so the index-based hot path never pays for them and the
-    dense einsum backend remains a pure reference path.
     """
 
     def __init__(
@@ -79,8 +74,6 @@ class GateOutput:
         self.aux_loss = aux_loss
         self.expert_indices = expert_indices
         self.gate_weights = gate_weights
-        self._dispatch_mask: Optional[np.ndarray] = None
-        self._combine_weights: Optional[Tensor] = None
 
     # -- views of the plan ---------------------------------------------
     @property
@@ -144,16 +137,12 @@ class GateOutput:
         survivors, callers simply stop passing them here and the gate
         output returns to the full expert count with no renorm at all.
         """
-        dead = frozenset(int(e) for e in dead_experts)
+        dead = frozenset(
+            checked_ids(dead_experts, self.num_experts, "dead expert")
+        )
         if not dead:
             return self
-        num_experts = self.num_experts
-        for e in dead:
-            if not 0 <= e < num_experts:
-                raise ValueError(
-                    f"dead expert {e} out of range [0, {num_experts})"
-                )
-        dead_mask = np.zeros(num_experts, dtype=bool)
+        dead_mask = np.zeros(self.num_experts, dtype=bool)
         dead_mask[list(dead)] = True
         hit = dead_mask[self.expert_indices] & (self.slot_indices >= 0)
         slot_indices = np.where(hit, -1, self.slot_indices)
@@ -177,74 +166,6 @@ class GateOutput:
             aux_loss=self.aux_loss,
             expert_indices=self.expert_indices,
             gate_weights=weights,
-        )
-
-    # -- lazy densification --------------------------------------------
-    @property
-    def dispatch_mask(self) -> np.ndarray:
-        """Raw (T, E, C) 0/1 routing mask (densified on demand)."""
-        if self._dispatch_mask is None:
-            if is_inference():
-                raise RuntimeError(
-                    "refusing to densify dispatch_mask under "
-                    "inference_mode(): the (T, E, C) masks exist only "
-                    "for the dense reference backend; the forward-only "
-                    "path must stay on the sparse RoutingPlan"
-                )
-            plan = self.plan
-            mask = np.zeros(
-                (plan.num_tokens, plan.num_experts, plan.capacity),
-                dtype=np.float32,
-            )
-            mask[self._grouped_coords()] = 1.0
-            self._dispatch_mask = mask
-        return self._dispatch_mask
-
-    @property
-    def combine_weights(self) -> Tensor:
-        """(T, E, C) differentiable weights (densified on demand).
-
-        The scatter keeps the tape: the dense gradient at each kept
-        (t, e, c) coordinate flows back to the corresponding
-        ``gate_weights`` entry, exactly as the reference einsum
-        formulation propagates it.
-        """
-        if self._combine_weights is None:
-            if is_inference():
-                raise RuntimeError(
-                    "refusing to densify combine_weights under "
-                    "inference_mode(): the (T, E, C) masks exist only "
-                    "for the dense reference backend; the forward-only "
-                    "path must stay on the sparse RoutingPlan"
-                )
-            norm = self.gate_weights
-            plan = self.plan
-            coords = self._grouped_coords()
-            w_idx = (plan.grouped_token_ids, plan.grouped_choice_ids)
-            shape = (plan.num_tokens, plan.num_experts, plan.capacity)
-            data = np.zeros(shape, dtype=np.float32)
-            data[coords] = norm.data[w_idx]
-            norm_shape = norm.shape
-
-            def backward(g):
-                grad = np.zeros(norm_shape, dtype=np.float32)
-                grad[w_idx] = g[coords]
-                return (grad,)
-
-            self._combine_weights = norm._make(data, (norm,), backward)
-        return self._combine_weights
-
-    def _grouped_coords(self) -> tuple:
-        """(t, e, slot) of every routed assignment, in grouped order.
-
-        The coordinates are unique, so a scatter through them is the
-        same whatever order they come in.
-        """
-        plan = self.plan
-        return (
-            plan.grouped_token_ids,
-            plan.grouped_expert_ids,
-            plan.slot_indices[plan.grouped_token_ids, plan.grouped_choice_ids],
         )
 
 
@@ -284,7 +205,7 @@ class TopKGate(Module):
         """Route a flat (num_tokens, model_dim) tensor.
 
         Returns the fused routing plan with (T, k) indices and
-        weights; the dense (T, E, C) masks densify lazily from it.
+        weights.
         """
         if tokens.ndim != 2:
             raise ValueError(

@@ -16,6 +16,12 @@ on values and on gradients, which is why coarse per-tensor INT8
 measurably hurts convergence (gradients have wide dynamic range)
 while block-scaled ZFP does not (paper Table 6 and the gradient
 discussion in Section 7).
+
+The layer has one forward.  Everything between the gate and the
+output — dispatch, both A2A hops, the experts, the combine — is
+:meth:`MoELayer._route`, the one place the test suite's dense GShard
+reference (``tests/moe/legacy_dense.py``) swaps its own path in when
+it pins a model to the reference numerics.
 """
 
 from __future__ import annotations
@@ -27,15 +33,11 @@ import numpy as np
 from ..compression.base import Compressor
 from ..nn.modules import Module
 from ..nn.tensor import Tensor, is_inference
-from .dispatch import (
-    DISPATCH_MODES,
-    combine,
-    combine_grouped,
-    dispatch,
-    dispatch_grouped,
-)
+from .dispatch import combine_grouped, dispatch_grouped
 from .experts import Experts
 from .gating import GateOutput, TopKGate
+from .placement import checked_ids
+
 
 class MoELayer(Module):
     """Sparsely activated feed-forward layer (paper Fig. 1).
@@ -44,25 +46,20 @@ class MoELayer(Module):
     ``hidden_dim`` H, ``num_experts`` E, ``top_k`` k and
     ``capacity_factor`` f.
 
-    ``dispatch_mode`` is the layer's one execution switch:
-
-    * ``"sparse"`` — production: the layer gathers the routed rows in
-      the gate's :class:`~repro.moe.routing.RoutingPlan` expert-major
-      order (:func:`~repro.moe.dispatch.dispatch_grouped`), runs
-      each expert's contiguous segment through
-      :meth:`~repro.moe.experts.Experts.run_grouped`, and combines
-      straight from the flat rows
-      (:func:`~repro.moe.dispatch.combine_grouped`) — ``O(N * M)`` in
-      the number of routed assignments, forward and backward, with no
-      (E, C, M) buffer anywhere, so memory traffic is independent of
-      the capacity factor.
-    * ``"dense"`` — the reference: GShard einsums over one-hot
-      (T, E, C) masks around the per-expert loop
-      (:meth:`~repro.moe.experts.Experts.forward`).
-
-    Both compute the same outputs and gradients: expert outputs agree
-    bit-for-bit, combined tokens to float-addition reassociation
-    (~1e-6).
+    The layer has one execution path: it gathers the routed rows in
+    the gate's :class:`~repro.moe.routing.RoutingPlan` expert-major
+    order (:func:`~repro.moe.dispatch.dispatch_grouped`), runs each
+    expert's contiguous segment through
+    :meth:`~repro.moe.experts.Experts.run_grouped`, and combines
+    straight from the flat rows
+    (:func:`~repro.moe.dispatch.combine_grouped`) — ``O(N * M)`` in
+    the number of routed assignments, forward and backward, with no
+    (E, C, M) buffer anywhere, so memory traffic is independent of
+    the capacity factor.  The test suite's reference, GShard einsums
+    over one-hot (T, E, C) masks around a per-expert loop
+    (``tests/moe/legacy_dense.py``), computes the same outputs and
+    gradients: expert outputs agree bit-for-bit, combined tokens to
+    float-addition reassociation (~1e-6).
 
     The layer itself never chunks: the paper's Section 4 pipeline (the
     C1 A1 D1 E C2 A2 D2 chain per chunk on two streams) runs in
@@ -80,15 +77,8 @@ class MoELayer(Module):
         top_k: int = 2,
         capacity_factor: float = 1.0,
         compressor: Optional[Compressor] = None,
-        dispatch_mode: str = "sparse",
     ):
         super().__init__()
-        if dispatch_mode not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch_mode {dispatch_mode!r}; "
-                f"expected one of {DISPATCH_MODES}"
-            )
-        self.dispatch_mode = dispatch_mode
         self.model_dim = model_dim
         self.gate = TopKGate(
             model_dim,
@@ -110,9 +100,8 @@ class MoELayer(Module):
         #: Raw dispatched payload of the most recent forward — the
         #: *pre-compression* input handed to the first A2A's codec
         #: (for fidelity studies; with a lossy compressor the wire
-        #: itself carries the codec's compressed encoding).  The flat
-        #: (N, M) routed rows on the sparse path — that *is* its wire
-        #: payload — and the (E, C, M) capacity buffer on the dense one.
+        #: itself carries the codec's compressed encoding): the flat
+        #: (N, M) routed rows, which *are* the wire payload.
         self.last_dispatched: Optional[np.ndarray] = None
 
     @property
@@ -143,13 +132,8 @@ class MoELayer(Module):
                 "pass is in flight; mutate the layer only between "
                 "forwards"
             )
-        dead = frozenset(int(e) for e in dead_experts)
         num_experts = self.gate.num_experts
-        for e in dead:
-            if not 0 <= e < num_experts:
-                raise ValueError(
-                    f"dead expert {e} out of range [0, {num_experts})"
-                )
+        dead = frozenset(checked_ids(dead_experts, num_experts, "dead expert"))
         if len(dead) == num_experts:
             raise ValueError(
                 "all experts declared dead; the layer cannot degrade "
@@ -171,18 +155,6 @@ class MoELayer(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, L, M) or (T, M) in; same shape out."""
-        # Mirrors ExpertParallelGroup's in-flight guard.  The dead set
-        # is read once, right after gating, so a change from inside
-        # the pass (a hook, another thread) would miss the pass in
-        # flight while dead_experts already reported it;
-        # set_dead_experts fails loudly instead.
-        self._in_forward = True
-        try:
-            return self._forward_impl(x)
-        finally:
-            self._in_forward = False
-
-    def _forward_impl(self, x: Tensor) -> Tensor:
         original_shape = x.shape
         if x.ndim == 3:
             tokens = x.reshape(-1, self.model_dim)
@@ -190,38 +162,40 @@ class MoELayer(Module):
             tokens = x
         else:
             raise ValueError(f"expected 2D or 3D input, got shape {x.shape}")
-
-        gate_out = self.gate(tokens)
-        if self._dead_experts:
-            gate_out = gate_out.with_experts_dropped(self._dead_experts)
-        self.last_gate_output = gate_out
-        self.last_aux_loss = gate_out.aux_loss
-
-        if self.dispatch_mode == "dense":
-            merged = self._forward_dense(tokens, gate_out)
-        else:
-            # Capacity-free hot path: flat rows sorted by expert, no
-            # (E, C, M) buffer on either side of the expert FFNs.
-            plan = gate_out.plan
-            rows = dispatch_grouped(tokens, plan)
-            # Forward-only steps don't keep the wire payload around for
-            # fidelity studies.
-            self.last_dispatched = None if is_inference() else rows.data
-            rows = self._transport(rows)  # first A2A
-            expert_rows = self.experts.run_grouped(rows, plan.segment_counts)
-            # Past the expert node only its tape reads the dispatched
-            # rows: under inference they go now, before the combine.
-            del rows
-            expert_rows = self._transport(expert_rows)  # second A2A
-            merged = combine_grouped(expert_rows, plan, gate_out.gate_weights)
+        # Mirrors ExpertParallelGroup's in-flight guard.  The dead set
+        # is read once, right after gating, so a change from inside
+        # the pass (a hook, another thread) would miss the pass in
+        # flight while dead_experts already reported it;
+        # set_dead_experts fails loudly instead.
+        self._in_forward = True
+        try:
+            gate_out = self.gate(tokens)
+            if self._dead_experts:
+                gate_out = gate_out.with_experts_dropped(self._dead_experts)
+            self.last_gate_output = gate_out
+            self.last_aux_loss = gate_out.aux_loss
+            merged = self._route(tokens, gate_out)
+        finally:
+            self._in_forward = False
         if len(original_shape) == 3:
             return merged.reshape(original_shape)
         return merged
 
-    def _forward_dense(self, tokens: Tensor, gate_out: GateOutput) -> Tensor:
-        """The reference: GShard einsums around the per-expert loop."""
-        dispatched = dispatch(tokens, gate_out.dispatch_mask)
-        self.last_dispatched = dispatched.data
-        dispatched = self._transport(dispatched)  # first A2A
-        expert_out = self._transport(self.experts(dispatched))  # second A2A
-        return combine(expert_out, gate_out.combine_weights)
+    def _route(self, tokens: Tensor, gate_out: GateOutput) -> Tensor:
+        """Dispatch, both A2A hops, the experts and the combine.
+
+        Capacity-free: flat rows sorted by expert, no (E, C, M) buffer
+        on either side of the expert FFNs.
+        """
+        plan = gate_out.plan
+        rows = dispatch_grouped(tokens, plan)
+        # Forward-only steps don't keep the wire payload around for
+        # fidelity studies.
+        self.last_dispatched = None if is_inference() else rows.data
+        rows = self._transport(rows)  # first A2A
+        expert_rows = self.experts.run_grouped(rows, plan.segment_counts)
+        # Past the expert node only its tape reads the dispatched rows:
+        # under inference they go now, before the combine.
+        del rows
+        expert_rows = self._transport(expert_rows)  # second A2A
+        return combine_grouped(expert_rows, plan, gate_out.gate_weights)

@@ -61,11 +61,10 @@ save the per-chunk E inputs it needs explicitly, not lean on an
 incidental tape, and runs its tasks over the same transport in the
 other direction.
 
-The group runs only the production path: a layer built with
-``dispatch_mode="dense"`` is rejected at construction.  Its reference
-is the dense single-process layer applied to each worker's shard with
-the same dead experts — exact, not an approximation, because each
-worker gates only its own shard and the expert FFNs work row by row.
+The group's reference is the single-process layer applied to each
+worker's shard with the same dead experts — exact, not an
+approximation, because each worker gates only its own shard and the
+expert FFNs work row by row.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ from ..nn.fused import _weighted_parts
 from ..nn.tensor import Tensor, _scatter_add_parts, inference_mode
 from .experts import Experts
 from .layer import MoELayer
-from .placement import ExpertPlacement
+from .placement import ExpertPlacement, checked_ids
 
 
 #: One (src, dst) all-to-all payload as it crosses the wire: the
@@ -238,12 +237,11 @@ class ExpertParallelGroup:
     forward output can be compared bit-for-bit against the
     single-process layer under every placement.
 
-    The layer must use ``dispatch_mode="sparse"``; the dense reference
-    layer is rejected (see the module docstring for the group's
-    reference semantics).  ``num_chunks`` is the paper's partition
-    degree r; ``pipeline`` selects synchronous chunk-major execution
-    (``"sync"``) or the two-stream overlap executor (``"overlap"``),
-    whose task order comes from the ``scheduler`` policy (any
+    See the module docstring for the group's reference semantics.
+    ``num_chunks`` is the paper's partition degree r; ``pipeline``
+    selects synchronous chunk-major execution (``"sync"``) or the
+    two-stream overlap executor (``"overlap"``), whose task order
+    comes from the ``scheduler`` policy (any
     :func:`~repro.core.scheduler.register_scheduler` name).
 
     ``link_bandwidth`` (bytes/second, ``None`` = off) adds a wire-time
@@ -272,12 +270,6 @@ class ExpertParallelGroup:
         link_bandwidth: Optional[float] = None,
         placement: Optional[ExpertPlacement] = None,
     ):
-        if layer.dispatch_mode != "sparse":
-            raise ValueError(
-                "ExpertParallelGroup runs the sparse production path; "
-                f"the layer uses dispatch_mode={layer.dispatch_mode!r} "
-                "(compare against the dense layer applied per shard)"
-            )
         num_experts = layer.gate.num_experts
         if placement is None:
             # The historical default: equal contiguous shards (and the
@@ -421,12 +413,9 @@ class ExpertParallelGroup:
         experts and routing returns to the full expert count.
         """
         self._check_not_in_forward("the dead-worker set")
-        dead = frozenset(int(w) for w in dead_workers)
-        for w in dead:
-            if not 0 <= w < self.num_workers:
-                raise ValueError(
-                    f"dead worker {w} out of range [0, {self.num_workers})"
-                )
+        dead = frozenset(
+            checked_ids(dead_workers, self.num_workers, "dead worker")
+        )
         if len(dead) == self.num_workers:
             raise ValueError(
                 "all workers declared dead; the group cannot degrade "
@@ -611,7 +600,7 @@ class ExpertParallelGroup:
                 back_index = list(zip(srcs, inverses, positions))
                 expert_in[(c, dst)] = (rows, counts_full, back_index)
 
-        def run_experts(c: int) -> None:
+        def expert_compute(c: int) -> None:
             """E: grouped expert execution."""
             for dst in workers:
                 item = expert_in.pop((c, dst), None)
@@ -662,7 +651,7 @@ class ExpertParallelGroup:
             TaskKind.C1: compress_dispatch,
             TaskKind.A1: dispatch.send,
             TaskKind.D1: decompress_dispatch,
-            TaskKind.E: run_experts,
+            TaskKind.E: expert_compute,
             TaskKind.C2: compress_combine,
             TaskKind.A2: combine.send,
             TaskKind.D2: decompress_combine,

@@ -32,6 +32,7 @@ simulated seconds — see :mod:`repro.faults.recovery`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -39,10 +40,33 @@ import numpy as np
 
 __all__ = [
     "ExpertPlacement",
+    "checked_ids",
     "expert_param_bytes",
     "reshard_moves",
     "reshard_traffic",
 ]
+
+
+def checked_ids(ids: Iterable, bound: int, what: str) -> Tuple[int, ...]:
+    """``ids`` as Python ints in ``[0, bound)``, in their given order.
+
+    The one check of every expert and worker id the MoE package takes
+    from a caller.  An id must be an integer in the sense of
+    :func:`operator.index`: Python and numpy integers pass, while a
+    float raises ``TypeError`` instead of truncating to another id.
+    """
+    out = []
+    for i in ids:
+        try:
+            value = operator.index(i)
+        except TypeError:
+            raise TypeError(
+                f"{what} id must be an integer, got {i!r}"
+            ) from None
+        if not 0 <= value < bound:
+            raise ValueError(f"{what} {value} out of range [0, {bound})")
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -61,10 +85,6 @@ class ExpertPlacement:
     version: int = 0
 
     def __post_init__(self) -> None:
-        # Tolerate lists and arrays.
-        object.__setattr__(
-            self, "owners", tuple(int(w) for w in self.owners)
-        )
         if self.num_experts < 1:
             raise ValueError(
                 f"num_experts must be >= 1, got {self.num_experts}"
@@ -73,17 +93,14 @@ class ExpertPlacement:
             raise ValueError(
                 f"num_workers must be >= 1, got {self.num_workers}"
             )
-        if len(self.owners) != self.num_experts:
+        # Tolerate lists and arrays.
+        owners = checked_ids(self.owners, self.num_workers, "owner")
+        object.__setattr__(self, "owners", owners)
+        if len(owners) != self.num_experts:
             raise ValueError(
                 f"owners must assign all {self.num_experts} experts, "
-                f"got {len(self.owners)} entries"
+                f"got {len(owners)} entries"
             )
-        for e, w in enumerate(self.owners):
-            if not 0 <= w < self.num_workers:
-                raise ValueError(
-                    f"expert {e} assigned to worker {w}, outside "
-                    f"[0, {self.num_workers})"
-                )
         if self.version < 0:
             raise ValueError(f"version must be >= 0, got {self.version}")
 
@@ -161,12 +178,9 @@ class ExpertPlacement:
         nothing afterwards, so the same rank numbering keeps working
         and a later scale-up can re-admit a fresh rank.
         """
-        dead = frozenset(int(w) for w in dead_workers)
-        for w in dead:
-            if not 0 <= w < self.num_workers:
-                raise ValueError(
-                    f"dead worker {w} out of range [0, {self.num_workers})"
-                )
+        dead = frozenset(
+            checked_ids(dead_workers, self.num_workers, "dead worker")
+        )
         survivors = [
             w for w in range(self.num_workers) if w not in dead
         ]

@@ -1,8 +1,8 @@
 """Fused single-pass routing: one sort from gate choices to permutation.
 
 A :class:`RoutingPlan` is the one routing record of a batch: every
-consumer — grouped dispatch and combine, dense mask densification,
-the expert-parallel C1 dispatch — reads slices of it instead of
+consumer — grouped dispatch and combine, the expert-parallel C1
+dispatch and D2 merge — reads slices of it instead of
 recomputing ``nonzero``/``argsort``/``bincount``.
 
 :func:`route_fused` builds the plan for token-major top-k routing

@@ -26,13 +26,11 @@ from .optim import Adam, Optimizer, clip_grad_norm
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import (
     Tensor,
-    einsum,
     gather,
     inference_mode,
     is_inference,
     scatter_add,
     segment_matmul,
-    stack,
 )
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "Sequential",
     "Tensor",
     "clip_grad_norm",
-    "einsum",
     "expert_ffn",
     "functional",
     "gather",
@@ -60,7 +57,6 @@ __all__ = [
     "save_checkpoint",
     "scatter_add",
     "segment_matmul",
-    "stack",
     "weighted_scatter_add",
     "xavier_uniform",
 ]

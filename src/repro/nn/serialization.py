@@ -61,7 +61,7 @@ def save_checkpoint(model: Module, path: Union[str, Path]) -> None:
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, np.ndarray]:
     """The parameter arrays of a :func:`save_checkpoint` archive, by name."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"no checkpoint at {path}")
     with np.load(path, allow_pickle=False) as archive:
         return {name: archive[name] for name in archive.files}

@@ -2,7 +2,7 @@
 
 A small tape-based autograd engine in the spirit of PyTorch's, built
 so the MoE layer's full training semantics — gating softmax, top-k
-routing, dispatch/combine einsums, expert FFNs — differentiate exactly
+routing, grouped dispatch/combine, expert FFNs — differentiate exactly
 like they would in the paper's PyTorch implementation.
 
 Design: every operation computes its result and hands it, its inputs
@@ -553,19 +553,6 @@ class Tensor:
         return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stacking along a new ``axis``."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    count = len(tensors)
-
-    def backward(g):
-        parts = np.split(g, count, axis=axis)
-        return tuple(np.squeeze(part, axis=axis) for part in parts)
-
-    return Tensor._make(data, tuple(tensors), backward)
-
-
 def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     """Differentiable row gather: ``x[indices]`` along ``axis``.
 
@@ -962,37 +949,3 @@ def segment_matmul(
         return grad_x, grad_w, grad_b
 
     return Tensor._make(data, inputs, backward)
-
-
-def einsum(subscripts: str, *tensors: Tensor) -> Tensor:
-    """Differentiable einsum for explicit (``->``) subscripts.
-
-    This is the workhorse of the MoE dispatch/combine path (GShard
-    formulates both as einsums); gradients are computed by rewriting
-    the einsum with the output and the other operands swapped.
-    """
-    tensors = [Tensor._lift(t) for t in tensors]
-    if "->" not in subscripts:
-        raise ValueError("einsum requires explicit '->' output subscripts")
-    inputs, output = subscripts.split("->")
-    terms = inputs.split(",")
-    if len(terms) != len(tensors):
-        raise ValueError(
-            f"einsum got {len(tensors)} operands for {len(terms)} terms"
-        )
-    operands = [t.data for t in tensors]
-    data = np.einsum(subscripts, *operands)
-
-    def backward(g):
-        grads = []
-        for i in range(len(terms)):
-            other_terms = [terms[j] for j in range(len(terms)) if j != i]
-            other_data = [operands[j] for j in range(len(terms)) if j != i]
-            sub = ",".join([output] + other_terms) + "->" + terms[i]
-            # Dimensions of terms[i] absent from output and the other
-            # operands (summed-out free dims) need broadcasting; they
-            # cannot appear for our use cases, so einsum suffices.
-            grads.append(np.einsum(sub, g, *other_data))
-        return tuple(grads)
-
-    return Tensor._make(data, tuple(tensors), backward)

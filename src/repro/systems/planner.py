@@ -88,12 +88,11 @@ __all__ = [
 class PlanSpace:
     """The joint knob grid the planner searches.
 
-    The numerical-substrate knobs (the layer's ``dispatch_mode``, and
-    ``pipeline`` / ``num_chunks`` of
+    The numerical-substrate knobs (``pipeline`` / ``num_chunks`` of
     :class:`~repro.moe.parallel.ExpertParallelGroup`) are not part of
     the analytic search — the hot-path benchmarks show one dominant
-    choice (sparse, overlap iff r > 1), which the report derives from
-    the winning partition degree (see :func:`layer_recommendation`).
+    choice (overlap iff r > 1), which the report derives from the
+    winning partition degree (see :func:`layer_recommendation`).
     """
 
     schedulers: Tuple[str, ...]
@@ -208,16 +207,12 @@ class PlanCandidate:
 def layer_recommendation(partitions: int) -> dict:
     """Numerical-substrate knobs implied by the winning degree.
 
-    ``dispatch_mode`` is the :class:`~repro.moe.layer.MoELayer`'s
-    argument; ``pipeline`` and ``num_chunks`` are those of the
+    ``pipeline`` and ``num_chunks`` are those of the
     :class:`~repro.moe.parallel.ExpertParallelGroup` that runs the
-    layer chunked.  ``sparse`` dominates every measured configuration
-    (``benchmarks/bench_hotpath.py``); pipelined overlap only exists
-    for r > 1 and the chunk count mirrors the timing substrate's
-    partition degree.
+    layer chunked.  Pipelined overlap only exists for r > 1 and the
+    chunk count mirrors the timing substrate's partition degree.
     """
     return {
-        "dispatch_mode": "sparse",
         "pipeline": "overlap" if partitions > 1 else "sync",
         "num_chunks": partitions,
     }
@@ -530,8 +525,7 @@ class PlanReport:
             f"recommendation: scheduler={rec.scheduler} a2a={rec.a2a} "
             f"codec={rec.compressor} r={rec.partitions} "
             f"capacity_factor={rec.capacity_factor:g}",
-            f"  layer: dispatch_mode={layer['dispatch_mode']} "
-            f"pipeline={layer['pipeline']} "
+            f"  layer: pipeline={layer['pipeline']} "
             f"num_chunks={layer['num_chunks']}",
             f"predicted {self.predicted_s * 1e3:.2f} ms, simulated "
             f"{self.measured_s * 1e3:.2f} ms "

@@ -19,8 +19,6 @@ from ..data.synthetic_lm import LMConfig, SyntheticLM
 from ..data.synthetic_translation import SyntheticTranslation, TranslationConfig
 from ..models.gpt2_tiny import TransformerLM
 from ..models.transformer import Seq2SeqTransformer
-from ..moe import MoELayer
-from ..nn.modules import Module
 from .trainer import TrainHistory, train_lm, train_translation
 
 #: The paper's Table 6 rows, in order.
@@ -119,22 +117,6 @@ def _mt_model(
     )
 
 
-def _pin_dense(model: Module) -> Module:
-    """Run every MoE layer of ``model`` on the dense reference backend.
-
-    The recorded Table 6 trajectories are measured on the dense
-    reference layer (GShard einsums around the per-expert loop); the
-    sparse production path reassociates reductions, which shifts
-    chaotic training runs, so the study is pinned to the reference
-    numerics.  ``dispatch_mode`` plays no part in construction or the
-    seeded init, so pinning after the build changes nothing else.
-    """
-    for module in model.modules():
-        if isinstance(module, MoELayer):
-            module.dispatch_mode = "dense"
-    return model
-
-
 def run_lm_convergence(
     steps: int = 450,
     batch_size: int = 16,
@@ -151,7 +133,7 @@ def run_lm_convergence(
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     for variant in variants or list(VARIANTS):
-        model = _pin_dense(_lm_model(variant, corpus, seed=seed))
+        model = _lm_model(variant, corpus, seed=seed)
         history = train_lm(
             model, corpus, steps=steps, batch_size=batch_size,
             seed=seed, lr=3e-3, eval_batches=32,
@@ -181,7 +163,7 @@ def run_translation_convergence(
     metrics: Dict[str, float] = {}
     histories: Dict[str, TrainHistory] = {}
     for variant in variants or list(VARIANTS):
-        model = _pin_dense(_mt_model(variant, corpus, seed=seed))
+        model = _mt_model(variant, corpus, seed=seed)
         history = train_translation(
             model, corpus, steps=steps, batch_size=batch_size,
             seed=seed, lr=5e-3,

@@ -14,6 +14,8 @@ from repro.compression import (
 from repro.moe import MoELayer
 from repro.nn import Tensor
 
+from ..moe import legacy_dense
+
 
 def test_snr_infinite_for_lossless(rng):
     x = rng.standard_normal((32, 32)).astype(np.float32)
@@ -52,11 +54,11 @@ def test_measure_fidelity_aggregates(rng):
 def test_collect_a2a_tensors_from_layer(rng):
     # The dense reference layer's A2A payload is the capacity buffer,
     # so the activation snapshot leads with the expert dim.
-    layer = MoELayer(16, 24, 4, rng, dispatch_mode="dense")
+    layer = MoELayer(16, 24, 4, rng)
     x = Tensor(
         rng.standard_normal((12, 16)).astype(np.float32), requires_grad=True
     )
-    out = layer(x)
+    out = legacy_dense.forward(layer, x)
     (out**2).mean().backward()
 
     class Holder(layer.__class__.__mro__[-2]):  # Module

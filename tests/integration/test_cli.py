@@ -88,9 +88,6 @@ def test_plan_prints_the_bench_sidecar(capsys):
     out = capsys.readouterr().out
     sidecar = json.loads((OUT_DIR / "planner.json").read_text())
     assert out.splitlines() == sidecar["lines"]
-    assert sidecar["data"]["recommendation"]["layer"]["dispatch_mode"] == (
-        "sparse"
-    )
 
 
 def test_plan_exits_1_when_a_check_fails(monkeypatch, capsys):
@@ -183,3 +180,17 @@ def test_pipeline_exits_1_when_a_check_fails(monkeypatch, capsys):
     assert "FAILED: optsche.r2.bytes_within_1pct" in out
     assert "FAILED: optsche.r2.bit_identical" not in out
 
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_unknown_cluster_is_a_usage_error(command, capsys):
+    """Every subcommand rejects an unknown preset before it runs, with
+    a usage line that names the presets."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--cluster", "bogus", command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert "invalid choice: 'bogus'" in err
+    for preset in ("ethernet_cluster", "nvlink_dgx", "paper_testbed"):
+        assert preset in err

@@ -65,10 +65,10 @@ def test_compression_error_ordering_in_training_context():
     moe_layer = model.blocks[0].ffn
     tokens = next(corpus.batches(8, 1, seed=55))
     model(tokens[:, :-1])
-    from repro.moe.dispatch import dispatch
+    from ..moe.legacy_dense import dispatch, dispatch_mask
 
     flat = model.embed(tokens[:, :-1]).reshape(-1, 24)
-    routed = dispatch(flat, moe_layer.last_gate_output.dispatch_mask).data
+    routed = dispatch(flat, dispatch_mask(moe_layer.last_gate_output)).data
     err = {}
     for name in ("fp16", "zfp", "int8"):
         codec = get_compressor(name)

@@ -1,7 +1,7 @@
 """Sparse index routing must match the dense einsum reference.
 
-The sparse backend (``dispatch_mode="sparse"``) is a reformulation of
-the GShard einsums — same outputs, same gradients —
+The production layer's grouped path is a reformulation of the GShard
+einsums (``legacy_dense``) — same outputs, same gradients —
 so every case here checks both the forward values and the parameter /
 input gradients against the dense path, including the edge cases the
 index arithmetic could plausibly get wrong: dropped tokens (capacity
@@ -11,19 +11,16 @@ pressure) and experts that receive zero tokens.
 import numpy as np
 import pytest
 
-from repro.moe import (
-    MoELayer,
-    TopKGate,
-    combine,
-    combine_grouped,
-    dispatch,
-    dispatch_grouped,
-)
+from repro.models import Seq2SeqTransformer, TransformerLM
+from repro.moe import MoELayer, TopKGate, combine_grouped, dispatch_grouped
 from repro.nn import Tensor
+
+from . import legacy_dense
+from .legacy_dense import combine, combine_weights, dispatch, dispatch_mask
 
 
 def make_layers(rng_seed, top_k, capacity_factor, num_experts=4, dim=16):
-    """Two MoELayers with identical parameters, one per dispatch mode."""
+    """Two MoELayers with identical parameters, one per path."""
     layers = {}
     for mode in ("dense", "sparse"):
         rng = np.random.default_rng(rng_seed)
@@ -34,7 +31,6 @@ def make_layers(rng_seed, top_k, capacity_factor, num_experts=4, dim=16):
             rng=rng,
             top_k=top_k,
             capacity_factor=capacity_factor,
-            dispatch_mode=mode,
         )
     for p_dense, p_sparse in zip(
         layers["dense"].parameters(), layers["sparse"].parameters()
@@ -43,9 +39,9 @@ def make_layers(rng_seed, top_k, capacity_factor, num_experts=4, dim=16):
     return layers
 
 
-def run_step(layer, x_data):
+def run_step(layer, x_data, forward=MoELayer.__call__):
     x = Tensor(x_data.copy(), requires_grad=True)
-    y = layer(x)
+    y = forward(layer, x)
     loss = (y**2).mean() + 0.01 * layer.last_aux_loss
     loss.backward()
     grads = [np.array(p.grad) for p in layer.parameters()]
@@ -59,7 +55,9 @@ def test_layer_outputs_and_grads_match(rng, top_k, capacity_factor):
     layers = make_layers(3, top_k, capacity_factor)
     x_data = rng.standard_normal((24, 16)).astype(np.float32)
 
-    y_d, xg_d, grads_d = run_step(layers["dense"], x_data)
+    y_d, xg_d, grads_d = run_step(
+        layers["dense"], x_data, legacy_dense.forward
+    )
     y_s, xg_s, grads_s = run_step(layers["sparse"], x_data)
 
     np.testing.assert_allclose(y_s, y_d, rtol=1e-5, atol=1e-6)
@@ -91,7 +89,7 @@ def test_zero_token_expert(rng):
     assert np.all(out.expert_indices == 0)
     assert np.asarray(out.expert_load)[1:].sum() == 0
 
-    routed_dense = dispatch(x, out.dispatch_mask)
+    routed_dense = dispatch(x, dispatch_mask(out))
     rows = dispatch_grouped(x, out.plan)
     # Expert 0's segment is its dense buffer's occupied prefix; idle
     # experts get empty segments, and their dense buffers stay zero.
@@ -99,51 +97,52 @@ def test_zero_token_expert(rng):
     np.testing.assert_allclose(rows.data, routed_dense.data[0], rtol=1e-6)
     assert np.all(routed_dense.data[1:] == 0.0)
 
-    merged_dense = combine(routed_dense, out.combine_weights)
+    merged_dense = combine(routed_dense, combine_weights(out))
     merged_sparse = combine_grouped(rows, out.plan, out.gate_weights)
     np.testing.assert_allclose(
         merged_sparse.data, merged_dense.data, rtol=1e-5, atol=1e-6
     )
 
 
-def test_dense_mode_still_selectable(rng):
-    layer = MoELayer(
-        8, 16, 4, np.random.default_rng(1), dispatch_mode="dense"
+def dense_layers_ran(model):
+    """For each MoE layer of ``model``: did its last forward run the
+    dense reference?  (It leaves an (E, C, M) capacity buffer in
+    ``last_dispatched``; production leaves its flat (N, M) rows.)"""
+    return [
+        m.last_dispatched.ndim == 3
+        for m in model.modules()
+        if isinstance(m, MoELayer)
+    ]
+
+
+def test_pinned_runs_every_layer_on_the_reference_and_restores():
+    """Inside ``pinned()`` every MoE layer of an LM and an MT model runs
+    the dense reference; after it, even when the body raised, the
+    layers run production again."""
+    rng = np.random.default_rng(0)
+    lm = TransformerLM(
+        vocab_size=12, model_dim=16, hidden_dim=16, num_layers=2,
+        num_heads=2, max_seq_len=8, moe=True, num_experts=4, seed=0,
     )
-    assert layer.dispatch_mode == "dense"
-    y = layer(Tensor(rng.standard_normal((10, 8)).astype(np.float32)))
-    assert y.shape == (10, 8)
+    mt = Seq2SeqTransformer(
+        src_vocab=12, tgt_vocab=12, model_dim=16, hidden_dim=16,
+        num_layers=2, num_heads=2, max_seq_len=8, moe=True,
+        num_experts=4, seed=0,
+    )
+    tokens = rng.integers(1, 12, size=(3, 2, 8))
 
+    def run_both():
+        lm(tokens[0])
+        mt(tokens[1], tokens[2])
+        return dense_layers_ran(lm), dense_layers_ran(mt)
 
-def test_table6_pins_each_model_dense(monkeypatch):
-    """The convergence study trains every MoE layer on the dense
-    reference, while its model builders keep the sparse default."""
-    from types import SimpleNamespace
+    with legacy_dense.pinned():
+        lm_ran, mt_ran = run_both()
+    assert len(lm_ran) == 2 and len(mt_ran) == 4
+    assert all(lm_ran) and all(mt_ran)
+    assert not any(sum(run_both(), []))
 
-    from repro.training import convergence
-
-    seen = []
-
-    def record(model, *args, **kwargs):
-        seen.append(
-            [m.dispatch_mode for m in model.modules() if isinstance(m, MoELayer)]
-        )
-        return SimpleNamespace(metric=0.0)
-
-    monkeypatch.setattr(convergence, "train_lm", record)
-    monkeypatch.setattr(convergence, "train_translation", record)
-    convergence.run_lm_convergence(variants=["Base", "MoE"])
-    convergence.run_translation_convergence(variants=["Base", "MoE w/ZFP"])
-    assert [len(modes) for modes in seen] == [0, 2, 0, 4]
-    assert all(mode == "dense" for modes in seen for mode in modes)
-
-    corpus = convergence.default_lm_corpus()
-    model = convergence._lm_model("MoE", corpus, seed=0)
-    modes = [m.dispatch_mode for m in model.modules() if isinstance(m, MoELayer)]
-    assert modes and all(mode == "sparse" for mode in modes)
-
-
-def test_unknown_dispatch_mode_rejected():
-    with pytest.raises(ValueError, match="dispatch_mode"):
-        MoELayer(8, 16, 4, np.random.default_rng(1), dispatch_mode="fast")
-
+    with pytest.raises(KeyError):
+        with legacy_dense.pinned():
+            raise KeyError("boom")
+    assert not any(sum(run_both(), []))

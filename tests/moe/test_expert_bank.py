@@ -2,7 +2,7 @@
 
 :meth:`Experts.run_grouped` (flat rows sorted by expert, segment
 GEMMs — the production path) must be indistinguishable from
-:meth:`Experts.forward` (the per-expert loop over an (E, C, M)
+``legacy_dense.run_experts`` (the per-expert loop over an (E, C, M)
 capacity buffer — the reference) *at every occupied slot*: bit-exact
 forward outputs and gradients matching to 1e-6 (``segment_matmul``
 re-associates the stacked weight-grad reductions).  The loop also runs
@@ -15,6 +15,9 @@ import pytest
 from repro.moe import Experts, MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
+
+from . import legacy_dense
+from .legacy_dense import run_expert, run_experts
 
 
 def make_bank(num_experts, model_dim, hidden_dim, seed=0):
@@ -50,7 +53,7 @@ def test_forward_bitwise_parity(rng, E, C, M, H, fill):
     bank = make_bank(E, M, H)
     x, load = make_dispatched(rng, E, C, M, fill)
     occ = occupied_mask(E, C, fill)
-    ref = bank(Tensor(x)).data
+    ref = run_experts(bank, Tensor(x)).data
     # The occupied slots in row-major order are the flat rows sorted
     # by expert: exactly what dispatch_grouped gathers from a plan.
     out = bank.run_grouped(Tensor(x[occ]), load).data
@@ -69,7 +72,7 @@ def test_gradient_parity(rng, E, C, M, H, fill):
     mask = Tensor(occupied[:, :, None].astype(np.float32))
 
     x_loop = Tensor(x, requires_grad=True)
-    ((loop(x_loop) * mask) ** 2).sum().backward()
+    ((run_experts(loop, x_loop) * mask) ** 2).sum().backward()
     rows = Tensor(x[occupied], requires_grad=True)
     (grouped.run_grouped(rows, load) ** 2).sum().backward()
 
@@ -87,15 +90,15 @@ def test_moe_layer_end_to_end_parity(rng):
     """Through gate + dispatch + combine, sparse matches dense."""
     kwargs = dict(top_k=2, capacity_factor=1.5)
     layers = {
-        mode: MoELayer(8, 16, 4, np.random.default_rng(3),
-                       dispatch_mode=mode, **kwargs)
+        mode: MoELayer(8, 16, 4, np.random.default_rng(3), **kwargs)
         for mode in ("dense", "sparse")
     }
+    forwards = {"dense": legacy_dense.forward, "sparse": MoELayer.__call__}
     x = rng.standard_normal((12, 8)).astype(np.float32)
     inputs, outputs = {}, {}
     for mode, layer in layers.items():
         inputs[mode] = Tensor(x.copy(), requires_grad=True)
-        outputs[mode] = layer(inputs[mode])
+        outputs[mode] = forwards[mode](layer, inputs[mode])
         ((outputs[mode] ** 2).mean() + 0.01 * layer.last_aux_loss).backward()
 
     np.testing.assert_allclose(
@@ -138,4 +141,4 @@ def test_expert_load_validation(rng):
 def test_run_expert_bounds(rng):
     bank = make_bank(2, 8, 16)
     with pytest.raises(IndexError):
-        bank.run_expert(2, Tensor(np.zeros((3, 8), np.float32)))
+        run_expert(bank, 2, Tensor(np.zeros((3, 8), np.float32)))

@@ -1,9 +1,9 @@
 """Parity suite for the production MoE path against the reference.
 
-The sparse layer (grouped dispatch, ``Experts.run_grouped``, grouped
-combine) must match the dense reference layer (GShard einsums around
-the per-expert loop) in outputs and gradients to 1e-5 relative /
-1e-6 absolute: the grouped combine accumulates token contributions in
+The production layer (grouped dispatch, ``Experts.run_grouped``,
+grouped combine) must match the dense reference (``legacy_dense``:
+GShard einsums around the per-expert loop) in outputs and gradients
+to 1e-5 relative / 1e-6 absolute: the grouped combine accumulates token contributions in
 expert-sorted rather than einsum order, and ``segment_matmul``
 re-associates the stacked weight-grad reductions.
 
@@ -16,30 +16,28 @@ received blocks through the same ``run_grouped`` machinery).
 import numpy as np
 import pytest
 
-from repro.moe import (
-    MoELayer,
-    combine,
-    combine_grouped,
-    dispatch,
-    dispatch_grouped,
-)
+from repro.moe import MoELayer, combine_grouped, dispatch_grouped
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
+from . import legacy_dense
+from .legacy_dense import combine, combine_weights, dispatch, dispatch_mask
 
-def run_layer(x0, dispatch_mode, seed=3, **kwargs):
-    """Build a seeded layer and run one training step."""
+
+def run_layer(x0, path, seed=3, **kwargs):
+    """Build a seeded layer and run one training step on ``path``
+    (``"sparse"``: production, ``"dense"``: the reference)."""
     kwargs.setdefault("top_k", 2)
     kwargs.setdefault("capacity_factor", 1.25)
     bias_expert = kwargs.pop("bias_expert", None)
     layer = MoELayer(
         x0.shape[1], 16, kwargs.pop("num_experts", 4),
-        np.random.default_rng(seed), dispatch_mode=dispatch_mode, **kwargs,
+        np.random.default_rng(seed), **kwargs,
     )
     if bias_expert is not None:
         layer.gate.wg.weight.data[:, bias_expert] += 10.0
     x = Tensor(x0.copy(), requires_grad=True)
-    y = layer(x)
+    y = legacy_dense.forward(layer, x) if path == "dense" else layer(x)
     ((y**2).mean() + 0.01 * layer.last_aux_loss).backward()
     return layer, x, y
 
@@ -119,8 +117,8 @@ def test_grouped_dispatch_combine_match_dense(rng):
     # dense combine of the dense capacity buffer.
     merged_grouped = combine_grouped(rows, out.plan, out.gate_weights.detach())
     merged_dense = combine(
-        dispatch(Tensor(x), out.dispatch_mask),
-        out.combine_weights.detach(),
+        dispatch(Tensor(x), dispatch_mask(out)),
+        combine_weights(out).detach(),
     )
     np.testing.assert_allclose(
         merged_grouped.data, merged_dense.data, atol=1e-6
@@ -134,17 +132,19 @@ def test_expert_parallel_group_grouped(rng):
     every worker gates only its own shard, so this is exact, drops
     included.
     """
-    def make(mode):
+    def make():
         return MoELayer(
             8, 16, 4, np.random.default_rng(5), top_k=2,
-            capacity_factor=2.0, dispatch_mode=mode,
+            capacity_factor=2.0,
         ).eval()
 
     x = rng.standard_normal((16, 8)).astype(np.float32)
     shards = list(np.split(x, 4))
-    group = ExpertParallelGroup(make("sparse"), num_workers=4)
-    dense = make("dense")
-    ref = np.concatenate([dense(Tensor(s)).data for s in shards], axis=0)
+    group = ExpertParallelGroup(make(), num_workers=4)
+    dense = make()
+    ref = np.concatenate(
+        [legacy_dense.forward(dense, Tensor(s)).data for s in shards], axis=0
+    )
     np.testing.assert_allclose(
         group.forward_concatenated(shards), ref, rtol=1e-5, atol=1e-6
     )

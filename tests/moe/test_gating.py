@@ -7,6 +7,8 @@ from repro.moe import TopKGate, load_balancing_loss
 from repro.nn import Tensor
 from repro.nn import functional as F
 
+from .legacy_dense import combine_weights, dispatch_mask
+
 
 @pytest.fixture
 def gate(rng):
@@ -27,36 +29,36 @@ def test_capacity_formula_matches_eq1(gate):
 def test_gate_output_shapes(gate, rng):
     out = gate(tokens(rng))
     cap = gate.capacity(24)
-    assert out.dispatch_mask.shape == (24, 4, cap)
-    assert out.combine_weights.shape == (24, 4, cap)
+    assert dispatch_mask(out).shape == (24, 4, cap)
+    assert combine_weights(out).shape == (24, 4, cap)
     assert out.expert_load.shape == (4,)
 
 
 def test_each_token_routed_to_at_most_k(gate, rng):
     out = gate(tokens(rng))
-    per_token = out.dispatch_mask.sum(axis=(1, 2))
+    per_token = dispatch_mask(out).sum(axis=(1, 2))
     assert np.all(per_token <= 2)
 
 
 def test_capacity_never_exceeded(gate, rng):
     out = gate(tokens(rng))
-    per_expert = out.dispatch_mask.sum(axis=(0, 2))
+    per_expert = dispatch_mask(out).sum(axis=(0, 2))
     assert np.all(per_expert <= out.capacity)
     # Slots are uniquely assigned: one token per (expert, slot).
-    per_slot = out.dispatch_mask.sum(axis=0)
+    per_slot = dispatch_mask(out).sum(axis=0)
     assert np.all(per_slot <= 1)
 
 
 def test_dropped_token_accounting(rng):
     gate = TopKGate(8, 2, rng, top_k=1, capacity_factor=1.0)
     out = gate(tokens(rng, n=16, dim=8))
-    routed = int(out.dispatch_mask.sum())
+    routed = int(dispatch_mask(out).sum())
     assert routed + out.dropped_tokens == 16  # k=1: one slot per token
 
 
 def test_combine_weights_nonnegative_and_bounded(gate, rng):
     out = gate(tokens(rng))
-    w = out.combine_weights.data
+    w = combine_weights(out).data
     assert np.all(w >= 0)
     sums = w.sum(axis=(1, 2))
     assert np.all(sums <= 1.0 + 1e-5)
@@ -64,8 +66,8 @@ def test_combine_weights_nonnegative_and_bounded(gate, rng):
 
 def test_combine_weights_normalized_over_kept(gate, rng):
     out = gate(tokens(rng))
-    w = out.combine_weights.data
-    kept = out.dispatch_mask.sum(axis=(1, 2)) > 0
+    w = combine_weights(out).data
+    kept = dispatch_mask(out).sum(axis=(1, 2)) > 0
     sums = w.sum(axis=(1, 2))
     np.testing.assert_allclose(sums[kept], 1.0, atol=1e-5)
     np.testing.assert_allclose(sums[~kept], 0.0, atol=1e-7)
@@ -73,8 +75,8 @@ def test_combine_weights_normalized_over_kept(gate, rng):
 
 def test_weights_only_on_dispatched_slots(gate, rng):
     out = gate(tokens(rng))
-    w = out.combine_weights.data
-    assert np.all(w[out.dispatch_mask == 0] == 0)
+    w = combine_weights(out).data
+    assert np.all(w[dispatch_mask(out) == 0] == 0)
 
 
 def test_gate_is_differentiable(gate, rng):
@@ -82,7 +84,7 @@ def test_gate_is_differentiable(gate, rng):
         rng.standard_normal((12, 16)).astype(np.float32), requires_grad=True
     )
     out = gate(x)
-    (out.combine_weights.sum() + out.aux_loss).backward()
+    (combine_weights(out).sum() + out.aux_loss).backward()
     assert gate.wg.weight.grad is not None
     assert x.grad is not None
 
@@ -123,7 +125,7 @@ def test_first_choice_priority_over_second(rng):
     # Capacity is ceil(0.5*2*16/2)=8 per expert; the 16 first choices
     # alone exceed 16 slots, so no second choice may displace a first
     # choice: total kept slots equal total capacity filled greedily.
-    assert out.dispatch_mask.sum() <= 16
+    assert dispatch_mask(out).sum() <= 16
 
 
 def test_drop_fraction(rng):

@@ -11,6 +11,7 @@ import pytest
 from repro.moe import TopKGate
 from repro.nn import Tensor
 
+from .legacy_dense import dispatch_mask
 from .legacy_routing import assign_capacity_slots
 
 
@@ -74,7 +75,7 @@ def test_gate_forward_zero_tokens(gate):
     assert out.capacity == 0
     assert out.dropped_tokens == 0
     assert out.drop_fraction == 0.0
-    assert out.dispatch_mask.shape == (0, 4, 0)
+    assert dispatch_mask(out).shape == (0, 4, 0)
     assert np.isfinite(out.aux_loss.data)
     out.aux_loss.backward()  # the tape must survive an empty batch
 

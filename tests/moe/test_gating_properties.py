@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.moe import TopKGate
 from repro.nn import Tensor
 
+from .legacy_dense import combine_weights, dispatch_mask
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -31,25 +33,25 @@ def test_topk_gate_invariants(num_tokens, num_experts, data):
     # Shapes are (T, E, C) with C = ceil(f*k*T/E), >= 1.
     cap = out.capacity
     assert cap >= 1
-    assert out.dispatch_mask.shape == (num_tokens, num_experts, cap)
+    assert dispatch_mask(out).shape == (num_tokens, num_experts, cap)
 
     # Per-expert intake never exceeds capacity; slots never shared.
-    assert np.all(out.dispatch_mask.sum(axis=(0, 2)) <= cap)
-    assert np.all(out.dispatch_mask.sum(axis=0) <= 1)
+    assert np.all(dispatch_mask(out).sum(axis=(0, 2)) <= cap)
+    assert np.all(dispatch_mask(out).sum(axis=0) <= 1)
 
     # Per-token assignments never exceed k, and routed + dropped = k*T
     # assignment opportunities.
-    per_token = out.dispatch_mask.sum(axis=(1, 2))
+    per_token = dispatch_mask(out).sum(axis=(1, 2))
     assert np.all(per_token <= top_k)
-    assert int(out.dispatch_mask.sum()) + out.dropped_tokens == (
+    assert int(dispatch_mask(out).sum()) + out.dropped_tokens == (
         top_k * num_tokens
     )
 
     # Combine weights live on dispatched slots only and are a
     # sub-distribution per token.
-    w = out.combine_weights.data
+    w = combine_weights(out).data
     assert np.all(w >= -1e-7)
-    assert np.all(w[out.dispatch_mask == 0] == 0)
+    assert np.all(w[dispatch_mask(out) == 0] == 0)
     assert np.all(w.sum(axis=(1, 2)) <= 1.0 + 1e-5)
 
 

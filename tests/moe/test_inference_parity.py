@@ -16,6 +16,8 @@ import pytest
 from repro.moe import MoELayer
 from repro.nn import Tensor
 
+from . import legacy_dense
+
 
 def make_layer(
     seed=0,
@@ -90,15 +92,14 @@ def test_forward_only_skips_gate_bookkeeping(rng):
     assert aux is not None and aux._node is None
     assert float(aux.data) == 0.0
     gate_out = layer.last_gate_output
-    assert gate_out._dispatch_mask is None
     with pytest.raises(RuntimeError, match="densify"):
         from repro.nn.tensor import inference_mode
 
         with inference_mode():
-            gate_out.dispatch_mask
+            legacy_dense.dispatch_mask(gate_out)
     # Outside inference mode densification is allowed again (training
     # introspection on a stale GateOutput still works).
-    assert gate_out.dispatch_mask is not None
+    assert legacy_dense.dispatch_mask(gate_out) is not None
 
 
 def test_last_dispatched_not_recorded_under_inference(rng):
@@ -117,7 +118,7 @@ def test_forward_inference_rejects_dense_dispatch(rng):
         num_experts=4,
         rng=np.random.default_rng(0),
         capacity_factor=2.0,
-        dispatch_mode="dense",
     ).eval()
     with pytest.raises(RuntimeError, match="sparse"):
-        layer.forward_inference(Tensor(tokens(rng, dim=16)))
+        with legacy_dense.pinned():
+            layer.forward_inference(Tensor(tokens(rng, dim=16)))

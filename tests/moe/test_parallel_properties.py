@@ -5,8 +5,8 @@ or unequal), a dead-worker set (never every worker), the chunk count
 and the pipeline mode, then checks the group against two oracles:
 
 * with no codec, :meth:`ExpertParallelGroup.forward` equals the dense
-  single-process reference layer applied to each worker's shard with
-  the same dead experts (each worker gates only its own shard, so the
+  single-process reference (``legacy_dense``) applied to each
+  worker's shard with the same dead experts (each worker gates only its own shard, so the
   reference is exact up to float reassociation — the tolerance of the
   existing equivalence suites);
 * with zfp on the wire, the overlap pipeline equals sync bit for bit
@@ -22,15 +22,16 @@ from repro.moe import ExpertPlacement, MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.nn import Tensor
 
+from . import legacy_dense
+
 NUM_EXPERTS = 8
 MODEL_DIM = 8
 
 
-def make_layer(capacity_factor, dispatch_mode="sparse", compressor=None):
+def make_layer(capacity_factor, compressor=None):
     return MoELayer(
         MODEL_DIM, 16, NUM_EXPERTS, np.random.default_rng(5), top_k=2,
-        capacity_factor=capacity_factor, dispatch_mode=dispatch_mode,
-        compressor=compressor,
+        capacity_factor=capacity_factor, compressor=compressor,
     ).eval()
 
 
@@ -103,10 +104,11 @@ def test_group_matches_single_process_reference(cfg, pipeline):
     group = make_group(layer, cfg, pipeline)
     out = group.forward_concatenated(shards)
 
-    ref_layer = make_layer(cfg["capacity_factor"], dispatch_mode="dense")
+    ref_layer = make_layer(cfg["capacity_factor"])
     ref_layer.set_dead_experts(group.dead_experts)
     ref = np.concatenate(
-        [ref_layer(Tensor(s)).data for s in shards], axis=0
+        [legacy_dense.forward(ref_layer, Tensor(s)).data for s in shards],
+        axis=0,
     )
     np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
 

@@ -239,15 +239,6 @@ def test_validation():
         ExpertParallelGroup(layer, 4, link_bandwidth=-1.0)
 
 
-def test_group_rejects_dense_layer():
-    """The group runs only the sparse path; a dense layer raises."""
-    layer = make_layer(dispatch_mode="dense")
-    with pytest.raises(ValueError, match="dispatch_mode"):
-        ExpertParallelGroup(layer, 4)
-    with pytest.raises(ValueError, match="dispatch_mode"):
-        ExpertParallelGroup(layer, 4, pipeline="overlap", num_chunks=2)
-
-
 def test_timeline_recorded(rng):
     layer = make_layer().eval()
     shards = make_shards(rng)

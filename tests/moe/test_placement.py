@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.moe import (
+    ExpertParallelGroup,
     ExpertPlacement,
+    MoELayer,
     expert_param_bytes,
     reshard_moves,
     reshard_traffic,
 )
+from repro.nn import Tensor
 
 
 def test_contiguous_matches_historical_owner_arithmetic():
@@ -34,6 +37,47 @@ def test_arbitrary_placement_validation():
         ExpertPlacement(4, 3, owners=(0, 1, 2, 3))  # owner out of range
     with pytest.raises(ValueError):
         ExpertPlacement(4, 3, owners=(0, 0, 0, 0), version=-1)
+
+
+def _layer():
+    return MoELayer(8, 16, 4, np.random.default_rng(0))
+
+
+def _gate_output():
+    layer = _layer()
+    layer(Tensor(np.random.default_rng(1).standard_normal((6, 8))))
+    return layer.last_gate_output
+
+
+#: Every boundary that takes an expert or worker id from a caller,
+#: called with the one id ``i``.
+ID_BOUNDARIES = {
+    "MoELayer.set_dead_experts": lambda i: _layer().set_dead_experts([i]),
+    "ExpertParallelGroup.set_dead_workers": (
+        lambda i: ExpertParallelGroup(_layer(), 4).set_dead_workers({i})
+    ),
+    "ExpertPlacement.owners": (
+        lambda i: ExpertPlacement(4, 4, owners=(0, i, 2, 3))
+    ),
+    "ExpertPlacement.with_workers_removed": (
+        lambda i: ExpertPlacement.contiguous(4, 4).with_workers_removed({i})
+    ),
+    "GateOutput.with_experts_dropped": (
+        lambda i: _gate_output().with_experts_dropped([i])
+    ),
+}
+
+
+@pytest.mark.parametrize("boundary", sorted(ID_BOUNDARIES))
+def test_ids_are_checked_as_integers(boundary):
+    """numpy integers pass; a float raises instead of truncating."""
+    call = ID_BOUNDARIES[boundary]
+    call(np.int64(1))
+    for bad in (1.5, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            call(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        call(4)
 
 
 def test_owner_array_is_readonly():

@@ -235,6 +235,28 @@ def test_rejected_checkpoint_leaves_the_group_untouched(tmp_path):
             assert getattr(layer.experts, n).data.tobytes() == before
 
 
+def test_empty_checkpoint_path_fails_loudly():
+    """An empty path names a checkpoint that is not there; it does not
+    fall back to seeded re-init.  Recovery raises before it changes the
+    placement, the parameters or the dead set."""
+    layer = make_layer()
+    group = ExpertParallelGroup(layer, NUM_WORKERS)
+    ctrl = RecoveryController(group, checkpoint="")
+    group.set_dead_workers({1})
+    placement = group.placement
+    bank = {
+        n: getattr(layer.experts, n).data.tobytes()
+        for n in ("w1", "b1", "w2", "b2")
+    }
+    with pytest.raises(FileNotFoundError, match="no checkpoint"):
+        ctrl.recover()
+    assert group.dead_workers == frozenset({1})
+    assert group.placement is placement and placement.version == 0
+    assert ctrl.retired == frozenset() and ctrl.events == []
+    for n, before in bank.items():
+        assert getattr(layer.experts, n).data.tobytes() == before
+
+
 # -- in-flight guards (S1) -------------------------------------------------
 
 

@@ -12,8 +12,9 @@ unbucketed loop with a repeated-row bias in ``legacy_segment_matmul``.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, expert_ffn, segment_matmul, stack
+from repro.nn import Tensor, expert_ffn, segment_matmul
 
+from ..moe.legacy_dense import stack
 from .legacy_segment_matmul import legacy_segment_matmul
 
 

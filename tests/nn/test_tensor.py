@@ -5,8 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, einsum, stack
+from repro.nn import Tensor
 
+from ..moe.legacy_dense import einsum, stack
 from .test_attention import HEADS, MULTI_BLOCK_T, _attention_arrays, _lm, _lm_tokens
 
 

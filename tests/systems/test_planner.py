@@ -166,8 +166,7 @@ def test_recommendation_includes_layer_knobs(report):
     rec = report.recommendation()
     layer = rec["layer"]
     assert layer == layer_recommendation(rec["partitions"])
-    assert set(layer) == {"dispatch_mode", "pipeline", "num_chunks"}
-    assert layer["dispatch_mode"] == "sparse"
+    assert set(layer) == {"pipeline", "num_chunks"}
     assert layer["num_chunks"] == rec["partitions"]
     assert layer["pipeline"] == (
         "overlap" if rec["partitions"] > 1 else "sync"
