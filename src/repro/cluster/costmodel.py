@@ -17,6 +17,7 @@ step time — is reproduced.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -119,6 +120,27 @@ def attention_forward_flops(tokens: int, model_dim: int, seq_len: int) -> float:
     proj = 2.0 * tokens * model_dim * model_dim * 4.0
     scores = 2.0 * tokens * seq_len * model_dim * 2.0
     return proj + scores
+
+
+def check_routing(top_k, capacity_factor) -> None:
+    """Raise unless ``top_k`` is an integer >= 1 and ``capacity_factor``
+    a finite number > 0.
+
+    ``top_k`` is an integer in the sense of :func:`operator.index`:
+    Python and numpy integers pass, a float raises ``TypeError``.  The
+    gate and the simulator's model config both check here, at
+    construction, so a bad value never reaches :func:`expert_capacity`.
+    """
+    try:
+        k = operator.index(top_k)
+    except TypeError:
+        raise TypeError(f"top_k must be an integer, got {top_k!r}") from None
+    if k < 1:
+        raise ValueError(f"top_k must be >= 1, got {k}")
+    if not (math.isfinite(capacity_factor) and capacity_factor > 0):
+        raise ValueError(
+            f"capacity_factor must be finite and positive, got {capacity_factor}"
+        )
 
 
 def expert_capacity(

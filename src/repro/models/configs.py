@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..cluster.costmodel import expert_capacity
+from ..cluster.costmodel import check_routing, expert_capacity
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,17 @@ class MoEModelConfig:
     layer_only: bool = False
 
     def __post_init__(self) -> None:
+        check_routing(self.top_k, self.capacity_factor)
         for attr in (
             "num_layers",
             "batch_per_gpu",
             "seq_len",
             "hidden_dim",
             "model_dim",
-            "top_k",
             "num_experts",
         ):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1")
-        if self.capacity_factor <= 0:
-            raise ValueError("capacity_factor must be positive")
 
     # -- paper quantities ------------------------------------------------
     @property

@@ -64,10 +64,10 @@ def combine_grouped(
     is weighted as it is staged into the scatter's occurrence rounds
     (the expert-parallel D2 merge weights its rows the same way), so
     the (N, M) weighted rows never exist, and the output is the bits
-    of ``scatter_add(expert_rows * weights)``.  The backward is that
-    chain's: the adjoint gather, then the product's formulas; the
-    zero gradient at dropped assignments falls out because they were
-    never dispatched.
+    of the product ``expert_rows * weights`` accumulated by
+    ``np.add.at``.  The backward is that chain's: the adjoint gather,
+    then the product's formulas; the zero gradient at dropped
+    assignments falls out because they were never dispatched.
     """
     if expert_rows.ndim != 2:
         raise ValueError(

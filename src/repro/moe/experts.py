@@ -137,9 +137,9 @@ class Experts(Module):
         fc2 and its bias, and saves only the rows and the post-ReLU
         hidden; its backward works segment by segment, so neither a
         pre-ReLU hidden nor an (N, H) gradient ever exists.  It is the
-        bits of ``segment_matmul → relu → segment_matmul`` with the
-        biases folded in.  No (E, C, M) buffer exists at any point, and
-        an expert with an empty segment costs nothing.
+        bits of the per-segment chain: a 2-d GEMM per segment plus its
+        bias row, a ReLU, and again for fc2.  No (E, C, M) buffer exists
+        at any point, and an expert with an empty segment costs nothing.
         """
         counts = np.asarray(segment_counts)
         if rows.ndim != 2 or rows.shape[1] != self.model_dim:

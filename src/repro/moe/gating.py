@@ -39,7 +39,7 @@ import dataclasses
 
 import numpy as np
 
-from ..cluster.costmodel import expert_capacity
+from ..cluster.costmodel import check_routing, expert_capacity
 from ..nn import functional as F
 from ..nn.modules import Linear, Module
 from ..nn.tensor import Tensor, is_inference
@@ -181,13 +181,10 @@ class TopKGate(Module):
         capacity_factor: float = 1.0,
     ):
         super().__init__()
-        if top_k < 1 or top_k > num_experts:
+        check_routing(top_k, capacity_factor)
+        if top_k > num_experts:
             raise ValueError(
                 f"top_k must be in [1, {num_experts}], got {top_k}"
-            )
-        if capacity_factor <= 0:
-            raise ValueError(
-                f"capacity_factor must be positive, got {capacity_factor}"
             )
         self.num_experts = num_experts
         self.top_k = top_k

@@ -66,7 +66,8 @@ class RoutingPlan:
       gate's layout);
     * grouped (expert-major) order (``grouped_*`` — kept assignments
       sorted stably by expert, i.e. ascending ``(e, t, c)``, the
-      ``segment_matmul`` layout).
+      contiguous per-expert segments
+      :func:`~repro.nn.fused.expert_ffn` runs).
 
     A ``(grouped_token_ids, grouped_choice_ids)`` pair indexes the
     gate's ``(T, k)`` arrays: a combine weight, or through

@@ -29,8 +29,6 @@ from .tensor import (
     gather,
     inference_mode,
     is_inference,
-    scatter_add,
-    segment_matmul,
 )
 
 __all__ = [
@@ -55,8 +53,6 @@ __all__ = [
     "load_checkpoint",
     "normal",
     "save_checkpoint",
-    "scatter_add",
-    "segment_matmul",
     "weighted_scatter_add",
     "xavier_uniform",
 ]

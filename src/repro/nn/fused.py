@@ -1,32 +1,105 @@
 """The MoE expert step's fused tape nodes.
 
-Each computes what a chain of :mod:`~repro.nn.tensor` primitives
-computes, float op for float op, as one node that allocates only what
-its backward reads:
+Each computes what a chain of simpler ops computes, float op for float
+op, as one node that allocates only what its backward reads:
 
-* :func:`expert_ffn` — ``segment_matmul → relu → segment_matmul`` with
-  the biases folded in, the grouped expert FFN;
-* :func:`weighted_scatter_add` — ``scatter_add(values * weights)``, the
-  sparse combine, through :func:`_weighted_parts`, which the
-  expert-parallel D2 merge stages its rows with too.
+* :func:`expert_ffn` — per expert segment, a 2-d GEMM plus the bias
+  row, a ReLU, and a second GEMM plus bias: the grouped expert FFN;
+* :func:`weighted_scatter_add` — the product ``values * weights``
+  accumulated into its rows as ``np.add.at`` would, the sparse
+  combine, through :func:`_weighted_parts`, which the expert-parallel
+  D2 merge stages its rows with too.
+
+The test suite keeps each chain as a reference
+(``tests/nn/legacy_segment_matmul.py`` and
+``tests/moe/legacy_expert_step.py``) and pins both nodes to it bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    _CHUNK,
-    Tensor,
-    _class_rows,
-    _row_sum,
-    _scatter_add_parts,
-    _scatter_index,
-    _segment_counts,
-    _segment_plan,
-    _stacks,
-    _unbroadcast,
-)
+from .tensor import _CHUNK, Tensor, _row_sum, _scatter_add_parts, _unbroadcast
+
+#: Largest per-segment LHS block (rows * K elements) that still gains
+#: from the stacked-GEMM bucket path: beyond ~16 KB of float32 the
+#: fancy-index gather costs more than the per-call overhead it saves
+#: (measured on the bench shapes; 2-d BLAS on a contiguous slice wins).
+_BUCKET_ROW_ELEMS = 4096
+
+
+def _scatter_index(values: Tensor, indices: np.ndarray, num_rows: int):
+    """``indices`` as an array, checked as scatter rows of ``values``."""
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"indices must be integers, got {idx.dtype}")
+    if idx.ndim != 1 or values.ndim < 1 or idx.shape[0] != values.shape[0]:
+        raise ValueError(
+            f"indices {idx.shape} must be 1-d and match the leading "
+            f"dimension of values {values.shape}"
+        )
+    if num_rows < 0:
+        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise IndexError(
+            f"indices out of range for {num_rows} rows: "
+            f"[{idx.min()}, {idx.max()}]"
+        )
+    return idx
+
+
+def _segment_counts(x_shape: tuple, w_shape: tuple, segment_counts) -> np.ndarray:
+    """``segment_counts`` as an array, checked against (N, K) rows and
+    an (E, K, J) weight bank."""
+    counts = np.asarray(segment_counts)
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise TypeError(f"segment_counts must be integers, got {counts.dtype}")
+    if len(x_shape) != 2 or len(w_shape) != 3:
+        raise ValueError(
+            f"expert_ffn expects (N, K) x and (E, K, J) weight, "
+            f"got {x_shape} and {w_shape}"
+        )
+    if counts.ndim != 1 or counts.shape[0] != w_shape[0]:
+        raise ValueError(f"segment_counts {counts.shape} must be ({w_shape[0]},)")
+    if counts.size and counts.min() < 0:
+        raise ValueError("segment_counts must be >= 0")
+    if x_shape[1] != w_shape[1]:
+        raise ValueError(f"inner dimensions differ: {x_shape} @ {w_shape}")
+    if int(counts.sum()) != x_shape[0]:
+        raise ValueError(
+            f"segment_counts sum {int(counts.sum())} != rows {x_shape[0]}"
+        )
+    return counts
+
+
+def _segment_plan(counts: np.ndarray):
+    """``(offsets, classes)``: where each segment starts, and the
+    occupied segments grouped by length.
+
+    ``classes`` lists ``(length, experts)`` by increasing length, each
+    ``experts`` ascending.  A class of small equal-length segments runs
+    as one stacked GEMM (:func:`_stacks`), so balanced large-E routing
+    pays one GEMM call per distinct size instead of one per expert.
+    """
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    occupied = np.nonzero(counts)[0]
+    by_size: dict = {}
+    for e, length in zip(occupied.tolist(), counts[occupied].tolist()):
+        by_size.setdefault(length, []).append(e)
+    return offsets, sorted(by_size.items())
+
+
+def _stacks(length: int, experts: list, k: int) -> bool:
+    """Whether a size class's GEMMs over inner dimension ``k`` run as
+    one stacked ``np.matmul``: it has two or more members, and each
+    member's (length, k) block is at most ``_BUCKET_ROW_ELEMS``."""
+    return len(experts) > 1 and length * k <= _BUCKET_ROW_ELEMS
+
+
+def _class_rows(offsets: np.ndarray, length: int, experts: list) -> np.ndarray:
+    """The (B, length) row indices of a size class's segments."""
+    return offsets[experts][:, None] + np.arange(length)
 
 
 def _weighted_parts(weights: np.ndarray, parts):
@@ -56,7 +129,7 @@ def weighted_scatter_add(
     indices: np.ndarray,
     num_rows: int,
 ) -> Tensor:
-    """``scatter_add(values * weights, indices, num_rows)`` as one node.
+    """``out[indices[n]] += values[n] * weights[n]`` as one node.
 
     ``values`` is (N, J) and ``weights`` an (N, 1) column: row n,
     scaled by ``weights[n]``, accumulates into ``out[indices[n]]``.
@@ -67,8 +140,10 @@ def weighted_scatter_add(
     destination adds its rows in the same order as the two-node chain,
     so the output is bit-identical to it.  The backward is that chain's
     too: the gather ``g[indices]``, then the product's formulas, each
-    factor saved only when the other needs a gradient.  This is the
-    sparse MoE combine (:func:`~repro.moe.dispatch.combine_grouped`).
+    factor saved only when the other needs a gradient.  ``indices``
+    must lie in ``[0, num_rows)``; rows no index names stay zero.  This
+    is the sparse MoE combine
+    (:func:`~repro.moe.dispatch.combine_grouped`).
     """
     values = Tensor._lift(values)
     weights = Tensor._lift(weights)
@@ -114,12 +189,13 @@ def expert_ffn(
     over each segment e, as one tape node.
 
     ``x`` is (N, M) with rows grouped into contiguous per-expert
-    segments as for :func:`~repro.nn.tensor.segment_matmul`; ``w1`` is
-    (E, M, H), ``b1`` (E, 1, H), ``w2`` (E, H, M) and ``b2`` (E, 1, M),
-    the stacked layout of :class:`~repro.moe.experts.Experts`.  It
-    computes what ``segment_matmul(relu(segment_matmul(x, w1, counts,
-    b1)), w2, counts, b2)`` computes, bit for bit, with one node instead
-    of three and one size-class plan (``_segment_plan``) instead of two:
+    segments, ``segment_counts[e]`` rows for expert e, summing to N;
+    ``w1`` is (E, M, H), ``b1`` (E, 1, H), ``w2`` (E, H, M) and ``b2``
+    (E, 1, M), the stacked layout of :class:`~repro.moe.experts.Experts`.
+    It computes, bit for bit, what the three-node chain computes — a
+    segment GEMM plus bias, a ReLU node, a second segment GEMM plus
+    bias, each GEMM one plain 2-d product per occupied segment — with
+    one node and one size-class plan (``_segment_plan``):
 
     * Forward, per size class: the fc1 GEMM writes the hidden buffer,
       ``b1`` is added and the ReLU runs in place, then the fc2 GEMM and
@@ -133,13 +209,15 @@ def expert_ffn(
       and ``gx = gh·w1ᵀ`` only when ``x`` needs a gradient.  No (N, H)
       gradient exists, only one segment's or one class's.
 
-    Each GEMM keeps the chain's operand shapes: a class stacks its fc1
-    (its fc2) GEMMs exactly when ``segment_matmul`` would for inner
-    dimension M (H), so the two may differ within a class.  Counts and
-    shapes are checked as ``segment_matmul`` checks them.
+    A class of small equal-length segments runs a GEMM as one stacked
+    ``np.matmul`` (``_stacks``: two or more members, each (length, K)
+    block at most ``_BUCKET_ROW_ELEMS``), whose slices are computed
+    exactly as the plain 2-d products; fc1 and fc2 decide separately,
+    for inner dimension M and H.  Empty experts cost nothing and get
+    exactly zero weight and bias gradients.
     """
     x, w1, b1, w2, b2 = (Tensor._lift(t) for t in (x, w1, b1, w2, b2))
-    counts = _segment_counts("expert_ffn", x.shape, w1.shape, segment_counts)
+    counts = _segment_counts(x.shape, w1.shape, segment_counts)
     num_experts, model_dim, hidden = w1.shape
     for name, t, shape in (
         ("b1", b1, (num_experts, 1, hidden)),

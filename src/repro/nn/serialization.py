@@ -1,10 +1,12 @@
 """Model checkpointing: one crash-safe writer, one reader.
 
 :func:`save_checkpoint` writes a module's ``state_dict()`` as an
-``.npz`` archive, one entry per parameter under its dotted name.  MoE
-expert banks are stored in the *stacked* layout (``<bank>.w1``
-(E, M, H), ``<bank>.b1`` (E, 1, H), ``<bank>.w2`` (E, H, M),
-``<bank>.b2`` (E, 1, M)) matching :class:`~repro.moe.experts.Experts`.
+``.npz`` archive, one entry per parameter under its dotted name.  A
+path not ending in ``.npz`` names the archive with that suffix
+appended, for the writer and the reader alike.  MoE expert banks are
+stored in the *stacked* layout (``<bank>.w1`` (E, M, H), ``<bank>.b1``
+(E, 1, H), ``<bank>.w2`` (E, H, M), ``<bank>.b2`` (E, 1, M)) matching
+:class:`~repro.moe.experts.Experts`.
 :func:`load_checkpoint` returns the archive's arrays by name; restore a
 model with ``model.load_state_dict(load_checkpoint(path))``, which
 raises on any name or shape mismatch.  Elastic recovery
@@ -23,12 +25,21 @@ import numpy as np
 from .modules import Module
 
 
+def _archive_path(path: Union[str, Path]) -> Path:
+    """The file a checkpoint ``path`` names: ``path`` itself if it ends
+    in ``.npz``, else ``path`` with that suffix appended, as
+    ``np.savez`` does."""
+    path = Path(path)
+    if path.name.endswith(".npz"):
+        return path
+    return path.parent / (path.name + ".npz")
+
+
 def save_checkpoint(model: Module, path: Union[str, Path]) -> None:
-    """Write a model's parameters to disk.
+    """Write a model's parameters to :func:`_archive_path` ``(path)``.
 
     Parameter names may contain dots; they are stored verbatim as npz
-    entries.  A ``path`` not ending in ``.npz`` gets that suffix
-    appended, as ``np.savez`` does.
+    entries.
 
     The write is crash-safe: the archive is assembled in a ``.tmp``
     sibling in the target directory, fsynced and published with an
@@ -37,13 +48,8 @@ def save_checkpoint(model: Module, path: Union[str, Path]) -> None:
     previous complete checkpoint or the new complete one.
     """
     state = model.state_dict()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    final = (
-        path
-        if path.name.endswith(".npz")
-        else path.with_name(path.name + ".npz")
-    )
+    final = _archive_path(path)
+    final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.with_name(final.name + ".tmp")
     try:
         # savez over an open file object writes exactly there (no
@@ -59,8 +65,9 @@ def save_checkpoint(model: Module, path: Union[str, Path]) -> None:
 
 
 def load_checkpoint(path: Union[str, Path]) -> Dict[str, np.ndarray]:
-    """The parameter arrays of a :func:`save_checkpoint` archive, by name."""
-    path = Path(path)
+    """The parameter arrays of the :func:`save_checkpoint` archive
+    written to ``path``, by name."""
+    path = _archive_path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no checkpoint at {path}")
     with np.load(path, allow_pickle=False) as archive:

@@ -435,32 +435,20 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
         sa, sb = self.shape, other.shape
+        if len(sa) < 2 or len(sb) < 2:
+            raise ValueError(
+                f"matmul operands must be at least 2-d, got {sa} @ {sb}"
+            )
         # Each operand is saved only for the other's gradient.
         a = self.data if self._needs_grad(other) else None
         b = other.data if self._needs_grad(self) else None
 
         def backward(g):
             ga = gb = None
-            if len(sa) == 1 and len(sb) == 1:
-                if b is not None:
-                    ga = g * b
-                if a is not None:
-                    gb = g * a
-                return ga, gb
             if b is not None:
-                if len(sb) == 1:
-                    ga = g[..., :, None] * b[None, :]
-                else:
-                    ga = g @ np.swapaxes(b, -1, -2)
-                ga = _unbroadcast(ga, sa)
+                ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), sa)
             if a is not None:
-                if len(sa) != 1:
-                    gb = np.swapaxes(a, -1, -2) @ g
-                elif len(sb) == 2:
-                    gb = np.outer(a, g)
-                else:
-                    gb = a[..., :, None] * g[..., None, :]
-                gb = _unbroadcast(gb, sb)
+                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, sb)
             return ga, gb
 
         return self._make(self.data @ other.data, (self, other), backward)
@@ -553,17 +541,17 @@ class Tensor:
         return out
 
 
-def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
-    """Differentiable row gather: ``x[indices]`` along ``axis``.
+def gather(x: Tensor, indices: np.ndarray) -> Tensor:
+    """Differentiable row gather: ``x[indices]`` along axis 0.
 
     ``indices`` is a raw integer array (routing decisions are not
     differentiated); the backward pass scatter-adds the output
-    gradient back into the gathered rows, so an index appearing twice
-    accumulates both contributions (along axis 0 through
-    :func:`_scatter_add_rows`, bit-identical to ``np.add.at``).  This
-    is the forward half of the sparse MoE dispatch path — an
-    ``O(N * M)`` data movement instead of the dense einsum's
-    ``O(T * E * C * M)`` contraction.
+    gradient back into the gathered rows through
+    :func:`_scatter_add_rows`, so an index appearing twice accumulates
+    both contributions, bit-identical to ``np.add.at``.  This is the
+    forward half of the sparse MoE dispatch path — an ``O(N * M)``
+    data movement instead of the dense einsum's ``O(T * E * C * M)``
+    contraction.
     """
     x = Tensor._lift(x)
     idx = np.asarray(indices)
@@ -571,19 +559,14 @@ def gather(x: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
         raise TypeError(f"indices must be integers, got {idx.dtype}")
     if x.ndim == 0:
         raise ValueError("cannot gather from a 0-d tensor")
-    axis = axis % x.ndim
-    data = np.take(x.data, idx, axis=axis)
+    data = np.take(x.data, idx, axis=0)
     shape = x.shape
 
     def backward(g):
         grad = np.zeros(shape, np.float32)
-        if axis == 0:
-            _scatter_add_rows(
-                grad, idx.reshape(-1), g.reshape((idx.size,) + shape[1:])
-            )
-        else:
-            moved = np.moveaxis(grad, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        _scatter_add_rows(
+            grad, idx.reshape(-1), g.reshape((idx.size,) + shape[1:])
+        )
         return (grad,)
 
     return x._make(data, (x,), backward)
@@ -624,9 +607,9 @@ def _scatter_add_rows(
     ``+ 0.0`` would alter.  An ``out`` that already holds results
     (and so possibly -0.0) is outside that contract.
 
-    :func:`scatter_add` and the backward of :func:`gather` and
-    ``embedding`` scatter through here; the weighted combine stages
-    its parts through :func:`_scatter_add_parts` directly.
+    The backward of :func:`gather` and ``embedding`` scatter through
+    here; the weighted combine stages its parts through
+    :func:`_scatter_add_parts` directly.
     """
     _scatter_add_parts(out, idx, values.dtype, ((slice(None), values),))
 
@@ -688,62 +671,6 @@ def _occurrence_rounds(idx: np.ndarray, num_rows: int):
     return idx, depth, occ
 
 
-def _scatter_index(values: "Tensor", indices: np.ndarray, num_rows: int):
-    """``indices`` as an array, checked as scatter rows of ``values``."""
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError(f"indices must be integers, got {idx.dtype}")
-    if idx.ndim != 1 or values.ndim < 1 or idx.shape[0] != values.shape[0]:
-        raise ValueError(
-            f"indices {idx.shape} must be 1-d and match the leading "
-            f"dimension of values {values.shape}"
-        )
-    if num_rows < 0:
-        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise IndexError(
-            f"indices out of range for {num_rows} rows: "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    return idx
-
-
-def scatter_add(
-    values: Tensor,
-    indices: np.ndarray,
-    num_rows: int,
-) -> Tensor:
-    """Differentiable scatter-add of rows into a zero tensor.
-
-    ``out[indices[n]] += values[n]`` for every leading-position ``n``;
-    the result has shape ``(num_rows,) + values.shape[1:]``.  Rows of
-    the output not named by any index stay zero (capacity padding in
-    the MoE dispatch).  The backward pass is a gather of the output
-    gradient at the same indices — the exact adjoint.
-
-    Repeated indices accumulate in input order through the
-    occurrence-round scatter :func:`_scatter_add_rows`, in training
-    and inference alike — bit-identical to ``np.add.at`` but
-    vectorized.
-    """
-    values = Tensor._lift(values)
-    idx = _scatter_index(values, indices, num_rows)
-    out = np.zeros((num_rows,) + values.shape[1:], np.float32)
-    _scatter_add_rows(out, idx, values.data)
-
-    def backward(g):
-        return (g[idx],)
-
-    return values._make(out, (values,), backward)
-
-
-#: Largest per-segment LHS block (rows * K elements) that still gains
-#: from the stacked-GEMM bucket path: beyond ~16 KB of float32 the
-#: fancy-index gather costs more than the per-call overhead it saves
-#: (measured on the bench shapes; 2-d BLAS on a contiguous slice wins).
-_BUCKET_ROW_ELEMS = 4096
-
-
 def _row_sum(rows: np.ndarray) -> np.ndarray:
     """Sum of a C-contiguous (n >= 1, J) block's rows, in row order.
 
@@ -758,194 +685,3 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] == 1:
         return np.add.accumulate(rows[:, 0])[-1:] + 0.0
     return rows.sum(axis=0) + 0.0
-
-
-def _segment_counts(
-    op: str, x_shape: tuple, w_shape: tuple, segment_counts
-) -> np.ndarray:
-    """``segment_counts`` as an array, checked against (N, K) rows and
-    an (E, K, J) weight bank."""
-    counts = np.asarray(segment_counts)
-    if not np.issubdtype(counts.dtype, np.integer):
-        raise TypeError(f"segment_counts must be integers, got {counts.dtype}")
-    if len(x_shape) != 2 or len(w_shape) != 3:
-        raise ValueError(
-            f"{op} expects (N, K) x and (E, K, J) weight, "
-            f"got {x_shape} and {w_shape}"
-        )
-    if counts.ndim != 1 or counts.shape[0] != w_shape[0]:
-        raise ValueError(f"segment_counts {counts.shape} must be ({w_shape[0]},)")
-    if counts.size and counts.min() < 0:
-        raise ValueError("segment_counts must be >= 0")
-    if x_shape[1] != w_shape[1]:
-        raise ValueError(f"inner dimensions differ: {x_shape} @ {w_shape}")
-    if int(counts.sum()) != x_shape[0]:
-        raise ValueError(
-            f"segment_counts sum {int(counts.sum())} != rows {x_shape[0]}"
-        )
-    return counts
-
-
-def _segment_plan(counts: np.ndarray):
-    """``(offsets, classes)``: where each segment starts, and the
-    occupied segments grouped by length.
-
-    ``classes`` lists ``(length, experts)`` by increasing length, each
-    ``experts`` ascending.  A class of small equal-length segments runs
-    as one stacked GEMM (:func:`_stacks`), so balanced large-E routing
-    pays one GEMM call per distinct size instead of one per expert.
-    """
-    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    occupied = np.nonzero(counts)[0]
-    by_size: dict = {}
-    for e, length in zip(occupied.tolist(), counts[occupied].tolist()):
-        by_size.setdefault(length, []).append(e)
-    return offsets, sorted(by_size.items())
-
-
-def _stacks(length: int, experts: list, k: int) -> bool:
-    """Whether a size class's GEMMs over inner dimension ``k`` run as
-    one stacked ``np.matmul``: it has two or more members, and each
-    member's (length, k) block is at most ``_BUCKET_ROW_ELEMS``."""
-    return len(experts) > 1 and length * k <= _BUCKET_ROW_ELEMS
-
-
-def _class_rows(offsets: np.ndarray, length: int, experts: list) -> np.ndarray:
-    """The (B, length) row indices of a size class's segments."""
-    return offsets[experts][:, None] + np.arange(length)
-
-
-def segment_matmul(
-    x: Tensor,
-    weight: Tensor,
-    segment_counts: np.ndarray,
-    bias: Optional[Tensor] = None,
-) -> Tensor:
-    """Differentiable per-segment matmul against a stacked weight bank.
-
-    ``x`` is ``(N, K)`` whose rows are grouped into E contiguous
-    segments (``segment_counts[e]`` rows each, summing to N) and
-    ``weight`` a stacked ``(E, K, J)`` bank; segment e's rows multiply
-    ``weight[e]``:
-
-    ``out[start_e : start_e + counts[e]] = x[same] @ weight[e]``
-
-    An optional ``(E, J)`` ``bias`` adds row ``bias[e]`` to every
-    output row of segment e right after that segment's GEMM, inside
-    the loop — the same single float add per element as adding a
-    per-row gather of the bias, with no ``(N, J)`` bias rows ever
-    materialized — and its gradient is each occupied segment's
-    output-gradient rows summed in row order (zero for empty
-    segments), bit-identical to the gather's ``np.add.at`` adjoint.
-
-    This is the capacity-free grouped GEMM: routed token rows sorted by
-    expert flow through each expert's weight without ever
-    materializing the (E, C, M) capacity buffer.  The forward loops
-    over *occupied* segments only (``counts[e] == 0`` costs nothing —
-    an expert that received no tokens is simply skipped, where the
-    capacity formulation would still carry its C padding slots), and
-    each segment GEMM is bit-identical to the per-expert reference
-    ``x_seg @ weight[e]``.  The MoE expert step runs two of these
-    around a ReLU as one fused node, :func:`~repro.nn.fused.expert_ffn`.
-
-    The backward accumulates per-segment gradients into the stacked
-    bank with the exact adjoints of each slice —
-
-    * ``grad_x[seg_e] = g[seg_e] @ weight[e]^T``
-    * ``grad_w[e]     = x[seg_e]^T @ g[seg_e]``  (zero for empty
-      segments)
-
-    — so one tape node covers the whole bank, over ragged row groups
-    instead of a fixed capacity dimension.  ``grad_x`` is skipped when
-    ``x`` needs no gradient (rows dispatched from a constant input).
-
-    Occupied *small* segments of equal length are batched into one
-    stacked ``np.matmul`` per size class (:func:`_segment_plan`) —
-    forward and backward.  Batched matmul computes each slice exactly as the
-    corresponding 2-d product (numpy dispatches the same GEMM kernel
-    per batch slice), so results are bit-identical to the unbucketed
-    loop (``tests/nn/legacy_segment_matmul.py`` keeps that loop as the
-    parity reference).  Bucketing only pays when the per-call dispatch
-    overhead it removes exceeds the row gather it adds, i.e. for
-    segments whose LHS block is small —
-    segments above the ``_BUCKET_ROW_ELEMS`` threshold and singleton
-    buckets, which have nothing to batch, stay on the plain
-    per-segment GEMM, where 2-d BLAS on a contiguous slice is already
-    optimal.
-    """
-    x = Tensor._lift(x)
-    weight = Tensor._lift(weight)
-    counts = _segment_counts("segment_matmul", x.shape, weight.shape, segment_counts)
-    inputs = (x, weight)
-    if bias is not None:
-        bias = Tensor._lift(bias)
-        if bias.shape != (weight.shape[0], weight.shape[2]):
-            raise ValueError(
-                f"bias {bias.shape} must be (E, J) = "
-                f"{(weight.shape[0], weight.shape[2])} for weight "
-                f"{weight.shape}"
-            )
-        inputs = (x, weight, bias)
-    offsets, classes = _segment_plan(counts)
-    # Per class: its experts, and its (B, L) row indices when it runs
-    # as one stacked GEMM (None: one plain GEMM per segment).
-    plan = [
-        (
-            experts,
-            _class_rows(offsets, length, experts)
-            if _stacks(length, experts, x.shape[1])
-            else None,
-        )
-        for length, experts in classes
-    ]
-
-    data = np.empty((x.shape[0], weight.shape[2]), np.float32)
-    for experts, rows in plan:
-        if rows is not None:
-            out = np.matmul(x.data[rows], weight.data[experts])
-            if bias is not None:
-                out += bias.data[experts][:, None, :]
-            data[rows] = out
-            continue
-        for e in experts:
-            lo, hi = offsets[e], offsets[e + 1]
-            out = data[lo:hi]
-            np.matmul(x.data[lo:hi], weight.data[e], out=out)
-            if bias is not None:
-                out += bias.data[e]
-
-    x_data, w_data = x.data, weight.data
-    need_x = Tensor._needs_grad(x)
-    bias_shape = None if bias is None else bias.shape
-
-    def backward(g):
-        grad_x = np.empty_like(x_data) if need_x else None
-        # Every occupied expert's slice is overwritten below.
-        grad_w = np.empty_like(w_data)
-        grad_w[counts == 0] = 0.0
-        for experts, rows in plan:
-            if rows is not None:
-                g_b = g[rows]
-                if need_x:
-                    grad_x[rows] = np.matmul(
-                        g_b, np.swapaxes(w_data[experts], -1, -2)
-                    )
-                grad_w[experts] = np.matmul(
-                    np.swapaxes(x_data[rows], -1, -2), g_b
-                )
-                continue
-            for e in experts:
-                lo, hi = offsets[e], offsets[e + 1]
-                if need_x:
-                    np.matmul(g[lo:hi], w_data[e].T, out=grad_x[lo:hi])
-                np.matmul(x_data[lo:hi].T, g[lo:hi], out=grad_w[e])
-        if bias_shape is None:
-            return grad_x, grad_w
-        grad_b = np.zeros(bias_shape, np.float32)
-        g = np.ascontiguousarray(g)  # _row_sum's order needs C rows
-        for _, experts in classes:
-            for e in experts:
-                grad_b[e] = _row_sum(g[offsets[e]:offsets[e + 1]])
-        return grad_x, grad_w, grad_b
-
-    return Tensor._make(data, inputs, backward)

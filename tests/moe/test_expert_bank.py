@@ -4,7 +4,7 @@
 GEMMs — the production path) must be indistinguishable from
 ``legacy_dense.run_experts`` (the per-expert loop over an (E, C, M)
 capacity buffer — the reference) *at every occupied slot*: bit-exact
-forward outputs and gradients matching to 1e-6 (``segment_matmul``
+forward outputs and gradients matching to 1e-6 (``expert_ffn``
 re-associates the stacked weight-grad reductions).  The loop also runs
 its FFN on the padding slots; no combine ever reads those.
 """

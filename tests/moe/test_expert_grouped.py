@@ -3,9 +3,9 @@
 The production layer (grouped dispatch, ``Experts.run_grouped``,
 grouped combine) must match the dense reference (``legacy_dense``:
 GShard einsums around the per-expert loop) in outputs and gradients
-to 1e-5 relative / 1e-6 absolute: the grouped combine accumulates token contributions in
-expert-sorted rather than einsum order, and ``segment_matmul``
-re-associates the stacked weight-grad reductions.
+to 1e-5 relative / 1e-6 absolute: the grouped combine accumulates
+token contributions in expert-sorted rather than einsum order, and
+``expert_ffn`` re-associates the stacked weight-grad reductions.
 
 Covers the routing shapes that stress the segment form: zero routed
 tokens, every token on one expert, capacity drops, E=1, and the

@@ -19,8 +19,9 @@ import repro.nn.tensor as tensor_module
 from repro.models.gpt2_tiny import TransformerLM
 from repro.moe import MoELayer
 from repro.moe.experts import Experts
+from repro.nn.fused import _BUCKET_ROW_ELEMS
 from repro.nn.optim import _CHUNK, Adam
-from repro.nn.tensor import _BUCKET_ROW_ELEMS, Tensor
+from repro.nn.tensor import Tensor
 
 from .legacy_expert_step import (
     legacy_adam_step,

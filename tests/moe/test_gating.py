@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.moe import TopKGate, load_balancing_loss
+from repro.models.configs import MoEModelConfig
+from repro.moe import MoELayer, TopKGate, load_balancing_loss
 from repro.nn import Tensor
 from repro.nn import functional as F
 
@@ -115,6 +116,44 @@ def test_gate_validation(rng):
     gate = TopKGate(8, 4, rng)
     with pytest.raises(ValueError):
         gate(Tensor(np.zeros((2, 3, 8))))
+
+
+ROUTING_BUILDERS = {
+    "gate": lambda k, f: TopKGate(
+        8, 4, np.random.default_rng(0), top_k=k, capacity_factor=f
+    ),
+    "layer": lambda k, f: MoELayer(
+        8, 16, 4, np.random.default_rng(0), top_k=k, capacity_factor=f
+    ),
+    "config": lambda k, f: MoEModelConfig(
+        name="c", num_layers=1, batch_per_gpu=1, seq_len=4, hidden_dim=4,
+        model_dim=4, top_k=k, num_experts=4, capacity_factor=f,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "top_k,capacity_factor,error",
+    [
+        (1.5, 1.0, TypeError),
+        (2.0, 1.0, TypeError),  # integral, but a float all the same
+        (2, float("nan"), ValueError),
+        (2, float("inf"), ValueError),
+        (2, -float("inf"), ValueError),
+        (2, 0.0, ValueError),
+        (0, 1.0, ValueError),
+    ],
+)
+@pytest.mark.parametrize("build", sorted(ROUTING_BUILDERS))
+def test_routing_arguments_are_checked_at_construction(
+    build, top_k, capacity_factor, error
+):
+    """A fractional top-k or a non-finite capacity factor raises when
+    the gate, layer or model config is built, not in a later forward
+    or cost formula.  Numpy integers are integers."""
+    with pytest.raises(error):
+        ROUTING_BUILDERS[build](top_k, capacity_factor)
+    ROUTING_BUILDERS[build](np.int64(2), np.float32(1.25))
 
 
 def test_first_choice_priority_over_second(rng):

@@ -82,6 +82,20 @@ def test_recover_from_checkpoint_is_bit_exact(tmp_path, tokens):
     np.testing.assert_array_equal(recovered, layer(Tensor(tokens)).data)
 
 
+def test_recover_from_a_checkpoint_path_without_suffix(tmp_path, tokens):
+    """``checkpoint=`` takes the path given to ``save_checkpoint``, with
+    or without its ``.npz`` suffix."""
+    layer = make_layer()
+    group = ExpertParallelGroup(layer, NUM_WORKERS)
+    shards = shards_of(tokens)
+    healthy = group.forward_concatenated(shards)
+    save_checkpoint(layer, tmp_path / "ckpt")
+    group.set_dead_workers({1})
+    event = RecoveryController(group, checkpoint=tmp_path / "ckpt").recover()
+    assert event.source == "checkpoint"
+    np.testing.assert_array_equal(group.forward_concatenated(shards), healthy)
+
+
 def test_recover_by_seeded_reinit_is_deterministic(tokens):
     def run():
         layer = make_layer()

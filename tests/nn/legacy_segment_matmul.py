@@ -1,16 +1,19 @@
 """The unbucketed segment matmul, kept as a test reference.
 
-Production :func:`~repro.nn.tensor.segment_matmul` batches small
-equal-length segments into stacked GEMMs and adds each segment's bias
-inside its GEMM loop.  This is the form it replaced: one plain 2-d
-GEMM per occupied segment, then the bias added once over all rows
-through an ``(N, J)`` ``np.repeat`` of the bias bank.  The parity
-suites check the production forward and backward against it bit for
-bit.
+Production runs the expert FFN as one node,
+:func:`~repro.nn.fused.expert_ffn`, which batches small equal-length
+segments into stacked GEMMs and adds each segment's bias inside its
+GEMM loop.  This is the form it replaced: one plain 2-d GEMM per
+occupied segment, then the bias added once over all rows through an
+``(N, J)`` ``np.repeat`` of the bias bank.  :func:`legacy_expert_ffn`
+is the expert step built from it, two of these around a ReLU node.
+The parity suites check the fused forward and backward against it bit
+for bit.
 """
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor, _row_sum
 
 
@@ -52,3 +55,12 @@ def legacy_segment_matmul(x, weight, segment_counts, bias=None):
         return grad_x, grad_w, grad_b
 
     return Tensor._make(data, inputs, backward)
+
+
+def legacy_expert_ffn(x, w1, b1, w2, b2, segment_counts):
+    """``expert_ffn`` as three nodes: segment GEMM + bias, ReLU, again."""
+    e = w1.shape[0]
+    h = F.relu(
+        legacy_segment_matmul(x, w1, segment_counts, bias=b1.reshape(e, -1))
+    )
+    return legacy_segment_matmul(h, w2, segment_counts, bias=b2.reshape(e, -1))

@@ -1,8 +1,9 @@
 """The MoE expert step's fused nodes against the chains they replaced.
 
-``expert_ffn`` is ``segment_matmul → relu → segment_matmul`` with the
-biases folded in, and ``weighted_scatter_add`` is ``scatter_add(values
-* weights)``.  Each keeps every float op and its operands' shapes, so
+``expert_ffn`` is two unbucketed segment GEMM loops around a ReLU node
+with the biases folded in (``legacy_expert_ffn``), and
+``weighted_scatter_add`` is a product node followed by ``np.add.at``
+(``legacy_weighted_scatter_add``).  Each keeps every float op, so
 outputs and gradients are pinned bit for bit to the chains; what they
 no longer allocate is pinned with tracemalloc.
 """
@@ -16,17 +17,12 @@ import pytest
 import repro.moe.layer as layer_module
 from repro.moe import MoELayer
 from repro.moe.experts import Experts
-from repro.nn import (
-    Tensor,
-    expert_ffn,
-    inference_mode,
-    scatter_add,
-    weighted_scatter_add,
-)
-from repro.nn import functional as F
-from repro.nn.tensor import _BUCKET_ROW_ELEMS, _CHUNK
+from repro.nn import Tensor, expert_ffn, inference_mode, weighted_scatter_add
+from repro.nn.fused import _BUCKET_ROW_ELEMS
+from repro.nn.tensor import _CHUNK
 
-from .legacy_segment_matmul import legacy_segment_matmul
+from ..moe.legacy_expert_step import legacy_weighted_scatter_add
+from .legacy_segment_matmul import legacy_expert_ffn
 
 
 def _bits(array):
@@ -40,13 +36,6 @@ def _same(got, ref):
     return np.array_equal(np.isnan(got), nan) and np.array_equal(
         _bits(np.where(nan, 0, got)), _bits(np.where(nan, 0, ref))
     )
-
-
-def _chain(x, w1, b1, w2, b2, counts):
-    """The three-node expert step with the unbucketed segment loop."""
-    e = w1.shape[0]
-    h = F.relu(legacy_segment_matmul(x, w1, counts, bias=b1.reshape(e, -1)))
-    return legacy_segment_matmul(h, w2, counts, bias=b2.reshape(e, -1))
 
 
 def _ffn_case(rng, model_dim, hidden, counts):
@@ -84,7 +73,7 @@ def test_expert_ffn_is_the_chain_bit_for_bit(
     if inf_grad:
         seed[::97, 0] = np.inf
     results = []
-    for fn in (expert_ffn, _chain):
+    for fn in (expert_ffn, legacy_expert_ffn):
         leaves = [Tensor(x.copy(), requires_grad=rows_need_grad)] + [
             Tensor(a.copy(), requires_grad=True) for a in (w1, b1, w2, b2)
         ]
@@ -150,9 +139,9 @@ def test_expert_forward_makes_no_pre_relu_hidden(rng):
 
 @pytest.mark.parametrize("depth", [1, 2, 9])
 def test_weighted_scatter_add_is_the_chain_bit_for_bit(rng, depth):
-    """Forward and both gradients equal ``scatter_add(values *
-    weights)``, over several staging slices, on the unique-index path,
-    the occurrence rounds and the ``np.add.at`` fallback."""
+    """Forward and both gradients equal the product node followed by
+    ``np.add.at``, over several staging slices, on the unique-index
+    path, the occurrence rounds and the ``np.add.at`` fallback."""
     tokens, width = 3000, 48
     idx = np.concatenate([rng.permutation(tokens) for _ in range(depth)])
     n = idx.size
@@ -162,17 +151,11 @@ def test_weighted_scatter_add_is_the_chain_bit_for_bit(rng, depth):
     weights[::5] = -0.0
     seed = rng.standard_normal((tokens, width)).astype(np.float32)
 
-    def chain(v, w):
-        return scatter_add(v * w, idx, tokens)
-
-    def fused(v, w):
-        return weighted_scatter_add(v, w, idx, tokens)
-
     results = []
-    for fn in (fused, chain):
+    for fn in (weighted_scatter_add, legacy_weighted_scatter_add):
         v = Tensor(values.copy(), requires_grad=True)
         w = Tensor(weights.copy(), requires_grad=True)
-        out = fn(v, w)
+        out = fn(v, w, idx, tokens)
         out.backward(seed.copy())
         results.append((out.data, v.grad, w.grad))
     for got, ref in zip(*results):
@@ -225,9 +208,8 @@ def test_inference_frees_the_dispatched_rows_before_the_combine(rng, monkeypatch
 
 
 def test_fused_nodes_check_their_own_operands():
-    """Beyond the segment checks ``expert_ffn`` shares with
-    ``segment_matmul``: the rest of the bank, and the combine's
-    weights and indices."""
+    """Beyond the segment checks (``test_segment_matmul.py``): the rest
+    of ``expert_ffn``'s bank, and the combine's weights and indices."""
     x, counts = np.zeros((4, 3), np.float32), np.array([1, 3])
     bank = {
         "w1": np.zeros((2, 3, 5)), "b1": np.zeros((2, 1, 5)),

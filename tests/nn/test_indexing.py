@@ -1,16 +1,16 @@
 """Tests for the index-based autograd primitives.
 
-``gather`` / ``scatter_add`` (tensor.py) and ``take_along_axis``
-(functional.py) are the building blocks of the sparse MoE dispatch
-path; their backwards are exact adjoints of the forwards, which these
-tests verify both structurally (repeated indices accumulate) and
-numerically (finite differences).
+``gather`` (tensor.py), ``weighted_scatter_add`` (fused.py) and
+``take_along_axis`` (functional.py) are the building blocks of the
+sparse MoE dispatch and combine; their backwards are exact adjoints of
+the forwards, which these tests verify both structurally (repeated
+indices accumulate) and numerically (finite differences).
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, gather, scatter_add
+from repro.nn import Tensor, gather, weighted_scatter_add
 from repro.nn import functional as F
 
 
@@ -66,6 +66,12 @@ class TestGather:
         x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
         with pytest.raises(TypeError):
             gather(x, np.array([0.0, 1.0]))
+
+
+def scatter_add(values, indices, num_rows):
+    """The weighted combine with unit weights: a plain scatter-add."""
+    ones = Tensor(np.ones((values.shape[0], 1), np.float32))
+    return weighted_scatter_add(values, ones, indices, num_rows)
 
 
 class TestScatterAdd:

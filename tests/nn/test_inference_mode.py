@@ -10,14 +10,15 @@ bit-identical to its training counterpart.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, functional as F, inference_mode, is_inference
-from repro.nn.tensor import (
-    _SCATTER_ROUNDS_MAX_DEPTH,
-    _scatter_add_rows,
-    gather,
-    scatter_add,
-    segment_matmul,
+from repro.nn import (
+    Tensor,
+    expert_ffn,
+    functional as F,
+    inference_mode,
+    is_inference,
+    weighted_scatter_add,
 )
+from repro.nn.tensor import _SCATTER_ROUNDS_MAX_DEPTH, _scatter_add_rows, gather
 
 
 # -- mode semantics ----------------------------------------------------------
@@ -117,15 +118,14 @@ def test_matmul_gather_concat_parity(rng):
     _parity(lambda t: gather(t, idx), a)
 
 
-def test_segment_matmul_parity(rng):
+def test_expert_ffn_parity(rng):
     rows = rng.standard_normal((100, 32)).astype(np.float32)
-    weights = rng.standard_normal((4, 32, 48)).astype(np.float32)
+    bank = [
+        rng.standard_normal(shape).astype(np.float32)
+        for shape in ((4, 32, 48), (4, 1, 48), (4, 48, 32), (4, 1, 32))
+    ]
     counts = np.array([10, 0, 60, 30])
-    _parity(
-        lambda r, w: segment_matmul(r, w, counts),
-        rows,
-        weights,
-    )
+    _parity(lambda r, *b: expert_ffn(r, *b, counts), rows, *bank)
 
 
 # -- the occurrence-round scatter vs np.add.at -------------------------------
@@ -152,10 +152,11 @@ def test_scatter_add_inference_empty_and_tensor_entry(rng):
     _scatter_add_rows(out, np.array([], dtype=np.int64),
                            np.empty((0, 4), dtype=np.float32))
     np.testing.assert_array_equal(out, np.ones((3, 4), dtype=np.float32))
-    # And through the public op, under the mode flag.
+    # And through the weighted combine, under the mode flag.
     idx = rng.integers(0, 6, size=40)
     vals = rng.standard_normal((40, 8)).astype(np.float32)
-    _parity(lambda v: scatter_add(v, idx, 6), vals)
+    weights = rng.random((40, 1)).astype(np.float32)
+    _parity(lambda v, w: weighted_scatter_add(v, w, idx, 6), vals, weights)
 
 
 # -- Module.forward_inference -------------------------------------------------

@@ -2,8 +2,8 @@
 
 Three replacements in the training step must not move a single bit:
 the occurrence-round ``_scatter_add_rows`` (combine forward, gather /
-embedding / take_along_axis backward), the expert bias folded into
-``segment_matmul``, and the in-place ``Adam.step``.  Every comparison
+embedding / take_along_axis backward), the expert biases folded into
+``expert_ffn``, and the in-place ``Adam.step``.  Every comparison
 is on int32 views: ``np.array_equal`` calls -0.0 and +0.0 equal, and a
 sign of zero is exactly what a reordered accumulation gets wrong.
 """
@@ -11,21 +11,15 @@ sign of zero is exactly what a reordered accumulation gets wrong.
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, inference_mode
+import repro.nn.fused as fused_module
+from repro.nn import Tensor, expert_ffn, inference_mode, weighted_scatter_add
 from repro.nn import functional as F
 from repro.nn.modules import Parameter
 from repro.nn.optim import _CHUNK, Adam
-import repro.nn.tensor as tensor_module
-from repro.nn.tensor import (
-    _SCATTER_ROUNDS_MAX_DEPTH,
-    _scatter_add_rows,
-    gather,
-    scatter_add,
-    segment_matmul,
-)
+from repro.nn.tensor import _SCATTER_ROUNDS_MAX_DEPTH, _scatter_add_rows, gather
 
-from ..moe.legacy_expert_step import legacy_adam_step
-from .legacy_segment_matmul import legacy_segment_matmul
+from ..moe.legacy_expert_step import legacy_adam_step, legacy_gathered_bias_ffn
+from .legacy_segment_matmul import legacy_expert_ffn
 
 
 def assert_bits_equal(got, expected):
@@ -103,18 +97,27 @@ def test_empty_index_is_a_no_op():
 # -- the ops that scatter through it, under training -----------------------
 
 
+def unit_weights(n):
+    """A constant (n, 1) column of ones: ``row * 1.0`` is ``row``."""
+    return Tensor(np.ones((n, 1), np.float32))
+
+
 @pytest.mark.parametrize("depth", [1, 2, _SCATTER_ROUNDS_MAX_DEPTH + 1])
 def test_scatter_add_forward_matches_add_at_in_training(rng, depth):
+    """The weighted combine with unit weights is ``np.add.at``."""
     idx = indices_of_depth(rng, 10, depth)
     values = Tensor(spread(rng, (idx.size, 4)), requires_grad=True)
-    out = scatter_add(values, idx, 10)
+    out = weighted_scatter_add(values, unit_weights(idx.size), idx, 10)
     assert_bits_equal(out.data, add_at((10, 4), idx, values.data))
-    assert out._node.inputs == (values,)
+    assert out._node.inputs == (values, None)
 
 
 def test_scatter_add_of_nothing_is_zeros():
-    out = scatter_add(
-        Tensor(np.zeros((0, 3), np.float32)), np.zeros(0, np.int64), 4
+    out = weighted_scatter_add(
+        Tensor(np.zeros((0, 3), np.float32)),
+        unit_weights(0),
+        np.zeros(0, np.int64),
+        4,
     )
     assert_bits_equal(out.data, np.zeros((4, 3), np.float32))
 
@@ -134,17 +137,6 @@ def test_gather_backward_matches_add_at(rng, idx):
     seed = spread(rng, out.shape)
     out.backward(seed)
     assert_bits_equal(x.grad, add_at((5, 6), idx, seed))
-
-
-def test_gather_backward_along_another_axis_matches_add_at(rng):
-    x = Tensor(spread(rng, (3, 5)), requires_grad=True)
-    idx = np.array([4, 0, 4, 1])
-    out = gather(x, idx, axis=1)
-    seed = spread(rng, out.shape)
-    out.backward(seed)
-    expected = np.zeros((5, 3), np.float32)
-    np.add.at(expected, idx, seed.T)
-    assert_bits_equal(x.grad, expected.T)
 
 
 def test_embedding_backward_matches_add_at(rng):
@@ -185,19 +177,13 @@ def test_take_along_axis_backward_of_top_k_picks(rng):
     assert_bits_equal(x.grad, add_at((9, 8), (rows, top), seed))
 
 
-# -- segment_matmul(bias=) -------------------------------------------------
-
-
-def composed(x, w, b, counts):
-    """The bias chain segment_matmul(bias=) replaced: GEMM + gathered rows."""
-    expert_of_row = np.repeat(np.arange(len(counts)), counts)
-    return segment_matmul(x, w, counts) + gather(b, expert_of_row)
+# -- expert_ffn's folded biases ---------------------------------------------
 
 
 def set_bucketing(monkeypatch, bucketed):
     """``bucketed=False`` puts every occupied segment on the singles loop."""
     if not bucketed:
-        monkeypatch.setattr(tensor_module, "_BUCKET_ROW_ELEMS", 0)
+        monkeypatch.setattr(fused_module, "_BUCKET_ROW_ELEMS", 0)
 
 
 COUNTS = {
@@ -215,13 +201,18 @@ COUNTS = {
 def test_bias_matches_the_gathered_bias_chain(
     rng, monkeypatch, name, width, bucketed, order
 ):
+    """Both folded biases against the per-row bias gather chain.  Model
+    and hidden width are ``width``, so each bias gradient is a J=1
+    column where ``width`` is 1."""
     set_bucketing(monkeypatch, bucketed)
     counts = np.asarray(COUNTS[name])
-    n, k = int(counts.sum()), 3
+    n = int(counts.sum())
     arrays = (
-        spread(rng, (n, k)),
-        spread(rng, (6, k, width)),
-        spread(rng, (6, width)),
+        spread(rng, (n, width)),
+        spread(rng, (6, width, width)),
+        spread(rng, (6, 1, width)),
+        spread(rng, (6, width, width)),
+        spread(rng, (6, 1, width)),
     )
     seed = spread(rng, (n, width))
     occupied = np.nonzero(counts)[0]
@@ -230,27 +221,27 @@ def test_bias_matches_the_gathered_bias_chain(
     seed = np.asarray(seed, order=order)
 
     def run(fn):
-        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
-        out = fn(x, w, b)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*leaves, counts)
         out.backward(seed)
-        return out.data, x.grad, w.grad, b.grad
+        return [out.data] + [t.grad for t in leaves]
 
-    fused = run(lambda x, w, b: segment_matmul(x, w, counts, bias=b))
-    ref = run(lambda x, w, b: composed(x, w, b, counts))
-    for got, expected in zip(fused, ref):
-        assert_bits_equal(got, expected)
-    # The in-loop bias against the legacy repeated-row bias: output and
-    # bias gradient always.  The x and w gradients only where both run
-    # the same GEMM layout — a stacked GEMM over rows gathered from an
-    # F-ordered gradient rounds differently from the 2-d GEMM on its
-    # strided slice, with or without a bias.
-    legacy = run(lambda x, w, b: legacy_segment_matmul(x, w, counts, bias=b))
+    fused = run(expert_ffn)
+    # Output and b2's gradient always.  The other gradients only where
+    # both run the same GEMM layout: a stacked GEMM over rows gathered
+    # from an F-ordered gradient rounds differently from the 2-d GEMM
+    # on its strided slice, with or without a bias, and b1's gradient
+    # sums what that GEMM returns.
     same_layout = not bucketed or order == "C"
-    for i in (0, 1, 2, 3) if same_layout else (0, 3):
-        assert_bits_equal(fused[i], legacy[i])
-    # Independently of gather's backward: the bias adjoint is np.add.at.
+    compared = range(6) if same_layout else (0, 5)
+    for ref in (run(legacy_gathered_bias_ffn), run(legacy_expert_ffn)):
+        for i in compared:
+            assert_bits_equal(fused[i], ref[i])
+    # Independently of gather's backward: b2's adjoint is np.add.at.
     expert_of_row = np.repeat(np.arange(6), counts)
-    assert_bits_equal(fused[3], add_at((6, width), expert_of_row, seed))
+    assert_bits_equal(
+        fused[5][:, 0], add_at((6, width), expert_of_row, seed)
+    )
 
 
 @pytest.mark.parametrize("bucketed", [True, False])
@@ -259,23 +250,28 @@ def test_bias_forward_under_inference_matches_training(
 ):
     set_bucketing(monkeypatch, bucketed)
     counts = np.array([40, 0, 70, 10])
-    x = spread(rng, (120, 64))
-    w = spread(rng, (4, 64, 48))
-    b = spread(rng, (4, 48))
-    train = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b)).data
-    assert_bits_equal(train, legacy_segment_matmul(x, w, counts, bias=b).data)
+    arrays = (
+        spread(rng, (120, 64)),
+        spread(rng, (4, 64, 48)),
+        spread(rng, (4, 1, 48)),
+        spread(rng, (4, 48, 64)),
+        spread(rng, (4, 1, 64)),
+    )
+    train = expert_ffn(*(Tensor(a) for a in arrays), counts).data
+    assert_bits_equal(train, legacy_expert_ffn(*arrays, counts).data)
     with inference_mode():
-        out = segment_matmul(Tensor(x), Tensor(w), counts, bias=Tensor(b))
+        out = expert_ffn(*(Tensor(a) for a in arrays), counts)
     assert out._node is None
     assert_bits_equal(out.data, train)
 
 
-@pytest.mark.parametrize("shape", [(4, 1, 5), (4, 6), (3, 5), (5,)])
+@pytest.mark.parametrize("shape", [(4, 5), (4, 6), (3, 1, 5), (5,)])
 def test_bias_of_the_wrong_shape_raises_naming_both(rng, shape):
-    x = Tensor(np.zeros((3, 2), np.float32))
-    w = Tensor(np.zeros((4, 2, 5), np.float32))
+    x = np.zeros((3, 2), np.float32)
+    w1 = np.zeros((4, 2, 5), np.float32)
+    w2, b2 = np.zeros((4, 5, 2), np.float32), np.zeros((4, 1, 2), np.float32)
     with pytest.raises(ValueError) as err:
-        segment_matmul(x, w, np.array([1, 0, 2, 0]), bias=np.zeros(shape))
+        expert_ffn(x, w1, np.zeros(shape), w2, b2, np.array([1, 0, 2, 0]))
     assert str(shape) in str(err.value)
     assert str((4, 2, 5)) in str(err.value)
 

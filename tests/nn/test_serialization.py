@@ -42,6 +42,21 @@ def test_metadata_optional(tmp_path):
         np.testing.assert_array_equal(state[name], value)
 
 
+@pytest.mark.parametrize("as_str", [False, True])
+def test_roundtrip_through_a_path_without_suffix(tmp_path, rng, as_str):
+    """The reader resolves a suffix-less path to the archive the writer
+    wrote there (``<path>.npz``)."""
+    model = make_model(0)
+    path = tmp_path / "run" / "ckpt"
+    if as_str:
+        path = str(path)
+    save_checkpoint(model, path)
+    other = make_model(99)
+    other.load_state_dict(load_checkpoint(path))
+    x = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+    np.testing.assert_array_equal(other(x).data, model(x).data)
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "absent.npz")

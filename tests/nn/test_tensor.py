@@ -90,6 +90,26 @@ def test_matmul_broadcast_batch(rng):
     check_grads(lambda t, u: t @ u, x, y)
 
 
+@pytest.mark.parametrize(
+    "sa,sb",
+    [
+        ((4,), (2, 4, 3)),
+        ((2, 3, 4), (4,)),
+        ((4,), (4,)),
+        ((4,), (4, 3)),
+        ((3, 4), (4,)),
+    ],
+)
+def test_matmul_rejects_1d_operands(rng, sa, sb):
+    """A 1-d operand raises in the forward, before any tape is built:
+    its backward used to double a vector's gradient against a batch,
+    or fail inside numpy."""
+    x = Tensor(rng.standard_normal(sa).astype(np.float32), requires_grad=True)
+    y = Tensor(rng.standard_normal(sb).astype(np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match="at least 2-d"):
+        x @ y
+
+
 def test_sum_mean_axes(a):
     check_grads(lambda t: t.sum(axis=0), a)
     check_grads(lambda t: t.mean(axis=1, keepdims=True), a)
