@@ -122,21 +122,29 @@ def attention_forward_flops(tokens: int, model_dim: int, seq_len: int) -> float:
     return proj + scores
 
 
-def check_routing(top_k, capacity_factor) -> None:
-    """Raise unless ``top_k`` is an integer >= 1 and ``capacity_factor``
-    a finite number > 0.
+def check_count(name: str, value) -> int:
+    """``value`` as an int >= 1, checked where a size, degree or count
+    enters: an integer in the sense of :func:`operator.index` (a float,
+    NaN or a bool raises ``TypeError``), else ``ValueError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    return n
 
-    ``top_k`` is an integer in the sense of :func:`operator.index`:
-    Python and numpy integers pass, a float raises ``TypeError``.  The
-    gate and the simulator's model config both check here, at
+
+def check_routing(top_k, capacity_factor) -> None:
+    """Raise unless ``top_k`` is an integer >= 1 (:func:`check_count`)
+    and ``capacity_factor`` a finite number > 0.
+
+    The gate and the simulator's model config both check here, at
     construction, so a bad value never reaches :func:`expert_capacity`.
     """
-    try:
-        k = operator.index(top_k)
-    except TypeError:
-        raise TypeError(f"top_k must be an integer, got {top_k!r}") from None
-    if k < 1:
-        raise ValueError(f"top_k must be >= 1, got {k}")
+    check_count("top_k", top_k)
     if not (math.isfinite(capacity_factor) and capacity_factor > 0):
         raise ValueError(
             f"capacity_factor must be finite and positive, got {capacity_factor}"

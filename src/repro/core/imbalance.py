@@ -32,7 +32,7 @@ class RoutingSkew:
     zipf_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.zipf_s < 0:
+        if not self.zipf_s >= 0:
             raise ValueError(f"zipf_s must be >= 0, got {self.zipf_s}")
 
     def expert_shares(self, num_experts: int) -> np.ndarray:

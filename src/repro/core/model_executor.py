@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Tuple
 
+from ..cluster.costmodel import check_count
 from ..cluster.engine import Event
 from ..cluster.streams import make_streams
 from ..cluster.topology import ClusterSpec, SimCluster
@@ -76,8 +77,7 @@ class ModelExecutor:
         partitions: int = 2,
         faults=None,
     ):
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
+        partitions = check_count("partitions", partitions)
         self.spec = spec
         self.a2a = a2a
         self.compressor = compressor

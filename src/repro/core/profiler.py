@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..cluster.costmodel import attention_forward_flops, ffn_forward_flops
+from ..cluster.costmodel import (
+    attention_forward_flops,
+    check_count,
+    ffn_forward_flops,
+)
 from ..cluster.topology import ClusterSpec
 from ..collectives.base import AllToAll, measure_a2a
 from ..compression.base import Compressor
@@ -117,8 +121,7 @@ class Profiler:
         self, cfg: MoEModelConfig, partitions: int
     ) -> TaskDurations:
         """Per-chunk task durations for one MoE layer of ``cfg``."""
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
+        partitions = check_count("partitions", partitions)
         raw_chunk = cfg.a2a_bytes / partitions
         wire_chunk = self.compressor.compressed_bytes(raw_chunk)
         tokens_chunk = max(1, cfg.expert_tokens_per_gpu // partitions)

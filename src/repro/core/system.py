@@ -88,7 +88,9 @@ class SystemPolicy:
             isinstance(self.partitions, tuple)
             and self.partitions
             and all(
-                isinstance(r, numbers.Integral) and r >= 1
+                isinstance(r, numbers.Integral)
+                and not isinstance(r, bool)
+                and r >= 1
                 for r in self.partitions
             )
         ):
@@ -96,7 +98,10 @@ class SystemPolicy:
                 "partitions must be a non-empty tuple of degrees >= 1, "
                 f"got {self.partitions!r}"
             )
-        if self.comm_inefficiency < 1.0:
+        # Written so that NaN fails the check too.
+        if not self.shadow_expert_layers >= 0:
+            raise ValueError("shadow_expert_layers must be >= 0")
+        if not self.comm_inefficiency >= 1.0:
             raise ValueError("comm_inefficiency must be >= 1")
 
 

@@ -101,7 +101,7 @@ class TaskDurations:
 
     def __post_init__(self) -> None:
         for field_name in ("compress", "a2a", "decompress", "expert"):
-            if getattr(self, field_name) < 0:
+            if not getattr(self, field_name) >= 0:  # NaN fails too
                 raise ValueError(f"{field_name} duration must be >= 0")
 
     def of(self, kind: TaskKind) -> float:

@@ -32,10 +32,9 @@ skips injector construction entirely when ``FaultPlan.is_empty()``.
 Degrading is only half a fault story.  The companion submodule
 :mod:`repro.faults.recovery` closes the loop — detect a dead worker,
 re-shard its experts onto survivors (placement swap + parameter
-re-instantiation from checkpoint or seeded re-init), price the
-re-shard all-to-all through the timing substrate, and decide
-reshard-vs-degraded — so a run returns to full expert count instead of
-training degraded forever.
+re-instantiation from checkpoint or seeded re-init) and price the
+re-shard all-to-all through the timing substrate — so a run returns
+to full expert count instead of training degraded forever.
 """
 
 from __future__ import annotations

@@ -35,15 +35,14 @@ Every transition is priced through the *timing* substrate: the expert
 slices that must move are counted in bytes
 (:func:`~repro.moe.placement.reshard_traffic`) and converted to
 simulated seconds by :func:`price_reshard` on a healthy cluster.
-:func:`reshard_vs_degraded` turns those numbers into the planner's
-decision hook: pay the one-off re-shard or keep stepping as-is.
-:mod:`repro.systems.recovery` runs the whole kill → recover →
-scale-up scenario and prices it.
+Whether to recover at all is a question of model quality, not of step
+time: :mod:`repro.systems.recovery` runs the kill → recover → scale-up
+scenario, prices its re-shards, and measures the perplexity that
+degraded, restored and re-initialized training reach.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -60,9 +59,7 @@ from ..nn.serialization import load_checkpoint
 __all__ = [
     "RecoveryController",
     "RecoveryEvent",
-    "ReshardDecision",
     "price_reshard",
-    "reshard_vs_degraded",
 ]
 
 
@@ -79,66 +76,6 @@ class RecoveryEvent:
     source: str  # "checkpoint" | "reinit" | "move"
     reshard_total_bytes: int
     reshard_per_gpu_bytes: int
-
-
-@dataclass(frozen=True)
-class ReshardDecision:
-    """The reshard-vs-continue tradeoff, priced in simulated seconds.
-
-    ``continue_step_s`` is the per-step cost of keeping the current
-    configuration; ``reshard_step_s`` the per-step cost after paying
-    the one-off ``reshard_s``.  ``breakeven_steps`` is the horizon
-    beyond which resharding is cheaper (``inf`` when resharding never
-    pays off *in time* — after a worker death, degraded steps are
-    usually cheaper per step because fewer experts run, and the reason
-    to reshard anyway is model quality: the recovered run serves the
-    full expert count, which no step-time metric captures).
-    """
-
-    reshard_s: float
-    continue_step_s: float
-    reshard_step_s: float
-    horizon_steps: int
-    continue_total_s: float
-    reshard_total_s: float
-    breakeven_steps: float
-    recommendation: str  # "reshard" | "continue"
-
-
-def reshard_vs_degraded(
-    reshard_s: float,
-    continue_step_s: float,
-    reshard_step_s: float,
-    horizon_steps: int,
-) -> ReshardDecision:
-    """The planner's decision hook: pay the re-shard or keep stepping.
-
-    Pure arithmetic over simulated seconds, so callers can price any
-    pair of configurations — degraded vs recovered, pre- vs
-    post-scale-up — over a planning horizon.
-    """
-    if horizon_steps < 0:
-        raise ValueError(
-            f"horizon_steps must be >= 0, got {horizon_steps}"
-        )
-    if reshard_s < 0:
-        raise ValueError(f"reshard_s must be >= 0, got {reshard_s}")
-    saving = continue_step_s - reshard_step_s
-    breakeven = reshard_s / saving if saving > 0 else math.inf
-    continue_total = horizon_steps * continue_step_s
-    reshard_total = reshard_s + horizon_steps * reshard_step_s
-    return ReshardDecision(
-        reshard_s=reshard_s,
-        continue_step_s=continue_step_s,
-        reshard_step_s=reshard_step_s,
-        horizon_steps=horizon_steps,
-        continue_total_s=continue_total,
-        reshard_total_s=reshard_total,
-        breakeven_steps=breakeven,
-        recommendation=(
-            "reshard" if reshard_total < continue_total else "continue"
-        ),
-    )
 
 
 def price_reshard(spec, per_gpu_bytes: Union[int, float]) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..cluster.costmodel import check_routing, expert_capacity
+from ..cluster.costmodel import check_count, check_routing, expert_capacity
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class MoEModelConfig:
             "model_dim",
             "num_experts",
         ):
-            if getattr(self, attr) < 1:
-                raise ValueError(f"{attr} must be >= 1")
+            check_count(attr, getattr(self, attr))
 
     # -- paper quantities ------------------------------------------------
     @property

@@ -1,4 +1,4 @@
-"""The elastic-recovery study: kill → recover → scale-up, priced.
+"""The elastic-recovery study: kill → recover → scale-up.
 
 One scenario, built once and shared by
 ``benchmarks/bench_ablation_recovery.py`` (which saves the rendered
@@ -15,39 +15,35 @@ recovered forward is bit-identical to a freshly built group on the
 same placement, checkpoint restore reproduces the pre-kill output
 exactly, and re-init replays identically run after run.
 
-On the **timing substrate** the cluster loses node 0.  The choice the
-controller prices: keep training *degraded* on the surviving nodes
-without the lost experts, or pay one re-shard all-to-all (the adopted
-experts' parameter slices) and train the *full* model on the
-survivors.  Per step the degraded model is cheaper — it does less
-work — so the time-only recommendation is "continue"; the study
-records that honestly (the reason to reshard is model quality, which
-no step-time metric sees).  When a replacement node arrives the same
-hook prices the rebalance back to the full cluster, where the time
-saving is real and the breakeven horizon finite.
+On the **timing substrate** node 0 dies; the study prices the re-shard
+onto the survivors and the rebalance onto a replacement node (bytes
+per GPU, :func:`~repro.faults.recovery.price_reshard` time).  Step
+time cannot say whether to recover: with k = 1 a degraded and a
+recovered step cost the same.  Model quality can, and
+:func:`run_quality_study` measures it (Table 6's LM loses a third of
+its experts mid-run and continues healthy, degraded, restored or
+re-initialized, over eight seeds; ~1.5 min on two cores, so it has a
+bench sidecar and no CLI command).
 
-Everything is seeded or simulated-time, so the report is bit-for-bit
-deterministic.
+Everything is seeded or simulated-time, so both reports are
+bit-for-bit deterministic on one BLAS kernel.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import multiprocessing
 import tempfile
+from itertools import islice
 from pathlib import Path
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
 from ..cluster.topology import ClusterSpec
-from ..collectives import get_a2a
-from ..compression import get_compressor
-from ..core import ModelExecutor, get_scheduler
-from ..faults.recovery import (
-    RecoveryController,
-    price_reshard,
-    reshard_vs_degraded,
-)
+from ..faults.recovery import RecoveryController, price_reshard
+from ..metrics.perplexity import evaluate_lm_perplexity
 from ..models import ct_moe
 from ..moe import MoELayer
 from ..moe.parallel import ExpertParallelGroup
@@ -58,12 +54,11 @@ from ..moe.placement import (
     reshard_traffic,
 )
 from ..nn import Tensor
-from ..nn.serialization import save_checkpoint
-
-ALGO = "pipe"
-SCHEDULER = "optsche"
-#: Planning horizons (steps) of the reshard-vs-continue decision.
-HORIZONS = (10, 100, 1000)
+from ..nn.optim import Adam
+from ..nn.serialization import load_checkpoint, save_checkpoint
+from ..training.convergence import _lm_model, default_lm_corpus
+from ..training.trainer import _train
+from .sweep import default_processes
 
 #: Numerical-substrate scenario (kept small: parity is exact at any
 #: size, so more tokens buy nothing).
@@ -175,7 +170,7 @@ def _parity_study() -> dict:
 
 
 def _pricing_study(spec: ClusterSpec) -> dict:
-    """Price reshard-vs-degraded after losing node 0 of ``spec``."""
+    """Price the re-shards after node 0 of ``spec`` dies, and back."""
     if spec.num_nodes < 2:
         raise ValueError(
             f"losing a node of {spec.name!r} leaves no survivors "
@@ -184,72 +179,27 @@ def _pricing_study(spec: ClusterSpec) -> dict:
     survivors = dataclasses.replace(spec, num_nodes=spec.num_nodes - 1)
     model = ct_moe()
 
-    # Expert placement over every rank; node 0 takes its ranks down.
-    old = ExpertPlacement.contiguous(model.num_experts, spec.world_size)
-    dead = frozenset(range(spec.gpus_per_node))
-    survivors_pl = old.with_workers_removed(dead)
-    moves = reshard_moves(old, survivors_pl)
     bytes_per_expert = expert_param_bytes(
         model.model_dim, model.hidden_dim
     )
-    traffic = reshard_traffic(
-        moves, bytes_per_expert, survivors_pl.num_workers
-    )
-    # The exchange runs on the surviving cluster.
-    reshard_s = price_reshard(survivors, traffic["per_gpu_bytes"])
 
-    def makespan(cluster, m):
-        layer = dataclasses.replace(m, num_layers=1, layer_only=True)
-        return ModelExecutor(
-            cluster,
-            get_a2a(ALGO),
-            get_compressor("zfp"),
-            get_scheduler(SCHEDULER),
-            partitions=2,
-        ).run(layer).makespan
+    def reshard(old, new, cluster):
+        moves = reshard_moves(old, new)
+        traffic = reshard_traffic(moves, bytes_per_expert, new.num_workers)
+        return moves, traffic, price_reshard(cluster, traffic["per_gpu_bytes"])
 
-    # The job's global batch is fixed (strong scaling): the survivors
-    # each carry more tokens, so every post-failure step is slower
-    # than the healthy one regardless of expert count.
-    survivor_batch = -(
-        -model.batch_per_gpu * spec.num_nodes // survivors.num_nodes
-    )
-    degraded_model = dataclasses.replace(
-        model,
-        name=model.name + "-degraded",
-        num_experts=model.num_experts - len(moves),
-        batch_per_gpu=survivor_batch,
-    )
-    recovered_model = dataclasses.replace(
-        model,
-        name=model.name + "-recovered",
-        batch_per_gpu=survivor_batch,
-    )
-    healthy_s = makespan(spec, model)  # pre-failure reference
-    degraded_s = makespan(survivors, degraded_model)  # continue as-is
-    recovered_s = makespan(survivors, recovered_model)  # full model
-
-    decisions = [
-        dataclasses.asdict(
-            reshard_vs_degraded(reshard_s, degraded_s, recovered_s, h)
-        )
-        for h in HORIZONS
-    ]
-
+    # Expert placement over every rank; node 0 takes its ranks down,
+    # and the exchange runs on the surviving cluster.
+    old = ExpertPlacement.contiguous(model.num_experts, spec.world_size)
+    dead = frozenset(range(spec.gpus_per_node))
+    survivors_pl = old.with_workers_removed(dead)
+    moves, traffic, reshard_s = reshard(old, survivors_pl, survivors)
     # A replacement node arrives: rebalance back to the contiguous
-    # full-cluster placement.  Here the per-step saving is real.
+    # full-cluster placement.
     restored = ExpertPlacement.contiguous(
         model.num_experts, spec.world_size, version=survivors_pl.version + 1
     )
-    back_moves = reshard_moves(survivors_pl, restored)
-    back_traffic = reshard_traffic(
-        back_moves, bytes_per_expert, spec.world_size
-    )
-    back_s = price_reshard(spec, back_traffic["per_gpu_bytes"])
-    back = dataclasses.asdict(
-        reshard_vs_degraded(back_s, recovered_s, healthy_s, max(HORIZONS))
-    )
-
+    back_moves, back, back_s = reshard(survivors_pl, restored, spec)
     return {
         "model": model.name,
         "cluster": spec.name,
@@ -260,15 +210,11 @@ def _pricing_study(spec: ClusterSpec) -> dict:
         "reshard_total_bytes": int(traffic["total_bytes"]),
         "reshard_per_gpu_bytes": int(traffic["per_gpu_bytes"]),
         "reshard_s": reshard_s,
-        "healthy_step_s": healthy_s,
-        "degraded_step_s": degraded_s,
-        "recovered_step_s": recovered_s,
-        "decisions": decisions,
-        "scale_back": dict(
-            back,
-            moves=len(back_moves),
-            per_gpu_bytes=int(back_traffic["per_gpu_bytes"]),
-        ),
+        "rebalance": {
+            "moves": len(back_moves),
+            "per_gpu_bytes": int(back["per_gpu_bytes"]),
+            "reshard_s": back_s,
+        },
     }
 
 
@@ -284,9 +230,6 @@ def run_recovery_study(spec: ClusterSpec) -> dict:
         "acceptance": {
             "all_parity_checks_pass": all(parity["checks"].values()),
             "reshard_priced_positive": pricing["reshard_s"] > 0,
-            "scale_back_breakeven_finite": (
-                pricing["scale_back"]["breakeven_steps"] != float("inf")
-            ),
         },
     }
 
@@ -300,7 +243,7 @@ def render(report: dict, spec: ClusterSpec) -> str:
     """The study's text block; ``spec`` is the cluster it ran on."""
     par = report["parity"]
     pri = report["pricing"]
-    experts = ct_moe().num_experts
+    back = pri["rebalance"]
     lines = [
         f"numerical parity (E={par['scenario']['num_experts']} "
         f"P={par['scenario']['num_workers']}, kill worker "
@@ -318,29 +261,124 @@ def render(report: dict, spec: ClusterSpec) -> str:
         f"  re-shard A2A: {pri['reshard_per_gpu_bytes']:,} B/GPU -> "
         f"{pri['reshard_s'] * 1e3:.3f} ms on the "
         f"{spec.num_nodes - 1} surviving nodes",
-        f"  step: healthy {pri['healthy_step_s'] * 1e3:.2f} ms, "
-        f"degraded({experts - pri['adopted_experts']}E) "
-        f"{pri['degraded_step_s'] * 1e3:.2f} ms, "
-        f"recovered({experts}E) {pri['recovered_step_s'] * 1e3:.2f} ms",
+        f"  replacement node: rebalance back ({back['moves']} experts) "
+        f"{back['per_gpu_bytes']:,} B/GPU -> "
+        f"{back['reshard_s'] * 1e3:.3f} ms on the {spec.num_nodes} nodes",
     ]
-    for d in pri["decisions"]:
-        be = (
-            "inf"
-            if d["breakeven_steps"] == float("inf")
-            else f"{d['breakeven_steps']:.1f}"
+    return "\n".join(lines)
+
+
+# -- the quality study ----------------------------------------------------
+
+#: Fixed before the study first ran: the seeds, Table 6's LM schedule
+#: (:func:`~repro.training.convergence.run_lm_convergence`), the step
+#: whose checkpoint the restore branch reads, and the kill: after
+#: ``KILL_STEP`` the experts one of three workers would host (E = 6)
+#: die in every MoE layer.
+SEEDS = tuple(range(8))
+STEPS, BATCH_SIZE, LR, EVAL_BATCHES = 450, 16, 3e-3, 32
+CHECKPOINT_STEP, KILL_STEP, KILLED_EXPERTS = 175, 225, (2, 3)
+BRANCHES = ("healthy", "degraded", "restore", "reinit")
+
+
+def _quality_run(seed: int) -> Dict[str, float]:
+    """One seed: train, kill, fork four ways; final perplexity per branch."""
+    corpus = default_lm_corpus()
+    model = _lm_model("MoE", corpus, seed)
+    optimizer = Adam(model.parameters(), lr=LR)
+    stream = corpus.batches(BATCH_SIZE, STEPS, seed=seed)
+    _train(model, optimizer, islice(stream, CHECKPOINT_STEP), model.loss)
+    with tempfile.TemporaryDirectory(prefix="repro-quality-") as tmp:
+        save_checkpoint(model, Path(tmp) / "checkpoint.npz")
+        saved = load_checkpoint(Path(tmp) / "checkpoint.npz")
+    until_kill = islice(stream, KILL_STEP - CHECKPOINT_STEP)
+    _train(model, optimizer, until_kill, model.loss)
+    rest = list(stream)
+    perplexity = {}
+    for branch in BRANCHES:
+        # One copy keeps the optimizer's moments tied to the weights.
+        fork, fork_optimizer = copy.deepcopy((model, optimizer))
+        names = {id(p): name for name, p in fork.named_parameters()}
+        layers = [m for m in fork.modules() if isinstance(m, MoELayer)]
+        for i, layer in enumerate(layers):
+            bank = names[id(layer.experts.w1)][: -len("w1")]
+            for e in KILLED_EXPERTS:
+                if branch == "restore":
+                    layer.experts.load_expert_slice(e, *(
+                        saved[bank + p][e] for p in ("w1", "b1", "w2", "b2")
+                    ))
+                elif branch == "reinit":  # RecoveryController's key + layer
+                    rng = np.random.default_rng((seed, 1, i, e))
+                    layer.experts.reinit_expert(e, rng)
+            if branch == "degraded":
+                layer.set_dead_experts(KILLED_EXPERTS)
+        _train(fork, fork_optimizer, rest, fork.loss)
+        # Scored as :func:`~repro.training.trainer.train_lm` scores.
+        perplexity[branch] = evaluate_lm_perplexity(
+            fork,
+            corpus.batches(BATCH_SIZE, EVAL_BATCHES, seed=seed + 10_000),
         )
-        lines.append(
-            f"  horizon {d['horizon_steps']:>5}: continue "
-            f"{d['continue_total_s'] * 1e3:9.2f} ms vs reshard "
-            f"{d['reshard_total_s'] * 1e3:9.2f} ms (breakeven {be}) "
-            f"-> {d['recommendation']}"
-        )
-    sb = pri["scale_back"]
+    return perplexity
+
+
+def _summarize(runs: List[Dict[str, float]]) -> dict:
+    """Per-branch quartiles; restore and re-init each beat degraded when
+    the median gap exceeds the larger of the two interquartile ranges."""
+    ppl = {b: [run[b] for run in runs] for b in BRANCHES}
+    quartiles = {
+        b: [float(q) for q in np.percentile(v, [25, 50, 75])]
+        for b, v in ppl.items()
+    }
+
+    def beats_degraded(b: str) -> bool:
+        (d1, dm, d3), (b1, bm, b3) = quartiles["degraded"], quartiles[b]
+        return bool(dm - bm > max(d3 - d1, b3 - b1))
+
+    restore_minus_reinit = np.subtract(ppl["restore"], ppl["reinit"])
+    return {
+        "perplexity": ppl,
+        "quartiles": quartiles,
+        "restore_minus_reinit_median": float(np.median(restore_minus_reinit)),
+        "restore_lower_seeds": int((restore_minus_reinit < 0).sum()),
+        "acceptance": {
+            f"{b}_beats_degraded": beats_degraded(b)
+            for b in ("restore", "reinit")
+        },
+    }
+
+
+def run_quality_study() -> dict:
+    """Degraded vs restored training at every seed of :data:`SEEDS`.
+
+    Seeds run in a process pool; results keep seed order and equal a
+    serial run's, since each seed's run depends on nothing else.
+    """
+    with multiprocessing.Pool(min(len(SEEDS), default_processes())) as pool:
+        runs = pool.map(_quality_run, SEEDS)
+    return {"seeds": list(SEEDS), **_summarize(runs)}
+
+
+def render_quality(report: dict) -> str:
+    """The quality study's text block (:func:`failed_checks` fits it)."""
+    ppl = report["perplexity"]
+    lines = [
+        f"Table 6 LM, {STEPS} steps: experts {list(KILLED_EXPERTS)} die "
+        f"in every MoE layer after step {KILL_STEP}; restore reads the "
+        f"step-{CHECKPOINT_STEP} checkpoint",
+        "final perplexity",
+        "  seed" + "".join(f"{b:>10}" for b in BRANCHES),
+    ]
+    for i, seed in enumerate(report["seeds"]):
+        row = "".join(f"{ppl[b][i]:>10.5f}" for b in BRANCHES)
+        lines.append(f"  {seed:>4}{row}")
+    for b, (q1, median, q3) in report["quartiles"].items():
+        lines.append(f"  {b:<10} median {median:.3f} [{q1:.3f}, {q3:.3f}]")
+    median = report["restore_minus_reinit_median"]
     lines.append(
-        f"  replacement node: rebalance back costs "
-        f"{sb['reshard_s'] * 1e3:.3f} ms, saves "
-        f"{(sb['continue_step_s'] - sb['reshard_step_s']) * 1e3:.2f} "
-        f"ms/step, breakeven {sb['breakeven_steps']:.1f} steps "
-        f"-> {sb['recommendation']}"
+        f"  restore - reinit: median {median:+.3f}, restore lower at "
+        f"{report['restore_lower_seeds']}/{len(report['seeds'])} seeds "
+        "(not checked)"
     )
+    for name, ok in report["acceptance"].items():
+        lines.append(f"  {name:<40} {ok}")
     return "\n".join(lines)

@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..cluster.costmodel import check_count
 from ..cluster.topology import ClusterSpec
 from ..core.imbalance import RoutingSkew
 from ..core.system import StepBreakdown, SystemPolicy, simulate_model_step
@@ -74,14 +75,14 @@ def run_sweep(
 ) -> List[StepBreakdown]:
     """Simulate every task, in task order, in parallel.
 
-    ``processes`` defaults to :func:`default_processes`; 1 runs
-    serially in-process with a single shared runner (maximal profiler
-    reuse).
+    ``processes`` (an integer >= 1) defaults to :func:`default_processes`;
+    1 runs serially in-process with a single shared runner (maximal
+    profiler reuse).
     """
     tasks = list(tasks)
     if processes is None:
         processes = default_processes()
-    processes = max(1, min(processes, len(tasks) or 1))
+    processes = min(check_count("processes", processes), len(tasks) or 1)
 
     if processes == 1:
         runner = SystemRunner(spec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import Callable, Iterable, List
 
 import numpy as np
 
@@ -104,28 +104,23 @@ class TrainHistory:
 
 def _train(
     model: Module,
-    corpus: Union[SyntheticLM, SyntheticTranslation],
+    optimizer: Adam,
+    batches: Iterable,
     loss_of: Callable[..., Tensor],
-    steps: int,
-    batch_size: int,
-    lr: float,
-    seed: int,
 ) -> List[float]:
     """The guarded step loop of both trainers; returns the losses.
 
-    ``loss_of`` maps one ``corpus.batches`` item to the loss tensor.
-    A step with a non-finite loss or gradient norm is skipped (weights
-    and optimizer state untouched); more than
-    :data:`MAX_CONSECUTIVE_SKIPS` in a row raise
-    :class:`TrainingDivergedError`.
+    One ``optimizer`` step per item of ``batches``, whose loss
+    ``loss_of`` computes; the caller owns both, so a run continues (or
+    forks) by calling again on the rest of its stream.  A step with a
+    non-finite loss or gradient norm is skipped (weights and optimizer
+    state untouched); more than :data:`MAX_CONSECUTIVE_SKIPS` in a row
+    raise :class:`TrainingDivergedError`.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    optimizer = Adam(model.parameters(), lr=lr)
     guard = AnomalyGuard()
     losses: List[float] = []
     model.train()
-    for batch in corpus.batches(batch_size, steps, seed=seed):
+    for batch in batches:
         optimizer.zero_grad()
         loss = loss_of(batch)
         loss.backward()
@@ -134,6 +129,8 @@ def _train(
         if guard.step_is_safe(value, grad_norm):
             optimizer.step()
         losses.append(value)
+    if not losses:
+        raise ValueError("no training batches")
     return losses
 
 
@@ -153,7 +150,10 @@ def train_lm(
     :data:`MAX_CONSECUTIVE_SKIPS` in a row raise
     :class:`TrainingDivergedError` instead of returning a NaN metric.
     """
-    losses = _train(model, corpus, model.loss, steps, batch_size, lr, seed)
+    losses = _train(
+        model, Adam(model.parameters(), lr=lr),
+        corpus.batches(batch_size, steps, seed=seed), model.loss,
+    )
     perplexity = evaluate_lm_perplexity(
         model, corpus.batches(batch_size, eval_batches, seed=seed + 10_000)
     )
@@ -171,8 +171,9 @@ def train_translation(
     """Train a seq2seq model; metric = validation BLEU over 8 held-out
     batches.  Guarded as :func:`train_lm`."""
     losses = _train(
-        model, corpus, lambda batch: model.loss(*batch),
-        steps, batch_size, lr, seed,
+        model, Adam(model.parameters(), lr=lr),
+        corpus.batches(batch_size, steps, seed=seed),
+        lambda batch: model.loss(*batch),
     )
     bleu = evaluate_translation_bleu(
         model, corpus, num_batches=8, seed=seed + 10_000,

@@ -74,3 +74,9 @@ def test_single_layer_consistent_with_layer_executor(paper_spec):
     for mode in ("layer-barrier", "chunked"):
         makespan = executor.run(ablation_layer(), mode=mode).makespan
         assert makespan.hex() == "0x1.7dea3ccf889f5p-2"
+
+
+def test_fractional_partitions_rejected_at_construction(paper_spec):
+    """It used to fail only inside ``run()``, with a range() TypeError."""
+    with pytest.raises(TypeError, match="partitions"):
+        make(paper_spec, partitions=1.5)

@@ -13,8 +13,10 @@ from repro.core import (
     PARTITION_CANDIDATES,
     LinearPerfModel,
     Profiler,
+    RoutingSkew,
     ScheMoELayer,
     SystemPolicy,
+    TaskDurations,
     dense_param_count,
     estimate_memory_bytes,
     local_param_count,
@@ -162,7 +164,8 @@ def test_schemoe_layer_accepts_numpy_integer_partitions(paper_spec):
 
 
 def test_policy_validation():
-    for partitions in (0, 2, (), (0,), (2, 0), (1.5,)):
+    # A bool is an int subclass, not a degree (as in layer_policy).
+    for partitions in (0, 2, (), (0,), (2, 0), (1.5,), (True,), (2, False)):
         with pytest.raises(ValueError, match="partitions"):
             SystemPolicy(name="x", partitions=partitions)
     with pytest.raises(ValueError):
@@ -248,3 +251,31 @@ def test_schemoe_layer_partition_validation(rng):
         ScheMoELayer(16, 32, 4, rng, partitions="many")
     with pytest.raises(ValueError):
         ScheMoELayer(16, 32, 4, rng, partitions=-1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SystemPolicy(name="x", comm_inefficiency=float("nan")),
+        lambda: SystemPolicy(name="x", shadow_expert_layers=-1),
+        lambda: SystemPolicy(name="x", shadow_expert_layers=float("nan")),
+        lambda: RoutingSkew(float("nan")),
+        lambda: TaskDurations(
+            compress=float("nan"), a2a=0.0, decompress=0.0, expert=0.0
+        ),
+    ],
+    ids=[
+        "comm_inefficiency-nan", "shadow-negative", "shadow-nan",
+        "skew-nan", "compress-nan",
+    ],
+)
+def test_timing_inputs_reject_nan_and_negatives(build):
+    """NaN fails every comparison, so a ``< bound`` check let it
+    through; each of these was accepted and priced."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_profile_layer_rejects_fractional_partitions(profiler):
+    with pytest.raises(TypeError, match="partitions"):
+        profiler.profile_layer(ct_moe(12), partitions=1.5)

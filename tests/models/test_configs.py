@@ -1,5 +1,7 @@
 """Tests of the paper model configurations (Tables 1, 4, 5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.models import (
@@ -90,3 +92,18 @@ def test_config_validation():
             hidden_dim=1, model_dim=1, top_k=1, num_experts=1,
             capacity_factor=0.0,
         )
+
+
+@pytest.mark.parametrize(
+    "attr",
+    [
+        "num_layers", "batch_per_gpu", "seq_len",
+        "hidden_dim", "model_dim", "num_experts",
+    ],
+)
+@pytest.mark.parametrize("value", [2.5, float("nan"), True])
+def test_config_sizes_must_be_integers(attr, value):
+    """A fractional size would be priced as if it existed, and NaN would
+    fail only inside the simulation: both raise at construction."""
+    with pytest.raises(TypeError, match=attr):
+        dataclasses.replace(ct_moe(12), **{attr: value})

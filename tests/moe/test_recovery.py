@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.collectives import get_a2a, measure_a2a
-from repro.faults.recovery import (
-    RecoveryController,
-    price_reshard,
-    reshard_vs_degraded,
-)
+from repro.faults.recovery import RecoveryController, price_reshard
 from repro.moe import ExpertPlacement, MoELayer
 from repro.moe.parallel import ExpertParallelGroup
 from repro.moe.placement import expert_param_bytes, reshard_traffic
@@ -316,7 +312,7 @@ def test_layer_dead_expert_swap_blocked_mid_forward(monkeypatch, tokens):
     layer.set_dead_experts({0})  # fine between forwards
 
 
-# -- pricing and the decision hook ----------------------------------------
+# -- pricing --------------------------------------------------------------
 
 
 def test_price_reshard_on_a_healthy_cluster(small_spec):
@@ -324,24 +320,6 @@ def test_price_reshard_on_a_healthy_cluster(small_spec):
     assert price_reshard(small_spec, 0) == 0.0
     with pytest.raises(ValueError):
         price_reshard(small_spec, -1)
-
-
-def test_reshard_vs_degraded_decision():
-    d = reshard_vs_degraded(1.0, 0.010, 0.008, 1000)
-    assert d.breakeven_steps == pytest.approx(500.0)
-    assert d.recommendation == "reshard"
-    assert d.reshard_total_s == pytest.approx(1.0 + 8.0)
-    # No per-step saving: resharding never pays off in time.
-    d2 = reshard_vs_degraded(1.0, 0.008, 0.010, 1000)
-    assert d2.breakeven_steps == float("inf")
-    assert d2.recommendation == "continue"
-    # Short horizon flips the call even with a saving.
-    d3 = reshard_vs_degraded(1.0, 0.010, 0.008, 10)
-    assert d3.recommendation == "continue"
-    with pytest.raises(ValueError):
-        reshard_vs_degraded(-1.0, 0.01, 0.01, 10)
-    with pytest.raises(ValueError):
-        reshard_vs_degraded(1.0, 0.01, 0.01, -1)
 
 
 def test_event_pricing_uses_event_bytes(small_spec):

@@ -88,3 +88,10 @@ def test_skew_changes_result():
         processes=1,
     )
     assert flat.total_s != skewed.total_s
+
+
+@pytest.mark.parametrize("processes", [0, -3, 1.5])
+def test_bad_pool_size_raises(tasks, processes):
+    """A pool size below 1 used to run serially without a word."""
+    with pytest.raises((ValueError, TypeError), match="processes"):
+        run_sweep(tasks, paper_testbed(), processes=processes)
