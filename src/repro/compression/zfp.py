@@ -17,8 +17,11 @@ A block's peak magnitude is read from the bit patterns: with the sign
 bit cleared, a float32 orders like its int32 bits (NaN above inf above
 every finite value, -0.0 as +0.0), so the row max of those ints,
 viewed back as float32, is ``max(abs(block))`` bit for bit without a
-float reduction.  The non-finite check lives on those peaks too: a
-NaN or inf anywhere makes its block's peak non-finite, so
+float reduction.  That max is seeded with 0, which no magnitude's bits
+fall below, so numpy skips its slow path for a reduction without an
+identity (the seeding rule of :mod:`repro.nn.functional`).  The
+non-finite check lives on those peaks too: a NaN or inf anywhere makes
+its block's peak non-finite, so
 :meth:`ZfpLikeCompressor.compress` rejects it with no extra pass over
 the payload, and ``encode`` is that checked ``compress``.  Block
 exponents are stored as int8: a peak at or above 2^127 is rejected,
@@ -86,7 +89,7 @@ class ZfpLikeCompressor(Compressor):
         # docstring); the bits' buffer is reused for the quantized
         # values below.
         work = np.bitwise_and(blocks.view(np.int32), _MAGNITUDE_BITS)
-        peaks = work.max(axis=1).view(np.float32)
+        peaks = np.maximum.reduce(work, axis=1, initial=0).view(np.float32)
         if not np.all(np.isfinite(peaks)):
             raise ValueError(
                 f"{self.name}: payload contains non-finite values; "

@@ -13,6 +13,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cluster.costmodel import check_count
 from . import functional as F
 from .init import normal, xavier_uniform
 from .tensor import Tensor, inference_mode
@@ -162,10 +163,15 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalization over the last dimension."""
+    """Layer normalization over the last dimension.
+
+    ``eps`` must be finite and > 0, checked here and again in
+    :func:`~repro.nn.functional.layer_norm`.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
+        F._check_eps(eps)
         self.eps = eps
         self.weight = Parameter(np.ones(dim, dtype=np.float32))
         self.bias = Parameter(np.zeros(dim, dtype=np.float32))
@@ -203,6 +209,8 @@ class MultiHeadAttention(Module):
     masking, and cross-attention for the encoder-decoder model.  The
     score/softmax/value chain is one fused autograd node,
     :func:`~repro.nn.functional.scaled_dot_product_attention`.
+    ``num_heads`` must be an integer >= 1, checked at construction
+    (:func:`~repro.cluster.costmodel.check_count`).
     """
 
     def __init__(
@@ -213,6 +221,7 @@ class MultiHeadAttention(Module):
         causal: bool = False,
     ):
         super().__init__()
+        num_heads = check_count("num_heads", num_heads)
         if model_dim % num_heads != 0:
             raise ValueError(
                 f"model_dim {model_dim} not divisible by heads {num_heads}"
